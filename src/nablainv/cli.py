@@ -1,8 +1,8 @@
 """Command-line interface: invert, forward, verify, table, roundtrip.
 
 Exit codes: 0 on success, 1 on mathematical/domain failures (pole at s = 1,
-unsupported expression classes, parameter domain violations, divergence),
-2 on usage or syntax errors.
+unsupported expression classes, parameter domain violations, divergence,
+values outside the float64 range), 2 on usage or syntax errors.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from .inversion import (
     FractionalAtom,
     FractionalSumForm,
     invert_fractional,
+    invert_inside,
     invert_partial_fractions,
 )
 from .pairs import lookup, reference_pairs, sample_points
@@ -112,22 +113,26 @@ def _resolve(args):
 
 
 def _parse_krange(text, a):
+    """The steps lo, lo+1, ..., hi as a float ndarray.
+
+    Every step shares lo's offset from a, so checking lo checks the grid.
+    """
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = float(lo_text), float(hi_text)
     else:
         lo = hi = float(text)
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"step range {text!r} is not finite")
     if hi < lo:
         raise ValueError(f"empty step range {text!r}")
-    ks = [lo + i for i in range(int(round(hi - lo)) + 1)]
-    for k in ks:
-        m = k - a
-        if abs(m - round(m)) > 1e-9 or round(m) < 1:
-            raise ValueError(
-                f"k = {k:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
-                "adjust --k or --a"
-            )
-    return ks
+    m = lo - a
+    if abs(m - round(m)) > 1e-9 or round(m) < 1:
+        raise ValueError(
+            f"k = {lo:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
+            "adjust --k or --a"
+        )
+    return lo + np.arange(int(round(hi - lo)) + 1)
 
 
 def _parse_roc(text):
@@ -155,10 +160,6 @@ def _parse_roc(text):
             "inversion around s = 1 needs a disk of convergence at 1"
         )
     return roc
-
-
-def _f17(x):
-    return f"{x:.17g}"
 
 
 def _cpair(z):
@@ -203,33 +204,57 @@ class _Problem:
             return self.classified.fractional
         return self.table_hit.transform
 
-    def invert(self, strategy):
-        """Returns (strategy used, closed form or None, values callable k -> float)."""
-        kind = self.classified.kind
+    def closed_form(self, strategy):
+        """(strategy used, closed form or None); None for the table and inside."""
         if strategy == "auto":
             strategy = {
                 Kind.RATIONAL: "pfe",
                 Kind.FRACTIONAL_SUM: "fractional",
                 Kind.TABLE_CANDIDATE: "table",
-            }[kind]
+            }[self.classified.kind]
         if strategy == "table":
-            hit = self.table_hit or lookup(self.ast)
-            if hit is None:
-                raise NablaError("the expression does not match any tabulated pair")
-            seq = hit.sequence
-            return "table", None, lambda k: seq(round(k - self.a))
+            return "table", None
         if strategy == "inside":
-            rf = self._require_rational("inside")
-            return "inside", None, _InsideValues(rf, self.a)
+            self._require_rational("inside")
+            return "inside", None
         if strategy in ("pfe", "outside"):
             rf = self._require_rational(strategy)
-            cf = invert_partial_fractions(rf, self.a)
-            return strategy, cf, cf.evaluate
+            return strategy, invert_partial_fractions(rf, self.a)
         if strategy == "fractional":
-            form = self._as_fractional()
-            cf = invert_fractional(form, self.a)
-            return "fractional", cf, cf.evaluate
+            return "fractional", invert_fractional(self._as_fractional(), self.a)
         raise ValueError(f"unknown strategy {strategy!r}")
+
+    def invert(self, strategy, ks):
+        """(strategy used, closed form or None, float values on the grid ks).
+
+        Raises OverflowError naming the first step whose value is not finite
+        in float64.
+        """
+        used, cf = self.closed_form(strategy)
+        ms = np.rint(ks - self.a).astype(np.int64)
+        if cf is not None:
+            values = cf.sample(ks)
+        elif used == "inside":
+            series = invert_inside(self.classified.rational, int(ms[-1]), self.a)
+            values = series[ms - 1].real
+        else:
+            seq = self.table_hit.sequence
+            values = np.real(np.array([seq(int(m)) for m in ms], dtype=complex))
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise OverflowError(
+                f"f(k) at k = {ks[int(np.argmax(bad))]:g} is outside the float64 "
+                "range; narrow --k"
+            )
+        return used, cf, values
+
+    def sequence(self, cf):
+        """The auto strategy's sequence as a rule k -> f(k) with no last step,
+        for the forward-series oracles; cf is from ``closed_form("auto")``."""
+        if cf is not None:
+            return CausalSequence(self.a, cf.evaluate)
+        seq = self.table_hit.sequence
+        return CausalSequence(self.a, lambda k: seq(round(k - self.a)))
 
     def _require_rational(self, strategy):
         if self.classified.kind is not Kind.RATIONAL:
@@ -255,33 +280,12 @@ class _Problem:
         raise NablaError("strategy 'fractional' needs a fractional sum of atoms")
 
 
-class _InsideValues:
-    """Series-coefficient evaluation with a growing cache."""
-
-    def __init__(self, rf, a):
-        self.rf = rf
-        self.a = a
-        self.values = None
-
-    def grow(self, k_max):
-        m = round(k_max - self.a)
-        if self.values is None or len(self.values) < m:
-            self.values = self.rf.series_at_one(m - 1)
-
-    def __call__(self, k):
-        m = round(k - self.a)
-        self.grow(k)
-        v = self.values[m - 1]
-        return v.real if abs(v.imag) <= 1e-9 * max(1.0, abs(v.real)) else v
-
-
-def _emit_values(args, problem, used, cf, rows):
+def _emit_values(args, problem, used, cf, ks, values):
+    """Write the grid in the requested format with one write to stdout."""
+    rows = zip(ks.tolist(), values.tolist())
     if args.format == "csv":
-        print("k,f(k)")
-        for k, v in rows:
-            print(f"{k:g},{_f17(v)}")
-        return
-    if args.format == "json":
+        lines = ["k,f(k)"] + [f"{k:g},{v:.17g}" for k, v in rows]
+    elif args.format == "json":
         doc = {
             "expression": problem.text,
             "canonical": pretty(problem.ast),
@@ -290,21 +294,29 @@ def _emit_values(args, problem, used, cf, rows):
             "a": problem.a,
             "roc": problem.roc.describe(),
             "closed_form": [_term_json(t) for t in cf.terms] if cf else None,
-            "values": [{"k": k, "f": v} for k, v in rows],
         }
-        print(json.dumps(doc, indent=2))
-        return
-    print(f"expression     : {pretty(problem.ast)}")
-    print(f"classification : {problem.classified.kind.value}")
-    print(f"strategy       : {used}")
-    print(f"ROC            : {problem.roc.describe()}")
-    if problem.table_hit is not None:
-        print(f"table          : {problem.table_hit.describe()}")
-    if cf is not None:
-        print(f"closed form    : f(k) = {cf.describe()}")
-    print(f"{'k':>8}  {'f(k)':>24}")
-    for k, v in rows:
-        print(f"{k:8g}  {v:24.17g}")
+        # json.dumps(doc | {"values": [{"k": k, "f": v}, ...]}, indent=2) byte
+        # for byte: "values" is the last key, and the encoder writes finite
+        # floats with float.__repr__
+        head = json.dumps(doc, indent=2)[: -len("\n}")]
+        items = ",\n".join(
+            f'    {{\n      "k": {k!r},\n      "f": {v!r}\n    }}' for k, v in rows
+        )
+        lines = [head + ',\n  "values": [', items, "  ]", "}"]
+    else:
+        lines = [
+            f"expression     : {pretty(problem.ast)}",
+            f"classification : {problem.classified.kind.value}",
+            f"strategy       : {used}",
+            f"ROC            : {problem.roc.describe()}",
+        ]
+        if problem.table_hit is not None:
+            lines.append(f"table          : {problem.table_hit.describe()}")
+        if cf is not None:
+            lines.append(f"closed form    : f(k) = {cf.describe()}")
+        lines.append(f"{'k':>8}  {'f(k)':>24}")
+        lines += [f"{k:8g}  {v:24.17g}" for k, v in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _term_json(term):
@@ -334,18 +346,15 @@ def _term_json(term):
 def _cmd_invert(args):
     problem = _Problem(args.expr, args.a, args.roc)
     ks = _parse_krange(args.k, args.a)
-    used, cf, values = problem.invert(args.strategy)
-    if isinstance(values, _InsideValues):
-        values.grow(max(ks))
-    rows = [(k, float(np.real(values(k)))) for k in ks]
-    _emit_values(args, problem, used, cf, rows)
+    used, cf, values = problem.invert(args.strategy, ks)
+    _emit_values(args, problem, used, cf, ks, values)
     return 0
 
 
 def _cmd_forward(args):
     problem = _Problem(args.expr, args.a, args.roc)
-    used, cf, values = problem.invert("auto")
-    seq = CausalSequence(args.a, lambda k: complex(values(k)))
+    used, cf = problem.closed_form("auto")
+    seq = problem.sequence(cf)
     if args.s:
         points = [complex(part.strip()) for part in args.s.split(",") if part.strip()]
     else:
@@ -375,35 +384,29 @@ def _cmd_verify(args):
     orientation_check()
     checks.append(("contour orientation self-test (impulse pair)", True, 0.0))
 
-    used, cf, values = problem.invert("auto")
-    if isinstance(values, _InsideValues):
-        values.grow(max(ks))
-    sequence_values = np.array([float(np.real(values(k))) for k in ks])
+    used, cf, sequence_values = problem.invert("auto", ks)
     scale = max(1.0, float(np.max(np.abs(sequence_values))))
 
     if problem.classified.kind is Kind.RATIONAL:
-        inside = problem.classified.rational.series_at_one(round(max(ks) - args.a) - 1)
-        inside_vals = np.array(
-            [inside[round(k - args.a) - 1].real for k in ks]
-        )
+        _, _, inside_vals = problem.invert("inside", ks)
         diff = float(np.max(np.abs(inside_vals - sequence_values))) / scale
         checks.append((f"strategy agreement series-at-1 vs {used} "
                        f"(max scaled diff {diff:.2e})", diff <= tol, diff))
 
     worst = 0.0
-    for k in ks:
+    for k, v in zip(ks.tolist(), sequence_values.tolist()):
         q = numeric_inverse(F, k, a=args.a, rho=args.rho, nodes=args.nodes)
-        worst = max(worst, abs(q.real - float(np.real(values(k)))) / scale)
+        worst = max(worst, abs(q.real - v) / scale)
     checks.append((f"contour quadrature vs {used} over k grid "
                    f"(max scaled diff {worst:.2e})", worst <= tol, worst))
 
+    seq = problem.sequence(cf)
     iv = initial_value(F)
-    first = complex(values(args.a + 1))
+    first = seq(args.a + 1)
     ivd = abs(iv - first)
     checks.append((f"initial value f(a+1) = lim F(s) (|diff| {ivd:.2e})",
                    ivd <= tol * max(1.0, abs(iv)), ivd))
 
-    seq = CausalSequence(args.a, lambda k: complex(values(k)))
     worst_rt = 0.0
     for s in sample_points(problem.roc, count=5):
         total = forward_transform(seq, s)
@@ -479,7 +482,7 @@ def main(argv=None):
     except ExpressionSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NablaError as exc:
+    except (NablaError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, ZeroDivisionError) as exc:

@@ -6,14 +6,20 @@ Three routes recover the causal sequence of a rational F(s):
   (1-s)^(a-k) places at s = 1.  That residue is, up to the orientation sign,
   the coefficient of w^(k-a-1) in F(1-w), so the whole k-grid drops out of one
   power-series division -- no repeated differentiation.
-* ``invert_outside`` sums residues at the finite poles of F itself, which for
-  a rational F is exactly its partial fraction expansion mapped term by term
-  onto geometric and rising-factorial-times-geometric sequences.
-* ``invert_partial_fractions`` is the table route: expand, then map each atom.
+* ``invert_partial_fractions`` is the table route: expand, then map each
+  atom.  Summing residues at the finite poles of F gives, for a rational F,
+  exactly this expansion mapped term by term onto geometric and
+  rising-factorial-times-geometric sequences, so ``invert_outside`` is the
+  same function under its residue-calculus name.
 
-The last two produce a symbolic ClosedFormSequence, evaluable at any causal
-step; fractional-power sums go through ``invert_fractional`` instead, whose
-atoms map onto discrete Mittag-Leffler terms.
+The closed-form routes produce a symbolic ClosedFormSequence, evaluable at
+any causal step or on a whole step grid at once (``sample``); fractional-power
+sums go through ``invert_fractional`` instead, whose atoms map onto discrete
+Mittag-Leffler terms.
+
+The value(m) of an impulse, geometric or poly-geometric term takes the step
+offset m = k - a either as an int or as an int ndarray, so one formula serves
+a single step and a whole grid.
 """
 
 import math
@@ -27,7 +33,6 @@ from .rational import DiskAroundOne, OriginExclusion, Roc
 from .special import (
     MittagLefflerParams,
     discrete_mittag_leffler,
-    rising_factorial,
     step_offset,
 )
 
@@ -64,7 +69,7 @@ class ImpulseTerm:
     shift: int
 
     def value(self, m):
-        return self.coefficient if m == self.shift + 1 else 0j
+        return np.where(m == self.shift + 1, self.coefficient, 0j)
 
     def describe(self):
         off = f"-{self.shift + 1}" if self.shift + 1 else ""
@@ -104,11 +109,17 @@ class PolyGeometricTerm:
             raise ValueError("order must be >= 1")
 
     def value(self, m):
+        # the rising factorial m(m+1)...(m+n-2) in floats (an int64 product
+        # would wrap); the negative power underflows to 0 where the sequence
+        # decays instead of overflowing in a denominator
         n = self.order
+        rising = 1.0
+        for i in range(n - 1):
+            rising = rising * (m + i)
         return (
-            self.coefficient
-            * rising_factorial(m, n - 1)
-            / (math.factorial(n - 1) * (1.0 - self.pole) ** (m + n - 1))
+            self.coefficient / math.factorial(n - 1)
+            * rising
+            * (1.0 - self.pole) ** -(m + n - 1)
         )
 
     def describe(self):
@@ -129,6 +140,7 @@ class MittagLefflerTerm:
     params: MittagLefflerParams
 
     def value(self, m):
+        # one step offset at a time: the series is summed per step
         p = self.params
         return self.coefficient * discrete_mittag_leffler(
             MittagLefflerParams(p.alpha, p.beta, p.lam, 0.0), m
@@ -147,9 +159,11 @@ class ClosedFormSequence:
     """A causal sequence written as a finite sum of symbolic terms.
 
     Defined on the index set {a+1, a+2, ...} where a is ``base_point``.
-    ``evaluate`` returns the real value and rejects a significant imaginary
-    residue (conjugate terms of a real problem must cancel);
-    ``evaluate_complex`` skips that check for genuinely complex data.
+    ``evaluate`` returns the real value at one step and ``sample`` the real
+    values on a grid of steps; both reject a significant imaginary residue
+    (conjugate terms of a real problem must cancel).  ``evaluate_complex``
+    skips that check for genuinely complex data.  On a grid, values outside
+    the float64 range come back as inf or nan, for the caller to reject.
     """
 
     base_point: float
@@ -157,24 +171,47 @@ class ClosedFormSequence:
 
     def evaluate_complex(self, k):
         m = step_offset(k, self.base_point)
-        return sum((t.value(m) for t in self.terms), start=0j)
+        return complex(sum((t.value(m) for t in self.terms), start=0j))
 
     def evaluate(self, k):
         m = step_offset(k, self.base_point)
-        parts = [t.value(m) for t in self.terms]
+        parts = [complex(t.value(m)) for t in self.terms]
         v = sum(parts, start=0j)
         # conjugate terms cancel to rounding of the summands, which may dwarf
         # the sum itself (large residues at close conjugate poles)
         scale = max(1.0, abs(v.real), max((abs(p) for p in parts), default=0.0))
         if abs(v.imag) > REALNESS_TOL * scale:
-            raise RealnessError(
-                f"imaginary residue {v.imag:.3e} at k = {k}; term set is not "
-                "conjugate-consistent"
-            )
+            raise _not_real(v.imag, k)
         return v.real
 
     def sample(self, ks):
-        return np.array([self.evaluate(k) for k in ks])
+        """Real values at every step of ``ks``: ``evaluate`` over a grid, with
+        each term evaluated once on the whole array of step offsets.
+
+        A sum with Mittag-Leffler terms goes step by step instead: their
+        series are summed per step anyway, and a realness failure then stops
+        the grid at its step rather than after the last one.
+        """
+        ks = ks if isinstance(ks, np.ndarray) else list(ks)
+        if any(isinstance(t, MittagLefflerTerm) for t in self.terms):
+            return np.array([self.evaluate(k) for k in ks], dtype=float)
+        offsets = np.asarray(ks, dtype=float) - self.base_point
+        m = np.rint(offsets)
+        bad = (np.abs(offsets - m) > 1e-9) | (m < 1)
+        if bad.any():
+            step_offset(ks[int(np.argmax(bad))], self.base_point)  # raises
+        m = m.astype(np.int64)
+        parts = np.empty((len(self.terms), m.size), dtype=complex)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for row, t in zip(parts, self.terms):
+                row[:] = t.value(m)
+            v = parts.sum(axis=0)
+            scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
+            bad = np.abs(v.imag) > REALNESS_TOL * scale
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _not_real(v.imag[i], ks[i])
+        return v.real
 
     def describe(self):
         if not self.terms:
@@ -183,6 +220,13 @@ class ClosedFormSequence:
 
     def __str__(self):
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
+
+
+def _not_real(imag, k):
+    return RealnessError(
+        f"imaginary residue {imag:.3e} at k = {k}; term set is not "
+        "conjugate-consistent"
+    )
 
 
 def invert_inside(rf, k_max, a=0.0):
@@ -197,10 +241,11 @@ def invert_inside(rf, k_max, a=0.0):
     return rf.series_at_one(k_max - 1)
 
 
-def invert_outside(rf, a=0.0):
-    """Closed form from the residues at the finite poles of rational F.
+def invert_partial_fractions(rf, a=0.0):
+    """Closed form via partial fraction expansion and the pair table.
 
-    A simple pole s_n with residue r_n contributes r_n/(1-s_n)^(k-a); an
+    This is also the closed form from the residues at the finite poles of F:
+    a simple pole s_n with residue r_n contributes r_n/(1-s_n)^(k-a), and an
     order-N pole contributes its partial-fraction coefficients q_1..q_N mapped
     onto rising-factorial-times-geometric terms, the same decomposition the
     residue derivative formula produces.  Any polynomial (improper) part
@@ -209,9 +254,7 @@ def invert_outside(rf, a=0.0):
     return _sequence_from_expansion(expand(rf), a)
 
 
-def invert_partial_fractions(rf, a=0.0):
-    """Closed form via partial fraction expansion and the pair table."""
-    return _sequence_from_expansion(expand(rf), a)
+invert_outside = invert_partial_fractions
 
 
 def _sequence_from_expansion(pfe, a):

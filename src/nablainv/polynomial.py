@@ -1,6 +1,7 @@
 """Complex polynomial arithmetic and root finding with multiplicity clustering."""
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -287,18 +288,19 @@ def series_divide(num, den, order):
     """Leading power-series coefficients of num(x)/den(x) around x = 0.
 
     Requires den(0) != 0.  Returns an ndarray c of length order+1 with
-    num/den = sum c_j x^j + O(x^(order+1)); the recurrence is the standard
-    long division, exact in exact arithmetic.
+    num/den = sum c_j x^j + O(x^(order+1)).  The long-division recurrence
+    c_j = (n_j - sum_{i=1..min(j, D)} d_i c_{j-i}) / d_0 only reaches back
+    D = deg den coefficients, so the cost is O(order * D), not O(order^2).
     """
-    n = np.zeros(order + 1, dtype=complex)
-    d = np.zeros(order + 1, dtype=complex)
-    nc = _coeffs_of(num)
-    dc = _coeffs_of(den)
-    n[: min(len(nc), order + 1)] = nc[: order + 1]
-    d[: min(len(dc), order + 1)] = dc[: order + 1]
-    if d[0] == 0:
+    nc = _coeffs_of(num)[: order + 1]
+    dc = _coeffs_of(den)[: order + 1]
+    if dc[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
-    c = np.zeros(order + 1, dtype=complex)
-    for j in range(order + 1):
-        c[j] = (n[j] - np.dot(d[1 : j + 1], c[j - 1 :: -1][: j])) / d[0]
-    return c
+    d0 = complex(dc[0])
+    tail = dc[1:].tolist()  # d_1 .. d_D
+    n = nc.tolist() + [0j] * (order + 1 - len(nc))
+    c = []
+    for nj in n:
+        # map stops at the shorter side: d_i pairs with c_{j-i}, i <= min(j, D)
+        c.append((nj - sum(map(mul, tail, reversed(c)), start=0j)) / d0)
+    return np.array(c, dtype=complex)

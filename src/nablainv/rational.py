@@ -138,13 +138,18 @@ class RationalFunction:
         expansion via polynomial composition) and then long-divided as power
         series, which is stable where repeated differentiation is not.  The
         coefficients satisfy c_j = f(a + 1 + j) for the causal sequence of F.
+
+        The division runs on the reduced pair: a cancelled pole-zero factor
+        left in the denominator would feed the recurrence a mode that the
+        numerator only cancels in exact arithmetic, and rounding lets it grow.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
         if self.has_pole_at_one():
             raise PoleAtOneError()
-        num_w = self.numerator.in_one_minus_w()
-        den_w = self.denominator.in_one_minus_w()
+        num, den, _ = self._reduced
+        num_w = num.in_one_minus_w()
+        den_w = den.in_one_minus_w()
         if den_w.coeffs[0] == 0:
             raise PoleAtOneError()
         return series_divide(num_w, den_w, order)

@@ -9,6 +9,7 @@ from nablainv import (
     FractionalSumForm,
     GeometricTerm,
     ImpulseTerm,
+    MittagLefflerParams,
     MittagLefflerTerm,
     ParameterDomainError,
     PoleAtOneError,
@@ -16,11 +17,13 @@ from nablainv import (
     Polynomial,
     RationalFunction,
     RealnessError,
+    classify,
     invert_fractional,
     invert_inside,
     invert_outside,
     invert_partial_fractions,
     numeric_inverse,
+    parse_expression,
 )
 from conftest import (
     example1,
@@ -270,3 +273,114 @@ class TestImproperClosedForm:
         for m in range(1, 7):
             assert cf.evaluate(m) == pytest.approx(series[m - 1], abs=1e-12)
         assert any(isinstance(t, ImpulseTerm) for t in cf.terms)
+
+
+def _pointwise(cf, ks):
+    return np.array([cf.evaluate(k) for k in ks])
+
+
+def _first_realness_failure(call, ks):
+    """The k named by the RealnessError that ``call`` raises."""
+    with pytest.raises(RealnessError) as info:
+        call(ks)
+    return str(info.value).split(" at k = ")[1].split(";")[0]
+
+
+class TestSampleGrid:
+    """``sample`` on a whole grid against ``evaluate`` step by step."""
+
+    def assert_matches(self, cf, ks):
+        grid = cf.sample(ks)
+        point = _pointwise(cf, ks)
+        assert grid.shape == (len(ks),)
+        np.testing.assert_allclose(grid, point, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, float(np.max(np.abs(point)))))
+
+    def test_impulses(self):
+        cf = ClosedFormSequence(0.0, (ImpulseTerm(2.0, 0), ImpulseTerm(-1.5, 3)))
+        self.assert_matches(cf, range(1, 9))
+        np.testing.assert_array_equal(cf.sample(range(1, 6)), [2.0, 0.0, 0.0, -1.5, 0.0])
+
+    def test_geometric_with_impulses(self):
+        rf = RationalFunction(Polynomial([1.0, 0.0, 0.5, 1.0]), Polynomial([0.2, 1.0]))
+        self.assert_matches(invert_partial_fractions(rf), range(1, 60))
+
+    def test_poly_geometric_and_conjugate_pairs(self):
+        rf = rational_from_factors(
+            [1.0, -0.3, 0.2],
+            [(2.5, 3), (-0.4 + 1.3j, 2), (-0.4 - 1.3j, 2), (1.8 + 0.5j, 1), (1.8 - 0.5j, 1)],
+        )
+        cf = invert_partial_fractions(rf)
+        kinds = {type(t) for t in cf.terms}
+        assert PolyGeometricTerm in kinds
+        self.assert_matches(cf, range(1, 200))
+
+    def test_random_rationals(self, rng):
+        for _ in range(20):
+            rf, _roots = random_real_rational_from_factors(rng)
+            self.assert_matches(invert_partial_fractions(rf, a=1.5), [1.5 + m for m in range(1, 80)])
+
+    def test_mittag_leffler(self):
+        form = FractionalSumForm((
+            FractionalAtom(1.0, 0.5, 0.5, 0.2),
+            FractionalAtom(-1.0, 0.7, 0.5, 0.3),
+            FractionalAtom(0.5, 1.0, 1.0, -0.4),
+        ))
+        self.assert_matches(invert_fractional(form), range(1, 25))
+
+    def test_offsets_validated(self):
+        cf = invert_partial_fractions(example1(), a=0.5)
+        with pytest.raises(ValueError, match="k = 1 is not in the causal index set"):
+            cf.sample([1.5, 1, 2.5])
+        with pytest.raises(ValueError):
+            cf.sample([0.5])
+
+    def test_realness_failure_at_same_step(self):
+        # nearly conjugate poles inside the unit disk around 1: the imaginary
+        # residue grows relative to the summands until it fails near m = 50
+        delta = 1e-11
+        cf = ClosedFormSequence(0.0, (
+            GeometricTerm(1j, 0.5),
+            GeometricTerm(-1j, 0.5 + delta),
+        ))
+        ks = list(range(1, 120))
+        grid_k = _first_realness_failure(cf.sample, ks)
+        point_k = _first_realness_failure(lambda ks: _pointwise(cf, ks), ks)
+        assert grid_k == point_k
+        assert 10 < int(grid_k) < 119
+
+    def test_realness_failure_at_same_step_mittag_leffler(self):
+        # ML(1, 1, 0.3) = 0.7^-m; an imaginary 1e-12 * 2^m overtakes the
+        # realness tolerance near m = 21
+        cf = ClosedFormSequence(0.0, (
+            MittagLefflerTerm(1.0, MittagLefflerParams(1.0, 1.0, 0.3)),
+            GeometricTerm(1e-12j, 0.5),
+        ))
+        ks = list(range(1, 40))
+        grid_k = _first_realness_failure(cf.sample, ks)
+        assert grid_k == _first_realness_failure(lambda ks: _pointwise(cf, ks), ks)
+        assert 10 < int(grid_k) < 39
+
+    def test_decaying_values_underflow_to_zero(self):
+        # the closed form of 9/((s+1)^2 (s-2)) at K = 2000: 2^-2000 underflows
+        cf = invert_partial_fractions(example1())
+        ks = np.arange(1, 2001, dtype=float)
+        got = cf.sample(ks)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[-3:], [example1_closed_form(m) for m in (1998, 1999, 2000)],
+                                   atol=1e-12)
+
+    def test_growing_values_leave_float64(self):
+        cf = ClosedFormSequence(0.0, (GeometricTerm(-1.36, 0.63),))
+        got = cf.sample(range(1, 1502))
+        assert np.isfinite(got[712]) and not np.isfinite(got[713])
+
+
+class TestCancelledPoleInside:
+    def test_cancelled_factor_does_not_reach_the_series(self):
+        # (s - 0.77) cancels; left in the denominator it is a mode 0.23^-j
+        # of the series recurrence that rounding excites
+        rf = classify(parse_expression("1.79*(s-0.77)/((s-0.77)*(s+1.61))")).rational
+        got = invert_inside(rf, 33).real
+        want = 1.79 / 2.61 ** np.arange(1, 34)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)

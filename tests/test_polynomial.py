@@ -139,3 +139,45 @@ class TestSeriesDivide:
                 series = sum(c[j] * x**j for j in range(17))
                 direct = np.polyval(num[::-1], x) / np.polyval(den[::-1], x)
                 assert abs(series - direct) < 1e-9
+
+
+def _long_division(num, den, order):
+    """Reference oracle: O(order^2) long division over zero-padded coefficients."""
+    n = np.zeros(order + 1, dtype=complex)
+    d = np.zeros(order + 1, dtype=complex)
+    nc = np.atleast_1d(np.asarray(num, dtype=complex))
+    dc = np.atleast_1d(np.asarray(den, dtype=complex))
+    n[: min(len(nc), order + 1)] = nc[: order + 1]
+    d[: min(len(dc), order + 1)] = dc[: order + 1]
+    c = np.zeros(order + 1, dtype=complex)
+    for j in range(order + 1):
+        c[j] = (n[j] - np.dot(d[1 : j + 1], c[j - 1 :: -1][:j])) / d[0]
+    return c
+
+
+class TestSeriesDivideRecurrence:
+    """The degree-bounded recurrence against the full long division."""
+
+    def test_matches_long_division_at_high_order(self, rng):
+        for trial in range(30):
+            degree = int(rng.integers(1, 11))
+            # roots with |x| >= 0.97 keep 700 coefficients inside float64
+            radii = rng.uniform(0.97, 3.0, degree)
+            roots = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
+            den = Polynomial.from_roots(roots).coeffs * rng.uniform(0.5, 2.0)
+            num = rng.normal(size=int(rng.integers(1, degree + 4)))
+            if trial % 2:
+                num = num + 1j * rng.normal(size=num.size)
+            order = int(rng.integers(500, 701))
+            got = series_divide(num, den, order)
+            want = _long_division(num, den, order)
+            assert got.shape == (order + 1,)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_numerator_longer_than_order(self):
+        got = series_divide([1.0, 2.0, 3.0, 4.0], [1.0, 0.5], 2)
+        np.testing.assert_allclose(got, _long_division([1.0, 2.0, 3.0, 4.0], [1.0, 0.5], 2))
+
+    def test_denominator_longer_than_order(self):
+        den = [2.0, 1.0, -1.0, 0.5, 0.25]
+        np.testing.assert_allclose(series_divide([1.0], den, 1), _long_division([1.0], den, 1))
