@@ -17,24 +17,21 @@ any causal step or on a whole step grid at once (``sample``); fractional-power
 sums go through ``invert_fractional`` instead, whose atoms map onto discrete
 Mittag-Leffler terms.
 
-The value(m) of an impulse, geometric or poly-geometric term takes the step
-offset m = k - a either as an int or as an int ndarray, so one formula serves
-a single step and a whole grid.
+Every term's value(m) takes the step offset m = k - a either as an int or as
+an int ndarray, so one formula serves a single step and a whole grid.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterDomainError, PoleAtOneError, RealnessError
 from .expansion import expand
-from .rational import DiskAroundOne, OriginExclusion, Roc
-from .special import (
-    MittagLefflerParams,
-    discrete_mittag_leffler,
-    step_offset,
-)
+from .rational import DiskAroundOne, Roc
+from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
 
 REALNESS_TOL = 1e-9
 POLE_ONE_GUARD = 1e-9
@@ -139,12 +136,13 @@ class MittagLefflerTerm:
     coefficient: complex
     params: MittagLefflerParams
 
+    @cached_property
+    def _series(self):
+        # kept per term: the forward-series oracles evaluate one step at a time
+        return MittagLefflerSeries(self.params)
+
     def value(self, m):
-        # one step offset at a time: the series is summed per step
-        p = self.params
-        return self.coefficient * discrete_mittag_leffler(
-            MittagLefflerParams(p.alpha, p.beta, p.lam, 0.0), m
-        )
+        return self.coefficient * self._series(m)
 
     def describe(self):
         p = self.params
@@ -186,15 +184,8 @@ class ClosedFormSequence:
 
     def sample(self, ks):
         """Real values at every step of ``ks``: ``evaluate`` over a grid, with
-        each term evaluated once on the whole array of step offsets.
-
-        A sum with Mittag-Leffler terms goes step by step instead: their
-        series are summed per step anyway, and a realness failure then stops
-        the grid at its step rather than after the last one.
-        """
+        each term evaluated once on the whole array of step offsets."""
         ks = ks if isinstance(ks, np.ndarray) else list(ks)
-        if any(isinstance(t, MittagLefflerTerm) for t in self.terms):
-            return np.array([self.evaluate(k) for k in ks], dtype=float)
         offsets = np.asarray(ks, dtype=float) - self.base_point
         m = np.rint(offsets)
         bad = (np.abs(offsets - m) > 1e-9) | (m < 1)
@@ -286,8 +277,22 @@ class FractionalAtom:
             )
 
     def evaluate(self, s):
-        s = complex(s)
+        """The atom at a point s or at every point of an ndarray s."""
+        s = np.asarray(s, dtype=complex)
         return self.coefficient * s ** (self.alpha - self.beta) / (s**self.alpha - self.lam)
+
+    def pole_distance(self):
+        """|1 - s_0| for the root s_0 = |lam|^(1/alpha) e^{j arg(lam)/alpha} of
+        s^alpha = lam; inf when s_0 is off the principal branch.
+
+        The other roots, at angles (arg lam + 2 pi n)/alpha, n != 0, are on the
+        principal branch when that angle is below pi, but it is never below
+        |arg lam|/alpha, and at one modulus a larger angle lies farther from 1.
+        """
+        phi = cmath.phase(self.lam)
+        if self.lam == 0 or abs(phi) >= self.alpha * math.pi:
+            return math.inf
+        return abs(1.0 - abs(self.lam) ** (1.0 / self.alpha) * cmath.exp(1j * phi / self.alpha))
 
 
 @dataclass(frozen=True)
@@ -303,16 +308,12 @@ class FractionalSumForm:
         return self.evaluate(s)
 
     def roc(self):
-        """Unit disk around 1, punctured at the origin up to each pole radius.
+        """The disk around 1 out to the nearest singularity of F(1 - w).
 
-        The principal-branch pole of s^alpha - lam sits at |s| = |lam|^(1/alpha),
-        so |s| must exceed every such radius.
+        That is the nearest principal-branch root of some s^alpha = lam, or the
+        branch point s = 0 at distance 1.
         """
-        constraints = [DiskAroundOne(1.0)]
-        for atom in self.atoms:
-            if atom.lam != 0:
-                constraints.append(OriginExclusion(abs(atom.lam) ** (1.0 / atom.alpha)))
-        return Roc(tuple(constraints))
+        return Roc((DiskAroundOne(min([1.0] + [a.pole_distance() for a in self.atoms])),))
 
 
 def invert_fractional(form, a=0.0):

@@ -18,7 +18,7 @@ import numpy as np
 from .rational import DiskAroundOne, FractionalDominance, Roc
 from .special import (
     MittagLefflerParams,
-    discrete_mittag_leffler,
+    MittagLefflerSeries,
     log_gamma,
     rising_factorial,
 )
@@ -54,15 +54,6 @@ def _g(v):
         return str(int(r)) if r == int(r) and abs(r) < 1e15 else repr(r)
     re, im = repr(v.real), repr(abs(v.imag))
     return f"{re}+{im}j" if v.imag >= 0 else f"{re}-{im}j"
-
-
-def _ml(alpha, beta, lam):
-    params_proto = MittagLefflerParams(alpha, beta, lam, 0.0)
-
-    def seq(m):
-        return discrete_mittag_leffler(params_proto, m)
-
-    return seq
 
 
 def pair(row, **params):
@@ -171,7 +162,7 @@ def pair(row, **params):
         alpha, beta, lam = take("alpha", "beta", "lam")
         return TransformPair(
             9, "Mittag-Leffler", (("alpha", alpha), ("beta", beta), ("lam", lam)),
-            _ml(alpha, beta, lam),
+            MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam)),
             lambda s: s ** (alpha - beta) / (s**alpha - lam),
             Roc((DiskAroundOne(1.0), FractionalDominance(alpha, lam))),
             f"ML(alpha={_g(alpha)},beta={_g(beta)},lambda={_g(lam)};k,a)",
@@ -179,7 +170,7 @@ def pair(row, **params):
         )
     if row == 10:
         alpha, lam = take("alpha", "lam")
-        ml = _ml(alpha, alpha, lam)
+        ml = MittagLefflerSeries(MittagLefflerParams(alpha, alpha, lam))
         return TransformPair(
             10, "weighted Mittag-Leffler", (("alpha", alpha), ("lam", lam)),
             lambda m: (m - 1) * ml(m),

@@ -1,21 +1,19 @@
 """Log-gamma, the rising factorial, and the discrete-time Mittag-Leffler series."""
 
 import cmath
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+import numpy as np
 from scipy.special import loggamma as _loggamma
 
-from .errors import ConvergenceError, ParameterDomainError
-
-ML_TERM_TOL = 1e-15
-ML_MAX_TERMS = 10_000
+from .errors import ParameterDomainError
+from .polynomial import series_divide
 
 __all__ = [
     "log_gamma",
     "rising_factorial",
     "MittagLefflerParams",
+    "MittagLefflerSeries",
     "discrete_mittag_leffler",
     "step_offset",
 ]
@@ -84,83 +82,55 @@ class MittagLefflerParams:
             )
 
 
+class MittagLefflerSeries:
+    """The discrete Mittag-Leffler sequence of ``params`` at step offsets m >= 1.
+
+    F_{alpha,beta}(lambda; m) = sum_i lambda^i (m)^(rising i*alpha+beta-1) /
+    Gamma(i*alpha+beta) is the w^(m-1) coefficient of the atom's transform at
+    s = 1 - w, (1-w)^(alpha-beta) / ((1-w)^alpha - lambda), so one power-series
+    division of two binomial series gives every step at once.  Calling with an
+    int returns one value, with an int ndarray the values on that grid.  The
+    coefficients are kept between calls and regrown by doubling, so stepping
+    m = 1, 2, ..., K one call at a time costs a small constant factor over one
+    call at K, not a division per step.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._coeffs = np.empty(0, dtype=complex)
+
+    def __call__(self, m):
+        coeffs = self._coeffs  # one read, so a concurrent regrowth cannot shrink it
+        top = int(np.max(m))
+        if top > len(coeffs):
+            p = self.params
+            order = max(top, 2 * len(coeffs)) - 1
+            den = _binomial_series(p.alpha, order).astype(complex)
+            den[0] -= p.lam
+            coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
+            self._coeffs = coeffs
+        return coeffs[np.asarray(m) - 1]
+
+
+def _binomial_series(gamma, order):
+    """Coefficients of (1-w)^gamma up to w^order: c_j = c_{j-1} (j-1-gamma) / j.
+
+    Trailing zeros are dropped: for an integer gamma >= 0 the series is a
+    polynomial, and a short denominator keeps the division O(order * gamma).
+    """
+    j = np.arange(1, order + 1)
+    return np.trim_zeros(np.cumprod(np.concatenate(([1.0], (j - 1 - gamma) / j))), "b")
+
+
 def discrete_mittag_leffler(params, k):
     """Sum_{i>=0} lambda^i (k-a)^(rising i*alpha+beta-1) / Gamma(i*alpha+beta).
 
-    Integer alpha and beta make every term an exact binomial,
-    lambda^i * C(m + i*alpha + beta - 2, i*alpha + beta - 1) with m = k - a,
-    so that branch sums exact rationals (the alternating series is badly
-    conditioned; when the terms grow before they decay no floating-point
-    summation meets tight relative tolerances).  Otherwise each term is
-    assembled in log space as exp(i log lambda + logGamma(m+i*alpha+beta-1)
-    - logGamma(m) - logGamma(i*alpha+beta)), which keeps the phase right for
-    complex or negative lambda.  Summation stops once three consecutive terms
-    fall below ML_TERM_TOL relative to the partial sum; exceeding
-    ML_MAX_TERMS raises ConvergenceError.
+    Evaluated as a power-series coefficient (see MittagLefflerSeries), which
+    stays accurate where summing the defining series does not: its terms grow
+    far past the result before they decay, and cancel.  With lambda = 0 only
+    the i = 0 term survives, returned in closed form.
     """
     m = step_offset(k, params.base_point)
-    alpha, beta, lam = params.alpha, params.beta, params.lam
-
-    # with lambda = 0 only the i = 0 term survives (0^0 = 1)
-    if lam == 0:
-        return rising_factorial(m, beta - 1) / cmath.exp(log_gamma(beta))
-    if float(alpha).is_integer() and float(beta).is_integer():
-        return _ml_exact_integer_orders(int(alpha), int(beta), complex(lam), m)
-    return _ml_log_space(alpha, beta, complex(lam), m)
-
-
-def _ml_log_space(alpha, beta, lam, m):
-    lg_m = log_gamma(m)
-    total = cmath.exp(log_gamma(m + beta - 1) - lg_m - log_gamma(beta))
-    log_lam = cmath.log(lam)
-    consecutive_small = 0
-    term = total
-    for i in range(1, ML_MAX_TERMS + 1):
-        term = cmath.exp(
-            i * log_lam
-            + log_gamma(m + i * alpha + beta - 1)
-            - lg_m
-            - log_gamma(i * alpha + beta)
-        )
-        total += term
-        if abs(term) < ML_TERM_TOL * (1.0 + abs(total)):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                return total
-        else:
-            consecutive_small = 0
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not settle in {ML_MAX_TERMS} terms; "
-        f"last term magnitude {abs(term):.3e}"
-    )
-
-
-def _ml_exact_integer_orders(alpha, beta, lam, m):
-    """Exact rational summation; float conversion happens once at the end."""
-    lam_re = Fraction(lam.real)
-    lam_im = Fraction(lam.imag)
-    pow_re, pow_im = Fraction(1), Fraction(0)  # lambda^i
-    total_re, total_im = Fraction(0), Fraction(0)
-    consecutive_small = 0
-    for i in range(ML_MAX_TERMS + 1):
-        n = i * alpha + beta - 1
-        c = math.comb(m - 1 + n, n)
-        total_re += pow_re * c
-        total_im += pow_im * c
-        size = math.hypot(float(pow_re * c), float(pow_im * c))
-        # term magnitudes are unimodal, so comparing against the current
-        # total is safe and keeps the discarded tail below the final scale
-        if size < ML_TERM_TOL * (1.0 + math.hypot(float(total_re), float(total_im))):
-            consecutive_small += 1
-            if consecutive_small >= 3:
-                return complex(float(total_re), float(total_im))
-        else:
-            consecutive_small = 0
-        pow_re, pow_im = (
-            pow_re * lam_re - pow_im * lam_im,
-            pow_re * lam_im + pow_im * lam_re,
-        )
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not settle in {ML_MAX_TERMS} terms; "
-        f"last term magnitude {size:.3e}"
-    )
+    if params.lam == 0:
+        return rising_factorial(m, params.beta - 1) / cmath.exp(log_gamma(params.beta))
+    return complex(MittagLefflerSeries(params)(m))

@@ -26,6 +26,7 @@ __all__ = [
     "CausalSequence",
     "forward_transform",
     "numeric_inverse",
+    "quadrature_grid",
     "initial_value",
     "z_correspondence",
     "roc_contains",
@@ -57,6 +58,11 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
     hitting n_max first emits TruncationWarning.  Fifty consecutive growing
     increments raise ConvergenceError (s is outside the ROC).
     """
+    return _forward_sum(seq, s, tol, n_max)[0]
+
+
+def _forward_sum(seq, s, tol, n_max):
+    """(sum, terms used) of the truncated forward series; see forward_transform."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = seq.base_point
@@ -73,7 +79,7 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
         if mag < tol * (1.0 + abs(total)):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
-                return total
+                return total, k
         else:
             small = 0
         if last_mag is not None and mag > last_mag and mag > tol:
@@ -88,81 +94,83 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
     warnings.warn(
         f"forward series truncated at {n_max} terms before meeting tol = {tol:g}",
         TruncationWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return total
+    return total, n_max
 
 
-def _evaluator(F):
-    if isinstance(F, (RationalFunction, FractionalSumForm)):
-        return F.evaluate
-    return F
+def default_rho(F, m):
+    """R m / (m + p), the radius for coefficients up to w^(m-1) (Bornemann 2011).
 
-
-def default_rho(F):
-    """min(0.5, 0.9 * distance from 1 to the nearest singularity of F).
-
-    For a rational function the singularities are its poles; for a fractional
-    sum they are the principal-branch pole radii |lam|^(1/alpha) and the
-    branch point at the origin.  Callables without structure get 0.5.
+    R is the distance from 1 to the nearest singularity of F: its nearest pole
+    for a rational function (1 when it has none), the radius of its region of
+    convergence for a fractional sum.  p is the highest pole order, 1 for a
+    fractional sum.  The radius nears R as m grows, so rho^-(m-1) stays near
+    the growth of the coefficients themselves instead of magnifying rounding.
+    Callables without structure get 0.5.
     """
     if isinstance(F, RationalFunction):
-        dist = F.distance_of_poles_to_one()
+        R = F.distance_of_poles_to_one()
+        R = 1.0 if R == float("inf") else R
+        p = max((c.multiplicity for c in F.poles), default=1)
     elif isinstance(F, FractionalSumForm):
-        dist = 1.0  # branch point at s = 0
-        for atom in F.atoms:
-            if atom.lam != 0:
-                dist = min(dist, abs(1.0 - abs(atom.lam) ** (1.0 / atom.alpha)))
+        R, p = F.roc().disk_radius(), 1
     else:
         return 0.5
-    if dist == float("inf"):
-        return 0.5
-    return min(0.5, 0.9 * dist)
+    return R * m / (m + p)
 
 
-def numeric_inverse(F, k, a=0.0, rho=None, nodes=None, roc=None):
-    """Contour-quadrature inversion of F at step k.
+def quadrature_grid(F, m_max, rho=None, nodes=None, roc=None):
+    """Contour-quadrature values f(a+1)..f(a+m_max) of F, from one FFT.
 
     Substituting w = 1 - s turns the clockwise contour around (1, 0j) into the
     standard anticlockwise coefficient-extraction circle |w| = rho, giving
 
-        f(k) = (1/2 pi) * integral_0^{2 pi}
-               F(1 - rho e^{j t}) rho^{-(k-a-1)} e^{-j (k-a-1) t} dt,
+        f(a+1+j) = (1/2 pi) * integral_0^{2 pi}
+                   F(1 - rho e^{i t}) rho^{-j} e^{-i j t} dt,
 
-    evaluated by the trapezoid rule, which converges geometrically for
-    periodic analytic integrands.  ``nodes`` must be at least 4(k-a) to keep
-    aliasing below the leading coefficients.
+    evaluated by the trapezoid rule on ``nodes`` equispaced points, which
+    converges geometrically for periodic analytic integrands; the sums for
+    every j are one FFT of the samples.  ``nodes`` (default
+    max(256, 32(m_max+1))) must be at least 4 m_max to keep aliasing below the
+    leading coefficients; ``rho`` defaults to ``default_rho(F, m_max)``.  A
+    callable F is called once, with the ndarray of points on the circle.
     """
-    m = step_offset(k, a)
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     if rho is None:
-        rho = default_rho(F)
+        rho = default_rho(F, m_max)
     if not 0 < rho:
         raise ValueError("rho must be positive")
     if nodes is None:
-        nodes = max(256, 8 * m)
-    if nodes < 4 * m:
-        raise ValueError(f"nodes = {nodes} is below the anti-aliasing bound {4 * m}")
+        nodes = max(256, 32 * (m_max + 1))
+    if nodes < 4 * m_max:
+        raise ValueError(f"nodes = {nodes} is below the anti-aliasing bound {4 * m_max}")
     disk = roc.disk_radius() if roc is not None else None
     if roc is not None and (disk is None or rho >= disk):
         raise ValueError(
             f"rho = {rho:g} does not fit inside the region of convergence "
             f"({roc.describe()})"
         )
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    w = rho * np.exp(1j * theta)
+    w = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     if roc is not None and not all(roc.contains(1.0 - wi) for wi in w):
         raise ValueError("quadrature circle leaves the region of convergence")
+    s = 1.0 - w
     if isinstance(F, RationalFunction):
-        s_vals = 1.0 - w
-        den = F.denominator(s_vals)
+        den = F.denominator(s)
         if np.any(den == 0):
             raise ValueError("quadrature circle passes through a pole")
-        values = F.numerator(s_vals) / den
+        values = F.numerator(s) / den
     else:
-        fe = _evaluator(F)
-        values = np.array([fe(1.0 - wi) for wi in w], dtype=complex)
-    kernel = rho ** (-(m - 1)) * np.exp(-1j * (m - 1) * theta)
-    return complex(np.mean(values * kernel))
+        values = np.broadcast_to(np.asarray(F(s), dtype=complex), s.shape)
+    return np.fft.fft(values)[:m_max] / nodes * rho ** -np.arange(m_max)
+
+
+def numeric_inverse(F, k, a=0.0, rho=None, nodes=None, roc=None):
+    """Contour-quadrature inversion of F at step k: the entry for k of
+    ``quadrature_grid(F, k - a)``, whose defaults and checks it shares."""
+    m = step_offset(k, a)
+    return complex(quadrature_grid(F, m, rho=rho, nodes=nodes, roc=roc)[m - 1])
 
 
 def initial_value(F):
@@ -187,36 +195,9 @@ def z_correspondence(seq, s, tol=FORWARD_TOL):
     same series; both are summed to a matched truncation length and the
     absolute difference is returned (zero up to rounding).
     """
+    nabla_total, n_used = _forward_sum(seq, s, tol, FORWARD_NMAX)
     a = seq.base_point
     w = 1.0 - complex(s)
-
-    nabla_total = 0j
-    wp = 1.0 + 0j
-    small = growing = 0
-    last_mag = None
-    n_used = 0
-    for k in range(1, FORWARD_NMAX + 1):
-        inc = wp * seq(a + k)
-        nabla_total += inc
-        wp *= w
-        n_used = k
-        mag = abs(inc)
-        if mag < tol * (1.0 + abs(nabla_total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                break
-        else:
-            small = 0
-        if last_mag is not None and mag > last_mag and mag > tol:
-            growing += 1
-            if growing >= _CONSECUTIVE_GROWING:
-                raise ConvergenceError(
-                    f"forward series diverges at s = {s} (|1-s| = {abs(w):g})"
-                )
-        else:
-            growing = 0
-        last_mag = mag
-
     z_total = 0j
     wp = 1.0 + 0j
     for k in range(0, n_used):

@@ -1,5 +1,8 @@
-"""Shared builders for the test suite."""
+"""Shared builders and high-precision references for the test suite."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -81,6 +84,75 @@ def random_coefficient_rational(rng, max_degree=6, min_dist_from_one=0.15, bound
         if rf.distance_of_poles_to_one() >= min_dist_from_one:
             return rf
     raise RuntimeError("could not draw an admissible rational")
+
+
+def mpmath_mittag_leffler(alpha, beta, lam, m, digits=60):
+    """sum_i lam^i Gamma(m + i alpha + beta - 1) / (Gamma(m) Gamma(i alpha + beta)).
+
+    The defining series summed term by term in mpmath.  Its terms grow far
+    past the result before they decay, so the working precision is ``digits``
+    plus the decimal exponent of the largest term (found from float lgamma);
+    the sum stops once the terms fall below 10^-(digits+10) and keep falling.
+    """
+    def log10_term(i):
+        return (i * math.log10(abs(lam)) + (math.lgamma(m + i * alpha + beta - 1)
+                - math.lgamma(m) - math.lgamma(i * alpha + beta)) / math.log(10))
+
+    peak = max(log10_term(i) for i in range(0, 20000, 10))
+    with mpmath.workdps(digits + max(0, math.ceil(peak)) + 10):
+        tiny = mpmath.mpf(10) ** -(digits + 10)
+        a, b, z = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpc(lam)
+        gamma_m = mpmath.gamma(m)
+        total, last, i = mpmath.mpc(0), None, 0
+        while True:
+            term = z**i * mpmath.rf(i * a + b, m - 1) / gamma_m
+            total += term
+            if last is not None and abs(term) < min(abs(last), tiny):
+                return complex(total)
+            last, i = term, i + 1
+
+
+def _mp_binomial(gamma, n):
+    """Coefficients of (1-w)^gamma up to w^n, in the current mpmath precision."""
+    c = [mpmath.mpf(1)]
+    for j in range(1, n + 1):
+        c.append(c[-1] * (j - 1 - mpmath.mpf(gamma)) / j)
+    return c
+
+
+def _mp_divide(num, den):
+    """Power-series quotient num/den, as many terms as num has."""
+    c = []
+    for j in range(len(num)):
+        c.append((num[j] - mpmath.fsum(den[i] * c[j - i] for i in range(1, j + 1))) / den[0])
+    return c
+
+
+def mpmath_atom_values(atoms, K, digits=50):
+    """f(1..K) of sum r s^(alpha-beta)/(s^alpha - lam) over (r, alpha, beta, lam).
+
+    The w^j coefficients of each atom at s = 1 - w, by dividing the binomial
+    series of (1-w)^(alpha-beta) by that of (1-w)^alpha - lam in
+    ``digits``-digit arithmetic.
+    """
+    with mpmath.workdps(digits):
+        total = [mpmath.mpc(0)] * K
+        for r, alpha, beta, lam in atoms:
+            den = _mp_binomial(alpha, K - 1)
+            den[0] -= mpmath.mpc(lam)
+            q = _mp_divide(_mp_binomial(alpha - beta, K - 1), den)
+            total = [t + mpmath.mpc(r) * v for t, v in zip(total, q)]
+        return np.array([complex(v) for v in total])
+
+
+def mpmath_row10_values(alpha, lam, K, digits=50):
+    """f(1..K) of alpha s^(alpha-1) (1-s) / (s^alpha - lam)^2, as above."""
+    with mpmath.workdps(digits):
+        num = [mpmath.mpf(0)] + [alpha * c for c in _mp_binomial(alpha - 1, K - 2)]
+        base = _mp_binomial(alpha, K - 1)
+        base[0] -= mpmath.mpc(lam)
+        den = [mpmath.fsum(base[i] * base[j - i] for i in range(j + 1)) for j in range(K)]
+        return np.array([complex(v) for v in _mp_divide(num, den)])
 
 
 @pytest.fixture

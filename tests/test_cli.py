@@ -8,6 +8,7 @@ import pytest
 
 from nablainv import cli
 from nablainv.cli import main
+from conftest import mpmath_atom_values, mpmath_row10_values
 
 EX1 = "9/((s+1)^2*(s-2))"
 EX2 = "1/(s^0.5-0.2) - s^0.2/(s^0.7-0.3)"
@@ -210,7 +211,58 @@ class TestLongGrid:
         assert float(np.max(np.abs(grids["inside"] - grids["pfe"]))) <= 1e-12 * scale
 
 
+def csv_values(out):
+    return np.array([float(line.split(",")[1]) for line in out.strip().splitlines()[1:]])
+
+
+class TestFractionalValues:
+    def test_rational_as_atoms_matches_pfe(self, capsys):
+        """Each pole of 1/(s^2+0.9) becomes an order-1 atom; summing exact
+        rationals for them ran past 280 s at this K."""
+        grids = {}
+        for strategy in ("fractional", "pfe"):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "invert", "--strategy", strategy, "--expr",
+                               "1/(s^2+0.9)", "--k", "1..40", "--format", "csv")
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            grids[strategy] = csv_values(out)
+        scale = float(np.max(np.abs(grids["pfe"])))
+        np.testing.assert_allclose(grids["fractional"], grids["pfe"], rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("expr, K, want", [
+        # three atoms with negative lambda: exited 1 with an imaginary residue
+        ("-1.27*s^-0.52/(s^0.92+0.39) - 2.34*s^0.07/(s^1.92+0.91)"
+         " - 0.56*s^-1.37/(s^0.28-0.06)", 48,
+         lambda K: mpmath_atom_values([(-1.27, 0.92, 1.44, -0.39), (-2.34, 1.92, 1.85, -0.91),
+                                       (-0.56, 0.28, 1.65, 0.06)], K)),
+        # the row-10 shape: printed values off by 4e41 x max|ref|
+        ("1.14*s^0.14*(1-s)/(s^1.14+0.95)^2", 40, lambda K: mpmath_row10_values(1.14, -0.95, K)),
+    ])
+    def test_negative_lambda_values(self, capsys, expr, K, want):
+        code, out, err = run(capsys, "invert", f"--expr={expr}", "--k", f"1..{K}",
+                             "--format", "csv")
+        assert code == 0, err
+        ref = want(K).real
+        np.testing.assert_allclose(csv_values(out), ref, rtol=0,
+                                   atol=1e-12 * float(np.max(np.abs(ref))))
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("expr", [
+        EX1,
+        "1/(s^1.5+0.5)",
+        # the quadrature at rho = 0.5 magnified rounding past the tolerance
+        "(3.90-0.24j)*s^-1.63/(s^0.36-(0.03+0.41j))"
+        " + (3.90+0.24j)*s^-1.63/(s^0.36-(0.03-0.41j))",
+        # a root of s^1.16 = 0.58 at |1-s| = 0.3747, inside the old ROC
+        "-2.48*s^-0.41/(s^1.16-0.58)",
+    ])
+    def test_all_pass_at_k_200(self, capsys, expr):
+        code, out, _ = run(capsys, "verify", f"--expr={expr}", "--k", "1..200")
+        assert code == 0, out
+        assert "FAIL" not in out
+
     def test_simple_pole_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--expr", "1/(s-0.3)", "--a", "0",
                            "--k", "1..10")

@@ -1,5 +1,8 @@
 """The three inversion strategies and the closed-form sequence algebra."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,36 @@ class TestInvertFractional:
         roc = form.roc()
         assert not roc.contains(0.1)  # 0.1 < 0.3^(10/7)
         assert roc.contains(0.5)
+
+    def test_roc_reaches_nearest_principal_root(self):
+        # s^1.16 = 0.58 at s = 0.58^(1/1.16) = 0.6253, closer to 1 than the origin
+        form = FractionalSumForm((FractionalAtom(-2.48, 1.16, 1.57, 0.58),))
+        assert form.roc().disk_radius() == pytest.approx(1.0 - 0.58 ** (1.0 / 1.16), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.5, 2.7, 5.5])
+    def test_roc_is_nearest_of_all_principal_branch_roots(self, alpha):
+        # every root r e^{j(arg lam + 2 pi n)/alpha} with |arg lam + 2 pi n| < alpha pi
+        for mod in (0.3, 0.8):
+            for arg in (0.0, 0.4, -1.3, 2.5, math.pi):
+                lam = mod * cmath.exp(1j * arg)
+                roots = [mod ** (1 / alpha) * cmath.exp(1j * (arg + 2 * math.pi * n) / alpha)
+                         for n in range(-3, 4) if abs(arg + 2 * math.pi * n) < alpha * math.pi]
+                for root in roots:
+                    assert abs(np.complex128(root) ** alpha - lam) < 1e-14
+                want = min([1.0] + [abs(1 - r) for r in roots])
+                form = FractionalSumForm((FractionalAtom(1.0, alpha, 1.0, lam),))
+                assert form.roc().disk_radius() == pytest.approx(want, rel=1e-14), (mod, arg)
+
+    def test_roc_without_roots_is_the_unit_disk(self):
+        # s^0.5 = -0.9 has no principal-branch root; the branch point binds
+        form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, -0.9),))
+        assert form.roc().disk_radius() == 1.0
+
+    def test_atoms_evaluate_on_arrays(self):
+        form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2),
+                                  FractionalAtom(-1.0, 0.7, 0.5, 0.3)))
+        s = np.array([0.5, 1.2 + 0.3j, 0.9 - 0.1j])
+        np.testing.assert_allclose(form(s), [form(x) for x in s], rtol=1e-15)
 
 
 class TestEvaluateClosedForm:

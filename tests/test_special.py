@@ -14,6 +14,8 @@ from nablainv import (
     log_gamma,
     rising_factorial,
 )
+from nablainv.special import MittagLefflerSeries
+from conftest import mpmath_mittag_leffler
 
 
 def brute_force_ml(alpha, beta, lam, m, terms=3000):
@@ -157,3 +159,49 @@ class TestDiscreteMittagLeffler:
         p = MittagLefflerParams(0.5, 0.5, 0.2)
         with pytest.raises(ValueError):
             discrete_mittag_leffler(p, 0)
+
+
+class TestMittagLefflerAgainstMpmath:
+    """The series division against the defining sum in 60-digit arithmetic.
+
+    Negative and complex lambda with non-integer orders are where summing the
+    defining series in floats fails: its terms grow far past the result.
+    """
+
+    @pytest.mark.parametrize("alpha, beta, lam, steps", [
+        (0.5, 0.7, -0.5 + 0.3j, (1, 17, 150)),
+        (1.3, 0.4, -0.6, (2, 40, 150)),
+        (0.37, 1.61, 0.6j, (5, 100)),
+        (1.7, 1.7, -0.7, (3, 60)),
+        (0.83, 1.29, -0.45 - 0.55j, (9, 120)),
+    ])
+    def test_relative_agreement(self, alpha, beta, lam, steps):
+        p = MittagLefflerParams(alpha, beta, lam)
+        for m in steps:
+            want = mpmath_mittag_leffler(alpha, beta, lam, m)
+            got = discrete_mittag_leffler(p, m)
+            assert abs(got - want) <= 1e-12 * abs(want), (m, got, want)
+
+    def test_nearly_integer_order(self):
+        # summing the defining series in log space returned 2e63 here
+        want = mpmath_mittag_leffler(2.0000001, 1.0, -0.9, 60)
+        assert want.real == pytest.approx(7.0859563203e-11, rel=1e-10)
+        got = discrete_mittag_leffler(MittagLefflerParams(2.0000001, 1.0, -0.9), 60)
+        assert got.real == pytest.approx(want.real, rel=1e-12)
+
+
+class TestMittagLefflerSeries:
+    def test_steps_one_at_a_time_match_the_grid(self):
+        """Kept coefficients regrown by doubling give the values one whole-grid
+        division gives, bit for bit: coefficient j of a series division does
+        not depend on the order it is carried to."""
+        p = MittagLefflerParams(0.83, 1.29, -0.45 - 0.55j)
+        stepper = MittagLefflerSeries(p)
+        stepped = np.array([stepper(m) for m in range(1, 131)])
+        np.testing.assert_array_equal(stepped, MittagLefflerSeries(p)(np.arange(1, 131)))
+
+    def test_scalar_and_grid_calls(self):
+        series = MittagLefflerSeries(MittagLefflerParams(1.0, 1.0, 0.2))
+        assert isinstance(series(4), complex)
+        np.testing.assert_allclose(series(np.array([4, 1, 9])), 0.8 ** -np.array([4, 1, 9]),
+                                   rtol=1e-14)

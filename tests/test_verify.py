@@ -26,6 +26,7 @@ from nablainv import (
     roc_contains,
     z_correspondence,
 )
+from nablainv.verify import default_rho, quadrature_grid
 from conftest import example1, random_real_rational_from_factors
 
 
@@ -97,6 +98,50 @@ class TestNumericInverse:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             numeric_inverse(example1(), 0)
+
+
+def trapezoid_coefficient(F, m, rho, nodes):
+    """The trapezoid sum for f(a+m) written out for one step, without an FFT."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    values = np.array([complex(F(1.0 - rho * np.exp(1j * t))) for t in theta])
+    return complex(np.mean(values * rho ** (-(m - 1)) * np.exp(-1j * (m - 1) * theta)))
+
+
+class TestQuadratureGrid:
+    FORM = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2),
+                              FractionalAtom(-1.0, 0.7, 0.5, 0.3)))
+
+    @pytest.mark.parametrize("F", [example1(), FORM], ids=["rational", "fractional"])
+    def test_grid_matches_per_step_inverse(self, F):
+        rho, nodes = 0.45, 512
+        grid = quadrature_grid(F, 40, rho=rho, nodes=nodes)
+        assert grid.shape == (40,)
+        # both sums round at eps * max|F| on the circle, times rho^-(m-1)
+        fmax = max(abs(complex(F(1.0 - rho * np.exp(1j * t)))) for t in np.linspace(0, 7, 300))
+        for m in (1, 2, 7, 23, 40):
+            assert grid[m - 1] == numeric_inverse(F, m, rho=rho, nodes=nodes)
+            direct = trapezoid_coefficient(F, m, rho, nodes)
+            assert abs(grid[m - 1] - direct) <= 1e-13 * fmax * rho ** -(m - 1)
+
+    def test_default_radius(self):
+        # poles -1 (double, distance 2) and 2 (simple, distance 1): R = 1, p = 2
+        assert default_rho(example1(), 8) == pytest.approx(0.8)
+        assert default_rho(self.FORM, 3) == pytest.approx(
+            (1.0 - 0.3 ** (1.0 / 0.7)) * 3.0 / 4.0)
+        assert default_rho(lambda s: 1.0, 3) == 0.5
+
+    def test_long_grid_is_accurate_at_default_radius(self):
+        """At rho = 0.5 the kernel rho^-(k-a-1) magnified rounding to 1e44 at
+        k = 200; near the singularity distance it stays at the sequence's size."""
+        cf = invert_partial_fractions(example1())
+        want = cf.sample(range(1, 201))
+        got = quadrature_grid(example1(), 200)
+        assert np.max(np.abs(got.real - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_node_floor(self):
+        with pytest.raises(ValueError):
+            quadrature_grid(example1(), 10, nodes=39)
+        assert quadrature_grid(example1(), 10, nodes=40).shape == (10,)
 
 
 class TestOracleClosure:
