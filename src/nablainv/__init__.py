@@ -51,19 +51,16 @@ from .special import (
     rising_factorial,
 )
 from .verify import (
-    CausalSequence,
     forward_transform,
     initial_value,
     numeric_inverse,
     orientation_check,
-    roc_contains,
     z_correspondence,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CausalSequence",
     "Classified",
     "ClosedFormSequence",
     "ConvergenceError",
@@ -110,7 +107,6 @@ __all__ = [
     "pretty",
     "reference_pairs",
     "rising_factorial",
-    "roc_contains",
     "roots_with_multiplicities",
     "sample_points",
     "z_correspondence",

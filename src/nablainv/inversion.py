@@ -138,7 +138,7 @@ class MittagLefflerTerm:
 
     @cached_property
     def _series(self):
-        # kept per term: the forward-series oracles evaluate one step at a time
+        # kept per term: a forward sum asks for one block of steps at a time
         return MittagLefflerSeries(self.params)
 
     def value(self, m):
@@ -157,34 +157,30 @@ class ClosedFormSequence:
     """A causal sequence written as a finite sum of symbolic terms.
 
     Defined on the index set {a+1, a+2, ...} where a is ``base_point``.
-    ``evaluate`` returns the real value at one step and ``sample`` the real
-    values on a grid of steps; both reject a significant imaginary residue
-    (conjugate terms of a real problem must cancel).  ``evaluate_complex``
-    skips that check for genuinely complex data.  On a grid, values outside
-    the float64 range come back as inf or nan, for the caller to reject.
+    ``values`` is the sequence as a rule m -> f(a+m), complex, on step
+    offsets.  ``sample`` returns the real values on a grid of steps k and
+    rejects a significant imaginary residue (conjugate terms of a real problem
+    must cancel); ``evaluate`` is ``sample`` at one step, and
+    ``evaluate_complex`` is ``values`` at one step.  Values outside the
+    float64 range come back as inf or nan, for the caller to reject.
     """
 
     base_point: float
     terms: tuple
 
+    def values(self, m):
+        """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of them."""
+        return sum((t.value(m) for t in self.terms), np.zeros(np.shape(m), dtype=complex))
+
     def evaluate_complex(self, k):
-        m = step_offset(k, self.base_point)
-        return complex(sum((t.value(m) for t in self.terms), start=0j))
+        return complex(self.values(step_offset(k, self.base_point)))
 
     def evaluate(self, k):
-        m = step_offset(k, self.base_point)
-        parts = [complex(t.value(m)) for t in self.terms]
-        v = sum(parts, start=0j)
-        # conjugate terms cancel to rounding of the summands, which may dwarf
-        # the sum itself (large residues at close conjugate poles)
-        scale = max(1.0, abs(v.real), max((abs(p) for p in parts), default=0.0))
-        if abs(v.imag) > REALNESS_TOL * scale:
-            raise _not_real(v.imag, k)
-        return v.real
+        return float(self.sample([k])[0])
 
     def sample(self, ks):
-        """Real values at every step of ``ks``: ``evaluate`` over a grid, with
-        each term evaluated once on the whole array of step offsets."""
+        """Real values at every step of ``ks``, each term evaluated once on the
+        whole array of step offsets."""
         ks = ks if isinstance(ks, np.ndarray) else list(ks)
         offsets = np.asarray(ks, dtype=float) - self.base_point
         m = np.rint(offsets)
@@ -197,6 +193,8 @@ class ClosedFormSequence:
             for row, t in zip(parts, self.terms):
                 row[:] = t.value(m)
             v = parts.sum(axis=0)
+            # conjugate terms cancel to rounding of the summands, which may
+            # dwarf the sum itself (large residues at close conjugate poles)
             scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
             bad = np.abs(v.imag) > REALNESS_TOL * scale
         if bad.any():
@@ -225,11 +223,15 @@ def invert_inside(rf, k_max, a=0.0):
 
     The kernel (1-s)^(a-k) has an order-(k-a) pole at s = 1; the (negated)
     residue there equals the coefficient of w^(k-a-1) in F(1-w), so the values
-    are exactly the leading series coefficients of F at s = 1.
+    are exactly the leading series coefficients of F at s = 1.  Values below
+    the smallest normal float are set to 0: the division's recurrence cannot
+    resolve them, and a decaying sequence stalls there instead of reaching 0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return rf.series_at_one(k_max - 1)
+    values = rf.series_at_one(k_max - 1)
+    values[np.abs(values) < np.finfo(float).tiny] = 0
+    return values
 
 
 def invert_partial_fractions(rf, a=0.0):

@@ -1,12 +1,12 @@
 """The sixteen tabulated sequence/transform pairs and the shape matcher.
 
 Each registry row fixes concrete parameters and exposes the sequence (as a
-function of the step m = k - a >= 1), the transform F(s), the region of
-convergence, and display text.  ``lookup`` recognizes parsed expressions that
-have one of the tabulated shapes; the exponential and trigonometric rows
-reduce to rational shapes in w = 1 - s and are matched by coefficient
-patterns, so inputs like the damped-exponential row resolve to the geometric
-row that generates the same sequence.
+rule m -> f(a+m) on an int or an int ndarray of step offsets m = k - a >= 1),
+the transform F(s), the region of convergence, and display text.  ``lookup``
+recognizes parsed expressions that have one of the tabulated shapes; the
+exponential and trigonometric rows reduce to rational shapes in w = 1 - s and
+are matched by coefficient patterns, so inputs like the damped-exponential row
+resolve to the geometric row that generates the same sequence.
 """
 
 import cmath
@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import DiskAroundOne, FractionalDominance, Roc
-from .special import (
-    MittagLefflerParams,
-    MittagLefflerSeries,
-    log_gamma,
-    rising_factorial,
-)
+from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
+from .rational import DiskAroundOne, Roc
+from .special import MittagLefflerParams, MittagLefflerSeries, _binomial_series
 
 __all__ = ["TransformPair", "pair", "reference_pairs", "lookup", "sample_points"]
 
@@ -31,11 +27,15 @@ class TransformPair:
     row: int
     name: str
     params: tuple  # ((name, value), ...) in display order
-    sequence: object  # callable m -> complex, m = k - a in {1, 2, ...}
+    sequence: object  # rule m -> f(a+m) on an int or int ndarray, m >= 1
     transform: object  # callable s -> complex
     roc: Roc
     sequence_text: str
     transform_text: str
+    pole_order: float = 1.0  # highest order of the singularities at the disk's edge
+
+    def __call__(self, s):
+        return self.transform(s)
 
     def describe(self):
         ps = ", ".join(f"{k}={_g(v)}" for k, v in self.params)
@@ -76,7 +76,7 @@ def pair(row, **params):
         take()
         return TransformPair(
             1, "unit impulse", (),
-            lambda m: 1.0 + 0j if m == 1 else 0j,
+            lambda m: np.where(m == 1, 1.0 + 0j, 0j),
             lambda s: 1.0 + 0j,
             Roc(()),
             "delta(k-a-1)", "1",
@@ -85,7 +85,7 @@ def pair(row, **params):
         take()
         return TransformPair(
             2, "unit step", (),
-            lambda m: 1.0 + 0j,
+            lambda m: np.ones_like(m, dtype=complex),
             lambda s: 1.0 / s,
             Roc((DiskAroundOne(1.0),)),
             "u(k-a-1)", "1/s",
@@ -94,10 +94,11 @@ def pair(row, **params):
         take()
         return TransformPair(
             3, "ramp", (),
-            lambda m: complex(m),
+            lambda m: m + 0j,
             lambda s: 1.0 / s**2,
             Roc((DiskAroundOne(1.0),)),
             "k-a", "1/s^2",
+            pole_order=2,
         )
     if row == 4:
         (gamma,) = take("gamma")
@@ -114,27 +115,29 @@ def pair(row, **params):
         (alpha,) = take("alpha")
         if alpha == int(alpha) and alpha < 0:
             raise ValueError("row 5 needs alpha outside the negative integers")
-        g = cmath.exp(log_gamma(alpha + 1))
         return TransformPair(
             5, "rising power", (("alpha", alpha),),
-            lambda m: rising_factorial(m, alpha) / g,
+            lambda m: _rising_power(alpha, m),
             lambda s: s ** -(alpha + 1.0),
             Roc((DiskAroundOne(1.0),)),
             f"rising(k-a,{_g(alpha)})/gamma({_g(alpha + 1)})",
             f"1/s^{_g(alpha + 1)}",
+            pole_order=max(1.0, alpha + 1.0),
         )
     if row == 6:
         gamma, alpha = take("gamma", "alpha")
         if gamma == 0:
             raise ValueError("row 6 needs gamma != 0")
-        g = cmath.exp(log_gamma(alpha + 1))
+        if alpha == int(alpha) and alpha < 0:
+            raise ValueError("row 6 needs alpha outside the negative integers")
         return TransformPair(
             6, "geometric rising power", (("gamma", gamma), ("alpha", alpha)),
-            lambda m: complex(gamma) ** (m - 1) * rising_factorial(m, alpha) / g,
+            lambda m: complex(gamma) ** (m - 1) * _rising_power(alpha, m),
             lambda s: (1.0 - gamma + gamma * s) ** -(alpha + 1.0),
             Roc((DiskAroundOne(1.0 / abs(gamma)),)),
             f"{_g(gamma)}^(k-a-1)*rising(k-a,{_g(alpha)})/gamma({_g(alpha + 1)})",
             f"1/(1-{_g(gamma)}+{_g(gamma)}*s)^{_g(alpha + 1)}",
+            pole_order=max(1.0, alpha + 1.0),
         )
     if row == 7:
         (lam,) = take("lam")
@@ -149,14 +152,14 @@ def pair(row, **params):
         lam, N = take("lam", "N")
         if not (isinstance(N, int) and N >= 1):
             raise ValueError("row 8 needs integer N >= 1")
-        fact = math.factorial(N - 1)
         return TransformPair(
             8, "repeated pole", (("lam", lam), ("N", N)),
-            lambda m: rising_factorial(m, N - 1) / (fact * (1.0 - lam) ** (m + N - 1)),
+            PolyGeometricTerm(1.0, lam, N).value,
             lambda s: (s - lam) ** (-N),
             Roc((DiskAroundOne(min(abs(1.0 - lam), 1.0)),)),
-            f"rising(k-a,{N - 1})/({fact}*{_g(1 - lam)}^(k-a+{N - 1}))",
+            f"rising(k-a,{N - 1})/({math.factorial(N - 1)}*{_g(1 - lam)}^(k-a+{N - 1}))",
             f"1/(s-{_g(lam)})^{N}",
+            pole_order=N,
         )
     if row == 9:
         alpha, beta, lam = take("alpha", "beta", "lam")
@@ -164,7 +167,7 @@ def pair(row, **params):
             9, "Mittag-Leffler", (("alpha", alpha), ("beta", beta), ("lam", lam)),
             MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam)),
             lambda s: s ** (alpha - beta) / (s**alpha - lam),
-            Roc((DiskAroundOne(1.0), FractionalDominance(alpha, lam))),
+            FractionalSumForm((FractionalAtom(1.0, alpha, beta, lam),)).roc(),
             f"ML(alpha={_g(alpha)},beta={_g(beta)},lambda={_g(lam)};k,a)",
             f"s^{_g(alpha - beta)}/(s^{_g(alpha)}-{_g(lam)})",
         )
@@ -175,16 +178,17 @@ def pair(row, **params):
             10, "weighted Mittag-Leffler", (("alpha", alpha), ("lam", lam)),
             lambda m: (m - 1) * ml(m),
             lambda s: alpha * s ** (alpha - 1.0) * (1.0 - s) / (s**alpha - lam) ** 2,
-            Roc((DiskAroundOne(1.0), FractionalDominance(alpha, lam))),
+            FractionalSumForm((FractionalAtom(1.0, alpha, alpha, lam),)).roc(),
             f"(k-a-1)*ML(alpha={_g(alpha)},beta={_g(alpha)},lambda={_g(lam)};k,a)",
             f"{_g(alpha)}*s^{_g(alpha - 1)}*(1-s)/(s^{_g(alpha)}-{_g(lam)})^2",
+            pole_order=2,
         )
     if row == 11:
         (lam,) = take("lam")
         c = cmath.exp(-complex(lam))
         return TransformPair(
             11, "exponential", (("lam", lam),),
-            lambda m: cmath.exp(-complex(lam) * (m - 1)),
+            lambda m: np.exp(-complex(lam) * (m - 1)),
             lambda s: 1.0 / (1.0 - c * (1.0 - s)),
             Roc((DiskAroundOne(math.exp(lam)),)),
             f"exp(-{_g(lam)}*(k-a-1))", f"1/(1-exp(-{_g(lam)})*(1-s))",
@@ -196,7 +200,7 @@ def pair(row, **params):
         c = gamma * cmath.exp(-complex(lam))
         return TransformPair(
             12, "damped exponential", (("gamma", gamma), ("lam", lam)),
-            lambda m: complex(gamma) ** (m - 1) * cmath.exp(-complex(lam) * (m - 1)),
+            lambda m: complex(gamma) ** (m - 1) * np.exp(-complex(lam) * (m - 1)),
             lambda s: 1.0 / (1.0 - c * (1.0 - s)),
             Roc((DiskAroundOne(math.exp(lam) / abs(gamma)),)),
             f"{_g(gamma)}^(k-a-1)*exp(-{_g(lam)}*(k-a-1))",
@@ -205,12 +209,12 @@ def pair(row, **params):
     if row in (13, 14, 15, 16):
         (omega,) = take("omega")
         if row in (13, 14):
-            fn, cfn, name = math.sin, math.cos, ("sine", "cosine")
+            fn, cfn, name = np.sin, np.cos, ("sine", "cosine")
             disk = 1.0
         else:
-            fn, cfn, name = math.sinh, math.cosh, ("hyperbolic sine", "hyperbolic cosine")
+            fn, cfn, name = np.sinh, np.cosh, ("hyperbolic sine", "hyperbolic cosine")
             disk = min(math.exp(omega), math.exp(-omega))
-        A, B = fn(omega), cfn(omega)
+        A, B = float(fn(omega)), float(cfn(omega))
 
         def denom(s):
             w = 1.0 - s
@@ -219,7 +223,7 @@ def pair(row, **params):
         if row in (13, 15):
             return TransformPair(
                 row, name[0], (("omega", omega),),
-                lambda m: complex(fn(omega * (m - 1))),
+                lambda m: fn(omega * (m - 1)) + 0j,
                 lambda s: A * (1.0 - s) / denom(s),
                 Roc((DiskAroundOne(disk),)),
                 f"{'sin' if row == 13 else 'sinh'}({_g(omega)}*(k-a-1))",
@@ -228,7 +232,7 @@ def pair(row, **params):
             )
         return TransformPair(
             row, name[1], (("omega", omega),),
-            lambda m: complex(cfn(omega * (m - 1))),
+            lambda m: cfn(omega * (m - 1)) + 0j,
             lambda s: (1.0 - B * (1.0 - s)) / denom(s),
             Roc((DiskAroundOne(disk),)),
             f"{'cos' if row == 14 else 'cosh'}({_g(omega)}*(k-a-1))",
@@ -236,6 +240,12 @@ def pair(row, **params):
             f"/(1-2*{'cos' if row == 14 else 'cosh'}({_g(omega)})*(1-s)+(1-s)^2)",
         )
     raise ValueError(f"no registry row {row}")
+
+
+def _rising_power(alpha, m):
+    """Gamma(m+alpha) / (Gamma(m) Gamma(alpha+1)) at the offsets m: the w^(m-1)
+    coefficient of (1-w)^-(alpha+1), from its binomial recurrence."""
+    return _binomial_series(-(alpha + 1.0), int(np.max(m)) - 1)[np.asarray(m) - 1]
 
 
 def reference_pairs():

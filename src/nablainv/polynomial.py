@@ -52,9 +52,6 @@ class Polynomial:
     def is_zero(self):
         return self.degree == 0 and self.coeffs[0] == 0
 
-    def is_constant(self):
-        return self.degree == 0
-
     def __call__(self, s):
         # Horner's scheme; accepts scalars or ndarrays.
         acc = np.zeros_like(np.asarray(s, dtype=complex))

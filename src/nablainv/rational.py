@@ -52,10 +52,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def from_coeffs(cls, numerator, denominator):
-        return cls(Polynomial(numerator), Polynomial(denominator))
-
     @cached_property
     def _denominator_roots(self):
         if self.denominator.degree < 1:

@@ -4,7 +4,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .errors import ParameterDomainError
 from .polynomial import series_divide
@@ -23,11 +22,15 @@ def log_gamma(z):
     """Principal branch of log Gamma(z) for complex z.
 
     Raises ParameterDomainError at the poles of Gamma (z = 0, -1, -2, ...).
+    scipy is imported here, by its only user, so importing the package does
+    not load it.
     """
+    from scipy.special import loggamma
+
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ParameterDomainError(f"Gamma has a pole at {z.real:g}")
-    return complex(_loggamma(z))
+    return complex(loggamma(z))
 
 
 def rising_factorial(n, alpha):
@@ -90,9 +93,9 @@ class MittagLefflerSeries:
     s = 1 - w, (1-w)^(alpha-beta) / ((1-w)^alpha - lambda), so one power-series
     division of two binomial series gives every step at once.  Calling with an
     int returns one value, with an int ndarray the values on that grid.  The
-    coefficients are kept between calls and regrown by doubling, so stepping
-    m = 1, 2, ..., K one call at a time costs a small constant factor over one
-    call at K, not a division per step.
+    coefficients are kept between calls and regrown by doubling, so asking for
+    the steps in growing blocks costs a small constant factor over one call
+    at the last step, not a division per block.
     """
 
     def __init__(self, params):

@@ -8,12 +8,12 @@ reindexing checks are direct evaluations.
 
 import cmath
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, PoleAtOneError, TruncationWarning
 from .inversion import FractionalSumForm
+from .pairs import TransformPair
 from .rational import RationalFunction
 from .special import step_offset
 
@@ -23,63 +23,56 @@ _CONSECUTIVE_SMALL = 5
 _CONSECUTIVE_GROWING = 50
 
 __all__ = [
-    "CausalSequence",
     "forward_transform",
     "numeric_inverse",
     "quadrature_grid",
     "initial_value",
     "z_correspondence",
-    "roc_contains",
     "orientation_check",
     "default_rho",
 ]
 
 
-@dataclass(frozen=True)
-class CausalSequence:
-    """A sequence on {a+1, a+2, ...}: a base point and an evaluation rule."""
-
-    base_point: float
-    fn: object  # callable k -> complex
-
-    def __call__(self, k):
-        step_offset(k, self.base_point)  # validates k
-        return complex(self.fn(k))
-
-    @classmethod
-    def from_closed_form(cls, cf):
-        return cls(cf.base_point, cf.evaluate_complex)
-
-
 def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
-    """Truncated sum of (1-s)^(k-1) f(k+a) over k >= 1.
+    """Truncated sum of (1-s)^(m-1) f(a+m) over m >= 1.
 
-    Stops once five consecutive increments fall below tol * (1 + |sum|);
-    hitting n_max first emits TruncationWarning.  Fifty consecutive growing
-    increments raise ConvergenceError (s is outside the ROC).
+    ``seq`` is the sequence as a rule m -> f(a+m) on an int ndarray of step
+    offsets m >= 1 (every sequence in the package has one: a pair's
+    ``sequence``, a closed form's ``values``).  Stops once five consecutive
+    increments fall below tol * (1 + |sum|); hitting n_max first emits
+    TruncationWarning.  Fifty consecutive growing increments raise
+    ConvergenceError (s is outside the ROC).
     """
     return _forward_sum(seq, s, tol, n_max)[0]
 
 
 def _forward_sum(seq, s, tol, n_max):
-    """(sum, terms used) of the truncated forward series; see forward_transform."""
+    """(sum, terms used) of the truncated forward series; see forward_transform.
+
+    The values come from the rule in blocks that double in length from 16
+    steps, so a sum of n terms calls it O(log n) times and reads at most
+    max(16, 2n) values.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = seq.base_point
     w = 1.0 - complex(s)
     total = 0j
     wp = 1.0 + 0j
     small = growing = 0
     last_mag = None
-    for k in range(1, n_max + 1):
-        inc = wp * seq(a + k)
+    block, first = (), 1
+    for m in range(1, n_max + 1):
+        if m - first == len(block):
+            first = m
+            block = _values(seq, np.arange(m, min(n_max, max(16, 2 * m - 1)) + 1))
+        inc = wp * block[m - first]
         total += inc
         wp *= w
         mag = abs(inc)
         if mag < tol * (1.0 + abs(total)):
             small += 1
             if small >= _CONSECUTIVE_SMALL:
-                return total, k
+                return total, m
         else:
             small = 0
         if last_mag is not None and mag > last_mag and mag > tol:
@@ -99,15 +92,23 @@ def _forward_sum(seq, s, tol, n_max):
     return total, n_max
 
 
+def _values(seq, ms):
+    """The rule's values at the offsets ms as Python complex; those past the
+    last step a sum needs may leave the float64 range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.broadcast_to(np.asarray(seq(ms), dtype=complex), ms.shape).tolist()
+
+
 def default_rho(F, m):
     """R m / (m + p), the radius for coefficients up to w^(m-1) (Bornemann 2011).
 
     R is the distance from 1 to the nearest singularity of F: its nearest pole
     for a rational function (1 when it has none), the radius of its region of
-    convergence for a fractional sum.  p is the highest pole order, 1 for a
-    fractional sum.  The radius nears R as m grows, so rho^-(m-1) stays near
-    the growth of the coefficients themselves instead of magnifying rounding.
-    Callables without structure get 0.5.
+    convergence for a fractional sum or a tabulated pair.  p is the highest
+    pole order, 1 for a fractional sum and the pair's ``pole_order`` for a
+    pair.  The radius nears R as m grows, so rho^-(m-1) stays near the growth
+    of the coefficients themselves instead of magnifying rounding.  Callables
+    without structure get 0.5.
     """
     if isinstance(F, RationalFunction):
         R = F.distance_of_poles_to_one()
@@ -115,6 +116,8 @@ def default_rho(F, m):
         p = max((c.multiplicity for c in F.poles), default=1)
     elif isinstance(F, FractionalSumForm):
         R, p = F.roc().disk_radius(), 1
+    elif isinstance(F, TransformPair):
+        R, p = F.roc.disk_radius() or 1.0, F.pole_order
     else:
         return 0.5
     return R * m / (m + p)
@@ -179,8 +182,6 @@ def initial_value(F):
         if F.has_pole_at_one():
             raise PoleAtOneError()
         return F.evaluate(1.0)
-    if isinstance(F, FractionalSumForm):
-        return sum((atom.coefficient / (1.0 - atom.lam) for atom in F.atoms), start=0j)
     v = complex(F(1.0))
     if not (cmath.isfinite(v)):
         raise PoleAtOneError()
@@ -193,22 +194,18 @@ def z_correspondence(seq, s, tol=FORWARD_TOL):
     With g(k) = f(k+1) and z^{-1} = 1 - s, the z-style sum over k >= 0 of
     (1-s)^k g(k+a) and the nabla sum over k >= 1 of (1-s)^(k-1) f(k+a) are the
     same series; both are summed to a matched truncation length and the
-    absolute difference is returned (zero up to rounding).
+    absolute difference is returned (zero up to rounding).  ``seq`` is the
+    rule m -> f(a+m), as for ``forward_transform``.
     """
     nabla_total, n_used = _forward_sum(seq, s, tol, FORWARD_NMAX)
-    a = seq.base_point
+    g = _values(seq, np.arange(1, n_used + 1))
     w = 1.0 - complex(s)
     z_total = 0j
     wp = 1.0 + 0j
     for k in range(0, n_used):
-        z_total += wp * seq(k + 1 + a)
+        z_total += wp * g[k]
         wp *= w
     return abs(nabla_total - z_total)
-
-
-def roc_contains(roc, s):
-    """Conjunction of the region's primitive membership predicates."""
-    return roc.contains(s)
 
 
 def orientation_check():

@@ -1,7 +1,10 @@
 """Command surface: outputs, exit codes, environment and config handling."""
 
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,14 @@ class TestFloatRange:
         assert err.count("\n") == 1
         assert "k = 714" in err
 
+    def test_overflowing_table_shape_exits_1(self, capsys):
+        # 2^(k-a-1) rising(k-a, 0.5)/Gamma(1.5) passes 1.8e308 at k = 1020
+        code, out, err = run(capsys, "invert", "--expr", "(-1+2*s)^-1.5", "--k", "1..2000")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "k = 1020" in err
+
     @pytest.mark.parametrize("strategy", ["auto", "inside"])
     def test_underflowing_grid_is_finite(self, capsys, strategy):
         code, out, _ = run(capsys, "invert", "--expr", EX1, "--k", "1..2000",
@@ -210,6 +221,15 @@ class TestLongGrid:
         scale = float(np.max(np.abs(grids["pfe"])))
         assert float(np.max(np.abs(grids["inside"] - grids["pfe"]))) <= 1e-12 * scale
 
+    def test_inside_prints_no_subnormals(self, capsys):
+        """The series recurrence stalled at subnormal magnitudes instead of
+        decaying: 84,690 nonzero values below the smallest normal float."""
+        code, out, _ = run(capsys, "invert", "--expr", self.EXPR, "--k", "1..100000",
+                           "--strategy", "inside", "--format", "csv")
+        assert code == 0
+        values = csv_values(out)
+        assert not np.any((values != 0) & (np.abs(values) < np.finfo(float).tiny))
+
 
 def csv_values(out):
     return np.array([float(line.split(",")[1]) for line in out.strip().splitlines()[1:]])
@@ -263,6 +283,22 @@ class TestVerifyCommand:
         assert code == 0, out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("K", [20, 200])
+    @pytest.mark.parametrize("expr", [
+        # row 6: quadrature at the unstructured rho = 0.5 failed at K = 200
+        "(0.5+0.5*s)^-1.5",
+        # row 10: the same, scaled diff 3.4e41
+        "0.7*s^-0.3*(1-s)/(s^0.7+0.4)^2",
+        # row 10 with a root of s^1.4 = 0.9 at |1-s| = 0.0725: the forward
+        # series diverged at points sampled out to |1-s| = 0.45
+        "1.4*s^0.4*(1-s)/(s^1.4-0.9)^2",
+    ])
+    def test_table_shapes_pass(self, capsys, expr, K):
+        code, out, _ = run(capsys, "verify", f"--expr={expr}", "--k", f"1..{K}")
+        assert code == 0, out
+        lines = out.strip().splitlines()
+        assert all(line.startswith("PASS") for line in lines), out
+
     def test_simple_pole_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--expr", "1/(s-0.3)", "--a", "0",
                            "--k", "1..10")
@@ -280,6 +316,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--expr", EX1, "--k", "1..8")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestImport:
+    def test_cli_does_not_load_scipy(self):
+        """scipy serves only log_gamma, which no CLI path calls; importing it
+        cost about half of the CLI's start-up time."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nablainv.cli as cli; "
+                "argv = ['invert', '--expr', '1/(1-0.5+0.5*s)^1.5', '--k', '1..5']; "
+                "assert cli.main(argv) == 0; "
+                "assert 'scipy' not in sys.modules, 'scipy was imported'")
+        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "row 6" in proc.stdout
 
 
 class TestTableCommand:

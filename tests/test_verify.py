@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nablainv import (
-    CausalSequence,
     ConvergenceError,
     FractionalAtom,
     FractionalSumForm,
@@ -19,46 +18,113 @@ from nablainv import (
     TruncationWarning,
     forward_transform,
     initial_value,
+    invert_fractional,
     invert_partial_fractions,
     numeric_inverse,
     orientation_check,
     pair,
-    roc_contains,
     z_correspondence,
 )
 from nablainv.verify import default_rho, quadrature_grid
 from conftest import example1, random_real_rational_from_factors
 
 
-def step_sequence(a=0.0):
-    return CausalSequence(a, lambda k: 1.0)
+def step_sequence(m):
+    return np.ones(np.shape(m))
+
+
+def forward_sum_per_step(f, s, tol=1e-12, n_max=100_000):
+    """Reference: the forward series summed one step at a time, calling the
+    rule once per step with an int, under the same small-increment stop.
+    Returns the sum and the number of terms."""
+    w = 1.0 - complex(s)
+    total, wp, small = 0j, 1.0 + 0j, 0
+    for m in range(1, n_max + 1):
+        inc = wp * complex(f(m))
+        total += inc
+        wp *= w
+        if abs(inc) < tol * (1.0 + abs(total)):
+            small += 1
+            if small >= 5:
+                return total, m
+        else:
+            small = 0
+    return total, n_max
+
+
+class CountingRule:
+    """Wraps a rule and records the offsets of every call."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.calls = []
+
+    def __call__(self, m):
+        self.calls.append(np.array(m, copy=True))
+        return self.rule(m)
+
+
+_ML_FORM = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2),
+                              FractionalAtom(-1.0, 0.7, 0.5, 0.3)))
 
 
 class TestForwardTransform:
     def test_unit_step(self):
-        assert forward_transform(step_sequence(), 0.5) == pytest.approx(2.0, rel=1e-10)
+        assert forward_transform(step_sequence, 0.5) == pytest.approx(2.0, rel=1e-10)
 
     def test_impulse(self):
-        seq = CausalSequence(0.0, lambda k: 1.0 if round(k) == 1 else 0.0)
-        assert forward_transform(seq, 0.3 + 0.4j) == pytest.approx(1.0, abs=1e-12)
+        total = forward_transform(lambda m: np.where(m == 1, 1.0, 0.0), 0.3 + 0.4j)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_geometric_row_value(self):
         # f(k) = 0.7^-(k-a): the sum telescopes to 1/(s - 0.3) = 2 at s = 0.8
-        seq = CausalSequence(0.0, lambda k: 0.7 ** (-round(k)))
-        assert forward_transform(seq, 0.8) == pytest.approx(2.0, rel=1e-10)
+        assert forward_transform(lambda m: 0.7 ** (-m), 0.8) == pytest.approx(2.0, rel=1e-10)
 
     def test_divergence_outside_roc(self):
         with pytest.raises(ConvergenceError):
-            forward_transform(step_sequence(), 2.5)
+            forward_transform(step_sequence, 2.5)
 
     def test_truncation_warning(self):
         # |1-s| = 0.99 decays too slowly to meet tol within 50 terms
+        rule = CountingRule(step_sequence)
         with pytest.warns(TruncationWarning):
-            forward_transform(step_sequence(), 0.01, tol=1e-14, n_max=50)
+            total = forward_transform(rule, 0.01, tol=1e-14, n_max=50)
+        # the 50-term partial sum, read without asking for a step past n_max
+        assert total == pytest.approx((1.0 - 0.99**50) / 0.01, rel=1e-13)
+        assert max(int(c.max()) for c in rule.calls) == 50
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
-            forward_transform(step_sequence(), 0.5, tol=0.0)
+            forward_transform(step_sequence, 0.5, tol=0.0)
+
+    CASES = {
+        "step": (step_sequence, [0.5, 0.9 + 0.3j]),
+        "impulse": (pair(1).sequence, [0.3 + 0.4j, 1.5]),
+        "geometric": (pair(7, lam=0.3).sequence, [0.8, 1.2 - 0.3j]),
+        "mittag-leffler": (invert_fractional(_ML_FORM).values, [0.7, 1.1 + 0.2j]),
+        "table-row-6": (pair(6, gamma=0.5, alpha=0.5).sequence, [0.4, 1.0 + 0.8j]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_per_step_sum(self, name):
+        # same increments and stop; a value may differ from the per-step call
+        # in its last ulps (numpy's power on an array against Python's)
+        rule, points = self.CASES[name]
+        for s in points:
+            want, _terms = forward_sum_per_step(rule, s)
+            got = forward_transform(rule, s)
+            assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), s
+
+    def test_rule_is_called_once_per_doubling_block(self):
+        # |1-s| = 0.99: about 2300 terms before five fall below tol
+        _, terms = forward_sum_per_step(step_sequence, 0.01)
+        rule = CountingRule(step_sequence)
+        forward_transform(rule, 0.01)
+        steps = np.concatenate(rule.calls)
+        n = len(steps)
+        np.testing.assert_array_equal(steps, np.arange(1, n + 1))
+        assert terms <= n < 2 * terms
+        assert len(rule.calls) <= math.log2(terms) + 1
 
 
 class TestNumericInverse:
@@ -160,7 +226,10 @@ class TestOracleClosure:
     def test_forward_of_quadrature_values_returns_transform(self, rng):
         for _ in range(8):
             rf, _roots = random_real_rational_from_factors(rng, min_dist_from_one=0.4)
-            seq = CausalSequence(0.0, lambda k, _rf=rf: numeric_inverse(_rf, round(k)))
+
+            def seq(m):
+                return quadrature_grid(rf, int(np.max(m)))[m - 1]
+
             roc = rf.inferred_roc()
             radius = min(1.0, roc.disk_radius()) * 0.35
             for angle in (0.4, 2.1, 4.0):
@@ -206,41 +275,32 @@ class TestInitialValue:
 class TestRocContains:
     def test_disk(self):
         roc = Roc((DiskAroundOne(1.0),))
-        assert roc_contains(roc, 0.5)
-        assert not roc_contains(roc, 2.5)
+        assert roc.contains(0.5)
+        assert not roc.contains(2.5)
 
     def test_origin_exclusion_bound(self):
         roc = Roc((DiskAroundOne(1.0), OriginExclusion(0.3 ** (10.0 / 7.0))))
-        assert not roc_contains(roc, 0.1)
-        assert roc_contains(roc, 0.25)
+        assert not roc.contains(0.1)
+        assert roc.contains(0.25)
 
 
 class TestZCorrespondence:
     def test_unit_step(self):
-        assert z_correspondence(step_sequence(), 0.5) <= 1e-12
+        assert z_correspondence(step_sequence, 0.5) <= 1e-12
 
     def test_divergence_detected(self):
         with pytest.raises(ConvergenceError):
-            z_correspondence(step_sequence(), 2.5)
+            z_correspondence(step_sequence, 2.5)
 
     @pytest.mark.parametrize("s", [0.55, 0.7, 0.9, 1.2 + 0.2j, 1.0 - 0.4j])
     def test_geometric_row(self, s):
-        tp = pair(7, lam=0.3)
-        seq = CausalSequence(0.0, lambda k: tp.sequence(round(k)))
-        assert z_correspondence(seq, s) <= 1e-10
+        assert z_correspondence(pair(7, lam=0.3).sequence, s) <= 1e-10
 
     @pytest.mark.parametrize("s", [0.6, 0.8, 1.1, 1.0 + 0.3j, 0.9 - 0.2j])
     def test_sine_row(self, s):
-        tp = pair(13, omega=math.pi / 6)
-        seq = CausalSequence(0.0, lambda k: tp.sequence(round(k)))
-        assert z_correspondence(seq, s) <= 1e-10
+        assert z_correspondence(pair(13, omega=math.pi / 6).sequence, s) <= 1e-10
 
 
 class TestOrientation:
     def test_self_test_passes(self):
         orientation_check()
-
-    def test_sequence_index_validation(self):
-        seq = step_sequence(a=2.0)
-        with pytest.raises(ValueError):
-            seq(2.0)  # k = a is outside {a+1, a+2, ...}
