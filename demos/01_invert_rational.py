@@ -19,6 +19,7 @@ from nablainv import (
     numeric_inverse,
     parse_expression,
     classify,
+    describe_roc,
 )
 
 expression = "9/((s+1)^2*(s-2))"
@@ -26,7 +27,7 @@ rf = classify(parse_expression(expression)).rational
 
 print(f"F(s) = {expression}")
 print(f"poles: {[(p.value, p.multiplicity) for p in rf.poles]}")
-print(f"inferred ROC: {rf.inferred_roc().describe()}")
+print(f"inferred ROC: {describe_roc(rf.inferred_roc())}")
 print()
 
 # Partial fractions: F = 1/(s-2) - 1/(s+1) - 3/(s+1)^2

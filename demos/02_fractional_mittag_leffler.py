@@ -13,6 +13,7 @@ quadrature oracle confirms the values.
 from nablainv import (
     MittagLefflerParams,
     classify,
+    describe_roc,
     discrete_mittag_leffler,
     initial_value,
     invert_fractional,
@@ -27,7 +28,7 @@ print(f"F(s) = {decomposed}")
 for atom in form.atoms:
     print(f"  atom: coeff {atom.coefficient:.3g}, alpha {atom.alpha:.3g}, "
           f"beta {atom.beta:.3g}, lambda {atom.lam:.3g}")
-print(f"ROC: {form.roc().describe()}")
+print(f"ROC: {describe_roc(form.radius)}")
 print()
 
 cf = invert_fractional(form)

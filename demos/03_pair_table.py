@@ -12,7 +12,7 @@ from nablainv import forward_transform, lookup, reference_pairs, sample_points
 print(f"{'row':>4} {'name':<26} {'max rel err':>12}  matched")
 for tp in reference_pairs():
     worst = 0.0
-    for s in sample_points(tp.roc, count=8):
+    for s in sample_points(tp.radius, count=8):
         total = forward_transform(tp.sequence, s)
         direct = complex(tp.transform(s))
         worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))

@@ -37,13 +37,7 @@ from .inversion import (
 from .pairs import TransformPair, lookup, pair, reference_pairs, sample_points
 from .parsing import Classified, Kind, classify, parse_expression, pretty
 from .polynomial import Polynomial, RootCluster, roots_with_multiplicities
-from .rational import (
-    DiskAroundOne,
-    FractionalDominance,
-    OriginExclusion,
-    RationalFunction,
-    Roc,
-)
+from .rational import RationalFunction, describe_roc
 from .special import (
     MittagLefflerParams,
     discrete_mittag_leffler,
@@ -64,10 +58,8 @@ __all__ = [
     "Classified",
     "ClosedFormSequence",
     "ConvergenceError",
-    "DiskAroundOne",
     "ExpressionSyntaxError",
     "FractionalAtom",
-    "FractionalDominance",
     "FractionalSumForm",
     "GeometricTerm",
     "ImpulseTerm",
@@ -75,7 +67,6 @@ __all__ = [
     "MittagLefflerParams",
     "MittagLefflerTerm",
     "NablaError",
-    "OriginExclusion",
     "ParameterDomainError",
     "PartialFractionExpansion",
     "PolyGeometricTerm",
@@ -84,12 +75,12 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "RealnessError",
-    "Roc",
     "RootCluster",
     "TransformPair",
     "TruncationWarning",
     "UnsupportedExpressionError",
     "classify",
+    "describe_roc",
     "discrete_mittag_leffler",
     "expand",
     "forward_transform",

@@ -20,10 +20,11 @@ from .inversion import (
     invert_fractional,
     invert_inside,
     invert_partial_fractions,
+    real_values,
 )
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
-from .rational import DiskAroundOne, FractionalDominance, OriginExclusion, Roc
+from .rational import describe_roc
 from .verify import (
     forward_transform,
     initial_value,
@@ -49,8 +50,6 @@ def build_parser():
         p.add_argument(expr_flag, required=True, help="expression for F(s)")
         p.add_argument("--a", type=float, default=None, help="base point a (default 0)")
         p.add_argument("--k", default=None, help="step range, e.g. 1..20")
-        p.add_argument("--roc", default=None,
-                       help="region of convergence, e.g. 'disk1:1.0,origin:0.179'")
         p.add_argument("--format", choices=("text", "csv", "json"), default=None)
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--config", default=None, help="key=value configuration file")
@@ -134,33 +133,6 @@ def _parse_krange(text, a):
     return lo + np.arange(int(round(hi - lo)) + 1)
 
 
-def _parse_roc(text):
-    constraints = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        kind = pieces[0]
-        if kind == "disk1" and len(pieces) == 2:
-            constraints.append(DiskAroundOne(float(pieces[1])))
-        elif kind == "origin" and len(pieces) == 2:
-            constraints.append(OriginExclusion(float(pieces[1])))
-        elif kind == "frac" and len(pieces) == 3:
-            constraints.append(FractionalDominance(float(pieces[1]), complex(pieces[2])))
-        else:
-            raise ValueError(
-                f"bad ROC component {part!r}; use disk1:R, origin:R or frac:ALPHA:LAM"
-            )
-    roc = Roc(tuple(constraints))
-    if roc.disk_radius() is None:
-        raise ValueError(
-            "the region of convergence must include a disk1:R component; "
-            "inversion around s = 1 needs a disk of convergence at 1"
-        )
-    return roc
-
-
 def _cpair(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -169,7 +141,7 @@ def _cpair(z):
 class _Problem:
     """Parsed expression plus the pieces every subcommand needs."""
 
-    def __init__(self, text, a, roc_text=None):
+    def __init__(self, text, a):
         self.text = text
         self.a = a
         self.ast = parse_expression(text)
@@ -185,23 +157,14 @@ class _Problem:
                     "rational, nor a sum of fractional-power atoms, nor a "
                     "tabulated pair shape"
                 )
-        self.roc = _parse_roc(roc_text) if roc_text else self._inferred_roc()
-
-    def _inferred_roc(self):
-        kind = self.classified.kind
-        if kind is Kind.RATIONAL:
-            return self.classified.rational.inferred_roc()
-        if kind is Kind.FRACTIONAL_SUM:
-            return self.classified.fractional.roc()
-        return self.table_hit.roc
-
-    def transform_callable(self):
-        kind = self.classified.kind
-        if kind is Kind.RATIONAL:
-            return self.classified.rational
-        if kind is Kind.FRACTIONAL_SUM:
-            return self.classified.fractional
-        return self.table_hit
+        # the transform: a RationalFunction, a FractionalSumForm or a
+        # TransformPair, each with the radius of its region of convergence
+        self.F = {
+            Kind.RATIONAL: self.classified.rational,
+            Kind.FRACTIONAL_SUM: self.classified.fractional,
+            Kind.TABLE_CANDIDATE: self.table_hit,
+        }[self.classified.kind]
+        self.radius = self.F.radius  # PoleAtOneError for a pole at s = 1
 
     def closed_form(self, strategy):
         """(strategy used, closed form or None); None for the table and inside."""
@@ -226,19 +189,22 @@ class _Problem:
     def invert(self, strategy, ks):
         """(strategy used, closed form or None, float values on the grid ks).
 
-        Raises OverflowError naming the first step whose value is not finite
-        in float64.
+        Raises RealnessError naming the first step whose value is not real
+        (the inside and table routes scale the test by the grid's max |f|),
+        and OverflowError naming the first step whose value is not finite in
+        float64.
         """
         used, cf = self.closed_form(strategy)
         ms = np.rint(ks - self.a).astype(np.int64)
         if cf is not None:
             values = cf.sample(ks)
-        elif used == "inside":
-            series = invert_inside(self.classified.rational, int(ms[-1]), self.a)
-            values = series[ms - 1].real
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = np.real(self.table_hit.sequence(ms))
+            if used == "inside":
+                v = invert_inside(self.classified.rational, int(ms[-1]), self.a)[ms - 1]
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v = np.asarray(self.table_hit.sequence(ms), dtype=complex)
+            values = real_values(v, ks, np.max(np.abs(v)))
         bad = ~np.isfinite(values)
         if bad.any():
             raise OverflowError(
@@ -288,7 +254,7 @@ def _emit_values(args, problem, used, cf, ks, values):
             "classification": problem.classified.kind.value,
             "strategy": used,
             "a": problem.a,
-            "roc": problem.roc.describe(),
+            "roc": describe_roc(problem.radius),
             "closed_form": [_term_json(t) for t in cf.terms] if cf else None,
         }
         # json.dumps(doc | {"values": [{"k": k, "f": v}, ...]}, indent=2) byte
@@ -304,7 +270,7 @@ def _emit_values(args, problem, used, cf, ks, values):
             f"expression     : {pretty(problem.ast)}",
             f"classification : {problem.classified.kind.value}",
             f"strategy       : {used}",
-            f"ROC            : {problem.roc.describe()}",
+            f"ROC            : {describe_roc(problem.radius)}",
         ]
         if problem.table_hit is not None:
             lines.append(f"table          : {problem.table_hit.describe()}")
@@ -340,7 +306,7 @@ def _term_json(term):
 
 
 def _cmd_invert(args):
-    problem = _Problem(args.expr, args.a, args.roc)
+    problem = _Problem(args.expr, args.a)
     ks = _parse_krange(args.k, args.a)
     used, cf, values = problem.invert(args.strategy, ks)
     _emit_values(args, problem, used, cf, ks, values)
@@ -348,14 +314,14 @@ def _cmd_invert(args):
 
 
 def _cmd_forward(args):
-    problem = _Problem(args.expr, args.a, args.roc)
+    problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
     seq = problem.sequence(cf)
     if args.s:
         points = [complex(part.strip()) for part in args.s.split(",") if part.strip()]
     else:
-        points = sample_points(problem.roc, count=5)
-    F = problem.transform_callable()
+        points = sample_points(problem.radius, count=5)
+    F = problem.F
     tol = args.tol or 1e-12
     print(f"forward series of the inverted sequence vs direct F(s)  [{used}]")
     print(f"{'s':>28}  {'series':>28}  {'direct':>28}  {'|diff|':>12}")
@@ -371,10 +337,10 @@ def _cmd_forward(args):
 
 
 def _cmd_verify(args):
-    problem = _Problem(args.expr, args.a, args.roc)
+    problem = _Problem(args.expr, args.a)
     ks = _parse_krange(args.k, args.a)
     tol = args.tol or 1e-9
-    F = problem.transform_callable()
+    F = problem.F
     checks = []
 
     orientation_check()
@@ -403,7 +369,7 @@ def _cmd_verify(args):
                    ivd <= tol * max(1.0, abs(iv)), ivd))
 
     worst_rt = 0.0
-    for s in sample_points(problem.roc, count=5):
+    for s in sample_points(problem.radius, count=5):
         total = forward_transform(seq, s)
         direct = complex(F(s))
         worst_rt = max(worst_rt, abs(total - direct) / max(1.0, abs(direct)))
@@ -429,7 +395,7 @@ def _cmd_table(args):
             "params": {k: _cpair(v) for k, v in hit.params},
             "sequence": hit.sequence_text,
             "transform": hit.transform_text,
-            "roc": hit.roc.describe(),
+            "roc": describe_roc(hit.radius),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -442,7 +408,7 @@ def _cmd_roundtrip(args):
     failed = 0
     for tp in reference_pairs():
         worst = 0.0
-        for s in sample_points(tp.roc, count=8):
+        for s in sample_points(tp.radius, count=8):
             total = forward_transform(tp.sequence, s)
             direct = complex(tp.transform(s))
             worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
@@ -478,6 +444,9 @@ def main(argv=None):
         return 2
     except (NablaError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory for the step grid; narrow --k", file=sys.stderr)
         return 1
     except (ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtOneError, RealnessError
 from .expansion import expand
-from .rational import DiskAroundOne, Roc
 from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
 
 REALNESS_TOL = 1e-9
@@ -196,11 +195,7 @@ class ClosedFormSequence:
             # conjugate terms cancel to rounding of the summands, which may
             # dwarf the sum itself (large residues at close conjugate poles)
             scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-            bad = np.abs(v.imag) > REALNESS_TOL * scale
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _not_real(v.imag[i], ks[i])
-        return v.real
+            return real_values(v, ks, scale)
 
     def describe(self):
         if not self.terms:
@@ -211,11 +206,22 @@ class ClosedFormSequence:
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
 
 
-def _not_real(imag, k):
-    return RealnessError(
-        f"imaginary residue {imag:.3e} at k = {k}; term set is not "
-        "conjugate-consistent"
-    )
+def real_values(v, ks, scale):
+    """The real parts of the values v at the steps ks, after checking that no
+    imaginary part exceeds REALNESS_TOL times ``scale`` (an array, one entry
+    per step, or one number for the whole grid).
+
+    Raises RealnessError naming the first step that fails: a real sequence
+    cannot come from this transform, and its real part alone is not the answer.
+    """
+    bad = np.abs(v.imag) > REALNESS_TOL * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RealnessError(
+            f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; term set is not "
+            "conjugate-consistent"
+        )
+    return v.real
 
 
 def invert_inside(rf, k_max, a=0.0):
@@ -309,13 +315,16 @@ class FractionalSumForm:
     def __call__(self, s):
         return self.evaluate(s)
 
-    def roc(self):
-        """The disk around 1 out to the nearest singularity of F(1 - w).
+    pole_order = 1  # the roots of s^alpha = lam are simple
+
+    @property
+    def radius(self):
+        """Radius of the disk around 1 out to the nearest singularity of F(1 - w).
 
         That is the nearest principal-branch root of some s^alpha = lam, or the
         branch point s = 0 at distance 1.
         """
-        return Roc((DiskAroundOne(min([1.0] + [a.pole_distance() for a in self.atoms])),))
+        return min([1.0] + [a.pole_distance() for a in self.atoms])
 
 
 def invert_fractional(form, a=0.0):

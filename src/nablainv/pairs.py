@@ -2,11 +2,12 @@
 
 Each registry row fixes concrete parameters and exposes the sequence (as a
 rule m -> f(a+m) on an int or an int ndarray of step offsets m = k - a >= 1),
-the transform F(s), the region of convergence, and display text.  ``lookup``
-recognizes parsed expressions that have one of the tabulated shapes; the
-exponential and trigonometric rows reduce to rational shapes in w = 1 - s and
-are matched by coefficient patterns, so inputs like the damped-exponential row
-resolve to the geometric row that generates the same sequence.
+the transform F(s), the radius R of its region of convergence |1-s| < R, and
+display text.  ``lookup`` recognizes parsed expressions that have one of the
+tabulated shapes; the exponential and trigonometric rows reduce to rational
+shapes in w = 1 - s and are matched by coefficient patterns, so inputs like the
+damped-exponential row resolve to the geometric row that generates the same
+sequence.
 """
 
 import cmath
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
-from .rational import DiskAroundOne, Roc
+from .rational import describe_roc
 from .special import MittagLefflerParams, MittagLefflerSeries, _binomial_series
 
 __all__ = ["TransformPair", "pair", "reference_pairs", "lookup", "sample_points"]
@@ -29,10 +30,14 @@ class TransformPair:
     params: tuple  # ((name, value), ...) in display order
     sequence: object  # rule m -> f(a+m) on an int or int ndarray, m >= 1
     transform: object  # callable s -> complex
-    roc: Roc
+    radius: float  # of the region of convergence |1-s| < radius; inf for all of C
     sequence_text: str
     transform_text: str
     pole_order: float = 1.0  # highest order of the singularities at the disk's edge
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError("disk radius must be positive")
 
     def __call__(self, s):
         return self.transform(s)
@@ -42,7 +47,7 @@ class TransformPair:
         head = f"row {self.row} ({self.name})" + (f" with {ps}" if ps else "")
         return (
             f"{head}: f(k) = {self.sequence_text}, F(s) = {self.transform_text}, "
-            f"ROC {self.roc.describe()}"
+            f"ROC {describe_roc(self.radius)}"
         )
 
 
@@ -52,8 +57,9 @@ def _g(v):
     if v.imag == 0:
         r = v.real
         return str(int(r)) if r == int(r) and abs(r) < 1e15 else repr(r)
+    # parenthesized, so the text stays one operand inside the display forms
     re, im = repr(v.real), repr(abs(v.imag))
-    return f"{re}+{im}j" if v.imag >= 0 else f"{re}-{im}j"
+    return f"({re}+{im}j)" if v.imag >= 0 else f"({re}-{im}j)"
 
 
 def pair(row, **params):
@@ -78,7 +84,7 @@ def pair(row, **params):
             1, "unit impulse", (),
             lambda m: np.where(m == 1, 1.0 + 0j, 0j),
             lambda s: 1.0 + 0j,
-            Roc(()),
+            math.inf,
             "delta(k-a-1)", "1",
         )
     if row == 2:
@@ -87,7 +93,7 @@ def pair(row, **params):
             2, "unit step", (),
             lambda m: np.ones_like(m, dtype=complex),
             lambda s: 1.0 / s,
-            Roc((DiskAroundOne(1.0),)),
+            1.0,
             "u(k-a-1)", "1/s",
         )
     if row == 3:
@@ -96,7 +102,7 @@ def pair(row, **params):
             3, "ramp", (),
             lambda m: m + 0j,
             lambda s: 1.0 / s**2,
-            Roc((DiskAroundOne(1.0),)),
+            1.0,
             "k-a", "1/s^2",
             pole_order=2,
         )
@@ -108,7 +114,7 @@ def pair(row, **params):
             4, "geometric", (("gamma", gamma),),
             lambda m: complex(gamma) ** (m - 1),
             lambda s: 1.0 / (1.0 - gamma + gamma * s),
-            Roc((DiskAroundOne(1.0 / abs(gamma)),)),
+            1.0 / abs(gamma),
             f"{_g(gamma)}^(k-a-1)", f"1/(1-{_g(gamma)}+{_g(gamma)}*s)",
         )
     if row == 5:
@@ -119,7 +125,7 @@ def pair(row, **params):
             5, "rising power", (("alpha", alpha),),
             lambda m: _rising_power(alpha, m),
             lambda s: s ** -(alpha + 1.0),
-            Roc((DiskAroundOne(1.0),)),
+            1.0,
             f"rising(k-a,{_g(alpha)})/gamma({_g(alpha + 1)})",
             f"1/s^{_g(alpha + 1)}",
             pole_order=max(1.0, alpha + 1.0),
@@ -134,7 +140,7 @@ def pair(row, **params):
             6, "geometric rising power", (("gamma", gamma), ("alpha", alpha)),
             lambda m: complex(gamma) ** (m - 1) * _rising_power(alpha, m),
             lambda s: (1.0 - gamma + gamma * s) ** -(alpha + 1.0),
-            Roc((DiskAroundOne(1.0 / abs(gamma)),)),
+            1.0 / abs(gamma),
             f"{_g(gamma)}^(k-a-1)*rising(k-a,{_g(alpha)})/gamma({_g(alpha + 1)})",
             f"1/(1-{_g(gamma)}+{_g(gamma)}*s)^{_g(alpha + 1)}",
             pole_order=max(1.0, alpha + 1.0),
@@ -145,7 +151,7 @@ def pair(row, **params):
             7, "simple pole", (("lam", lam),),
             lambda m: (1.0 - lam) ** (-m),
             lambda s: 1.0 / (s - lam),
-            Roc((DiskAroundOne(abs(1.0 - lam)),)),
+            abs(1.0 - lam),
             f"{_g(1 - lam)}^-(k-a)", f"1/(s-{_g(lam)})",
         )
     if row == 8:
@@ -156,7 +162,7 @@ def pair(row, **params):
             8, "repeated pole", (("lam", lam), ("N", N)),
             PolyGeometricTerm(1.0, lam, N).value,
             lambda s: (s - lam) ** (-N),
-            Roc((DiskAroundOne(min(abs(1.0 - lam), 1.0)),)),
+            min(abs(1.0 - lam), 1.0),
             f"rising(k-a,{N - 1})/({math.factorial(N - 1)}*{_g(1 - lam)}^(k-a+{N - 1}))",
             f"1/(s-{_g(lam)})^{N}",
             pole_order=N,
@@ -167,7 +173,7 @@ def pair(row, **params):
             9, "Mittag-Leffler", (("alpha", alpha), ("beta", beta), ("lam", lam)),
             MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam)),
             lambda s: s ** (alpha - beta) / (s**alpha - lam),
-            FractionalSumForm((FractionalAtom(1.0, alpha, beta, lam),)).roc(),
+            FractionalSumForm((FractionalAtom(1.0, alpha, beta, lam),)).radius,
             f"ML(alpha={_g(alpha)},beta={_g(beta)},lambda={_g(lam)};k,a)",
             f"s^{_g(alpha - beta)}/(s^{_g(alpha)}-{_g(lam)})",
         )
@@ -178,7 +184,7 @@ def pair(row, **params):
             10, "weighted Mittag-Leffler", (("alpha", alpha), ("lam", lam)),
             lambda m: (m - 1) * ml(m),
             lambda s: alpha * s ** (alpha - 1.0) * (1.0 - s) / (s**alpha - lam) ** 2,
-            FractionalSumForm((FractionalAtom(1.0, alpha, alpha, lam),)).roc(),
+            FractionalSumForm((FractionalAtom(1.0, alpha, alpha, lam),)).radius,
             f"(k-a-1)*ML(alpha={_g(alpha)},beta={_g(alpha)},lambda={_g(lam)};k,a)",
             f"{_g(alpha)}*s^{_g(alpha - 1)}*(1-s)/(s^{_g(alpha)}-{_g(lam)})^2",
             pole_order=2,
@@ -190,7 +196,7 @@ def pair(row, **params):
             11, "exponential", (("lam", lam),),
             lambda m: np.exp(-complex(lam) * (m - 1)),
             lambda s: 1.0 / (1.0 - c * (1.0 - s)),
-            Roc((DiskAroundOne(math.exp(lam)),)),
+            math.exp(lam),
             f"exp(-{_g(lam)}*(k-a-1))", f"1/(1-exp(-{_g(lam)})*(1-s))",
         )
     if row == 12:
@@ -202,7 +208,7 @@ def pair(row, **params):
             12, "damped exponential", (("gamma", gamma), ("lam", lam)),
             lambda m: complex(gamma) ** (m - 1) * np.exp(-complex(lam) * (m - 1)),
             lambda s: 1.0 / (1.0 - c * (1.0 - s)),
-            Roc((DiskAroundOne(math.exp(lam) / abs(gamma)),)),
+            math.exp(lam) / abs(gamma),
             f"{_g(gamma)}^(k-a-1)*exp(-{_g(lam)}*(k-a-1))",
             f"1/(1-{_g(gamma)}*exp(-{_g(lam)})*(1-s))",
         )
@@ -225,7 +231,7 @@ def pair(row, **params):
                 row, name[0], (("omega", omega),),
                 lambda m: fn(omega * (m - 1)) + 0j,
                 lambda s: A * (1.0 - s) / denom(s),
-                Roc((DiskAroundOne(disk),)),
+                disk,
                 f"{'sin' if row == 13 else 'sinh'}({_g(omega)}*(k-a-1))",
                 f"{'sin' if row == 13 else 'sinh'}({_g(omega)})*(1-s)"
                 f"/(1-2*{'cos' if row == 13 else 'cosh'}({_g(omega)})*(1-s)+(1-s)^2)",
@@ -234,7 +240,7 @@ def pair(row, **params):
             row, name[1], (("omega", omega),),
             lambda m: cfn(omega * (m - 1)) + 0j,
             lambda s: (1.0 - B * (1.0 - s)) / denom(s),
-            Roc((DiskAroundOne(disk),)),
+            disk,
             f"{'cos' if row == 14 else 'cosh'}({_g(omega)}*(k-a-1))",
             f"(1-{'cos' if row == 14 else 'cosh'}({_g(omega)})*(1-s))"
             f"/(1-2*{'cos' if row == 14 else 'cosh'}({_g(omega)})*(1-s)+(1-s)^2)",
@@ -272,28 +278,23 @@ def reference_pairs():
     return out
 
 
-def sample_points(roc, count=8, fill=0.45):
-    """Points strictly inside the region, biased toward s = 1 for fast decay.
+def sample_points(radius, count=8, fill=0.45):
+    """``count`` points strictly inside the disk |1-s| < radius, biased toward
+    s = 1 for fast decay.
 
-    Candidates sit on circles |1 - s| = r for r up to ``fill`` times the
-    binding disk radius (1 when the region has no disk constraint); every
-    candidate is membership-checked, so extra constraints such as the origin
-    exclusion of the fractional rows are honored.
+    They sit on circles |1 - s| = r for r up to ``fill`` times the radius (1
+    when the radius is inf), ten points per circle.
     """
-    disk = roc.disk_radius() or 1.0
+    disk = 1.0 if radius == math.inf else radius
     points = []
     for frac in (1.0, 0.62, 0.3):
-        radius = fill * disk * frac
+        r = fill * disk * frac
         for t in range(10):
             angle = 2.0 * math.pi * (t + 0.25) / 10
-            s = 1.0 - radius * cmath.exp(1j * angle)
-            if roc.contains(s):
-                points.append(s)
-                if len(points) >= count:
-                    return points
+            points.append(1.0 - r * cmath.exp(1j * angle))
     if len(points) < count:
-        raise ValueError(f"could not place {count} points inside {roc.describe()}")
-    return points
+        raise ValueError(f"could not place {count} points inside {describe_roc(radius)}")
+    return points[:count]
 
 
 # --- Shape matching ---------------------------------------------------------

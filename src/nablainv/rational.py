@@ -1,6 +1,6 @@
-"""Rational F(s): normalization, poles, evaluation, series at s = 1, and the ROC model."""
+"""Rational F(s): normalization, poles, evaluation, series at s = 1, and its ROC radius."""
 
-from dataclasses import dataclass
+import math
 from functools import cached_property
 
 from .errors import PoleAtOneError, PoleEvaluationError
@@ -15,14 +15,16 @@ from .polynomial import (
 POLE_AT_ONE_TOL = 1e-9
 NEAR_POLE_TOL = 1e-12
 
-__all__ = [
-    "RationalFunction",
-    "Roc",
-    "DiskAroundOne",
-    "OriginExclusion",
-    "FractionalDominance",
-    "POLE_AT_ONE_TOL",
-]
+__all__ = ["RationalFunction", "describe_roc", "POLE_AT_ONE_TOL"]
+
+
+def describe_roc(radius):
+    """The region of convergence |1-s| < radius as text; all of C when radius is inf.
+
+    Every transform here is a power series in w = 1 - s, so its region of
+    convergence is a disk around s = 1 out to the nearest singularity.
+    """
+    return "all s in C" if radius == math.inf else f"|1-s| < {radius:g}"
 
 
 class RationalFunction:
@@ -151,13 +153,20 @@ class RationalFunction:
         return series_divide(num_w, den_w, order)
 
     def inferred_roc(self):
-        """Largest disk around s = 1 free of poles (all of C when pole-free)."""
+        """Radius of the largest disk around s = 1 free of poles (inf when
+        pole-free)."""
         if self.has_pole_at_one():
             raise PoleAtOneError()
-        dist = self.distance_of_poles_to_one()
-        if dist == float("inf"):
-            return Roc(())
-        return Roc((DiskAroundOne(dist),))
+        return self.distance_of_poles_to_one()
+
+    @property
+    def radius(self):
+        return self.inferred_roc()
+
+    @property
+    def pole_order(self):
+        """The highest pole multiplicity, 1 when there are no poles."""
+        return max((c.multiplicity for c in self.poles), default=1)
 
     def __repr__(self):
         return (
@@ -165,81 +174,3 @@ class RationalFunction:
             f"{list(self.denominator.coeffs)})"
         )
 
-
-def _fmt(x):
-    if isinstance(x, complex) and x.imag == 0:
-        x = x.real
-    return f"{x:g}"
-
-
-@dataclass(frozen=True)
-class DiskAroundOne:
-    """|1 - s| < radius."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("disk radius must be positive")
-
-    def contains(self, s):
-        return abs(1.0 - s) < self.radius
-
-    def describe(self):
-        return f"|1-s| < {_fmt(self.radius)}"
-
-
-@dataclass(frozen=True)
-class OriginExclusion:
-    """|s| > radius."""
-
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("exclusion radius must be nonnegative")
-
-    def contains(self, s):
-        return abs(s) > self.radius
-
-    def describe(self):
-        return f"|s| > {_fmt(self.radius)}"
-
-
-@dataclass(frozen=True)
-class FractionalDominance:
-    """|lambda| < |s|^alpha."""
-
-    alpha: float
-    lam: complex
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-    def contains(self, s):
-        return abs(self.lam) < abs(s) ** self.alpha
-
-    def describe(self):
-        return f"{_fmt(abs(self.lam))} < |s|^{_fmt(self.alpha)}"
-
-
-@dataclass(frozen=True)
-class Roc:
-    """Conjunction of primitive convergence constraints; empty means all of C."""
-
-    constraints: tuple
-
-    def contains(self, s):
-        s = complex(s)
-        return all(c.contains(s) for c in self.constraints)
-
-    def disk_radius(self):
-        """Radius of the binding disk-around-one constraint, or None."""
-        radii = [c.radius for c in self.constraints if isinstance(c, DiskAroundOne)]
-        return min(radii) if radii else None
-
-    def describe(self):
-        if not self.constraints:
-            return "all s in C"
-        return " and ".join(c.describe() for c in self.constraints)

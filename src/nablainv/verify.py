@@ -7,14 +7,13 @@ reindexing checks are direct evaluations.
 """
 
 import cmath
+import math
 import warnings
 
 import numpy as np
 
 from .errors import ConvergenceError, PoleAtOneError, TruncationWarning
-from .inversion import FractionalSumForm
-from .pairs import TransformPair
-from .rational import RationalFunction
+from .rational import RationalFunction, describe_roc
 from .special import step_offset
 
 FORWARD_TOL = 1e-12
@@ -102,28 +101,20 @@ def _values(seq, ms):
 def default_rho(F, m):
     """R m / (m + p), the radius for coefficients up to w^(m-1) (Bornemann 2011).
 
-    R is the distance from 1 to the nearest singularity of F: its nearest pole
-    for a rational function (1 when it has none), the radius of its region of
-    convergence for a fractional sum or a tabulated pair.  p is the highest
-    pole order, 1 for a fractional sum and the pair's ``pole_order`` for a
-    pair.  The radius nears R as m grows, so rho^-(m-1) stays near the growth
-    of the coefficients themselves instead of magnifying rounding.  Callables
-    without structure get 0.5.
+    R is F's ``radius``, the distance from 1 to its nearest singularity (1 when
+    it has none), and p its ``pole_order``, the highest order of the
+    singularities at that distance.  The radius nears R as m grows, so
+    rho^-(m-1) stays near the growth of the coefficients themselves instead of
+    magnifying rounding.  Callables without a radius get 0.5.
     """
-    if isinstance(F, RationalFunction):
-        R = F.distance_of_poles_to_one()
-        R = 1.0 if R == float("inf") else R
-        p = max((c.multiplicity for c in F.poles), default=1)
-    elif isinstance(F, FractionalSumForm):
-        R, p = F.roc().disk_radius(), 1
-    elif isinstance(F, TransformPair):
-        R, p = F.roc.disk_radius() or 1.0, F.pole_order
-    else:
+    R = getattr(F, "radius", None)
+    if R is None:
         return 0.5
-    return R * m / (m + p)
+    R = 1.0 if R == math.inf else R
+    return R * m / (m + F.pole_order)
 
 
-def quadrature_grid(F, m_max, rho=None, nodes=None, roc=None):
+def quadrature_grid(F, m_max, rho=None, nodes=None):
     """Contour-quadrature values f(a+1)..f(a+m_max) of F, from one FFT.
 
     Substituting w = 1 - s turns the clockwise contour around (1, 0j) into the
@@ -136,8 +127,9 @@ def quadrature_grid(F, m_max, rho=None, nodes=None, roc=None):
     converges geometrically for periodic analytic integrands; the sums for
     every j are one FFT of the samples.  ``nodes`` (default
     max(256, 32(m_max+1))) must be at least 4 m_max to keep aliasing below the
-    leading coefficients; ``rho`` defaults to ``default_rho(F, m_max)``.  A
-    callable F is called once, with the ndarray of points on the circle.
+    leading coefficients; ``rho`` defaults to ``default_rho(F, m_max)`` and must
+    stay below F's ``radius`` when it has one.  A callable F is called once,
+    with the ndarray of points on the circle.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -149,15 +141,13 @@ def quadrature_grid(F, m_max, rho=None, nodes=None, roc=None):
         nodes = max(256, 32 * (m_max + 1))
     if nodes < 4 * m_max:
         raise ValueError(f"nodes = {nodes} is below the anti-aliasing bound {4 * m_max}")
-    disk = roc.disk_radius() if roc is not None else None
-    if roc is not None and (disk is None or rho >= disk):
+    radius = getattr(F, "radius", math.inf)
+    if rho >= radius:
         raise ValueError(
             f"rho = {rho:g} does not fit inside the region of convergence "
-            f"({roc.describe()})"
+            f"({describe_roc(radius)})"
         )
     w = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    if roc is not None and not all(roc.contains(1.0 - wi) for wi in w):
-        raise ValueError("quadrature circle leaves the region of convergence")
     s = 1.0 - w
     if isinstance(F, RationalFunction):
         den = F.denominator(s)
@@ -169,11 +159,11 @@ def quadrature_grid(F, m_max, rho=None, nodes=None, roc=None):
     return np.fft.fft(values)[:m_max] / nodes * rho ** -np.arange(m_max)
 
 
-def numeric_inverse(F, k, a=0.0, rho=None, nodes=None, roc=None):
+def numeric_inverse(F, k, a=0.0, rho=None, nodes=None):
     """Contour-quadrature inversion of F at step k: the entry for k of
     ``quadrature_grid(F, k - a)``, whose defaults and checks it shares."""
     m = step_offset(k, a)
-    return complex(quadrature_grid(F, m, rho=rho, nodes=nodes, roc=roc)[m - 1])
+    return complex(quadrature_grid(F, m, rho=rho, nodes=nodes)[m - 1])
 
 
 def initial_value(F):

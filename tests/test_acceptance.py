@@ -115,7 +115,7 @@ def test_criterion_3_pair_table_round_trip():
         pairs = reference_pairs()
         assert sorted({tp.row for tp in pairs}) == list(range(1, 17))
         for tp in pairs:
-            for s in sample_points(tp.roc, count=8):
+            for s in sample_points(tp.radius, count=8):
                 total = forward_transform(tp.sequence, s)
                 direct = complex(tp.transform(s))
                 assert abs(total - direct) <= 1e-6 * max(1.0, abs(direct)), tp.describe()
@@ -177,7 +177,7 @@ def test_criterion_6_z_correspondence():
 
         rows = [pair(2), pair(7, lam=0.3), pair(13, omega=math.pi / 6)]
         for tp in rows:
-            for s in sample_points(tp.roc, count=5):
+            for s in sample_points(tp.radius, count=5):
                 assert z_correspondence(tp.sequence, s) <= 1e-10, (tp.row, s)
 
 

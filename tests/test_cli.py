@@ -111,6 +111,46 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "invert")[0] == 2
 
+    def test_roc_flag_is_gone(self, capsys):
+        # the radius comes from F; a region given by hand has nothing to add
+        assert run(capsys, "invert", "--expr", EX1, "--roc", "disk1:0.5")[0] == 2
+
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch):
+        def no_memory(text, a):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_parse_krange", no_memory)
+        code, out, err = run(capsys, "invert", "--expr", "1/(s-0.3)", "--k", "1..1e11")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "narrow --k" in err
+
+
+class TestComplexSequence:
+    """Every route rejects an F whose sequence is not real, naming the step."""
+
+    @pytest.mark.parametrize("expr, strategy, k", [
+        ("1/(s-2j)", "inside", 1),  # f = 0.2+0.4j, -0.12+0.16j, ...
+        ("(0.5-0.5j+(0.5+0.5j)*s)^-1.5", "auto", 2),  # row 6: 1, 0.75+0.75j, 0.9375j
+    ])
+    def test_exits_1(self, capsys, expr, strategy, k):
+        code, out, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
+                             "--strategy", strategy)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "imaginary residue" in err and f"at k = {k}.0" in err
+
+    def test_real_input_with_complex_dust_passes(self, capsys):
+        # deflating by the complex roots of the cancelled quadratic leaves
+        # imaginary dust of up to 8.6e-13 of |f(k)| per k, 1.1e-16 of max |f|
+        expr = "(s^2-0.4*s+0.5)/((s^2-0.4*s+0.5)*(s^2+0.3*s+0.2)*(s+2))"
+        code, out, _ = run(capsys, "invert", f"--expr={expr}", "--k", "1..2000",
+                           "--strategy", "inside", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 2001
+
 
 class TestFloatRange:
     """A grid whose values leave float64 is a domain failure, not output."""
@@ -164,7 +204,7 @@ def _print_rows(fmt, problem, used, cf, rows):
             "classification": problem.classified.kind.value,
             "strategy": used,
             "a": problem.a,
-            "roc": problem.roc.describe(),
+            "roc": cli.describe_roc(problem.radius),
             "closed_form": [cli._term_json(t) for t in cf.terms] if cf else None,
             "values": [{"k": k, "f": v} for k, v in rows],
         }
@@ -173,7 +213,7 @@ def _print_rows(fmt, problem, used, cf, rows):
     print(f"expression     : {cli.pretty(problem.ast)}")
     print(f"classification : {problem.classified.kind.value}")
     print(f"strategy       : {used}")
-    print(f"ROC            : {problem.roc.describe()}")
+    print(f"ROC            : {cli.describe_roc(problem.radius)}")
     if problem.table_hit is not None:
         print(f"table          : {problem.table_hit.describe()}")
     if cf is not None:
@@ -310,6 +350,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--expr", EX2, "--k", "1..6")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_rho_outside_roc_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--expr", "1/(s-0.3)", "--k", "1..5",
+                             "--rho", "0.9")
+        assert code == 2
+        assert out == ""
+        assert "rho = 0.9 does not fit inside the region of convergence (|1-s| < 0.7)" in err
 
     def test_impossible_tolerance_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("NABLA_TOL", "1e-30")

@@ -152,14 +152,15 @@ class TestInvertFractional:
             FractionalAtom(1.0, 0.5, 0.5, 0.2),
             FractionalAtom(-1.0, 0.7, 0.5, 0.3),
         ))
-        roc = form.roc()
-        assert not roc.contains(0.1)  # 0.1 < 0.3^(10/7)
-        assert roc.contains(0.5)
+        # the root 0.3^(10/7) = 0.179 of s^0.7 = 0.3 bounds the disk
+        assert form.radius == pytest.approx(1.0 - 0.3 ** (10.0 / 7.0), rel=1e-14)
+        assert abs(1.0 - 0.5) < form.radius < abs(1.0 - 0.1)
+        assert form.pole_order == 1
 
     def test_roc_reaches_nearest_principal_root(self):
         # s^1.16 = 0.58 at s = 0.58^(1/1.16) = 0.6253, closer to 1 than the origin
         form = FractionalSumForm((FractionalAtom(-2.48, 1.16, 1.57, 0.58),))
-        assert form.roc().disk_radius() == pytest.approx(1.0 - 0.58 ** (1.0 / 1.16), rel=1e-14)
+        assert form.radius == pytest.approx(1.0 - 0.58 ** (1.0 / 1.16), rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.5, 2.7, 5.5])
     def test_roc_is_nearest_of_all_principal_branch_roots(self, alpha):
@@ -173,12 +174,12 @@ class TestInvertFractional:
                     assert abs(np.complex128(root) ** alpha - lam) < 1e-14
                 want = min([1.0] + [abs(1 - r) for r in roots])
                 form = FractionalSumForm((FractionalAtom(1.0, alpha, 1.0, lam),))
-                assert form.roc().disk_radius() == pytest.approx(want, rel=1e-14), (mod, arg)
+                assert form.radius == pytest.approx(want, rel=1e-14), (mod, arg)
 
     def test_roc_without_roots_is_the_unit_disk(self):
         # s^0.5 = -0.9 has no principal-branch root; the branch point binds
         form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, -0.9),))
-        assert form.roc().disk_radius() == 1.0
+        assert form.radius == 1.0
 
     def test_atoms_evaluate_on_arrays(self):
         form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2),

@@ -1,17 +1,17 @@
 """RationalFunction: evaluation, poles with cancellation, series at s=1, ROC."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nablainv import (
-    DiskAroundOne,
-    FractionalDominance,
-    OriginExclusion,
     PoleAtOneError,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
-    Roc,
+    TransformPair,
+    describe_roc,
 )
 from conftest import example1, rational_from_factors
 
@@ -115,48 +115,28 @@ class TestSeriesAtOne:
 
 
 class TestRoc:
-    def test_disk_membership(self):
-        roc = Roc((DiskAroundOne(1.0),))
-        assert roc.contains(0.5)
-        assert not roc.contains(2.5)
-
-    def test_fractional_row_region(self):
-        # |1-s| < 1 and |s| > 0.3^(10/7) excludes s = 0.1
-        bound = 0.3 ** (10.0 / 7.0)
-        roc = Roc((DiskAroundOne(1.0), OriginExclusion(bound)))
-        assert bound == pytest.approx(0.179, abs=5e-4)
-        assert not roc.contains(0.1)
-        assert roc.contains(0.5)
-
-    def test_dominance_constraint(self):
-        roc = Roc((DiskAroundOne(1.0), FractionalDominance(0.5, 0.3)))
-        assert roc.contains(0.5)  # 0.3 < 0.5^0.5
-        assert not roc.contains(0.05)
-
-    def test_membership_monotone_under_shrinking(self, rng):
-        for _ in range(50):
-            radius = float(rng.uniform(0.3, 2.0))
-            shrunk = Roc((DiskAroundOne(radius * 0.5),))
-            full = Roc((DiskAroundOne(radius),))
-            s = complex(rng.uniform(-1, 3), rng.uniform(-2, 2))
-            if shrunk.contains(s):
-                assert full.contains(s)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DiskAroundOne(0.0)
-        with pytest.raises(ValueError):
-            OriginExclusion(-1.0)
-        with pytest.raises(ValueError):
-            FractionalDominance(0.0, 0.3)
+        # a pair's region of convergence must be a nonempty disk
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                TransformPair(2, "unit step", (), None, None, radius, "u(k-a-1)", "1/s")
 
     def test_describe(self):
-        roc = Roc((DiskAroundOne(2.0), OriginExclusion(0.1)))
-        assert roc.describe() == "|1-s| < 2 and |s| > 0.1"
-        assert Roc(()).describe() == "all s in C"
-        assert roc.disk_radius() == 2.0
+        assert describe_roc(2.0) == "|1-s| < 2"
+        assert describe_roc(0.7071067811865476) == "|1-s| < 0.707107"
+        assert describe_roc(math.inf) == "all s in C"
 
     def test_inferred_roc(self):
-        assert example1().inferred_roc().disk_radius() == pytest.approx(1.0)
+        assert example1().inferred_roc() == pytest.approx(1.0)
+        assert example1().radius == example1().inferred_roc()
         const = RationalFunction(Polynomial([3.0]), Polynomial([1.0]))
-        assert const.inferred_roc().contains(123 + 45j)
+        assert const.radius == math.inf
+
+    def test_pole_order(self):
+        assert example1().pole_order == 2  # double pole at -1
+        assert RationalFunction(Polynomial([3.0]), Polynomial([1.0])).pole_order == 1
+        # (s-0.5)^2 / (s-0.5)^3 keeps one simple pole
+        rf = RationalFunction(Polynomial.from_roots([0.5, 0.5]),
+                              Polynomial.from_roots([0.5, 0.5, 0.5]))
+        assert rf.pole_order == 1
+        assert rf.radius == pytest.approx(0.5)

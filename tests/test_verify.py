@@ -12,9 +12,6 @@ from nablainv import (
     PoleAtOneError,
     Polynomial,
     RationalFunction,
-    Roc,
-    DiskAroundOne,
-    OriginExclusion,
     TruncationWarning,
     forward_transform,
     initial_value,
@@ -147,14 +144,20 @@ class TestNumericInverse:
             numeric_inverse(example1(), 10, nodes=32)
 
     def test_rho_must_fit_roc(self):
-        roc = Roc((DiskAroundOne(0.4),))
+        rf = RationalFunction(Polynomial([1.0]), Polynomial([-0.6, 1.0]))  # 1/(s-0.6)
+        with pytest.raises(ValueError, match=r"rho = 0.5 .*\(\|1-s\| < 0.4\)"):
+            numeric_inverse(rf, 2, rho=0.5)
         with pytest.raises(ValueError):
-            numeric_inverse(example1(), 2, rho=0.5, roc=roc)
+            numeric_inverse(rf, 2, rho=0.4)
+        assert numeric_inverse(rf, 2, rho=0.2).real == pytest.approx(0.4 ** -2)
 
     def test_circle_must_stay_inside_constraints(self):
-        roc = Roc((DiskAroundOne(1.0), OriginExclusion(0.6)))
+        # the radius of a fractional sum and of a table pair bounds rho as well
+        form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.6),))  # radius 0.64
         with pytest.raises(ValueError):
-            numeric_inverse(example1(), 2, rho=0.5, roc=roc)
+            numeric_inverse(form, 2, rho=0.7)
+        with pytest.raises(ValueError):
+            numeric_inverse(pair(4, gamma=2.0), 2, rho=0.5)  # radius 0.5
 
     def test_node_doubling_stability(self):
         base = numeric_inverse(example1(), 5, rho=0.5, nodes=256)
@@ -195,6 +198,9 @@ class TestQuadratureGrid:
         assert default_rho(self.FORM, 3) == pytest.approx(
             (1.0 - 0.3 ** (1.0 / 0.7)) * 3.0 / 4.0)
         assert default_rho(lambda s: 1.0, 3) == 0.5
+        # row 8 with N = 3: a triple pole at distance 0.7; pole-free F uses R = 1
+        assert default_rho(pair(8, lam=0.3, N=3), 6) == pytest.approx(0.7 * 6 / 9)
+        assert default_rho(RationalFunction(Polynomial([2.0]), Polynomial([1.0])), 3) == 0.75
 
     def test_long_grid_is_accurate_at_default_radius(self):
         """At rho = 0.5 the kernel rho^-(k-a-1) magnified rounding to 1e44 at
@@ -230,8 +236,7 @@ class TestOracleClosure:
             def seq(m):
                 return quadrature_grid(rf, int(np.max(m)))[m - 1]
 
-            roc = rf.inferred_roc()
-            radius = min(1.0, roc.disk_radius()) * 0.35
+            radius = min(1.0, rf.radius) * 0.35
             for angle in (0.4, 2.1, 4.0):
                 s = 1.0 - radius * np.exp(1j * angle)
                 direct = rf.evaluate(s)
@@ -270,18 +275,6 @@ class TestInitialValue:
             cf = invert_partial_fractions(rf)
             iv = initial_value(rf)
             assert cf.evaluate(1) == pytest.approx(iv.real, abs=1e-9 * (1 + abs(iv)))
-
-
-class TestRocContains:
-    def test_disk(self):
-        roc = Roc((DiskAroundOne(1.0),))
-        assert roc.contains(0.5)
-        assert not roc.contains(2.5)
-
-    def test_origin_exclusion_bound(self):
-        roc = Roc((DiskAroundOne(1.0), OriginExclusion(0.3 ** (10.0 / 7.0))))
-        assert not roc.contains(0.1)
-        assert roc.contains(0.25)
 
 
 class TestZCorrespondence:
