@@ -204,7 +204,9 @@ class _Problem:
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     v = np.asarray(self.table_hit.sequence(ms), dtype=complex)
-            values = real_values(v, ks, np.max(np.abs(v)))
+            # these routes compute the series of F itself, whose
+            # coefficients are real for real F, so the cause is F
+            values = real_values(v, ks, np.max(np.abs(v)), "F(s) has complex coefficients")
         bad = ~np.isfinite(values)
         if bad.any():
             raise OverflowError(

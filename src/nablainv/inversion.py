@@ -206,21 +206,19 @@ class ClosedFormSequence:
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
 
 
-def real_values(v, ks, scale):
+def real_values(v, ks, scale, cause="term set is not conjugate-consistent"):
     """The real parts of the values v at the steps ks, after checking that no
     imaginary part exceeds REALNESS_TOL times ``scale`` (an array, one entry
     per step, or one number for the whole grid).
 
-    Raises RealnessError naming the first step that fails: a real sequence
-    cannot come from this transform, and its real part alone is not the answer.
+    Raises RealnessError naming the first step that fails, and ``cause``: a
+    real sequence cannot come from this transform, and its real part alone is
+    not the answer.
     """
     bad = np.abs(v.imag) > REALNESS_TOL * scale
     if bad.any():
         i = int(np.argmax(bad))
-        raise RealnessError(
-            f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; term set is not "
-            "conjugate-consistent"
-        )
+        raise RealnessError(f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; {cause}")
     return v.real
 
 

@@ -326,9 +326,7 @@ def _close(a, b, tol):
 
 
 def _match_rational(rf):
-    num, den, _poles = rf._reduced
-    num_w = num.in_one_minus_w()
-    den_w = den.in_one_minus_w()
+    num_w, den_w = rf._at_one
     d0 = den_w.coeffs[0]
     if d0 == 0:
         return None
@@ -413,10 +411,9 @@ def _match_structural(ast):
     # row 6: 1 / (linear in s with value 1 at s=1) ^ (alpha + 1), alpha + 1 > 0
     if not num_f and len(den_f) == 1:
         base, p = den_f[0]
-        lin = parsing._to_rational(base)
-        if lin is not None and lin[1].degree == 0 and lin[0].degree == 1 and p > 0:
-            c = lin[0].coeffs / lin[1].coeffs[0]
-            if abs(c[0] + c[1] - 1.0) <= 1e-9 and abs(coef - 1.0) <= 1e-9 and c[1] != 0:
+        c = parsing.linear_coefficients(base)
+        if c is not None and len(c) == 2 and p > 0:
+            if abs(c[0] + c[1] - 1.0) <= 1e-9 and abs(coef - 1.0) <= 1e-9:
                 return pair(6, gamma=_clean(c[1]), alpha=p - 1.0)
 
     # row 10: alpha * s^(alpha-1) * (1-s) / (s^alpha - lam)^2
@@ -428,9 +425,9 @@ def _match_structural(ast):
         if a is not None:
             e_net += a * p
             continue
-        lin = parsing._to_rational(base)
-        if lin is not None and lin[1].degree == 0 and lin[0].degree == 1 and p == 1.0:
-            linear.append(lin[0].coeffs / lin[1].coeffs[0])
+        lin = parsing.linear_coefficients(base)
+        if lin is not None and len(lin) == 2 and p == 1.0:
+            linear.append(lin)
             continue
         return None
     for base, p in den_f:

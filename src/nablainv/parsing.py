@@ -19,6 +19,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ExpressionSyntaxError, UnsupportedExpressionError
 from .inversion import FractionalAtom, FractionalSumForm
 from .polynomial import Polynomial
@@ -367,12 +369,24 @@ def _is_integer(e, tol=0.0):
     return abs(e - round(e)) <= tol
 
 
+_S = Polynomial([0.0, 1.0])
+
+
 def _to_rational(node):
-    """(numerator, denominator) polynomial pair, or None if not rational."""
+    """(constant, {monic Polynomial: nonzero int exponent}), or None if not rational.
+
+    The factors are the ones the expression writes: products, quotients,
+    integer powers and negation only combine constants and exponents, and
+    identical factors cancel by exponent arithmetic.  A sum or difference
+    goes over the common denominator (each denominator factor at the larger
+    of its two exponents), and only its numerator is multiplied out, into one
+    dense factor.  F = 0 is (0, {}).  Raises ZeroDivisionError for a division
+    by an expression that is identically zero.
+    """
     if isinstance(node, Num):
-        return Polynomial([node.value]), Polynomial([1.0])
+        return node.value, {}
     if isinstance(node, Var):
-        return Polynomial([0.0, 1.0]), Polynomial([1.0])
+        return 1.0 + 0j, {_S: 1}
     if isinstance(node, Neg):
         r = _to_rational(node.operand)
         return None if r is None else (-r[0], r[1])
@@ -381,15 +395,13 @@ def _to_rational(node):
         r = _to_rational(node.right)
         if l is None or r is None:
             return None
-        n1, d1 = l
-        n2, d2 = r
-        if isinstance(node, Add):
-            return n1 * d2 + n2 * d1, d1 * d2
-        if isinstance(node, Sub):
-            return n1 * d2 - n2 * d1, d1 * d2
+        if isinstance(node, (Add, Sub)):
+            return _sum(l, r, 1.0 if isinstance(node, Add) else -1.0)
         if isinstance(node, Mul):
-            return n1 * n2, d1 * d2
-        return n1 * d2, d1 * n2
+            return _scaled(l[0] * r[0], l[1], r[1], 1)
+        if r[0] == 0:
+            raise ZeroDivisionError("denominator is identically zero")
+        return _scaled(l[0] / r[0], l[1], r[1], -1)
     if isinstance(node, Pow):
         if not _is_integer(node.exponent):
             return None
@@ -397,10 +409,64 @@ def _to_rational(node):
         if r is None:
             return None
         e = int(round(node.exponent))
-        n, d = r
-        if e >= 0:
-            return n**e, d**e
-        return d ** (-e), n ** (-e)
+        c, factors = r
+        if c == 0 and e < 0:
+            raise ZeroDivisionError("denominator is identically zero")
+        return _scaled(c**e, {}, factors, e)
+    return None
+
+
+def _scaled(c, left, right, sign):
+    """(c, left * right^sign), exponents added and zero exponents dropped."""
+    if c == 0:
+        return 0j, {}
+    out = dict(left)
+    for q, e in right.items():
+        n = out.get(q, 0) + sign * e
+        if n:
+            out[q] = n
+        else:
+            del out[q]
+    return c, out
+
+
+def _sum(l, r, sign):
+    """l + sign * r over the common denominator, the numerator multiplied out."""
+    if r[0] == 0:
+        return l
+    if l[0] == 0:
+        return sign * r[0], r[1]
+    den = {}
+    for q in {**l[1], **r[1]}:
+        d = max(0, -l[1].get(q, 0), -r[1].get(q, 0))
+        if d:
+            den[q] = d
+    # each side over den: c * prod q^(e + d) over its factors and den's
+    left, right = (
+        Polynomial.product(((q, f.get(q, 0) + den.get(q, 0)) for q in {**f, **den}), c)
+        for c, f in (l, (sign * r[0], r[1]))
+    )
+    num = left + right
+    if num.is_zero():
+        return 0j, {}
+    lead = complex(num.coeffs[-1])
+    top = {num.monic(): 1} if num.degree > 0 else {}
+    return _scaled(lead, top, den, -1)
+
+
+def linear_coefficients(node):
+    """[c0, c1] when the node is c0 + c1*s with c1 != 0, [c0] when it is a
+    constant; None otherwise (not rational, or of higher degree)."""
+    r = _to_rational(node)
+    if r is None:
+        return None
+    c, factors = r
+    if not factors:
+        return np.array([c])
+    if len(factors) == 1:
+        ((q, e),) = factors.items()
+        if e == 1 and q.degree == 1:
+            return c * q.coeffs
     return None
 
 
@@ -547,8 +613,7 @@ def _scan_unsupported(node):
             return None
         if isinstance(node.base, Var):
             return None
-        r = _to_rational(node.base)
-        if r is not None and r[1].degree == 0 and r[0].degree <= 1:
+        if linear_coefficients(node.base) is not None:
             return None  # fractional power of a linear base (tabulated shape)
         return "fractional power of a non-linear base: " + _UNSUPPORTED_HINT
     return f"unsupported node {type(node).__name__}"
@@ -564,7 +629,7 @@ def classify(ast):
     """
     r = _to_rational(ast)
     if r is not None:
-        return Classified(Kind.RATIONAL, ast, rational=RationalFunction(r[0], r[1]))
+        return Classified(Kind.RATIONAL, ast, rational=RationalFunction.from_factors(*r))
     f = _to_fractional(ast)
     if f is not None:
         return Classified(Kind.FRACTIONAL_SUM, ast, fractional=f)

@@ -1,5 +1,7 @@
 """Complex polynomial arithmetic and root finding with multiplicity clustering."""
 
+import cmath
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -12,6 +14,8 @@ __all__ = [
     "DEFAULT_CLUSTER_SCALE",
     "Polynomial",
     "RootCluster",
+    "factor_roots",
+    "pool_roots",
     "roots_with_multiplicities",
     "series_divide",
 ]
@@ -25,12 +29,14 @@ class Polynomial:
     stored as a single zero coefficient.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-        nz = np.flatnonzero(c != 0)
-        c = c[: nz[-1] + 1].copy() if nz.size else np.zeros(1, dtype=complex)
+        c = np.array(coeffs, dtype=complex, ndmin=1).ravel()
+        n = len(c)
+        while n > 1 and c[n - 1] == 0:
+            n -= 1
+        c = c[:n] if n else np.zeros(1, dtype=complex)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -44,6 +50,15 @@ class Polynomial:
         if not roots:
             return cls([1.0])
         return cls(npoly.polyfromroots(roots))
+
+    @classmethod
+    def product(cls, factors, constant=1.0):
+        """constant * prod q^e over (Polynomial q, int e >= 0) pairs."""
+        acc = np.array([constant], dtype=complex)
+        for q, e in factors:
+            for _ in range(e):
+                acc = np.convolve(acc, q.coeffs)
+        return cls(acc)
 
     @property
     def degree(self):
@@ -67,14 +82,18 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
-        return Polynomial(self.coeffs / self.coeffs[-1])
+        c = self.coeffs / self.coeffs[-1]
+        c[-1] = 1.0  # a complex x / x need not round to exactly 1
+        return Polynomial(c)
 
     def compose(self, inner):
         """The polynomial self(inner(x)), computed exactly by Horner."""
-        acc = Polynomial([0.0])
-        for c in self.coeffs[::-1]:
-            acc = acc * inner + Polynomial([c])
-        return acc
+        inner = _coeffs_of(inner)
+        acc = self.coeffs[-1:].copy()
+        for c in self.coeffs[-2::-1]:
+            acc = np.convolve(acc, inner)
+            acc[0] += c
+        return Polynomial(acc)
 
     def shifted(self, center):
         """Coefficients of self(center + t) as a polynomial in t."""
@@ -85,18 +104,23 @@ class Polynomial:
         return self.compose(Polynomial([1.0, -1.0]))
 
     def __add__(self, other):
-        return Polynomial(npoly.polyadd(self.coeffs, _coeffs_of(other)))
+        a, b = self.coeffs, _coeffs_of(other)
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[: len(b)] += b
+        return Polynomial(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Polynomial(npoly.polysub(self.coeffs, _coeffs_of(other)))
+        return self + -_coeffs_of(other)
 
     def __rsub__(self, other):
-        return Polynomial(npoly.polysub(_coeffs_of(other), self.coeffs))
+        return -self + other
 
     def __mul__(self, other):
-        return Polynomial(npoly.polymul(self.coeffs, _coeffs_of(other)))
+        return Polynomial(np.convolve(self.coeffs, _coeffs_of(other)))
 
     __rmul__ = __mul__
 
@@ -137,7 +161,13 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        try:
+            return self._hash
+        except AttributeError:
+            # + 0.0 turns -0.0 into 0.0, so that equal polynomials hash alike
+            h = hash((self.coeffs + 0.0).tobytes())
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -175,27 +205,121 @@ def roots_with_multiplicities(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
     confirmed by the derivative test), and each cluster of size m is polished
     by Newton iteration on the (m-1)-th derivative, where the root is simple.
 
+    When every coefficient is real, a cluster whose center lies within its
+    linkage radius of the real axis is polished on the axis (its conjugate
+    would lie within twice that radius, so it is its own conjugate), and each
+    root below the axis is made the exact conjugate of its partner above.
+
     Raises ValueError for constant input.  The multiplicities always sum to
     ``p.degree``.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     pm = p.monic()
+    real = not np.any(pm.coeffs.imag)
     raw = np.sort_complex(npoly.polyroots(pm.coeffs))
     derivs = _derivative_chain(pm)
 
-    clusters = _link(list(raw), lambda z: cluster_scale * (1.0 + abs(z)))
+    clusters = [[raw[i] for i in g]
+                for g in _link(raw, lambda z: cluster_scale * (1.0 + abs(z)))]
     clusters = _escalate(pm, derivs, clusters, cluster_scale)
 
     out = []
     for group in clusters:
         center = complex(np.mean(group))
+        if real and abs(center.imag) <= cluster_scale * (1.0 + abs(center)):
+            center = complex(center.real, 0.0)
         m = len(group)
         z = _polish(derivs, center, m)
         if abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
             z = complex(z.real, 0.0)  # drop eigenvalue dust on real roots
         out.append(RootCluster(z, m))
+    if real:
+        _mirror_conjugates(out)
     out.sort(key=lambda rc: (rc.value.real, rc.value.imag))
+    return out
+
+
+def _mirror_conjugates(roots):
+    """Replace each root below the real axis by the conjugate of its nearest
+    partner above it, when their multiplicities agree."""
+    lower = [i for i, rc in enumerate(roots) if rc.value.imag < 0]
+    for rc in list(roots):
+        if rc.value.imag <= 0 or not lower:
+            continue
+        mirror = rc.value.conjugate()
+        j = min(lower, key=lambda i: abs(roots[i].value - mirror))
+        if roots[j].multiplicity == rc.multiplicity:
+            roots[j] = RootCluster(mirror, rc.multiplicity)
+            lower.remove(j)
+
+
+def factor_roots(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
+    """The roots of one factor with multiplicities, sorted like
+    ``roots_with_multiplicities``.
+
+    Degrees 1 and 2 have their roots in closed form: a linear root is exact,
+    and a quadratic takes the stable formula, which computes the larger root
+    without cancellation and the other as the product of the roots divided by
+    it.  A real quadratic with a negative discriminant gives an exact
+    conjugate pair, and a zero discriminant one double root.  Higher degrees
+    go to ``roots_with_multiplicities``.
+    """
+    if p.degree > 2:
+        return roots_with_multiplicities(p, cluster_scale)
+    if p.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    # + 0.0 turns -0.0 into 0.0: the root of s - 0.5 prints as 0.5+0j
+    return [RootCluster(complex(rc.value.real + 0.0, rc.value.imag + 0.0), rc.multiplicity)
+            for rc in _low_degree_roots(p.coeffs / p.coeffs[-1])]
+
+
+def _low_degree_roots(c):
+    """Roots of the monic linear or quadratic with coefficients c, ascending."""
+    if len(c) == 2:
+        return [RootCluster(complex(-c[0]), 1)]
+    c0, b = complex(c[0]), complex(c[1])
+    if c0.imag == 0 and b.imag == 0:
+        c0, b = c0.real, b.real
+        disc = b * b - 4.0 * c0
+        if disc < 0:
+            re, im = -0.5 * b, 0.5 * math.sqrt(-disc)
+            return [RootCluster(complex(re, -im), 1), RootCluster(complex(re, im), 1)]
+        big = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    else:
+        disc = b * b - 4.0 * c0
+        sq = cmath.sqrt(disc)
+        if (b.conjugate() * sq).real < 0:
+            sq = -sq
+        big = -0.5 * (b + sq)
+    if disc == 0:
+        return [RootCluster(complex(-0.5 * b), 2)]
+    roots = sorted((complex(big), complex(c0 / big)), key=lambda z: (z.real, z.imag))
+    return [RootCluster(z, 1) for z in roots]
+
+
+def pool_roots(groups, cluster_scale=DEFAULT_CLUSTER_SCALE):
+    """Merge the roots of several factors into one sorted cluster list.
+
+    ``groups`` holds one RootCluster list per factor.  Roots within the
+    linkage radius ``cluster_scale * (1 + |root|)`` of each other, from one
+    factor or from several, become one cluster at their multiplicity-weighted
+    mean, carrying the summed multiplicity.  Returns (RootCluster, members)
+    pairs, members being the (group index, RootCluster) pairs merged into it,
+    sorted by the cluster's real, then imaginary part.
+    """
+    flat = [(i, rc) for i, group in enumerate(groups) for rc in group]
+    values = [rc.value for _, rc in flat]
+    out = []
+    for idx in _link(values, lambda z: cluster_scale * (1.0 + abs(z))):
+        members = [flat[j] for j in idx]
+        m = sum(rc.multiplicity for _, rc in members)
+        if len(members) == 1:
+            value = members[0][1].value
+        else:
+            value = sum(rc.value * rc.multiplicity for _, rc in members) / m
+        out.append((RootCluster(complex(value), m), members))
+    out.sort(key=lambda pair: (pair[0].value.real, pair[0].value.imag))
     return out
 
 
@@ -207,18 +331,16 @@ def _derivative_chain(p):
 
 
 def _link(points, radius):
-    """Single-linkage clustering of complex points."""
-    clusters = []
-    for z in points:
-        placed = False
-        for group in clusters:
-            if any(abs(z - g) <= radius(z) + radius(g) for g in group):
-                group.append(z)
-                placed = True
+    """Single-linkage clustering of complex points, as lists of indices."""
+    groups = []
+    for i, z in enumerate(points):
+        for group in groups:
+            if any(abs(z - points[j]) <= radius(z) + radius(points[j]) for j in group):
+                group.append(i)
                 break
-        if not placed:
-            clusters.append([z])
-    return clusters
+        else:
+            groups.append([i])
+    return groups
 
 
 def _polish(derivs, z0, m):
@@ -265,7 +387,7 @@ def _escalate(pm, derivs, clusters, cluster_scale):
             regrouped = []
             changed = False
             for cand in candidates:
-                groups = [clusters[centers.index(c)] for c in cand]
+                groups = [clusters[i] for i in cand]
                 merged = [z for g in groups for z in g]
                 if len(cand) > 1:
                     m = len(merged)

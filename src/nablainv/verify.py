@@ -149,13 +149,7 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
         )
     w = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     s = 1.0 - w
-    if isinstance(F, RationalFunction):
-        den = F.denominator(s)
-        if np.any(den == 0):
-            raise ValueError("quadrature circle passes through a pole")
-        values = F.numerator(s) / den
-    else:
-        values = np.broadcast_to(np.asarray(F(s), dtype=complex), s.shape)
+    values = np.broadcast_to(np.asarray(F(s), dtype=complex), s.shape)
     return np.fft.fft(values)[:m_max] / nodes * rho ** -np.arange(m_max)
 
 

@@ -155,6 +155,37 @@ def mpmath_row10_values(alpha, lam, K, digits=50):
         return np.array([complex(v) for v in _mp_divide(num, den)])
 
 
+def mpmath_factored_values(constant, factors, K, digits=50):
+    """f(1..K) of constant * prod q(s)^e over (ascending coefficients of q, e).
+
+    Each factor is recentered at s = 1 - w exactly (binomial expansion of its
+    float coefficients) in ``digits``-digit arithmetic, the shifted factors
+    are multiplied, and the two products divided as power series.
+    """
+    def mul(a, b):
+        out = [mpmath.mpc(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    with mpmath.workdps(digits):
+        num, den = [mpmath.mpc(constant)], [mpmath.mpc(1)]
+        for coeffs, e in factors:
+            shifted = [mpmath.mpc(0)] * len(coeffs)
+            for i, c in enumerate(coeffs):
+                for j in range(i + 1):
+                    shifted[j] += mpmath.mpc(c) * mpmath.binomial(i, j) * (-1) ** j
+            for _ in range(abs(e)):
+                if e > 0:
+                    num = mul(num, shifted)
+                else:
+                    den = mul(den, shifted)
+        num = (num + [mpmath.mpc(0)] * K)[:K]
+        den = den + [mpmath.mpc(0)] * K
+        return np.array([complex(v) for v in _mp_divide(num, den)])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -11,7 +11,7 @@ import pytest
 
 from nablainv import cli
 from nablainv.cli import main
-from conftest import mpmath_atom_values, mpmath_row10_values
+from conftest import mpmath_atom_values, mpmath_factored_values, mpmath_row10_values
 
 EX1 = "9/((s+1)^2*(s-2))"
 EX2 = "1/(s^0.5-0.2) - s^0.2/(s^0.7-0.3)"
@@ -141,6 +141,18 @@ class TestComplexSequence:
         assert out == ""
         assert err.count("\n") == 1
         assert "imaginary residue" in err and f"at k = {k}.0" in err
+
+    @pytest.mark.parametrize("expr, strategy, k", [
+        ("1/(s-2j)", "inside", 1),
+        ("(0.5-0.5j+(0.5+0.5j)*s)^-1.5", "auto", 2),
+    ])
+    def test_series_and_table_routes_name_the_complex_input(self, capsys, expr, strategy, k):
+        # these routes have no term set: the cause is F itself
+        code, _, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
+                           "--strategy", strategy)
+        assert code == 1
+        assert err == (f"error: imaginary residue {err.split()[3]} at k = {k}.0; "
+                       "F(s) has complex coefficients\n")
 
     def test_real_input_with_complex_dust_passes(self, capsys):
         # deflating by the complex roots of the cancelled quadratic leaves
@@ -449,3 +461,38 @@ class TestRoundtripCommand:
         assert code == 0
         assert out.count("PASS") == len(out.strip().splitlines()) - 1
         assert "all rows pass" in out
+
+
+# four close conjugate pairs after a cancelled factor; the expanded
+# denominator limited the roots to ~1e-10, and `outside` exited 1 with an
+# imaginary residue at k = 8
+CLOSE_PAIRS = ("2.24*(s-1.77)/((s-1.77)*(s-1.93)*(s^2-3.28*s+2.768)*(s^2-3.2*s+5.6225)"
+               "*(s^2-3.56*s+5.1284)*(s^2-2.9*s+2.2961))")
+CLOSE_PAIRS_DEN = [([-1.93, 1.0], -1), ([2.768, -3.28, 1.0], -1), ([5.6225, -3.2, 1.0], -1),
+                   ([5.1284, -3.56, 1.0], -1), ([2.2961, -2.9, 1.0], -1)]
+
+
+class TestFactoredPoles:
+    @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
+    def test_close_conjugate_pairs_match_a_50_digit_series(self, capsys, strategy):
+        code, out, _ = run(capsys, "invert", f"--expr={CLOSE_PAIRS}", "--k", "1..29",
+                           "--strategy", strategy, "--format", "csv")
+        assert code == 0
+        got = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+        want = mpmath_factored_values(2.24, CLOSE_PAIRS_DEN, 29).real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cancelled_factors_leave_a_constant(self, capsys):
+        code, out, _ = run(capsys, "invert", "--expr=(s-2)/(s-2)", "--k", "1..3",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["roc"] == "all s in C"
+        assert [v["f"] for v in doc["values"]] == [1.0, 0.0, 0.0]
+        assert doc["closed_form"] == [{"type": "impulse", "coefficient": [1.0, 0.0],
+                                       "shift": 0}]
+
+    def test_identically_zero_divisor_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "invert", "--expr=1/(s-s)", "--k", "1..3")
+        assert code == 2
+        assert err == "error: denominator is identically zero\n"

@@ -2,7 +2,14 @@
 
 import pytest
 
-from nablainv import PoleAtOneError, Polynomial, RationalFunction, expand
+from nablainv import (
+    PoleAtOneError,
+    Polynomial,
+    RationalFunction,
+    classify,
+    expand,
+    parse_expression,
+)
 from conftest import example1, random_real_rational_from_factors, rational_from_factors
 
 
@@ -171,3 +178,23 @@ class TestLinearity:
             assert set(got) == set(merged)
             for pole, r in merged.items():
                 assert abs(got[pole] - r) <= 1e-9 * (1.0 + abs(r))
+
+
+class TestRealInput:
+    def test_real_f_has_conjugate_residues_by_construction(self):
+        rf = classify(parse_expression(
+            "(s^4-1)/((s^2-3.28*s+2.768)^2*(s^2-3.2*s+5.6225)*(s-1.93)*(s+0.5))")).rational
+        pfe = expand(rf)
+        simple = dict(pfe.simple_terms)
+        for pole, r in simple.items():
+            if pole.imag == 0:
+                assert r.imag == 0
+            else:
+                assert simple[pole.conjugate()] == r.conjugate()
+        multiple = {(p, n): q for p, n, q in pfe.multiple_terms}
+        assert len(multiple) == 4
+        for (pole, n), q in multiple.items():
+            assert multiple[(pole.conjugate(), n)] == q.conjugate()
+        for s in (0.3 + 0.2j, -1.5, 2.5 - 1j):
+            direct = rf.evaluate(s)
+            assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))

@@ -13,7 +13,8 @@ from nablainv import (
     pretty,
     reference_pairs,
 )
-from nablainv.parsing import Neg, Num, Pow, Var
+from nablainv import Polynomial
+from nablainv.parsing import Neg, Num, Pow, Var, _to_rational, linear_coefficients
 
 
 class TestParseExamples:
@@ -173,3 +174,48 @@ class TestPretty:
     def test_rendering(self):
         assert pretty(parse_expression("1/(s-0.3)")) == "1/(s-0.3)"
         assert pretty(parse_expression("(s+1)^2")) == "(s+1)^2"
+
+
+def _factors(text):
+    c, factors = _to_rational(parse_expression(text))
+    return c, {tuple(q.coeffs): e for q, e in factors.items()}
+
+
+class TestFactoredRational:
+    def test_products_combine_exponents_only(self):
+        c, f = _factors("-2*(s-1)^2/(s+3)*(s-1)/s")
+        assert c == -2
+        assert f == {(-1, 1): 3, (3, 1): -1, (0, 1): -1}
+
+    def test_identical_factors_cancel(self):
+        assert _factors("(s-1.77)/(s-1.77)") == (1, {})
+        assert _factors("(s-1.77)^2/(s-1.77)^3*(s-1.77)") == (1, {})
+
+    def test_sum_over_the_common_denominator(self):
+        # 1/(s-1) + 1/(s-1)^2 = s/(s-1)^2: the denominator at the larger
+        # exponent, the numerator multiplied out into one factor
+        assert _factors("1/(s-1) + 1/(s-1)^2") == (1, {(0, 1): 1, (-1, 1): -2})
+        c, f = _factors("3/(s-2) - 1/(s+1)")  # (2s + 5)/((s-2)(s+1))
+        assert c == 2 and f == {(2.5, 1): 1, (-2, 1): -1, (1, 1): -1}
+
+    def test_sum_numerators_drop_or_vanish(self):
+        assert _factors("s/(s+1) - (s-1)/(s+1)") == (1, {(1, 1): -1})
+        assert _factors("1/(s-0.5) - 1/(s-0.5)") == (0, {})
+        assert _factors("(s-2)/(s-3) - 1/(s-3)") == (1, {})
+
+    def test_identically_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            _to_rational(parse_expression("1/(s-s)"))
+        with pytest.raises(ZeroDivisionError):
+            _to_rational(parse_expression("(1/(s-2) - 1/(s-2))^-2"))
+
+    def test_linear_coefficients(self):
+        assert list(linear_coefficients(parse_expression("1-0.5+0.5*s"))) == [0.5, 0.5]
+        assert list(linear_coefficients(parse_expression("2*(3-s)"))) == [6, -2]
+        assert list(linear_coefficients(parse_expression("4"))) == [4]
+        assert linear_coefficients(parse_expression("s^2")) is None
+        assert linear_coefficients(parse_expression("1/s")) is None
+        assert linear_coefficients(parse_expression("s^0.5")) is None
+
+    def test_monic_factors_key_by_value(self):
+        assert Polynomial([-0.0, 1.0]) in {Polynomial([0.0, 1.0]): 1}

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nablainv import Polynomial, roots_with_multiplicities
-from nablainv.polynomial import series_divide
+from nablainv import Polynomial, RootCluster, roots_with_multiplicities
+from nablainv.polynomial import factor_roots, pool_roots, series_divide
 
 CUBIC = Polynomial([-2.0, -3.0, 0.0, 1.0])  # s^3 - 3s - 2 = (s+1)^2 (s-2)
 
@@ -112,6 +112,85 @@ class TestRoots:
             bound = 1e-7 * (1.0 + float(np.max(np.abs(p.coeffs))))
             for c in roots_with_multiplicities(p):
                 assert abs(p(c.value)) <= bound
+
+
+    def test_real_polynomial_gives_real_roots_and_exact_conjugates(self):
+        # the factors of test_triple_conjugate_pair_reconstructs, multiplied
+        # out in real arithmetic: unsnapped, the eigen-solve leaves an
+        # imaginary part on the simple real root and the two triple clusters
+        # apart from exact conjugates
+        z = 1.6930638236116151 + 0.3692657886863366j
+        real_root = 1.7481308551550843
+        pair = Polynomial([abs(z) ** 2, -2.0 * z.real, 1.0])
+        p = (Polynomial([-2.28431870913172, 1.0]) * Polynomial([-real_root, 1.0])
+             * pair**3)
+        assert not np.any(p.coeffs.imag)
+        clusters = roots_with_multiplicities(p)
+        near = min(clusters, key=lambda c: abs(c.value - real_root))
+        assert near.value.imag == 0.0 and near.multiplicity == 1
+        lower, upper = sorted((c for c in clusters if c.multiplicity == 3),
+                              key=lambda c: c.value.imag)
+        assert lower.value == upper.value.conjugate()
+        assert abs(upper.value - z) < 1e-4
+
+    def test_complex_polynomial_is_not_mirrored(self):
+        p = Polynomial.from_roots([1j, -2j, 0.5])
+        got = sorted((c.value for c in roots_with_multiplicities(p)), key=lambda v: v.imag)
+        np.testing.assert_allclose(got, [-2j, 0.5, 1j], atol=1e-12)
+
+
+class TestFactorRoots:
+    def test_linear_is_exact(self):
+        assert factor_roots(Polynomial([-0.77, 1.0])) == [RootCluster(0.77 + 0j, 1)]
+        assert factor_roots(Polynomial([1.5, 3.0])) == [RootCluster(-0.5 + 0j, 1)]
+
+    def test_real_quadratic_gives_an_exact_conjugate_pair(self):
+        # s^2 - 3.28 s + 2.768 = (s - 1.64)^2 + 0.28^2
+        lower, upper = factor_roots(Polynomial([2.768, -3.28, 1.0]))
+        assert lower.value == upper.value.conjugate()
+        assert lower.value.imag < 0 and (lower.multiplicity, upper.multiplicity) == (1, 1)
+        assert abs(upper.value - (1.64 + 0.28j)) < 1e-14
+
+    def test_zero_discriminant_is_one_double_root(self):
+        assert factor_roots(Polynomial([0.25, -1.0, 1.0])) == [RootCluster(0.5 + 0j, 2)]
+
+    def test_stable_small_root(self):
+        # s^2 - 1e8 s + 1: the textbook formula loses the root 1e-8 entirely
+        small, big = factor_roots(Polynomial([1.0, -1e8, 1.0]))
+        assert small.value == pytest.approx(1e-8, rel=1e-15)
+        assert big.value == pytest.approx(1e8, rel=1e-15)
+        assert small.value.imag == 0.0 and big.value.imag == 0.0
+
+    def test_complex_quadratic(self, rng):
+        for _ in range(20):
+            r1, r2 = rng.uniform(-2, 2, 2) + 1j * rng.uniform(-2, 2, 2)
+            got = [c.value for c in factor_roots(Polynomial.from_roots([r1, r2]))]
+            for r in (r1, r2):
+                assert min(abs(g - r) for g in got) < 1e-13
+
+    def test_higher_degree_uses_the_eigen_solve(self):
+        assert factor_roots(CUBIC) == roots_with_multiplicities(CUBIC)
+
+
+class TestPoolRoots:
+    def test_coincident_roots_of_different_factors_merge(self):
+        groups = [factor_roots(Polynomial([-0.5, 1.0])),
+                  factor_roots(Polynomial([0.25, -1.0, 1.0]))]
+        ((cluster, members),) = pool_roots(groups)
+        assert cluster == RootCluster(0.5 + 0j, 3)
+        assert [i for i, _rc in members] == [0, 1]
+
+    def test_distinct_roots_stay_apart_and_sorted(self):
+        groups = [[RootCluster(2.0 + 0j, 1)], [RootCluster(1 - 1j, 2), RootCluster(1 + 1j, 2)]]
+        got = [rc for rc, _members in pool_roots(groups)]
+        assert got == [RootCluster(1 - 1j, 2), RootCluster(1 + 1j, 2), RootCluster(2 + 0j, 1)]
+
+
+class TestHash:
+    def test_signed_zeros_hash_alike(self):
+        a, b = Polynomial([0.0, 1.0]), Polynomial([-0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a: 1, b: 2}) == 1
 
 
 class TestSeriesDivide:

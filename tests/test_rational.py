@@ -7,11 +7,14 @@ import pytest
 
 from nablainv import (
     PoleAtOneError,
+    RootCluster,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
     TransformPair,
+    classify,
     describe_roc,
+    parse_expression,
 )
 from conftest import example1, rational_from_factors
 
@@ -140,3 +143,70 @@ class TestRoc:
                               Polynomial.from_roots([0.5, 0.5, 0.5]))
         assert rf.pole_order == 1
         assert rf.radius == pytest.approx(0.5)
+
+
+def _rational(text):
+    return classify(parse_expression(text)).rational
+
+
+class TestFactoredForm:
+    def test_repeated_factor_has_an_exact_multiplicity(self):
+        # one 12-fold pole, not a ring of 12 eigenvalues eps^(1/12) ~ 5% wide
+        assert _rational("1/(s-0.5)^12").poles == [RootCluster(0.5 + 0j, 12)]
+
+    def test_coincident_roots_of_two_factors_pool(self):
+        rf = _rational("1/((s-0.5)*(s^2-s+0.25))")
+        assert rf.poles == [RootCluster(0.5 + 0j, 3)]
+        assert rf.pole_order == 3
+
+    def test_identical_factors_cancel_to_a_constant(self):
+        rf = _rational("(s-2)/(s-2)")
+        assert rf.constant == 1 and rf.factors == ()
+        assert rf.poles == [] and describe_roc(rf.radius) == "all s in C"
+        np.testing.assert_array_equal(rf.series_at_one(2), [1, 0, 0])
+
+    def test_factors_are_kept_as_written(self):
+        rf = _rational("2*(s-1.5)^2/((s+3)*(s^2+1))")
+        assert rf.constant == 2
+        assert dict(rf.factors) == {Polynomial([-1.5, 1.0]): 2, Polynomial([3.0, 1.0]): -1,
+                                    Polynomial([1.0, 0.0, 1.0]): -1}
+        np.testing.assert_allclose(rf.numerator.coeffs, [4.5, -6.0, 2.0])
+        np.testing.assert_allclose(rf.denominator.coeffs, [3.0, 1.0, 3.0, 1.0])
+
+    def test_pair_constructor_is_the_one_factor_case(self):
+        rf = RationalFunction(Polynomial([4.0, 2.0]), Polynomial([2.0, 2.0, 2.0]))
+        assert rf.constant == 1
+        assert dict(rf.factors) == {Polynomial([2.0, 1.0]): 1, Polynomial([1.0, 1.0, 1.0]): -1}
+        same = RationalFunction.from_factors(1.0, dict(rf.factors))
+        assert same.poles == rf.poles
+
+    def test_from_factors_validates(self):
+        with pytest.raises(ValueError):
+            RationalFunction.from_factors(1.0, {Polynomial([1.0, 2.0]): -1})  # not monic
+        with pytest.raises(ValueError):
+            RationalFunction.from_factors(1.0, {Polynomial([1.0, 1.0]): 0.5})
+
+    def test_near_cancellation_deflates_only_its_factor(self):
+        # (s - 3 - 1e-11) cancels one copy of the root 3 of (s^2 - 5 s + 6)^2;
+        # the other factor keeps its coefficients
+        rf = RationalFunction.from_factors(1.0, {
+            Polynomial([-3.0 - 1e-11, 1.0]): 1,
+            Polynomial([6.0, -5.0, 1.0]): -2,
+            Polynomial([1.0, 0.0, 1.0]): -1,
+        })
+        assert [(round(p.value.real, 9), round(p.value.imag, 9), p.multiplicity)
+                for p in rf.poles] == [(0.0, -1.0, 1), (0.0, 1.0, 1), (2.0, 0.0, 2),
+                                       (3.0, 0.0, 1)]
+        red = rf._reduced
+        assert red.numerator == () and red.zeros == []
+        assert (Polynomial([6.0, -5.0, 1.0]), 1) in red.denominator
+        assert (Polynomial([1.0, 0.0, 1.0]), 1) in red.denominator
+        want = RationalFunction(Polynomial([1.0]),
+                                Polynomial.from_roots([2.0, 2.0, 3.0, 1j, -1j]))
+        np.testing.assert_allclose(rf.series_at_one(30), want.series_at_one(30), rtol=1e-9)
+
+    def test_evaluates_factor_by_factor_on_arrays(self):
+        rf = _rational("1/((s-2)*(s-2.001))")
+        s = np.array([0.5, 1.0 + 0.5j, 2.0005])
+        np.testing.assert_allclose(rf.evaluate(s), 1.0 / ((s - 2) * (s - 2.001)), rtol=1e-15)
+        assert rf.evaluate(0.5) == pytest.approx(1.0 / (1.5 * 1.501), rel=1e-15)
