@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ExpressionSyntaxError, NablaError
 from .expansion import expand
 from .inversion import (
+    COMPLEX_F,
     FractionalAtom,
     FractionalSumForm,
     invert_fractional,
@@ -26,6 +27,7 @@ from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
 from .rational import describe_roc
 from .verify import (
+    ORIENTATION_TOL,
     forward_transform,
     initial_value,
     orientation_check,
@@ -206,7 +208,7 @@ class _Problem:
                     v = np.asarray(self.table_hit.sequence(ms), dtype=complex)
             # these routes compute the series of F itself, whose
             # coefficients are real for real F, so the cause is F
-            values = real_values(v, ks, np.max(np.abs(v)), "F(s) has complex coefficients")
+            values = real_values(v, ks, np.max(np.abs(v)), COMPLEX_F)
         bad = ~np.isfinite(values)
         if bad.any():
             raise OverflowError(
@@ -245,10 +247,14 @@ class _Problem:
 
 
 def _emit_values(args, problem, used, cf, ks, values):
-    """Write the grid in the requested format with one write to stdout."""
-    rows = zip(ks.tolist(), values.tolist())
+    """Write the grid in the requested format with one write to stdout.
+
+    The rows come from one %-format over the flat (k, f(k)) tuple: %g, %8g,
+    %.17g, %24.17g and %r format a float as the f-string specs g, 8g, .17g,
+    24.17g and !r do, so the bytes are those of a row-by-row format.
+    """
     if args.format == "csv":
-        lines = ["k,f(k)"] + [f"{k:g},{v:.17g}" for k, v in rows]
+        head, row, sep, tail = "k,f(k)\n", "%g,%.17g", "\n", "\n"
     elif args.format == "json":
         doc = {
             "expression": problem.text,
@@ -262,11 +268,9 @@ def _emit_values(args, problem, used, cf, ks, values):
         # json.dumps(doc | {"values": [{"k": k, "f": v}, ...]}, indent=2) byte
         # for byte: "values" is the last key, and the encoder writes finite
         # floats with float.__repr__
-        head = json.dumps(doc, indent=2)[: -len("\n}")]
-        items = ",\n".join(
-            f'    {{\n      "k": {k!r},\n      "f": {v!r}\n    }}' for k, v in rows
-        )
-        lines = [head + ',\n  "values": [', items, "  ]", "}"]
+        head = json.dumps(doc, indent=2)[: -len("\n}")] + ',\n  "values": [\n'
+        row, sep = '    {\n      "k": %r,\n      "f": %r\n    }', ",\n"
+        tail = "\n  ]\n}\n"
     else:
         lines = [
             f"expression     : {pretty(problem.ast)}",
@@ -278,9 +282,12 @@ def _emit_values(args, problem, used, cf, ks, values):
             lines.append(f"table          : {problem.table_hit.describe()}")
         if cf is not None:
             lines.append(f"closed form    : f(k) = {cf.describe()}")
-        lines.append(f"{'k':>8}  {'f(k)':>24}")
-        lines += [f"{k:8g}  {v:24.17g}" for k, v in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+        lines.append(f"{'k':>8}  {'f(k)':>24}\n")
+        head, row, sep, tail = "\n".join(lines), "%8g  %24.17g", "\n", "\n"
+    # the head joins the template, its "%" escaped, so that the grid's text
+    # is built once and not copied again to prepend the head
+    template = head.replace("%", "%%") + (row + sep) * (len(ks) - 1) + row + tail
+    sys.stdout.write(template % tuple(np.column_stack((ks, values)).ravel().tolist()))
 
 
 def _term_json(term):
@@ -343,10 +350,9 @@ def _cmd_verify(args):
     ks = _parse_krange(args.k, args.a)
     tol = args.tol or 1e-9
     F = problem.F
-    checks = []
-
-    orientation_check()
-    checks.append(("contour orientation self-test (impulse pair)", True, 0.0))
+    # (label, measure, bound): a check passes when its measure is within bound
+    checks = [("contour orientation self-test (impulse pair)", orientation_check(),
+               ORIENTATION_TOL)]
 
     used, cf, sequence_values = problem.invert("auto", ks)
     scale = max(1.0, float(np.max(np.abs(sequence_values))))
@@ -355,20 +361,20 @@ def _cmd_verify(args):
         _, _, inside_vals = problem.invert("inside", ks)
         diff = float(np.max(np.abs(inside_vals - sequence_values))) / scale
         checks.append((f"strategy agreement series-at-1 vs {used} "
-                       f"(max scaled diff {diff:.2e})", diff <= tol, diff))
+                       f"(max scaled diff {diff:.2e})", diff, tol))
 
     ms = np.rint(ks - args.a).astype(np.int64)
     quad = quadrature_grid(F, int(ms[-1]), rho=args.rho, nodes=args.nodes)[ms - 1]
     worst = float(np.max(np.abs(quad.real - sequence_values))) / scale
     checks.append((f"contour quadrature vs {used} over k grid "
-                   f"(max scaled diff {worst:.2e})", worst <= tol, worst))
+                   f"(max scaled diff {worst:.2e})", worst, tol))
 
     seq = problem.sequence(cf)
     iv = initial_value(F)
     first = complex(seq(1))
     ivd = abs(iv - first)
     checks.append((f"initial value f(a+1) = lim F(s) (|diff| {ivd:.2e})",
-                   ivd <= tol * max(1.0, abs(iv)), ivd))
+                   ivd, tol * max(1.0, abs(iv))))
 
     worst_rt = 0.0
     for s in sample_points(problem.radius, count=5):
@@ -376,13 +382,16 @@ def _cmd_verify(args):
         direct = complex(F(s))
         worst_rt = max(worst_rt, abs(total - direct) / max(1.0, abs(direct)))
     checks.append((f"forward series round trip inside ROC "
-                   f"(max rel diff {worst_rt:.2e})", worst_rt <= 1e-6, worst_rt))
+                   f"(max rel diff {worst_rt:.2e})", worst_rt, 1e-6))
 
-    failed = 0
-    for label, ok, _measure in checks:
-        print(("PASS  " if ok else "FAIL  ") + label)
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 1
+    report = [{"label": label, "ok": measure <= bound, "measure": measure, "bound": bound}
+              for label, measure, bound in checks]
+    if args.format == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        for check in report:
+            print(("PASS  " if check["ok"] else "FAIL  ") + check["label"])
+    return 0 if all(check["ok"] for check in report) else 1
 
 
 def _cmd_table(args):

@@ -33,6 +33,9 @@ from .expansion import expand
 from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
 
 REALNESS_TOL = 1e-9
+# the causes a failing realness test names
+CONJUGATE_TERMS = "term set is not conjugate-consistent"
+COMPLEX_F = "F(s) has complex coefficients"
 POLE_ONE_GUARD = 1e-9
 
 __all__ = [
@@ -159,13 +162,14 @@ class ClosedFormSequence:
     ``values`` is the sequence as a rule m -> f(a+m), complex, on step
     offsets.  ``sample`` returns the real values on a grid of steps k and
     rejects a significant imaginary residue (conjugate terms of a real problem
-    must cancel); ``evaluate`` is ``sample`` at one step, and
-    ``evaluate_complex`` is ``values`` at one step.  Values outside the
+    must cancel), naming ``cause``; ``evaluate`` is ``sample`` at one step,
+    and ``evaluate_complex`` is ``values`` at one step.  Values outside the
     float64 range come back as inf or nan, for the caller to reject.
     """
 
     base_point: float
     terms: tuple
+    cause: str = CONJUGATE_TERMS
 
     def values(self, m):
         """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of them."""
@@ -195,7 +199,7 @@ class ClosedFormSequence:
             # conjugate terms cancel to rounding of the summands, which may
             # dwarf the sum itself (large residues at close conjugate poles)
             scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-            return real_values(v, ks, scale)
+            return real_values(v, ks, scale, self.cause)
 
     def describe(self):
         if not self.terms:
@@ -206,7 +210,7 @@ class ClosedFormSequence:
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
 
 
-def real_values(v, ks, scale, cause="term set is not conjugate-consistent"):
+def real_values(v, ks, scale, cause):
     """The real parts of the values v at the steps ks, after checking that no
     imaginary part exceeds REALNESS_TOL times ``scale`` (an array, one entry
     per step, or one number for the whole grid).
@@ -248,13 +252,16 @@ def invert_partial_fractions(rf, a=0.0):
     residue derivative formula produces.  Any polynomial (improper) part
     becomes impulses, which the finite-pole residues cannot see.
     """
-    return _sequence_from_expansion(expand(rf), a)
+    # a real F has a real closed form by construction, so the realness test
+    # of ``sample`` can only fail for a complex one
+    cause = CONJUGATE_TERMS if rf.is_real else COMPLEX_F
+    return _sequence_from_expansion(expand(rf), a, cause)
 
 
 invert_outside = invert_partial_fractions
 
 
-def _sequence_from_expansion(pfe, a):
+def _sequence_from_expansion(pfe, a, cause):
     terms = []
     for n, c in pfe.impulse_part:
         terms.append(ImpulseTerm(c, n))
@@ -262,7 +269,7 @@ def _sequence_from_expansion(pfe, a):
         terms.append(GeometricTerm(r, pole))
     for pole, order, q in pfe.multiple_terms:
         terms.append(PolyGeometricTerm(q, pole, order))
-    return ClosedFormSequence(float(a), tuple(terms))
+    return ClosedFormSequence(float(a), tuple(terms), cause)
 
 
 @dataclass(frozen=True)

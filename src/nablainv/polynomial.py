@@ -45,11 +45,18 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots):
-        """Monic polynomial with the given roots (repeats allowed)."""
-        roots = list(roots)
-        if not roots:
+        """Monic polynomial with the given roots (repeats allowed).
+
+        When the roots are closed under conjugation (as a multiset, exactly),
+        the coefficients are real: the product's imaginary parts are rounding.
+        """
+        roots = np.asarray(list(roots), dtype=complex)
+        if not roots.size:
             return cls([1.0])
-        return cls(npoly.polyfromroots(roots))
+        coeffs = npoly.polyfromroots(roots)
+        if np.array_equal(np.sort(roots), np.sort(roots.conj())):
+            coeffs = coeffs.real
+        return cls(coeffs)
 
     @classmethod
     def product(cls, factors, constant=1.0):

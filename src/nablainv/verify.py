@@ -18,6 +18,7 @@ from .special import step_offset
 
 FORWARD_TOL = 1e-12
 FORWARD_NMAX = 100_000
+ORIENTATION_TOL = 1e-12
 _CONSECUTIVE_SMALL = 5
 _CONSECUTIVE_GROWING = 50
 
@@ -197,10 +198,13 @@ def orientation_check():
 
     The sign convention of the quadrature is fixed by the clockwise contour in
     s becoming anticlockwise in w = 1 - s; a flipped orientation would return
-    the k = a+1 value as 0 instead of 1.  Raises ConvergenceError on failure.
+    the k = a+1 value as 0 instead of 1.  Returns |got - 1|; raises
+    ConvergenceError when it exceeds ORIENTATION_TOL.
     """
     got = numeric_inverse(lambda s: 1.0 + 0j, 1, a=0.0, rho=0.5, nodes=64)
-    if abs(got - 1.0) > 1e-12:
+    deviation = abs(got - 1.0)
+    if deviation > ORIENTATION_TOL:
         raise ConvergenceError(
             f"orientation self-test failed: impulse pair returned {got}"
         )
+    return deviation

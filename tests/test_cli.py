@@ -154,6 +154,16 @@ class TestComplexSequence:
         assert err == (f"error: imaginary residue {err.split()[3]} at k = {k}.0; "
                        "F(s) has complex coefficients\n")
 
+    @pytest.mark.parametrize("strategy", ["auto", "pfe", "outside"])
+    def test_closed_form_routes_name_the_complex_input(self, capsys, strategy):
+        # a real F has a real closed form by construction: the cause is F
+        code, out, err = run(capsys, "invert", "--expr=1/(s-2j)", "--k", "1..3",
+                             "--strategy", strategy)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: imaginary residue 4.000e-01 at k = 1.0; "
+                       "F(s) has complex coefficients\n")
+
     def test_real_input_with_complex_dust_passes(self, capsys):
         # deflating by the complex roots of the cancelled quadratic leaves
         # imaginary dust of up to 8.6e-13 of |f(k)| per k, 1.1e-16 of max |f|
@@ -241,6 +251,14 @@ class TestSingleWriteOutput:
         ("(s^3+2)/((s-3)*(s+2)) - 0.25/(s+1)^2", "pfe", "2.5..40.5", 1.5),
         (EX1, "inside", "1..25", 0.0),
         ("1/(1-0.5+0.5*s)^1.5", "auto", "1..6", 0.0),
+        # a long grid whose tail underflows to 0
+        (EX1, "inside", "1..2000", 0.0),
+        # %g and repr switch to exponent form: 20^m passes 1e16, 10^-m drops below 1e-4
+        ("1/(s-0.95)", "auto", "1..20", 0.0),
+        ("1/(s+9)", "pfe", "1..20", 0.0),
+        ("1/(s+9)", "auto", "3..3", 0.0),
+        # steps such as 3.1 and 8.1 whose repr is longer than their %g
+        (EX1, "pfe", "1.1..40.1", 0.1),
     ])
     def test_bytes_match_row_printer(self, capsys, fmt, expr, strategy, krange, a):
         problem = cli._Problem(expr, a)
@@ -375,6 +393,22 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--expr", EX1, "--k", "1..8")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol, want_code", [(None, 0), ("1e-30", 1)])
+    def test_json_lists_each_check(self, capsys, monkeypatch, tol, want_code):
+        if tol:
+            monkeypatch.setenv("NABLA_TOL", tol)
+        code, text, _ = run(capsys, "verify", "--expr", EX1, "--k", "1..8")
+        json_code, out, _ = run(capsys, "verify", "--expr", EX1, "--k", "1..8",
+                                "--format", "json")
+        assert code == json_code == want_code
+        checks = json.loads(out)
+        assert [("PASS  " if c["ok"] else "FAIL  ") + c["label"] for c in checks] \
+            == text.splitlines()
+        for c in checks:
+            assert set(c) == {"label", "ok", "measure", "bound"}
+            assert c["ok"] == (c["measure"] <= c["bound"])
+        assert checks[1]["bound"] == float(tol or 1e-9)
 
 
 class TestImport:

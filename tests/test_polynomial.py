@@ -133,6 +133,21 @@ class TestRoots:
         assert lower.value == upper.value.conjugate()
         assert abs(upper.value - z) < 1e-4
 
+    def test_conjugate_closed_roots_give_real_coefficients(self):
+        # the factors of test_triple_conjugate_pair_reconstructs: the product
+        # carried imaginary parts of up to 1.4e-14, so the real snapping did
+        # not apply and the simple real root came back as ...4235693+3.7e-11j
+        z = 1.6930638236116151 + 0.3692657886863366j
+        real_root = 1.7481308551550843
+        p = Polynomial.from_roots([2.28431870913172, *[z] * 3, *[z.conjugate()] * 3,
+                                   real_root])
+        assert not np.any(p.coeffs.imag)
+        near = min(roots_with_multiplicities(p), key=lambda c: abs(c.value - real_root))
+        assert near.value.imag == 0.0 and near.multiplicity == 1
+        assert abs(near.value - real_root) < 1e-9
+        # one root without its conjugate keeps the complex product
+        assert np.any(Polynomial.from_roots([z, z, z.conjugate()]).coeffs.imag)
+
     def test_complex_polynomial_is_not_mirrored(self):
         p = Polynomial.from_roots([1j, -2j, 0.5])
         got = sorted((c.value for c in roots_with_multiplicities(p)), key=lambda v: v.imag)
