@@ -38,12 +38,7 @@ from .pairs import TransformPair, lookup, pair, reference_pairs, sample_points
 from .parsing import Classified, Kind, classify, parse_expression, pretty
 from .polynomial import Polynomial, RootCluster, roots_with_multiplicities
 from .rational import RationalFunction, describe_roc
-from .special import (
-    MittagLefflerParams,
-    discrete_mittag_leffler,
-    log_gamma,
-    rising_factorial,
-)
+from .special import MittagLefflerParams, discrete_mittag_leffler
 from .verify import (
     forward_transform,
     initial_value,
@@ -89,7 +84,6 @@ __all__ = [
     "invert_inside",
     "invert_outside",
     "invert_partial_fractions",
-    "log_gamma",
     "lookup",
     "numeric_inverse",
     "orientation_check",
@@ -97,7 +91,6 @@ __all__ = [
     "parse_expression",
     "pretty",
     "reference_pairs",
-    "rising_factorial",
     "roots_with_multiplicities",
     "sample_points",
     "z_correspondence",

@@ -48,16 +48,17 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, expr_flag="--expr"):
-        p.add_argument(expr_flag, required=True, help="expression for F(s)")
+    def common(p, formats=None):
+        p.add_argument("--expr", required=True, help="expression for F(s)")
         p.add_argument("--a", type=float, default=None, help="base point a (default 0)")
-        p.add_argument("--k", default=None, help="step range, e.g. 1..20")
-        p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+        if formats:
+            p.add_argument("--k", default=None, help="step range, e.g. 1..20")
+            p.add_argument("--format", choices=formats, default=None)
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--config", default=None, help="key=value configuration file")
 
     p_inv = sub.add_parser("invert", help="compute f(k) from F(s)")
-    common(p_inv)
+    common(p_inv, ("text", "csv", "json"))
     p_inv.add_argument("--strategy", default=None,
                        choices=("pfe", "inside", "outside", "fractional", "auto"))
 
@@ -68,13 +69,13 @@ def build_parser():
                        help="comma-separated evaluation points (complex literals)")
 
     p_ver = sub.add_parser("verify", help="run all oracles against the inversion")
-    common(p_ver)
+    common(p_ver, ("text", "json"))
     p_ver.add_argument("--rho", type=float, default=None, help="contour radius")
     p_ver.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
 
     p_tab = sub.add_parser("table", help="match an expression against the pair table")
     p_tab.add_argument("--match", required=True, help="expression to match")
-    p_tab.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p_tab.add_argument("--format", choices=("text", "json"), default=None)
     p_tab.add_argument("--config", default=None)
 
     p_rt = sub.add_parser("roundtrip", help="forward-transform every tabulated "

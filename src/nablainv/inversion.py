@@ -341,4 +341,7 @@ def invert_fractional(form, a=0.0):
         )
         for atom in form.atoms
     )
-    return ClosedFormSequence(float(a), terms)
+    # the atoms of a real F come in exact conjugate pairs, whose series are
+    # exact conjugates, so the realness test of ``sample`` can only fail for
+    # a complex F
+    return ClosedFormSequence(float(a), terms, COMPLEX_F)

@@ -1,6 +1,5 @@
-"""Log-gamma, the rising factorial, and the discrete-time Mittag-Leffler series."""
+"""The discrete-time Mittag-Leffler series, read from binomial series at s = 1."""
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,46 +8,11 @@ from .errors import ParameterDomainError
 from .polynomial import series_divide
 
 __all__ = [
-    "log_gamma",
-    "rising_factorial",
     "MittagLefflerParams",
     "MittagLefflerSeries",
     "discrete_mittag_leffler",
     "step_offset",
 ]
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z) for complex z.
-
-    Raises ParameterDomainError at the poles of Gamma (z = 0, -1, -2, ...).
-    scipy is imported here, by its only user, so importing the package does
-    not load it.
-    """
-    from scipy.special import loggamma
-
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ParameterDomainError(f"Gamma has a pole at {z.real:g}")
-    return complex(loggamma(z))
-
-
-def rising_factorial(n, alpha):
-    """Rising factorial n^(alpha rising) = Gamma(n + alpha) / Gamma(n), n > 0.
-
-    Nonnegative integer alpha uses the exact product n(n+1)...(n+alpha-1);
-    otherwise the value is assembled from log_gamma, so n + alpha must avoid
-    the poles of Gamma.
-    """
-    if not (isinstance(n, (int, float)) and n > 0):
-        raise ValueError("rising_factorial needs a positive real first argument")
-    a = complex(alpha)
-    if a.imag == 0.0 and a.real >= 0.0 and a.real == int(a.real):
-        out = 1.0
-        for i in range(int(a.real)):
-            out *= n + i
-        return complex(out)
-    return cmath.exp(log_gamma(n + a) - log_gamma(n))
 
 
 def step_offset(k, base_point):
@@ -91,11 +55,14 @@ class MittagLefflerSeries:
     F_{alpha,beta}(lambda; m) = sum_i lambda^i (m)^(rising i*alpha+beta-1) /
     Gamma(i*alpha+beta) is the w^(m-1) coefficient of the atom's transform at
     s = 1 - w, (1-w)^(alpha-beta) / ((1-w)^alpha - lambda), so one power-series
-    division of two binomial series gives every step at once.  Calling with an
-    int returns one value, with an int ndarray the values on that grid.  The
-    coefficients are kept between calls and regrown by doubling, so asking for
-    the steps in growing blocks costs a small constant factor over one call
-    at the last step, not a division per block.
+    division of two binomial series gives every step at once.  With lambda = 0
+    the transform is (1-w)^-beta and only the i = 0 term survives: the rising
+    power (m)^(rising beta-1) / Gamma(beta), read straight from that binomial
+    series in O(m), as pair-table row 5 reads it.  Calling with an int returns
+    one value, with an int ndarray the values on that grid.  The coefficients
+    are kept between calls and regrown by doubling, so asking for the steps in
+    growing blocks costs a small constant factor over one call at the last
+    step, not a division per block.
     """
 
     def __init__(self, params):
@@ -108,9 +75,12 @@ class MittagLefflerSeries:
         if top > len(coeffs):
             p = self.params
             order = max(top, 2 * len(coeffs)) - 1
-            den = _binomial_series(p.alpha, order).astype(complex)
-            den[0] -= p.lam
-            coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
+            if p.lam == 0:
+                coeffs = _binomial_series(-p.beta, order).astype(complex)
+            else:
+                den = _binomial_series(p.alpha, order).astype(complex)
+                den[0] -= p.lam
+                coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
             self._coeffs = coeffs
         return coeffs[np.asarray(m) - 1]
 
@@ -128,12 +98,8 @@ def _binomial_series(gamma, order):
 def discrete_mittag_leffler(params, k):
     """Sum_{i>=0} lambda^i (k-a)^(rising i*alpha+beta-1) / Gamma(i*alpha+beta).
 
-    Evaluated as a power-series coefficient (see MittagLefflerSeries), which
-    stays accurate where summing the defining series does not: its terms grow
-    far past the result before they decay, and cancel.  With lambda = 0 only
-    the i = 0 term survives, returned in closed form.
+    Read from MittagLefflerSeries: a power-series coefficient, which stays
+    accurate where summing the defining series does not (its terms grow far
+    past the result before they decay, and cancel).
     """
-    m = step_offset(k, params.base_point)
-    if params.lam == 0:
-        return rising_factorial(m, params.beta - 1) / cmath.exp(log_gamma(params.beta))
-    return complex(MittagLefflerSeries(params)(m))
+    return complex(MittagLefflerSeries(params)(step_offset(k, params.base_point)))

@@ -27,11 +27,9 @@ from nablainv import (
     invert_inside,
     invert_outside,
     invert_partial_fractions,
-    log_gamma,
     numeric_inverse,
     parse_expression,
     reference_pairs,
-    rising_factorial,
     sample_points,
     z_correspondence,
     pair,
@@ -161,13 +159,18 @@ def test_criterion_5_mittag_leffler_identities():
                 expected = 1.0 / (1.0 - lam)
                 assert abs(got - expected) <= 1e-10 * abs(expected)
 
-        import cmath
+        import mpmath
 
-        for alpha, beta in ((0.5, 0.5), (0.7, 1.3), (1.2, 0.4), (0.4, 2.0)):
-            p = MittagLefflerParams(alpha, beta, 0.0)
-            for m in (1, 2, 5, 9):
-                expected = rising_factorial(m, beta - 1) / cmath.exp(log_gamma(beta))
-                assert discrete_mittag_leffler(p, m) == expected
+        # lambda = 0 leaves the rising power m^(rising beta-1)/Gamma(beta):
+        # bit for bit pair-table row 5's rule, and within 1e-15 of 40 digits
+        with mpmath.workdps(40):
+            for alpha, beta in ((0.5, 0.5), (0.7, 1.3), (1.2, 0.4), (0.4, 2.0)):
+                p = MittagLefflerParams(alpha, beta, 0.0)
+                for m in (1, 2, 5, 9):
+                    got = discrete_mittag_leffler(p, m)
+                    assert got == pair(5, alpha=beta - 1).sequence(m)
+                    want = mpmath.rf(m, mpmath.mpf(beta) - 1) / mpmath.gamma(beta)
+                    assert abs(got - complex(want)) <= 1e-15 * abs(complex(want))
 
 
 def test_criterion_6_z_correspondence():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nablainv import cli
+from nablainv import cli, pair
 from nablainv.cli import main
 from conftest import mpmath_atom_values, mpmath_factored_values, mpmath_row10_values
 
@@ -115,6 +115,15 @@ class TestExitCodes:
         # the radius comes from F; a region given by hand has nothing to add
         assert run(capsys, "invert", "--expr", EX1, "--roc", "disk1:0.5")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--expr", EX1, "--format", "json"],  # forward prints one table
+        ["forward", "--expr", EX1, "--k", "1..5"],  # and sums the whole series
+        ["verify", "--expr", EX1, "--format", "csv"],  # verify prints text or json
+        ["table", "--match", EX1, "--format", "csv"],  # and so does table
+    ])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
+
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
         def no_memory(text, a):
             raise MemoryError
@@ -145,9 +154,11 @@ class TestComplexSequence:
     @pytest.mark.parametrize("expr, strategy, k", [
         ("1/(s-2j)", "inside", 1),
         ("(0.5-0.5j+(0.5+0.5j)*s)^-1.5", "auto", 2),
+        ("1/(s^0.5-0.2j)", "auto", 1),  # fractional: f(1) = 1/(1-0.2j)
     ])
     def test_series_and_table_routes_name_the_complex_input(self, capsys, expr, strategy, k):
-        # these routes have no term set: the cause is F itself
+        # the series and table routes compute F's own series, and the atoms
+        # of a real F come in exact conjugate pairs: the cause is F itself
         code, _, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
                            "--strategy", strategy)
         assert code == 1
@@ -320,6 +331,17 @@ class TestFractionalValues:
         scale = float(np.max(np.abs(grids["pfe"])))
         np.testing.assert_allclose(grids["fractional"], grids["pfe"], rtol=0, atol=1e-12 * scale)
 
+    def test_lambda_zero_atom_at_k_1e5(self, capsys):
+        """s^-0.5 reads the binomial series of (1-w)^-0.5, row 5's rule, in
+        O(K); the dense series division took 5.6 s at K = 1e4 on a 2-core VM."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invert", "--expr", "s^-0.5", "--k", "1..100000",
+                           "--format", "csv")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        want = pair(5, alpha=-0.5).sequence(np.arange(1, 100001))
+        np.testing.assert_array_equal(csv_values(out), want)
+
     @pytest.mark.parametrize("expr, K, want", [
         # three atoms with negative lambda: exited 1 with an imaginary residue
         ("-1.27*s^-0.52/(s^0.92+0.39) - 2.34*s^0.07/(s^1.92+0.91)"
@@ -412,18 +434,25 @@ class TestVerifyCommand:
 
 
 class TestImport:
-    def test_cli_does_not_load_scipy(self):
-        """scipy serves only log_gamma, which no CLI path calls; importing it
-        cost about half of the CLI's start-up time."""
+    def test_runs_without_scipy(self):
+        """numpy is the only runtime dependency: with scipy unimportable the
+        package imports, the lambda = 0 series reads, and a lambda = 0 atom, a
+        row-6 shape, verify and roundtrip all exit 0."""
         src = str(Path(__file__).resolve().parent.parent / "src")
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nablainv.cli as cli; "
-                "argv = ['invert', '--expr', '1/(1-0.5+0.5*s)^1.5', '--k', '1..5']; "
-                "assert cli.main(argv) == 0; "
-                "assert 'scipy' not in sys.modules, 'scipy was imported'")
+        code = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+                "import nablainv; import nablainv.cli as cli; "
+                "p = nablainv.MittagLefflerParams(0.5, 0.5, 0.0); "
+                "assert nablainv.discrete_mittag_leffler(p, 2) == 0.5; "
+                "assert cli.main(['invert', '--expr', 's^-0.5', '--k', '1..5']) == 0; "
+                "assert cli.main(['invert', '--expr', '1/(1-0.5+0.5*s)^1.5', '--k', '1..5']) == 0; "
+                "assert cli.main(['verify', '--expr', 's^-0.5 + 1/(s^0.5-0.2)', "
+                "'--k', '1..50']) == 0; "
+                "assert cli.main(['roundtrip']) == 0")
         proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "row 6" in proc.stdout
+        assert "all rows pass" in proc.stdout
 
 
 class TestTableCommand:
