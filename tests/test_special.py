@@ -1,6 +1,7 @@
 """The discrete Mittag-Leffler series."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -104,6 +105,39 @@ class TestDiscreteMittagLeffler:
         p = MittagLefflerParams(0.5, 0.5, 0.2)
         with pytest.raises(ValueError):
             discrete_mittag_leffler(p, 0)
+
+
+class TestLambdaZeroRisingPower:
+    """lambda = 0 leaves (m)^(rising beta-1) / Gamma(beta), the w^(m-1)
+    coefficient of (1-w)^-beta: the identities of the rising power."""
+
+    def test_first_step_is_one(self):
+        # (1)^(rising beta-1) = Gamma(beta): the leading coefficient, exactly
+        for beta in (0.1, 0.5, 1.0, 2.7, 7.3):
+            assert discrete_mittag_leffler(MittagLefflerParams(0.5, beta, 0.0), 1) == 1.0
+
+    def test_integer_beta_is_binomial_coefficient(self):
+        # (m)^(rising n) / n! = C(m+n-1, n); (3)^(rising 2) / 2! = 6
+        assert discrete_mittag_leffler(MittagLefflerParams(0.7, 3.0, 0.0), 3) == 6.0
+        for n in range(5):
+            series = MittagLefflerSeries(MittagLefflerParams(0.7, n + 1.0, 0.0))
+            for m in range(1, 31):
+                assert series(m) == pytest.approx(math.comb(m + n - 1, n), rel=1e-14)
+
+    def test_step_recurrence(self, rng):
+        """(m+1)^(rising beta-1) = (m)^(rising beta-1) (m+beta-1)/m."""
+        ms = np.arange(1, 200)
+        for beta in rng.uniform(0.1, 8.0, 20):
+            f = MittagLefflerSeries(MittagLefflerParams(0.5, float(beta), 0.0))(np.arange(1, 201))
+            np.testing.assert_allclose(f[1:], f[:-1] * (ms + beta - 1) / ms, rtol=1e-14, atol=0)
+
+    def test_matches_gamma_ratio(self, rng):
+        for _ in range(30):
+            m = int(rng.integers(1, 60))
+            beta = float(rng.uniform(0.1, 4.0))
+            p = MittagLefflerParams(float(rng.uniform(0.2, 2.0)), beta, 0.0)
+            expected = scipy_poch(m, beta - 1) / scipy_gamma(beta)
+            assert discrete_mittag_leffler(p, m) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMittagLefflerAgainstMpmath:
