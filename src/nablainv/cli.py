@@ -38,6 +38,14 @@ _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
 _CONFIG_KEYS = {"a": float, "k": str, "format": str, "strategy": str,
                 "tol": float, "rho": float, "nodes": int}
+# the allowed values of each subcommand's choice flags, for a flag and for
+# the same key in a config file alike
+_CHOICES = {
+    "invert": {"format": ("text", "csv", "json"),
+               "strategy": ("pfe", "inside", "outside", "fractional", "auto")},
+    "verify": {"format": ("text", "json")},
+    "table": {"format": ("text", "json")},
+}
 
 
 def build_parser():
@@ -58,9 +66,8 @@ def build_parser():
         p.add_argument("--config", default=None, help="key=value configuration file")
 
     p_inv = sub.add_parser("invert", help="compute f(k) from F(s)")
-    common(p_inv, ("text", "csv", "json"))
-    p_inv.add_argument("--strategy", default=None,
-                       choices=("pfe", "inside", "outside", "fractional", "auto"))
+    common(p_inv, _CHOICES["invert"]["format"])
+    p_inv.add_argument("--strategy", default=None, choices=_CHOICES["invert"]["strategy"])
 
     p_fwd = sub.add_parser("forward", help="sum the forward series of the inverted "
                            "sequence and compare against F(s)")
@@ -69,13 +76,13 @@ def build_parser():
                        help="comma-separated evaluation points (complex literals)")
 
     p_ver = sub.add_parser("verify", help="run all oracles against the inversion")
-    common(p_ver, ("text", "json"))
+    common(p_ver, _CHOICES["verify"]["format"])
     p_ver.add_argument("--rho", type=float, default=None, help="contour radius")
     p_ver.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
 
     p_tab = sub.add_parser("table", help="match an expression against the pair table")
     p_tab.add_argument("--match", required=True, help="expression to match")
-    p_tab.add_argument("--format", choices=("text", "json"), default=None)
+    p_tab.add_argument("--format", choices=_CHOICES["table"]["format"], default=None)
     p_tab.add_argument("--config", default=None)
 
     p_rt = sub.add_parser("roundtrip", help="forward-transform every tabulated "
@@ -102,8 +109,18 @@ def _load_config(path):
 
 
 def _resolve(args):
-    """Fill unset options from NABLA_TOL, then the config file, then defaults."""
+    """Fill unset options from NABLA_TOL, then the config file, then defaults.
+
+    A config value of a choice flag must be one of the flag's choices, as on
+    the command line: ValueError (exit 2) in argparse's words otherwise.
+    """
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    for key, choices in _CHOICES.get(args.command, {}).items():
+        if key in cfg and cfg[key] not in choices:
+            raise ValueError(
+                f"{args.config}: argument --{key}: invalid choice: {cfg[key]!r} "
+                f"(choose from {', '.join(map(repr, choices))})"
+            )
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None and hasattr(args, key):
             value = cfg.get(key, default)

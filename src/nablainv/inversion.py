@@ -290,9 +290,19 @@ class FractionalAtom:
             )
 
     def evaluate(self, s):
-        """The atom at a point s or at every point of an ndarray s."""
+        """The atom at a point s or at every point of an ndarray s.
+
+        Both powers come from one ln|s| and one arg s: s^g = e^(g ln|s|)
+        (cos g theta + j sin g theta), the principal branch that ``s**g``
+        takes, at the cost of real exp, cos and sin instead of numpy's complex
+        power.
+        """
         s = np.asarray(s, dtype=complex)
-        return self.coefficient * s ** (self.alpha - self.beta) / (s**self.alpha - self.lam)
+        with np.errstate(divide="ignore"):  # s = 0: 0^g = 0 for g > 0
+            log_abs = np.log(np.abs(s))
+        theta = np.angle(s)
+        return (self.coefficient * _power(log_abs, theta, self.alpha - self.beta)
+                / (_power(log_abs, theta, self.alpha) - self.lam))
 
     def pole_distance(self):
         """|1 - s_0| for the root s_0 = |lam|^(1/alpha) e^{j arg(lam)/alpha} of
@@ -306,6 +316,14 @@ class FractionalAtom:
         if self.lam == 0 or abs(phi) >= self.alpha * math.pi:
             return math.inf
         return abs(1.0 - abs(self.lam) ** (1.0 / self.alpha) * cmath.exp(1j * phi / self.alpha))
+
+
+def _power(log_abs, theta, g):
+    """s^g from ln|s| and arg s; exactly 1 for g = 0, as s**0 is."""
+    if g == 0:
+        return 1.0
+    r = np.exp(g * log_abs)
+    return r * np.cos(g * theta) + 1j * (r * np.sin(g * theta))
 
 
 @dataclass(frozen=True)

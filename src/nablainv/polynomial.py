@@ -9,6 +9,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 DEFAULT_CLUSTER_SCALE = 1e-6
+# Block length of the dense series division; a denominator of at most this
+# many coefficients stays on the recurrence.
+_BLOCK = 64
 
 __all__ = [
     "DEFAULT_CLUSTER_SCALE",
@@ -417,16 +420,59 @@ def series_divide(num, den, order):
     num/den = sum c_j x^j + O(x^(order+1)).  The long-division recurrence
     c_j = (n_j - sum_{i=1..min(j, D)} d_i c_{j-i}) / d_0 only reaches back
     D = deg den coefficients, so the cost is O(order * D), not O(order^2).
+
+    A dense denominator (more than _BLOCK coefficients kept, such as the
+    binomial series of (1-x)^alpha at a non-integer alpha) is divided in
+    blocks of _BLOCK coefficients: the recurrence gives the first block, and
+    each later block is two numpy convolutions, one over the coefficients
+    found so far, so past the first block the O(order^2) multiply-adds run in
+    numpy, not in Python.
+    Coefficient j depends on n_0..n_j and d_0..d_j only, never on ``order``.
     """
     nc = _coeffs_of(num)[: order + 1]
     dc = _coeffs_of(den)[: order + 1]
     if dc[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
+    if len(dc) > _BLOCK:
+        return _blocked_divide(nc, dc, order)
+    return _recurrence(nc, dc, order + 1)
+
+
+def _recurrence(nc, dc, count):
+    """The first ``count`` coefficients of nc/dc by the long-division recurrence."""
     d0 = complex(dc[0])
     tail = dc[1:].tolist()  # d_1 .. d_D
-    n = nc.tolist() + [0j] * (order + 1 - len(nc))
+    n = nc[:count].tolist() + [0j] * (count - len(nc))
     c = []
     for nj in n:
         # map stops at the shorter side: d_i pairs with c_{j-i}, i <= min(j, D)
         c.append((nj - sum(map(mul, tail, reversed(c)), start=0j)) / d0)
     return np.array(c, dtype=complex)
+
+
+def _blocked_divide(nc, dc, order):
+    """series_divide for more than _BLOCK denominator coefficients.
+
+    Block [s, s+B) solves the lower-triangular Toeplitz system of d_0..d_{B-1}
+    with right side n_j - sum_{t<s} d_{j-t} c_t (the history, one 'valid'
+    convolution).  Its inverse is the Toeplitz matrix H of h, the first B
+    coefficients of 1/den, applied as the causal convolution h * rhs: row i
+    of H @ rhs without H's zero upper triangle, so an inf in a later row of
+    the right side cannot make an earlier row nan (0 * inf).  The last block
+    is padded to a whole B, so no coefficient depends on ``order``.
+    """
+    B = _BLOCK
+    total = -(-(order + 1) // B) * B
+    n = np.zeros(total, dtype=complex)
+    n[: len(nc)] = nc
+    d = np.zeros(total, dtype=complex)
+    d[: len(dc)] = dc
+    c = np.empty(total, dtype=complex)
+    c[:B] = _recurrence(nc, dc[:B], B)
+    h = _recurrence(np.ones(1, dtype=complex), dc[:B], B)
+    # values past the float64 range leave inf and nan for the caller to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(B, total, B):
+            rhs = n[s : s + B] - np.convolve(c[:s], d[1 : s + B], mode="valid")
+            c[s : s + B] = np.convolve(h, rhs)[:B]
+    return c[: order + 1]

@@ -124,7 +124,7 @@ def _mp_divide(num, den):
     """Power-series quotient num/den, as many terms as num has."""
     c = []
     for j in range(len(num)):
-        c.append((num[j] - mpmath.fsum(den[i] * c[j - i] for i in range(1, j + 1))) / den[0])
+        c.append((num[j] - mpmath.fdot(den[1 : j + 1], c[::-1])) / den[0])
     return c
 
 

@@ -217,6 +217,18 @@ class TestFloatRange:
         # (-1)^m - 2^-m - 3m 2^-(m+1): only the alternating unit survives
         np.testing.assert_allclose(values[-2:], [-1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("expr, krange, k", [
+        ("1/(s^1.5-0.9)", "1..2000", 264),
+        ("1/(s^1.5-0.8)", "1..600", 359),
+    ])
+    def test_overflowing_mittag_leffler_grid_exits_1(self, capsys, expr, krange, k):
+        """The blocked series division leaves inf and nan past the float64
+        range, never before it: the first step named is the first to leave."""
+        code, out, err = run(capsys, "invert", "--expr", expr, "--k", krange)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n"
+
     def test_overflow_in_verify_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--expr=-1.36/(s-0.63)", "--k", "700..800")
         assert code == 1
@@ -516,6 +528,26 @@ class TestConfigAndEnvironment:
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "invert", "--expr", EX1, "--config", "/does/not/exist")
         assert code == 2
+
+    @pytest.mark.parametrize("command, line, choices", [
+        # verify prints text or json; csv from a file printed the text lines
+        (("verify", "--expr", "1/(s-0.3)", "--k", "1..3"), "format = csv",
+         "'text', 'json'"),
+        # xml from a file printed the text table
+        (("invert", "--expr", "1/(s-0.3)", "--k", "1..3"), "format = xml",
+         "'text', 'csv', 'json'"),
+        (("invert", "--expr", "1/(s-0.3)", "--k", "1..3"), "strategy = newton",
+         "'pfe', 'inside', 'outside', 'fractional', 'auto'"),
+    ])
+    def test_config_value_outside_the_flag_choices(self, capsys, tmp_path, command, line,
+                                                   choices):
+        cfg = tmp_path / "nabla.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        key, value = (part.strip() for part in line.split("="))
+        assert f"argument --{key}: invalid choice: {value!r} (choose from {choices})" in err
 
 
 class TestRoundtripCommand:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nablainv import Polynomial, RootCluster, roots_with_multiplicities
-from nablainv.polynomial import factor_roots, pool_roots, series_divide
+from nablainv.polynomial import _BLOCK, factor_roots, pool_roots, series_divide
+from nablainv.special import _binomial_series
 
 CUBIC = Polynomial([-2.0, -3.0, 0.0, 1.0])  # s^3 - 3s - 2 = (s+1)^2 (s-2)
 
@@ -275,3 +276,108 @@ class TestSeriesDivideRecurrence:
     def test_denominator_longer_than_order(self):
         den = [2.0, 1.0, -1.0, 0.5, 0.25]
         np.testing.assert_allclose(series_divide([1.0], den, 1), _long_division([1.0], den, 1))
+
+
+def _scalar_recurrence(num, den, order):
+    """The long-division recurrence c_j = (n_j - sum_i d_i c_{j-i}) / d_0 in
+    Python complex arithmetic, summed from d_1 up: the loop the banded path
+    runs, so its results must be equal bit for bit."""
+    n = np.atleast_1d(np.asarray(num, dtype=complex))[: order + 1].tolist()
+    d = np.atleast_1d(np.asarray(den, dtype=complex))[: order + 1].tolist()
+    n += [0j] * (order + 1 - len(n))
+    c = []
+    for j in range(order + 1):
+        acc = 0j
+        for i in range(1, min(j, len(d) - 1) + 1):
+            acc += d[i] * c[j - i]
+        c.append((n[j] - acc) / d[0])
+    return np.array(c, dtype=complex)
+
+
+def _dense_denominators(rng, order):
+    """Dense denominators whose quotients stay inside float64 to ``order``:
+    the binomial series of (1-x)^alpha - lam at a non-integer alpha, real and
+    complex, and random coefficients under a decaying envelope beside a
+    dominant d_0 (sum |d_i|, i >= 1, below |d_0|, so 1/den is analytic past
+    the unit disk)."""
+    dens = []
+    for alpha, lam in [(1.5, -0.5), (0.83, -0.45 - 0.55j), (0.5, 0.95j), (2.3, -0.6)]:
+        den = _binomial_series(alpha, order).astype(complex)
+        den[0] -= lam
+        dens.append(den)
+    envelope = 0.6 ** np.arange(order + 1)
+    real = rng.uniform(-1.0, 1.0, order + 1) * envelope
+    real[0] = 3.0
+    dens.append(real)
+    dens.append(real + 1j * rng.uniform(-1.0, 1.0, order + 1) * envelope)
+    return dens
+
+
+class TestBlockedSeriesDivide:
+    """A denominator of more than _BLOCK coefficients is divided in blocks."""
+
+    @pytest.mark.parametrize("order", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 701])
+    def test_dense_matches_long_division(self, rng, order):
+        for den in _dense_denominators(rng, order):
+            for num in (rng.normal(size=5), _binomial_series(-0.7, order),
+                        rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)):
+                got = series_divide(num, den, order)
+                want = _long_division(num, den, order)
+                assert got.shape == (order + 1,)
+                np.testing.assert_allclose(got, want, rtol=1e-10,
+                                           atol=1e-12 * np.max(np.abs(want)))
+
+    def test_first_block_is_the_recurrence(self, rng):
+        den = _dense_denominators(rng, 300)[1]
+        num = rng.normal(size=3)
+        got = series_divide(num, den, 300)
+        np.testing.assert_array_equal(got[:_BLOCK], _scalar_recurrence(num, den, _BLOCK - 1))
+
+    def test_coefficients_do_not_depend_on_the_order(self, rng):
+        # orders below the block length divide the truncated, banded den
+        den = _dense_denominators(rng, 1000)[1]
+        num = _binomial_series(-0.44, 1000)
+        longest = series_divide(num, den, 1000)
+        for order in (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 300, 777):
+            np.testing.assert_array_equal(series_divide(num, den, order), longest[: order + 1])
+
+    @pytest.mark.parametrize("degree", [1, 4, 10, _BLOCK - 1])
+    def test_banded_is_the_scalar_recurrence_bit_for_bit(self, rng, degree):
+        for trial in range(4):
+            radii = rng.uniform(0.97, 3.0, degree)
+            roots = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
+            if trial % 2:  # conjugate pairs and a real root: real coefficients
+                half = roots[: degree // 2]
+                roots = np.concatenate([half, half.conj(), radii[: degree % 2]])
+            den = Polynomial.from_roots(roots).coeffs * rng.uniform(0.5, 2.0)
+            num = rng.normal(size=int(rng.integers(1, degree + 4)))
+            for order in (0, 5, degree, 700):
+                np.testing.assert_array_equal(series_divide(num, den, order),
+                                              _scalar_recurrence(num, den, order))
+
+    def test_overflow_is_named_where_the_recurrence_names_it(self):
+        """Past the float64 range the blocks leave inf and nan, quietly, and
+        no coefficient before the first one out of range turns nan."""
+        # at (1.5, 0.25+0.25j) the real part of coefficient 1482 is 1.62e308,
+        # just inside the range
+        for alpha, lam, order in [(1.5, 0.9, 1999), (1.5, 0.8, 599), (0.6, 0.99, 1500),
+                                  (1.5, 0.25 + 0.25j, 1499)]:
+            den = _binomial_series(alpha, order).astype(complex)
+            den[0] -= lam
+            got = series_divide([1.0], den, order)
+            want = _scalar_recurrence([1.0], den, order)
+            first = int(np.argmax(~np.isfinite(got)))
+            assert 0 < first == int(np.argmax(~np.isfinite(want)))
+            np.testing.assert_allclose(got[:first], want[:first], rtol=1e-12)
+
+    def test_a_later_infinite_numerator_leaves_earlier_coefficients_finite(self, rng):
+        """Block k's right side holds n_j for every j of the block; an inf there
+        must reach coefficient j and the ones after it only (0 * inf in an
+        earlier row would be nan)."""
+        den = _dense_denominators(rng, 400)[0]
+        num = rng.normal(size=401)
+        num[150] = np.inf
+        got = series_divide(num, den, 400)
+        assert np.all(np.isfinite(got[:150]))
+        assert not np.isfinite(got[150])
+        np.testing.assert_array_equal(got[:150], series_divide(num[:150], den, 149))

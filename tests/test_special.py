@@ -12,7 +12,7 @@ from scipy.special import poch as scipy_poch
 
 from nablainv import MittagLefflerParams, ParameterDomainError, discrete_mittag_leffler
 from nablainv.special import MittagLefflerSeries
-from conftest import mpmath_mittag_leffler
+from conftest import mpmath_atom_values, mpmath_mittag_leffler
 
 
 def brute_force_ml(alpha, beta, lam, m, terms=3000):
@@ -190,6 +190,27 @@ class TestMittagLefflerSeries:
         stepper = MittagLefflerSeries(p)
         stepped = np.array([stepper(m) for m in range(1, 131)])
         np.testing.assert_array_equal(stepped, MittagLefflerSeries(p)(np.arange(1, 131)))
+
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (1.5, 1.5, -0.5),
+        (0.83, 1.29, -0.45 - 0.55j),
+        (0.5, 0.7, 0.95j),
+        (1.3, 0.4, -0.95),
+        (0.37, 1.61, 0.6 - 0.2j),
+        (1.7, 1.7, 0.5),  # grows like 3^m: past the float64 range at m = 649
+    ])
+    def test_long_grid_against_a_40_digit_division(self, alpha, beta, lam):
+        """K = 1500 is 24 blocks of the dense division; every finite value is
+        within 1e-12 of the same division in 40 digits."""
+        K = 1500
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam))(np.arange(1, K + 1))
+        want = mpmath_atom_values([(1.0, alpha, beta, lam)], K, digits=40)
+        finite = np.isfinite(got)
+        assert finite[:600].all()
+        # a value out of range is out of range in 40 digits too
+        assert np.all(np.abs(want[~finite]) > 1e307)
+        assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-12
 
     def test_scalar_and_grid_calls(self):
         series = MittagLefflerSeries(MittagLefflerParams(1.0, 1.0, 0.2))
