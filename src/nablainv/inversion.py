@@ -192,7 +192,9 @@ class ClosedFormSequence:
             step_offset(ks[int(np.argmax(bad))], self.base_point)  # raises
         m = m.astype(np.int64)
         parts = np.empty((len(self.terms), m.size), dtype=complex)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # (1-p)^-m past the float64 range is inf; numpy flags that as an
+        # overflow, or for a complex base as a division by zero
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             for row, t in zip(parts, self.terms):
                 row[:] = t.value(m)
             v = parts.sum(axis=0)
@@ -231,9 +233,11 @@ def invert_inside(rf, k_max, a=0.0):
 
     The kernel (1-s)^(a-k) has an order-(k-a) pole at s = 1; the (negated)
     residue there equals the coefficient of w^(k-a-1) in F(1-w), so the values
-    are exactly the leading series coefficients of F at s = 1.  Values below
-    the smallest normal float are set to 0: the division's recurrence cannot
-    resolve them, and a decaying sequence stalls there instead of reaching 0.
+    are exactly the leading series coefficients of F at s = 1
+    (``RationalFunction.series_at_one``: the numerator's series divided by one
+    shifted denominator factor at a time).  Values below the smallest normal
+    float are set to 0: the divisions cannot resolve them, and a decaying
+    sequence stalls there instead of reaching 0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
+from .polynomial import Polynomial
 from .rational import describe_roc
 from .special import MittagLefflerParams, MittagLefflerSeries, _binomial_series
 
@@ -326,7 +327,8 @@ def _close(a, b, tol):
 
 
 def _match_rational(rf):
-    num_w, den_w = rf._at_one
+    num_w, den_factors = rf._at_one
+    den_w = Polynomial.product(den_factors)
     d0 = den_w.coeffs[0]
     if d0 == 0:
         return None

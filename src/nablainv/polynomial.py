@@ -12,11 +12,21 @@ DEFAULT_CLUSTER_SCALE = 1e-6
 # Block length of the dense series division; a denominator of at most this
 # many coefficients stays on the recurrence.
 _BLOCK = 64
+# ``factor_divide`` runs a series of up to _LOOP_MAX coefficients on its
+# recurrence (below that the block set-up costs more than it saves), and a
+# longer one in blocks of at most _BLOCK.  A factor whose 1/q grows past
+# _GROWTH times 1/q(0) within a block gets shorter blocks, so the block
+# products stay inside float64; a block shorter than _MIN_BLOCK leaves the
+# factor on the recurrence.
+_GROWTH = 1e150
+_MIN_BLOCK = 8
+_LOOP_MAX = 8 * _BLOCK
 
 __all__ = [
     "DEFAULT_CLUSTER_SCALE",
     "Polynomial",
     "RootCluster",
+    "factor_divide",
     "factor_roots",
     "pool_roots",
     "roots_with_multiplicities",
@@ -468,11 +478,73 @@ def _blocked_divide(nc, dc, order):
     d = np.zeros(total, dtype=complex)
     d[: len(dc)] = dc
     c = np.empty(total, dtype=complex)
-    c[:B] = _recurrence(nc, dc[:B], B)
     h = _recurrence(np.ones(1, dtype=complex), dc[:B], B)
+    # over a numerator of 1 the first block is h itself, bit for bit
+    c[:B] = h if len(nc) == 1 and nc[0] == 1 else _recurrence(nc, dc[:B], B)
     # values past the float64 range leave inf and nan for the caller to reject
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(B, total, B):
             rhs = n[s : s + B] - np.convolve(c[:s], d[1 : s + B], mode="valid")
             c[s : s + B] = np.convolve(h, rhs)[:B]
     return c[: order + 1]
+
+
+def factor_divide(c, q):
+    """c(x) / q(x) as a power series, to as many coefficients as c has.
+
+    c and q are ndarrays, q the ascending coefficients of a polynomial of
+    degree 1 or 2 with q(0) != 0.  Real c and q are divided in float64 and
+    give a float array, anything else a complex one.  A series of up to
+    _LOOP_MAX coefficients runs the recurrence
+    y_j = (c_j - q_1 y_{j-1} - q_2 y_{j-2}) / q_0.  A longer one runs in
+    blocks of B coefficients (B <= _BLOCK, see _GROWTH): h, the first B
+    coefficients of 1/q, comes from the recurrence; each block's response to
+    its own coefficients of c is its product with the Toeplitz matrix of h,
+    one matmul for all blocks; and a scan over the blocks carries the last two
+    values of each into the next, whose response to them is fixed by q and h.
+    Past the first coefficient of c outside the float64 range the result is
+    nan, where the recurrence leaves it non-finite too.
+    """
+    dtype = np.result_type(c.dtype, q.dtype)
+    q0, q1, q2 = (q.tolist() + [0.0])[:3]
+    if len(c) <= _LOOP_MAX:
+        return np.array(_filter(c.tolist(), q0, q1, q2), dtype=dtype)
+    h = np.array(_filter([1.0] + [0.0] * (_BLOCK - 1), q0, q1, q2), dtype=dtype)
+    tame = np.abs(h) <= _GROWTH * abs(h[0])  # false on inf and nan too
+    B = _BLOCK if tame.all() else int(np.argmin(tame))
+    finite = np.isfinite(c)
+    stop = len(c) if finite.all() else int(np.argmin(finite))
+    out = np.full(len(c), np.nan, dtype=dtype)
+    if stop <= _LOOP_MAX or B < _MIN_BLOCK:
+        out[:stop] = _filter(c[:stop].tolist(), q0, q1, q2)
+        return out
+    h = h[:B]
+    blocks = -(-stop // B)
+    x = np.zeros(blocks * B, dtype=dtype)
+    x[:stop] = c[:stop]
+    lag = np.arange(B) - np.arange(B)[:, None]
+    # values past the float64 range leave inf and nan for the caller to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each block from zero state: its x times T, T[i, j] = h[j - i] for j >= i
+        y = x.reshape(blocks, B) @ np.where(lag >= 0, h[lag], 0.0)
+        # a block's y_s, y_{s+1}, ... from the y_{s-1} and y_{s-2} before it
+        response = np.stack([-(q1 * h + q2 * np.concatenate(([0.0], h[:-1]))), -q2 * h])
+        (a2, a1), (b2, b1) = response[:, -2:].tolist()
+        y1 = y2 = 0.0
+        carried = [0.0, 0.0]
+        for z1, z2 in zip(y[:-1, -1].tolist(), y[:-1, -2].tolist()):
+            y1, y2 = z1 + a1 * y1 + b1 * y2, z2 + a2 * y1 + b2 * y2
+            carried += (y1, y2)
+        y += np.array(carried, dtype=dtype).reshape(blocks, 2) @ response
+    out[:stop] = y.ravel()[:stop]
+    return out
+
+
+def _filter(x, q0, q1, q2):
+    """y_j = (x_j - q1 y_{j-1} - q2 y_{j-2}) / q0 over the list x, from zero state."""
+    y1 = y2 = 0.0
+    out = []
+    for xj in x:
+        y1, y2 = (xj - q1 * y1 - q2 * y2) / q0, y1
+        out.append(y1)
+    return out

@@ -11,6 +11,7 @@ from .polynomial import (
     DEFAULT_CLUSTER_SCALE,
     Polynomial,
     RootCluster,
+    factor_divide,
     factor_roots,
     pool_roots,
     series_divide,
@@ -218,32 +219,42 @@ class RationalFunction:
 
     @cached_property
     def _at_one(self):
-        """(numerator, denominator) of the reduced F(1 - w), polynomials in w.
+        """The reduced F(1 - w) as (numerator, denominator factors): the
+        numerator a polynomial in w, and the denominator as (polynomial in w,
+        exponent) pairs, one per reduced factor, the factor whose poles lie
+        farthest from s = 1 first.
 
         Each kept factor is recentered at s = 1 on its own (an exact binomial
-        shift of its coefficients) before the shifted factors are multiplied:
-        rebuilding a factor from its roots, or recentering an expanded
-        product, would carry the roots' error into every coefficient.
+        shift of its coefficients), and the numerator's shifted factors are
+        multiplied: rebuilding a factor from its roots, or recentering an
+        expanded product, would carry the roots' error into every coefficient.
+        Dividing by the far factors first lets the series shrink before the
+        near ones make it grow, so a partial quotient does not overflow steps
+        before F's own series does.
         """
         red = self._reduced
         num = Polynomial([red.constant])
-        den = Polynomial([1.0])
         for q, e in red.numerator:
             num = num * q.in_one_minus_w() ** e
-        for q, e in red.denominator:
-            den = den * q.in_one_minus_w() ** e
-        return num, den
+        far_first = sorted(red.denominator, key=lambda f: -min(
+            abs(1.0 - rc.value) for rc in factor_roots(f[0], self.cluster_scale)))
+        return num, tuple((q.in_one_minus_w(), e) for q, e in far_first)
 
     def series_at_one(self, order):
         """Coefficients c_0..c_order of F(1 - w) = sum c_j w^j.
 
-        The factors are recentered at s = 1 - w one by one (see ``_at_one``)
-        and the two products long-divided as power series, which is stable
-        where repeated differentiation is not.  The coefficients satisfy
+        The factors are recentered at s = 1 - w one by one (see ``_at_one``).
+        The numerator's series is then divided by one shifted denominator
+        factor at a time, once per unit of its exponent: ``factor_divide`` for
+        a factor of degree 1 or 2, ``series_divide`` above.  Each division
+        carries its rounding along the impulse response of that factor alone;
+        dividing by the expanded denominator would carry it along the response
+        of 1/D, which grows with the closeness of D's poles.  This is stable
+        where repeated differentiation is not, and the coefficients satisfy
         c_j = f(a + 1 + j) for the causal sequence of F.
 
-        The division runs on the reduced pair: a cancelled pole-zero factor
-        left in the denominator would feed the recurrence a mode that the
+        The division runs on the reduced factors: a cancelled pole-zero factor
+        left in the denominator would feed the division a mode that the
         numerator only cancels in exact arithmetic, and rounding lets it grow.
         """
         if order < 0:
@@ -251,9 +262,19 @@ class RationalFunction:
         if self.has_pole_at_one():
             raise PoleAtOneError()
         num_w, den_w = self._at_one
-        if den_w.coeffs[0] == 0:
+        if any(q.coeffs[0] == 0 for q, _e in den_w):
             raise PoleAtOneError()
-        return series_divide(num_w, den_w, order)
+        real = self.is_real
+        c = np.zeros(order + 1, dtype=float if real else complex)
+        top = num_w.coeffs[: order + 1]
+        c[: len(top)] = top.real if real else top
+        for q, e in den_w:
+            for _ in range(e):
+                if q.degree > 2:
+                    c = series_divide(c, q, order)
+                else:
+                    c = factor_divide(c, q.coeffs.real if real else q.coeffs)
+        return c.astype(complex)
 
     def inferred_roc(self):
         """Radius of the largest disk around s = 1 free of poles (inf when

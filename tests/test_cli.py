@@ -229,6 +229,36 @@ class TestFloatRange:
         assert out == ""
         assert err == f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n"
 
+    @pytest.mark.parametrize("krange", ["1..200", "1..10000"])
+    @pytest.mark.parametrize("strategy", ["inside", "pfe"])
+    def test_pole_next_to_one_overflows_at_k_52(self, capsys, strategy, krange):
+        """(1 - 0.999999)^-(k-a) grows by 1e6 a step; the series' blocks for
+        that factor are cut short, so it names the same first step as pfe."""
+        code, out, err = run(capsys, "invert", "--expr=1/((s-0.999999)*(s+0.5))",
+                             "--k", krange, "--strategy", strategy)
+        assert code == 1
+        assert out == ""
+        assert err == "error: f(k) at k = 52 is outside the float64 range; narrow --k\n"
+
+    @pytest.mark.parametrize("strategy", ["inside", "pfe"])
+    def test_series_overflows_where_f_does(self, capsys, strategy):
+        """f(k) ~ 1.34 * 0.67^-k passes 1.8e308 at k = 1772.  Dividing by the
+        growing factor first put the series' partial quotient past it at
+        k = 1767 (the expanded denominator at k = 1769)."""
+        code, out, err = run(capsys, "invert", "--strategy", strategy, "--expr=1.34/(s-0.33)"
+                             " + (-2.46+0.46j)/(s-(1.25-2.38j)) + (-2.46-0.46j)/(s-(1.25+2.38j))",
+                             "--k", "1..2000")
+        assert code == 1
+        assert err == "error: f(k) at k = 1772 is outside the float64 range; narrow --k\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["invert", "verify"])
+    def test_pfe_overflow_leaks_no_warning(self, capsys, command):
+        """numpy's complex power flags (1e-6)^-52 as a division by zero."""
+        code, out, err = run(capsys, command, "--expr=1/(s-0.999999)", "--k", "1..60")
+        assert code == 1
+        assert err == "error: f(k) at k = 52 is outside the float64 range; narrow --k\n"
+
     def test_overflow_in_verify_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--expr=-1.36/(s-0.63)", "--k", "700..800")
         assert code == 1
@@ -301,7 +331,7 @@ class TestLongGrid:
 
     def test_strategies_agree_at_k_1e5(self, capsys):
         """Linear cost in K: the O(K^2) series division took about 14 s at this K
-        on a 2-core VM, the recurrence takes well under 1 s."""
+        on a 2-core VM, the division by one factor at a time well under 1 s."""
         grids = {}
         for strategy in ("inside", "pfe"):
             start = time.perf_counter()
@@ -402,6 +432,18 @@ class TestVerifyCommand:
         assert code == 0, out
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines), out
+
+    @pytest.mark.parametrize("expr", [
+        # the expanded denominator's series put the strategy agreement
+        # 7.3e-9 and 2.1e-8 off, a false FAIL
+        "0.9*(s+0.44)/((s-0.045)*(s-0.055)*(s+0.31)^3*(s^2+0.578*s+0.479162)^2)",
+        "0.9*(s+0.44)/((s-0.045)*(s-0.04501)*(s+0.31)^3*(s^2+0.578*s+0.479162)^2)",
+    ])
+    def test_close_poles_pass(self, capsys, expr):
+        code, out, _ = run(capsys, "verify", f"--expr={expr}", "--k", "1..200")
+        assert code == 0, out
+        lines = out.strip().splitlines()
+        assert len(lines) == 5 and all(line.startswith("PASS") for line in lines), out
 
     def test_simple_pole_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--expr", "1/(s-0.3)", "--a", "0",

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from nablainv import Polynomial, RootCluster, roots_with_multiplicities
-from nablainv.polynomial import _BLOCK, factor_roots, pool_roots, series_divide
+from nablainv import polynomial
+from nablainv.polynomial import (
+    _BLOCK,
+    _LOOP_MAX,
+    factor_divide,
+    factor_roots,
+    pool_roots,
+    series_divide,
+)
 from nablainv.special import _binomial_series
 
 CUBIC = Polynomial([-2.0, -3.0, 0.0, 1.0])  # s^3 - 3s - 2 = (s+1)^2 (s-2)
@@ -381,3 +389,86 @@ class TestBlockedSeriesDivide:
         assert np.all(np.isfinite(got[:150]))
         assert not np.isfinite(got[150])
         np.testing.assert_array_equal(got[:150], series_divide(num[:150], den, 149))
+
+    def test_unit_numerator_runs_one_recurrence(self, rng, monkeypatch):
+        """Over a numerator of 1 the first block is h: one 64-step recurrence
+        gives both, and the result is the two-recurrence one bit for bit."""
+        calls = []
+        recurrence = polynomial._recurrence
+
+        def counted(nc, dc, count):
+            calls.append(count)
+            return recurrence(nc, dc, count)
+
+        monkeypatch.setattr(polynomial, "_recurrence", counted)
+        for den in _dense_denominators(rng, 300):
+            calls.clear()
+            got = series_divide([1.0], den, 300)
+            assert calls == [_BLOCK]
+            # a numerator [1, 0] is not literally 1: it takes both recurrences
+            np.testing.assert_array_equal(got, series_divide([1.0, 0.0], den, 300))
+            assert len(calls) == 3
+
+
+def _factors(rng):
+    """Linear and quadratic q with roots at 0.9 to 3 from 0, real and complex:
+    their quotients stay inside float64 over 1500 coefficients."""
+    out = []
+    for trial in range(16):
+        radii = rng.uniform(0.9, 3.0, 2)
+        z = radii[0] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        roots = [[z], [z, z.conjugate()], [radii[0] * rng.choice([-1.0, 1.0])],
+                 [z, radii[1] * np.exp(1j * rng.uniform(0, 2 * np.pi))]][trial % 4]
+        q = Polynomial.from_roots(roots).coeffs * rng.uniform(0.5, 2.0)
+        out.append(q if q.imag.any() else q.real)
+    return out
+
+
+class TestFactorDivide:
+    """The series quotient by one linear or quadratic factor, in blocks past
+    _LOOP_MAX coefficients."""
+
+    @pytest.mark.parametrize("n", [1, 100, _LOOP_MAX, _LOOP_MAX + 1, 1500])
+    def test_matches_long_division(self, rng, n):
+        for i, q in enumerate(_factors(rng)):
+            c = rng.normal(size=n)
+            if i % 3 == 0:
+                c = c + 1j * rng.normal(size=n)
+            got = factor_divide(c, q)
+            want = _long_division(c, q, n - 1)
+            assert got.shape == (n,)
+            assert got.dtype == (complex if np.iscomplexobj(c) or np.iscomplexobj(q) else float)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_blocks_match_the_recurrence(self, rng):
+        for q in _factors(rng):
+            c = rng.normal(size=3000)
+            want = np.array(polynomial._filter(c.tolist(), *(q.tolist() + [0.0])[:3]))
+            got = factor_divide(c, q)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [200, 10_000])
+    @pytest.mark.parametrize("scale, first", [(1.0, 51), (1e-200, 84)])
+    def test_root_near_zero_overflows_where_the_recurrence_does(self, n, scale, first):
+        """1/(1e-6 - x) grows by 1e6 a step: a block of 64 would hold h up
+        to 1e378, which overflows before a small series does, so its blocks
+        are cut shorter, and the values leave float64 where they should."""
+        q = np.array([1e-6, -1.0])
+        c = np.zeros(n)
+        c[0] = scale
+        got = factor_divide(factor_divide(c, np.array([1.5, -1.0])), q)
+        want = np.array(polynomial._filter(polynomial._filter(c.tolist(), 1.5, -1.0, 0.0),
+                                           1e-6, -1.0, 0.0))
+        assert first == int(np.argmax(~np.isfinite(got))) == int(np.argmax(~np.isfinite(want)))
+        np.testing.assert_allclose(got[:first], want[:first], rtol=1e-13)
+
+    def test_a_non_finite_coefficient_leaves_earlier_ones_finite(self, rng):
+        """The block product multiplies the zeros of the Toeplitz matrix by
+        later coefficients too; past an inf in c every value is nan, and no
+        value before it."""
+        q = np.array([1.2, -0.3, 0.5])
+        c = rng.normal(size=2000)
+        c[1000] = np.inf
+        got = factor_divide(c, q)
+        np.testing.assert_array_equal(got[:1000], factor_divide(c[:1000], q))
+        assert np.all(np.isfinite(got[:1000])) and np.all(np.isnan(got[1000:]))

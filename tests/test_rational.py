@@ -16,7 +16,7 @@ from nablainv import (
     describe_roc,
     parse_expression,
 )
-from conftest import example1, rational_from_factors
+from conftest import example1, mpmath_factored_values, rational_from_factors
 
 
 class TestEvaluate:
@@ -115,6 +115,36 @@ class TestSeriesAtOne:
                 series = sum(c[j] * w**j for j in range(order + 1))
                 direct = rf.evaluate(1.0 - w)
                 assert abs(series - direct) <= 1e-8 * (1.0 + abs(direct))
+
+
+# Close real poles: the expanded denominator's recurrence put the series
+# 5.2e-8, 2.3e-7 and 1.8e-9 of max |f| off at K = 600.
+CLOSE_POLES = [
+    "0.9*(s+0.44)/((s-0.045)*(s-0.055)*(s+0.31)^3*(s^2+0.578*s+0.479162)^2)",
+    "0.9*(s+0.44)/((s-0.045)*(s-0.04501)*(s+0.31)^3*(s^2+0.578*s+0.479162)^2)",
+    "0.9*(s+0.44)/((s+0.045)*(s+0.055)*(s+0.31)^3*(s^2+0.578*s+0.479162)^2)",
+]
+
+
+class TestSeriesChain:
+    """F(1-w) divided by one shifted denominator factor at a time."""
+
+    @pytest.mark.parametrize("text", CLOSE_POLES)
+    def test_close_poles_match_a_60_digit_division(self, text):
+        rf = _rational(text)
+        want = mpmath_factored_values(rf.constant, [(q.coeffs, e) for q, e in rf.factors],
+                                      600, digits=60)
+        got = rf.series_at_one(599)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_dense_factor_keeps_the_dense_division(self):
+        """A factor of degree 3 (typed out expanded) is divided by
+        series_divide, in the same chain as the linear factors."""
+        rf = _rational("(s+0.2)/((s^3+1.5*s^2+1.2*s+0.4)*(s-2.5)^2)")
+        want = mpmath_factored_values(rf.constant, [(q.coeffs, e) for q, e in rf.factors],
+                                      1000)
+        got = rf.series_at_one(999)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestRoc:

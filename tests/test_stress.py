@@ -2,7 +2,8 @@
 conjugate poles, inverted by three independent routes.
 
 Partial fractions (roots and residues), the series at s = 1 (per-factor
-shifts and one division, no roots) and contour quadrature (values of F only)
+shifts and one division per denominator factor, no roots) and contour
+quadrature (values of F only)
 share no code past the parser.  Where residues are large against the
 sequence, rounding in them does not cancel, so every bound is scaled by the
 cancellation factor max|residue| / max|f| (at least 1).
@@ -21,14 +22,15 @@ from nablainv.verify import quadrature_grid
 
 K = 40
 CASES = 120
-# times max|f| and the cancellation factor.  The series recurrence also
-# carries each rounding error forward along the impulse response of 1/D,
-# which grows with the closeness of D's poles, not with F's residues: on this
-# sweep it reaches 8e-11 (50-digit checks put partial fractions at 3e-15
-# there), so the series bound is looser.  The parent's expanded evaluation
-# put quadrature 9e-11 off on the first case.
+# times max|f| and the cancellation factor.  The series divides by one
+# denominator factor at a time, so each rounding error travels along the
+# impulse response of that factor alone: on this sweep it stays within
+# 1.3e-13.  Dividing by the expanded denominator carried it along the
+# response of 1/D, which grows with the closeness of D's poles, and reached
+# 8e-11.  An expanded evaluation of F put quadrature 9e-11 off on the first
+# case.
 TOL_QUADRATURE = 1e-12
-TOL_SERIES = 1e-9
+TOL_SERIES = 1e-12
 
 
 def _lit(x):
