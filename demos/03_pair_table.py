@@ -7,15 +7,11 @@ recovers the row (the exponential rows come back as the geometric row, which
 generates the same sequence).
 """
 
-from nablainv import forward_transform, lookup, reference_pairs, sample_points
+from nablainv import lookup, reference_pairs, round_trip_error, sample_points
 
 print(f"{'row':>4} {'name':<26} {'max rel err':>12}  matched")
 for tp in reference_pairs():
-    worst = 0.0
-    for s in sample_points(tp.radius, count=8):
-        total = forward_transform(tp.sequence, s)
-        direct = complex(tp.transform(s))
-        worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
+    worst = round_trip_error(tp.sequence, tp.transform, sample_points(tp.radius, count=8))
     hit = lookup(tp.transform_text)
     matched = f"row {hit.row}" if hit else "-"
     print(f"{tp.row:4d} {tp.name:<26} {worst:12.2e}  {matched}")

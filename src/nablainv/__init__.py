@@ -44,6 +44,7 @@ from .verify import (
     initial_value,
     numeric_inverse,
     orientation_check,
+    round_trip_error,
     z_correspondence,
 )
 
@@ -92,6 +93,7 @@ __all__ = [
     "pretty",
     "reference_pairs",
     "roots_with_multiplicities",
+    "round_trip_error",
     "sample_points",
     "z_correspondence",
 ]

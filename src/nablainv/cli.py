@@ -18,6 +18,7 @@ from .inversion import (
     COMPLEX_F,
     FractionalAtom,
     FractionalSumForm,
+    complex_pair,
     invert_fractional,
     invert_inside,
     invert_partial_fractions,
@@ -26,13 +27,7 @@ from .inversion import (
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
 from .rational import describe_roc
-from .verify import (
-    ORIENTATION_TOL,
-    forward_transform,
-    initial_value,
-    orientation_check,
-    quadrature_grid,
-)
+from .verify import forward_transform, initial_value, quadrature_grid, round_trip_error
 
 _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
@@ -153,11 +148,6 @@ def _parse_krange(text, a):
     return lo + np.arange(int(round(hi - lo)) + 1)
 
 
-def _cpair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 class _Problem:
     """Parsed expression plus the pieces every subcommand needs."""
 
@@ -170,7 +160,7 @@ class _Problem:
             raise NablaError(f"unsupported expression: {self.classified.reason}")
         self.table_hit = None
         if self.classified.kind is Kind.TABLE_CANDIDATE:
-            self.table_hit = lookup(self.ast)
+            self.table_hit = lookup(self.classified)
             if self.table_hit is None:
                 raise NablaError(
                     "no inversion strategy applies: the expression is neither "
@@ -281,7 +271,7 @@ def _emit_values(args, problem, used, cf, ks, values):
             "strategy": used,
             "a": problem.a,
             "roc": describe_roc(problem.radius),
-            "closed_form": [_term_json(t) for t in cf.terms] if cf else None,
+            "closed_form": [t.as_dict() for t in cf.terms] if cf else None,
         }
         # json.dumps(doc | {"values": [{"k": k, "f": v}, ...]}, indent=2) byte
         # for byte: "values" is the last key, and the encoder writes finite
@@ -306,30 +296,6 @@ def _emit_values(args, problem, used, cf, ks, values):
     # is built once and not copied again to prepend the head
     template = head.replace("%", "%%") + (row + sep) * (len(ks) - 1) + row + tail
     sys.stdout.write(template % tuple(np.column_stack((ks, values)).ravel().tolist()))
-
-
-def _term_json(term):
-    from .inversion import (
-        GeometricTerm,
-        ImpulseTerm,
-        MittagLefflerTerm,
-        PolyGeometricTerm,
-    )
-
-    if isinstance(term, ImpulseTerm):
-        return {"type": "impulse", "coefficient": _cpair(term.coefficient),
-                "shift": term.shift}
-    if isinstance(term, GeometricTerm):
-        return {"type": "geometric", "coefficient": _cpair(term.coefficient),
-                "pole": _cpair(term.pole)}
-    if isinstance(term, PolyGeometricTerm):
-        return {"type": "poly-geometric", "coefficient": _cpair(term.coefficient),
-                "pole": _cpair(term.pole), "order": term.order}
-    if isinstance(term, MittagLefflerTerm):
-        return {"type": "mittag-leffler", "coefficient": _cpair(term.coefficient),
-                "alpha": term.params.alpha, "beta": term.params.beta,
-                "lambda": _cpair(term.params.lam)}
-    return {"type": "unknown"}
 
 
 def _cmd_invert(args):
@@ -368,13 +334,11 @@ def _cmd_verify(args):
     ks = _parse_krange(args.k, args.a)
     tol = args.tol or 1e-9
     F = problem.F
-    # (label, measure, bound): a check passes when its measure is within bound
-    checks = [("contour orientation self-test (impulse pair)", orientation_check(),
-               ORIENTATION_TOL)]
-
     used, cf, sequence_values = problem.invert("auto", ks)
     scale = max(1.0, float(np.max(np.abs(sequence_values))))
 
+    # (label, measure, bound): a check passes when its measure is within bound
+    checks = []
     if problem.classified.kind is Kind.RATIONAL:
         _, _, inside_vals = problem.invert("inside", ks)
         diff = float(np.max(np.abs(inside_vals - sequence_values))) / scale
@@ -394,11 +358,7 @@ def _cmd_verify(args):
     checks.append((f"initial value f(a+1) = lim F(s) (|diff| {ivd:.2e})",
                    ivd, tol * max(1.0, abs(iv))))
 
-    worst_rt = 0.0
-    for s in sample_points(problem.radius, count=5):
-        total = forward_transform(seq, s)
-        direct = complex(F(s))
-        worst_rt = max(worst_rt, abs(total - direct) / max(1.0, abs(direct)))
+    worst_rt = round_trip_error(seq, F, sample_points(problem.radius, count=5))
     checks.append((f"forward series round trip inside ROC "
                    f"(max rel diff {worst_rt:.2e})", worst_rt, 1e-6))
 
@@ -421,7 +381,7 @@ def _cmd_table(args):
         doc = {
             "row": hit.row,
             "name": hit.name,
-            "params": {k: _cpair(v) for k, v in hit.params},
+            "params": {k: complex_pair(v) for k, v in hit.params},
             "sequence": hit.sequence_text,
             "transform": hit.transform_text,
             "roc": describe_roc(hit.radius),
@@ -436,11 +396,8 @@ def _cmd_roundtrip(args):
     tol = args.tol or 1e-6
     failed = 0
     for tp in reference_pairs():
-        worst = 0.0
-        for s in sample_points(tp.radius, count=8):
-            total = forward_transform(tp.sequence, s)
-            direct = complex(tp.transform(s))
-            worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
+        worst = round_trip_error(tp.sequence, tp.transform,
+                                 sample_points(tp.radius, count=8))
         ok = worst <= tol
         failed += 0 if ok else 1
         ps = ", ".join(f"{k}={v}" for k, v in tp.params)

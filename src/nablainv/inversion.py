@@ -53,6 +53,12 @@ __all__ = [
 ]
 
 
+def complex_pair(z):
+    """[real, imag] of z, the JSON form of a complex number."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
 def _num(x):
     x = complex(x)
     if x.imag == 0:
@@ -74,6 +80,10 @@ class ImpulseTerm:
         off = f"-{self.shift + 1}" if self.shift + 1 else ""
         return f"{_num(self.coefficient)}*delta(k-a{off})"
 
+    def as_dict(self):
+        return {"type": "impulse", "coefficient": complex_pair(self.coefficient),
+                "shift": self.shift}
+
 
 @dataclass(frozen=True)
 class GeometricTerm:
@@ -91,6 +101,10 @@ class GeometricTerm:
 
     def describe(self):
         return f"{_num(self.coefficient)}*{_num(1 - self.pole)}^-(k-a)"
+
+    def as_dict(self):
+        return {"type": "geometric", "coefficient": complex_pair(self.coefficient),
+                "pole": complex_pair(self.pole)}
 
 
 @dataclass(frozen=True)
@@ -130,6 +144,10 @@ class PolyGeometricTerm:
             f"/({math.factorial(n - 1)}*{_num(1 - self.pole)}^(k-a+{n - 1}))"
         )
 
+    def as_dict(self):
+        return {"type": "poly-geometric", "coefficient": complex_pair(self.coefficient),
+                "pole": complex_pair(self.pole), "order": self.order}
+
 
 @dataclass(frozen=True)
 class MittagLefflerTerm:
@@ -152,6 +170,11 @@ class MittagLefflerTerm:
             f"{_num(self.coefficient)}*ML(alpha={p.alpha:g},beta={p.beta:g},"
             f"lambda={_num(p.lam)};k-a)"
         )
+
+    def as_dict(self):
+        p = self.params
+        return {"type": "mittag-leffler", "coefficient": complex_pair(self.coefficient),
+                "alpha": p.alpha, "beta": p.beta, "lambda": complex_pair(p.lam)}
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
+from .parsing import Classified, Kind, classify, parse_expression, power_form
 from .polynomial import Polynomial
 from .rational import describe_roc
 from .special import MittagLefflerParams, MittagLefflerSeries, _binomial_series
@@ -304,21 +305,22 @@ def sample_points(radius, count=8, fill=0.45):
 def lookup(expression):
     """Match an expression against the tabulated pair shapes.
 
-    Accepts expression text or a parsed tree; returns a TransformPair with the
-    recognized parameters, or None (no match is a valid empty result).  When
-    several rows generate the same transform shape the lowest-numbered row is
-    returned (the geometric row subsumes the exponential rows numerically).
+    Accepts expression text, a parsed tree, or the ``Classified`` of one;
+    returns a TransformPair with the recognized parameters, or None (no match
+    is a valid empty result).  When several rows generate the same transform
+    shape the lowest-numbered row is returned (the geometric row subsumes the
+    exponential rows numerically).
     """
-    from . import parsing
-
-    ast = parsing.parse_expression(expression) if isinstance(expression, str) else expression
-    cls = parsing.classify(ast)
-    if cls.kind is parsing.Kind.RATIONAL:
+    cls = expression
+    if not isinstance(cls, Classified):
+        cls = classify(parse_expression(expression) if isinstance(expression, str)
+                       else expression)
+    if cls.kind is Kind.RATIONAL:
         return _match_rational(cls.rational)
-    if cls.kind is parsing.Kind.FRACTIONAL_SUM:
+    if cls.kind is Kind.FRACTIONAL_SUM:
         return _match_fractional(cls.fractional)
-    if cls.kind is parsing.Kind.TABLE_CANDIDATE:
-        return _match_structural(ast)
+    if cls.kind is Kind.TABLE_CANDIDATE:
+        return _match_structural(cls.ast)
     return None
 
 
@@ -403,52 +405,26 @@ def _match_fractional(form):
 
 
 def _match_structural(ast):
-    from . import parsing
+    form = power_form(ast)
+    if form is None:
+        return None
+    c, e, pole, linear = form
+    if len(linear) != 1:
+        return None
+    (c0, c1), p = linear[0]
 
-    fac = parsing.fraction_factors(ast)
-    if fac is None:
+    # row 6: 1 / (1 - gamma + gamma*s)^(alpha + 1)
+    if pole is None:
+        if e == 0 and p < 0 and abs(c0 + c1 - 1.0) <= 1e-9 and abs(c - 1.0) <= 1e-9:
+            return pair(6, gamma=_clean(c1), alpha=-p - 1.0)
         return None
-    coef, num_f, den_f = fac
 
-    # row 6: 1 / (linear in s with value 1 at s=1) ^ (alpha + 1), alpha + 1 > 0
-    if not num_f and len(den_f) == 1:
-        base, p = den_f[0]
-        c = parsing.linear_coefficients(base)
-        if c is not None and len(c) == 2 and p > 0:
-            if abs(c[0] + c[1] - 1.0) <= 1e-9 and abs(coef - 1.0) <= 1e-9:
-                return pair(6, gamma=_clean(c[1]), alpha=p - 1.0)
-
-    # row 10: alpha * s^(alpha-1) * (1-s) / (s^alpha - lam)^2
-    e_net = 0.0
-    linear = []
-    pole = None
-    for base, p in num_f:
-        a = parsing._power_of_s(base)
-        if a is not None:
-            e_net += a * p
-            continue
-        lin = parsing.linear_coefficients(base)
-        if lin is not None and len(lin) == 2 and p == 1.0:
-            linear.append(lin)
-            continue
-        return None
-    for base, p in den_f:
-        a = parsing._power_of_s(base)
-        if a is not None:
-            e_net -= a * p
-            continue
-        b = parsing._binomial_pole(base)
-        if b is not None and p == 2.0 and pole is None:
-            pole = b
-            continue
-        return None
-    if pole is None or len(linear) != 1:
-        return None
-    alpha, lam, flip = pole
-    c = linear[0]
-    if not (abs(c[0] - 1.0) <= 1e-9 and abs(c[1] + 1.0) <= 1e-9):
+    # row 10: alpha * s^(alpha-1) * (1-s) / (s^alpha - lam)^2; the square
+    # is the same for the form (lam - s^alpha)^2
+    alpha, lam, _, n = pole
+    if n != 2 or p != 1.0 or abs(c0 - 1.0) > 1e-9 or abs(c1 + 1.0) > 1e-9:
         return None  # the linear factor must be 1 - s
-    if abs(coef * flip - alpha) > 1e-9 or abs(e_net - (alpha - 1.0)) > 1e-9:
+    if abs(c - alpha) > 1e-9 or abs(e - (alpha - 1.0)) > 1e-9:
         return None
     if abs(lam) >= 1.0:
         return None

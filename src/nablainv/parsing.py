@@ -30,6 +30,7 @@ __all__ = [
     "parse_expression",
     "classify",
     "pretty",
+    "power_form",
     "Kind",
     "Classified",
     "Num",
@@ -515,8 +516,7 @@ def _power_of_s(x):
 def _binomial_pole(node):
     """Recognize s^alpha - lam shapes; returns (alpha, lam, flip) or None.
 
-    flip is -1 when the node is lam - s^alpha = -(s^alpha - lam), which
-    negates the atom coefficient.
+    flip is -1 when the node is lam - s^alpha = -(s^alpha - lam).
     """
     if isinstance(node, Sub):
         a = _power_of_s(node.left)
@@ -532,48 +532,57 @@ def _binomial_pole(node):
         a = _power_of_s(node.right)
         if a is not None and isinstance(node.left, Num):
             return a, -node.left.value, 1.0
-    else:
-        a = _power_of_s(node)
-        if a is not None:
-            return a, 0j, 1.0
     return None
+
+
+def power_form(node):
+    """Read a product as c * s^e * (s^alpha - lam)^-n * prod (c0 + c1*s)^p.
+
+    Returns (c, e, pole, linear), or None when a factor is none of these.
+    ``pole`` is (alpha, lam, flip, n) for the one denominator factor written
+    s^alpha -/+ lam or lam -/+ s^alpha with an integer power n, flip = -1 for
+    the form lam - s^alpha; None when there is no such factor.  ``linear``
+    lists ([c0, c1], p) for every other factor, p < 0 in the denominator.
+    """
+    fac = fraction_factors(node)
+    if fac is None:
+        return None
+    c, num_f, den_f = fac
+    e, pole, linear = 0.0, None, []
+    for base, p in num_f + [(base, -p) for base, p in den_f]:
+        a = _power_of_s(base)
+        if a is not None:
+            e += a * p
+            continue
+        b = _binomial_pole(base) if p < 0 and _is_integer(p) else None
+        if b is not None:
+            if pole is not None:
+                return None
+            pole = (*b, -p)
+            continue
+        lin = linear_coefficients(base)
+        if lin is None or len(lin) != 2:
+            return None
+        linear.append((lin, p))
+    return c, e, pole, linear
 
 
 def _match_atom(node, sign):
     """Match one summand against r * s^(alpha-beta)/(s^alpha - lam)."""
-    fac = fraction_factors(node)
-    if fac is None:
+    form = power_form(node)
+    if form is None:
         return None
-    coef, num_f, den_f = fac
-    coef *= sign
-    e_net = 0.0
-    pole = None
-    for base, p in num_f:
-        if isinstance(base, Var):
-            e_net += p
-        elif isinstance(base, Pow) and isinstance(base.base, Var):
-            e_net += base.exponent * p
-        else:
-            return None
-    for base, p in den_f:
-        if isinstance(base, Var):
-            e_net -= p
-        elif isinstance(base, Pow) and isinstance(base.base, Var):
-            e_net -= base.exponent * p
-        else:
-            b = _binomial_pole(base)
-            if b is None or pole is not None or p != 1.0:
-                return None
-            pole = b
+    c, e, pole, linear = form
+    if linear:
+        return None
     if pole is not None:
-        alpha, lam, flip = pole
-        beta = alpha - e_net
-        if alpha <= 0 or beta <= 0:
+        alpha, lam, flip, n = pole
+        beta = alpha - e
+        if n != 1 or alpha <= 0 or beta <= 0:
             return None
-        return FractionalAtom(coef * flip, alpha, beta, lam)
-    if e_net < 0:
-        b = -e_net
-        return FractionalAtom(coef, b, b, 0j)
+        return FractionalAtom(c * sign * flip, alpha, beta, lam)
+    if e < 0:
+        return FractionalAtom(c * sign, -e, -e, 0j)
     return None
 
 

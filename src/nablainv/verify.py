@@ -24,6 +24,7 @@ _CONSECUTIVE_GROWING = 50
 
 __all__ = [
     "forward_transform",
+    "round_trip_error",
     "numeric_inverse",
     "quadrature_grid",
     "initial_value",
@@ -44,6 +45,17 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
     ConvergenceError (s is outside the ROC).
     """
     return _forward_sum(seq, s, tol, n_max)[0]
+
+
+def round_trip_error(seq, F, points):
+    """max |series - F(s)| / max(1, |F(s)|) over the points s, the series being
+    the forward sum of the rule ``seq`` and F the transform it should give."""
+    worst = 0.0
+    for s in points:
+        total = forward_transform(seq, s)
+        direct = complex(F(s))
+        worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
+    return worst
 
 
 def _forward_sum(seq, s, tol, n_max):

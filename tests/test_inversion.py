@@ -188,6 +188,21 @@ class TestInvertFractional:
         np.testing.assert_allclose(form(s), [form(x) for x in s], rtol=1e-15)
 
 
+class TestTermDicts:
+    def test_each_term_type(self):
+        assert ImpulseTerm(2.0, 1).as_dict() == {
+            "type": "impulse", "coefficient": [2.0, 0.0], "shift": 1}
+        assert GeometricTerm(1 - 2j, 0.5).as_dict() == {
+            "type": "geometric", "coefficient": [1.0, -2.0], "pole": [0.5, 0.0]}
+        assert PolyGeometricTerm(1.0, 0.3j, 2).as_dict() == {
+            "type": "poly-geometric", "coefficient": [1.0, 0.0], "pole": [0.0, 0.3],
+            "order": 2}
+        term = MittagLefflerTerm(-1.0, MittagLefflerParams(0.5, 0.7, 0.2))
+        assert term.as_dict() == {
+            "type": "mittag-leffler", "coefficient": [-1.0, 0.0], "alpha": 0.5,
+            "beta": 0.7, "lambda": [0.2, 0.0]}
+
+
 class TestEvaluateClosedForm:
     def test_example_vanishes_at_step_two(self):
         # 1 - 1/4 - 3*2/8 = 0

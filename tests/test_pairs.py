@@ -5,22 +5,15 @@ import math
 import pytest
 
 from nablainv import (
+    classify,
     describe_roc,
-    forward_transform,
     lookup,
     pair,
+    parse_expression,
     reference_pairs,
+    round_trip_error,
     sample_points,
 )
-
-
-def _roundtrip_error(tp, count=4):
-    worst = 0.0
-    for s in sample_points(tp.radius, count=count):
-        total = forward_transform(tp.sequence, s)
-        direct = complex(tp.transform(s))
-        worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
-    return worst
 
 
 class TestRegistry:
@@ -30,7 +23,8 @@ class TestRegistry:
 
     def test_roundtrip_smoke(self):
         for tp in reference_pairs():
-            assert _roundtrip_error(tp) < 1e-8, tp.describe()
+            points = sample_points(tp.radius, count=4)
+            assert round_trip_error(tp.sequence, tp.transform, points) < 1e-8, tp.describe()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -81,6 +75,21 @@ class TestLookupExamples:
 
         ast = parsing.parse_expression("(s^2+1)^0.5")
         assert lookup(ast) is None
+
+    def test_accepts_a_classified_expression(self):
+        text = "1.4*s^0.4*(1-s)/(s^1.4-0.9)^2"
+        hit = lookup(classify(parse_expression(text)))
+        assert hit.describe() == lookup(text).describe()
+
+    def test_row10_with_the_pole_written_lam_minus_power(self):
+        # (0.3 - s^0.5)^2 = (s^0.5 - 0.3)^2: the same transform as row 10
+        hit = lookup("0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2")
+        assert (hit.row, dict(hit.params)) == (10, {"alpha": 0.5, "lam": 0.3})
+        assert lookup("-0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2") is None
+
+    def test_row6_with_the_base_written_two_minus_s(self):
+        hit = lookup("1/(2-s)^1.5")
+        assert (hit.row, dict(hit.params)) == (6, {"gamma": -1.0, "alpha": 0.5})
 
 
 class TestLookupAllRows:

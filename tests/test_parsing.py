@@ -14,7 +14,15 @@ from nablainv import (
     reference_pairs,
 )
 from nablainv import Polynomial
-from nablainv.parsing import Neg, Num, Pow, Var, _to_rational, linear_coefficients
+from nablainv.parsing import (
+    Neg,
+    Num,
+    Pow,
+    Var,
+    _to_rational,
+    linear_coefficients,
+    power_form,
+)
 
 
 class TestParseExamples:
@@ -216,6 +224,22 @@ class TestFactoredRational:
         assert linear_coefficients(parse_expression("s^2")) is None
         assert linear_coefficients(parse_expression("1/s")) is None
         assert linear_coefficients(parse_expression("s^0.5")) is None
+
+    def test_power_form(self):
+        def form(text):
+            c, e, pole, linear = power_form(parse_expression(text))
+            return c, e, pole, [(list(lin), p) for lin, p in linear]
+
+        assert form("2*s^0.5/(s^0.7-0.3)") == (2, 0.5, (0.7, 0.3, 1.0, 1.0), [])
+        assert form("0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2") \
+            == (0.5, -0.5, (0.5, 0.3, -1.0, 2.0), [([1, -1], 1.0)])
+        assert form("1/(s^1.5+0.2)") == (1, 0.0, (1.5, -0.2, 1.0, 1.0), [])
+        assert form("(s^0.5)^3/s") == (1, 0.5, None, [])
+        # a binomial in s to a fractional power is a linear factor
+        assert form("1/(2-s)^1.5") == (1, 0.0, None, [([2, -1], -1.5)])
+        assert power_form(parse_expression("(s^2+1)^0.5")) is None
+        assert power_form(parse_expression("1/((s^0.5-0.2)*(s^0.7-0.3))")) is None
+        assert power_form(parse_expression("(s^0.5-0.2)/s")) is None
 
     def test_monic_factors_key_by_value(self):
         assert Polynomial([-0.0, 1.0]) in {Polynomial([0.0, 1.0]): 1}

@@ -20,6 +20,8 @@ from nablainv import (
     numeric_inverse,
     orientation_check,
     pair,
+    round_trip_error,
+    sample_points,
     z_correspondence,
 )
 from nablainv.verify import default_rho, quadrature_grid
@@ -292,6 +294,21 @@ class TestZCorrespondence:
     @pytest.mark.parametrize("s", [0.6, 0.8, 1.1, 1.0 + 0.3j, 0.9 - 0.2j])
     def test_sine_row(self, s):
         assert z_correspondence(pair(13, omega=math.pi / 6).sequence, s) <= 1e-10
+
+
+class TestRoundTripError:
+    def test_matching_pair_is_near_zero(self):
+        tp = pair(7, lam=0.3)
+        points = sample_points(tp.radius, count=5)
+        assert round_trip_error(tp.sequence, tp.transform, points) < 1e-12
+
+    def test_reports_the_worst_relative_gap(self):
+        # the unit step's series is 1/s; measured against 2/s the gap is
+        # |1/s| / max(1, |2/s|), largest at the point nearest s = 0
+        points = [0.6, 0.9, 1.2]
+        got = round_trip_error(step_sequence, lambda s: 2.0 / s, points)
+        assert got == pytest.approx(max(abs(1 / s) / max(1.0, abs(2 / s)) for s in points),
+                                    rel=1e-10)
 
 
 class TestOrientation:
