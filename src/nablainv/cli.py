@@ -6,6 +6,7 @@ values outside the float64 range), 2 on usage or syntax errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,7 +44,14 @@ _CHOICES = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The nablainv argument parser, built on the first call and shared after.
+
+    ``parse_args`` leaves a parser unchanged, and argparse looks up
+    ``sys.stdout``/``sys.stderr`` when it prints, so every ``main`` call can
+    reuse the one parser; its construction is most of a short request's time.
+    """
     top = argparse.ArgumentParser(
         prog="nablainv",
         description="Analytic inversion of nabla Laplace transforms "
@@ -417,9 +425,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

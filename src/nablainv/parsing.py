@@ -18,6 +18,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,9 @@ class Pow:
 # --- Lexer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+# a tuple, not a frozen dataclass: an expression makes one per character or
+# so, and a tuple is built in less than half the time
+class _Token(NamedTuple):
     kind: str  # number ident op lparen rparen end
     text: str
     value: complex
@@ -573,6 +575,12 @@ def _match_atom(node, sign):
     if form is None:
         return None
     c, e, pole, linear = form
+    if pole is None and len(linear) == 1 and linear[0][1] == -1:
+        # a lone linear denominator c0 + c1*s is c1 (s - lam), an alpha = 1
+        # pole; 0.0 - x, unlike -x, leaves a zero imaginary part +0.0, as the
+        # literal lam of s - lam has it
+        (c0, c1), _ = linear[0]
+        c, pole, linear = c / c1, (1.0, 0.0 - c0 / c1, 1.0, 1), []
     if linear:
         return None
     if pole is not None:

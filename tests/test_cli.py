@@ -1,5 +1,8 @@
 """Command surface: outputs, exit codes, environment and config handling."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -98,6 +101,8 @@ class TestExitCodes:
         ("1/(s^2-0.25)^0.5",
          "unsupported expression: fractional power of a non-linear base: " + HINT),
         ("s^0.5/(s-2)", "|lambda| = 2 >= 1 is outside the invertible range"),
+        # 1/(0.5*s+1) = 2/(s+2): the alpha = 1 atom of lambda = -2, as above
+        ("1/(s^0.5-0.2) + 1/(0.5*s+1)", "|lambda| = 2 >= 1 is outside the invertible range"),
         ("s^0.5", NO_STRATEGY),
     ])
     def test_unsupported_expression(self, capsys, expr, message):
@@ -400,6 +405,19 @@ class TestFractionalValues:
         want = pair(5, alpha=-0.5).sequence(np.arange(1, 100001))
         np.testing.assert_array_equal(csv_values(out), want)
 
+    @pytest.mark.parametrize("fmt, head", [("text", 1), ("csv", 0), ("json", 3)])
+    def test_linear_denominator_is_an_atom(self, capsys, fmt, head):
+        """s^0.5/(2*s-0.6) is 0.5*s^0.5/(s-0.3); it exited 1 with "no
+        inversion strategy applies".  Past the lines that echo the input, the
+        outputs agree byte for byte: 0.6/2 and 1/2 are exact."""
+        outs = []
+        for expr in ("s^0.5/(2*s-0.6)", "0.5*s^0.5/(s-0.3)"):
+            code, out, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..60",
+                                 "--format", fmt)
+            assert code == 0, err
+            outs.append(out.splitlines(keepends=True)[head:])
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("expr, K, want", [
         # three atoms with negative lambda: exited 1 with an imaginary residue
         ("-1.27*s^-0.52/(s^0.92+0.39) - 2.34*s^0.07/(s^1.92+0.91)"
@@ -446,6 +464,74 @@ class TestOneClassification:
         code, out, _ = run(capsys, *argv)
         assert code == 0, out
         assert len(calls) == 1
+
+
+class TestSharedParser:
+    """``main`` parses with the one parser ``build_parser`` builds per process."""
+
+    def test_build_parser_returns_the_parser_main_uses(self, capsys, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        seen = []
+        original = parser.parse_args
+
+        def spying(argv):
+            seen.append(argv)
+            return original(argv)
+
+        monkeypatch.setattr(parser, "parse_args", spying)
+        assert run(capsys, "table", "--match", "1/(s-0.3)")[0] == 0
+        assert seen == [["table", "--match", "1/(s-0.3)"]]
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        run(capsys, "invert", "--expr", EX1, "--k", "1..2")
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["invert", "--expr", EX1, "--k", "1..2", "--format", "json"],
+                     ["verify", "--expr", "1/(s-0.3)", "--k", "1..3"],
+                     ["table", "--match", "1/(s-0.3)"],
+                     ["invert", "--expr", EX1, "--format", "xml"],
+                     ["frobnicate"]):
+            run(capsys, *argv)
+        assert built == []
+
+    def test_calls_in_sequence_match_a_fresh_parser(self, capsys, monkeypatch, tmp_path):
+        """No call's options leak into the next: each call prints what it
+        prints on a parser built for it alone."""
+        cfg = tmp_path / "nabla.cfg"
+        cfg.write_text("format = csv\nk = 1..3\n")
+        sequence = [
+            ["invert", "--expr", EX1, "--k", "1..3", "--format", "json"],
+            ["invert", "--expr", EX1, "--k", "1..3"],
+            ["invert", "--expr", EX1, "--config", str(cfg)],
+            ["invert", "--expr", EX1],
+            ["invert", "--expr", EX1, "--k", "1..3", "--format", "xml"],
+            ["verify", "--expr", "1/(s-0.3)", "--k", "1..3"],
+        ]
+        shared = [run(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [run(capsys, *argv) for argv in sequence] == shared
+
+    def test_usage_error_and_help_reach_this_tests_streams(self, capsys):
+        # the first call runs while other streams are installed, as in an
+        # earlier test or an earlier caller
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["invert", "--expr", EX1, "--k", "1..2"]) == 0
+        code, out, err = run(capsys, "invert", "--expr", EX1, "--format", "xml")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: nablainv invert")
+        assert "argument --format: invalid choice: 'xml'" in err
+        code, out, err = run(capsys, "invert", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nablainv invert") and "--strategy" in out
 
 
 class TestVerifyCommand:

@@ -150,6 +150,19 @@ class TestClassification:
         alphas = sorted(a.alpha for a in cls.fractional.atoms)
         assert alphas == [0.5, 1.0]
 
+    def test_linear_denominator_is_an_alpha_one_atom(self):
+        # c0 + c1*s is c1*(s - lam), lam = -c0/c1; the atom takes c/c1
+        (atom,) = classify(parse_expression("s^0.5/(2*s-0.6)")).fractional.atoms
+        (want,) = classify(parse_expression("0.5*s^0.5/(s-0.3)")).fractional.atoms
+        assert atom == want
+        assert math.copysign(1.0, atom.lam.imag) == 1.0  # +0.0, as the literal's
+        (atom,) = classify(parse_expression("-3*s^-0.2/(0.5-2*s)")).fractional.atoms
+        assert (atom.coefficient, atom.alpha, atom.beta, atom.lam) == (1.5, 1.0, 1.2, 0.25)
+        # a linear factor beside a pole, squared or in the numerator stays no atom
+        for text in ("s^0.5/((2*s-0.6)*(s^0.5-0.2))", "s^0.5/(2*s-0.6)^2",
+                     "s^-0.5*(2*s-0.6)"):
+            assert classify(parse_expression(text)).kind is Kind.TABLE_CANDIDATE, text
+
     def test_lambda_outside_unit_disk_raises(self):
         from nablainv import ParameterDomainError
 
