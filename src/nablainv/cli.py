@@ -28,7 +28,13 @@ from .inversion import (
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
 from .rational import describe_roc
-from .verify import forward_transform, initial_value, quadrature_grid, round_trip_error
+from .verify import (
+    forward_transform,
+    initial_value,
+    quadrature_grid,
+    round_trip_error,
+    shared_blocks,
+)
 
 _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
@@ -317,22 +323,27 @@ def _cmd_invert(args):
 def _cmd_forward(args):
     problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
-    seq = problem.sequence(cf)
+    seq = shared_blocks(problem.sequence(cf))
     if args.s:
         points = [complex(part.strip()) for part in args.s.split(",") if part.strip()]
     else:
         points = sample_points(problem.radius, count=5)
     F = problem.F
     tol = args.tol or 1e-12
-    print(f"forward series of the inverted sequence vs direct F(s)  [{used}]")
-    print(f"{'s':>28}  {'series':>28}  {'direct':>28}  {'|diff|':>12}")
+    # every point is summed before anything is printed, so a point that
+    # fails leaves no partial table on stdout
+    rows = []
     worst = 0.0
     for s in points:
         total = forward_transform(seq, s, tol=tol)
         direct = complex(F(s))
         diff = abs(total - direct)
         worst = max(worst, diff)
-        print(f"{s:>28.12g}  {total:>28.12g}  {direct:>28.12g}  {diff:12.3e}")
+        rows.append(f"{s:>28.12g}  {total:>28.12g}  {direct:>28.12g}  {diff:12.3e}")
+    print(f"forward series of the inverted sequence vs direct F(s)  [{used}]")
+    print(f"{'s':>28}  {'series':>28}  {'direct':>28}  {'|diff|':>12}")
+    for row in rows:
+        print(row)
     print(f"max |diff| = {worst:.3e}")
     return 0
 

@@ -18,6 +18,9 @@ from .special import step_offset
 
 FORWARD_TOL = 1e-12
 FORWARD_NMAX = 100_000
+# 2**24 nodes take 268 MB per complex128 array, and the grid holds several;
+# past this a request is killed under memory overcommit before MemoryError
+MAX_NODES = 2**24
 ORIENTATION_TOL = 1e-12
 _CONSECUTIVE_SMALL = 5
 _CONSECUTIVE_GROWING = 50
@@ -39,7 +42,9 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
 
     ``seq`` is the sequence as a rule m -> f(a+m) on an int ndarray of step
     offsets m >= 1 (every sequence in the package has one: a pair's
-    ``sequence``, a closed form's ``values``).  Stops once five consecutive
+    ``sequence``, a closed form's ``values``); through a ``shared_blocks``
+    rule the values may come from blocks that another point's sum already
+    read, bit for bit those the rule gives.  Stops once five consecutive
     increments fall below tol * (1 + |sum|); hitting n_max first emits
     TruncationWarning.  Fifty consecutive growing increments raise
     ConvergenceError (s is outside the ROC).
@@ -49,7 +54,9 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
 
 def round_trip_error(seq, F, points):
     """max |series - F(s)| / max(1, |F(s)|) over the points s, the series being
-    the forward sum of the rule ``seq`` and F the transform it should give."""
+    the forward sum of the rule ``seq`` and F the transform it should give.
+    The points' sums share the rule's value blocks (``shared_blocks``)."""
+    seq = shared_blocks(seq)
     worst = 0.0
     for s in points:
         total = forward_transform(seq, s)
@@ -58,12 +65,32 @@ def round_trip_error(seq, F, points):
     return worst
 
 
+def shared_blocks(seq):
+    """The rule ``seq`` answering each block of offsets once.
+
+    Forward sums with one n_max ask for the same blocks at every point s, so
+    the first sum to reach a block calls ``seq`` on it and later sums get the
+    same values back.  The blocks live as long as the returned rule, which
+    its caller drops at the end of the request.
+    """
+    blocks = {}
+
+    def read(ms):
+        key = (int(ms[0]), ms.size)
+        if key not in blocks:
+            blocks[key] = seq(ms)
+        return blocks[key]
+
+    return read
+
+
 def _forward_sum(seq, s, tol, n_max):
     """(sum, terms used) of the truncated forward series; see forward_transform.
 
     The values come from the rule in blocks that double in length from 16
-    steps, so a sum of n terms calls it O(log n) times and reads at most
-    max(16, 2n) values.
+    steps: [1..16], [17..33], [34..67], ...  A sum of n terms calls it
+    O(log n) times and reads at most max(16, 2n) values, and every point asks
+    for the same blocks, which ``shared_blocks`` reads once for all of them.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -71,31 +98,30 @@ def _forward_sum(seq, s, tol, n_max):
     total = 0j
     wp = 1.0 + 0j
     small = growing = 0
-    last_mag = None
-    block, first = (), 1
-    for m in range(1, n_max + 1):
-        if m - first == len(block):
-            first = m
-            block = _values(seq, np.arange(m, min(n_max, max(16, 2 * m - 1)) + 1))
-        inc = wp * block[m - first]
-        total += inc
-        wp *= w
-        mag = abs(inc)
-        if mag < tol * (1.0 + abs(total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total, m
-        else:
-            small = 0
-        if last_mag is not None and mag > last_mag and mag > tol:
-            growing += 1
-            if growing >= _CONSECUTIVE_GROWING:
-                raise ConvergenceError(
-                    f"forward series diverges at s = {s} (|1-s| = {abs(w):g})"
-                )
-        else:
-            growing = 0
-        last_mag = mag
+    last_mag = math.inf  # the first increment does not count as growing
+    m = 0  # terms summed
+    while m < n_max:
+        for value in _values(seq, np.arange(m + 1, min(n_max, max(16, 2 * m + 1)) + 1)):
+            m += 1
+            inc = wp * value
+            total += inc
+            wp *= w
+            mag = abs(inc)
+            if mag < tol * (1.0 + abs(total)):
+                small += 1
+                if small >= _CONSECUTIVE_SMALL:
+                    return total, m
+            else:
+                small = 0
+            if mag > last_mag and mag > tol:
+                growing += 1
+                if growing >= _CONSECUTIVE_GROWING:
+                    raise ConvergenceError(
+                        f"forward series diverges at s = {s} (|1-s| = {abs(w):g})"
+                    )
+            else:
+                growing = 0
+            last_mag = mag
     warnings.warn(
         f"forward series truncated at {n_max} terms before meeting tol = {tol:g}",
         TruncationWarning,
@@ -108,7 +134,10 @@ def _values(seq, ms):
     """The rule's values at the offsets ms as Python complex; those past the
     last step a sum needs may leave the float64 range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.broadcast_to(np.asarray(seq(ms), dtype=complex), ms.shape).tolist()
+        values = np.asarray(seq(ms), dtype=complex)
+        if values.shape != ms.shape:  # a rule may answer one value for all
+            values = np.broadcast_to(values, ms.shape)
+        return values.tolist()
 
 
 def default_rho(F, m):
@@ -140,8 +169,9 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
     converges geometrically for periodic analytic integrands; the sums for
     every j are one FFT of the samples.  ``nodes`` (default
     max(256, 32(m_max+1))) must be at least 4 m_max to keep aliasing below the
-    leading coefficients; ``rho`` defaults to ``default_rho(F, m_max)`` and must
-    stay below F's ``radius`` when it has one.  A callable F is called once,
+    leading coefficients, and at most MAX_NODES, checked before any array is
+    made; ``rho`` defaults to ``default_rho(F, m_max)`` and must stay below
+    F's ``radius`` when it has one.  A callable F is called once,
     with the ndarray of points on the circle.
     """
     if m_max < 1:
@@ -152,6 +182,11 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
         raise ValueError("rho must be positive")
     if nodes is None:
         nodes = max(256, 32 * (m_max + 1))
+    if nodes > MAX_NODES:
+        raise ValueError(
+            f"nodes = {nodes} is above the ceiling {MAX_NODES}; lower --nodes "
+            "or narrow --k"
+        )
     if nodes < 4 * m_max:
         raise ValueError(f"nodes = {nodes} is below the anti-aliasing bound {4 * m_max}")
     radius = getattr(F, "radius", math.inf)

@@ -596,6 +596,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "rho = 0.9 does not fit inside the region of convergence (|1-s| < 0.7)" in err
 
+    def test_nodes_above_the_ceiling_are_a_usage_error(self, capsys):
+        # rejected before the circle is allocated, not killed for its memory
+        code, out, err = run(capsys, "verify", "--expr", "1/(s-0.5)", "--k", "1..3",
+                             "--nodes", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: nodes = 100000000 is above the ceiling 16777216; "
+                       "lower --nodes or narrow --k\n")
+
     def test_impossible_tolerance_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("NABLA_TOL", "1e-30")
         code, out, _ = run(capsys, "verify", "--expr", EX1, "--k", "1..8")
@@ -673,6 +682,28 @@ class TestForwardCommand:
                            "--s", "0.8,0.9")
         assert code == 0
         assert "0.8" in out
+
+    def test_failing_point_leaves_no_partial_table(self, capsys):
+        # 0.9 sums; 5 lies outside |1-s| < 0.5, so its series diverges
+        code, out, err = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.9,5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: forward series diverges at s = (5+0j) (|1-s| = 4)\n"
+
+    def test_table_bytes(self, capsys):
+        # the table as printed row by row before the points were all summed first
+        code, out, _ = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.9,0.8")
+        assert code == 0
+        assert out == (
+            "forward series of the inverted sequence vs direct F(s)  [pfe]\n"
+            "                           s                        series"
+            "                        direct        |diff|\n"
+            "                      0.9+0j                        2.5+0j"
+            "                        2.5+0j     8.882e-16\n"
+            "                      0.8+0j              3.33333333333+0j"
+            "              3.33333333333+0j     3.819e-14\n"
+            "max |diff| = 3.819e-14\n"
+        )
 
 
 class TestConfigAndEnvironment:

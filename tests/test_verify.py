@@ -1,6 +1,9 @@
 """Numerical oracles: forward sums, contour quadrature, value and index checks."""
 
+import linecache
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from nablainv import (
     sample_points,
     z_correspondence,
 )
-from nablainv.verify import default_rho, quadrature_grid
+from nablainv import verify
+from nablainv.verify import MAX_NODES, default_rho, quadrature_grid, shared_blocks
 from conftest import example1, random_real_rational_from_factors
 
 
@@ -309,6 +313,109 @@ class TestRoundTripError:
         got = round_trip_error(step_sequence, lambda s: 2.0 / s, points)
         assert got == pytest.approx(max(abs(1 / s) / max(1.0, abs(2 / s)) for s in points),
                                     rel=1e-10)
+
+
+class TestSharedBlocks:
+    # |1-s| from 0.1 to 0.5: the step's sums need two or three blocks
+    POINTS = [0.9, 0.7, 0.5, 0.6, 0.8]
+
+    @staticmethod
+    def per_point(rule, F, points):
+        """The round-trip measure with a fresh, unshared rule at each point."""
+        worst = 0.0
+        for s in points:
+            total = forward_transform(rule, s)
+            direct = complex(F(s))
+            worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
+        return worst
+
+    def test_each_block_is_read_once(self):
+        reach = []
+        for s in self.POINTS:
+            rule = CountingRule(step_sequence)
+            forward_transform(rule, s)
+            reach.append([(int(c[0]), c.size) for c in rule.calls])
+        farthest = max(reach, key=len)
+        assert len(farthest) == 3 and sum(map(len, reach)) == 12
+        rule = CountingRule(step_sequence)
+        round_trip_error(rule, lambda s: 1.0 / s, self.POINTS)
+        assert [(int(c[0]), c.size) for c in rule.calls] == farthest
+
+    @pytest.mark.parametrize("case", ["step", "mittag-leffler", "rational", "row-6"])
+    def test_matches_unshared_sums_bit_for_bit(self, case):
+        if case == "step":
+            rule, F, points = step_sequence, lambda s: 2.0 / s, self.POINTS
+        elif case == "mittag-leffler":
+            rule, F = invert_fractional(_ML_FORM).values, _ML_FORM
+            points = sample_points(_ML_FORM.radius, count=5)
+        elif case == "rational":
+            F = example1()
+            rule = invert_partial_fractions(F).values
+            points = sample_points(F.radius, count=5)
+        else:
+            tp = pair(6, gamma=0.5, alpha=0.5)
+            rule, F, points = tp.sequence, tp.transform, sample_points(tp.radius, count=5)
+        assert round_trip_error(rule, F, points) == self.per_point(rule, F, points)
+
+    def test_forward_transform_is_called_once_per_point(self, monkeypatch):
+        calls = []
+        original = verify.forward_transform
+
+        def counting(seq, s, **kwargs):
+            calls.append(s)
+            return original(seq, s, **kwargs)
+
+        monkeypatch.setattr(verify, "forward_transform", counting)
+        round_trip_error(step_sequence, lambda s: 1.0 / s, self.POINTS)
+        assert calls == self.POINTS
+
+    def test_failing_block_raises_at_the_same_point(self):
+        def rule(m):
+            if m[0] >= 34:
+                raise ValueError(f"no values from step {m[0]}")
+            return step_sequence(m)
+
+        def run(measure):
+            seen = []
+
+            def F(s):
+                seen.append(s)
+                return 1.0 / s
+
+            with pytest.raises(ValueError) as info:
+                measure(rule, F, [0.9, 0.7, 0.5, 0.6])
+            return str(info.value), seen
+
+        # 0.9 and 0.7 end within two blocks; 0.5 is the first to need a third
+        assert run(round_trip_error) == run(self.per_point) == (
+            "no values from step 34", [0.9, 0.7])
+
+    def test_truncation_warning_points_at_the_caller(self):
+        rule = shared_blocks(step_sequence)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            forward_transform(rule, 0.01, tol=1e-14, n_max=50)
+            forward_transform(rule, 0.02, tol=1e-14, n_max=50)
+        assert [w.category for w in caught] == [TruncationWarning] * 2
+        lines = [linecache.getline(w.filename, w.lineno).strip() for w in caught]
+        assert [w.filename for w in caught] == [__file__] * 2
+        assert lines == ["forward_transform(rule, 0.01, tol=1e-14, n_max=50)",
+                         "forward_transform(rule, 0.02, tol=1e-14, n_max=50)"]
+
+
+class TestNodeCeiling:
+    def test_nodes_above_the_ceiling_fail_before_any_allocation(self):
+        def F(s):
+            raise AssertionError("F must not be sampled")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="--nodes.*--k"):
+                quadrature_grid(F, 3, nodes=MAX_NODES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestOrientation:
