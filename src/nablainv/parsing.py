@@ -446,15 +446,50 @@ def _sum(l, r, sign):
             den[q] = d
     # each side over den: c * prod q^(e + d) over its factors and den's
     left, right = (
-        Polynomial.product(((q, f.get(q, 0) + den.get(q, 0)) for q in {**f, **den}), c)
+        _multiplied(c, ((q, f.get(q, 0) + den.get(q, 0)) for q in {**f, **den}))
         for c, f in (l, (sign * r[0], r[1]))
     )
-    num = left + right
-    if num.is_zero():
+    if len(left) < len(right):
+        left, right = right, left
+    num = [a + b for a, b in zip(left, right)] + left[len(right):]
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
         return 0j, {}
-    lead = complex(num.coeffs[-1])
-    top = {num.monic(): 1} if num.degree > 0 else {}
-    return _scaled(lead, top, den, -1)
+    top = {}
+    if len(num) > 1:
+        # the monic numerator, divided in numpy as Polynomial.monic divides it
+        monic = np.array(num)
+        monic /= monic[-1]
+        monic[-1] = 1.0
+        top = {Polynomial(monic): 1}
+    return _scaled(num[-1], top, den, -1)
+
+
+def _multiplied(c, factors):
+    """c * prod q^e over (Polynomial q, int e >= 0) pairs as a list of Python
+    complex, bit for bit the coefficients ``Polynomial.product`` gives (before
+    it trims trailing zeros).
+
+    np.convolve([c], q) is c * q_i added to a zero accumulator, and a
+    convolution with s is a shift of the coefficients a convolution made
+    (their zeros are already +0.0), so only the later factors other than s
+    reach np.convolve.
+    """
+    acc = None
+    for q, e in factors:
+        if not e:
+            continue
+        if acc is None:
+            # 0j + turns -0.0 into 0.0, as the accumulator does
+            acc = [0j + c * x for x in q.coeffs.tolist()]
+            e -= 1
+        if q is _S:
+            acc = [0j] * e + acc
+        else:
+            for _ in range(e):
+                acc = np.convolve(acc, q.coeffs).tolist()
+    return [c] if acc is None else acc
 
 
 def linear_coefficients(node):

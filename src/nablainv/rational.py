@@ -118,11 +118,11 @@ class RationalFunction:
     def denominator(self):
         return Polynomial.product((q, -e) for q, e in self.factors if e < 0)
 
-    @property
+    @cached_property
     def is_real(self):
         """True when the constant and every factor have real coefficients."""
         return self.constant.imag == 0 and not any(
-            np.any(q.coeffs.imag) for q, _e in self.factors)
+            x.imag for q, _e in self.factors for x in q.coeffs.tolist())
 
     @cached_property
     def _pooled(self):

@@ -47,7 +47,9 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
     read, bit for bit those the rule gives.  Stops once five consecutive
     increments fall below tol * (1 + |sum|); hitting n_max first emits
     TruncationWarning.  Fifty consecutive growing increments raise
-    ConvergenceError (s is outside the ROC).
+    ConvergenceError (s is outside the ROC), and a running sum that stops
+    being finite raises OverflowError: near the edge of the ROC the values
+    can leave float64 while the weighted increments still count.
     """
     return _forward_sum(seq, s, tol, n_max)[0]
 
@@ -107,7 +109,13 @@ def _forward_sum(seq, s, tol, n_max):
             total += inc
             wp *= w
             mag = abs(inc)
-            if mag < tol * (1.0 + abs(total)):
+            size = abs(total)
+            if not size < math.inf:  # inf or nan
+                raise OverflowError(
+                    f"forward series at s = {s} leaves the float64 range at "
+                    f"term {m}; choose s closer to 1"
+                )
+            if mag < tol * (1.0 + size):
                 small += 1
                 if small >= _CONSECUTIVE_SMALL:
                     return total, m

@@ -690,6 +690,15 @@ class TestForwardCommand:
         assert out == ""
         assert err == "error: forward series diverges at s = (5+0j) (|1-s| = 4)\n"
 
+    def test_sum_leaving_float64_exits_1(self, capsys):
+        # |1-s| = 0.49 < R = 0.5, but f(k) = 2^k overflows before the
+        # increments fall below tol: an overflow, not a nan sum and a zero max
+        code, out, err = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.51")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: forward series at s = (0.51+0j) leaves the float64 "
+                       "range at term 1025; choose s closer to 1\n")
+
     def test_table_bytes(self, capsys):
         # the table as printed row by row before the points were all summed first
         code, out, _ = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.9,0.8")

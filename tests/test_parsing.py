@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from nablainv import (
@@ -13,7 +14,7 @@ from nablainv import (
     pretty,
     reference_pairs,
 )
-from nablainv import Polynomial
+from nablainv import Polynomial, parsing
 from nablainv.parsing import (
     Neg,
     Num,
@@ -256,3 +257,121 @@ class TestFactoredRational:
 
     def test_monic_factors_key_by_value(self):
         assert Polynomial([-0.0, 1.0]) in {Polynomial([0.0, 1.0]): 1}
+
+
+def _bits(values):
+    """Each complex value as the hex of its parts: equal when bit for bit
+    equal, signed zeros included."""
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+
+class TestSumShapes:
+    """``_to_rational`` of written sums, pinned bit for bit: the constant and
+    each factor's coefficients, in order, as (real, imag) pairs, as the
+    numerator used to be multiplied out by ``Polynomial.product``."""
+
+    PINNED = [
+        ("s-s", (0.0, 0.0), []),
+        ("s^2-s^2+1", (1.0, 0.0), []),
+        ("(s-1)*(s+2)+3", (1.0, 0.0), [
+            ([(1.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 1),
+        ]),
+        ("1/(2*s^2-0.6*s+0.04)", (0.5, 0.0), [
+            ([(0.02, 0.0), (-0.3, 0.0), (1.0, 0.0)], -1),
+        ]),
+        ("1/(0*s+s-0.5)", (1.0, 0.0), [
+            ([(-0.5, 0.0), (1.0, 0.0)], -1),
+        ]),
+        ("1/(s-0.5)+1/(0.5-s)", (0.0, 0.0), []),
+        ("(s-(0.5+1j))*(s-(0.5-1j))+1", (1.0, 0.0), [
+            ([(2.25, 0.0), (-1.0, 0.0), (1.0, 0.0)], 1),
+        ]),
+        ("s^2-2.14*s+1.3474", (1.0, 0.0), [
+            ([(1.3474, 0.0), (-2.14, 0.0), (1.0, 0.0)], 1),
+        ]),
+        # partial-fraction sums as the rational-long benchmark writes them
+        ("-2.68/(s-1.55) + (2.82-0.97j)/(s-(-0.65-1.45j))"
+         " + (2.82+0.97j)/(s-(-0.65+1.45j))", (2.9599999999999995, 0.0), [
+            ([(-2.7328209459459463, -9.00180830777154e-16),
+              (-3.8422297297297296, -1.5003013846285901e-16), (1.0, 0.0)], 1),
+            ([(-1.55, 0.0), (1.0, 0.0)], -1),
+            ([(0.65, 1.45), (1.0, 0.0)], -1),
+            ([(0.65, -1.45), (1.0, 0.0)], -1),
+        ]),
+        ("1.74/(s-3.99) - 1.90/(s-2.27) - 0.71/(s-2.79) - 0.97/(s+1.01)",
+         (-1.8399999999999999, 0.0), [
+            ([(-4.2306645, -0.0), (18.305069565217394, -0.0),
+              (-8.925000000000004, -0.0), (1.0, 0.0)], 1),
+            ([(-3.99, 0.0), (1.0, 0.0)], -1),
+            ([(-2.27, 0.0), (1.0, 0.0)], -1),
+            ([(-2.79, 0.0), (1.0, 0.0)], -1),
+            ([(1.01, 0.0), (1.0, 0.0)], -1),
+        ]),
+        # signed zeros: a negated constant keeps -0.0, the monic division
+        # gives it, and a sum of zeros is +0.0
+        ("1/(-s^2-1)", (-1.0, -0.0), [
+            ([(1.0, -0.0), (-0.0, -0.0), (1.0, 0.0)], -1),
+        ]),
+        ("1/(s^2+1) - 1/(s^2-1)", (-2.0, 0.0), [
+            ([(1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], -1),
+            ([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], -1),
+        ]),
+        ("-s*(s-2)+s^3", (1.0, 0.0), [
+            ([(0.0, 0.0), (2.0, 0.0), (-1.0, 0.0), (1.0, 0.0)], 1),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("text, constant, factors", PINNED,
+                             ids=[case[0] for case in PINNED])
+    def test_pinned_bit_for_bit(self, text, constant, factors):
+        c, got = _to_rational(parse_expression(text))
+        assert _bits([c]) == _bits([complex(*constant)])
+        assert [(_bits(q.coeffs.tolist()), e) for q, e in got.items()] \
+            == [(_bits(complex(*z) for z in coeffs), e) for coeffs, e in factors]
+
+    def test_sides_multiply_as_the_polynomial_product(self):
+        # the reference: Polynomial.product, one np.convolve per factor power
+        rng = np.random.default_rng(15)
+        parts = [0.0, -0.0, 1.0, -1.0, 0.5, -2.25]
+
+        def number():
+            pick = lambda: (float(rng.choice(parts)) if rng.random() < 0.4
+                            else float(rng.uniform(-3, 3)))
+            return complex(pick(), pick())
+
+        for _ in range(300):
+            factors = [(parsing._S, int(rng.integers(0, 3)))]
+            for _ in range(int(rng.integers(0, 3))):
+                coeffs = [number() for _ in range(int(rng.integers(1, 3)))] + [1.0]
+                factors.append((Polynomial(coeffs), int(rng.integers(0, 3))))
+            order = rng.permutation(len(factors))
+            factors = [factors[i] for i in order]
+            c = number()
+            if c == 0:
+                continue
+            want = Polynomial.product(factors, c).coeffs.tolist()
+            assert _bits(parsing._multiplied(c, factors)) == _bits(want)
+
+
+class TestSumsWithoutConvolution:
+    """A written sum multiplies its sides out in Python: the first factor by
+    the constant, s by a shift; only a further factor reaches np.convolve."""
+
+    @pytest.mark.parametrize("text, calls", [
+        ("s^2-2.14*s+1.3474", 0),
+        ("1/(s-0.5)+1/(s+0.3)", 0),
+        # the third term's side is (s-0.5)(s+0.3) over the common denominator
+        ("1/(s-0.5)+1/(s+0.3)+1/(s-0.7)", 2),
+    ])
+    def test_convolve_calls(self, monkeypatch, text, calls):
+        ast = parse_expression(text)
+        original = np.convolve
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counting)
+        assert classify(ast).kind is Kind.RATIONAL
+        assert len(seen) == calls

@@ -240,3 +240,45 @@ class TestFactoredForm:
         s = np.array([0.5, 1.0 + 0.5j, 2.0005])
         np.testing.assert_allclose(rf.evaluate(s), 1.0 / ((s - 2) * (s - 2.001)), rtol=1e-15)
         assert rf.evaluate(0.5) == pytest.approx(1.0 / (1.5 * 1.501), rel=1e-15)
+
+
+def _old_is_real(rf):
+    """The definition ``is_real`` had as a plain property: one np.any per factor."""
+    return rf.constant.imag == 0 and not any(np.any(q.coeffs.imag) for q, _e in rf.factors)
+
+
+class TestIsReal:
+    @pytest.mark.parametrize("constant, factors, real", [
+        (2.0, {Polynomial([0.5, 1.0]): -1, Polynomial([1.0, 0.0, 1.0]): 2}, True),
+        (2j, {Polynomial([0.5, 1.0]): -1}, False),
+        (2.0, {Polynomial([0.5, 1.0]): -1, Polynomial([0.5j, 1.0]): -1}, False),
+        # -0.0 is no imaginary part, in the constant or in a factor
+        (complex(2.0, -0.0), {Polynomial([complex(0.5, -0.0), complex(1.0, -0.0)]): -1}, True),
+    ], ids=["real", "complex-constant", "complex-factor", "negative-zero-imag"])
+    def test_agrees_with_the_old_definition(self, constant, factors, real):
+        rf = RationalFunction.from_factors(constant, factors)
+        assert rf.is_real is real
+        assert rf.is_real == _old_is_real(rf)
+
+    def test_reads_the_coefficients_once(self):
+        reads = []
+
+        class Counted(Polynomial):
+            """A Polynomial that records each read of its coefficients."""
+
+            __slots__ = ()
+
+            @property
+            def coeffs(self):
+                reads.append(self)
+                return Polynomial.coeffs.__get__(self)
+
+            @coeffs.setter
+            def coeffs(self, value):
+                Polynomial.coeffs.__set__(self, value)
+
+        rf = RationalFunction.from_factors(
+            2.0, {Counted([0.5, 1.0]): -1, Counted([1.0, 0.0, 1.0]): 2})
+        reads.clear()
+        assert rf.is_real and rf.is_real
+        assert len(reads) == 2  # one read per factor, on the first access only

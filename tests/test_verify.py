@@ -100,6 +100,14 @@ class TestForwardTransform:
         with pytest.raises(ValueError):
             forward_transform(step_sequence, 0.5, tol=0.0)
 
+    def test_sum_that_leaves_float64_raises(self):
+        # 2^m leaves float64 at m = 1024 while the increments 2 * 0.98^(m-1)
+        # are still above tol, so the sum would turn inf * w^m = nan
+        with pytest.raises(OverflowError, match=r"s = 0\.51 .* at term 1024;"):
+            forward_transform(lambda m: 2.0**m, 0.51)
+        # inside |1-s| < 0.5 by a margin the same rule sums to 1/(s - 0.5)
+        assert forward_transform(lambda m: 2.0**m, 0.9) == pytest.approx(2.5, rel=1e-10)
+
     CASES = {
         "step": (step_sequence, [0.5, 0.9 + 0.3j]),
         "impulse": (pair(1).sequence, [0.3 + 0.4j, 1.5]),
