@@ -23,6 +23,7 @@ an int ndarray, so one formula serves a single step and a whole grid.
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -289,14 +290,12 @@ invert_outside = invert_partial_fractions
 
 
 def _sequence_from_expansion(pfe, a, cause):
-    terms = []
-    for n, c in pfe.impulse_part:
-        terms.append(ImpulseTerm(c, n))
-    for pole, r in pfe.simple_terms:
-        terms.append(GeometricTerm(r, pole))
-    for pole, order, q in pfe.multiple_terms:
-        terms.append(PolyGeometricTerm(q, pole, order))
-    return ClosedFormSequence(float(a), tuple(terms), cause)
+    """The expansion's terms as a closed form, less those whose coefficient is
+    exactly 0 (a repeated pole's lower orders can vanish), which add nothing."""
+    terms = [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
+    terms += [GeometricTerm(r, pole) for pole, r in pfe.simple_terms]
+    terms += [PolyGeometricTerm(q, pole, order) for pole, order, q in pfe.multiple_terms]
+    return ClosedFormSequence(float(a), tuple(t for t in terms if t.coefficient != 0), cause)
 
 
 @dataclass(frozen=True)
@@ -366,6 +365,16 @@ class FractionalSumForm:
         return self.evaluate(s)
 
     pole_order = 1  # the roots of s^alpha = lam are simple
+
+    @cached_property
+    def is_real(self):
+        """True when the atoms are closed under exact conjugation: each atom
+        has a partner, itself when its coefficient and lam are real, with the
+        same alpha and beta and the conjugate coefficient and lam.  Then
+        F(conj s) = conj F(s)."""
+        keys = [(a.alpha, a.beta, complex(a.coefficient), complex(a.lam)) for a in self.atoms]
+        return Counter(keys) == Counter(
+            (alpha, beta, c.conjugate(), lam.conjugate()) for alpha, beta, c, lam in keys)
 
     @property
     def radius(self):

@@ -437,10 +437,15 @@ def series_divide(num, den, order):
     each later block is two numpy convolutions, one over the coefficients
     found so far, so past the first block the O(order^2) multiply-adds run in
     numpy, not in Python.
-    Coefficient j depends on n_0..n_j and d_0..d_j only, never on ``order``.
+    Real inputs are divided in float64 and give a float array, anything else
+    a complex one (a ``Polynomial`` is complex).  Within one dtype,
+    coefficient j depends on n_0..n_j and d_0..d_j only, never on ``order``.
     """
-    nc = _coeffs_of(num)[: order + 1]
-    dc = _coeffs_of(den)[: order + 1]
+    nc = np.atleast_1d(np.asarray(num.coeffs if isinstance(num, Polynomial) else num))
+    dc = np.atleast_1d(np.asarray(den.coeffs if isinstance(den, Polynomial) else den))
+    dtype = np.result_type(nc, dc, np.float64)
+    nc = nc[: order + 1].astype(dtype, copy=False)
+    dc = dc[: order + 1].astype(dtype, copy=False)
     if dc[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
     if len(dc) > _BLOCK:
@@ -449,15 +454,17 @@ def series_divide(num, den, order):
 
 
 def _recurrence(nc, dc, count):
-    """The first ``count`` coefficients of nc/dc by the long-division recurrence."""
-    d0 = complex(dc[0])
+    """The first ``count`` coefficients of nc/dc by the long-division recurrence,
+    in the dtype of nc and dc (both float64 or both complex128)."""
+    d0 = dc[0].item()
+    zero = 0j if dc.dtype.kind == "c" else 0.0
     tail = dc[1:].tolist()  # d_1 .. d_D
-    n = nc[:count].tolist() + [0j] * (count - len(nc))
+    n = nc[:count].tolist() + [zero] * (count - len(nc))
     c = []
     for nj in n:
         # map stops at the shorter side: d_i pairs with c_{j-i}, i <= min(j, D)
-        c.append((nj - sum(map(mul, tail, reversed(c)), start=0j)) / d0)
-    return np.array(c, dtype=complex)
+        c.append((nj - sum(map(mul, tail, reversed(c)), start=zero)) / d0)
+    return np.array(c, dtype=dc.dtype)
 
 
 def _blocked_divide(nc, dc, order):
@@ -473,12 +480,12 @@ def _blocked_divide(nc, dc, order):
     """
     B = _BLOCK
     total = -(-(order + 1) // B) * B
-    n = np.zeros(total, dtype=complex)
+    n = np.zeros(total, dtype=dc.dtype)
     n[: len(nc)] = nc
-    d = np.zeros(total, dtype=complex)
+    d = np.zeros(total, dtype=dc.dtype)
     d[: len(dc)] = dc
-    c = np.empty(total, dtype=complex)
-    h = _recurrence(np.ones(1, dtype=complex), dc[:B], B)
+    c = np.empty(total, dtype=dc.dtype)
+    h = _recurrence(np.ones(1, dtype=dc.dtype), dc[:B], B)
     # over a numerator of 1 the first block is h itself, bit for bit
     c[:B] = h if len(nc) == 1 and nc[0] == 1 else _recurrence(nc, dc[:B], B)
     # values past the float64 range leave inf and nan for the caller to reject

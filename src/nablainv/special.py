@@ -58,11 +58,12 @@ class MittagLefflerSeries:
     division of two binomial series gives every step at once.  With lambda = 0
     the transform is (1-w)^-beta and only the i = 0 term survives: the rising
     power (m)^(rising beta-1) / Gamma(beta), read straight from that binomial
-    series in O(m), as pair-table row 5 reads it.  Calling with an int returns
-    one value, with an int ndarray the values on that grid.  The coefficients
-    are kept between calls and regrown by doubling, so asking for the steps in
-    growing blocks costs a small constant factor over one call at the last
-    step, not a division per block.
+    series in O(m), as pair-table row 5 reads it.  A real lambda keeps the
+    division in float64; the coefficients are cast to complex once after it.
+    Calling with an int returns one value, with an int ndarray the values on
+    that grid.  The coefficients are kept between calls and regrown by
+    doubling, so asking for the steps in growing blocks costs a small constant
+    factor over one call at the last step, not a division per block.
     """
 
     def __init__(self, params):
@@ -75,13 +76,15 @@ class MittagLefflerSeries:
         if top > len(coeffs):
             p = self.params
             order = max(top, 2 * len(coeffs)) - 1
-            if p.lam == 0:
-                coeffs = _binomial_series(-p.beta, order).astype(complex)
+            lam = complex(p.lam)
+            if lam == 0:
+                coeffs = _binomial_series(-p.beta, order)
             else:
-                den = _binomial_series(p.alpha, order).astype(complex)
-                den[0] -= p.lam
+                real = lam.imag == 0
+                den = _binomial_series(p.alpha, order).astype(float if real else complex)
+                den[0] -= lam.real if real else lam
                 coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
-            self._coeffs = coeffs
+            coeffs = self._coeffs = coeffs.astype(complex, copy=False)
         return coeffs[np.asarray(m) - 1]
 
 

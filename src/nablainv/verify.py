@@ -175,12 +175,16 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
 
     evaluated by the trapezoid rule on ``nodes`` equispaced points, which
     converges geometrically for periodic analytic integrands; the sums for
-    every j are one FFT of the samples.  ``nodes`` (default
+    every j are one FFT of the samples.  When F's ``is_real`` is True,
+    F(conj s) = conj F(s) makes the samples Hermitian: F is sampled on the
+    upper half of the circle only, the nodes // 2 + 1 points t = 2 pi n / nodes
+    with n = 0..nodes // 2, and one real-output FFT (``np.fft.hfft``) of those
+    gives the same sums, with a zero imaginary part.  ``nodes`` (default
     max(256, 32(m_max+1))) must be at least 4 m_max to keep aliasing below the
     leading coefficients, and at most MAX_NODES, checked before any array is
     made; ``rho`` defaults to ``default_rho(F, m_max)`` and must stay below
     F's ``radius`` when it has one.  A callable F is called once,
-    with the ndarray of points on the circle.
+    with the ndarray of points on the circle.  The values are complex.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -203,10 +207,12 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
             f"rho = {rho:g} does not fit inside the region of convergence "
             f"({describe_roc(radius)})"
         )
-    w = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    real = getattr(F, "is_real", False) is True
+    w = rho * np.exp(2j * np.pi * np.arange(nodes // 2 + 1 if real else nodes) / nodes)
     s = 1.0 - w
     values = np.broadcast_to(np.asarray(F(s), dtype=complex), s.shape)
-    return np.fft.fft(values)[:m_max] / nodes * rho ** -np.arange(m_max)
+    sums = np.fft.hfft(values, nodes) if real else np.fft.fft(values)
+    return (sums[:m_max] / nodes * rho ** -np.arange(m_max)).astype(complex, copy=False)
 
 
 def numeric_inverse(F, k, a=0.0, rho=None, nodes=None):

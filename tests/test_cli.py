@@ -53,6 +53,18 @@ class TestInvert:
         assert len(doc["closed_form"]) == 2
         assert doc["values"][0]["f"] == pytest.approx(-0.17857142857142855)
 
+    def test_zero_terms_are_not_printed(self, capsys):
+        # the double pole's order-1 coefficient is exactly 0
+        expr = "4.05/((s+0.55)^2)"
+        code, out, _ = run(capsys, "invert", "--expr", expr, "--k", "1..3")
+        assert code == 0
+        assert "closed form    : f(k) = 4.05*rising(k-a,1)/(1*1.55^(k-a+1))\n" in out
+        code, out, _ = run(capsys, "invert", "--expr", expr, "--k", "1..3",
+                           "--format", "json")
+        assert json.loads(out)["closed_form"] == [{
+            "type": "poly-geometric", "coefficient": [4.05, 0.0], "pole": [-0.55, 0.0],
+            "order": 2}]
+
     def test_outputs_are_bit_stable(self, capsys):
         _, first, _ = run(capsys, "invert", "--expr", EX1, "--k", "1..9",
                           "--format", "csv")

@@ -21,6 +21,7 @@ from nablainv import (
     RationalFunction,
     RealnessError,
     classify,
+    expand,
     invert_fractional,
     invert_inside,
     invert_outside,
@@ -76,9 +77,12 @@ class TestInvertOutside:
     def test_double_pole_rising_factor(self):
         # 1/(s-2)^2 -> rising(k-a,1)/(1! * (-1)^(k-a+1))
         rf = rational_from_factors([1.0], [(2.0, 2)])
+        # the expansion holds both orders; the order-1 coefficient is exactly
+        # 0, and the closed form leaves that term out
+        assert [(n, q) for _p, n, q in expand(rf).multiple_terms] == [(1, 0), (2, 1)]
         cf = invert_outside(rf)
-        orders = sorted(t.order for t in cf.terms if isinstance(t, PolyGeometricTerm))
-        assert orders == [1, 2]
+        (term,) = cf.terms
+        assert isinstance(term, PolyGeometricTerm) and term.order == 2
         for m in (1, 2, 3, 6):
             expected = m / ((-1.0) ** (m + 1))
             assert cf.evaluate(m) == pytest.approx(expected, rel=1e-10)
@@ -201,6 +205,37 @@ class TestTermDicts:
         assert term.as_dict() == {
             "type": "mittag-leffler", "coefficient": [-1.0, 0.0], "alpha": 0.5,
             "beta": 0.7, "lambda": [0.2, 0.0]}
+
+
+class TestZeroCoefficientTerms:
+    """A repeated pole whose lower-order partial-fraction coefficients vanish
+    exactly, written or merged from two close poles, gives a closed form
+    without those terms, and with the values of the whole expansion."""
+
+    @pytest.mark.parametrize("text, shown", [
+        ("4.05/((s+0.55)^2)", "4.05*rising(k-a,1)/(1*1.55^(k-a+1))"),
+        ("-2.51/((s+1.87)^3)", "(-2.51)*rising(k-a,2)/(2*2.87^(k-a+2))"),
+        ("1/((s-0.3)*(s-0.300000001))", "1*rising(k-a,1)/(1*0.7^(k-a+1))"),
+    ])
+    def test_zero_terms_are_left_out(self, text, shown):
+        rf = classify(parse_expression(text)).rational
+        pfe = expand(rf)
+        every = ClosedFormSequence(0.0, tuple(
+            [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
+            + [GeometricTerm(r, p) for p, r in pfe.simple_terms]
+            + [PolyGeometricTerm(q, p, n) for p, n, q in pfe.multiple_terms]))
+        assert any(t.coefficient == 0 for t in every.terms)
+        cf = invert_partial_fractions(rf)
+        assert cf.describe() == shown
+        assert [t.as_dict() for t in cf.terms] == [
+            t.as_dict() for t in every.terms if t.coefficient != 0]
+        # leaving out an exact zero changes no value, not even a zero's sign
+        ks = range(1, 201)
+        got, want = cf.sample(ks), every.sample(ks)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        m = np.arange(1, 201)
+        np.testing.assert_array_equal(cf.values(m), every.values(m))
 
 
 class TestEvaluateClosedForm:

@@ -349,6 +349,29 @@ class TestBlockedSeriesDivide:
         for order in (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 300, 777):
             np.testing.assert_array_equal(series_divide(num, den, order), longest[: order + 1])
 
+    @pytest.mark.parametrize("order", [_BLOCK - 1, 701])
+    def test_real_inputs_divide_in_float64(self, rng, order):
+        """Real inputs give float64 and anything else complex, on the
+        recurrence and in blocks; the float64 division is the complex one bit
+        for bit on the recurrence, and the same sums in another order past it."""
+        den = _dense_denominators(rng, order)[4]
+        num = _binomial_series(-0.7, order)
+        real = series_divide(num, den, order)
+        assert real.dtype == np.float64
+        for n, d in [(num + 0j, den), (num, den + 0j), (Polynomial(num), den)]:
+            assert series_divide(n, d, order).dtype == complex
+        assert series_divide([1], [2, 1], order).dtype == np.float64
+        want = series_divide(num + 0j, den + 0j, order)
+        np.testing.assert_array_equal(real[:_BLOCK], want[:_BLOCK])
+        np.testing.assert_allclose(real, want, rtol=1e-12, atol=0)
+
+    def test_real_coefficients_do_not_depend_on_the_order(self, rng):
+        den = _dense_denominators(rng, 1000)[4]
+        num = _binomial_series(-0.44, 1000)
+        longest = series_divide(num, den, 1000)
+        for order in (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 300, 777):
+            np.testing.assert_array_equal(series_divide(num, den, order), longest[: order + 1])
+
     @pytest.mark.parametrize("degree", [1, 4, 10, _BLOCK - 1])
     def test_banded_is_the_scalar_recurrence_bit_for_bit(self, rng, degree):
         for trial in range(4):

@@ -11,7 +11,8 @@ from scipy.special import loggamma as scipy_loggamma
 from scipy.special import poch as scipy_poch
 
 from nablainv import MittagLefflerParams, ParameterDomainError, discrete_mittag_leffler
-from nablainv.special import MittagLefflerSeries
+from nablainv.polynomial import _BLOCK, series_divide
+from nablainv.special import MittagLefflerSeries, _binomial_series
 from conftest import mpmath_atom_values, mpmath_mittag_leffler
 
 
@@ -186,10 +187,11 @@ class TestMittagLefflerSeries:
         """Kept coefficients regrown by doubling give the values one whole-grid
         division gives, bit for bit: coefficient j of a series division does
         not depend on the order it is carried to."""
-        p = MittagLefflerParams(0.83, 1.29, -0.45 - 0.55j)
-        stepper = MittagLefflerSeries(p)
-        stepped = np.array([stepper(m) for m in range(1, 131)])
-        np.testing.assert_array_equal(stepped, MittagLefflerSeries(p)(np.arange(1, 131)))
+        for lam in (-0.45 - 0.55j, -0.45):  # a complex and a float64 division
+            p = MittagLefflerParams(0.83, 1.29, lam)
+            stepper = MittagLefflerSeries(p)
+            stepped = np.array([stepper(m) for m in range(1, 131)])
+            np.testing.assert_array_equal(stepped, MittagLefflerSeries(p)(np.arange(1, 131)))
 
     @pytest.mark.parametrize("alpha, beta, lam", [
         (1.5, 1.5, -0.5),
@@ -211,6 +213,26 @@ class TestMittagLefflerSeries:
         # a value out of range is out of range in 40 digits too
         assert np.all(np.abs(want[~finite]) > 1e307)
         assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (1.5, 1.5, -0.5), (0.6, 1.2, 0.7), (1.3, 0.4, -0.95), (0.37, 1.61, 0.6 + 0j)])
+    def test_real_lambda_divides_in_float64(self, alpha, beta, lam):
+        """The same division as with a complex denominator: bit for bit on the
+        recurrence's first _BLOCK coefficients, and in the blocks the same
+        sums in another order, out of the float64 range at the same step (as
+        inf, where the complex division gives nan).  The values come back
+        complex."""
+        K = 1500
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam))(np.arange(1, K + 1))
+        den = _binomial_series(alpha, K - 1).astype(complex)
+        den[0] -= lam
+        want = series_divide(_binomial_series(alpha - beta, K - 1), den, K - 1)
+        assert got.dtype == complex and not got.imag.any()
+        np.testing.assert_array_equal(got[:_BLOCK], want[:_BLOCK])
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
 
     def test_scalar_and_grid_calls(self):
         series = MittagLefflerSeries(MittagLefflerParams(1.0, 1.0, 0.2))

@@ -199,12 +199,71 @@ class TestQuadratureGrid:
         rho, nodes = 0.45, 512
         grid = quadrature_grid(F, 40, rho=rho, nodes=nodes)
         assert grid.shape == (40,)
+        for m in (1, 2, 7, 23, 40):
+            assert grid[m - 1] == numeric_inverse(F, m, rho=rho, nodes=nodes)
+        self._assert_trapezoid_sums(F, grid, rho, nodes)
+
+    PAIR = FractionalSumForm((FractionalAtom(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j),
+                              FractionalAtom(0.5 - 0.2j, 0.6, 0.8, 0.3 - 0.2j),
+                              FractionalAtom(-1.0, 0.7, 0.5, 0.3)))
+
+    @staticmethod
+    def _grid_and_sample_counts(F, nodes, monkeypatch, rho=0.45):
+        """quadrature_grid(F, 40) and the number of points of each call of F,
+        counted through F's class."""
+        sizes = []
+        call = type(F).__call__
+        monkeypatch.setattr(type(F), "__call__",
+                            lambda self, s: sizes.append(np.size(s)) or call(self, s))
+        grid = quadrature_grid(F, 40, rho=rho, nodes=nodes)
+        monkeypatch.undo()
+        return grid, sizes
+
+    @staticmethod
+    def _assert_trapezoid_sums(F, grid, rho, nodes):
         # both sums round at eps * max|F| on the circle, times rho^-(m-1)
         fmax = max(abs(complex(F(1.0 - rho * np.exp(1j * t)))) for t in np.linspace(0, 7, 300))
         for m in (1, 2, 7, 23, 40):
-            assert grid[m - 1] == numeric_inverse(F, m, rho=rho, nodes=nodes)
             direct = trapezoid_coefficient(F, m, rho, nodes)
             assert abs(grid[m - 1] - direct) <= 1e-13 * fmax * rho ** -(m - 1)
+
+    @pytest.mark.parametrize("nodes", [512, 513, 160, 161])
+    @pytest.mark.parametrize("F", [example1(), PAIR], ids=["rational", "conjugate-pair"])
+    def test_real_F_is_sampled_on_half_the_circle(self, F, nodes, monkeypatch):
+        assert F.is_real is True
+        grid, sizes = self._grid_and_sample_counts(F, nodes, monkeypatch)
+        assert sizes == [nodes // 2 + 1]
+        assert grid.shape == (40,) and grid.dtype == complex
+        assert not grid.imag.any()
+        self._assert_trapezoid_sums(F, grid, 0.45, nodes)
+
+    @pytest.mark.parametrize("nodes", [512, 161])
+    @pytest.mark.parametrize("F", [
+        FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2 + 0.3j),)),
+        RationalFunction(Polynomial([1.0]), Polynomial([-(0.3 + 0.2j), 1.0])),
+    ], ids=["unpaired-lambda", "complex-rational"])
+    def test_complex_F_keeps_the_full_circle(self, F, nodes, monkeypatch):
+        assert F.is_real is False
+        grid, sizes = self._grid_and_sample_counts(F, nodes, monkeypatch)
+        assert sizes == [nodes]
+        assert np.max(np.abs(grid.imag)) > 1e-2 * np.max(np.abs(grid))
+        self._assert_trapezoid_sums(F, grid, 0.45, nodes)
+
+    def test_pairs_and_callables_keep_the_full_circle(self, monkeypatch):
+        """A table pair states no realness, and neither does a plain function."""
+        F = pair(7, lam=0.3)
+        grid, sizes = self._grid_and_sample_counts(F, 512, monkeypatch, rho=0.4)
+        assert sizes == [512]
+        self._assert_trapezoid_sums(F, grid, 0.4, 512)
+
+        def f(s):
+            sizes.append(np.size(s))
+            return 1.0 / (s + 0.5)
+
+        sizes.clear()
+        grid = quadrature_grid(f, 40, rho=0.4, nodes=512)
+        assert sizes == [512]
+        self._assert_trapezoid_sums(f, grid, 0.4, 512)
 
     def test_default_radius(self):
         # poles -1 (double, distance 2) and 2 (simple, distance 1): R = 1, p = 2
@@ -228,6 +287,24 @@ class TestQuadratureGrid:
         with pytest.raises(ValueError):
             quadrature_grid(example1(), 10, nodes=39)
         assert quadrature_grid(example1(), 10, nodes=40).shape == (10,)
+
+
+class TestFractionalIsReal:
+    """A sum of atoms is real when its atoms are closed under exact
+    conjugation; then, and only then here, F(conj s) = conj F(s)."""
+
+    @pytest.mark.parametrize("atoms, real", [
+        ([(1.0, 0.5, 0.5, 0.2), (-2.0, 0.7, 0.5, -0.3)], True),
+        ([(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j), (0.5 - 0.2j, 0.6, 0.8, 0.3 - 0.2j)], True),
+        ([(1.0, 0.5, 0.5, 0.2 + 0.3j)], False),
+        ([(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j), (0.5 + 0.2j, 0.6, 0.8, 0.3 - 0.2j)], False),
+    ], ids=["real-lambda", "conjugate-pair", "unpaired-lambda", "non-conjugate-coefficients"])
+    def test_is_real(self, atoms, real):
+        form = FractionalSumForm(tuple(FractionalAtom(*a) for a in atoms))
+        assert form.is_real is real
+        s = np.array([0.4 + 0.3j, 1.2 - 0.5j, 0.9 + 0.05j])
+        symmetric = np.allclose(form(s.conj()), form(s).conj(), rtol=1e-14, atol=0)
+        assert symmetric is real
 
 
 class TestOracleClosure:

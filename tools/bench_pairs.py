@@ -1,0 +1,135 @@
+"""Alternating parent/change runs of the benchmark, summarised per metric.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr N \
+        --workload verify --seeds 1 7 --pairs 10
+
+Extracts the parent revision with ``git archive REV | tar -x`` into a
+temporary directory and runs ``bench/run.py`` there and in this working
+tree, one run at a time, alternating which side runs first in each pair.
+Each run's JSON result line is kept in ``BENCH_<pr>.json`` under ``runs``,
+next to a ``summary`` per workload and seed: for every metric that
+``BENCHMARK.json`` names, each side's median and quartiles (numpy's linear
+percentiles), the parent's interquartile range, and in how many pairs the
+change reads better, in the direction ``BENCHMARK.json`` gives, ties
+counting for neither side.  An existing file of that name is extended: its
+runs are kept, new pairs are numbered after them, the summary is recomputed
+over all of them, and its other keys stay as they are.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def extract(rev, into):
+    """The files of revision ``rev`` of this repository, written under ``into``."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        sys.exit(f"bench_pairs: git archive {rev} failed")
+
+
+def run_bench(tree, workload, seed, seconds, trace):
+    """(return code, the JSON result of the last stdout line or None)."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return proc.returncode, result
+
+
+def summarise(runs, better):
+    """{"<workload> seed <n>": {metric: statistics}} over the runs of each side."""
+    summary = {}
+    groups = sorted({(r["workload"], r["seed"], r["trace"]) for r in runs})
+    for workload, seed, trace in groups:
+        mine = [r for r in runs if (r["workload"], r["seed"], r["trace"]) == (workload, seed, trace)
+                and r["result"] is not None]
+        pairs = sorted({r["pair"] for r in mine})
+        side = {s: {r["pair"]: r["result"]["metrics"] for r in mine if r["side"] == s}
+                for s in ("parent", "change")}
+        pairs = [p for p in pairs if p in side["parent"] and p in side["change"]]
+        if not pairs:
+            continue
+        entry = {}
+        for name in side["parent"][pairs[0]]:
+            if name not in better:
+                continue
+            parent = np.array([side["parent"][p][name]["value"] for p in pairs])
+            change = np.array([side["change"][p][name]["value"] for p in pairs])
+            sign = 1.0 if better[name] == "higher" else -1.0
+            pq = np.percentile(parent, [25, 75])
+            entry[name] = {
+                "parent_median": float(np.median(parent)),
+                "change_median": float(np.median(change)),
+                "parent_quartiles": pq.tolist(),
+                "change_quartiles": np.percentile(change, [25, 75]).tolist(),
+                "parent_iqr": float(pq[1] - pq[0]),
+                "runs": len(pairs),
+                "change_better_pairs":
+                    f"{int(np.sum(sign * (change - parent) > 0))} of {len(pairs)}",
+            }
+        key = f"{workload} seed {seed}" + (" traced" if trace else "")
+        summary[key] = entry
+    return summary
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repository root")
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a bench workload; repeat for several")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc.setdefault("command", "python3 bench/run.py --workload W --seed N --seconds S --trace T")
+    runs = doc.setdefault("runs", [])
+
+    with tempfile.TemporaryDirectory() as parent_tree:
+        extract(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": str(ROOT)}
+        for workload in args.workload:
+            for seed in args.seeds:
+                done = [r["pair"] for r in runs
+                        if (r["workload"], r["seed"], r["trace"]) == (workload, seed, args.trace)]
+                start = max(done, default=-1) + 1
+                for pair in range(start, start + args.pairs):
+                    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                    for side in order:
+                        code, result = run_bench(trees[side], workload, seed,
+                                                 args.seconds, args.trace)
+                        runs.append({"side": side, "workload": workload, "seed": seed,
+                                     "trace": args.trace, "pair": pair, "first": order[0],
+                                     "returncode": code, "result": result})
+                        p50 = (result or {}).get("metrics", {}).get("latency_p50_ms", {})
+                        print(f"{workload} seed {seed} pair {pair} {side}: exit {code}, "
+                              f"p50 {p50.get('value', float('nan')):.4g} ms", flush=True)
+                    doc["summary"] = summarise(runs, better)
+                    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
