@@ -10,10 +10,11 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import ExpressionSyntaxError, NablaError
+from .errors import ExpressionSyntaxError, NablaError, TruncationWarning
 from .expansion import expand
 from .inversion import (
     COMPLEX_F,
@@ -320,6 +321,33 @@ def _cmd_invert(args):
     return 0
 
 
+def _truncation_to_stderr(command):
+    """``command`` printing each TruncationWarning as one ``warning: <message>``
+    line on stderr, on every call; other warnings go on as before.
+
+    Python's default filter shows a warning once per code location, with its
+    source path and line, so a second ``main`` call in one process would
+    print nothing.  For the commands that sum forward series.
+    """
+    @functools.wraps(command)
+    def run(args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", TruncationWarning)
+            show = warnings.showwarning
+
+            def report(message, category, *rest, **kwargs):
+                if issubclass(category, TruncationWarning):
+                    print(f"warning: {message}", file=sys.stderr)
+                else:
+                    show(message, category, *rest, **kwargs)
+
+            warnings.showwarning = report
+            return command(args)
+
+    return run
+
+
+@_truncation_to_stderr
 def _cmd_forward(args):
     problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
@@ -348,6 +376,7 @@ def _cmd_forward(args):
     return 0
 
 
+@_truncation_to_stderr
 def _cmd_verify(args):
     problem = _Problem(args.expr, args.a)
     ks = _parse_krange(args.k, args.a)
@@ -411,6 +440,7 @@ def _cmd_table(args):
     return 0
 
 
+@_truncation_to_stderr
 def _cmd_roundtrip(args):
     tol = args.tol or 1e-6
     failed = 0

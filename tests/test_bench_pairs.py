@@ -39,3 +39,71 @@ def test_summary_counts_better_pairs_in_each_metric_direction(bench_pairs):
     # a tie counts for neither side
     assert summary["verify seed 1"]["goodput_rps"]["change_better_pairs"] == "1 of 3"
     assert "unnamed" not in summary["verify seed 1"]
+
+
+def _p50_runs(parent, change):
+    """Paired verify runs with the given latency_p50_ms values."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run("parent", pair, p, 300.0), _run("change", pair, c, 300.0)]
+    return runs
+
+
+def _p50_summary(bench_pairs, parent, change, bound=0.25):
+    summary = bench_pairs.summarise(_p50_runs(parent, change),
+                                    {"latency_p50_ms": "lower", "goodput_rps": "higher"},
+                                    {"latency_p50_ms": bound})
+    return summary["verify seed 1"]
+
+
+PARENT = [2.40, 2.45, 2.50, 2.42, 2.48, 2.44, 2.46, 2.41, 2.49, 2.47]
+
+
+class TestGainRule:
+    def test_ten_of_ten_wins_past_the_iqr(self, bench_pairs):
+        p50 = _p50_summary(bench_pairs, PARENT, [2.2] * 10)["latency_p50_ms"]
+        assert p50["change_better_pairs"] == "10 of 10" and p50["gain_rule_met"] is True
+
+    def test_nine_of_ten_is_enough(self, bench_pairs):
+        p50 = _p50_summary(bench_pairs, PARENT, [2.2] * 9 + [2.6])["latency_p50_ms"]
+        assert p50["change_better_pairs"] == "9 of 10" and p50["gain_rule_met"] is True
+
+    def test_eight_of_ten_is_not(self, bench_pairs):
+        p50 = _p50_summary(bench_pairs, PARENT, [2.2] * 8 + [2.6] * 2)["latency_p50_ms"]
+        assert p50["change_better_pairs"] == "8 of 10" and p50["gain_rule_met"] is False
+
+    def test_median_gap_within_the_iqr_is_not(self, bench_pairs):
+        # better in every pair, by less than the parent's quartile spread
+        p50 = _p50_summary(bench_pairs, PARENT, [p - 0.01 for p in PARENT])["latency_p50_ms"]
+        assert p50["change_better_pairs"] == "10 of 10"
+        assert 0.0 < p50["parent_median"] - p50["change_median"] < p50["parent_iqr"]
+        assert p50["gain_rule_met"] is False
+
+    def test_direction_follows_the_metric(self, bench_pairs):
+        # a lower goodput is no gain, whatever the margin
+        runs = [_run(side, pair, 2.4, value) for pair in range(10)
+                for side, value in (("parent", 300.0 + pair), ("change", 200.0))]
+        summary = bench_pairs.summarise(runs, {"goodput_rps": "higher"})
+        assert summary["verify seed 1"]["goodput_rps"]["gain_rule_met"] is False
+
+
+class TestWithinBound:
+    def test_slower_within_the_bound(self, bench_pairs):
+        # median 2.455 -> 3.05: 24% worse, inside a 25% bound
+        p50 = _p50_summary(bench_pairs, PARENT, [3.05] * 10)["latency_p50_ms"]
+        assert p50["within_bound"] is True and p50["gain_rule_met"] is False
+
+    def test_slower_past_the_bound(self, bench_pairs):
+        p50 = _p50_summary(bench_pairs, PARENT, [3.1] * 10)["latency_p50_ms"]
+        assert p50["within_bound"] is False
+
+    def test_bound_is_relative_to_the_parent_median(self, bench_pairs):
+        p50 = _p50_summary(bench_pairs, PARENT, [2.6] * 10, bound=0.05)["latency_p50_ms"]
+        assert p50["within_bound"] is False
+        p50 = _p50_summary(bench_pairs, PARENT, [2.55] * 10, bound=0.05)["latency_p50_ms"]
+        assert p50["within_bound"] is True
+
+    def test_only_metrics_with_a_bound(self, bench_pairs):
+        entry = _p50_summary(bench_pairs, PARENT, PARENT)
+        assert entry["latency_p50_ms"]["within_bound"] is True
+        assert "within_bound" not in entry["goodput_rps"]

@@ -711,6 +711,18 @@ class TestForwardCommand:
         assert err == ("error: forward series at s = (0.51+0j) leaves the float64 "
                        "range at term 1025; choose s closer to 1\n")
 
+    def test_truncation_is_one_warning_line_on_every_call(self, capsys):
+        # f(k) of s^-0.5 decays like k^-0.5, so at |1-s| = 0.9999 the sum
+        # stops at its 100000-term cap; a second call in the same process
+        # reports it again, with no source path or code line
+        argv = ("forward", "--expr=s^-0.5", "--s", "0.0001")
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert first[2] == ("warning: forward series truncated at 100000 terms "
+                            "before meeting tol = 1e-12\n")
+        assert "max |diff|" in first[1]
+        assert run(capsys, *argv) == first
+
     def test_table_bytes(self, capsys):
         # the table as printed row by row before the points were all summed first
         code, out, _ = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.9,0.8")

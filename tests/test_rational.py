@@ -15,6 +15,7 @@ from nablainv import (
     classify,
     describe_roc,
     parse_expression,
+    sample_points,
 )
 from conftest import example1, mpmath_factored_values, rational_from_factors
 
@@ -282,3 +283,100 @@ class TestIsReal:
         reads.clear()
         assert rf.is_real and rf.is_real
         assert len(reads) == 2  # one read per factor, on the first access only
+
+
+# F written by hand for the scalar path: complex coefficients, F = 0, a
+# constant F, exponents 2 to 4, a cancelled factor and the close-pole case
+SCALAR_CASES = [
+    "(0.3+0.2j)*(s-(0.5-1j))/((s+(0.4+0.3j))^2*(s-2.5))",
+    "0*s/(s-3)",
+    "2.5",
+    "(s-2)/(s-2)",
+    "(s+0.2)^3/((s-2.5)^4*(s^2+0.4*s+1.3)^2)",
+    "(s-2.32)*4.59/((s-2.32)*(s^2-2.18*s+1.2365))",
+    CLOSE_POLES[1],
+]
+
+
+def _scalar_against_array(rf):
+    """max |scalar - array| / |array| of rf at sample_points(R, 8) and s = 1,
+    the scalar path called with each point as a Python complex."""
+    points = np.append(sample_points(rf.radius, count=8), 1.0)
+    array = rf.evaluate(points)
+    scalar = np.array([rf.evaluate(complex(s)) for s in points])
+    zero = array == 0
+    assert np.all(scalar[zero] == 0)
+    return float(np.max(np.abs(scalar - array)[~zero] / np.abs(array[~zero]), initial=0.0))
+
+
+class TestScalarEvaluation:
+    """``evaluate`` at a Python or numpy scalar, in Python complex arithmetic."""
+
+    def test_matches_the_array_path_on_the_stress_sweep(self, rng):
+        from test_stress import CASES, _draw
+        worst = max(_scalar_against_array(_rational(_draw(rng))) for _ in range(CASES))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("text", SCALAR_CASES)
+    def test_matches_the_array_path_on_hand_cases(self, text):
+        assert _scalar_against_array(_rational(text)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", [float, complex, np.float64, np.complex128])
+    def test_pole_raises(self, kind):
+        with pytest.raises(PoleEvaluationError) as err:
+            example1().evaluate(kind(2.0))
+        assert err.value.pole == pytest.approx(2.0)
+        with pytest.raises(PoleEvaluationError):
+            example1().evaluate(kind(-1.0 + 1e-13))
+
+    def test_zero_denominator_raises_on_both_paths(self):
+        # 1e-11 from the pole is outside the near-pole test, but its 30th
+        # power underflows to an exactly zero denominator
+        rf = RationalFunction.from_factors(1.0, {Polynomial([-0.5, 1.0]): -30})
+        s = 0.5 + 1e-11
+        for arg in (s, np.array([s])):
+            with pytest.raises(PoleEvaluationError) as err:
+                rf.evaluate(arg)
+            assert err.value.pole == s
+
+    @pytest.mark.parametrize("s", [3, 0.3, 0.3 + 0.1j, np.float64(0.3), np.complex128(0.3 + 0.1j)])
+    def test_scalar_gives_a_python_complex(self, s):
+        rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
+        got = rf.evaluate(s)
+        assert type(got) is complex
+        assert got == pytest.approx(complex(rf.evaluate(np.array([complex(s)]))[0]), rel=1e-15)
+
+    def test_arrays_keep_the_array_path(self):
+        rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
+        assert isinstance(rf.evaluate(np.array([0.3])), np.ndarray)
+        # a 0-d array is evaluated in numpy and read out as a Python complex,
+        # as before the scalar path: the scalar lists are never built
+        assert type(rf.evaluate(np.array(0.3))) is complex
+        assert "_scalar" not in rf.__dict__
+        rf.evaluate(0.3)
+        assert "_scalar" in rf.__dict__
+
+    def test_scalar_call_evaluates_no_polynomial(self, monkeypatch):
+        rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
+        want = rf.evaluate(0.3)
+
+        def refuse(self, s):
+            raise AssertionError("numpy Horner on a scalar")
+
+        monkeypatch.setattr(Polynomial, "__call__", refuse)
+        assert rf.evaluate(0.3) == want
+
+    @pytest.mark.parametrize("text, s", [
+        ("(s+0.5)^2", 1e200),
+        ("1/(s+0.5)^2", 1e200),
+        ("(s-0.3)^3/(s+2)", 1e200j),
+        ("1/((s+0.5)^2*(s-0.3))", -1e200),
+    ])
+    def test_overflow_reads_as_the_array_path_does(self, text, s):
+        # Python's complex ** raises OverflowError where numpy's power gives inf
+        rf = _rational(text)
+        got = rf.evaluate(s)
+        with np.errstate(all="ignore"):
+            want = rf.evaluate(np.array([s]))
+        assert not np.isfinite(got)
+        np.testing.assert_array_equal(np.array([got]), want)

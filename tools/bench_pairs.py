@@ -11,9 +11,14 @@ next to a ``summary`` per workload and seed: for every metric that
 ``BENCHMARK.json`` names, each side's median and quartiles (numpy's linear
 percentiles), the parent's interquartile range, and in how many pairs the
 change reads better, in the direction ``BENCHMARK.json`` gives, ties
-counting for neither side.  An existing file of that name is extended: its
-runs are kept, new pairs are numbered after them, the summary is recomputed
-over all of them, and its other keys stay as they are.
+counting for neither side.  Two fields state the acceptance rules:
+``gain_rule_met``, that the change is better in at least 9 of every 10
+pairs and its median beats the parent's by more than the parent's
+interquartile range; and, for an end-to-end metric, ``within_bound``, that
+the change median is worse than the parent median by at most the metric's
+``bound`` times the parent median.  An existing file of that name is
+extended: its runs are kept, new pairs are numbered after them, the summary
+is recomputed over all of them, and its other keys stay as they are.
 """
 
 import argparse
@@ -52,8 +57,13 @@ def run_bench(tree, workload, seed, seconds, trace):
     return proc.returncode, result
 
 
-def summarise(runs, better):
-    """{"<workload> seed <n>": {metric: statistics}} over the runs of each side."""
+def summarise(runs, better, bounds=None):
+    """{"<workload> seed <n>": {metric: statistics}} over the runs of each side.
+
+    ``better`` maps a metric to "higher" or "lower", and ``bounds`` an
+    end-to-end metric to its relative bound.
+    """
+    bounds = bounds or {}
     summary = {}
     groups = sorted({(r["workload"], r["seed"], r["trace"]) for r in runs})
     for workload, seed, trace in groups:
@@ -73,16 +83,23 @@ def summarise(runs, better):
             change = np.array([side["change"][p][name]["value"] for p in pairs])
             sign = 1.0 if better[name] == "higher" else -1.0
             pq = np.percentile(parent, [25, 75])
+            parent_median, change_median = float(np.median(parent)), float(np.median(change))
+            iqr = float(pq[1] - pq[0])
+            wins = int(np.sum(sign * (change - parent) > 0))
+            gain = sign * (change_median - parent_median)
             entry[name] = {
-                "parent_median": float(np.median(parent)),
-                "change_median": float(np.median(change)),
+                "parent_median": parent_median,
+                "change_median": change_median,
                 "parent_quartiles": pq.tolist(),
                 "change_quartiles": np.percentile(change, [25, 75]).tolist(),
-                "parent_iqr": float(pq[1] - pq[0]),
+                "parent_iqr": iqr,
                 "runs": len(pairs),
-                "change_better_pairs":
-                    f"{int(np.sum(sign * (change - parent) > 0))} of {len(pairs)}",
+                "change_better_pairs": f"{wins} of {len(pairs)}",
+                "gain_rule_met": bool(10 * wins >= 9 * len(pairs) and gain > iqr),
             }
+            if name in bounds:
+                entry[name]["within_bound"] = bool(
+                    -gain <= bounds[name] * abs(parent_median))
         key = f"{workload} seed {seed}" + (" traced" if trace else "")
         summary[key] = entry
     return summary
@@ -102,6 +119,7 @@ def main():
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("command", "python3 bench/run.py --workload W --seed N --seconds S --trace T")
@@ -126,7 +144,7 @@ def main():
                         p50 = (result or {}).get("metrics", {}).get("latency_p50_ms", {})
                         print(f"{workload} seed {seed} pair {pair} {side}: exit {code}, "
                               f"p50 {p50.get('value', float('nan')):.4g} ms", flush=True)
-                    doc["summary"] = summarise(runs, better)
+                    doc["summary"] = summarise(runs, better, bounds)
                     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}")
 
