@@ -196,13 +196,17 @@ class RationalFunction:
         Horner's rule is backward stable in either arithmetic, so the two
         paths differ only in rounding (within 6e-15 relative on the stress
         sweep).  Powers are repeated multiplications: past the float64 range
-        a scalar reads inf or nan as an ndarray does.  An ndarray, 0-d
-        included, is evaluated in numpy.
+        a scalar reads inf or nan as an ndarray does.  An ndarray is evaluated
+        in numpy, a 0-d one as one point of a 1-d one, and gives a Python
+        complex.
         """
         if isinstance(s, (int, float, complex)):
             return self._evaluate_at(complex(s))
         red = self._reduced
         z = np.asarray(s, dtype=complex)
+        if z.ndim == 0:
+            # q(z) of a 0-d array is a Python complex, whose ** raises on overflow
+            return complex(self.evaluate(z.reshape(1))[0])
         for rc in red.poles:
             if np.any(np.abs(z - rc.value) <= NEAR_POLE_TOL * (1.0 + abs(rc.value))):
                 raise PoleEvaluationError(rc.value)
@@ -214,8 +218,7 @@ class RationalFunction:
             den = den * q(z) ** e
         if np.any(den == 0):
             raise PoleEvaluationError(z.flat[int(np.argmax(den.ravel() == 0))])
-        v = num / den
-        return complex(v) if v.ndim == 0 else v
+        return num / den
 
     @cached_property
     def _scalar(self):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .polynomial import series_divide
+from .polynomial import _BLOCK, series_divide
 
 __all__ = [
     "MittagLefflerParams",
@@ -81,7 +81,11 @@ class MittagLefflerSeries:
                 coeffs = _binomial_series(-p.beta, order)
             else:
                 real = lam.imag == 0
-                den = _binomial_series(p.alpha, order).astype(float if real else complex)
+                # at least _BLOCK + 1 coefficients, so a non-integer alpha is
+                # divided in blocks at every order, and coefficient j does not
+                # depend on how many are asked for
+                den = _binomial_series(p.alpha, max(order, _BLOCK))
+                den = den.astype(float if real else complex)
                 den[0] -= lam.real if real else lam
                 coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
             coeffs = self._coeffs = coeffs.astype(complex, copy=False)
@@ -92,10 +96,15 @@ def _binomial_series(gamma, order):
     """Coefficients of (1-w)^gamma up to w^order: c_j = c_{j-1} (j-1-gamma) / j.
 
     Trailing zeros are dropped: for an integer gamma >= 0 the series is a
-    polynomial, and a short denominator keeps the division O(order * gamma).
+    polynomial of gamma + 1 coefficients, cut there before the product, and a
+    short denominator keeps the division O(order * gamma).  Any other gamma
+    has no zero coefficient unless its tail underflows.
     """
+    if gamma >= 0 and float(gamma).is_integer():
+        order = min(order, int(gamma))
     j = np.arange(1, order + 1)
-    return np.trim_zeros(np.cumprod(np.concatenate(([1.0], (j - 1 - gamma) / j))), "b")
+    c = np.cumprod(np.concatenate(([1.0], (j - 1 - gamma) / j)))
+    return c if c[-1] else np.trim_zeros(c, "b")
 
 
 def discrete_mittag_leffler(params, k):

@@ -107,3 +107,34 @@ class TestWithinBound:
         entry = _p50_summary(bench_pairs, PARENT, PARENT)
         assert entry["latency_p50_ms"]["within_bound"] is True
         assert "within_bound" not in entry["goodput_rps"]
+
+
+def test_commands_file_holds_one_command_a_line(bench_pairs, tmp_path):
+    path = tmp_path / "commands.txt"
+    path.write_text('# K = 1e4\ninvert --expr "1/(s^1.5+0.5)" --k 1..10000\n\n'
+                    "  verify --expr=1/(s-0.3) --k 1..200  \n")
+    assert bench_pairs.read_commands(path) == [
+        ["invert", "--expr", "1/(s^1.5+0.5)", "--k", "1..10000"],
+        ["verify", "--expr=1/(s-0.3)", "--k", "1..200"]]
+
+
+def test_command_times_alternate_and_extend(bench_pairs, monkeypatch):
+    calls = []
+
+    def fake(tree, argv):
+        calls.append(tree)
+        return {"P": 2.0, "C": 1.0}[tree] + len(calls) / 100
+
+    monkeypatch.setattr(bench_pairs, "time_command", fake)
+    section = {}
+    bench_pairs.time_commands({"parent": "P", "change": "C"}, [["invert", "--expr", "1/s"]],
+                              3, section)
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    entry = section["nablainv invert --expr 1/s"]
+    assert entry["parent"] == {"wall_s": [2.01, 2.04, 2.05], "median_s": 2.04}
+    assert entry["change"] == {"wall_s": [1.02, 1.03, 1.06], "median_s": 1.03}
+    bench_pairs.time_commands({"parent": "P", "change": "C"}, [["invert", "--expr", "1/s"]],
+                              1, section)
+    # the fourth pair runs the change first, as it would in one call of 4 pairs
+    assert calls[6:] == ["C", "P"]
+    assert entry["parent"]["wall_s"][3] == 2.08 and entry["change"]["wall_s"][3] == 1.07

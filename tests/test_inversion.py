@@ -1,7 +1,9 @@
 """The three inversion strategies and the closed-form sequence algebra."""
 
 import cmath
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from nablainv import (
     numeric_inverse,
     parse_expression,
 )
+from nablainv.pairs import sample_points
 from conftest import (
     example1,
     example1_closed_form,
@@ -190,6 +193,43 @@ class TestInvertFractional:
                                   FractionalAtom(-1.0, 0.7, 0.5, 0.3)))
         s = np.array([0.5, 1.2 + 0.3j, 0.9 - 0.1j])
         np.testing.assert_allclose(form(s), [form(x) for x in s], rtol=1e-15)
+
+    def test_scalar_is_a_one_point_array_on_the_verify_atom_sums(self, monkeypatch):
+        """A scalar is evaluated as one array over the atoms, by the same numpy
+        operations as a one-point array: the same bits, at the points where
+        verify evaluates F (its round trip's sample points and s = 1)."""
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        from workloads import requests
+
+        count = 0
+        for seed in range(3):
+            for req in itertools.islice(requests("verify", seed), 120):
+                if req["ref"]["type"] != "atoms":
+                    continue
+                text = req["argv"][1].removeprefix("--expr=")
+                form = classify(parse_expression(text)).fractional
+                assert len(form.atoms) == len(req["ref"]["atoms"])
+                for s in sample_points(form.radius, count=5) + [1, 1.0]:
+                    got = form(s)
+                    assert type(got) is complex
+                    assert got == form(np.array([s]))[0]
+                    count += 1
+        assert count == 7 * 180
+
+    @pytest.mark.parametrize("s", [0, 0.0, 1e-200, 1e200, -0.7, 0.5j, complex(1e308, 1e308)])
+    def test_scalar_edges_read_as_a_one_point_array(self, s):
+        """s = 0 gives 0^g = 0 (and 1 for g = 0) and no error from ln 0, and a
+        value past the float64 range reads inf or nan, on both paths."""
+        form = FractionalSumForm((FractionalAtom(1.0, 0.5, 0.5, 0.2),
+                                  FractionalAtom(-1.0, 0.7, 0.5, 0.3),
+                                  FractionalAtom(0.5 + 1j, 1.5, 0.3, -0.4j)))
+        with np.errstate(all="ignore"):
+            got = form(s)
+            want = form(np.array([s], dtype=complex))
+        assert type(got) is complex
+        np.testing.assert_array_equal(np.array([got]), want)
+        assert FractionalAtom(1.0, 0.5, 0.3, 0.2).evaluate(0) == 0
 
 
 class TestTermDicts:

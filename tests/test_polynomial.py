@@ -8,6 +8,7 @@ from nablainv import polynomial
 from nablainv.polynomial import (
     _BLOCK,
     _LOOP_MAX,
+    _SEED,
     factor_divide,
     factor_roots,
     pool_roots,
@@ -322,7 +323,9 @@ def _dense_denominators(rng, order):
 
 
 class TestBlockedSeriesDivide:
-    """A denominator of more than _BLOCK coefficients is divided in blocks."""
+    """A denominator given with more than _BLOCK coefficients is divided in
+    blocks: _SEED coefficients of the recurrence, then blocks doubling from
+    _SEED up to _BLOCK coefficients."""
 
     @pytest.mark.parametrize("order", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 701])
     def test_dense_matches_long_division(self, rng, order):
@@ -335,14 +338,26 @@ class TestBlockedSeriesDivide:
                 np.testing.assert_allclose(got, want, rtol=1e-10,
                                            atol=1e-12 * np.max(np.abs(want)))
 
-    def test_first_block_is_the_recurrence(self, rng):
+    def test_seed_is_the_recurrence(self, rng):
         den = _dense_denominators(rng, 300)[1]
         num = rng.normal(size=3)
         got = series_divide(num, den, 300)
-        np.testing.assert_array_equal(got[:_BLOCK], _scalar_recurrence(num, den, _BLOCK - 1))
+        np.testing.assert_array_equal(got[:_SEED], _scalar_recurrence(num, den, _SEED - 1))
+
+    @pytest.mark.parametrize("which", [4, 1])  # a float64 and a complex denominator
+    def test_coefficients_do_not_depend_on_the_order_at_any_block_boundary(self, rng, which):
+        """The blocks end at 8, 16, 32, 64, 128, ...: on either side of each
+        boundary coefficient j is the same, bit for bit."""
+        den = _dense_denominators(rng, 200)[which]
+        num = rng.normal(size=200)
+        longest = series_divide(num, den, 200)
+        for order in [*range(10), 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129]:
+            got = series_divide(num, den, order)
+            assert got.dtype == longest.dtype and got.shape == (order + 1,)
+            np.testing.assert_array_equal(got, longest[: order + 1])
 
     def test_coefficients_do_not_depend_on_the_order(self, rng):
-        # orders below the block length divide the truncated, banded den
+        # the dense path runs at every order, short orders included
         den = _dense_denominators(rng, 1000)[1]
         num = _binomial_series(-0.44, 1000)
         longest = series_divide(num, den, 1000)
@@ -353,7 +368,8 @@ class TestBlockedSeriesDivide:
     def test_real_inputs_divide_in_float64(self, rng, order):
         """Real inputs give float64 and anything else complex, on the
         recurrence and in blocks; the float64 division is the complex one bit
-        for bit on the recurrence, and the same sums in another order past it."""
+        for bit on the recurrence (a banded division, or a dense one's first
+        _SEED coefficients), and the same sums in another order past it."""
         den = _dense_denominators(rng, order)[4]
         num = _binomial_series(-0.7, order)
         real = series_divide(num, den, order)
@@ -362,7 +378,8 @@ class TestBlockedSeriesDivide:
             assert series_divide(n, d, order).dtype == complex
         assert series_divide([1], [2, 1], order).dtype == np.float64
         want = series_divide(num + 0j, den + 0j, order)
-        np.testing.assert_array_equal(real[:_BLOCK], want[:_BLOCK])
+        exact = order + 1 if len(den) <= _BLOCK else _SEED
+        np.testing.assert_array_equal(real[:exact], want[:exact])
         np.testing.assert_allclose(real, want, rtol=1e-12, atol=0)
 
     def test_real_coefficients_do_not_depend_on_the_order(self, rng):
@@ -414,8 +431,8 @@ class TestBlockedSeriesDivide:
         np.testing.assert_array_equal(got[:150], series_divide(num[:150], den, 149))
 
     def test_unit_numerator_runs_one_recurrence(self, rng, monkeypatch):
-        """Over a numerator of 1 the first block is h: one 64-step recurrence
-        gives both, and the result is the two-recurrence one bit for bit."""
+        """Over a numerator of 1 the quotient is h: one _SEED-step recurrence
+        starts both, and the result is the two-recurrence one bit for bit."""
         calls = []
         recurrence = polynomial._recurrence
 
@@ -427,7 +444,7 @@ class TestBlockedSeriesDivide:
         for den in _dense_denominators(rng, 300):
             calls.clear()
             got = series_divide([1.0], den, 300)
-            assert calls == [_BLOCK]
+            assert calls == [_SEED]
             # a numerator [1, 0] is not literally 1: it takes both recurrences
             np.testing.assert_array_equal(got, series_divide([1.0, 0.0], den, 300))
             assert len(calls) == 3

@@ -380,3 +380,20 @@ class TestScalarEvaluation:
             want = rf.evaluate(np.array([s]))
         assert not np.isfinite(got)
         np.testing.assert_array_equal(np.array([got]), want)
+
+    @pytest.mark.parametrize("text, s", [
+        ("(s+0.5)^2", 1e200),
+        ("1/(s+0.5)^2", 1e200),
+        ("(s-0.3)^3/(s+2)", 1e200j),
+        ("1/((s+0.5)^2*(s-0.3))", -1e200),
+        ("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))", 0.3),
+    ])
+    def test_zero_dimensional_array_reads_as_a_one_point_array(self, text, s):
+        # numpy Horner gives a Python complex at a 0-d array, and its ** would
+        # raise OverflowError where a one-point array reads nan
+        rf = _rational(text)
+        with np.errstate(all="ignore"):
+            got = rf.evaluate(np.array(s))
+            want = rf.evaluate(np.array([s]))
+        assert type(got) is complex
+        np.testing.assert_array_equal(np.array([got]), want)

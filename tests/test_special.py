@@ -11,7 +11,7 @@ from scipy.special import loggamma as scipy_loggamma
 from scipy.special import poch as scipy_poch
 
 from nablainv import MittagLefflerParams, ParameterDomainError, discrete_mittag_leffler
-from nablainv.polynomial import _BLOCK, series_divide
+from nablainv.polynomial import _SEED, series_divide
 from nablainv.special import MittagLefflerSeries, _binomial_series
 from conftest import mpmath_atom_values, mpmath_mittag_leffler
 
@@ -214,11 +214,30 @@ class TestMittagLefflerSeries:
         assert np.all(np.abs(want[~finite]) > 1e307)
         assert np.max(np.abs(got[finite] - want[finite]) / np.abs(want[finite])) <= 1e-12
 
+    @pytest.mark.parametrize("K", [50, 200])
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (1.5, 1.5, -0.5),
+        (0.83, 1.29, -0.45 - 0.55j),
+        (0.5, 0.7, 0.95j),
+        (1.3, 0.4, -0.95),
+        (0.37, 1.61, 0.6 - 0.2j),
+        (1.7, 1.7, 0.5),
+        (0.12, 1.87, 0.83),
+        (1.95, 0.15, -0.9),
+    ])
+    def test_short_grids_against_a_40_digit_division(self, alpha, beta, lam, K):
+        """The grid lengths of fractional and verify requests, where the
+        doubling blocks (8, 16, 32, 64) are all of the division past its seed:
+        within 2e-13 of the same division in 40 digits (at most 6.1e-14 seen)."""
+        got = MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam))(np.arange(1, K + 1))
+        want = mpmath_atom_values([(1.0, alpha, beta, lam)], K, digits=40)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-13
+
     @pytest.mark.parametrize("alpha, beta, lam", [
         (1.5, 1.5, -0.5), (0.6, 1.2, 0.7), (1.3, 0.4, -0.95), (0.37, 1.61, 0.6 + 0j)])
     def test_real_lambda_divides_in_float64(self, alpha, beta, lam):
         """The same division as with a complex denominator: bit for bit on the
-        recurrence's first _BLOCK coefficients, and in the blocks the same
+        recurrence's first _SEED coefficients, and in the blocks the same
         sums in another order, out of the float64 range at the same step (as
         inf, where the complex division gives nan).  The values come back
         complex."""
@@ -229,7 +248,7 @@ class TestMittagLefflerSeries:
         den[0] -= lam
         want = series_divide(_binomial_series(alpha - beta, K - 1), den, K - 1)
         assert got.dtype == complex and not got.imag.any()
-        np.testing.assert_array_equal(got[:_BLOCK], want[:_BLOCK])
+        np.testing.assert_array_equal(got[:_SEED], want[:_SEED])
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isfinite(got), finite)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
@@ -239,3 +258,23 @@ class TestMittagLefflerSeries:
         assert isinstance(series(4), complex)
         np.testing.assert_allclose(series(np.array([4, 1, 9])), 0.8 ** -np.array([4, 1, 9]),
                                    rtol=1e-14)
+
+
+def _trimmed_binomial_series(gamma, order):
+    """The binomial series as it was read before the cut at gamma + 1 terms:
+    the whole product, trailing zeros trimmed."""
+    j = np.arange(1, order + 1)
+    return np.trim_zeros(np.cumprod(np.concatenate(([1.0], (j - 1 - gamma) / j))), "b")
+
+
+@pytest.mark.parametrize("gamma", [
+    0, 1, 2, 3.0, 7, 40.0, -1, -2.0, 0.5, -0.5, 1.5, 0.83, -1.29,
+    3.0 + 1e-12, 3.0 - 1e-12, 1e-15, -1e-15, np.nextafter(2.0, 3.0), np.float64(5.0)])
+@pytest.mark.parametrize("order", [0, 1, 3, 64, 500])
+def test_binomial_series_is_the_trimmed_product_bit_for_bit(gamma, order):
+    got = _binomial_series(gamma, order)
+    want = _trimmed_binomial_series(gamma, order)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+    assert got[-1] != 0
+

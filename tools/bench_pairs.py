@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --pr N \
         --workload verify --seeds 1 7 --pairs 10
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr N --commands FILE --pairs 5
 
 Extracts the parent revision with ``git archive REV | tar -x`` into a
 temporary directory and runs ``bench/run.py`` there and in this working
@@ -19,13 +20,27 @@ the change median is worse than the parent median by at most the metric's
 ``bound`` times the parent median.  An existing file of that name is
 extended: its runs are kept, new pairs are numbered after them, the summary
 is recomputed over all of them, and its other keys stay as they are.
+
+``--commands FILE`` times fixed ``nablainv`` commands instead, or as well.
+FILE holds one command a line, its arguments after ``nablainv`` written as
+in a POSIX shell (``#`` starts a comment line).  Each pair runs the command
+once in a fresh ``python -m nablainv`` process on each side, the side that
+runs first alternating over the pairs, earlier ones included, and records
+the wall time, start-up included.  The
+``commands`` section of ``BENCH_<pr>.json`` maps each command to each side's
+``wall_s`` list and ``median_s``; new times extend the lists.  A command that
+exits nonzero on either side stops the script, as its time would mean
+nothing.
 """
 
 import argparse
 import json
+import os
+import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +70,43 @@ def run_bench(tree, workload, seed, seconds, trace):
     except json.JSONDecodeError:
         result = None
     return proc.returncode, result
+
+
+def read_commands(path):
+    """The argument lists of the commands in ``path``, one a line."""
+    lines = [line.strip() for line in Path(path).read_text().splitlines()]
+    return [shlex.split(line) for line in lines if line and not line.startswith("#")]
+
+
+def time_command(tree, argv):
+    """Wall seconds of ``python -m nablainv argv`` run on the source in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nablainv", *argv], cwd=tree, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode:
+        sys.exit(f"bench_pairs: nablainv {shlex.join(argv)} exited {proc.returncode} in {tree}:"
+                 f"\n{proc.stderr}")
+    return wall
+
+
+def time_commands(trees, commands, pairs, section):
+    """Add ``pairs`` alternating timings of each command to ``section``, the
+    ``commands`` mapping of a BENCH file."""
+    for argv in commands:
+        entry = section.setdefault(f"nablainv {shlex.join(argv)}", {})
+        for side in ("parent", "change"):
+            entry.setdefault(side, {"wall_s": []})
+        done = min(len(entry[side]["wall_s"]) for side in ("parent", "change"))
+        for pair in range(done, done + pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                entry[side]["wall_s"].append(time_command(trees[side], argv))
+        for side in ("parent", "change"):
+            entry[side]["median_s"] = float(np.median(entry[side]["wall_s"]))
+        print(f"nablainv {shlex.join(argv)}: median {entry['parent']['median_s']:.4g} s parent, "
+              f"{entry['change']['median_s']:.4g} s change", flush=True)
 
 
 def summarise(runs, better, bounds=None):
@@ -109,13 +161,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repository root")
-    ap.add_argument("--workload", action="append", required=True,
+    ap.add_argument("--workload", action="append", default=[],
                     help="a bench workload; repeat for several")
+    ap.add_argument("--commands", metavar="FILE",
+                    help="time the nablainv commands in FILE, one a line")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args()
+    if not args.workload and not args.commands:
+        ap.error("give --workload, --commands or both")
+    commands = read_commands(args.commands) if args.commands else []
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -128,6 +185,9 @@ def main():
     with tempfile.TemporaryDirectory() as parent_tree:
         extract(args.parent, parent_tree)
         trees = {"parent": parent_tree, "change": str(ROOT)}
+        if commands:
+            time_commands(trees, commands, args.pairs, doc.setdefault("commands", {}))
+            out.write_text(json.dumps(doc, indent=1) + "\n")
         for workload in args.workload:
             for seed in args.seeds:
                 done = [r["pair"] for r in runs
