@@ -8,6 +8,7 @@ values outside the float64 range), 2 on usage or syntax errors.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -141,7 +142,8 @@ def _resolve(args):
 
 
 def _parse_krange(text, a):
-    """The steps lo, lo+1, ..., hi as a float ndarray.
+    """The steps lo, lo+1, ... up to hi as a float ndarray; the last step is
+    lo + floor(hi - lo), to within 1e-9 of a whole step.
 
     Every step shares lo's offset from a, so checking lo checks the grid.
     """
@@ -160,7 +162,7 @@ def _parse_krange(text, a):
             f"k = {lo:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
             "adjust --k or --a"
         )
-    return lo + np.arange(int(round(hi - lo)) + 1)
+    return lo + np.arange(math.floor(hi - lo + 1e-9) + 1)
 
 
 class _Problem:
@@ -275,9 +277,19 @@ def _emit_values(args, problem, used, cf, ks, values):
     The rows come from one %-format over the flat (k, f(k)) tuple: %g, %8g,
     %.17g, %24.17g and %r format a float as the f-string specs g, 8g, .17g,
     24.17g and !r do, so the bytes are those of a row-by-row format.
+
+    The grid is lo + arange, integral when lo is: then k is written with %d,
+    as an integer at any size in csv and text, and as repr writes it below
+    1e16 in json.  When the last value is 0, the trailing run of values with
+    its bits is written from a row with that zero's text in place, so those
+    rows convert only k.
     """
+    lo, hi = float(ks[0]), float(ks[-1])
+    integral, big = lo.is_integer(), max(abs(lo), abs(hi))
+    as_int = integral and big < 2**63
     if args.format == "csv":
-        head, row, sep, tail = "k,f(k)\n", "%g,%.17g", "\n", "\n"
+        head, k_spec, f_spec, sep, tail = ("k,f(k)\n", "%d" if integral else "%g", ",%.17g",
+                                           "\n", "\n")
     elif args.format == "json":
         doc = {
             "expression": problem.text,
@@ -292,8 +304,9 @@ def _emit_values(args, problem, used, cf, ks, values):
         # for byte: "values" is the last key, and the encoder writes finite
         # floats with float.__repr__
         head = json.dumps(doc, indent=2)[: -len("\n}")] + ',\n  "values": [\n'
-        row, sep = '    {\n      "k": %r,\n      "f": %r\n    }', ",\n"
-        tail = "\n  ]\n}\n"
+        as_int = integral and big < 1e16
+        k_spec = '    {\n      "k": ' + ("%d.0" if as_int else "%r")
+        f_spec, sep, tail = ',\n      "f": %r\n    }', ",\n", "\n  ]\n}\n"
     else:
         lines = [
             f"expression     : {pretty(problem.ast)}",
@@ -306,11 +319,39 @@ def _emit_values(args, problem, used, cf, ks, values):
         if cf is not None:
             lines.append(f"closed form    : f(k) = {cf.describe()}")
         lines.append(f"{'k':>8}  {'f(k)':>24}\n")
-        head, row, sep, tail = "\n".join(lines), "%8g  %24.17g", "\n", "\n"
+        head, k_spec, f_spec, sep, tail = ("\n".join(lines), "%8d" if integral else "%8g",
+                                           "  %24.17g", "\n", "\n")
+    n, live = len(ks), _live_rows(values)
+    zero = f_spec % float(values[-1]) if live < n else f_spec
     # the head joins the template, its "%" escaped, so that the grid's text
     # is built once and not copied again to prepend the head
-    template = head.replace("%", "%%") + (row + sep) * (len(ks) - 1) + row + tail
-    sys.stdout.write(template % tuple(np.column_stack((ks, values)).ravel().tolist()))
+    template = (head.replace("%", "%%")
+                + sep.join([k_spec + f_spec] * live + [k_spec + zero] * (n - live)) + tail)
+    sys.stdout.write(template % _row_args(ks, values, live, as_int))
+
+
+def _live_rows(values):
+    """How many values come before the trailing run of values with the last
+    value's bits, when that value is 0; all of them otherwise."""
+    if values[-1] != 0:
+        return len(values)
+    bits = values.view(np.int64)
+    differ = np.flatnonzero(bits != bits[-1])
+    return int(differ[-1]) + 1 if differ.size else 0
+
+
+def _row_args(ks, values, live, as_int):
+    """The tuple (k, f(k)) for each of the first ``live`` steps, then k alone
+    for each later one; k as an int when ``as_int`` (%d of an int converts
+    faster than of a float)."""
+    def column(part):
+        return part.astype(np.int64).tolist() if as_int else part.tolist()
+
+    flat = [None] * (2 * live)
+    flat[0::2] = column(ks[:live])
+    flat[1::2] = values[:live].tolist()
+    flat += column(ks[live:])
+    return tuple(flat)
 
 
 def _cmd_invert(args):

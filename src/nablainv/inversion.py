@@ -34,6 +34,21 @@ from .expansion import expand
 from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
 
 REALNESS_TOL = 1e-9
+# A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
+# smallest subnormal, computes to exactly 0: numpy's power, the rising
+# factorial and the products are each within a few ulps of exact.
+ZERO_LOG = -1100 * math.log(2)
+# numpy raises a complex number to an integer power below 100 in magnitude by
+# repeated squaring, which overflows to inf or nan where the exact reciprocal
+# underflows; from 100 on it takes the C library's cpow, which gives 0.
+SQUARING_POWERS = 100
+# No grid gains from a cut past 2^40 steps, and below it the float log-bound
+# is exact to far less than the 2^25 margin.
+CUT_CAP = 2**40
+# A cut's search costs 2-4 us a term, about what evaluating the term on 50
+# steps does, and on a shorter grid most cuts lie past its end: a grid of
+# fewer steps is evaluated in full.
+CUT_MIN_STEPS = 1000
 # the causes a failing realness test names
 CONJUGATE_TERMS = "term set is not conjugate-consistent"
 COMPLEX_F = "F(s) has complex coefficients"
@@ -67,12 +82,46 @@ def _num(x):
     return f"({x.real:g}{x.imag:+g}j)"
 
 
+def _zero_from(coefficient, base, order):
+    """The first step offset m >= SQUARING_POWERS from which the term
+    coefficient * rising(m, order-1) / ((order-1)! base^(m+order-1)) computes
+    to exactly 0, its exact magnitude staying below 2^-1100; None when there
+    is no such step below CUT_CAP.
+
+    Every term has a ``zero_from``: None for the impulse and Mittag-Leffler
+    terms, and here for a growing term (|base| <= 1), a zero or non-finite
+    coefficient, and one whose coefficient times rising factorial overflows
+    at some int64 step, since inf times the underflowed power is nan.
+    """
+    c, r, n = abs(coefficient), abs(base), order - 1
+    if not (0 < c < math.inf and r > 1):
+        return None
+    log_c = math.log(c) - math.lgamma(order)
+    if log_c + 63 * n * math.log(2) >= 1020 * math.log(2):
+        return None
+    log_r = math.log(r)
+
+    def log_rising(m):
+        return sum(math.log(m + i) for i in range(n))
+
+    # The log-bound log_c + log_rising(m) - (m + n) log_r is concave in m and
+    # falls from m = n / log_r on, where sum_i 1/(m+i) <= n/m = log_r.  From
+    # there, m -> the step at which the linear part alone reaches ZERO_LOG
+    # climbs to the first step below it.
+    m = max(SQUARING_POWERS, math.ceil(n / log_r))
+    while m <= CUT_CAP and log_c + log_rising(m) - (m + n) * log_r >= ZERO_LOG:
+        m = max(m + 1, math.ceil((log_c + log_rising(m) - ZERO_LOG) / log_r) - n)
+    return m if m <= CUT_CAP else None
+
+
 @dataclass(frozen=True)
 class ImpulseTerm:
     """coefficient * delta(k - a - 1 - shift)."""
 
     coefficient: complex
     shift: int
+
+    zero_from = None
 
     def value(self, m):
         return np.where(m == self.shift + 1, self.coefficient, 0j)
@@ -96,6 +145,10 @@ class GeometricTerm:
     def __post_init__(self):
         if abs(1.0 - self.pole) <= POLE_ONE_GUARD:
             raise PoleAtOneError()
+
+    @cached_property
+    def zero_from(self):
+        return _zero_from(self.coefficient, 1.0 - self.pole, 1)
 
     def value(self, m):
         return self.coefficient * (1.0 - self.pole) ** (-m)
@@ -121,6 +174,10 @@ class PolyGeometricTerm:
             raise PoleAtOneError()
         if self.order < 1:
             raise ValueError("order must be >= 1")
+
+    @cached_property
+    def zero_from(self):
+        return _zero_from(self.coefficient, 1.0 - self.pole, self.order)
 
     def value(self, m):
         # the rising factorial m(m+1)...(m+n-2) in floats (an int64 product
@@ -156,6 +213,8 @@ class MittagLefflerTerm:
 
     coefficient: complex
     params: MittagLefflerParams
+
+    zero_from = None
 
     @cached_property
     def _series(self):
@@ -207,7 +266,13 @@ class ClosedFormSequence:
 
     def sample(self, ks):
         """Real values at every step of ``ks``, each term evaluated once on the
-        whole array of step offsets."""
+        array of step offsets.
+
+        On an ascending grid of at least CUT_MIN_STEPS steps a term is
+        evaluated, and the realness test run, only on the steps before its
+        ``zero_from``; the steps past every term's are +0.0, which the sum of
+        the terms' zeros is.
+        """
         ks = ks if isinstance(ks, np.ndarray) else list(ks)
         offsets = np.asarray(ks, dtype=float) - self.base_point
         m = np.rint(offsets)
@@ -215,17 +280,28 @@ class ClosedFormSequence:
         if bad.any():
             step_offset(ks[int(np.argmax(bad))], self.base_point)  # raises
         m = m.astype(np.int64)
-        parts = np.empty((len(self.terms), m.size), dtype=complex)
+        n = m.size
+        live = [n] * len(self.terms)
+        if n >= CUT_MIN_STEPS and (m[1:] >= m[:-1]).all():
+            live = [n if t.zero_from is None else int(np.searchsorted(m, t.zero_from))
+                    for t in self.terms]
+            n = max(live, default=0)
+        parts = np.zeros((len(self.terms), n), dtype=complex)
         # (1-p)^-m past the float64 range is inf; numpy flags that as an
         # overflow, or for a complex base as a division by zero
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            for row, t in zip(parts, self.terms):
-                row[:] = t.value(m)
+            for row, t, size in zip(parts, self.terms, live):
+                row[:size] = t.value(m[:size])
             v = parts.sum(axis=0)
             # conjugate terms cancel to rounding of the summands, which may
             # dwarf the sum itself (large residues at close conjugate poles)
             scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-            return real_values(v, ks, scale, self.cause)
+            head = real_values(v, ks, scale, self.cause)
+        if n == m.size:
+            return head
+        values = np.zeros(m.size)
+        values[:n] = head
+        return values
 
     def describe(self):
         if not self.terms:

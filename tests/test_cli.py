@@ -90,6 +90,28 @@ class TestInvert:
         assert code == 0
         assert out.splitlines()[1] == "1,1"
 
+    @pytest.mark.parametrize("krange, a, steps", [
+        ("1..2.5", 0.0, ["1", "2"]),
+        ("1..2.6", 0.0, ["1", "2"]),
+        ("1..3", 0.0, ["1", "2", "3"]),
+        ("1..2.9999999999", 0.0, ["1", "2", "3"]),
+        ("1.5..4", 0.5, ["1.5", "2.5", "3.5"]),
+    ])
+    def test_grid_ends_at_the_last_whole_step(self, capsys, krange, a, steps):
+        code, out, _ = run(capsys, "invert", "--expr", EX1, f"--a={a}", f"--k={krange}",
+                           "--format", "csv")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == steps
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_steps_past_1e6_are_written_as_integers(self, capsys, fmt):
+        code, out, _ = run(capsys, "invert", "--expr", "1/(s+0.5)", "--k", "999998..1000001",
+                           "--format", fmt)
+        assert code == 0
+        rows = out.splitlines()[-4:]
+        assert [row.replace(",", " ").split()[0] for row in rows] == [
+            "999998", "999999", "1000000", "1000001"]
+
 
 class TestExitCodes:
     def test_pole_at_one(self, capsys):
@@ -299,11 +321,15 @@ class TestFloatRange:
 
 
 def _print_rows(fmt, problem, used, cf, rows):
-    """Reference: the row-by-row print formatter of the previous CLI."""
+    """Reference: a row-by-row print formatter; csv and text write an
+    integral k as an integer."""
+    def k_text(k, spec):
+        return f"{int(k):{spec}d}" if float(k).is_integer() else f"{k:{spec}g}"
+
     if fmt == "csv":
         print("k,f(k)")
         for k, v in rows:
-            print(f"{k:g},{v:.17g}")
+            print(f"{k_text(k, '')},{v:.17g}")
         return
     if fmt == "json":
         doc = {
@@ -328,7 +354,11 @@ def _print_rows(fmt, problem, used, cf, rows):
         print(f"closed form    : f(k) = {cf.describe()}")
     print(f"{'k':>8}  {'f(k)':>24}")
     for k, v in rows:
-        print(f"{k:8g}  {v:24.17g}")
+        print(f"{k_text(k, '8')}  {v:24.17g}")
+
+
+LONG_EXPR = ("1.5/(s+0.8) + 2.1/(s+1.1)^2 + (1.2-0.5j)/(s-(-0.5-1.5j))"
+             " + (1.2+0.5j)/(s-(-0.5+1.5j))")
 
 
 class TestSingleWriteOutput:
@@ -345,6 +375,18 @@ class TestSingleWriteOutput:
         ("1/(s+9)", "auto", "3..3", 0.0),
         # steps such as 3.1 and 8.1 whose repr is longer than their %g
         (EX1, "pfe", "1.1..40.1", 0.1),
+        # a closed form whose tail past every term's zero_from is 0
+        (LONG_EXPR, "pfe", "1..3000", 0.0),
+        # zeros at k = 1, 2 before nonzero values, and a last value that is not 0
+        ("(1-s)^2/(s+0.5)", "inside", "1..6", 0.0),
+        # negative steps, and a zero tail
+        ("1/(s+9)", "pfe", "-4..400", -5.0),
+        # steps past 1e6, written as integers in csv and text
+        ("1/(s+9)", "auto", "999998..1000001", 0.0),
+        # steps from 1e16, where repr and json write k with an exponent
+        ("1/(s+9)", "auto", "1e16..10000000000000004", 0.0),
+        # Mittag-Leffler terms, which have no cut
+        (EX2, "auto", "1..30", 0.0),
     ])
     def test_bytes_match_row_printer(self, capsys, fmt, expr, strategy, krange, a):
         problem = cli._Problem(expr, a)
@@ -352,15 +394,28 @@ class TestSingleWriteOutput:
         used, cf, values = problem.invert(strategy, ks)
         _print_rows(fmt, problem, used, cf, list(zip(ks.tolist(), values.tolist())))
         want = capsys.readouterr().out
-        code, out, _ = run(capsys, "invert", "--expr", expr, "--a", str(a), "--k", krange,
+        code, out, _ = run(capsys, "invert", "--expr", expr, f"--a={a}", f"--k={krange}",
                            "--strategy", strategy, "--format", fmt)
         assert code == 0
         assert out == want
 
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.0, 0.0, 0.0],
+        [0.0, 2.5, 0.0, -0.0, -0.0],
+        [-0.0],
+        [0.0, 0.0],
+    ])
+    def test_zero_tail_keeps_the_sign_of_zero(self, capsys, values):
+        ks = np.arange(1.0, len(values) + 1)
+        _print_rows("csv", None, "pfe", None, list(zip(ks.tolist(), values)))
+        want = capsys.readouterr().out
+        cli._emit_values(argparse.Namespace(format="csv"), None, "pfe", None, ks,
+                         np.array(values))
+        assert capsys.readouterr().out == want
+
 
 class TestLongGrid:
-    EXPR = ("1.5/(s+0.8) + 2.1/(s+1.1)^2 + (1.2-0.5j)/(s-(-0.5-1.5j))"
-            " + (1.2+0.5j)/(s-(-0.5+1.5j))")
+    EXPR = LONG_EXPR
 
     def test_strategies_agree_at_k_1e5(self, capsys):
         """Linear cost in K: the O(K^2) series division took about 14 s at this K

@@ -31,6 +31,7 @@ from nablainv import (
     numeric_inverse,
     parse_expression,
 )
+from nablainv.inversion import CUT_MIN_STEPS, real_values
 from nablainv.pairs import sample_points
 from conftest import (
     example1,
@@ -498,6 +499,126 @@ class TestSampleGrid:
         cf = ClosedFormSequence(0.0, (GeometricTerm(-1.36, 0.63),))
         got = cf.sample(range(1, 1502))
         assert np.isfinite(got[712]) and not np.isfinite(got[713])
+
+
+def _full_sample(cf, ks):
+    """The reference for ``sample``: every term evaluated on every step, then
+    summed and tested for realness as ``sample`` does (base point 0)."""
+    m = np.asarray(ks, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        parts = np.zeros((len(cf.terms), m.size), dtype=complex)
+        for row, t in zip(parts, cf.terms):
+            row[:] = t.value(m)
+        v = parts.sum(axis=0)
+        scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
+        return real_values(v, ks, scale, cf.cause)
+
+
+def _outcome(sample, ks):
+    """The bits of the values, or the message of the RealnessError raised."""
+    try:
+        return sample(ks).view(np.int64).tolist()
+    except RealnessError as exc:
+        return str(exc)
+
+
+def _random_closed_form(rng):
+    """Decaying terms: |c| in 1e-300..1e300, orders 1-4, |1-p| in (1, 3] with
+    some at 1 + 1e-12, complex poles in conjugate pairs; impulses and zero
+    coefficients among them."""
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        c = 10.0 ** rng.uniform(-300, 300) * rng.choice([-1, 1])
+        r = 1 + 1e-12 if rng.random() < 0.15 else rng.uniform(1, 3)
+        order = int(rng.integers(1, 5))
+        if rng.random() < 0.5:
+            terms.append(PolyGeometricTerm(c, 1 - r * rng.choice([-1, 1]), order))
+            continue
+        c = c * cmath.exp(1j * rng.uniform(-3, 3))
+        base = r * cmath.exp(1j * rng.uniform(0.1, 3))
+        terms += [PolyGeometricTerm(c, 1 - base, order),
+                  PolyGeometricTerm(c.conjugate(), 1 - base.conjugate(), order)]
+    if rng.random() < 0.3:
+        terms.append(ImpulseTerm(float(rng.normal()), int(rng.integers(0, 200))))
+    if rng.random() < 0.3:
+        terms.append(GeometricTerm(0.0, -1.0))
+    return ClosedFormSequence(0.0, tuple(terms))
+
+
+class TestZeroCut:
+    """A decaying term stops being evaluated at its ``zero_from``; the grid
+    stays bit for bit the full evaluation's, sign of zero included."""
+
+    def assert_full(self, cf, ks):
+        assert len(ks) >= CUT_MIN_STEPS
+        assert _outcome(cf.sample, ks) == _outcome(lambda ks: _full_sample(cf, ks), ks)
+
+    def test_random_closed_forms(self, rng):
+        cut = 0
+        for _ in range(150):
+            cf = _random_closed_form(rng)
+            self.assert_full(cf, np.arange(1, 2500, dtype=float))
+            for t in cf.terms:
+                if t.zero_from is not None:
+                    cut += 1
+                    lo = max(1, t.zero_from - CUT_MIN_STEPS // 2)
+                    self.assert_full(cf, np.arange(lo, lo + CUT_MIN_STEPS, dtype=float))
+        assert cut > 100
+
+    def test_zero_from_is_where_the_bound_falls_below_2_to_the_minus_1100(self):
+        # 3^-m < 2^-1100 from m = 695 on; 2.1 m 2.1^-(m+1) from m = 1038 on
+        assert GeometricTerm(1.0, -2.0).zero_from == 695
+        assert PolyGeometricTerm(2.1, -1.1, 2).zero_from == 1038
+        assert PolyGeometricTerm(1.0, -2.0, 1).zero_from == 695
+
+    @pytest.mark.parametrize("term", [
+        ImpulseTerm(1.0, 3),
+        MittagLefflerTerm(1.0, MittagLefflerParams(0.5, 0.5, 0.2)),
+        GeometricTerm(1.0, 0.5),  # |1-p| < 1 grows
+        GeometricTerm(1.0, 1.0 + 1j),  # |1-p| = 1
+        GeometricTerm(0.0, -2.0),
+        GeometricTerm(1.0, -1e-12),  # past 2^40 steps
+        PolyGeometricTerm(1e300, -2.0, 4),  # c rising(m, 3) / 6 passes 2^1023
+    ])
+    def test_no_cut(self, term):
+        assert term.zero_from is None
+
+    def test_powers_by_squaring_keep_their_nan(self):
+        """numpy raises (1e5+1e5j) to the powers -61..-99 by squaring, which
+        overflows to nan; the cut starts at 100."""
+        base = 1e5 + 1e5j
+        cf = ClosedFormSequence(0.0, (GeometricTerm(1.0, 1 - base),
+                                      GeometricTerm(1.0, 1 - base.conjugate())))
+        ks = np.arange(1, 1200, dtype=float)
+        full = _full_sample(cf, ks)
+        assert np.isnan(full[60]) and full[150] == 0
+        assert cf.terms[0].zero_from == 100
+        self.assert_full(cf, ks)
+        self.assert_full(cf, np.arange(70, 1200, dtype=float))
+
+    def test_growing_term_overflows_at_the_same_step(self):
+        # -1.36 * 0.37^-m passes 1.8e308 at m = 714, past the 3^-m cut at 695
+        cf = ClosedFormSequence(0.0, (GeometricTerm(2.0, -2.0), GeometricTerm(-1.36, 0.63),
+                                      PolyGeometricTerm(1.0, 4.0, 3)))
+        ks = np.arange(1, 1502, dtype=float)
+        got, full = cf.sample(ks), _full_sample(cf, ks)
+        assert np.argmax(~np.isfinite(got)) == np.argmax(~np.isfinite(full)) == 713
+        self.assert_full(cf, ks)
+
+    def test_realness_failure_at_the_same_step(self):
+        # an unpaired growing imaginary term passes 1e-9 near m = 917, past
+        # the cut of a decaying real one at 695
+        cf = ClosedFormSequence(0.0, (GeometricTerm(1.0, -2.0), GeometricTerm(1e-13j, 0.01)))
+        ks = np.arange(1, 1200, dtype=float)
+        k = _first_realness_failure(cf.sample, ks)
+        assert k == _first_realness_failure(lambda ks: _full_sample(cf, ks), ks)
+        assert k == "917.0" and cf.terms[0].zero_from == 695
+
+    def test_unsorted_grid_is_evaluated_in_full(self):
+        # a search for the cut at 695 in this grid would land before 150
+        cf = ClosedFormSequence(0.0, (GeometricTerm(-1.0, -2.0),))
+        ks = np.append(np.arange(1.0, 1200.0), 150.0)
+        self.assert_full(cf, ks)
 
 
 class TestCancelledPoleInside:
