@@ -10,14 +10,24 @@ Grammar (no implicit multiplication, '^' binds tighter than unary minus):
 
 FUNC is one of sin, cos, sinh, cosh, exp and must be applied to a constant;
 constant subexpressions are folded at parse time.  Exponents must fold to a
-real constant.  Number literals may carry a 'j' suffix for imaginary parts,
-and rationals like 10/7 inside exponents work because '/' folds on constants.
+finite real constant.  Number literals may carry a 'j' suffix for imaginary
+parts, and rationals like 10/7 inside exponents work because '/' folds on
+constants.  A fold that overflows raises OverflowError, and one outside its
+function's domain (sin(inf), 0^-1) raises ExpressionSyntaxError; both name
+the operation and the line and column of its operator or function name.
+
+The lexer is one regular expression, ``_TOKEN``, with a named group per
+token kind.  The tree has five node types: ``Num``, ``Var`` (s), ``Neg``,
+``BinOp`` (op one of '+', '-', '*', '/') and ``Pow`` (a real exponent).
+Nodes carry no positions: errors take theirs from the tokens.
 """
 
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+import operator
+import re
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +47,7 @@ __all__ = [
     "Num",
     "Var",
     "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
+    "BinOp",
     "Pow",
 ]
 
@@ -52,6 +59,7 @@ _FUNCTIONS = {
     "exp": cmath.exp,
 }
 _CONSTANTS = {"pi": complex(math.pi), "e": complex(math.e), "j": 1j}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 _UNSUPPORTED_HINT = (
     "only rational functions of s, fractional-power atoms "
@@ -67,53 +75,29 @@ _UNSUPPORTED_HINT = (
 @dataclass(frozen=True)
 class Num:
     value: complex
-    pos: tuple = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
-    pos: tuple = field(default=None, compare=False)
+    pass
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    pos: tuple = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
-class Add:
+class BinOp:
+    op: str  # '+', '-', '*' or '/'
     left: object
     right: object
-    pos: tuple = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-    pos: tuple = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-    pos: tuple = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-    pos: tuple = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Pow:
     base: object
     exponent: float
-    pos: tuple = field(default=None, compare=False)
 
 
 # --- Lexer ----------------------------------------------------------------
@@ -129,71 +113,44 @@ class _Token(NamedTuple):
     column: int
 
 
+# One named group per token kind, tried in order.  A number: decimal digits
+# with an optional fraction, or a fraction alone, then an exponent (only when
+# digits follow the e) and 'j'.  An identifier starts with any other word
+# character ('_', a letter, '²').  \s is str.isspace: '\r' or a tab is a column.
+_TOKEN = re.compile(r"""
+    (?P<number>  (?:\d+(?:\.\d*)?|\.\d+) (?:[eE][+-]?\d+)? j? )
+  | (?P<ident>   [^\W\d]\w* )
+  | (?P<op>      [-+*/^] )
+  | (?P<lparen>  \( )
+  | (?P<rparen>  \) )
+  | (?P<newline> \n )
+  | (?P<space>   \s )
+  | (?P<other>   . )
+""", re.VERBOSE)
+
+
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            value = complex(float(lit))
-            if j < n and text[j] == "j":
-                value *= 1j
-                j += 1
-                lit = text[i:j]
-            tokens.append(_Token("number", lit, value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], 0j, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, 0j, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, 0j, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, 0j, line, start_col))
-        else:
+        lit = m.group()
+        column = m.start() - line_start + 1
+        if kind == "other":
             raise ExpressionSyntaxError(
-                f"unexpected character {ch!r}", line, start_col,
+                f"unexpected character {lit!r}", line, column,
                 ("number", "identifier", "operator", "parenthesis"),
             )
-        i += 1
-        col += 1
-    tokens.append(_Token("end", "", 0j, line, col))
+        value = 0j
+        if kind == "number":
+            value = complex(float(lit[:-1])) * 1j if lit[-1] == "j" else complex(float(lit))
+        tokens.append(_Token(kind, lit, value, line, column))
+    tokens.append(_Token("end", "", 0j, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -213,39 +170,37 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect(self, kind, text=None, expected=()):
+    def unexpected(self, expected):
+        """The syntax error at the next token."""
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ExpressionSyntaxError(
-                f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-                tok.line, tok.column, expected,
-            )
+        return ExpressionSyntaxError(
+            f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
+            tok.line, tok.column, expected,
+        )
+
+    def expect(self, kind, expected):
+        if self.peek().kind != kind:
+            raise self.unexpected(expected)
         return self.advance()
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(
-                f"unexpected {tok.text!r}", tok.line, tok.column,
-                ("operator", "end of input"),
-            )
+        if self.peek().kind != "end":
+            raise self.unexpected(("operator", "end of input"))
         return node
 
     def expr(self):
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance()
-            right = self.term()
-            node = _fold_binary(op.text, node, right, (op.line, op.column))
+            node = _fold_binary(op, node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance()
-            right = self.unary()
-            node = _fold_binary(op.text, node, right, (op.line, op.column))
+            node = _fold_binary(op, node, self.unary())
         return node
 
     def unary(self):
@@ -254,8 +209,8 @@ class _Parser:
             self.advance()
             operand = self.unary()
             if isinstance(operand, Num):
-                return Num(-operand.value, (tok.line, tok.column))
-            return Neg(operand, (tok.line, tok.column))
+                return Num(-operand.value)
+            return Neg(operand)
         return self.power()
 
     def power(self):
@@ -263,66 +218,73 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            exponent = self.unary()
-            return _fold_power(base, exponent, (tok.line, tok.column))
+            return _fold_power(tok, base, self.unary())
         return base
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(tok.value, (tok.line, tok.column))
+            return Num(tok.value)
         if tok.kind == "lparen":
             self.advance()
             node = self.expr()
-            self.expect("rparen", expected=("')'",))
+            self.expect("rparen", ("')'",))
             return node
         if tok.kind == "ident":
             self.advance()
             name = tok.text
-            pos = (tok.line, tok.column)
             if name == "s":
-                return Var(pos)
+                return Var()
             if name in _CONSTANTS:
-                return Num(_CONSTANTS[name], pos)
+                return Num(_CONSTANTS[name])
             if name in _FUNCTIONS:
-                self.expect("lparen", expected=("'('",))
+                self.expect("lparen", ("'('",))
                 arg = self.expr()
-                self.expect("rparen", expected=("')'",))
+                self.expect("rparen", ("')'",))
                 if not isinstance(arg, Num):
                     raise UnsupportedExpressionError(
                         f"{name}() applied to a non-constant argument: "
                         + _UNSUPPORTED_HINT
                     )
-                return Num(_FUNCTIONS[name](arg.value), pos)
+                return _constant(tok, _FUNCTIONS[name], arg.value)
             raise ExpressionSyntaxError(
                 f"unknown identifier {name!r}", tok.line, tok.column,
                 ("s", "pi", "e", "j", *sorted(_FUNCTIONS)),
             )
-        raise ExpressionSyntaxError(
-            f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.line, tok.column,
-            ("number", "'s'", "'('", "'-'"),
-        )
+        raise self.unexpected(("number", "'s'", "'('", "'-'"))
 
 
-def _fold_binary(op, left, right, pos):
-    if isinstance(left, Num) and isinstance(right, Num):
-        a, b = left.value, right.value
-        if op == "+":
-            return Num(a + b, pos)
-        if op == "-":
-            return Num(a - b, pos)
-        if op == "*":
-            return Num(a * b, pos)
-        if b == 0:
-            raise ExpressionSyntaxError("division by the constant zero", *pos)
-        return Num(a / b, pos)
-    cls = {"+": Add, "-": Sub, "*": Mul, "/": Div}[op]
-    return cls(left, right, pos)
+def _fold_error(tok, what, overflow):
+    """The error of a constant fold at token ``tok``: an OverflowError (exit 1)
+    when ``what`` leaves the float64 range, else ExpressionSyntaxError (exit 2)."""
+    if overflow:
+        return OverflowError(
+            f"{what} overflows the float64 range at line {tok.line}, column {tok.column}")
+    return ExpressionSyntaxError(f"{what} is undefined", tok.line, tok.column)
 
 
-def _fold_power(base, exponent, pos):
+def _constant(tok, fn, *args):
+    """Num(fn(*args)) for a power or function of constants at token ``tok``."""
+    try:
+        return Num(fn(*args))
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        if tok.text == "^":
+            what = f"{_fmt_num(args[0])}^{_fmt_real(args[1])}"
+        else:
+            what = f"{tok.text}({_fmt_num(args[0])})"
+        raise _fold_error(tok, what, isinstance(exc, OverflowError)) from None
+
+
+def _fold_binary(tok, left, right):
+    if not (isinstance(left, Num) and isinstance(right, Num)):
+        return BinOp(tok.text, left, right)
+    if tok.text == "/" and right.value == 0:
+        raise ExpressionSyntaxError("division by the constant zero", tok.line, tok.column)
+    return Num(_ARITHMETIC[tok.text](left.value, right.value))
+
+
+def _fold_power(tok, base, exponent):
     if not isinstance(exponent, Num):
         raise UnsupportedExpressionError(
             "non-constant exponent: " + _UNSUPPORTED_HINT
@@ -333,13 +295,15 @@ def _fold_power(base, exponent, pos):
             "complex exponents are not supported; " + _UNSUPPORTED_HINT
         )
     e = float(e.real)
+    if not math.isfinite(e):
+        raise _fold_error(tok, f"the exponent {e!r}", math.isinf(e))
     if isinstance(base, Num):
-        return Num(base.value**e, pos)
+        return _constant(tok, pow, base.value, e)
     if e == 0:
-        return Num(1.0 + 0j, pos)
+        return Num(1.0 + 0j)
     if e == 1:
         return base
-    return Pow(base, e, pos)
+    return Pow(base, e)
 
 
 def parse_expression(text):
@@ -368,10 +332,6 @@ class Classified:
     reason: str = None
 
 
-def _is_integer(e, tol=0.0):
-    return abs(e - round(e)) <= tol
-
-
 _S = Polynomial([0.0, 1.0])
 
 
@@ -393,30 +353,28 @@ def _to_rational(node):
     if isinstance(node, Neg):
         r = _to_rational(node.operand)
         return None if r is None else (-r[0], r[1])
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, BinOp):
         l = _to_rational(node.left)
         r = _to_rational(node.right)
         if l is None or r is None:
             return None
-        if isinstance(node, (Add, Sub)):
-            return _sum(l, r, 1.0 if isinstance(node, Add) else -1.0)
-        if isinstance(node, Mul):
+        if node.op in "+-":
+            return _sum(l, r, 1.0 if node.op == "+" else -1.0)
+        if node.op == "*":
             return _scaled(l[0] * r[0], l[1], r[1], 1)
         if r[0] == 0:
             raise ZeroDivisionError("denominator is identically zero")
         return _scaled(l[0] / r[0], l[1], r[1], -1)
-    if isinstance(node, Pow):
-        if not _is_integer(node.exponent):
-            return None
-        r = _to_rational(node.base)
-        if r is None:
-            return None
-        e = int(round(node.exponent))
-        c, factors = r
-        if c == 0 and e < 0:
-            raise ZeroDivisionError("denominator is identically zero")
-        return _scaled(c**e, {}, factors, e)
-    return None
+    if not node.exponent.is_integer():  # node is a Pow
+        return None
+    r = _to_rational(node.base)
+    if r is None:
+        return None
+    e = int(round(node.exponent))
+    c, factors = r
+    if c == 0 and e < 0:
+        raise ZeroDivisionError("denominator is identically zero")
+    return _scaled(c**e, {}, factors, e)
 
 
 def _scaled(c, left, right, sign):
@@ -520,22 +478,18 @@ def fraction_factors(node):
     if isinstance(node, Neg):
         r = fraction_factors(node.operand)
         return None if r is None else (-r[0], r[1], r[2])
-    if isinstance(node, Mul):
+    if isinstance(node, BinOp) and node.op in "*/":
         l = fraction_factors(node.left)
         r = fraction_factors(node.right)
         if l is None or r is None:
             return None
-        return l[0] * r[0], l[1] + r[1], l[2] + r[2]
-    if isinstance(node, Div):
-        l = fraction_factors(node.left)
-        r = fraction_factors(node.right)
-        if l is None or r is None or r[0] == 0:
+        if node.op == "*":
+            return l[0] * r[0], l[1] + r[1], l[2] + r[2]
+        if r[0] == 0:
             return None
         return l[0] / r[0], l[1] + r[2], l[2] + r[1]
     if isinstance(node, Pow):
-        e = node.exponent
-        if e == 0:
-            return 1.0 + 0j, [], []
+        e = node.exponent  # not 0: s^0 folds to 1
         if e > 0:
             return 1.0 + 0j, [(node.base, e)], []
         return 1.0 + 0j, [], [(node.base, -e)]
@@ -555,20 +509,16 @@ def _binomial_pole(node):
 
     flip is -1 when the node is lam - s^alpha = -(s^alpha - lam).
     """
-    if isinstance(node, Sub):
-        a = _power_of_s(node.left)
-        if a is not None and isinstance(node.right, Num):
-            return a, node.right.value, 1.0  # s^a - lam
-        a = _power_of_s(node.right)
-        if a is not None and isinstance(node.left, Num):
-            return a, node.left.value, -1.0  # lam - s^a
-    elif isinstance(node, Add):
-        a = _power_of_s(node.left)
-        if a is not None and isinstance(node.right, Num):
-            return a, -node.right.value, 1.0  # s^a + c = s^a - (-c)
-        a = _power_of_s(node.right)
-        if a is not None and isinstance(node.left, Num):
-            return a, -node.left.value, 1.0
+    if not (isinstance(node, BinOp) and node.op in "+-"):
+        return None
+    a = _power_of_s(node.left)
+    if a is not None and isinstance(node.right, Num):
+        c = node.right.value  # s^a - lam, or s^a + c = s^a - (-c)
+        return a, (c if node.op == "-" else -c), 1.0
+    a = _power_of_s(node.right)
+    if a is not None and isinstance(node.left, Num):
+        c = node.left.value  # lam - s^a, or c + s^a
+        return (a, c, -1.0) if node.op == "-" else (a, -c, 1.0)
     return None
 
 
@@ -591,7 +541,7 @@ def power_form(node):
         if a is not None:
             e += a * p
             continue
-        b = _binomial_pole(base) if p < 0 and _is_integer(p) else None
+        b = _binomial_pole(base) if p < 0 and p.is_integer() else None
         if b is not None:
             if pole is not None:
                 return None
@@ -630,10 +580,9 @@ def _match_atom(node, sign):
 
 
 def _flatten_sum(node, sign=1.0):
-    if isinstance(node, Add):
-        return _flatten_sum(node.left, sign) + _flatten_sum(node.right, sign)
-    if isinstance(node, Sub):
-        return _flatten_sum(node.left, sign) + _flatten_sum(node.right, -sign)
+    if isinstance(node, BinOp) and node.op in "+-":
+        right = sign if node.op == "+" else -sign
+        return _flatten_sum(node.left, sign) + _flatten_sum(node.right, right)
     if isinstance(node, Neg):
         return _flatten_sum(node.operand, -sign)
     return [(sign, node)]
@@ -655,20 +604,15 @@ def _scan_unsupported(node):
         return None
     if isinstance(node, Neg):
         return _scan_unsupported(node.operand)
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, BinOp):
         return _scan_unsupported(node.left) or _scan_unsupported(node.right)
-    if isinstance(node, Pow):
-        inner = _scan_unsupported(node.base)
-        if inner:
-            return inner
-        if _is_integer(node.exponent):
-            return None
-        if isinstance(node.base, Var):
-            return None
-        if linear_coefficients(node.base) is not None:
-            return None  # fractional power of a linear base (tabulated shape)
-        return "fractional power of a non-linear base: " + _UNSUPPORTED_HINT
-    return f"unsupported node {type(node).__name__}"
+    inner = _scan_unsupported(node.base)  # node is a Pow
+    # an integer power, or a fractional power of s or of a linear base
+    # (tabulated shapes), is supported
+    if inner or node.exponent.is_integer() or isinstance(node.base, Var) \
+            or linear_coefficients(node.base) is not None:
+        return inner
+    return "fractional power of a non-linear base: " + _UNSUPPORTED_HINT
 
 
 def classify(ast):
@@ -695,7 +639,7 @@ def classify(ast):
 
 
 def _fmt_real(x):
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):
         return str(int(x))
     return repr(x)
 
@@ -709,7 +653,8 @@ def _fmt_num(v):
     return f"({_fmt_real(v.real)}{sign}{_fmt_real(abs(v.imag))}j)"
 
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Num: 5, Var: 5}
+# a BinOp's precedence is its operator's, any other node's its type's
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, Neg: 3, Pow: 4, Num: 5, Var: 5}
 
 
 def pretty(node):
@@ -718,7 +663,7 @@ def pretty(node):
 
 
 def _render(node, parent):
-    prec = _PREC[type(node)]
+    prec = _PREC[node.op if isinstance(node, BinOp) else type(node)]
     if isinstance(node, Num):
         text = _fmt_num(node.value)
         if (node.value.real < 0 and node.value.imag == 0) and parent > 0:
@@ -728,14 +673,8 @@ def _render(node, parent):
         text = "s"
     elif isinstance(node, Neg):
         text = "-" + _render(node.operand, prec)
-    elif isinstance(node, Add):
-        text = f"{_render(node.left, prec)}+{_render(node.right, prec + 1)}"
-    elif isinstance(node, Sub):
-        text = f"{_render(node.left, prec)}-{_render(node.right, prec + 1)}"
-    elif isinstance(node, Mul):
-        text = f"{_render(node.left, prec)}*{_render(node.right, prec + 1)}"
-    elif isinstance(node, Div):
-        text = f"{_render(node.left, prec)}/{_render(node.right, prec + 1)}"
+    elif isinstance(node, BinOp):
+        text = f"{_render(node.left, prec)}{node.op}{_render(node.right, prec + 1)}"
     else:  # Pow
         exp = _fmt_real(node.exponent)
         text = f"{_render(node.base, prec + 1)}^{exp}"

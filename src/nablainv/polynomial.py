@@ -135,19 +135,10 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + -_coeffs_of(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         return Polynomial(np.convolve(self.coeffs, _coeffs_of(other)))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Polynomial(-self.coeffs)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

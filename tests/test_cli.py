@@ -145,6 +145,22 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("expr, code, message", [
+        ("1+²", 2, "unknown identifier '²' at line 1, column 3 "
+                   "(expected: s, pi, e, j, cos, cosh, exp, sin, sinh)"),
+        ("10^400*s", 1, "10^400 overflows the float64 range at line 1, column 3"),
+        ("exp(1000)*s", 1, "exp(1000) overflows the float64 range at line 1, column 1"),
+        ("sin(1e400)", 2, "sin(inf) is undefined at line 1, column 1"),
+        ("0^-1+s", 2, "0^-1 is undefined at line 1, column 2"),
+        ("s^1e400", 1, "the exponent inf overflows the float64 range at line 1, column 2"),
+        ("s^(1e400-1e400)", 2, "the exponent nan is undefined at line 1, column 2"),
+    ])
+    def test_constant_folds_name_the_operation(self, capsys, expr, code, message):
+        # an overflow exits 1, a fold outside its domain 2, each on one line
+        # naming the operator or function and where it is written
+        assert run(capsys, "invert", f"--expr={expr}", "--k", "1..3") \
+            == (code, "", f"error: {message}\n")
+
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "invert", "--expr", "9/((s+1", "--k", "1..3")
         assert code == 2

@@ -117,6 +117,64 @@ class TestSyntaxErrors:
             parse_expression("1/(2-2)")
 
 
+class TestTokenPositions:
+    """Line and column of tokens and errors past the first line, and the
+    number forms the lexer reads."""
+
+    def test_tokens_of_a_multiline_input(self):
+        tokens = parsing._tokenize("1.e5*s\r\n\t+ .5/(s-3j)\n")
+        assert [tuple(tok) for tok in tokens] == [
+            ("number", "1.e5", 1e5 + 0j, 1, 1),
+            ("op", "*", 0j, 1, 5),
+            ("ident", "s", 0j, 1, 6),
+            ("op", "+", 0j, 2, 2),
+            ("number", ".5", 0.5 + 0j, 2, 4),
+            ("op", "/", 0j, 2, 6),
+            ("lparen", "(", 0j, 2, 7),
+            ("ident", "s", 0j, 2, 8),
+            ("op", "-", 0j, 2, 9),
+            ("number", "3j", 3j, 2, 10),
+            ("rparen", ")", 0j, 2, 12),
+            ("end", "", 0j, 3, 1),
+        ]
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("s +\n @", 2, 2),  # after a newline
+        ("1/(s-2)\r\n+ x", 2, 3),  # '\r' is a column, '\n' ends the line
+        ("s\t@", 1, 3),  # a tab is one column
+        ("s\n\n\t\t+ @", 3, 5),
+    ])
+    def test_error_positions(self, text, line, column):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, line, column", [
+        ("s +", 1, 4),
+        ("s *\n  ", 2, 3),
+        ("(s\r\n", 2, 1),
+    ])
+    def test_end_of_input_position(self, text, line, column):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value).startswith("unexpected end of input")
+        assert (err.value.line, err.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1.e5", 1e5), (".5", 0.5), ("3j", 3j), ("1e-3j", 1e-3j), ("2.5E+2", 250.0),
+        ("7.", 7.0),
+    ])
+    def test_number_forms(self, text, value):
+        assert parse_expression(text) == Num(complex(value))
+
+    def test_exponent_without_digits_ends_the_number(self):
+        # 2e is the number 2 and then an identifier e, which no operator joins
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression("2e")
+        assert str(err.value).startswith("unexpected 'e'")
+        assert (err.value.line, err.value.column) == (1, 2)
+
+
 class TestClassification:
     def test_pure_fractional_power_is_atom(self):
         cls = classify(parse_expression("1/s^1.5"))

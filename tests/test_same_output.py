@@ -1,0 +1,49 @@
+"""The output comparison over the benchmark's requests."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from nablainv.cli import main
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def same_output():
+    sys.path.insert(0, str(TOOLS))  # same_output imports bench_pairs beside it
+    try:
+        spec = importlib.util.spec_from_file_location("same_output", TOOLS / "same_output.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(TOOLS))
+    return module
+
+
+def test_commands_are_the_requests_with_each_verify_confirmed(same_output):
+    assert len(same_output.commands("rational-short", 1)) == 408  # whole blocks past 400
+    cmds = same_output.commands("verify", 1)
+    verifies = [i for i, argv in enumerate(cmds) if argv[0] == "verify"]
+    assert len(verifies) == 100 and len(cmds) == 200
+    for i in verifies:
+        assert cmds[i - 1] == ["invert", *cmds[i][1:], "--format", "json"]
+
+
+def test_child_hashes_exit_code_stdout_and_stderr(same_output, tmp_path, capsys):
+    cmds = [["invert", "--expr=1/(s-0.3)", "--k", "1..3"],
+            ["invert", "--expr=1/(s-", "--k", "1..3"],
+            ["invert", "--expr=1/(s-0.3)", "--k", "1..3"]]
+    argv_file = tmp_path / "commands.json"
+    argv_file.write_text(json.dumps(cmds))
+    (got,) = same_output.digests([same_output.start(same_output.ROOT, str(argv_file))])
+    want = []
+    for argv in cmds:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        want.append(hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest())
+    assert got == want and got[0] == got[2] != got[1]
