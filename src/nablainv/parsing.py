@@ -12,9 +12,10 @@ FUNC is one of sin, cos, sinh, cosh, exp and must be applied to a constant;
 constant subexpressions are folded at parse time.  Exponents must fold to a
 finite real constant.  Number literals may carry a 'j' suffix for imaginary
 parts, and rationals like 10/7 inside exponents work because '/' folds on
-constants.  A fold that overflows raises OverflowError, and one outside its
-function's domain (sin(inf), 0^-1) raises ExpressionSyntaxError; both name
-the operation and the line and column of its operator or function name.
+constants.  A fold of finite constants (+, -, *, /, ^ or a function) that
+overflows raises OverflowError, and one outside its function's domain
+(sin(inf), 0^-1) raises ExpressionSyntaxError; both name the operation and
+the line and column of its operator or function name.
 
 The lexer is one regular expression, ``_TOKEN``, with a named group per
 token kind.  The tree has five node types: ``Num``, ``Var`` (s), ``Neg``,
@@ -244,10 +245,9 @@ class _Parser:
                 self.expect("rparen", ("')'",))
                 if not isinstance(arg, Num):
                     raise UnsupportedExpressionError(
-                        f"{name}() applied to a non-constant argument: "
-                        + _UNSUPPORTED_HINT
-                    )
-                return _constant(tok, _FUNCTIONS[name], arg.value)
+                        f"{name}() applied to a non-constant argument: " + _UNSUPPORTED_HINT)
+                return _constant(tok, lambda: f"{name}({_render(arg, 0)})",
+                                 _FUNCTIONS[name], arg.value)
             raise ExpressionSyntaxError(
                 f"unknown identifier {name!r}", tok.line, tok.column,
                 ("s", "pi", "e", "j", *sorted(_FUNCTIONS)),
@@ -264,16 +264,17 @@ def _fold_error(tok, what, overflow):
     return ExpressionSyntaxError(f"{what} is undefined", tok.line, tok.column)
 
 
-def _constant(tok, fn, *args):
-    """Num(fn(*args)) for a power or function of constants at token ``tok``."""
+def _constant(tok, describe, fn, *args):
+    """Num(fn(*args)) for a fold of constants at token ``tok``; ``describe()``
+    is the operation's text for the error when the fold fails or overflows."""
     try:
-        return Num(fn(*args))
+        value = fn(*args)
     except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        if tok.text == "^":
-            what = f"{_fmt_num(args[0])}^{_fmt_real(args[1])}"
-        else:
-            what = f"{tok.text}({_fmt_num(args[0])})"
-        raise _fold_error(tok, what, isinstance(exc, OverflowError)) from None
+        raise _fold_error(tok, describe(), isinstance(exc, OverflowError)) from None
+    # complex + and * return inf or nan instead of raising
+    if not cmath.isfinite(value) and all(map(cmath.isfinite, args)):
+        raise _fold_error(tok, describe(), True)
+    return Num(value)
 
 
 def _fold_binary(tok, left, right):
@@ -281,24 +282,22 @@ def _fold_binary(tok, left, right):
         return BinOp(tok.text, left, right)
     if tok.text == "/" and right.value == 0:
         raise ExpressionSyntaxError("division by the constant zero", tok.line, tok.column)
-    return Num(_ARITHMETIC[tok.text](left.value, right.value))
+    return _constant(tok, lambda: _render(BinOp(tok.text, left, right), 0),
+                     _ARITHMETIC[tok.text], left.value, right.value)
 
 
 def _fold_power(tok, base, exponent):
     if not isinstance(exponent, Num):
-        raise UnsupportedExpressionError(
-            "non-constant exponent: " + _UNSUPPORTED_HINT
-        )
+        raise UnsupportedExpressionError("non-constant exponent: " + _UNSUPPORTED_HINT)
     e = exponent.value
     if e.imag != 0:
         raise UnsupportedExpressionError(
-            "complex exponents are not supported; " + _UNSUPPORTED_HINT
-        )
+            "complex exponents are not supported; " + _UNSUPPORTED_HINT)
     e = float(e.real)
     if not math.isfinite(e):
         raise _fold_error(tok, f"the exponent {e!r}", math.isinf(e))
     if isinstance(base, Num):
-        return _constant(tok, pow, base.value, e)
+        return _constant(tok, lambda: _render(Pow(base, e), 0), pow, base.value, e)
     if e == 0:
         return Num(1.0 + 0j)
     if e == 1:

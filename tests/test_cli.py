@@ -149,6 +149,9 @@ class TestExitCodes:
         ("1+²", 2, "unknown identifier '²' at line 1, column 3 "
                    "(expected: s, pi, e, j, cos, cosh, exp, sin, sinh)"),
         ("10^400*s", 1, "10^400 overflows the float64 range at line 1, column 3"),
+        ("(-10)^400*s", 1, "(-10)^400 overflows the float64 range at line 1, column 6"),
+        ("10^200*10^200*s", 1,
+         "1e+200*1e+200 overflows the float64 range at line 1, column 7"),
         ("exp(1000)*s", 1, "exp(1000) overflows the float64 range at line 1, column 1"),
         ("sin(1e400)", 2, "sin(inf) is undefined at line 1, column 1"),
         ("0^-1+s", 2, "0^-1 is undefined at line 1, column 2"),

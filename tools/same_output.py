@@ -84,11 +84,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    ap.add_argument("--workload", action="append", choices=sorted(bench.workloads.BLOCKS),
-                    help="a bench workload; repeat for several (default: all four)")
     args = ap.parse_args(argv)
     labelled = [(f"{workload} seed {seed}", cmd)
-                for workload in args.workload or bench.workloads.BLOCKS
+                for workload in bench.workloads.BLOCKS
                 for seed in args.seeds for cmd in commands(workload, seed)]
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp) / "parent"
