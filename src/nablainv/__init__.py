@@ -25,7 +25,6 @@ from .inversion import (
     ClosedFormSequence,
     FractionalAtom,
     FractionalSumForm,
-    GeometricTerm,
     ImpulseTerm,
     MittagLefflerTerm,
     PolyGeometricTerm,
@@ -57,7 +56,6 @@ __all__ = [
     "ExpressionSyntaxError",
     "FractionalAtom",
     "FractionalSumForm",
-    "GeometricTerm",
     "ImpulseTerm",
     "Kind",
     "MittagLefflerParams",

@@ -6,6 +6,7 @@ values outside the float64 range), 2 on usage or syntax errors.
 """
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -42,6 +43,8 @@ _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
 _CONFIG_KEYS = {"a": float, "k": str, "format": str, "strategy": str,
                 "tol": float, "rho": float, "nodes": int}
+# the default tolerance of each command that takes --tol
+_TOL = {"forward": 1e-12, "verify": 1e-9, "roundtrip": 1e-6}
 # the allowed values of each subcommand's choice flags, for a flag and for
 # the same key in a config file alike
 _CHOICES = {
@@ -73,7 +76,6 @@ def build_parser():
         if formats:
             p.add_argument("--k", default=None, help="step range, e.g. 1..20")
             p.add_argument("--format", choices=formats, default=None)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--config", default=None, help="key=value configuration file")
 
     p_inv = sub.add_parser("invert", help="compute f(k) from F(s)")
@@ -83,11 +85,13 @@ def build_parser():
     p_fwd = sub.add_parser("forward", help="sum the forward series of the inverted "
                            "sequence and compare against F(s)")
     common(p_fwd)
+    p_fwd.add_argument("--tol", type=float, default=None, help="tolerance override")
     p_fwd.add_argument("--s", default=None,
                        help="comma-separated evaluation points (complex literals)")
 
     p_ver = sub.add_parser("verify", help="run all oracles against the inversion")
     common(p_ver, _CHOICES["verify"]["format"])
+    p_ver.add_argument("--tol", type=float, default=None, help="tolerance override")
     p_ver.add_argument("--rho", type=float, default=None, help="contour radius")
     p_ver.add_argument("--nodes", type=int, default=None, help="quadrature nodes")
 
@@ -115,15 +119,26 @@ def _load_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _number(f"{path}: {key}", _CONFIG_KEYS[key], value)
     return out
+
+
+def _number(source, kind, text):
+    """kind(text), or ValueError naming ``source`` (a flag, a variable or a
+    config key) when the text is not a value of that kind."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{source}: invalid {kind.__name__} value: {text!r}") from None
 
 
 def _resolve(args):
     """Fill unset options from NABLA_TOL, then the config file, then defaults.
 
     A config value of a choice flag must be one of the flag's choices, as on
-    the command line: ValueError (exit 2) in argparse's words otherwise.
+    the command line: ValueError (exit 2) in argparse's words otherwise.  So
+    must be a finite ``a`` and a finite ``tol`` above 0, naming the flag, the
+    variable or the config key that set them.
     """
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     for key, choices in _CHOICES.get(args.command, {}).items():
@@ -133,11 +148,22 @@ def _resolve(args):
                 f"(choose from {', '.join(map(repr, choices))})"
             )
     for key, default in _DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            value = cfg.get(key, default)
+        if not hasattr(args, key):
+            continue
+        value, source = getattr(args, key), f"argument --{key}"
+        if value is None:
             if key == "tol" and os.environ.get("NABLA_TOL"):
-                value = float(os.environ["NABLA_TOL"])
-            setattr(args, key, value)
+                source = "NABLA_TOL"
+                value = _number(source, float, os.environ["NABLA_TOL"])
+            elif key in cfg:
+                value, source = cfg[key], f"{args.config}: {key}"
+            else:
+                value = _TOL[args.command] if key == "tol" else default
+        if key == "a" and not math.isfinite(value):
+            raise ValueError(f"{source}: must be finite, got {value!r}")
+        if key == "tol" and not 0 < value < math.inf:
+            raise ValueError(f"{source}: must be finite and above 0, got {value!r}")
+        setattr(args, key, value)
     return args
 
 
@@ -388,23 +414,36 @@ def _truncation_to_stderr(command):
     return run
 
 
+def _parse_points(text):
+    """The comma-separated complex points of --s; ValueError naming the flag
+    for one that is not a finite complex number."""
+    points = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            s = complex(part)
+        except ValueError:
+            s = math.nan
+        if not cmath.isfinite(s):
+            raise ValueError(f"argument --s: {part!r} is not a finite complex number")
+        points.append(s)
+    return points
+
+
 @_truncation_to_stderr
 def _cmd_forward(args):
+    points = _parse_points(args.s) if args.s else None
     problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
     seq = shared_blocks(problem.sequence(cf))
-    if args.s:
-        points = [complex(part.strip()) for part in args.s.split(",") if part.strip()]
-    else:
+    if points is None:
         points = sample_points(problem.radius, count=5)
     F = problem.F
-    tol = args.tol or 1e-12
     # every point is summed before anything is printed, so a point that
     # fails leaves no partial table on stdout
     rows = []
     worst = 0.0
     for s in points:
-        total = forward_transform(seq, s, tol=tol)
+        total = forward_transform(seq, s, tol=args.tol)
         direct = complex(F(s))
         diff = abs(total - direct)
         worst = max(worst, diff)
@@ -421,7 +460,7 @@ def _cmd_forward(args):
 def _cmd_verify(args):
     problem = _Problem(args.expr, args.a)
     ks = _parse_krange(args.k, args.a)
-    tol = args.tol or 1e-9
+    tol = args.tol
     F = problem.F
     used, cf, sequence_values = problem.invert("auto", ks)
     scale = max(1.0, float(np.max(np.abs(sequence_values))))
@@ -483,12 +522,11 @@ def _cmd_table(args):
 
 @_truncation_to_stderr
 def _cmd_roundtrip(args):
-    tol = args.tol or 1e-6
     failed = 0
     for tp in reference_pairs():
         worst = round_trip_error(tp.sequence, tp.transform,
                                  sample_points(tp.radius, count=8))
-        ok = worst <= tol
+        ok = worst <= args.tol
         failed += 0 if ok else 1
         ps = ", ".join(f"{k}={v}" for k, v in tp.params)
         print(f"{'PASS' if ok else 'FAIL'}  row {tp.row:2d} ({tp.name}"

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, PoleAtOneError, RealnessError
 from .expansion import expand
+from .rational import POLE_AT_ONE_TOL
 from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
 
 REALNESS_TOL = 1e-9
@@ -52,11 +53,9 @@ CUT_MIN_STEPS = 1000
 # the causes a failing realness test names
 CONJUGATE_TERMS = "term set is not conjugate-consistent"
 COMPLEX_F = "F(s) has complex coefficients"
-POLE_ONE_GUARD = 1e-9
 
 __all__ = [
     "ImpulseTerm",
-    "GeometricTerm",
     "PolyGeometricTerm",
     "MittagLefflerTerm",
     "ClosedFormSequence",
@@ -136,41 +135,16 @@ class ImpulseTerm:
 
 
 @dataclass(frozen=True)
-class GeometricTerm:
-    """coefficient * (1 - pole)^-(k-a); requires pole != 1."""
-
-    coefficient: complex
-    pole: complex
-
-    def __post_init__(self):
-        if abs(1.0 - self.pole) <= POLE_ONE_GUARD:
-            raise PoleAtOneError()
-
-    @cached_property
-    def zero_from(self):
-        return _zero_from(self.coefficient, 1.0 - self.pole, 1)
-
-    def value(self, m):
-        return self.coefficient * (1.0 - self.pole) ** (-m)
-
-    def describe(self):
-        return f"{_num(self.coefficient)}*{_num(1 - self.pole)}^-(k-a)"
-
-    def as_dict(self):
-        return {"type": "geometric", "coefficient": complex_pair(self.coefficient),
-                "pole": complex_pair(self.pole)}
-
-
-@dataclass(frozen=True)
 class PolyGeometricTerm:
-    """coefficient * rising(k-a, order-1) / ((order-1)! (1-pole)^(k-a+order-1))."""
+    """coefficient * rising(k-a, order-1) / ((order-1)! (1-pole)^(k-a+order-1));
+    at order 1, a simple pole's, coefficient * (1-pole)^-(k-a) ("geometric")."""
 
     coefficient: complex
     pole: complex
-    order: int
+    order: int = 1
 
     def __post_init__(self):
-        if abs(1.0 - self.pole) <= POLE_ONE_GUARD:
+        if abs(1.0 - self.pole) <= POLE_AT_ONE_TOL:
             raise PoleAtOneError()
         if self.order < 1:
             raise ValueError("order must be >= 1")
@@ -182,7 +156,8 @@ class PolyGeometricTerm:
     def value(self, m):
         # the rising factorial m(m+1)...(m+n-2) in floats (an int64 product
         # would wrap); the negative power underflows to 0 where the sequence
-        # decays instead of overflowing in a denominator
+        # decays instead of overflowing in a denominator.  The exponent is one
+        # array operation, at order 1 as in -m.
         n = self.order
         rising = 1.0
         for i in range(n - 1):
@@ -190,7 +165,7 @@ class PolyGeometricTerm:
         return (
             self.coefficient / math.factorial(n - 1)
             * rising
-            * (1.0 - self.pole) ** -(m + n - 1)
+            * (1.0 - self.pole) ** ((1 - n) - m)
         )
 
     def describe(self):
@@ -203,8 +178,11 @@ class PolyGeometricTerm:
         )
 
     def as_dict(self):
-        return {"type": "poly-geometric", "coefficient": complex_pair(self.coefficient),
-                "pole": complex_pair(self.pole), "order": self.order}
+        out = {"type": "geometric", "coefficient": complex_pair(self.coefficient),
+               "pole": complex_pair(self.pole)}
+        if self.order > 1:
+            out.update(type="poly-geometric", order=self.order)
+        return out
 
 
 @dataclass(frozen=True)
@@ -369,7 +347,7 @@ def _sequence_from_expansion(pfe, a, cause):
     """The expansion's terms as a closed form, less those whose coefficient is
     exactly 0 (a repeated pole's lower orders can vanish), which add nothing."""
     terms = [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
-    terms += [GeometricTerm(r, pole) for pole, r in pfe.simple_terms]
+    terms += [PolyGeometricTerm(r, pole) for pole, r in pfe.simple_terms]
     terms += [PolyGeometricTerm(q, pole, order) for pole, order, q in pfe.multiple_terms]
     return ClosedFormSequence(float(a), tuple(t for t in terms if t.coefficient != 0), cause)
 

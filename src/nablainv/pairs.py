@@ -280,17 +280,17 @@ def reference_pairs():
     return out
 
 
-def sample_points(radius, count=8, fill=0.45):
+def sample_points(radius, count=8):
     """``count`` points strictly inside the disk |1-s| < radius, biased toward
     s = 1 for fast decay.
 
-    They sit on circles |1 - s| = r for r up to ``fill`` times the radius (1
+    They sit on circles |1 - s| = r for r up to 0.45 times the radius (1
     when the radius is inf), ten points per circle.
     """
     disk = 1.0 if radius == math.inf else radius
     points = []
     for frac in (1.0, 0.62, 0.3):
-        r = fill * disk * frac
+        r = 0.45 * disk * frac
         for t in range(10):
             angle = 2.0 * math.pi * (t + 0.25) / 10
             points.append(1.0 - r * cmath.exp(1j * angle))

@@ -15,7 +15,9 @@ parts, and rationals like 10/7 inside exponents work because '/' folds on
 constants.  A fold of finite constants (+, -, *, /, ^ or a function) that
 overflows raises OverflowError, and one outside its function's domain
 (sin(inf), 0^-1) raises ExpressionSyntaxError; both name the operation and
-the line and column of its operator or function name.
+the line and column of its operator or function name.  An integer power of a
+non-constant base is at most MAX_ORDER in magnitude, where it is written
+and where a product merges the exponents of one factor.
 
 The lexer is one regular expression, ``_TOKEN``, with a named group per
 token kind.  The tree has five node types: ``Num``, ``Var`` (s), ``Neg``,
@@ -61,6 +63,9 @@ _FUNCTIONS = {
 }
 _CONSTANTS = {"pi": complex(math.pi), "e": complex(math.e), "j": 1j}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# The highest order of a factor power: an order-n pole's closed-form term
+# divides by (n-1)! in floats, finite up to 170! < 2^1024 < 171!.
+MAX_ORDER = 171
 
 _UNSUPPORTED_HINT = (
     "only rational functions of s, fractional-power atoms "
@@ -298,6 +303,8 @@ def _fold_power(tok, base, exponent):
         raise _fold_error(tok, f"the exponent {e!r}", math.isinf(e))
     if isinstance(base, Num):
         return _constant(tok, lambda: _render(Pow(base, e), 0), pow, base.value, e)
+    if e.is_integer() and abs(e) > MAX_ORDER:
+        raise _order_error(Pow(base, e), f" at line {tok.line}, column {tok.column}")
     if e == 0:
         return Num(1.0 + 0j)
     if e == 1:
@@ -373,21 +380,52 @@ def _to_rational(node):
     c, factors = r
     if c == 0 and e < 0:
         raise ZeroDivisionError("denominator is identically zero")
-    return _scaled(c**e, {}, factors, e)
+    try:
+        c = c**e
+    except OverflowError:
+        raise OverflowError(f"the constant factor {_render(Pow(Num(c), e), 0)} "
+                            "overflows the float64 range") from None
+    return _scaled(c, {}, factors, e)
+
+
+def _order_error(power, where=""):
+    return UnsupportedExpressionError(
+        f"the power {_render(power, 0)}{where} is above {MAX_ORDER}, the largest "
+        "order of a factor power")
 
 
 def _scaled(c, left, right, sign):
-    """(c, left * right^sign), exponents added and zero exponents dropped."""
+    """(c, left * right^sign), exponents added and zero exponents dropped;
+    raises for an exponent above MAX_ORDER in magnitude."""
     if c == 0:
         return 0j, {}
     out = dict(left)
     for q, e in right.items():
         n = out.get(q, 0) + sign * e
+        if abs(n) > MAX_ORDER:
+            raise _order_error(Pow(_polynomial(q), float(n)))
         if n:
             out[q] = n
         else:
             del out[q]
     return c, out
+
+
+def _polynomial(q):
+    """The Polynomial q(s) as a tree, its highest power first."""
+    node = None
+    for i in range(q.degree, -1, -1):
+        c = complex(q.coeffs[i])
+        if c == 0:
+            continue
+        op = "+"
+        if node is not None and c.imag == 0 and c.real < 0:
+            op, c = "-", -c
+        term = Num(c) if i == 0 else Var() if i == 1 else Pow(Var(), float(i))
+        if i and c != 1:
+            term = BinOp("*", Num(c), term)
+        node = term if node is None else BinOp(op, node, term)
+    return node
 
 
 def _sum(l, r, sign):

@@ -8,7 +8,9 @@ from operator import mul
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-DEFAULT_CLUSTER_SCALE = 1e-6
+# Roots within CLUSTER_SCALE * (1 + |root|) of each other are one root: the
+# linkage radius of the root clusters and of pole-zero cancellation.
+CLUSTER_SCALE = 1e-6
 # A denominator of at most _BLOCK coefficients is divided on the recurrence.
 # A longer, dense one takes the recurrence for its first _SEED coefficients and
 # blocks after them, doubling from _SEED up to _BLOCK coefficients.
@@ -25,7 +27,7 @@ _MIN_BLOCK = 8
 _LOOP_MAX = 8 * _BLOCK
 
 __all__ = [
-    "DEFAULT_CLUSTER_SCALE",
+    "CLUSTER_SCALE",
     "Polynomial",
     "RootCluster",
     "factor_divide",
@@ -208,12 +210,12 @@ class RootCluster:
     multiplicity: int
 
 
-def roots_with_multiplicities(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
+def roots_with_multiplicities(p):
     """All complex roots of ``p`` with multiplicities.
 
     Companion-matrix eigenvalues seed the estimates.  An m-fold root scatters
     its eigenvalues on a circle of radius ~eps^(1/m) around the true root, so
-    raw eigenvalues are clustered (single linkage at ``cluster_scale`` times
+    raw eigenvalues are clustered (single linkage at CLUSTER_SCALE times
     1 + |root|, escalating for wider scatter when a genuine multiple root is
     confirmed by the derivative test), and each cluster of size m is polished
     by Newton iteration on the (m-1)-th derivative, where the root is simple.
@@ -234,13 +236,13 @@ def roots_with_multiplicities(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
     derivs = _derivative_chain(pm)
 
     clusters = [[raw[i] for i in g]
-                for g in _link(raw, lambda z: cluster_scale * (1.0 + abs(z)))]
-    clusters = _escalate(pm, derivs, clusters, cluster_scale)
+                for g in _link(raw, lambda z: CLUSTER_SCALE * (1.0 + abs(z)))]
+    clusters = _escalate(pm, derivs, clusters)
 
     out = []
     for group in clusters:
         center = complex(np.mean(group))
-        if real and abs(center.imag) <= cluster_scale * (1.0 + abs(center)):
+        if real and abs(center.imag) <= CLUSTER_SCALE * (1.0 + abs(center)):
             center = complex(center.real, 0.0)
         m = len(group)
         z = _polish(derivs, center, m)
@@ -267,7 +269,7 @@ def _mirror_conjugates(roots):
             lower.remove(j)
 
 
-def factor_roots(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
+def factor_roots(p):
     """The roots of one factor with multiplicities, sorted like
     ``roots_with_multiplicities``.
 
@@ -279,7 +281,7 @@ def factor_roots(p, cluster_scale=DEFAULT_CLUSTER_SCALE):
     go to ``roots_with_multiplicities``.
     """
     if p.degree > 2:
-        return roots_with_multiplicities(p, cluster_scale)
+        return roots_with_multiplicities(p)
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     # + 0.0 turns -0.0 into 0.0: the root of s - 0.5 prints as 0.5+0j
@@ -311,11 +313,11 @@ def _low_degree_roots(c):
     return [RootCluster(z, 1) for z in roots]
 
 
-def pool_roots(groups, cluster_scale=DEFAULT_CLUSTER_SCALE):
+def pool_roots(groups):
     """Merge the roots of several factors into one sorted cluster list.
 
     ``groups`` holds one RootCluster list per factor.  Roots within the
-    linkage radius ``cluster_scale * (1 + |root|)`` of each other, from one
+    linkage radius CLUSTER_SCALE * (1 + |root|) of each other, from one
     factor or from several, become one cluster at their multiplicity-weighted
     mean, carrying the summed multiplicity.  Returns (RootCluster, members)
     pairs, members being the (group index, RootCluster) pairs merged into it,
@@ -324,7 +326,7 @@ def pool_roots(groups, cluster_scale=DEFAULT_CLUSTER_SCALE):
     flat = [(i, rc) for i, group in enumerate(groups) for rc in group]
     values = [rc.value for _, rc in flat]
     out = []
-    for idx in _link(values, lambda z: cluster_scale * (1.0 + abs(z))):
+    for idx in _link(values, lambda z: CLUSTER_SCALE * (1.0 + abs(z))):
         members = [flat[j] for j in idx]
         m = sum(rc.multiplicity for _, rc in members)
         if len(members) == 1:
@@ -384,7 +386,7 @@ def _is_multiple_root(derivs, z, m):
     return all(abs(derivs[j](z)) <= 1e-8 * _coeff_scale(derivs[j], z) for j in range(m))
 
 
-def _escalate(pm, derivs, clusters, cluster_scale):
+def _escalate(pm, derivs, clusters):
     """Merge clusters whose scatter exceeds the base radius.
 
     The companion-matrix scatter of an m-fold root can be far wider than the
@@ -392,7 +394,7 @@ def _escalate(pm, derivs, clusters, cluster_scale):
     accepted only when the polished center passes the derivative test for the
     merged multiplicity, so nearby distinct roots are left alone.
     """
-    scale = cluster_scale * 10.0
+    scale = CLUSTER_SCALE * 10.0
     while scale <= 2e-3:
         centers = [complex(np.mean(g)) for g in clusters]
         candidates = _link(centers, lambda z: scale * (1.0 + abs(z)))

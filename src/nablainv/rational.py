@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import PoleAtOneError, PoleEvaluationError
 from .polynomial import (
-    DEFAULT_CLUSTER_SCALE,
+    CLUSTER_SCALE,
     Polynomial,
     RootCluster,
     factor_divide,
@@ -66,9 +66,9 @@ class RationalFunction:
     first use.
     """
 
-    __slots__ = ("constant", "factors", "cluster_scale", "__dict__")
+    __slots__ = ("constant", "factors", "__dict__")
 
-    def __init__(self, numerator, denominator, cluster_scale=DEFAULT_CLUSTER_SCALE):
+    def __init__(self, numerator, denominator):
         num = numerator if isinstance(numerator, Polynomial) else Polynomial(numerator)
         den = (
             denominator
@@ -83,10 +83,10 @@ class RationalFunction:
                 if poly.degree > 0:
                     q = poly.monic()
                     factors[q] = factors.get(q, 0) + sign
-        self._init(num.coeffs[-1] / den.coeffs[-1], factors, cluster_scale)
+        self._init(num.coeffs[-1] / den.coeffs[-1], factors)
 
     @classmethod
-    def from_factors(cls, constant, factors, cluster_scale=DEFAULT_CLUSTER_SCALE):
+    def from_factors(cls, constant, factors):
         """constant * prod q^e over a mapping {monic Polynomial q: integer e}.
 
         Factors of degree 0 and zero exponents are not allowed; a zero
@@ -97,15 +97,14 @@ class RationalFunction:
                 raise ValueError("factors must be monic, of degree >= 1, with "
                                  "nonzero integer exponents")
         rf = cls.__new__(cls)
-        rf._init(constant, factors, cluster_scale)
+        rf._init(constant, factors)
         return rf
 
-    def _init(self, constant, factors, cluster_scale):
+    def _init(self, constant, factors):
         constant = complex(constant)
         pairs = tuple((q, e) for q, e in factors.items() if e) if constant else ()
         object.__setattr__(self, "constant", constant)
         object.__setattr__(self, "factors", pairs)
-        object.__setattr__(self, "cluster_scale", cluster_scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -131,11 +130,11 @@ class RationalFunction:
         the factors of each side too, as (q, exponent, roots of one copy)."""
         sides = []
         for sign in (1, -1):
-            side = [(q, sign * e, factor_roots(q, self.cluster_scale))
+            side = [(q, sign * e, factor_roots(q))
                     for q, e in self.factors if sign * e > 0]
             groups = [[RootCluster(rc.value, rc.multiplicity * e) for rc in roots]
                       for _q, e, roots in side]
-            sides.append((side, pool_roots(groups, self.cluster_scale)))
+            sides.append((side, pool_roots(groups)))
         return sides
 
     @cached_property
@@ -157,7 +156,7 @@ class RationalFunction:
             for i, (n, n_members) in enumerate(zeros):
                 if remaining[i] <= 0:
                     continue
-                if abs(n.value - d.value) <= self.cluster_scale * (1.0 + abs(d.value)):
+                if abs(n.value - d.value) <= CLUSTER_SCALE * (1.0 + abs(d.value)):
                     cancel = min(mult, remaining[i])
                     _take(den_cut, d_members, d.multiplicity - mult, cancel)
                     _take(num_cut, n_members, n.multiplicity - remaining[i], cancel)
@@ -277,7 +276,7 @@ class RationalFunction:
         for q, e in red.numerator:
             num = num * q.in_one_minus_w() ** e
         far_first = sorted(red.denominator, key=lambda f: -min(
-            abs(1.0 - rc.value) for rc in factor_roots(f[0], self.cluster_scale)))
+            abs(1.0 - rc.value) for rc in factor_roots(f[0])))
         return num, tuple((q.in_one_minus_w(), e) for q, e in far_first)
 
     def series_at_one(self, order):

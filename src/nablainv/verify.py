@@ -234,7 +234,7 @@ def initial_value(F):
     return v
 
 
-def z_correspondence(seq, s, tol=FORWARD_TOL):
+def z_correspondence(seq, s):
     """Residual of the reindexing identity between the two transform sums.
 
     With g(k) = f(k+1) and z^{-1} = 1 - s, the z-style sum over k >= 0 of
@@ -243,7 +243,7 @@ def z_correspondence(seq, s, tol=FORWARD_TOL):
     absolute difference is returned (zero up to rounding).  ``seq`` is the
     rule m -> f(a+m), as for ``forward_transform``.
     """
-    nabla_total, n_used = _forward_sum(seq, s, tol, FORWARD_NMAX)
+    nabla_total, n_used = _forward_sum(seq, s, FORWARD_TOL, FORWARD_NMAX)
     g = _values(seq, np.arange(1, n_used + 1))
     w = 1.0 - complex(s)
     z_total = 0j

@@ -53,6 +53,14 @@ class TestInvert:
         assert len(doc["closed_form"]) == 2
         assert doc["values"][0]["f"] == pytest.approx(-0.17857142857142855)
 
+    def test_order_one_terms_are_geometric_in_json(self, capsys):
+        # the simple pole at 2, then the double pole at -1 at orders 1 and 2
+        code, out, _ = run(capsys, "invert", "--expr", EX1, "--k", "1", "--format", "json")
+        assert code == 0
+        terms = json.loads(out)["closed_form"]
+        assert [(t["type"], t.get("order")) for t in terms] \
+            == [("geometric", None), ("geometric", None), ("poly-geometric", 2)]
+
     def test_zero_terms_are_not_printed(self, capsys):
         # the double pole's order-1 coefficient is exactly 0
         expr = "4.05/((s+0.55)^2)"
@@ -163,6 +171,34 @@ class TestExitCodes:
         # naming the operator or function and where it is written
         assert run(capsys, "invert", f"--expr={expr}", "--k", "1..3") \
             == (code, "", f"error: {message}\n")
+
+    def test_overflowing_power_of_a_constant_factor(self, capsys):
+        # the constant is folded out of the factor, where it has no position
+        assert run(capsys, "invert", "--expr=(1e200*(s+1))^2", "--k", "1..3") \
+            == (1, "", "error: the constant factor 1e+200^2 overflows the float64 range\n")
+
+    @pytest.mark.parametrize("expr, power", [
+        ("s^1e300", "s^1e+300 at line 1, column 2"),
+        ("1/(s-2)^1e300", "(s-2)^1e+300 at line 1, column 8"),
+        ("1/(s-2)^172", "(s-2)^172 at line 1, column 8"),
+        ("s^20000", "s^20000 at line 1, column 2"),
+        ("(s+1)^200/(s+2)", "(s+1)^200 at line 1, column 6"),
+        # exponents merged by a product or a power of a power have no position
+        ("1/((s-2)^100*(s-2)^100)", "(s-2)^200"),
+        ("1/(s^2+2*s-3)^100/(s^2+2*s-3)^100", "(s^2+2*s-3)^-200"),
+        ("((s-2)^100)^2", "(s-2)^200"),
+    ])
+    def test_power_above_order_171_exits_1(self, capsys, expr, power):
+        assert run(capsys, "invert", f"--expr={expr}", "--k", "1..3") == (
+            1, "", f"error: the power {power} is above 171, the largest order of a "
+                   "factor power\n")
+
+    def test_power_of_order_171_inverts(self, capsys):
+        # f(1) = rising(1, 170) / (170! (-1)^171), both 170! in floats
+        code, out, _ = run(capsys, "invert", "--expr=1/(s-2)^171", "--k", "1",
+                           "--format", "csv")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(-1.0, rel=1e-14)
 
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "invert", "--expr", "9/((s+1", "--k", "1..3")
@@ -860,6 +896,59 @@ class TestConfigAndEnvironment:
         assert out == ""
         key, value = (part.strip() for part in line.split("="))
         assert f"argument --{key}: invalid choice: {value!r} (choose from {choices})" in err
+
+
+class TestNumericFlags:
+    """A numeric flag, variable or config value out of its range exits 2 with
+    one line naming it.  F = 1/(s-1) has a pole at s = 1 (exit 1), so exit 2
+    shows that the check runs before the mathematics."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["invert", "--a", "nan"], "argument --a: must be finite, got nan"),
+        (["invert", "--a", "inf"], "argument --a: must be finite, got inf"),
+        (["verify", "--tol", "-1"], "argument --tol: must be finite and above 0, got -1.0"),
+        (["verify", "--tol", "nan"], "argument --tol: must be finite and above 0, got nan"),
+        (["verify", "--tol", "inf"], "argument --tol: must be finite and above 0, got inf"),
+        (["verify", "--tol", "0"], "argument --tol: must be finite and above 0, got 0.0"),
+        (["forward", "--tol=-1e-9"],
+         "argument --tol: must be finite and above 0, got -1e-09"),
+        (["forward", "--s", "0.5,nan"], "argument --s: 'nan' is not a finite complex number"),
+        (["forward", "--s", "inf"], "argument --s: 'inf' is not a finite complex number"),
+        (["forward", "--s", "0.5,x"], "argument --s: 'x' is not a finite complex number"),
+    ])
+    def test_flag_out_of_range(self, capsys, argv, message):
+        assert run(capsys, *argv, "--expr=1/(s-1)") == (2, "", f"error: {message}\n")
+
+    def test_roundtrip_tol_nan(self, capsys):
+        # every row compared against nan failed
+        assert run(capsys, "roundtrip", "--tol", "nan") \
+            == (2, "", "error: argument --tol: must be finite and above 0, got nan\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "NABLA_TOL: invalid float value: 'abc'"),
+        ("-inf", "NABLA_TOL: must be finite and above 0, got -inf"),
+    ])
+    def test_environment_tolerance(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("NABLA_TOL", value)
+        assert run(capsys, "verify", "--expr=1/(s-1)") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("a = nan", "a: must be finite, got nan"),
+        ("tol = 0", "tol: must be finite and above 0, got 0.0"),
+        ("tol = abc", "tol: invalid float value: 'abc'"),
+        ("nodes = 1.5", "nodes: invalid int value: '1.5'"),
+    ])
+    def test_config_value_out_of_range(self, capsys, tmp_path, line, message):
+        cfg = tmp_path / "nabla.cfg"
+        cfg.write_text(line + "\n")
+        assert run(capsys, "verify", "--expr=1/(s-1)", "--config", str(cfg)) \
+            == (2, "", f"error: {cfg}: {message}\n")
+
+    def test_invert_takes_no_tol(self, capsys):
+        # invert computes no tolerance-bound check; the flag was read by nothing
+        code, out, err = run(capsys, "invert", "--expr", EX1, "--tol", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol 5" in err
 
 
 class TestRoundtripCommand:

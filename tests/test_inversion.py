@@ -12,7 +12,6 @@ from nablainv import (
     ClosedFormSequence,
     FractionalAtom,
     FractionalSumForm,
-    GeometricTerm,
     ImpulseTerm,
     MittagLefflerParams,
     MittagLefflerTerm,
@@ -64,8 +63,9 @@ class TestInvertInside:
 class TestInvertOutside:
     def test_example_terms_and_closed_form(self):
         cf = invert_outside(example1())
-        kinds = sorted(type(t).__name__ for t in cf.terms)
-        assert kinds == ["GeometricTerm", "PolyGeometricTerm", "PolyGeometricTerm"]
+        kinds = sorted((type(t).__name__, t.order) for t in cf.terms)
+        assert kinds == [("PolyGeometricTerm", 1), ("PolyGeometricTerm", 1),
+                         ("PolyGeometricTerm", 2)]
         for m in range(1, 31):
             assert cf.evaluate(m) == pytest.approx(example1_closed_form(m), abs=1e-9)
 
@@ -73,7 +73,7 @@ class TestInvertOutside:
         rf = RationalFunction(Polynomial([1.0]), Polynomial([-0.3, 1.0]))
         cf = invert_outside(rf)
         (term,) = cf.terms
-        assert isinstance(term, GeometricTerm)
+        assert isinstance(term, PolyGeometricTerm) and term.order == 1
         assert term.pole == pytest.approx(0.3)
         for m in (1, 2, 5, 9):
             assert cf.evaluate(m) == pytest.approx(0.7 ** (-m), rel=1e-12)
@@ -118,7 +118,7 @@ class TestInvertPartialFractions:
 
         rf = classify(parse_expression("(1/(s-2))-(1/(s+1))")).rational
         cf = invert_partial_fractions(rf)
-        poles = sorted(t.pole.real for t in cf.terms if isinstance(t, GeometricTerm))
+        poles = sorted(t.pole.real for t in cf.terms if t.order == 1)
         assert poles == pytest.approx([-1.0, 2.0])
         coeffs = {round(t.pole.real): t.coefficient for t in cf.terms}
         assert coeffs[2] == pytest.approx(1.0)
@@ -233,11 +233,38 @@ class TestInvertFractional:
         assert FractionalAtom(1.0, 0.5, 0.3, 0.2).evaluate(0) == 0
 
 
+class TestOrderOneTerm:
+    """PolyGeometricTerm at its default order 1 is the simple-pole term."""
+
+    def test_values_match_the_geometric_formula_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            c = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+            p = 1 - rng.uniform(0.5, 3) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            m = rng.integers(1, 5001, size=40)
+            term = PolyGeometricTerm(c, p)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                want = c * (1 - p) ** (-m)
+                assert term.value(m).tobytes() == want.tobytes()
+            # Python's complex power raises where numpy's overflows
+            for k in m[np.isfinite(want)][:3].tolist():
+                got, want = term.value(k), c * (1 - p) ** (-k)
+                assert type(got) is complex
+                assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+    def test_text_and_dict(self):
+        term = PolyGeometricTerm(2 - 1j, 0.25)
+        assert term.order == 1
+        assert term.describe() == "(2-1j)*0.75^-(k-a)"
+        assert term.as_dict() == {
+            "type": "geometric", "coefficient": [2.0, -1.0], "pole": [0.25, 0.0]}
+
+
 class TestTermDicts:
     def test_each_term_type(self):
         assert ImpulseTerm(2.0, 1).as_dict() == {
             "type": "impulse", "coefficient": [2.0, 0.0], "shift": 1}
-        assert GeometricTerm(1 - 2j, 0.5).as_dict() == {
+        assert PolyGeometricTerm(1 - 2j, 0.5).as_dict() == {
             "type": "geometric", "coefficient": [1.0, -2.0], "pole": [0.5, 0.0]}
         assert PolyGeometricTerm(1.0, 0.3j, 2).as_dict() == {
             "type": "poly-geometric", "coefficient": [1.0, 0.0], "pole": [0.0, 0.3],
@@ -263,7 +290,7 @@ class TestZeroCoefficientTerms:
         pfe = expand(rf)
         every = ClosedFormSequence(0.0, tuple(
             [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
-            + [GeometricTerm(r, p) for p, r in pfe.simple_terms]
+            + [PolyGeometricTerm(r, p) for p, r in pfe.simple_terms]
             + [PolyGeometricTerm(q, p, n) for p, n, q in pfe.multiple_terms]))
         assert any(t.coefficient == 0 for t in every.terms)
         cf = invert_partial_fractions(rf)
@@ -301,14 +328,14 @@ class TestEvaluateClosedForm:
             cf.evaluate(1.5)
 
     def test_realness_violation_detected(self):
-        bad = ClosedFormSequence(0.0, (GeometricTerm(1.0, 0.5j),))
+        bad = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, 0.5j),))
         with pytest.raises(RealnessError):
             bad.evaluate(3)
         assert bad.evaluate_complex(3) != 0
 
     def test_terms_reject_pole_at_one(self):
         with pytest.raises(PoleAtOneError):
-            GeometricTerm(1.0, 1.0)
+            PolyGeometricTerm(1.0, 1.0)
         with pytest.raises(PoleAtOneError):
             PolyGeometricTerm(1.0, 1.0 + 1e-12, 2)
 
@@ -465,8 +492,8 @@ class TestSampleGrid:
         # residue grows relative to the summands until it fails near m = 50
         delta = 1e-11
         cf = ClosedFormSequence(0.0, (
-            GeometricTerm(1j, 0.5),
-            GeometricTerm(-1j, 0.5 + delta),
+            PolyGeometricTerm(1j, 0.5),
+            PolyGeometricTerm(-1j, 0.5 + delta),
         ))
         ks = list(range(1, 120))
         grid_k = _first_realness_failure(cf.sample, ks)
@@ -479,7 +506,7 @@ class TestSampleGrid:
         # realness tolerance near m = 21
         cf = ClosedFormSequence(0.0, (
             MittagLefflerTerm(1.0, MittagLefflerParams(1.0, 1.0, 0.3)),
-            GeometricTerm(1e-12j, 0.5),
+            PolyGeometricTerm(1e-12j, 0.5),
         ))
         ks = list(range(1, 40))
         grid_k = _first_realness_failure(cf.sample, ks)
@@ -496,7 +523,7 @@ class TestSampleGrid:
                                    atol=1e-12)
 
     def test_growing_values_leave_float64(self):
-        cf = ClosedFormSequence(0.0, (GeometricTerm(-1.36, 0.63),))
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(-1.36, 0.63),))
         got = cf.sample(range(1, 1502))
         assert np.isfinite(got[712]) and not np.isfinite(got[713])
 
@@ -541,7 +568,7 @@ def _random_closed_form(rng):
     if rng.random() < 0.3:
         terms.append(ImpulseTerm(float(rng.normal()), int(rng.integers(0, 200))))
     if rng.random() < 0.3:
-        terms.append(GeometricTerm(0.0, -1.0))
+        terms.append(PolyGeometricTerm(0.0, -1.0))
     return ClosedFormSequence(0.0, tuple(terms))
 
 
@@ -567,17 +594,16 @@ class TestZeroCut:
 
     def test_zero_from_is_where_the_bound_falls_below_2_to_the_minus_1100(self):
         # 3^-m < 2^-1100 from m = 695 on; 2.1 m 2.1^-(m+1) from m = 1038 on
-        assert GeometricTerm(1.0, -2.0).zero_from == 695
+        assert PolyGeometricTerm(1.0, -2.0).zero_from == 695
         assert PolyGeometricTerm(2.1, -1.1, 2).zero_from == 1038
-        assert PolyGeometricTerm(1.0, -2.0, 1).zero_from == 695
 
     @pytest.mark.parametrize("term", [
         ImpulseTerm(1.0, 3),
         MittagLefflerTerm(1.0, MittagLefflerParams(0.5, 0.5, 0.2)),
-        GeometricTerm(1.0, 0.5),  # |1-p| < 1 grows
-        GeometricTerm(1.0, 1.0 + 1j),  # |1-p| = 1
-        GeometricTerm(0.0, -2.0),
-        GeometricTerm(1.0, -1e-12),  # past 2^40 steps
+        PolyGeometricTerm(1.0, 0.5),  # |1-p| < 1 grows
+        PolyGeometricTerm(1.0, 1.0 + 1j),  # |1-p| = 1
+        PolyGeometricTerm(0.0, -2.0),
+        PolyGeometricTerm(1.0, -1e-12),  # past 2^40 steps
         PolyGeometricTerm(1e300, -2.0, 4),  # c rising(m, 3) / 6 passes 2^1023
     ])
     def test_no_cut(self, term):
@@ -587,8 +613,8 @@ class TestZeroCut:
         """numpy raises (1e5+1e5j) to the powers -61..-99 by squaring, which
         overflows to nan; the cut starts at 100."""
         base = 1e5 + 1e5j
-        cf = ClosedFormSequence(0.0, (GeometricTerm(1.0, 1 - base),
-                                      GeometricTerm(1.0, 1 - base.conjugate())))
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, 1 - base),
+                                      PolyGeometricTerm(1.0, 1 - base.conjugate())))
         ks = np.arange(1, 1200, dtype=float)
         full = _full_sample(cf, ks)
         assert np.isnan(full[60]) and full[150] == 0
@@ -598,7 +624,8 @@ class TestZeroCut:
 
     def test_growing_term_overflows_at_the_same_step(self):
         # -1.36 * 0.37^-m passes 1.8e308 at m = 714, past the 3^-m cut at 695
-        cf = ClosedFormSequence(0.0, (GeometricTerm(2.0, -2.0), GeometricTerm(-1.36, 0.63),
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(2.0, -2.0),
+                                      PolyGeometricTerm(-1.36, 0.63),
                                       PolyGeometricTerm(1.0, 4.0, 3)))
         ks = np.arange(1, 1502, dtype=float)
         got, full = cf.sample(ks), _full_sample(cf, ks)
@@ -608,7 +635,8 @@ class TestZeroCut:
     def test_realness_failure_at_the_same_step(self):
         # an unpaired growing imaginary term passes 1e-9 near m = 917, past
         # the cut of a decaying real one at 695
-        cf = ClosedFormSequence(0.0, (GeometricTerm(1.0, -2.0), GeometricTerm(1e-13j, 0.01)))
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, -2.0),
+                                      PolyGeometricTerm(1e-13j, 0.01)))
         ks = np.arange(1, 1200, dtype=float)
         k = _first_realness_failure(cf.sample, ks)
         assert k == _first_realness_failure(lambda ks: _full_sample(cf, ks), ks)
@@ -616,7 +644,7 @@ class TestZeroCut:
 
     def test_unsorted_grid_is_evaluated_in_full(self):
         # a search for the cut at 695 in this grid would land before 150
-        cf = ClosedFormSequence(0.0, (GeometricTerm(-1.0, -2.0),))
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(-1.0, -2.0),))
         ks = np.append(np.arange(1.0, 1200.0), 150.0)
         self.assert_full(cf, ks)
 
