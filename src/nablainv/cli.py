@@ -107,8 +107,10 @@ def build_parser():
     return top
 
 
-def _load_config(path):
-    out = {}
+def _load_config(args):
+    """The values of the file ``args.config``, each under a key that names a
+    flag of ``args.command``: ValueError otherwise, as for an unknown flag."""
+    path, out = args.config, {}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
@@ -117,8 +119,8 @@ def _load_config(path):
             if "=" not in line:
                 raise ValueError(f"bad config line (need key=value): {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in _CONFIG_KEYS or not hasattr(args, key):
+                raise ValueError(f"{path}: {key}: {args.command} takes no --{key}")
             out[key] = _number(f"{path}: {key}", _CONFIG_KEYS[key], value)
     return out
 
@@ -135,12 +137,12 @@ def _number(source, kind, text):
 def _resolve(args):
     """Fill unset options from NABLA_TOL, then the config file, then defaults.
 
-    A config value of a choice flag must be one of the flag's choices, as on
-    the command line: ValueError (exit 2) in argparse's words otherwise.  So
-    must be a finite ``a`` and a finite ``tol`` above 0, naming the flag, the
-    variable or the config key that set them.
+    A config key must name a flag of the command, and its value, for a choice
+    flag, one of the flag's choices, as on the command line: ValueError (exit
+    2) otherwise.  So must be a finite ``a`` and a finite ``tol`` above 0,
+    naming the flag, the variable or the config key that set them.
     """
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config(args) if getattr(args, "config", None) else {}
     for key, choices in _CHOICES.get(args.command, {}).items():
         if key in cfg and cfg[key] not in choices:
             raise ValueError(
@@ -253,7 +255,7 @@ class _Problem:
             values = cf.sample(ks)
         else:
             if used == "inside":
-                v = invert_inside(self.classified.rational, int(ms[-1]), self.a)[ms - 1]
+                v = invert_inside(self.classified.rational, int(ms[-1]))[ms - 1]
             else:
                 with np.errstate(over="ignore", invalid="ignore"):
                     v = np.asarray(self.table_hit.sequence(ms), dtype=complex)

@@ -12,10 +12,9 @@ class PoleAtOneError(NablaError):
     which forces the transform of such a sequence to be finite at s = 1.
     """
 
-    def __init__(self, message=None):
+    def __init__(self):
         super().__init__(
-            message
-            or "s = 1 is a pole of F(s); a finite-valued causal sequence has "
+            "s = 1 is a pole of F(s); a finite-valued causal sequence has "
             "f(a+1) = lim_{s->1} F(s), so its transform is finite at s = 1"
         )
 
@@ -23,9 +22,9 @@ class PoleAtOneError(NablaError):
 class PoleEvaluationError(NablaError):
     """Evaluation requested at (or too close to) a pole."""
 
-    def __init__(self, pole, message=None):
+    def __init__(self, pole):
         self.pole = complex(pole)
-        super().__init__(message or f"evaluation at or near the pole s = {self.pole}")
+        super().__init__(f"evaluation at or near the pole s = {self.pole}")
 
 
 class ParameterDomainError(NablaError):

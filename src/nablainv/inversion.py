@@ -29,15 +29,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleAtOneError, RealnessError
+from .errors import PoleAtOneError, RealnessError
 from .expansion import expand
 from .rational import POLE_AT_ONE_TOL
-from .special import MittagLefflerParams, MittagLefflerSeries, step_offset
+from .special import MittagLefflerSeries, check_parameters, step_offset
 
 REALNESS_TOL = 1e-9
 # A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
-# smallest subnormal, computes to exactly 0: numpy's power, the rising
-# factorial and the products are each within a few ulps of exact.
+# smallest subnormal, computes to exactly 0: numpy's power, the binomial and
+# the products are each within a few hundred ulps of exact.
 ZERO_LOG = -1100 * math.log(2)
 # numpy raises a complex number to an integer power below 100 in magnitude by
 # repeated squaring, which overflows to inf or nan where the exact reciprocal
@@ -89,8 +89,8 @@ def _zero_from(coefficient, base, order):
 
     Every term has a ``zero_from``: None for the impulse and Mittag-Leffler
     terms, and here for a growing term (|base| <= 1), a zero or non-finite
-    coefficient, and one whose coefficient times rising factorial overflows
-    at some int64 step, since inf times the underflowed power is nan.
+    coefficient, and one whose coefficient times binomial may overflow at
+    some int64 step, since inf times the underflowed power is nan.
     """
     c, r, n = abs(coefficient), abs(base), order - 1
     if not (0 < c < math.inf and r > 1):
@@ -154,19 +154,16 @@ class PolyGeometricTerm:
         return _zero_from(self.coefficient, 1.0 - self.pole, self.order)
 
     def value(self, m):
-        # the rising factorial m(m+1)...(m+n-2) in floats (an int64 product
-        # would wrap); the negative power underflows to 0 where the sequence
-        # decays instead of overflowing in a denominator.  The exponent is one
-        # array operation, at order 1 as in -m.
+        # rising(m, n-1)/(n-1)! = C(m+n-2, n-1) as a float running product of
+        # ratios, which overflows only where the binomial does (a rising
+        # factorial or (n-1)! overflows from n = 171 on); the negative power
+        # underflows to 0 where the sequence decays instead of overflowing in
+        # a denominator.  The exponent is one array operation, as -m at order 1.
         n = self.order
-        rising = 1.0
+        binomial = 1.0
         for i in range(n - 1):
-            rising = rising * (m + i)
-        return (
-            self.coefficient / math.factorial(n - 1)
-            * rising
-            * (1.0 - self.pole) ** ((1 - n) - m)
-        )
+            binomial = binomial * (m + i) / (i + 1)
+        return self.coefficient * binomial * (1.0 - self.pole) ** ((1 - n) - m)
 
     def describe(self):
         n = self.order
@@ -187,31 +184,30 @@ class PolyGeometricTerm:
 
 @dataclass(frozen=True)
 class MittagLefflerTerm:
-    """coefficient * F_{alpha,beta}(lambda, k, a) (discrete Mittag-Leffler)."""
+    """coefficient * F_{alpha,beta}(lambda, k, a) (discrete Mittag-Leffler) of ``atom``."""
 
-    coefficient: complex
-    params: MittagLefflerParams
+    atom: "FractionalAtom"
 
     zero_from = None
 
     @cached_property
     def _series(self):
         # kept per term: a forward sum asks for one block of steps at a time
-        return MittagLefflerSeries(self.params)
+        return MittagLefflerSeries(self.atom)
 
     def value(self, m):
-        return self.coefficient * self._series(m)
+        return self.atom.coefficient * self._series(m)
 
     def describe(self):
-        p = self.params
+        p = self.atom
         return (
-            f"{_num(self.coefficient)}*ML(alpha={p.alpha:g},beta={p.beta:g},"
+            f"{_num(p.coefficient)}*ML(alpha={p.alpha:g},beta={p.beta:g},"
             f"lambda={_num(p.lam)};k-a)"
         )
 
     def as_dict(self):
-        p = self.params
-        return {"type": "mittag-leffler", "coefficient": complex_pair(self.coefficient),
+        p = self.atom
+        return {"type": "mittag-leffler", "coefficient": complex_pair(p.coefficient),
                 "alpha": p.alpha, "beta": p.beta, "lambda": complex_pair(p.lam)}
 
 
@@ -306,12 +302,12 @@ def real_values(v, ks, scale, cause):
     return v.real
 
 
-def invert_inside(rf, k_max, a=0.0):
+def invert_inside(rf, k_max):
     """Values f(a+1)..f(a+k_max) via the residue at the contour's inner pole.
 
     The kernel (1-s)^(a-k) has an order-(k-a) pole at s = 1; the (negated)
     residue there equals the coefficient of w^(k-a-1) in F(1-w), so the values
-    are exactly the leading series coefficients of F at s = 1
+    are exactly the leading series coefficients of F at s = 1, for any a
     (``RationalFunction.series_at_one``: the numerator's series divided by one
     shifted denominator factor at a time).  Values below the smallest normal
     float are set to 0: the divisions cannot resolve them, and a decaying
@@ -362,12 +358,7 @@ class FractionalAtom:
     lam: complex
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if abs(self.lam) >= 1:
-            raise ParameterDomainError(
-                f"|lambda| = {abs(self.lam):g} >= 1 is outside the invertible range"
-            )
+        check_parameters(self.alpha, self.beta, self.lam)
 
     def evaluate(self, s):
         """The atom at a point s or at every point of an ndarray s, as
@@ -479,13 +470,7 @@ class FractionalSumForm:
 
 def invert_fractional(form, a=0.0):
     """One discrete Mittag-Leffler term per fractional atom."""
-    terms = tuple(
-        MittagLefflerTerm(
-            atom.coefficient,
-            MittagLefflerParams(atom.alpha, atom.beta, atom.lam, float(a)),
-        )
-        for atom in form.atoms
-    )
+    terms = tuple(MittagLefflerTerm(atom) for atom in form.atoms)
     # the atoms of a real F come in exact conjugate pairs, whose series are
     # exact conjugates, so the realness test of ``sample`` can only fail for
     # a complex F

@@ -20,7 +20,7 @@ from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
 from .parsing import Classified, Kind, classify, parse_expression, power_form
 from .polynomial import Polynomial
 from .rational import describe_roc
-from .special import MittagLefflerParams, MittagLefflerSeries, _binomial_series
+from .special import MittagLefflerSeries, _binomial_series
 
 __all__ = ["TransformPair", "pair", "reference_pairs", "lookup", "sample_points"]
 
@@ -171,22 +171,24 @@ def pair(row, **params):
         )
     if row == 9:
         alpha, beta, lam = take("alpha", "beta", "lam")
+        atom = FractionalAtom(1.0, alpha, beta, lam)
         return TransformPair(
             9, "Mittag-Leffler", (("alpha", alpha), ("beta", beta), ("lam", lam)),
-            MittagLefflerSeries(MittagLefflerParams(alpha, beta, lam)),
+            MittagLefflerSeries(atom),
             lambda s: s ** (alpha - beta) / (s**alpha - lam),
-            FractionalSumForm((FractionalAtom(1.0, alpha, beta, lam),)).radius,
+            FractionalSumForm((atom,)).radius,
             f"ML(alpha={_g(alpha)},beta={_g(beta)},lambda={_g(lam)};k,a)",
             f"s^{_g(alpha - beta)}/(s^{_g(alpha)}-{_g(lam)})",
         )
     if row == 10:
         alpha, lam = take("alpha", "lam")
-        ml = MittagLefflerSeries(MittagLefflerParams(alpha, alpha, lam))
+        atom = FractionalAtom(1.0, alpha, alpha, lam)
+        ml = MittagLefflerSeries(atom)
         return TransformPair(
             10, "weighted Mittag-Leffler", (("alpha", alpha), ("lam", lam)),
             lambda m: (m - 1) * ml(m),
             lambda s: alpha * s ** (alpha - 1.0) * (1.0 - s) / (s**alpha - lam) ** 2,
-            FractionalSumForm((FractionalAtom(1.0, alpha, alpha, lam),)).radius,
+            FractionalSumForm((atom,)).radius,
             f"(k-a-1)*ML(alpha={_g(alpha)},beta={_g(alpha)},lambda={_g(lam)};k,a)",
             f"{_g(alpha)}*s^{_g(alpha - 1)}*(1-s)/(s^{_g(alpha)}-{_g(lam)})^2",
             pole_order=2,

@@ -63,8 +63,8 @@ _FUNCTIONS = {
 }
 _CONSTANTS = {"pi": complex(math.pi), "e": complex(math.e), "j": 1j}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-# The highest order of a factor power: an order-n pole's closed-form term
-# divides by (n-1)! in floats, finite up to 170! < 2^1024 < 171!.
+# The highest order of a factor power: it bounds how far a written power is
+# multiplied out.
 MAX_ORDER = 171
 
 _UNSUPPORTED_HINT = (
@@ -503,36 +503,6 @@ def linear_coefficients(node):
     return None
 
 
-def fraction_factors(node):
-    """Flatten a product/quotient into (coefficient, numerator factors, denominator factors).
-
-    Factors are (base_node, positive float exponent) pairs; non-product nodes
-    (sums, binomials) stay as atomic factor bases.  Returns None when the
-    structure cannot be flattened (zero constant divisor).
-    """
-    if isinstance(node, Num):
-        return node.value, [], []
-    if isinstance(node, Neg):
-        r = fraction_factors(node.operand)
-        return None if r is None else (-r[0], r[1], r[2])
-    if isinstance(node, BinOp) and node.op in "*/":
-        l = fraction_factors(node.left)
-        r = fraction_factors(node.right)
-        if l is None or r is None:
-            return None
-        if node.op == "*":
-            return l[0] * r[0], l[1] + r[1], l[2] + r[2]
-        if r[0] == 0:
-            return None
-        return l[0] / r[0], l[1] + r[2], l[2] + r[1]
-    if isinstance(node, Pow):
-        e = node.exponent  # not 0: s^0 folds to 1
-        if e > 0:
-            return 1.0 + 0j, [(node.base, e)], []
-        return 1.0 + 0j, [], [(node.base, -e)]
-    return 1.0 + 0j, [(node, 1.0)], []
-
-
 def _power_of_s(x):
     if isinstance(x, Var):
         return 1.0
@@ -562,33 +532,49 @@ def _binomial_pole(node):
 def power_form(node):
     """Read a product as c * s^e * (s^alpha - lam)^-n * prod (c0 + c1*s)^p.
 
-    Returns (c, e, pole, linear), or None when a factor is none of these.
-    ``pole`` is (alpha, lam, flip, n) for the one denominator factor written
-    s^alpha -/+ lam or lam -/+ s^alpha with an integer power n, flip = -1 for
-    the form lam - s^alpha; None when there is no such factor.  ``linear``
-    lists ([c0, c1], p) for every other factor, p < 0 in the denominator.
+    Returns (c, e, pole, linear), or None when a factor is none of these or
+    a divisor is 0.  ``pole`` is (alpha, lam, flip, n) for the one denominator
+    factor written s^alpha -/+ lam or lam -/+ s^alpha with an integer power n,
+    flip = -1 for the form lam - s^alpha; None when there is no such factor.
+    ``linear`` lists ([c0, c1], p) for every other factor, p < 0 in the
+    denominator.  One walk through the products, quotients and negations
+    reads it; the base of a power, or any other node, is one factor.
     """
-    fac = fraction_factors(node)
-    if fac is None:
-        return None
-    c, num_f, den_f = fac
     e, pole, linear = 0.0, None, []
-    for base, p in num_f + [(base, -p) for base, p in den_f]:
+
+    def constant(node, sign):
+        # node's constant, after reading its other factors to sign times
+        # their power (-1 under a '/'); None when one cannot be read
+        nonlocal e, pole
+        if isinstance(node, Num):
+            return node.value
+        if isinstance(node, Neg):
+            c = constant(node.operand, sign)
+            return None if c is None else -c
+        if isinstance(node, BinOp) and node.op in "*/":
+            l = constant(node.left, sign)
+            r = constant(node.right, sign if node.op == "*" else -sign)
+            if l is None or r is None or (node.op == "/" and r == 0):
+                return None
+            return l * r if node.op == "*" else l / r
+        base, p = (node.base, sign * node.exponent) if isinstance(node, Pow) else (node, sign)
         a = _power_of_s(base)
+        b = _binomial_pole(base) if p < 0 and p.is_integer() else None
         if a is not None:
             e += a * p
-            continue
-        b = _binomial_pole(base) if p < 0 and p.is_integer() else None
-        if b is not None:
+        elif b is not None:
             if pole is not None:
-                return None
+                return None  # a second pole
             pole = (*b, -p)
-            continue
-        lin = linear_coefficients(base)
-        if lin is None or len(lin) != 2:
-            return None
-        linear.append((lin, p))
-    return c, e, pole, linear
+        else:
+            lin = linear_coefficients(base)
+            if lin is None or len(lin) != 2:
+                return None
+            linear.append((lin, p))
+        return 1.0 + 0j
+
+    c = constant(node, 1.0)
+    return None if c is None else (c, e, pole, linear)
 
 
 def _match_atom(node, sign):

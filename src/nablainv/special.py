@@ -26,14 +26,19 @@ def step_offset(k, base_point):
     return int(mi)
 
 
+def check_parameters(alpha, beta, lam):
+    """Raise unless alpha, beta > 0 and |lambda| < 1, where the series converges
+    at every step (terms decay like lambda^i times a polynomial in i)."""
+    if not (alpha > 0 and beta > 0):
+        raise ValueError("alpha and beta must be positive")
+    if abs(lam) >= 1:
+        raise ParameterDomainError(
+            f"|lambda| = {abs(lam):g} >= 1 is outside the invertible range")
+
+
 @dataclass(frozen=True)
 class MittagLefflerParams:
-    """Parameters (alpha, beta, lambda, base point a) of the discrete series.
-
-    alpha and beta must be positive reals; |lambda| < 1 is required so the
-    series converges at every step (terms decay like lambda^i times a
-    polynomial in i of degree k-a-1).
-    """
+    """Parameters (alpha, beta, lambda, base point a) of the discrete series."""
 
     alpha: float
     beta: float
@@ -41,16 +46,12 @@ class MittagLefflerParams:
     base_point: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
-        if abs(self.lam) >= 1:
-            raise ParameterDomainError(
-                f"|lambda| = {abs(self.lam):g} >= 1: the defining series diverges"
-            )
+        check_parameters(self.alpha, self.beta, self.lam)
 
 
 class MittagLefflerSeries:
-    """The discrete Mittag-Leffler sequence of ``params`` at step offsets m >= 1.
+    """The discrete Mittag-Leffler sequence of ``params`` (a record with alpha,
+    beta and lam: MittagLefflerParams or FractionalAtom) at step offsets m >= 1.
 
     F_{alpha,beta}(lambda; m) = sum_i lambda^i (m)^(rising i*alpha+beta-1) /
     Gamma(i*alpha+beta) is the w^(m-1) coefficient of the atom's transform at

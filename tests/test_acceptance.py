@@ -92,11 +92,11 @@ def test_criterion_2_example_two_golden():
         assert len(cf.terms) == 2
         first, second = cf.terms
         assert isinstance(first, MittagLefflerTerm)
-        assert first.coefficient == 1 and second.coefficient == -1
-        assert (first.params.alpha, first.params.beta) == (0.5, 0.5)
-        assert first.params.lam == pytest.approx(0.2, abs=1e-12)
-        assert (second.params.alpha, second.params.beta) == pytest.approx((0.7, 0.5))
-        assert second.params.lam == pytest.approx(0.3, abs=1e-12)
+        assert first.atom.coefficient == 1 and second.atom.coefficient == -1
+        assert (first.atom.alpha, first.atom.beta) == (0.5, 0.5)
+        assert first.atom.lam == pytest.approx(0.2, abs=1e-12)
+        assert (second.atom.alpha, second.atom.beta) == pytest.approx((0.7, 0.5))
+        assert second.atom.lam == pytest.approx(0.3, abs=1e-12)
 
         expected_first = 1 / 0.8 - 1 / 0.7
         assert cf.evaluate(1) == pytest.approx(expected_first, abs=1e-12)

@@ -873,6 +873,22 @@ class TestConfigAndEnvironment:
         assert code == 2
         assert "colour" in err
 
+    @pytest.mark.parametrize("command, line", [
+        # invert read no tol, and printed its values
+        (("invert", "--expr", EX1), "tol = 5"),
+        (("invert", "--expr", EX1), "nodes = 64"),
+        (("forward", "--expr", EX1), "k = 1..3"),
+        (("verify", "--expr", EX1), "strategy = pfe"),
+        (("table", "--match", EX1), "a = 1"),
+        (("roundtrip",), "format = json"),
+    ])
+    def test_config_key_of_a_flag_the_command_lacks(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "nabla.cfg"
+        cfg.write_text(line + "\n")
+        key = line.split("=")[0].strip()
+        assert run(capsys, *command, "--config", str(cfg)) \
+            == (2, "", f"error: {cfg}: {key}: {command[0]} takes no --{key}\n")
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "invert", "--expr", EX1, "--config", "/does/not/exist")
         assert code == 2

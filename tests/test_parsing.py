@@ -313,6 +313,16 @@ class TestFactoredRational:
         assert power_form(parse_expression("1/((s^0.5-0.2)*(s^0.7-0.3))")) is None
         assert power_form(parse_expression("(s^0.5-0.2)/s")) is None
 
+    def test_power_form_of_nested_quotients_and_negations(self):
+        # a factor under two '/' is a numerator factor: s^0.5 - 0.2 there is
+        # no linear factor and no pole
+        assert power_form(parse_expression("1/(1/(s^0.5-0.2))")) is None
+        assert power_form(parse_expression("2/(s^0.5*(s^0.7-0.3))")) \
+            == (2, -0.5, (0.7, 0.3, 1.0, 1.0), [])
+        # the two negations cancel in the constant
+        assert power_form(parse_expression("-(s^0.5)/(-(s^0.7-0.3))")) \
+            == (1, 0.5, (0.7, 0.3, 1.0, 1.0), [])
+
     def test_monic_factors_key_by_value(self):
         assert Polynomial([-0.0, 1.0]) in {Polynomial([0.0, 1.0]): 1}
 

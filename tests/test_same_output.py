@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from nablainv.cli import main
+from nablainv.pairs import reference_pairs
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -47,3 +48,19 @@ def test_child_hashes_exit_code_stdout_and_stderr(same_output, tmp_path, capsys)
         out, err = capsys.readouterr()
         want.append(hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest())
     assert got == want and got[0] == got[2] != got[1]
+
+
+def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
+    """roundtrip, table --match on every reference transform, each format of
+    the fractional shapes, and the two high-order poles; each exits 0 here."""
+    cmds = same_output.fixed_commands()
+    assert cmds[0] == ["roundtrip"]
+    tables = [argv for argv in cmds if argv[0] == "table"]
+    assert tables == [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
+    inverts = [argv[1] for argv in cmds if argv[0] == "invert"]
+    assert inverts == [f"--expr={expr}" for expr in same_output.FRACTIONAL for _ in range(3)] \
+        + [f"--expr={expr}" for expr in same_output.HIGH_ORDER]
+    assert len(cmds) == 1 + len(tables) + len(inverts)
+    for argv in cmds:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -10,7 +10,12 @@ from scipy.special import gamma as scipy_gamma
 from scipy.special import loggamma as scipy_loggamma
 from scipy.special import poch as scipy_poch
 
-from nablainv import MittagLefflerParams, ParameterDomainError, discrete_mittag_leffler
+from nablainv import (
+    FractionalAtom,
+    MittagLefflerParams,
+    ParameterDomainError,
+    discrete_mittag_leffler,
+)
 from nablainv.polynomial import _SEED, series_divide
 from nablainv.special import MittagLefflerSeries, _binomial_series
 from conftest import mpmath_atom_values, mpmath_mittag_leffler
@@ -101,6 +106,19 @@ class TestDiscreteMittagLeffler:
             MittagLefflerParams(-0.5, 0.5, 0.2)
         with pytest.raises(ValueError):
             MittagLefflerParams(0.5, 0.0, 0.2)
+
+    @pytest.mark.parametrize("alpha, beta, lam", [
+        (0.5, 0.5, 2.0), (0.5, 0.5, 1.0), (0.5, 0.5, -1j), (-0.5, 0.5, 0.2), (0.5, 0.0, 0.2),
+    ])
+    def test_one_check_for_the_atom_and_the_parameters(self, alpha, beta, lam):
+        with pytest.raises((ValueError, ParameterDomainError)) as atom:
+            FractionalAtom(1.0, alpha, beta, lam)
+        with pytest.raises((ValueError, ParameterDomainError)) as params:
+            MittagLefflerParams(alpha, beta, lam)
+        assert (type(atom.value), str(atom.value)) == (type(params.value), str(params.value))
+        if abs(lam) >= 1:
+            assert str(params.value) \
+                == f"|lambda| = {abs(lam):g} >= 1 is outside the invertible range"
 
     def test_k_outside_index_set(self):
         p = MittagLefflerParams(0.5, 0.5, 0.2)

@@ -6,9 +6,10 @@ benchmark request.
 Takes the requests ``bench/run.py`` sends at its default --seconds, for each
 workload and seed, and for each ``verify`` request the ``invert --format
 json`` of the same input that the benchmark sends first to confirm the
-inversion.  One child process per tree (the parent's files extracted with
-``git archive``) passes each command to ``nablainv.cli.main`` and hashes its
-exit code, stdout and stderr with sha256.  Prints every command whose hash
+inversion; then a fixed list of commands that reach what no request does
+(``fixed_commands``).  One child process per tree (the parent's files
+extracted with ``git archive``) passes each command to ``nablainv.cli.main``
+and hashes its exit code, stdout and stderr with sha256.  Prints every command whose hash
 differs between the trees and exits 1 if any does, 0 when none does.
 """
 
@@ -25,7 +26,16 @@ from bench_pairs import ROOT, extract
 sys.path.insert(0, str(ROOT / "bench"))
 import run as bench  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "src"))
+from nablainv.pairs import reference_pairs  # noqa: E402
+
 SECONDS = 10  # bench/run.py's default --seconds
+# fractional inputs that no request writes: a lambda = 0 atom, the form
+# lambda - s^alpha, nested negations and quotients, and pair row 10's shape
+FRACTIONAL = ["2*s^-0.5", "1/(0.3-s^0.5)", "-(s^0.5)/(-(s^0.7-0.3))",
+              "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
+# poles of order 170 and 172, whose float factorials overflowed
+HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -62,6 +72,18 @@ def commands(workload, seed):
     return out
 
 
+def fixed_commands():
+    """The argument lists hashed after the benchmark's: ``roundtrip``, ``table
+    --match`` on each reference pair's transform, ``invert`` in each format on
+    the FRACTIONAL inputs, and ``invert`` on the HIGH_ORDER poles."""
+    out = [["roundtrip"]]
+    out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
+    out += [["invert", f"--expr={expr}", "--format", fmt]
+            for expr in FRACTIONAL for fmt in ("text", "csv", "json")]
+    out += [["invert", f"--expr={expr}", "--k", "1..3"] for expr in HIGH_ORDER]
+    return out
+
+
 def start(tree, argv_file):
     """The child process that hashes the outputs of the commands in
     ``argv_file`` on the source in ``tree``."""
@@ -88,6 +110,7 @@ def main(argv=None):
     labelled = [(f"{workload} seed {seed}", cmd)
                 for workload in bench.workloads.BLOCKS
                 for seed in args.seeds for cmd in commands(workload, seed)]
+    labelled += [("fixed", cmd) for cmd in fixed_commands()]
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp) / "parent"
         parent_tree.mkdir()
