@@ -31,13 +31,7 @@ from .inversion import (
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
 from .rational import describe_roc
-from .verify import (
-    forward_transform,
-    initial_value,
-    quadrature_grid,
-    round_trip_error,
-    shared_blocks,
-)
+from .verify import forward_rows, initial_value, quadrature_grid, round_trip_error
 
 _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
@@ -175,11 +169,10 @@ def _parse_krange(text, a):
 
     Every step shares lo's offset from a, so checking lo checks the grid.
     """
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = float(lo_text), float(hi_text)
-    else:
-        lo = hi = float(text)
+    try:
+        lo, hi = map(float, text.split("..", 1) if ".." in text else (text, text))
+    except ValueError:
+        raise ValueError(f"step range {text!r} is not a number or a range lo..hi") from None
     if not np.isfinite(hi - lo):
         raise ValueError(f"step range {text!r} is not finite")
     if hi < lo:
@@ -436,25 +429,16 @@ def _cmd_forward(args):
     points = _parse_points(args.s) if args.s else None
     problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
-    seq = shared_blocks(problem.sequence(cf))
     if points is None:
         points = sample_points(problem.radius, count=5)
-    F = problem.F
     # every point is summed before anything is printed, so a point that
     # fails leaves no partial table on stdout
-    rows = []
-    worst = 0.0
-    for s in points:
-        total = forward_transform(seq, s, tol=args.tol)
-        direct = complex(F(s))
-        diff = abs(total - direct)
-        worst = max(worst, diff)
-        rows.append(f"{s:>28.12g}  {total:>28.12g}  {direct:>28.12g}  {diff:12.3e}")
+    rows = forward_rows(problem.sequence(cf), problem.F, points, tol=args.tol)
     print(f"forward series of the inverted sequence vs direct F(s)  [{used}]")
     print(f"{'s':>28}  {'series':>28}  {'direct':>28}  {'|diff|':>12}")
-    for row in rows:
-        print(row)
-    print(f"max |diff| = {worst:.3e}")
+    for s, total, direct in rows:
+        print(f"{s:>28.12g}  {total:>28.12g}  {direct:>28.12g}  {abs(total - direct):12.3e}")
+    print(f"max |diff| = {max([0.0] + [abs(total - direct) for _s, total, direct in rows]):.3e}")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Inversion strategies: values from the series at s=1, closed forms from poles.
 
-Three routes recover the causal sequence of a rational F(s):
+Two routes recover the causal sequence of a rational F(s):
 
 * ``invert_inside`` sums the residue at the order-(k-a) pole the kernel
   (1-s)^(a-k) places at s = 1.  That residue is, up to the orientation sign,
@@ -12,7 +12,7 @@ Three routes recover the causal sequence of a rational F(s):
   rising-factorial-times-geometric sequences, so ``invert_outside`` is the
   same function under its residue-calculus name.
 
-The closed-form routes produce a symbolic ClosedFormSequence, evaluable at
+The partial-fraction route produces a symbolic ClosedFormSequence, evaluable at
 any causal step or on a whole step grid at once (``sample``); fractional-power
 sums go through ``invert_fractional`` instead, whose atoms map onto discrete
 Mittag-Leffler terms.
@@ -134,9 +134,18 @@ class ImpulseTerm:
                 "shift": self.shift}
 
 
+def _pole_text(base, order):
+    """The sequence of an order-n pole p less its coefficient, base = 1 - p as
+    text: base^-(k-a), or binomial(k-a+n-2,n-1)*base^-(k-a+n-1) from n = 2."""
+    if order == 1:
+        return f"{base}^-(k-a)"
+    top = f"k-a+{order - 2}" if order > 2 else "k-a"
+    return f"binomial({top},{order - 1})*{base}^-(k-a+{order - 1})"
+
+
 @dataclass(frozen=True)
 class PolyGeometricTerm:
-    """coefficient * rising(k-a, order-1) / ((order-1)! (1-pole)^(k-a+order-1));
+    """coefficient * binomial(k-a+order-2, order-1) (1-pole)^-(k-a+order-1);
     at order 1, a simple pole's, coefficient * (1-pole)^-(k-a) ("geometric")."""
 
     coefficient: complex
@@ -166,13 +175,7 @@ class PolyGeometricTerm:
         return self.coefficient * binomial * (1.0 - self.pole) ** ((1 - n) - m)
 
     def describe(self):
-        n = self.order
-        if n == 1:
-            return f"{_num(self.coefficient)}*{_num(1 - self.pole)}^-(k-a)"
-        return (
-            f"{_num(self.coefficient)}*rising(k-a,{n - 1})"
-            f"/({math.factorial(n - 1)}*{_num(1 - self.pole)}^(k-a+{n - 1}))"
-        )
+        return f"{_num(self.coefficient)}*{_pole_text(_num(1 - self.pole), self.order)}"
 
     def as_dict(self):
         out = {"type": "geometric", "coefficient": complex_pair(self.coefficient),
@@ -379,15 +382,19 @@ class FractionalAtom:
         return abs(1.0 - abs(self.lam) ** (1.0 / self.alpha) * cmath.exp(1j * phi / self.alpha))
 
 
-def _power(log_abs, theta, g):
-    """s^g = e^(g ln|s|) (cos g theta + j sin g theta) from ln|s| and arg s,
-    ndarrays of one shape, or g an ndarray and the others of one element."""
-    r = np.exp(g * log_abs)
-    t = g * theta
-    p = np.empty(r.shape, dtype=complex)
-    np.multiply(r, np.cos(t), out=p.real)
-    np.multiply(r, np.sin(t), out=p.imag)
-    return p
+def _power(log_abs, theta, g, out):
+    """Write s^g = e^(g ln|s|) (cos g theta + j sin g theta) into ``out``, of
+    g's shape, whose last axes, of length 1, stand for those of s.  r, the one
+    temporary, keeps numpy's exp on contiguous memory; g theta goes in out: a
+    second temporary made malloc fault 244 pages a call (3 atoms, 6432 points)."""
+    re, im = out.real, out.imag
+    r = g * log_abs
+    np.exp(r, out=r)
+    np.multiply(g, theta, out=re)
+    np.sin(re, out=im)
+    im *= r
+    np.cos(re, out=re)
+    re *= r
 
 
 @dataclass(frozen=True)
@@ -402,46 +409,48 @@ class FractionalSumForm:
         Every power comes from one ln|s| and one arg s, shared by all the
         atoms: s^g = e^(g ln|s|) (cos g theta + j sin g theta), the principal
         branch that ``s**g`` takes, at the cost of real exp, cos and sin
-        instead of numpy's complex power; s^0 is exactly 1, and at s = 0,
-        0^g = 0 for g > 0.
-
-        A Python or numpy scalar (an int, float or complex instance) is
-        evaluated as one array over the atoms instead of over the points: the
-        same numpy operations element by element, so the same bits as a
-        one-point ndarray, in one pass for all the atoms, and a Python complex
-        back.  (math's exp and log differ from numpy's in the last bit, which
-        cancellation between atoms makes 4e-15 relative.)
+        instead of numpy's complex power.  One (exponents x points) pass
+        computes every power but s^0 = 1 (alpha = beta), also at s = 0, where
+        0^g = 0 for g > 0.  A scalar is that pass on a 0-d array, so it has
+        the bits of a one-point ndarray; it and a 0-d ndarray give a Python
+        complex, any other ndarray one of its shape.
         """
-        if isinstance(s, (int, float, complex)):
-            return self._evaluate_at(complex(s))
-        s = np.asarray(s, dtype=complex)
-        with np.errstate(divide="ignore"):  # s = 0: 0^g = 0 for g > 0
-            log_abs = np.log(np.abs(s))
-        theta = np.angle(s)
-        return sum((a.coefficient * (1.0 if a.alpha == a.beta else
-                                     _power(log_abs, theta, a.alpha - a.beta))
-                    / (_power(log_abs, theta, a.alpha) - a.lam) for a in self.atoms),
-                   start=0j)
+        ones, g, coefficients, lams, rows = self._arrays
+        z = np.asarray(s, dtype=complex)
+        size = np.abs(z)
+        if np.count_nonzero(z) < z.size:  # ln 0 = -inf, without numpy's warning
+            log_abs = np.log(size, out=np.full(z.shape, -np.inf), where=size > 0)
+        else:
+            log_abs = np.log(size)
+        n = len(rows)
+        p = np.empty((2 * n,) + z.shape, dtype=complex)
+        if ones:
+            p[:ones].fill(1)
+        _power(log_abs, np.arctan2(z.imag, z.real), g[(...,) + (None,) * z.ndim], p[ones:])
+        # with the atoms on the last axis, their coefficients and lambdas
+        # broadcast; c * p, not p * c, which numpy may round otherwise
+        num, den = p[:n].T, p[n:].T
+        np.multiply(coefficients, num, out=num)
+        den -= lams
+        num /= den
+        total = sum([p[i] for i in rows], 0j)
+        return complex(total) if z.ndim == 0 else total
 
     @cached_property
     def _arrays(self):
-        """(exponents, coefficients, lambdas) as arrays over the atoms: the
-        numerator exponents alpha - beta, then the denominator ones alpha."""
+        """(count of atoms with alpha = beta, exponents, coefficients, lambdas,
+        rows): the atoms with alpha = beta first, the exponents those of the
+        powers computed (each nonzero alpha - beta, then each alpha), and the
+        row of each atom in that order, in the atoms' own order."""
         atoms = self.atoms
-        g = np.array([a.alpha - a.beta for a in atoms] + [a.alpha for a in atoms], dtype=float)
-        return (g, np.array([a.coefficient for a in atoms], dtype=complex),
-                np.array([a.lam for a in atoms], dtype=complex))
-
-    def _evaluate_at(self, z):
-        g, coefficients, lams = self._arrays
-        z = np.array([z])
-        size = np.abs(z)
-        log_abs = np.log(size) if size[0] else np.full(1, -np.inf)  # ln 0, without a warning
-        p = _power(log_abs, np.arctan2(z.imag, z.real), g)
-        if not math.isfinite(log_abs[0]):
-            p[g == 0] = 1.0  # s^0 = 1, where 0 ln|s| is nan
-        n = len(self.atoms)
-        return sum((coefficients * p[:n] / (p[n:] - lams)).tolist(), start=0j)
+        order = sorted(range(len(atoms)), key=lambda i: atoms[i].alpha != atoms[i].beta)
+        stored = [atoms[i] for i in order]
+        ones = sum(a.alpha == a.beta for a in atoms)
+        g = [a.alpha - a.beta for a in stored[ones:]] + [a.alpha for a in stored]
+        return (ones, np.array(g, dtype=float),
+                np.array([a.coefficient for a in stored], dtype=complex),
+                np.array([a.lam for a in stored], dtype=complex),
+                np.argsort(order).tolist())
 
     def __call__(self, s):
         return self.evaluate(s)

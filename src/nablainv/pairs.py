@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm
+from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm, _pole_text
 from .parsing import Classified, Kind, classify, parse_expression, power_form
 from .polynomial import Polynomial
 from .rational import describe_roc
@@ -154,7 +154,7 @@ def pair(row, **params):
             lambda m: (1.0 - lam) ** (-m),
             lambda s: 1.0 / (s - lam),
             abs(1.0 - lam),
-            f"{_g(1 - lam)}^-(k-a)", f"1/(s-{_g(lam)})",
+            _pole_text(_g(1 - lam), 1), f"1/(s-{_g(lam)})",
         )
     if row == 8:
         lam, N = take("lam", "N")
@@ -165,7 +165,7 @@ def pair(row, **params):
             PolyGeometricTerm(1.0, lam, N).value,
             lambda s: (s - lam) ** (-N),
             min(abs(1.0 - lam), 1.0),
-            f"rising(k-a,{N - 1})/({math.factorial(N - 1)}*{_g(1 - lam)}^(k-a+{N - 1}))",
+            _pole_text(_g(1 - lam), N),
             f"1/(s-{_g(lam)})^{N}",
             pole_order=N,
         )

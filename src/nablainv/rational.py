@@ -189,60 +189,43 @@ class RationalFunction:
         |pole|), matching the clustering accuracy of the root finder; an
         exactly zero denominator raises PoleEvaluationError too.
 
-        A Python or numpy scalar (an int, float or complex instance) is
-        evaluated in Python complex arithmetic, on coefficient lists built on
-        the first such call, with no numpy work, and gives a Python complex.
-        Horner's rule is backward stable in either arithmetic, so the two
-        paths differ only in rounding (within 6e-15 relative on the stress
-        sweep).  Powers are repeated multiplications: past the float64 range
-        a scalar reads inf or nan as an ndarray does.  An ndarray is evaluated
-        in numpy, a 0-d one as one point of a 1-d one, and gives a Python
-        complex.
+        One body serves a point and an array: Horner's rule on coefficient
+        lists built on the first call, and q^e as e - 1 multiplications, on
+        Python complex numbers for a Python or numpy scalar and on ndarrays
+        for an ndarray, whose shape the value keeps.  A scalar or a 0-d
+        ndarray (read as one point of a 1-d one) gives a Python complex.  The
+        two arithmetics round apart by at most 6e-15 relative on the stress
+        sweep, and past the float64 range both read inf or nan.
         """
-        if isinstance(s, (int, float, complex)):
-            return self._evaluate_at(complex(s))
-        red = self._reduced
-        z = np.asarray(s, dtype=complex)
-        if z.ndim == 0:
-            # q(z) of a 0-d array is a Python complex, whose ** raises on overflow
+        constant, poles, num_factors, den_factors = self._horner
+        scalar = isinstance(s, (int, float, complex))
+        z = complex(s) if scalar else np.asarray(s, dtype=complex)
+        if not scalar and z.ndim == 0:
             return complex(self.evaluate(z.reshape(1))[0])
-        for rc in red.poles:
-            if np.any(np.abs(z - rc.value) <= NEAR_POLE_TOL * (1.0 + abs(rc.value))):
-                raise PoleEvaluationError(rc.value)
-        num = np.full(z.shape, red.constant)
-        den = np.ones(z.shape, dtype=complex)
-        for q, e in red.numerator:
-            num = num * q(z) ** e
-        for q, e in red.denominator:
-            den = den * q(z) ** e
-        if np.any(den == 0):
-            raise PoleEvaluationError(z.flat[int(np.argmax(den.ravel() == 0))])
+        # np.any on a Python bool costs about what the whole scalar call does
+        for p, radius in poles:
+            near = abs(z - p) <= radius
+            if near if scalar else np.any(near):
+                raise PoleEvaluationError(p)
+        # a constant F keeps an array's shape through its numerator
+        num = _times_factors(constant if scalar else np.full(z.shape, constant), num_factors, z)
+        den = _times_factors(1 + 0j, den_factors, z)
+        zero = den == 0
+        if zero if scalar else np.any(zero):
+            raise PoleEvaluationError(np.ravel(z)[np.argmax(zero)])
         return num / den
 
     @cached_property
-    def _scalar(self):
-        """The reduced F as Python numbers, for ``evaluate`` at one point:
-        (constant, [(pole, near-pole radius)], numerator factors, denominator
-        factors), each factor as (its coefficients from the top down, e)."""
+    def _horner(self):
+        """The reduced F as Python numbers, for ``evaluate``: (constant,
+        [(pole, near-pole radius)], numerator factors, denominator factors),
+        each factor q^e as (its coefficients from the top down, range(e - 1))."""
         red = self._reduced
         poles = [(complex(rc.value), NEAR_POLE_TOL * (1.0 + abs(rc.value)))
                  for rc in red.poles]
-        num, den = ([(q.coeffs[::-1].tolist(), e) for q, e in side]
+        num, den = ([(q.coeffs[::-1].tolist(), range(e - 1)) for q, e in side]
                     for side in (red.numerator, red.denominator))
         return red.constant, poles, num, den
-
-    def _evaluate_at(self, z):
-        """F at the Python complex z: the array path's steps, in the same
-        order, on Python complex numbers."""
-        constant, poles, num_factors, den_factors = self._scalar
-        for p, radius in poles:
-            if abs(z - p) <= radius:
-                raise PoleEvaluationError(p)
-        num = _times_factors(constant, num_factors, z)
-        den = _times_factors(1 + 0j, den_factors, z)
-        if den == 0:
-            raise PoleEvaluationError(z)
-        return num / den
 
     def __call__(self, s):
         return self.evaluate(s)
@@ -339,16 +322,16 @@ class RationalFunction:
 
 
 def _times_factors(acc, factors, z):
-    """acc * prod q(z)^e over (coefficients of q from the top down, e >= 1)
-    in Python complex: Horner's rule for q(z), then e - 1 multiplications
-    (Python's ``**`` raises OverflowError where numpy's power gives inf)."""
-    for coeffs, e in factors:
+    """acc * prod q(z)^e over (coefficients of q from the top down,
+    range(e - 1)), for z a Python complex or an ndarray: Horner's rule for
+    q(z), then e - 1 multiplications; an ndarray acc is multiplied in place."""
+    for coeffs, more in factors:
         q = 0j
         for c in coeffs:
             q = q * z + c
         power = q
-        for _ in range(e - 1):
-            power *= q
+        for _ in more:
+            power = power * q  # not *=, which would change q itself
         acc *= power
     return acc
 

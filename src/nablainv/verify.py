@@ -27,6 +27,7 @@ _CONSECUTIVE_GROWING = 50
 
 __all__ = [
     "forward_transform",
+    "forward_rows",
     "round_trip_error",
     "numeric_inverse",
     "quadrature_grid",
@@ -54,17 +55,20 @@ def forward_transform(seq, s, tol=FORWARD_TOL, n_max=FORWARD_NMAX):
     return _forward_sum(seq, s, tol, n_max)[0]
 
 
-def round_trip_error(seq, F, points):
-    """max |series - F(s)| / max(1, |F(s)|) over the points s, the series being
-    the forward sum of the rule ``seq`` and F the transform it should give.
-    The points' sums share the rule's value blocks (``shared_blocks``)."""
+def forward_rows(seq, F, points, tol=FORWARD_TOL):
+    """(s, series, F(s)) at each of the points s, in order: the forward sum of
+    the rule ``seq`` to ``tol``, sharing its value blocks (``shared_blocks``),
+    and F, the transform it should give.  A failing point raises before any
+    later point is read."""
     seq = shared_blocks(seq)
-    worst = 0.0
-    for s in points:
-        total = forward_transform(seq, s)
-        direct = complex(F(s))
-        worst = max(worst, abs(total - direct) / max(1.0, abs(direct)))
-    return worst
+    return [(s, forward_transform(seq, s, tol=tol), complex(F(s))) for s in points]
+
+
+def round_trip_error(seq, F, points):
+    """max |series - F(s)| / max(1, |F(s)|) over the ``forward_rows`` of the
+    rule ``seq`` and its transform F at the points s; 0 with no points."""
+    return max([0.0] + [abs(total - direct) / max(1.0, abs(direct))
+                        for _s, total, direct in forward_rows(seq, F, points)])
 
 
 def shared_blocks(seq):

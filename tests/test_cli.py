@@ -66,7 +66,7 @@ class TestInvert:
         expr = "4.05/((s+0.55)^2)"
         code, out, _ = run(capsys, "invert", "--expr", expr, "--k", "1..3")
         assert code == 0
-        assert "closed form    : f(k) = 4.05*rising(k-a,1)/(1*1.55^(k-a+1))\n" in out
+        assert "closed form    : f(k) = 4.05*binomial(k-a,1)*1.55^-(k-a+1)\n" in out
         code, out, _ = run(capsys, "invert", "--expr", expr, "--k", "1..3",
                            "--format", "json")
         assert json.loads(out)["closed_form"] == [{
@@ -214,6 +214,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "not finite" in err
+
+    @pytest.mark.parametrize("k, config", [
+        ("abc", False), ("1..", False), ("..5", False), ("abc", True)])
+    def test_step_range_that_is_not_a_number(self, capsys, tmp_path, k, config):
+        if config:
+            path = tmp_path / "k.cfg"
+            path.write_text(f"k = {k}\n")
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--k", k]
+        code, out, err = run(capsys, "invert", "--expr", EX1, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: step range {k!r} is not a number or a range lo..hi\n"
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

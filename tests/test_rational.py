@@ -349,12 +349,8 @@ class TestScalarEvaluation:
     def test_arrays_keep_the_array_path(self):
         rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
         assert isinstance(rf.evaluate(np.array([0.3])), np.ndarray)
-        # a 0-d array is evaluated in numpy and read out as a Python complex,
-        # as before the scalar path: the scalar lists are never built
+        # a 0-d array is evaluated in numpy and read out as a Python complex
         assert type(rf.evaluate(np.array(0.3))) is complex
-        assert "_scalar" not in rf.__dict__
-        rf.evaluate(0.3)
-        assert "_scalar" in rf.__dict__
 
     def test_scalar_call_evaluates_no_polynomial(self, monkeypatch):
         rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
@@ -365,6 +361,40 @@ class TestScalarEvaluation:
 
         monkeypatch.setattr(Polynomial, "__call__", refuse)
         assert rf.evaluate(0.3) == want
+
+    @pytest.mark.parametrize("text", ["(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))", "0*s/(s-3)",
+                                      "(s-0.3)^2", "2.5"])
+    @pytest.mark.parametrize("shape", [(2, 3), (0,), (0, 3)])
+    def test_arrays_keep_their_shape(self, text, shape):
+        # a constant F too: its numerator's product starts as an array of that shape
+        rf = _rational(text)
+        z = np.linspace(0.1, 0.9, math.prod(shape)).reshape(shape) + 0.2j
+        got = rf.evaluate(z)
+        assert type(got) is np.ndarray and got.shape == shape and got.dtype == complex
+        np.testing.assert_array_equal(got.ravel(), rf.evaluate(z.ravel()))
+        for s in (0.3, np.array(0.3)):
+            assert type(rf.evaluate(s)) is complex
+
+    @pytest.mark.parametrize("points", [np.array([0.3, 0.5j]), np.array([[0.3], [0.5j]]),
+                                        np.array(0.3)])
+    def test_arrays_evaluate_no_polynomial(self, monkeypatch, points):
+        rf = _rational("(s+0.2)/((s-2.5)*(s^2+0.4*s+1.3))")
+        want = rf.evaluate(points)
+
+        def refuse(self, s):
+            raise AssertionError("Polynomial.__call__ on an array")
+
+        monkeypatch.setattr(Polynomial, "__call__", refuse)
+        np.testing.assert_array_equal(rf.evaluate(points), want)
+
+    def test_powers_are_repeated_multiplications(self, rng):
+        # numpy's q**4 squares twice, which rounds otherwise than ((q q) q) q
+        # at some points; Horner's rule gives q = (0 z + 1) z + 0.5 = z + 0.5
+        rf = _rational("1/((s+0.5)^4*(s-0.2)^3)")
+        z = 1.0 - 0.5 * np.exp(2j * np.pi * rng.random(4000))
+        q, p = z + 0.5, z - 0.2
+        want = 1 / ((((q * q) * q) * q) * ((p * p) * p))
+        np.testing.assert_array_equal(rf.evaluate(z), want)
 
     @pytest.mark.parametrize("text, s", [
         ("(s+0.5)^2", 1e200),

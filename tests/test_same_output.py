@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -52,7 +53,8 @@ def test_child_hashes_exit_code_stdout_and_stderr(same_output, tmp_path, capsys)
 
 def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     """roundtrip, table --match on every reference transform, each format of
-    the fractional shapes, and the two high-order poles; each exits 0 here."""
+    the fractional shapes, the two high-order poles, and forward and verify
+    where F is read as no request reads it; each exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
@@ -60,7 +62,24 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     inverts = [argv[1] for argv in cmds if argv[0] == "invert"]
     assert inverts == [f"--expr={expr}" for expr in same_output.FRACTIONAL for _ in range(3)] \
         + [f"--expr={expr}" for expr in same_output.HIGH_ORDER]
-    assert len(cmds) == 1 + len(tables) + len(inverts)
+    evaluating = [argv for argv in cmds if argv[0] in ("forward", "verify")]
+    assert evaluating == [
+        ["forward", "--expr=9/((s+1)^2*(s-2))"],
+        ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
+        ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
+        ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
+    assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating)
     for argv in cmds:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_no_request_reaches_the_evaluating_commands(same_output):
+    """No benchmark request runs forward or has a denominator power of 4 or
+    more, so only the fixed commands read F there."""
+    requests = [argv for workload in same_output.bench.workloads.BLOCKS
+                for seed in (1, 7) for argv in same_output.commands(workload, seed)]
+    assert not [argv for argv in requests if argv[0] == "forward"]
+    exprs = [arg.removeprefix("--expr=") for argv in requests for arg in argv
+             if arg.startswith("--expr=")]
+    assert exprs and not [e for e in exprs if re.search(r"\)\^([4-9]|\d\d)", e)]

@@ -36,6 +36,13 @@ FRACTIONAL = ["2*s^-0.5", "1/(0.3-s^0.5)", "-(s^0.5)/(-(s^0.7-0.3))",
               "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
 # poles of order 170 and 172, whose float factorials overflowed
 HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
+# commands that read F where no request does: forward sums at the default
+# points (no request runs forward), a denominator power of 4 (no request has
+# one above 3) and a constant F
+EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
+              ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
+              ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
+              ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -75,13 +82,14 @@ def commands(workload, seed):
 def fixed_commands():
     """The argument lists hashed after the benchmark's: ``roundtrip``, ``table
     --match`` on each reference pair's transform, ``invert`` in each format on
-    the FRACTIONAL inputs, and ``invert`` on the HIGH_ORDER poles."""
+    the FRACTIONAL inputs, ``invert`` on the HIGH_ORDER poles, and the
+    EVALUATING commands."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["invert", f"--expr={expr}", "--format", fmt]
             for expr in FRACTIONAL for fmt in ("text", "csv", "json")]
     out += [["invert", f"--expr={expr}", "--k", "1..3"] for expr in HIGH_ORDER]
-    return out
+    return out + EVALUATING
 
 
 def start(tree, argv_file):
