@@ -31,12 +31,11 @@ print(f"inferred ROC: {describe_roc(rf.inferred_roc())}")
 print()
 
 # Partial fractions: F = 1/(s-2) - 1/(s+1) - 3/(s+1)^2
-pfe = expand(rf)
+# expand returns the closed-form terms themselves, one per partial fraction
 print("partial fractions")
-for pole, r in pfe.simple_terms:
-    print(f"  residue {r:.6g} at simple pole {pole:.6g}")
-for pole, order, q in pfe.multiple_terms:
-    print(f"  coefficient {q:.6g} for 1/(s-({pole:.6g}))^{order}")
+for term in expand(rf):
+    print(f"  coefficient {term.coefficient:.6g} for 1/(s-({term.pole:.6g}))^{term.order}"
+          f"  ->  {term.describe()}")
 print()
 
 # Route 1: series coefficients at s = 1 (the inner-pole residue).

@@ -20,14 +20,11 @@ from .errors import (
     TruncationWarning,
     UnsupportedExpressionError,
 )
-from .expansion import PartialFractionExpansion, expand
+from .expansion import ImpulseTerm, PolyGeometricTerm, expand
 from .inversion import (
     ClosedFormSequence,
     FractionalAtom,
     FractionalSumForm,
-    ImpulseTerm,
-    MittagLefflerTerm,
-    PolyGeometricTerm,
     invert_fractional,
     invert_inside,
     invert_outside,
@@ -59,10 +56,8 @@ __all__ = [
     "ImpulseTerm",
     "Kind",
     "MittagLefflerParams",
-    "MittagLefflerTerm",
     "NablaError",
     "ParameterDomainError",
-    "PartialFractionExpansion",
     "PolyGeometricTerm",
     "PoleAtOneError",
     "PoleEvaluationError",

@@ -17,12 +17,11 @@ import warnings
 import numpy as np
 
 from .errors import ExpressionSyntaxError, NablaError, TruncationWarning
-from .expansion import expand
+from .expansion import ImpulseTerm, complex_pair, expand
 from .inversion import (
     COMPLEX_F,
     FractionalAtom,
     FractionalSumForm,
-    complex_pair,
     invert_fractional,
     invert_inside,
     invert_partial_fractions,
@@ -134,9 +133,11 @@ def _resolve(args):
     A config key must name a flag of the command, and its value, for a choice
     flag, one of the flag's choices, as on the command line: ValueError (exit
     2) otherwise.  So must be a finite ``a`` and a finite ``tol`` above 0,
-    naming the flag, the variable or the config key that set them.
+    naming the flag, the variable or the config key that set them;
+    ``args.sources`` maps each key to that name.
     """
     cfg = _load_config(args) if getattr(args, "config", None) else {}
+    args.sources = {}
     for key, choices in _CHOICES.get(args.command, {}).items():
         if key in cfg and cfg[key] not in choices:
             raise ValueError(
@@ -160,30 +161,39 @@ def _resolve(args):
         if key == "tol" and not 0 < value < math.inf:
             raise ValueError(f"{source}: must be finite and above 0, got {value!r}")
         setattr(args, key, value)
+        args.sources[key] = source
     return args
 
 
-def _parse_krange(text, a):
+def _parse_krange(text, a, source="argument --k"):
     """The steps lo, lo+1, ... up to hi as a float ndarray; the last step is
     lo + floor(hi - lo), to within 1e-9 of a whole step.
 
-    Every step shares lo's offset from a, so checking lo checks the grid.
+    Every step shares lo's offset from a, so checking lo checks the grid.  A
+    bad range raises ValueError, one too long for an array OverflowError,
+    naming ``source``: the flag or the config key that gave the range.
     """
     try:
         lo, hi = map(float, text.split("..", 1) if ".." in text else (text, text))
     except ValueError:
-        raise ValueError(f"step range {text!r} is not a number or a range lo..hi") from None
+        raise ValueError(
+            f"{source}: step range {text!r} is not a number or a range lo..hi") from None
     if not np.isfinite(hi - lo):
-        raise ValueError(f"step range {text!r} is not finite")
+        raise ValueError(f"{source}: step range {text!r} is not finite")
     if hi < lo:
-        raise ValueError(f"empty step range {text!r}")
+        raise ValueError(f"{source}: empty step range {text!r}")
     m = lo - a
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
         raise ValueError(
-            f"k = {lo:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
-            "adjust --k or --a"
+            f"{source}: k = {lo:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
+            "adjust the range or a"
         )
-    return lo + np.arange(math.floor(hi - lo + 1e-9) + 1)
+    try:
+        steps = np.arange(math.floor(hi - lo + 1e-9) + 1)
+    except (MemoryError, ValueError):  # numpy's ValueError: past 2^63 bytes
+        raise OverflowError(
+            f"{source}: step range {text!r} is too long for an array; narrow --k") from None
+    return lo + steps
 
 
 class _Problem:
@@ -280,14 +290,14 @@ class _Problem:
         if self.classified.kind is Kind.FRACTIONAL_SUM:
             return self.classified.fractional
         if self.classified.kind is Kind.RATIONAL:
-            pfe = expand(self.classified.rational)
-            if pfe.impulse_part or pfe.multiple_terms:
+            terms = expand(self.classified.rational)
+            if any(isinstance(t, ImpulseTerm) or t.order > 1 for t in terms):
                 raise NablaError(
                     "only strictly proper rationals with simple poles convert "
                     "to fractional atoms (each pole p becomes 1/(s-p))"
                 )
             return FractionalSumForm(tuple(
-                FractionalAtom(r, 1.0, 1.0, pole) for pole, r in pfe.simple_terms
+                FractionalAtom(t.coefficient, 1.0, 1.0, t.pole) for t in terms
             ))
         raise NablaError("strategy 'fractional' needs a fractional sum of atoms")
 
@@ -377,7 +387,7 @@ def _row_args(ks, values, live, as_int):
 
 def _cmd_invert(args):
     problem = _Problem(args.expr, args.a)
-    ks = _parse_krange(args.k, args.a)
+    ks = _parse_krange(args.k, args.a, args.sources["k"])
     used, cf, values = problem.invert(args.strategy, ks)
     _emit_values(args, problem, used, cf, ks, values)
     return 0
@@ -411,7 +421,7 @@ def _truncation_to_stderr(command):
 
 def _parse_points(text):
     """The comma-separated complex points of --s; ValueError naming the flag
-    for one that is not a finite complex number."""
+    for one that is not a finite complex number, and for a list of none."""
     points = []
     for part in filter(None, map(str.strip, text.split(","))):
         try:
@@ -421,12 +431,14 @@ def _parse_points(text):
         if not cmath.isfinite(s):
             raise ValueError(f"argument --s: {part!r} is not a finite complex number")
         points.append(s)
+    if not points:
+        raise ValueError(f"argument --s: {text!r} lists no points")
     return points
 
 
 @_truncation_to_stderr
 def _cmd_forward(args):
-    points = _parse_points(args.s) if args.s else None
+    points = _parse_points(args.s) if args.s is not None else None
     problem = _Problem(args.expr, args.a)
     used, cf = problem.closed_form("auto")
     if points is None:
@@ -445,7 +457,7 @@ def _cmd_forward(args):
 @_truncation_to_stderr
 def _cmd_verify(args):
     problem = _Problem(args.expr, args.a)
-    ks = _parse_krange(args.k, args.a)
+    ks = _parse_krange(args.k, args.a, args.sources["k"])
     tol = args.tol
     F = problem.F
     used, cf, sequence_values = problem.invert("auto", ks)

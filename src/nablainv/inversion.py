@@ -6,16 +6,16 @@ Two routes recover the causal sequence of a rational F(s):
   (1-s)^(a-k) places at s = 1.  That residue is, up to the orientation sign,
   the coefficient of w^(k-a-1) in F(1-w), so the whole k-grid drops out of one
   power-series division -- no repeated differentiation.
-* ``invert_partial_fractions`` is the table route: expand, then map each
-  atom.  Summing residues at the finite poles of F gives, for a rational F,
-  exactly this expansion mapped term by term onto geometric and
+* ``invert_partial_fractions`` is the table route: the terms of ``expand``,
+  each the pair-table image of a partial fraction.  Summing residues at the
+  finite poles of F gives, for a rational F, exactly these geometric and
   rising-factorial-times-geometric sequences, so ``invert_outside`` is the
   same function under its residue-calculus name.
 
-The partial-fraction route produces a symbolic ClosedFormSequence, evaluable at
+Both wrap the expansion's terms in a symbolic ClosedFormSequence, evaluable at
 any causal step or on a whole step grid at once (``sample``); fractional-power
-sums go through ``invert_fractional`` instead, whose atoms map onto discrete
-Mittag-Leffler terms.
+sums go through ``invert_fractional`` instead, whose atoms are their own
+discrete Mittag-Leffler terms.
 
 Every term's value(m) takes the step offset m = k - a either as an int or as
 an int ndarray, so one formula serves a single step and a whole grid.
@@ -29,23 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PoleAtOneError, RealnessError
-from .expansion import expand
-from .rational import POLE_AT_ONE_TOL
+from .errors import RealnessError
+from .expansion import _num, complex_pair, expand
 from .special import MittagLefflerSeries, check_parameters, step_offset
 
 REALNESS_TOL = 1e-9
-# A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
-# smallest subnormal, computes to exactly 0: numpy's power, the binomial and
-# the products are each within a few hundred ulps of exact.
-ZERO_LOG = -1100 * math.log(2)
-# numpy raises a complex number to an integer power below 100 in magnitude by
-# repeated squaring, which overflows to inf or nan where the exact reciprocal
-# underflows; from 100 on it takes the C library's cpow, which gives 0.
-SQUARING_POWERS = 100
-# No grid gains from a cut past 2^40 steps, and below it the float log-bound
-# is exact to far less than the 2^25 margin.
-CUT_CAP = 2**40
 # A cut's search costs 2-4 us a term, about what evaluating the term on 50
 # steps does, and on a shorter grid most cuts lie past its end: a grid of
 # fewer steps is evaluated in full.
@@ -55,9 +43,6 @@ CONJUGATE_TERMS = "term set is not conjugate-consistent"
 COMPLEX_F = "F(s) has complex coefficients"
 
 __all__ = [
-    "ImpulseTerm",
-    "PolyGeometricTerm",
-    "MittagLefflerTerm",
     "ClosedFormSequence",
     "FractionalAtom",
     "FractionalSumForm",
@@ -66,152 +51,6 @@ __all__ = [
     "invert_partial_fractions",
     "invert_fractional",
 ]
-
-
-def complex_pair(z):
-    """[real, imag] of z, the JSON form of a complex number."""
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _num(x):
-    x = complex(x)
-    if x.imag == 0:
-        return f"{x.real:g}" if x.real >= 0 else f"({x.real:g})"
-    return f"({x.real:g}{x.imag:+g}j)"
-
-
-def _zero_from(coefficient, base, order):
-    """The first step offset m >= SQUARING_POWERS from which the term
-    coefficient * rising(m, order-1) / ((order-1)! base^(m+order-1)) computes
-    to exactly 0, its exact magnitude staying below 2^-1100; None when there
-    is no such step below CUT_CAP.
-
-    Every term has a ``zero_from``: None for the impulse and Mittag-Leffler
-    terms, and here for a growing term (|base| <= 1), a zero or non-finite
-    coefficient, and one whose coefficient times binomial may overflow at
-    some int64 step, since inf times the underflowed power is nan.
-    """
-    c, r, n = abs(coefficient), abs(base), order - 1
-    if not (0 < c < math.inf and r > 1):
-        return None
-    log_c = math.log(c) - math.lgamma(order)
-    if log_c + 63 * n * math.log(2) >= 1020 * math.log(2):
-        return None
-    log_r = math.log(r)
-
-    def log_rising(m):
-        return sum(math.log(m + i) for i in range(n))
-
-    # The log-bound log_c + log_rising(m) - (m + n) log_r is concave in m and
-    # falls from m = n / log_r on, where sum_i 1/(m+i) <= n/m = log_r.  From
-    # there, m -> the step at which the linear part alone reaches ZERO_LOG
-    # climbs to the first step below it.
-    m = max(SQUARING_POWERS, math.ceil(n / log_r))
-    while m <= CUT_CAP and log_c + log_rising(m) - (m + n) * log_r >= ZERO_LOG:
-        m = max(m + 1, math.ceil((log_c + log_rising(m) - ZERO_LOG) / log_r) - n)
-    return m if m <= CUT_CAP else None
-
-
-@dataclass(frozen=True)
-class ImpulseTerm:
-    """coefficient * delta(k - a - 1 - shift)."""
-
-    coefficient: complex
-    shift: int
-
-    zero_from = None
-
-    def value(self, m):
-        return np.where(m == self.shift + 1, self.coefficient, 0j)
-
-    def describe(self):
-        off = f"-{self.shift + 1}" if self.shift + 1 else ""
-        return f"{_num(self.coefficient)}*delta(k-a{off})"
-
-    def as_dict(self):
-        return {"type": "impulse", "coefficient": complex_pair(self.coefficient),
-                "shift": self.shift}
-
-
-def _pole_text(base, order):
-    """The sequence of an order-n pole p less its coefficient, base = 1 - p as
-    text: base^-(k-a), or binomial(k-a+n-2,n-1)*base^-(k-a+n-1) from n = 2."""
-    if order == 1:
-        return f"{base}^-(k-a)"
-    top = f"k-a+{order - 2}" if order > 2 else "k-a"
-    return f"binomial({top},{order - 1})*{base}^-(k-a+{order - 1})"
-
-
-@dataclass(frozen=True)
-class PolyGeometricTerm:
-    """coefficient * binomial(k-a+order-2, order-1) (1-pole)^-(k-a+order-1);
-    at order 1, a simple pole's, coefficient * (1-pole)^-(k-a) ("geometric")."""
-
-    coefficient: complex
-    pole: complex
-    order: int = 1
-
-    def __post_init__(self):
-        if abs(1.0 - self.pole) <= POLE_AT_ONE_TOL:
-            raise PoleAtOneError()
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-
-    @cached_property
-    def zero_from(self):
-        return _zero_from(self.coefficient, 1.0 - self.pole, self.order)
-
-    def value(self, m):
-        # rising(m, n-1)/(n-1)! = C(m+n-2, n-1) as a float running product of
-        # ratios, which overflows only where the binomial does (a rising
-        # factorial or (n-1)! overflows from n = 171 on); the negative power
-        # underflows to 0 where the sequence decays instead of overflowing in
-        # a denominator.  The exponent is one array operation, as -m at order 1.
-        n = self.order
-        binomial = 1.0
-        for i in range(n - 1):
-            binomial = binomial * (m + i) / (i + 1)
-        return self.coefficient * binomial * (1.0 - self.pole) ** ((1 - n) - m)
-
-    def describe(self):
-        return f"{_num(self.coefficient)}*{_pole_text(_num(1 - self.pole), self.order)}"
-
-    def as_dict(self):
-        out = {"type": "geometric", "coefficient": complex_pair(self.coefficient),
-               "pole": complex_pair(self.pole)}
-        if self.order > 1:
-            out.update(type="poly-geometric", order=self.order)
-        return out
-
-
-@dataclass(frozen=True)
-class MittagLefflerTerm:
-    """coefficient * F_{alpha,beta}(lambda, k, a) (discrete Mittag-Leffler) of ``atom``."""
-
-    atom: "FractionalAtom"
-
-    zero_from = None
-
-    @cached_property
-    def _series(self):
-        # kept per term: a forward sum asks for one block of steps at a time
-        return MittagLefflerSeries(self.atom)
-
-    def value(self, m):
-        return self.atom.coefficient * self._series(m)
-
-    def describe(self):
-        p = self.atom
-        return (
-            f"{_num(p.coefficient)}*ML(alpha={p.alpha:g},beta={p.beta:g},"
-            f"lambda={_num(p.lam)};k-a)"
-        )
-
-    def as_dict(self):
-        p = self.atom
-        return {"type": "mittag-leffler", "coefficient": complex_pair(p.coefficient),
-                "alpha": p.alpha, "beta": p.beta, "lambda": complex_pair(p.lam)}
 
 
 @dataclass(frozen=True)
@@ -336,32 +175,44 @@ def invert_partial_fractions(rf, a=0.0):
     # a real F has a real closed form by construction, so the realness test
     # of ``sample`` can only fail for a complex one
     cause = CONJUGATE_TERMS if rf.is_real else COMPLEX_F
-    return _sequence_from_expansion(expand(rf), a, cause)
+    return ClosedFormSequence(float(a), expand(rf), cause)
 
 
 invert_outside = invert_partial_fractions
 
 
-def _sequence_from_expansion(pfe, a, cause):
-    """The expansion's terms as a closed form, less those whose coefficient is
-    exactly 0 (a repeated pole's lower orders can vanish), which add nothing."""
-    terms = [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
-    terms += [PolyGeometricTerm(r, pole) for pole, r in pfe.simple_terms]
-    terms += [PolyGeometricTerm(q, pole, order) for pole, order, q in pfe.multiple_terms]
-    return ClosedFormSequence(float(a), tuple(t for t in terms if t.coefficient != 0), cause)
-
-
 @dataclass(frozen=True)
 class FractionalAtom:
-    """coefficient * s^(alpha-beta) / (s^alpha - lam), alpha, beta > 0, |lam| < 1."""
+    """coefficient * s^(alpha-beta) / (s^alpha - lam), alpha, beta > 0, |lam| < 1;
+    as a term, coefficient * F_{alpha,beta}(lambda, k, a) (discrete Mittag-Leffler)."""
 
     coefficient: complex
     alpha: float
     beta: float
     lam: complex
 
+    zero_from = None
+
     def __post_init__(self):
         check_parameters(self.alpha, self.beta, self.lam)
+
+    @cached_property
+    def _series(self):
+        # kept per atom: a forward sum asks for one block of steps at a time
+        return MittagLefflerSeries(self)
+
+    def value(self, m):
+        return self.coefficient * self._series(m)
+
+    def describe(self):
+        return (
+            f"{_num(self.coefficient)}*ML(alpha={self.alpha:g},beta={self.beta:g},"
+            f"lambda={_num(self.lam)};k-a)"
+        )
+
+    def as_dict(self):
+        return {"type": "mittag-leffler", "coefficient": complex_pair(self.coefficient),
+                "alpha": self.alpha, "beta": self.beta, "lambda": complex_pair(self.lam)}
 
     def evaluate(self, s):
         """The atom at a point s or at every point of an ndarray s, as
@@ -478,9 +329,8 @@ class FractionalSumForm:
 
 
 def invert_fractional(form, a=0.0):
-    """One discrete Mittag-Leffler term per fractional atom."""
-    terms = tuple(MittagLefflerTerm(atom) for atom in form.atoms)
+    """The closed form of a fractional sum: its atoms, each a term."""
     # the atoms of a real F come in exact conjugate pairs, whose series are
     # exact conjugates, so the realness test of ``sample`` can only fail for
     # a complex F
-    return ClosedFormSequence(float(a), terms, COMPLEX_F)
+    return ClosedFormSequence(float(a), form.atoms, COMPLEX_F)

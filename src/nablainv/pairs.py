@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inversion import FractionalAtom, FractionalSumForm, PolyGeometricTerm, _pole_text
+from .expansion import PolyGeometricTerm, _pole_text
+from .inversion import FractionalAtom, FractionalSumForm
 from .parsing import Classified, Kind, classify, parse_expression, power_form
 from .polynomial import Polynomial
 from .rational import describe_roc
-from .special import MittagLefflerSeries, _binomial_series
+from .special import _binomial_series
 
 __all__ = ["TransformPair", "pair", "reference_pairs", "lookup", "sample_points"]
 
@@ -174,7 +175,7 @@ def pair(row, **params):
         atom = FractionalAtom(1.0, alpha, beta, lam)
         return TransformPair(
             9, "Mittag-Leffler", (("alpha", alpha), ("beta", beta), ("lam", lam)),
-            MittagLefflerSeries(atom),
+            atom.value,
             lambda s: s ** (alpha - beta) / (s**alpha - lam),
             FractionalSumForm((atom,)).radius,
             f"ML(alpha={_g(alpha)},beta={_g(beta)},lambda={_g(lam)};k,a)",
@@ -183,10 +184,9 @@ def pair(row, **params):
     if row == 10:
         alpha, lam = take("alpha", "lam")
         atom = FractionalAtom(1.0, alpha, alpha, lam)
-        ml = MittagLefflerSeries(atom)
         return TransformPair(
             10, "weighted Mittag-Leffler", (("alpha", alpha), ("lam", lam)),
-            lambda m: (m - 1) * ml(m),
+            lambda m: (m - 1) * atom.value(m),
             lambda s: alpha * s ** (alpha - 1.0) * (1.0 - s) / (s**alpha - lam) ** 2,
             FractionalSumForm((atom,)).radius,
             f"(k-a-1)*ML(alpha={_g(alpha)},beta={_g(alpha)},lambda={_g(lam)};k,a)",

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from nablainv import (
+    FractionalAtom,
     Kind,
     MittagLefflerParams,
-    MittagLefflerTerm,
     classify,
     discrete_mittag_leffler,
     expand,
@@ -60,13 +60,13 @@ def test_criterion_1_example_one_golden():
     """Expansion coefficients and all three strategies on 9/((s+1)^2(s-2))."""
     with criterion(1, "rational golden example", budget_seconds=1.0):
         rf = example1()
-        pfe = expand(rf)
-        ((pole, r),) = pfe.simple_terms
-        assert abs(pole - 2.0) <= 1e-10 and abs(r - 1.0) <= 1e-10
-        q = {order: value for _p, order, value in pfe.multiple_terms}
+        simple, *repeated = expand(rf)
+        assert simple.order == 1
+        assert abs(simple.pole - 2.0) <= 1e-10 and abs(simple.coefficient - 1.0) <= 1e-10
+        q = {t.order: t.coefficient for t in repeated}
         assert abs(q[1] - (-1.0)) <= 1e-10
         assert abs(q[2] - (-3.0)) <= 1e-10
-        assert all(abs(p - (-1.0)) <= 1e-10 for p, _o, _v in pfe.multiple_terms)
+        assert all(abs(t.pole - (-1.0)) <= 1e-10 for t in repeated)
 
         inside = invert_inside(rf, 30).real
         outside = invert_outside(rf)
@@ -91,12 +91,12 @@ def test_criterion_2_example_two_golden():
         cf = invert_fractional(form)
         assert len(cf.terms) == 2
         first, second = cf.terms
-        assert isinstance(first, MittagLefflerTerm)
-        assert first.atom.coefficient == 1 and second.atom.coefficient == -1
-        assert (first.atom.alpha, first.atom.beta) == (0.5, 0.5)
-        assert first.atom.lam == pytest.approx(0.2, abs=1e-12)
-        assert (second.atom.alpha, second.atom.beta) == pytest.approx((0.7, 0.5))
-        assert second.atom.lam == pytest.approx(0.3, abs=1e-12)
+        assert isinstance(first, FractionalAtom)
+        assert first.coefficient == 1 and second.coefficient == -1
+        assert (first.alpha, first.beta) == (0.5, 0.5)
+        assert first.lam == pytest.approx(0.2, abs=1e-12)
+        assert (second.alpha, second.beta) == pytest.approx((0.7, 0.5))
+        assert second.lam == pytest.approx(0.3, abs=1e-12)
 
         expected_first = 1 / 0.8 - 1 / 0.7
         assert cf.evaluate(1) == pytest.approx(expected_first, abs=1e-12)

@@ -226,7 +226,28 @@ class TestExitCodes:
             argv = ["--k", k]
         code, out, err = run(capsys, "invert", "--expr", EX1, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: step range {k!r} is not a number or a range lo..hi\n"
+        source = f"{path}: k" if config else "argument --k"
+        assert err == f"error: {source}: step range {k!r} is not a number or a range lo..hi\n"
+
+    @pytest.mark.parametrize("k, config, code, message", [
+        ("abc", True, 2, "step range 'abc' is not a number or a range lo..hi"),
+        ("0.5", True, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0; adjust the range or a"),
+        ("0.5", False, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0; adjust the range or a"),
+        ("5..1", True, 2, "empty step range '5..1'"),
+        ("1..inf", True, 2, "step range '1..inf' is not finite"),
+        # 8e18 bytes: no address space holds them, so nothing is allocated
+        ("1..1e18", False, 1, "step range '1..1e18' is too long for an array; narrow --k"),
+        ("1..1e30", False, 1, "step range '1..1e30' is too long for an array; narrow --k"),
+        ("1..1e30", True, 1, "step range '1..1e30' is too long for an array; narrow --k"),
+    ])
+    def test_step_range_errors_name_their_source(self, capsys, tmp_path, k, config, code,
+                                                 message):
+        path = tmp_path / "k.cfg"
+        path.write_text(f"k = {k}\n")
+        argv = ["--config", str(path)] if config else ["--k", k]
+        source = f"{path}: k" if config else "argument --k"
+        assert run(capsys, "invert", "--expr", "1/(s-0.3)", *argv) \
+            == (code, "", f"error: {source}: {message}\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -248,7 +269,7 @@ class TestExitCodes:
         assert run(capsys, *argv)[0] == 2
 
     def test_out_of_memory_exits_1(self, capsys, monkeypatch):
-        def no_memory(text, a):
+        def no_memory(text, a, source):
             raise MemoryError
 
         monkeypatch.setattr(cli, "_parse_krange", no_memory)
@@ -944,6 +965,10 @@ class TestNumericFlags:
         (["forward", "--s", "0.5,nan"], "argument --s: 'nan' is not a finite complex number"),
         (["forward", "--s", "inf"], "argument --s: 'inf' is not a finite complex number"),
         (["forward", "--s", "0.5,x"], "argument --s: 'x' is not a finite complex number"),
+        # a list of no points, which summed nothing and passed
+        (["forward", "--s", ","], "argument --s: ',' lists no points"),
+        (["forward", "--s", " "], "argument --s: ' ' lists no points"),
+        (["forward", "--s", ""], "argument --s: '' lists no points"),
     ])
     def test_flag_out_of_range(self, capsys, argv, message):
         assert run(capsys, *argv, "--expr=1/(s-1)") == (2, "", f"error: {message}\n")

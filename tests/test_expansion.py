@@ -3,7 +3,9 @@
 import pytest
 
 from nablainv import (
+    ImpulseTerm,
     PoleAtOneError,
+    PolyGeometricTerm,
     Polynomial,
     RationalFunction,
     classify,
@@ -13,36 +15,76 @@ from nablainv import (
 from conftest import example1, random_real_rational_from_factors, rational_from_factors
 
 
-def _simple_as_dict(pfe):
-    return {complex(round(p.real, 8), round(p.imag, 8)): r for p, r in pfe.simple_terms}
+def _reconstruct(terms, s):
+    """F(s) summed from the expansion's terms: c (1-s)^n for an impulse of
+    shift n, c / (s-p)^n for a pole term of order n."""
+    s = complex(s)
+    total = 0j
+    for t in terms:
+        if isinstance(t, ImpulseTerm):
+            total += t.coefficient * (1.0 - s) ** t.shift
+        else:
+            total += t.coefficient / (s - t.pole) ** t.order
+    return total
+
+
+def _residues(terms):
+    """{pole rounded to 8 places: residue} of an F whose poles are all simple."""
+    assert all(t.order == 1 for t in terms)
+    return {complex(round(t.pole.real, 8), round(t.pole.imag, 8)): t.coefficient
+            for t in terms}
 
 
 class TestGoldenExample:
     def test_decomposition_coefficients(self):
         # 9/((s+1)^2 (s-2)) = 1/(s-2) - 1/(s+1) - 3/(s+1)^2
-        pfe = expand(example1())
-        assert pfe.impulse_part == ()
-        ((pole, r),) = pfe.simple_terms
-        assert pole == pytest.approx(2.0, abs=1e-10)
-        assert r == pytest.approx(1.0, abs=1e-10)
-        multi = {order: q for _pole, order, q in pfe.multiple_terms}
+        simple, *repeated = expand(example1())
+        assert simple.order == 1
+        assert simple.pole == pytest.approx(2.0, abs=1e-10)
+        assert simple.coefficient == pytest.approx(1.0, abs=1e-10)
+        multi = {t.order: t.coefficient for t in repeated}
         assert multi[1] == pytest.approx(-1.0, abs=1e-10)
         assert multi[2] == pytest.approx(-3.0, abs=1e-10)
-        assert all(abs(p - (-1.0)) < 1e-10 for p, _o, _q in pfe.multiple_terms)
+        assert all(abs(t.pole - (-1.0)) < 1e-10 for t in repeated)
+
+
+class TestTermOrder:
+    def test_impulses_then_simple_poles_then_repeated_poles(self):
+        """The impulses by shift, then each simple pole, then each repeated
+        pole at orders 1..N, the poles in the order of ``rf.poles``."""
+        rf = classify(parse_expression("(s^5+1)/((s+0.5)^2*(s-2)*(s-3))")).rational
+        terms = expand(rf)
+        assert [type(t).__name__ for t in terms] == [
+            "ImpulseTerm", "ImpulseTerm", "PolyGeometricTerm", "PolyGeometricTerm",
+            "PolyGeometricTerm", "PolyGeometricTerm"]
+        assert [t.shift for t in terms[:2]] == [0, 1]
+        assert [t.order for t in terms[2:]] == [1, 1, 1, 2]
+        simple = [p.value for p in rf.poles if p.multiplicity == 1]
+        (double,) = [p.value for p in rf.poles if p.multiplicity == 2]
+        assert [t.pole for t in terms[2:]] == simple + [double, double]
+        for s in (0.3 + 0.2j, -1.5, 2.5 - 1j):
+            direct = rf.evaluate(s)
+            assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
+
+    def test_vanishing_coefficients_are_left_out(self):
+        # 1/(s-2)^2 has the order-1 coefficient 0, and 0*s/(s-3) no term at all
+        rf = rational_from_factors([1.0], [(2.0, 2)])
+        (term,) = expand(rf)
+        assert (term.order, term.coefficient) == (2, 1)
+        assert expand(classify(parse_expression("0*s/(s-3)")).rational) == ()
 
 
 class TestSimpleCases:
     def test_already_partial_fraction(self):
         rf = RationalFunction(Polynomial([1.0]), Polynomial([-0.3, 1.0]))
-        pfe = expand(rf)
-        assert pfe.multiple_terms == () and pfe.impulse_part == ()
-        ((pole, r),) = pfe.simple_terms
-        assert pole == pytest.approx(0.3) and r == pytest.approx(1.0)
+        (term,) = expand(rf)
+        assert isinstance(term, PolyGeometricTerm) and term.order == 1
+        assert term.pole == pytest.approx(0.3) and term.coefficient == pytest.approx(1.0)
 
     def test_two_simple_poles_residues(self):
         # (2s-1)/((s-2)(s-3)): residues n(s_i)/d'(s_i) = -3 and 5
         rf = rational_from_factors([-1.0, 2.0], [(2.0, 1), (3.0, 1)])
-        got = _simple_as_dict(expand(rf))
+        got = _residues(expand(rf))
         assert got[(2 + 0j)] == pytest.approx(-3.0, rel=1e-12)
         assert got[(3 + 0j)] == pytest.approx(5.0, rel=1e-12)
 
@@ -55,17 +97,15 @@ class TestSimpleCases:
 class TestImproperInputs:
     def test_constant_becomes_impulse(self):
         rf = RationalFunction(Polynomial([4.0]), Polynomial([1.0]))
-        pfe = expand(rf)
-        assert pfe.simple_terms == () and pfe.multiple_terms == ()
-        assert pfe.impulse_part == ((0, (4 + 0j)),)
+        assert expand(rf) == (ImpulseTerm(4 + 0j, 0),)
 
     def test_polynomial_quotient_in_one_minus_s(self):
         # s/(s-2) = 1 + 2/(s-2); the quotient 1 is one impulse weight
         rf = RationalFunction(Polynomial([0.0, 1.0]), Polynomial([-2.0, 1.0]))
-        pfe = expand(rf)
-        assert pfe.impulse_part == ((0, (1 + 0j)),)
-        ((pole, r),) = pfe.simple_terms
-        assert pole == pytest.approx(2.0) and r == pytest.approx(2.0)
+        impulse, term = expand(rf)
+        assert impulse == ImpulseTerm(1 + 0j, 0)
+        assert term.order == 1
+        assert term.pole == pytest.approx(2.0) and term.coefficient == pytest.approx(2.0)
 
     def test_improper_reconstruction(self, rng):
         for _ in range(20):
@@ -73,11 +113,11 @@ class TestImproperInputs:
             num = rng.uniform(-2, 2, int(rng.integers(2, 5)))
             num[-1] = 1.0
             rf = RationalFunction(Polynomial(num), Polynomial.from_roots(den_roots))
-            pfe = expand(rf)
+            terms = expand(rf)
             for _p in range(10):
                 s = complex(rng.uniform(-2, 1.2), rng.uniform(-2, 2))
                 direct = rf.evaluate(s)
-                assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))
+                assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
 
 
 class TestReconstruction:
@@ -85,7 +125,7 @@ class TestReconstruction:
         """Summing all expansion terms reproduces F at 20 random points."""
         for _ in range(60):
             rf, roots = random_real_rational_from_factors(rng, max_degree=8)
-            pfe = expand(rf)
+            terms = expand(rf)
             checked = 0
             while checked < 20:
                 s = complex(rng.uniform(-2.5, 3.5), rng.uniform(-2.5, 2.5))
@@ -94,7 +134,7 @@ class TestReconstruction:
                 if min(abs(s - r) for r in roots) < 0.25:
                     continue
                 direct = rf.evaluate(s)
-                assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))
+                assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
                 checked += 1
 
     def test_nearby_multiple_poles_reconstruct(self):
@@ -107,13 +147,13 @@ class TestReconstruction:
             [-2.8630794477529053, -0.8930906034101538],
             [(1.7469892794483584 + 0j, 3), (2.06760960433547 + 0j, 2)],
         )
-        pfe = expand(rf)
+        terms = expand(rf)
         for s in (-1.34 + 0.58j, 0.51 + 0.54j, 2.86 + 1.39j):
             direct = rf.evaluate(s)
-            assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))
+            assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
         # numerator degree <= denominator degree - 2: s F(s) -> 0, so the
         # order-1 coefficients of all poles sum to zero
-        q1 = [q for _pole, order, q in pfe.multiple_terms if order == 1]
+        q1 = [t.coefficient for t in terms if t.order == 1]
         assert len(q1) == 2
         assert abs(sum(q1)) <= 1e-12 * max(abs(q) for q in q1)
 
@@ -132,17 +172,17 @@ class TestReconstruction:
             [(2.28431870913172 + 0j, 1), (z, 3), (z.conjugate(), 3),
              (1.7481308551550843 + 0j, 1)],
         )
-        pfe = expand(rf)
+        terms = expand(rf)
         for s in (-0.14 - 0.76j, 0.5 + 1.5j, -2.0 + 0j):
             direct = rf.evaluate(s)
-            assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))
+            assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
 
     def test_orders_complete_for_multiple_poles(self, rng):
         rf = rational_from_factors([1.0], [(0.5j, 3), (-0.5j, 3), (2.0, 1)])
-        pfe = expand(rf)
+        terms = expand(rf)
         by_pole = {}
-        for pole, order, _q in pfe.multiple_terms:
-            by_pole.setdefault(round(pole.imag, 6), set()).add(order)
+        for t in terms:
+            by_pole.setdefault(round(t.pole.imag, 6), set()).add(t.order)
         assert by_pole[0.5] == {1, 2, 3}
         assert by_pole[-0.5] == {1, 2, 3}
 
@@ -159,9 +199,10 @@ class TestSimplePoleResidueFormula:
             num = rng.uniform(-3, 3, 3)
             rf = RationalFunction(Polynomial(num), Polynomial.from_roots(roots))
             dprime = rf.denominator.derivative()
-            for pole, r in expand(rf).simple_terms:
-                alt = rf.numerator(pole) / dprime(pole)
-                assert abs(r - alt) <= 1e-9 * (1.0 + abs(alt))
+            for t in expand(rf):
+                assert t.order == 1
+                alt = rf.numerator(t.pole) / dprime(t.pole)
+                assert abs(t.coefficient - alt) <= 1e-9 * (1.0 + abs(alt))
 
 
 class TestLinearity:
@@ -173,8 +214,8 @@ class TestLinearity:
                 f.numerator * g.denominator + g.numerator * f.denominator,
                 f.denominator * g.denominator,
             )
-            merged = {**_simple_as_dict(expand(f)), **_simple_as_dict(expand(g))}
-            got = _simple_as_dict(expand(total))
+            merged = {**_residues(expand(f)), **_residues(expand(g))}
+            got = _residues(expand(total))
             assert set(got) == set(merged)
             for pole, r in merged.items():
                 assert abs(got[pole] - r) <= 1e-9 * (1.0 + abs(r))
@@ -184,17 +225,18 @@ class TestRealInput:
     def test_real_f_has_conjugate_residues_by_construction(self):
         rf = classify(parse_expression(
             "(s^4-1)/((s^2-3.28*s+2.768)^2*(s^2-3.2*s+5.6225)*(s-1.93)*(s+0.5))")).rational
-        pfe = expand(rf)
-        simple = dict(pfe.simple_terms)
+        terms = expand(rf)
+        repeated = {t.pole for t in terms if t.order > 1}
+        simple = {t.pole: t.coefficient for t in terms if t.pole not in repeated}
         for pole, r in simple.items():
             if pole.imag == 0:
                 assert r.imag == 0
             else:
                 assert simple[pole.conjugate()] == r.conjugate()
-        multiple = {(p, n): q for p, n, q in pfe.multiple_terms}
+        multiple = {(t.pole, t.order): t.coefficient for t in terms if t.pole in repeated}
         assert len(multiple) == 4
         for (pole, n), q in multiple.items():
             assert multiple[(pole.conjugate(), n)] == q.conjugate()
         for s in (0.3 + 0.2j, -1.5, 2.5 - 1j):
             direct = rf.evaluate(s)
-            assert abs(pfe.evaluate(s) - direct) <= 1e-8 * (1.0 + abs(direct))
+            assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))

@@ -15,7 +15,6 @@ from nablainv import (
     FractionalSumForm,
     ImpulseTerm,
     MittagLefflerParams,
-    MittagLefflerTerm,
     ParameterDomainError,
     PoleAtOneError,
     PolyGeometricTerm,
@@ -83,9 +82,8 @@ class TestInvertOutside:
     def test_double_pole_rising_factor(self):
         # 1/(s-2)^2 -> rising(k-a,1)/(1! * (-1)^(k-a+1))
         rf = rational_from_factors([1.0], [(2.0, 2)])
-        # the expansion holds both orders; the order-1 coefficient is exactly
-        # 0, and the closed form leaves that term out
-        assert [(n, q) for _p, n, q in expand(rf).multiple_terms] == [(1, 0), (2, 1)]
+        # the order-1 coefficient is exactly 0, and the expansion leaves that
+        # term out
         cf = invert_outside(rf)
         (term,) = cf.terms
         assert isinstance(term, PolyGeometricTerm) and term.order == 2
@@ -100,6 +98,14 @@ class TestInvertPartialFractions:
         b = invert_partial_fractions(example1())
         for m in range(1, 25):
             assert a.evaluate(m) == pytest.approx(b.evaluate(m), abs=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        "(s^3+1)/((s-2)*(s+0.55)^2)",  # an impulse, a simple and a double pole
+        "4.05/((s+0.55)^2)+1/(s-2)",  # a vanishing order-1 coefficient
+    ])
+    def test_terms_are_the_expansion(self, text):
+        rf = classify(parse_expression(text)).rational
+        assert invert_partial_fractions(rf).terms == expand(rf)
 
     def test_double_pole_at_zero_is_ramp(self):
         rf = RationalFunction(Polynomial([1.0]), Polynomial([0.0, 0.0, 1.0]))
@@ -134,8 +140,8 @@ class TestInvertFractional:
             FractionalAtom(-1.0, 0.7, 0.5, 0.3),
         ))
         cf = invert_fractional(form)
-        assert all(isinstance(t, MittagLefflerTerm) for t in cf.terms)
-        assert [t.atom.coefficient for t in cf.terms] == [(1 + 0j), (-1 + 0j)]
+        assert cf.terms == form.atoms
+        assert [t.coefficient for t in cf.terms] == [(1 + 0j), (-1 + 0j)]
         assert cf.evaluate(1) == pytest.approx(1 / 0.8 - 1 / 0.7, abs=1e-12)
 
     def test_terms_are_the_series_of_each_atom_bit_for_bit(self):
@@ -370,7 +376,7 @@ class TestTermDicts:
         assert PolyGeometricTerm(1.0, 0.3j, 2).as_dict() == {
             "type": "poly-geometric", "coefficient": [1.0, 0.0], "pole": [0.0, 0.3],
             "order": 2}
-        term = MittagLefflerTerm(FractionalAtom(-1.0, 0.5, 0.7, 0.2))
+        term = FractionalAtom(-1.0, 0.5, 0.7, 0.2)
         assert term.as_dict() == {
             "type": "mittag-leffler", "coefficient": [-1.0, 0.0], "alpha": 0.5,
             "beta": 0.7, "lambda": [0.2, 0.0]}
@@ -388,16 +394,14 @@ class TestZeroCoefficientTerms:
     ])
     def test_zero_terms_are_left_out(self, text, shown):
         rf = classify(parse_expression(text)).rational
-        pfe = expand(rf)
-        every = ClosedFormSequence(0.0, tuple(
-            [ImpulseTerm(c, n) for n, c in pfe.impulse_part]
-            + [PolyGeometricTerm(r, p) for p, r in pfe.simple_terms]
-            + [PolyGeometricTerm(q, p, n) for p, n, q in pfe.multiple_terms]))
-        assert any(t.coefficient == 0 for t in every.terms)
         cf = invert_partial_fractions(rf)
         assert cf.describe() == shown
-        assert [t.as_dict() for t in cf.terms] == [
-            t.as_dict() for t in every.terms if t.coefficient != 0]
+        (term,) = cf.terms
+        # the whole expansion: the pole at orders 1..N, the lower ones 0
+        every = ClosedFormSequence(0.0, tuple(
+            PolyGeometricTerm(term.coefficient if n == term.order else 0j, term.pole, n)
+            for n in range(1, term.order + 1)))
+        assert term.order > 1 and every.terms[-1] == term
         # leaving out an exact zero changes no value, not even a zero's sign
         ks = range(1, 201)
         got, want = cf.sample(ks), every.sample(ks)
@@ -606,7 +610,7 @@ class TestSampleGrid:
         # ML(1, 1, 0.3) = 0.7^-m; an imaginary 1e-12 * 2^m overtakes the
         # realness tolerance near m = 21
         cf = ClosedFormSequence(0.0, (
-            MittagLefflerTerm(FractionalAtom(1.0, 1.0, 1.0, 0.3)),
+            FractionalAtom(1.0, 1.0, 1.0, 0.3),
             PolyGeometricTerm(1e-12j, 0.5),
         ))
         ks = list(range(1, 40))
@@ -700,7 +704,7 @@ class TestZeroCut:
 
     @pytest.mark.parametrize("term", [
         ImpulseTerm(1.0, 3),
-        MittagLefflerTerm(FractionalAtom(1.0, 0.5, 0.5, 0.2)),
+        FractionalAtom(1.0, 0.5, 0.5, 0.2),
         PolyGeometricTerm(1.0, 0.5),  # |1-p| < 1 grows
         PolyGeometricTerm(1.0, 1.0 + 1j),  # |1-p| = 1
         PolyGeometricTerm(0.0, -2.0),

@@ -53,24 +53,38 @@ def test_child_hashes_exit_code_stdout_and_stderr(same_output, tmp_path, capsys)
 
 def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     """roundtrip, table --match on every reference transform, each format of
-    the fractional shapes, the two high-order poles, and forward and verify
-    where F is read as no request reads it; each exits 0 here."""
+    the fractional shapes, the two high-order poles, the term order of the
+    TERMS rationals, the fractional route on a rational, forward and verify
+    where F is read as no request reads it, and the REJECTED commands; each
+    but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
     assert tables == [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
-    inverts = [argv[1] for argv in cmds if argv[0] == "invert"]
-    assert inverts == [f"--expr={expr}" for expr in same_output.FRACTIONAL for _ in range(3)] \
-        + [f"--expr={expr}" for expr in same_output.HIGH_ORDER]
-    evaluating = [argv for argv in cmds if argv[0] in ("forward", "verify")]
+    rejected = same_output.REJECTED
+    assert cmds[-len(rejected):] == rejected
+    inverts = [argv[1:] for argv in cmds[:-len(rejected)] if argv[0] == "invert"]
+    assert inverts == [[f"--expr={expr}", "--format", fmt] for expr in same_output.FRACTIONAL
+                       for fmt in ("text", "csv", "json")] \
+        + [[f"--expr={expr}", "--k", "1..3"] for expr in same_output.HIGH_ORDER] \
+        + [["--expr=(s^3+1)/((s-2)*(s+0.55)^2)", "--format", "text"],
+           ["--expr=(s^3+1)/((s-2)*(s+0.55)^2)", "--format", "json"],
+           ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "text"],
+           ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "json"],
+           ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]]
+    evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
         ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
         ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
         ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
-    assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating)
-    for argv in cmds:
+    assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating) + len(rejected)
+    for argv in cmds[:-len(rejected)]:
         assert main(argv) == 0, argv
+    # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
+    # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), and
+    # "," lists no point (exit 2)
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2]
     capsys.readouterr()
 
 

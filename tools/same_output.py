@@ -36,6 +36,9 @@ FRACTIONAL = ["2*s^-0.5", "1/(0.3-s^0.5)", "-(s^0.5)/(-(s^0.7-0.3))",
               "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
 # poles of order 170 and 172, whose float factorials overflowed
 HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
+# rationals whose closed form shows the order of the terms: an impulse, a
+# simple and a double pole; and a double pole whose order-1 coefficient is 0
+TERMS = ["(s^3+1)/((s-2)*(s+0.55)^2)", "4.05/((s+0.55)^2)+1/(s-2)"]
 # commands that read F where no request does: forward sums at the default
 # points (no request runs forward), a denominator power of 4 (no request has
 # one above 3) and a constant F
@@ -43,6 +46,14 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
+# commands that exit nonzero: a rational with a double pole on the fractional
+# route, step ranges that are not a grid or too long for an array, and an
+# empty point list
+REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
+            ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
+            ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
+            ["invert", "--expr=1/(s-0.3)", "--k", "1..1e30"],
+            ["forward", "--expr=1/(s-0.3)", "--s", ","]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -82,14 +93,19 @@ def commands(workload, seed):
 def fixed_commands():
     """The argument lists hashed after the benchmark's: ``roundtrip``, ``table
     --match`` on each reference pair's transform, ``invert`` in each format on
-    the FRACTIONAL inputs, ``invert`` on the HIGH_ORDER poles, and the
-    EVALUATING commands."""
+    the FRACTIONAL inputs, ``invert`` on the HIGH_ORDER poles, ``invert`` in
+    text and json on the TERMS inputs, the fractional route in json on two
+    simple poles, the EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["invert", f"--expr={expr}", "--format", fmt]
             for expr in FRACTIONAL for fmt in ("text", "csv", "json")]
     out += [["invert", f"--expr={expr}", "--k", "1..3"] for expr in HIGH_ORDER]
-    return out + EVALUATING
+    out += [["invert", f"--expr={expr}", "--format", fmt]
+            for expr in TERMS for fmt in ("text", "json")]
+    out += [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)",
+             "--format", "json"]]
+    return out + EVALUATING + REJECTED
 
 
 def start(tree, argv_file):
