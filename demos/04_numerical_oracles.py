@@ -1,4 +1,4 @@
-"""The independent oracles: contour quadrature, forward sums, index identity.
+"""The independent oracles: contour quadrature and forward sums, and the z-transform.
 
 None of these know anything about residues or partial fractions; they only
 evaluate F(s) or f(k) directly, which is what makes them useful as checks on
@@ -14,7 +14,6 @@ from nablainv import (
     numeric_inverse,
     orientation_check,
     parse_expression,
-    z_correspondence,
 )
 
 # the impulse pair fixes the contour orientation; a flipped sign would fail
@@ -46,6 +45,12 @@ for s in (0.7, 0.9, 1.2, 1.0 + 0.3j):
     print(f"{s!s:>12} {total.real:16.10f} {direct.real:16.10f} {abs(total - direct):10.2e}")
 print()
 
-# the z-style sum over k >= 0 of (1-s)^k f(k+1+a) is the same series reindexed
-residuals = [z_correspondence(seq, s) for s in (0.6, 0.8, 1.1)]
-print(f"reindexing-identity residuals: {np.max(residuals):.2e} (identically zero up to rounding)")
+# with z^-1 = 1 - s the forward series is the z-transform G of g(k) = f(k+1):
+# f(k) = 3 (-1)^(k-1) - 2.5 (-1/2)^(k-1) here, and the z-transform table gives
+# G(z) = 3 z/(z+1) - 2.5 z/(z+1/2), so the series must match G(1/(1-s))
+def G(z):
+    return 3 * z / (z + 1) - 2.5 * z / (z + 0.5)
+
+
+residuals = [abs(forward_transform(seq, s) - G(1 / (1 - s))) for s in (0.6, 0.8, 1.1)]
+print(f"forward series vs z-transform of f(k+1): {np.max(residuals):.2e}")

@@ -41,7 +41,6 @@ from .verify import (
     numeric_inverse,
     orientation_check,
     round_trip_error,
-    z_correspondence,
 )
 
 __version__ = "0.1.0"
@@ -88,5 +87,4 @@ __all__ = [
     "roots_with_multiplicities",
     "round_trip_error",
     "sample_points",
-    "z_correspondence",
 ]

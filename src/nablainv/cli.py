@@ -171,7 +171,9 @@ def _parse_krange(text, a, source="argument --k"):
 
     Every step shares lo's offset from a, so checking lo checks the grid.  A
     bad range raises ValueError, one too long for an array OverflowError,
-    naming ``source``: the flag or the config key that gave the range.
+    naming ``source``: the flag or the config key that gave the range.  So
+    does a range with a step k where |k| or |k - a| is 2^53 or more: from
+    there on floats are 2 or more apart, and neither k nor k - a is exact.
     """
     try:
         lo, hi = map(float, text.split("..", 1) if ".." in text else (text, text))
@@ -193,6 +195,10 @@ def _parse_krange(text, a, source="argument --k"):
     except (MemoryError, ValueError):  # numpy's ValueError: past 2^63 bytes
         raise OverflowError(
             f"{source}: step range {text!r} is too long for an array; narrow --k") from None
+    last = lo + float(steps[-1])
+    if max(abs(lo), abs(last), abs(m), abs(last - a)) >= 2.0**53:
+        raise ValueError(f"{source}: step range {text!r} reaches 2^53 in k or k - a, "
+                         "past which steps are not exact floats; narrow --k")
     return lo + steps
 
 
@@ -310,14 +316,12 @@ def _emit_values(args, problem, used, cf, ks, values):
     24.17g and !r do, so the bytes are those of a row-by-row format.
 
     The grid is lo + arange, integral when lo is: then k is written with %d,
-    as an integer at any size in csv and text, and as repr writes it below
-    1e16 in json.  When the last value is 0, the trailing run of values with
-    its bits is written from a row with that zero's text in place, so those
-    rows convert only k.
+    as an integer in csv and text and as repr writes it in json (|k| < 2^53,
+    which ``_parse_krange`` checks).  When the last value is 0, the trailing
+    run of values with its bits is written from a row with that zero's text
+    in place, so those rows convert only k.
     """
-    lo, hi = float(ks[0]), float(ks[-1])
-    integral, big = lo.is_integer(), max(abs(lo), abs(hi))
-    as_int = integral and big < 2**63
+    integral = float(ks[0]).is_integer()
     if args.format == "csv":
         head, k_spec, f_spec, sep, tail = ("k,f(k)\n", "%d" if integral else "%g", ",%.17g",
                                            "\n", "\n")
@@ -335,8 +339,7 @@ def _emit_values(args, problem, used, cf, ks, values):
         # for byte: "values" is the last key, and the encoder writes finite
         # floats with float.__repr__
         head = json.dumps(doc, indent=2)[: -len("\n}")] + ',\n  "values": [\n'
-        as_int = integral and big < 1e16
-        k_spec = '    {\n      "k": ' + ("%d.0" if as_int else "%r")
+        k_spec = '    {\n      "k": ' + ("%d.0" if integral else "%r")
         f_spec, sep, tail = ',\n      "f": %r\n    }', ",\n", "\n  ]\n}\n"
     else:
         lines = [
@@ -358,7 +361,7 @@ def _emit_values(args, problem, used, cf, ks, values):
     # is built once and not copied again to prepend the head
     template = (head.replace("%", "%%")
                 + sep.join([k_spec + f_spec] * live + [k_spec + zero] * (n - live)) + tail)
-    sys.stdout.write(template % _row_args(ks, values, live, as_int))
+    sys.stdout.write(template % _row_args(ks, values, live, integral))
 
 
 def _live_rows(values):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .expansion import PolyGeometricTerm, _pole_text
 from .inversion import FractionalAtom, FractionalSumForm
-from .parsing import Classified, Kind, classify, parse_expression, power_form
+from .parsing import _S, Classified, Kind, _Base, classify, parse_expression
 from .polynomial import Polynomial
 from .rational import describe_roc
 from .special import _binomial_series
@@ -322,7 +322,7 @@ def lookup(expression):
     if cls.kind is Kind.FRACTIONAL_SUM:
         return _match_fractional(cls.fractional)
     if cls.kind is Kind.TABLE_CANDIDATE:
-        return _match_structural(cls.ast)
+        return _match_structural(cls.terms)
     return None
 
 
@@ -406,28 +406,31 @@ def _match_fractional(form):
     return pair(9, alpha=atom.alpha, beta=atom.beta, lam=_clean(atom.lam))
 
 
-def _match_structural(ast):
-    form = power_form(ast)
-    if form is None:
+def _match_structural(terms):
+    """Rows 6 and 10 from the one summand c * s^e * prod b^p of a candidate."""
+    if len(terms) != 1:
         return None
-    c, e, pole, linear = form
+    ((sign, c, factors),) = terms
+    c, e, pole, linear = c if sign > 0 else -c, 0.0, None, []
+    for base, p in factors.items():
+        if base == _S:
+            e = p
+        elif isinstance(base, _Base) and base.lam is not None and p == -2 and pole is None:
+            pole = base
+        elif isinstance(base, _Base) and base.q is not None:
+            linear.append((*base.scale * np.array(base.q), p))
+        else:
+            return None
     if len(linear) != 1:
         return None
-    (c0, c1), p = linear[0]
-
-    # row 6: 1 / (1 - gamma + gamma*s)^(alpha + 1)
-    if pole is None:
+    ((c0, c1, p),) = linear
+    if pole is None:  # row 6: 1 / (1 - gamma + gamma*s)^(alpha + 1)
         if e == 0 and p < 0 and abs(c0 + c1 - 1.0) <= 1e-9 and abs(c - 1.0) <= 1e-9:
             return pair(6, gamma=_clean(c1), alpha=-p - 1.0)
         return None
-
-    # row 10: alpha * s^(alpha-1) * (1-s) / (s^alpha - lam)^2; the square
-    # is the same for the form (lam - s^alpha)^2
-    alpha, lam, _, n = pole
-    if n != 2 or p != 1.0 or abs(c0 - 1.0) > 1e-9 or abs(c1 + 1.0) > 1e-9:
-        return None  # the linear factor must be 1 - s
-    if abs(c - alpha) > 1e-9 or abs(e - (alpha - 1.0)) > 1e-9:
-        return None
-    if abs(lam) >= 1.0:
-        return None
-    return pair(10, alpha=alpha, lam=_clean(lam))
+    # row 10: alpha * s^(alpha-1) * (1-s) / (s^alpha - lam)^2, either sign squared
+    alpha, lam = pole.alpha, pole.lam
+    if p == 1.0 and abs(c0 - 1.0) <= 1e-9 and abs(c1 + 1.0) <= 1e-9 \
+            and abs(c - alpha) <= 1e-9 and abs(e - (alpha - 1.0)) <= 1e-9 and abs(lam) < 1.0:
+        return pair(10, alpha=alpha, lam=_clean(lam))
+    return None

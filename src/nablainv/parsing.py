@@ -23,6 +23,15 @@ The lexer is one regular expression, ``_TOKEN``, with a named group per
 token kind.  The tree has five node types: ``Num``, ``Var`` (s), ``Neg``,
 ``BinOp`` (op one of '+', '-', '*', '/') and ``Pow`` (a real exponent).
 Nodes carry no positions: errors take theirs from the tokens.
+
+One walk of the folded tree reads F for every class: as summands c * prod b^e,
+e real and b one of s, an atom base s^alpha - lam (c1*s^alpha + c0 is
+c1 * (s^alpha - lam)), c0 + c1*s or another sum; and, with integer powers
+only, as c * prod q^e over the monic polynomials q written.  RATIONAL F has
+the second reading; in FRACTIONAL_SUM F every summand is an atom: c * s^e * b^-1
+for an atom base or a lone c0 + c1*s (alpha = 1), or c * s^e, e < 0 (lam = 0).
+UNSUPPORTED F takes a non-integer power of a base other than s and c0 + c1*s.
+TABLE_CANDIDATE is the rest, matched against pair rows 6 and 10.
 """
 
 import cmath
@@ -44,7 +53,6 @@ __all__ = [
     "parse_expression",
     "classify",
     "pretty",
-    "power_form",
     "Kind",
     "Classified",
     "Num",
@@ -319,7 +327,7 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-# --- Classification ---------------------------------------------------------
+# --- Reading F: one walk for every class -------------------------------------
 
 
 class Kind(enum.Enum):
@@ -336,56 +344,219 @@ class Classified:
     rational: object = None
     fractional: object = None
     reason: str = None
+    terms: list = None  # a table candidate's summands, for pairs.lookup
 
 
-_S = Polynomial([0.0, 1.0])
+# s: a monic polynomial's coefficients, lowest degree first, as a factor of
+# the rational reading, and the base s of a summand
+_S = (0j, 1 + 0j)
 
 
-def _to_rational(node):
-    """(constant, {monic Polynomial: nonzero int exponent}), or None if not rational.
+class _Base(NamedTuple):
+    """A sum as one base: flip * (s^alpha - lam) when written c1*s^alpha + c0
+    (lam None otherwise), and scale * q(s) when of degree 1 (q None otherwise)."""
 
-    The factors are the ones the expression writes: products, quotients,
-    integer powers and negation only combine constants and exponents, and
-    identical factors cancel by exponent arithmetic.  A sum or difference
-    goes over the common denominator (each denominator factor at the larger
-    of its two exponents), and only its numerator is multiplied out, into one
-    dense factor.  F = 0 is (0, {}).  Raises ZeroDivisionError for a division
-    by an expression that is identically zero.
+    alpha: float
+    lam: complex
+    flip: float
+    scale: complex
+    q: tuple
+
+
+def _read(node):
+    """The form (rational, parts, odd) of a folded tree, in one walk.
+
+    ``rational`` is (c, {monic coefficient tuple: int}) for a rational F, else
+    None; ``_scaled`` and ``_sum`` combine it in tree order.  ``parts`` is,
+    for ``_terms``, None (a leaf), summands, or the node and operands' forms.
+    ``odd`` marks a non-integer power of a base other than s and c0 + c1*s.
+    Raises ZeroDivisionError for a divisor that is identically zero.
     """
-    if isinstance(node, Num):
-        return node.value, {}
-    if isinstance(node, Var):
-        return 1.0 + 0j, {_S: 1}
-    if isinstance(node, Neg):
-        r = _to_rational(node.operand)
-        return None if r is None else (-r[0], r[1])
-    if isinstance(node, BinOp):
-        l = _to_rational(node.left)
-        r = _to_rational(node.right)
-        if l is None or r is None:
-            return None
-        if node.op in "+-":
-            return _sum(l, r, 1.0 if node.op == "+" else -1.0)
-        if node.op == "*":
-            return _scaled(l[0] * r[0], l[1], r[1], 1)
-        if r[0] == 0:
+    if type(node) is Num:
+        return (node.value, {}), None, False
+    if type(node) is Var:
+        return (1.0 + 0j, {_S: 1}), None, False
+    if type(node) is Neg:
+        r, _, odd = form = _read(node.operand)
+        return r and (-r[0], r[1]), (node, form), odd
+    if type(node) is BinOp:
+        l, r = _read(node.left), _read(node.right)
+        lr, rr, rational = l[0], r[0], None
+        if lr is not None and rr is not None:
+            if node.op in "+-":
+                rational = _sum(lr, rr, 1.0 if node.op == "+" else -1.0)
+            elif node.op == "*":
+                rational = _scaled(lr[0] * rr[0], lr[1], rr[1], 1)
+            elif rr[0] == 0:
+                raise ZeroDivisionError("denominator is identically zero")
+            else:
+                rational = _scaled(lr[0] / rr[0], lr[1], rr[1], -1)
+        return rational, (node, l, r), l[2] or r[2]
+    p = node.exponent  # node is a Pow
+    if type(node.base) is Var and not p.is_integer():
+        return None, [(1.0, 1.0 + 0j, {_S: p})], False  # s^p, as _power reads it
+    r, _, odd = base = _read(node.base)
+    if not p.is_integer():  # odd unless the base is a constant or of degree one
+        return None, (node, base), odd or not (r and (not r[1] or _degree_one(r)))
+    n, rational = int(p), None
+    if r is not None:
+        c, factors = r
+        if c == 0 and n < 0:
             raise ZeroDivisionError("denominator is identically zero")
-        return _scaled(l[0] / r[0], l[1], r[1], -1)
-    if not node.exponent.is_integer():  # node is a Pow
-        return None
-    r = _to_rational(node.base)
-    if r is None:
-        return None
-    e = int(round(node.exponent))
-    c, factors = r
-    if c == 0 and e < 0:
-        raise ZeroDivisionError("denominator is identically zero")
+        try:
+            c = c**n
+        except OverflowError:
+            raise OverflowError(f"the constant factor {_render(Pow(Num(c), n), 0)} "
+                                "overflows the float64 range") from None
+        rational = _scaled(c, {}, factors, n)
+    return rational, (node, base), odd
+
+
+def _terms(form):
+    """F as summands (sign, c, {base: real exponent}) from a form's parts.
+
+    A base is s (``_S``), a ``_Base``, or a new ``object()`` for another sum.
+    A product folds the signs into its constant, adds exponents in tree order,
+    and spreads a constant over a sum that is not one base.
+    """
+    parts = form[1]
+    if parts is None:  # a leaf, whose one summand is its rational reading
+        return [(1.0, *form[0])]
+    if type(parts) is list:
+        return parts
+    node, left = parts[0], parts[1]
+    if type(node) is Neg:
+        return [(-s, c, f) for s, c, f in _terms(left)]
+    if type(node) is Pow:
+        p = node.exponent
+        return [_power(left[0], _terms(left), int(p) if p.is_integer() else p)]
+    right, op = parts[2], node.op
+    l, r = _terms(left), _terms(right)
+    if op in "+-":
+        return l + (r if op == "+" else [(-s, c, f) for s, c, f in r])
+    sign = 1 if op == "*" else -1
+    a = l[0] if len(l) == 1 else _factor(left[0], l)
+    b = r[0] if len(r) == 1 else _factor(right[0], r)
+    if not b[2] and len(l) > 1 and not isinstance(next(iter(a[2])), _Base):
+        return [_times(t, b, sign) for t in l]
+    if sign > 0 and not a[2] and len(r) > 1 and not isinstance(next(iter(b[2])), _Base):
+        return [_times(a, t, 1) for t in r]
+    return [_times(a, b, sign)]
+
+
+def _times(a, b, sign):
+    """The summand a * b^sign (sign 1 or -1), signs folded into constants; one
+    divided by a zero constant gets a base of its own."""
+    (sa, ca, fa), (sb, cb, fb) = a, b
+    ca, cb = (ca if sa > 0 else -ca), (cb if sb > 0 else -cb)
+    if sign < 0 and cb == 0:
+        return 1.0, ca, {**fa, object(): 1}
+    f = dict(fa) if fb else fa  # no dict is changed once built
+    for base, e in fb.items():
+        f[base] = f.get(base, 0) + sign * e
+    return 1.0, ca * cb if sign > 0 else ca / cb, f
+
+
+def _power(rational, terms, p):
+    """The summand form^p: a non-integer power takes only a power of s as it
+    is, and anything else as one ``_factor``; a constant 1 stays 1 + 0j."""
+    one = terms[0] if len(terms) == 1 else None
+    if one is None or type(p) is not int and not (
+            one[0] > 0 and one[1] == 1 and one[2].keys() == {_S}):
+        one = _factor(rational, terms)
+    s, c, f = one
+    c = c if s > 0 else -c
     try:
-        c = c**e
-    except OverflowError:
-        raise OverflowError(f"the constant factor {_render(Pow(Num(c), e), 0)} "
-                            "overflows the float64 range") from None
-    return _scaled(c, {}, factors, e)
+        c = 1.0 + 0j if c == 1 else c**p
+    except (OverflowError, ZeroDivisionError):
+        return 1.0, c, {**f, object(): 1}
+    return 1.0, c, {base: e * p for base, e in f.items()}
+
+
+def _degree_one(rational):
+    """(scale, q) when the rational reading is scale * q(s), q monic of degree 1."""
+    c, factors = rational
+    if len(factors) == 1:
+        ((q, e),) = factors.items()
+        if e == 1 and len(q) == 2:
+            return c, q
+    return None
+
+
+def _factor(rational, terms):
+    """The summand const * b^1 of a form read as one base b (``_Base``).
+
+    A sum of c1*s^alpha and c0 is const * flip * (s^alpha - lam), flip the
+    sign of c1*s^alpha.  With c1 = 1, lam is c0 or -c0 as the signs say and
+    const is 1 + 0j, or -(1 + 0j) when the first summand is negated and the
+    sum is not of degree 1 (the sum's negation, for a product to fold in);
+    otherwise lam is +/-c0/c1 and const takes c1 too.
+    """
+    scale, q = rational and _degree_one(rational) or (None, None)
+    alpha = lam = flip = None
+    const = 1.0 + 0j
+    if len(terms) == 2:
+        power, constant = terms if terms[0][2] else terms[::-1]
+        (sp, c1, fp), (sn, c0, fc) = power, constant
+        if not fc and fp.keys() == {_S} and (c1 == 1 or (q is None and c1 != 0)):
+            if terms[0][0] < 0 and q is None:
+                sp, sn, const = -sp, -sn, -const
+            r = c0 if c1 == 1 else c0 / c1
+            alpha, lam, flip = float(fp[_S]), (r if sn != sp else -r), sp
+            if c1 != 1:
+                const *= c1
+    if lam is None and q is None:
+        return 1.0, const, {object(): 1}
+    return 1.0, const, {_Base(alpha, lam, flip, scale, q): 1}
+
+
+def _atom(term):
+    """The FractionalAtom a summand is, or None: c * s^e * b^-1 for a base b
+    with lam, or b = c0 + c1*s, which is c1 (s - lam) with lam = -c0/c1, or
+    c * s^e with e < 0, the lam = 0 atom."""
+    sign, c, factors = term
+    e, pole = 0.0, None
+    for base, p in factors.items():
+        if base == _S:
+            e = float(p)
+        elif p == -1 and pole is None and isinstance(base, _Base):
+            pole = base
+        else:
+            return None
+    if pole is None:
+        return FractionalAtom(c * sign, -e, -e, 0j) if e < 0 else None
+    alpha, lam, flip = pole.alpha, pole.lam, pole.flip
+    if lam is None:
+        # 0.0 - x, unlike -x, gives lam a zero imaginary part +0.0, as s - lam has
+        c0, c1 = pole.scale * np.array(pole.q)
+        c, alpha, lam, flip = c / c1, 1.0, 0.0 - c0 / c1, 1.0
+    beta = alpha - e
+    if alpha <= 0 or beta <= 0:
+        return None
+    return FractionalAtom(c * sign * flip, alpha, beta, lam)
+
+
+def classify(ast):
+    """Total classification of a parsed expression from its ``_read`` form, by
+    the rules of the module docstring, in the order Rational, FractionalSum,
+    Unsupported, TableCandidate."""
+    form = rational, _, odd = _read(ast)
+    if rational is not None:
+        c, factors = rational
+        return Classified(Kind.RATIONAL, ast, rational=RationalFunction.from_factors(
+            c, {Polynomial(q): e for q, e in factors.items()}))
+    atoms, terms = [], _terms(form)
+    for term in terms:
+        atom = _atom(term)
+        if atom is None:
+            break
+        atoms.append(atom)
+    else:
+        return Classified(Kind.FRACTIONAL_SUM, ast, fractional=FractionalSumForm(tuple(atoms)))
+    if odd:
+        return Classified(Kind.UNSUPPORTED, ast,
+                          reason="fractional power of a non-linear base: " + _UNSUPPORTED_HINT)
+    return Classified(Kind.TABLE_CANDIDATE, ast, terms=terms)
 
 
 def _order_error(power, where=""):
@@ -412,10 +583,9 @@ def _scaled(c, left, right, sign):
 
 
 def _polynomial(q):
-    """The Polynomial q(s) as a tree, its highest power first."""
+    """The polynomial with coefficients q as a tree, highest power first."""
     node = None
-    for i in range(q.degree, -1, -1):
-        c = complex(q.coeffs[i])
+    for i, c in reversed(list(enumerate(q))):
         if c == 0:
             continue
         op = "+"
@@ -457,205 +627,31 @@ def _sum(l, r, sign):
         monic = np.array(num)
         monic /= monic[-1]
         monic[-1] = 1.0
-        top = {Polynomial(monic): 1}
+        top = {tuple(monic.tolist()): 1}
     return _scaled(num[-1], top, den, -1)
 
 
 def _multiplied(c, factors):
-    """c * prod q^e over (Polynomial q, int e >= 0) pairs as a list of Python
-    complex, bit for bit the coefficients ``Polynomial.product`` gives (before
-    it trims trailing zeros).
-
-    np.convolve([c], q) is c * q_i added to a zero accumulator, and a
-    convolution with s is a shift of the coefficients a convolution made
-    (their zeros are already +0.0), so only the later factors other than s
-    reach np.convolve.
-    """
+    """c * prod q^e over (coefficient tuple q, int e >= 0) pairs as a list of
+    Python complex, bit for bit ``Polynomial.product``'s coefficients (before
+    it trims trailing zeros): np.convolve([c], q) is c * q_i added to a zero
+    accumulator, and a convolution with s is a shift of coefficients a
+    convolution made (their zeros are +0.0), so only the later factors other
+    than s reach np.convolve."""
     acc = None
     for q, e in factors:
         if not e:
             continue
         if acc is None:
             # 0j + turns -0.0 into 0.0, as the accumulator does
-            acc = [0j + c * x for x in q.coeffs.tolist()]
+            acc = [0j + c * x for x in q]
             e -= 1
         if q is _S:
             acc = [0j] * e + acc
         else:
             for _ in range(e):
-                acc = np.convolve(acc, q.coeffs).tolist()
+                acc = np.convolve(acc, q).tolist()
     return [c] if acc is None else acc
-
-
-def linear_coefficients(node):
-    """[c0, c1] when the node is c0 + c1*s with c1 != 0, [c0] when it is a
-    constant; None otherwise (not rational, or of higher degree)."""
-    r = _to_rational(node)
-    if r is None:
-        return None
-    c, factors = r
-    if not factors:
-        return np.array([c])
-    if len(factors) == 1:
-        ((q, e),) = factors.items()
-        if e == 1 and q.degree == 1:
-            return c * q.coeffs
-    return None
-
-
-def _power_of_s(x):
-    if isinstance(x, Var):
-        return 1.0
-    if isinstance(x, Pow) and isinstance(x.base, Var):
-        return x.exponent
-    return None
-
-
-def _binomial_pole(node):
-    """Recognize s^alpha - lam shapes; returns (alpha, lam, flip) or None.
-
-    flip is -1 when the node is lam - s^alpha = -(s^alpha - lam).
-    """
-    if not (isinstance(node, BinOp) and node.op in "+-"):
-        return None
-    a = _power_of_s(node.left)
-    if a is not None and isinstance(node.right, Num):
-        c = node.right.value  # s^a - lam, or s^a + c = s^a - (-c)
-        return a, (c if node.op == "-" else -c), 1.0
-    a = _power_of_s(node.right)
-    if a is not None and isinstance(node.left, Num):
-        c = node.left.value  # lam - s^a, or c + s^a
-        return (a, c, -1.0) if node.op == "-" else (a, -c, 1.0)
-    return None
-
-
-def power_form(node):
-    """Read a product as c * s^e * (s^alpha - lam)^-n * prod (c0 + c1*s)^p.
-
-    Returns (c, e, pole, linear), or None when a factor is none of these or
-    a divisor is 0.  ``pole`` is (alpha, lam, flip, n) for the one denominator
-    factor written s^alpha -/+ lam or lam -/+ s^alpha with an integer power n,
-    flip = -1 for the form lam - s^alpha; None when there is no such factor.
-    ``linear`` lists ([c0, c1], p) for every other factor, p < 0 in the
-    denominator.  One walk through the products, quotients and negations
-    reads it; the base of a power, or any other node, is one factor.
-    """
-    e, pole, linear = 0.0, None, []
-
-    def constant(node, sign):
-        # node's constant, after reading its other factors to sign times
-        # their power (-1 under a '/'); None when one cannot be read
-        nonlocal e, pole
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Neg):
-            c = constant(node.operand, sign)
-            return None if c is None else -c
-        if isinstance(node, BinOp) and node.op in "*/":
-            l = constant(node.left, sign)
-            r = constant(node.right, sign if node.op == "*" else -sign)
-            if l is None or r is None or (node.op == "/" and r == 0):
-                return None
-            return l * r if node.op == "*" else l / r
-        base, p = (node.base, sign * node.exponent) if isinstance(node, Pow) else (node, sign)
-        a = _power_of_s(base)
-        b = _binomial_pole(base) if p < 0 and p.is_integer() else None
-        if a is not None:
-            e += a * p
-        elif b is not None:
-            if pole is not None:
-                return None  # a second pole
-            pole = (*b, -p)
-        else:
-            lin = linear_coefficients(base)
-            if lin is None or len(lin) != 2:
-                return None
-            linear.append((lin, p))
-        return 1.0 + 0j
-
-    c = constant(node, 1.0)
-    return None if c is None else (c, e, pole, linear)
-
-
-def _match_atom(node, sign):
-    """Match one summand against r * s^(alpha-beta)/(s^alpha - lam)."""
-    form = power_form(node)
-    if form is None:
-        return None
-    c, e, pole, linear = form
-    if pole is None and len(linear) == 1 and linear[0][1] == -1:
-        # a lone linear denominator c0 + c1*s is c1 (s - lam), an alpha = 1
-        # pole; 0.0 - x, unlike -x, leaves a zero imaginary part +0.0, as the
-        # literal lam of s - lam has it
-        (c0, c1), _ = linear[0]
-        c, pole, linear = c / c1, (1.0, 0.0 - c0 / c1, 1.0, 1), []
-    if linear:
-        return None
-    if pole is not None:
-        alpha, lam, flip, n = pole
-        beta = alpha - e
-        if n != 1 or alpha <= 0 or beta <= 0:
-            return None
-        return FractionalAtom(c * sign * flip, alpha, beta, lam)
-    if e < 0:
-        return FractionalAtom(c * sign, -e, -e, 0j)
-    return None
-
-
-def _flatten_sum(node, sign=1.0):
-    if isinstance(node, BinOp) and node.op in "+-":
-        right = sign if node.op == "+" else -sign
-        return _flatten_sum(node.left, sign) + _flatten_sum(node.right, right)
-    if isinstance(node, Neg):
-        return _flatten_sum(node.operand, -sign)
-    return [(sign, node)]
-
-
-def _to_fractional(node):
-    atoms = []
-    for sign, term in _flatten_sum(node):
-        atom = _match_atom(term, sign)
-        if atom is None:
-            return None
-        atoms.append(atom)
-    return FractionalSumForm(tuple(atoms)) if atoms else None
-
-
-def _scan_unsupported(node):
-    """Reason string when the tree uses constructs outside the table shapes."""
-    if isinstance(node, (Num, Var)):
-        return None
-    if isinstance(node, Neg):
-        return _scan_unsupported(node.operand)
-    if isinstance(node, BinOp):
-        return _scan_unsupported(node.left) or _scan_unsupported(node.right)
-    inner = _scan_unsupported(node.base)  # node is a Pow
-    # an integer power, or a fractional power of s or of a linear base
-    # (tabulated shapes), is supported
-    if inner or node.exponent.is_integer() or isinstance(node.base, Var) \
-            or linear_coefficients(node.base) is not None:
-        return inner
-    return "fractional power of a non-linear base: " + _UNSUPPORTED_HINT
-
-
-def classify(ast):
-    """Total classification of a parsed expression.
-
-    Precedence: Rational (integer powers only), then FractionalSum (a sum of
-    pole atoms, the fractional-order shape), then TableCandidate (fractional
-    powers of s or of linear bases arranged some other way -- possibly one of
-    the tabulated pairs), otherwise Unsupported with a reason.
-    """
-    r = _to_rational(ast)
-    if r is not None:
-        return Classified(Kind.RATIONAL, ast, rational=RationalFunction.from_factors(*r))
-    f = _to_fractional(ast)
-    if f is not None:
-        return Classified(Kind.FRACTIONAL_SUM, ast, fractional=f)
-    reason = _scan_unsupported(ast)
-    if reason is None:
-        return Classified(Kind.TABLE_CANDIDATE, ast)
-    return Classified(Kind.UNSUPPORTED, ast, reason=reason)
 
 
 # --- Pretty printing --------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the analytic machinery it is used to
 check: the forward transform is a plain truncated sum, the inverse is
-trapezoidal quadrature of the contour integral, and the initial-value and
-reindexing checks are direct evaluations.
+trapezoidal quadrature of the contour integral, and the initial-value check
+is a direct evaluation.
 """
 
 import cmath
@@ -32,7 +32,6 @@ __all__ = [
     "numeric_inverse",
     "quadrature_grid",
     "initial_value",
-    "z_correspondence",
     "orientation_check",
     "default_rho",
 ]
@@ -236,26 +235,6 @@ def initial_value(F):
     if not (cmath.isfinite(v)):
         raise PoleAtOneError()
     return v
-
-
-def z_correspondence(seq, s):
-    """Residual of the reindexing identity between the two transform sums.
-
-    With g(k) = f(k+1) and z^{-1} = 1 - s, the z-style sum over k >= 0 of
-    (1-s)^k g(k+a) and the nabla sum over k >= 1 of (1-s)^(k-1) f(k+a) are the
-    same series; both are summed to a matched truncation length and the
-    absolute difference is returned (zero up to rounding).  ``seq`` is the
-    rule m -> f(a+m), as for ``forward_transform``.
-    """
-    nabla_total, n_used = _forward_sum(seq, s, FORWARD_TOL, FORWARD_NMAX)
-    g = _values(seq, np.arange(1, n_used + 1))
-    w = 1.0 - complex(s)
-    z_total = 0j
-    wp = 1.0 + 0j
-    for k in range(0, n_used):
-        z_total += wp * g[k]
-        wp *= w
-    return abs(nabla_total - z_total)
 
 
 def orientation_check():

@@ -31,7 +31,6 @@ from nablainv import (
     parse_expression,
     reference_pairs,
     sample_points,
-    z_correspondence,
     pair,
 )
 from nablainv.cli import main as cli_main
@@ -173,15 +172,47 @@ def test_criterion_5_mittag_leffler_identities():
                     assert abs(got - complex(want)) <= 1e-15 * abs(complex(want))
 
 
-def test_criterion_6_z_correspondence():
-    """Reindexing identity between the two transform sums on rows 2, 7, 13."""
-    with criterion(6, "z-transform correspondence"):
-        import math
+def _z_transforms():
+    """(pair, G) for rows 2, 7 (lambda = 0.3, -0.5) and 13: G(z) is the
+    z-transform sum_{k>=0} g(k) z^-k of g(k) = f(k+1), a = 0, from the
+    z-transform table, not from the pair."""
+    import math
 
-        rows = [pair(2), pair(7, lam=0.3), pair(13, omega=math.pi / 6)]
-        for tp in rows:
-            for s in sample_points(tp.radius, count=5):
-                assert z_correspondence(tp.sequence, s) <= 1e-10, (tp.row, s)
+    w = math.pi / 6
+
+    def geometric(lam):
+        r = 1.0 / (1.0 - lam)  # g(k) = r^(k+1)
+        return lambda z: r * z / (z - r)
+
+    return [(pair(2), lambda z: z / (z - 1.0)),
+            (pair(7, lam=0.3), geometric(0.3)),
+            (pair(7, lam=-0.5), geometric(-0.5)),
+            (pair(13, omega=w),
+             lambda z: z * math.sin(w) / (z * z - 2.0 * z * math.cos(w) + 1.0))]
+
+
+def _z_mismatch(F, G, radius):
+    """max |F(s) - G(1/(1-s))| / max(1, |G|) over the pair's sample points:
+    with z^-1 = 1 - s the nabla sum of f is the z-sum of g."""
+    out = 0.0
+    for s in sample_points(radius, count=5):
+        g = G(1.0 / (1.0 - s))
+        out = max(out, abs(F(s) - g) / max(1.0, abs(g)))
+    return out
+
+
+def test_criterion_6_z_correspondence():
+    """F(s) of rows 2, 7 and 13 against the z-transform of f(k+1) at z = 1/(1-s)."""
+    with criterion(6, "z-transform correspondence"):
+        for tp, G in _z_transforms():
+            assert _z_mismatch(tp.transform, G, tp.radius) <= 1e-12, tp.describe()
+
+
+def test_criterion_6_fails_a_perturbed_transform():
+    """A transform off by a relative 1e-3 fails criterion 6's check."""
+    for tp, G in _z_transforms():
+        off = lambda s, F=tp.transform: F(s) * (1.0 + 1e-3)
+        assert _z_mismatch(off, G, tp.radius) > 1e-12, tp.describe()
 
 
 def test_criterion_7_rejection_behavior(capsys):

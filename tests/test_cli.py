@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,34 @@ class TestExitCodes:
         assert run(capsys, "invert", "--expr", "1/(s-0.3)", *argv) \
             == (code, "", f"error: {source}: {message}\n")
 
+    @pytest.mark.parametrize("expr, strategy", [
+        ("1/(s+2)", "pfe"), ("1/(s+2)", "inside"), ("1/(s^0.5-0.3)", "fractional"),
+        ("(0.3+0.7*s)^-1.5", "table")])
+    @pytest.mark.parametrize("k", ["9007199254740993..9007199254740996", "1e19..1e19"])
+    def test_steps_past_2_53_are_rejected_on_every_route(self, capsys, tmp_path, expr,
+                                                         strategy, k):
+        # past 2^53 floats skip steps: the grid would repeat and drop steps
+        message = (f"step range {k!r} reaches 2^53 in k or k - a, past which steps are "
+                   "not exact floats; narrow --k")
+        path = tmp_path / "k.cfg"
+        path.write_text(f"k = {k}\n")
+        route = [] if strategy == "table" else ["--strategy", strategy]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "invert", "--expr", expr, *route, "--k", k, "--format", "csv") \
+                == (2, "", f"error: argument --k: {message}\n")
+            assert run(capsys, "invert", "--expr", expr, *route, "--config", str(path)) \
+                == (2, "", f"error: {path}: k: {message}\n")
+
+    def test_steps_past_2_53_from_the_base_point(self, capsys):
+        # k - a is the step offset: a far below 0 puts it past 2^53 too
+        code, out, err = run(capsys, "invert", "--expr", "1/(s+2)", "--a", "-9007199254740992",
+                             "--k", "1..3")
+        assert (code, out) == (2, "") and "reaches 2^53" in err
+        assert run(capsys, "invert", "--expr", "1/(s+2)", "--k",
+                   "9007199254740990..9007199254740991", "--format", "csv") \
+            == (0, "k,f(k)\n9007199254740990,0\n9007199254740991,0\n", "")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
@@ -472,8 +501,8 @@ class TestSingleWriteOutput:
         ("1/(s+9)", "pfe", "-4..400", -5.0),
         # steps past 1e6, written as integers in csv and text
         ("1/(s+9)", "auto", "999998..1000001", 0.0),
-        # steps from 1e16, where repr and json write k with an exponent
-        ("1/(s+9)", "auto", "1e16..10000000000000004", 0.0),
+        # the last steps below 2^53, past which k is not exact
+        ("1/(s+9)", "auto", "9007199254740987..9007199254740991", 0.0),
         # Mittag-Leffler terms, which have no cut
         (EX2, "auto", "1..30", 0.0),
     ])

@@ -10,20 +10,13 @@ from nablainv import (
     Kind,
     UnsupportedExpressionError,
     classify,
+    invert_fractional,
     parse_expression,
     pretty,
     reference_pairs,
 )
 from nablainv import Polynomial, parsing
-from nablainv.parsing import (
-    Neg,
-    Num,
-    Pow,
-    Var,
-    _to_rational,
-    linear_coefficients,
-    power_form,
-)
+from nablainv.parsing import Neg, Num, Pow, Var, _read
 
 
 class TestParseExamples:
@@ -229,6 +222,100 @@ class TestClassification:
             classify(parse_expression("1/(s^0.5-2)"))
 
 
+class TestPinnedClassifications:
+    """Classes and atoms, bit for bit, of shapes whose reading has its own
+    branch: the kind, then each atom as (coefficient, alpha, beta, lambda)."""
+
+    ATOMS = [
+        ("1/(-0.2+s^0.5)", [((1.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("(s^0.5-0.2)^-1", [((1.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("-(1/(s^0.5-0.2))", [((-1.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("1/(s^0.5-0.2)^1", [((1.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("s^0.25^2/(s^0.5-0.1)", [((1.0, 0.0), 0.5, 0.4375, (0.1, 0.0))]),
+        ("1/(s^0.5)^2", [((1.0, 0.0), 1.0, 1.0, (0.0, 0.0))]),
+        ("0/(s^0.5-0.2)", [((0.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("1/(s^0.5-0.2)-1/(s^0.5-0.2)", [((1.0, 0.0), 0.5, 0.5, (0.2, 0.0)),
+                                         ((-1.0, 0.0), 0.5, 0.5, (0.2, 0.0))]),
+        ("1/(0.3-s^0.5)", [((-1.0, 0.0), 0.5, 0.5, (0.3, 0.0))]),
+        ("1/(s^0.5+0.2)", [((1.0, 0.0), 0.5, 0.5, (-0.2, -0.0))]),
+        ("s^0.5/(2*s-0.6)", [((0.5, 0.0), 1.0, 0.5, (0.3, 0.0))]),
+        ("-(s^0.5)/(-(s^0.7-0.3))", [((1.0, 0.0), 0.7, 0.19999999999999996, (0.3, 0.0))]),
+        ("1/(s^0.5-(0.2+0.1j))", [((1.0, 0.0), 0.5, 0.5, (0.2, 0.1))]),
+    ]
+
+    @pytest.mark.parametrize("text, atoms", ATOMS, ids=[case[0] for case in ATOMS])
+    def test_atoms_bit_for_bit(self, text, atoms):
+        cls = classify(parse_expression(text))
+        assert cls.kind is Kind.FRACTIONAL_SUM
+        got = [(_bits([a.coefficient]), a.alpha.hex(), a.beta.hex(), _bits([a.lam]))
+               for a in cls.fractional.atoms]
+        assert got == [(_bits([complex(*c)]), float(alpha).hex(), float(beta).hex(),
+                        _bits([complex(*lam)])) for c, alpha, beta, lam in atoms]
+
+    @pytest.mark.parametrize("text, kind", [
+        ("1/(s^1.0-0.3)", Kind.RATIONAL),  # s^1.0 is s
+        ("1/(s^0.5-0.2)^-1", Kind.TABLE_CANDIDATE),  # the atom base in the numerator
+        ("1/s^-0.5", Kind.TABLE_CANDIDATE),  # a positive power of s
+        ("(0.3+0.7*s)^-1.5", Kind.TABLE_CANDIDATE),
+        ("(s+1)^-0.5/(s-2)", Kind.TABLE_CANDIDATE),
+        ("1/(s^2-0.25)^0.5", Kind.UNSUPPORTED),
+    ])
+    def test_kinds(self, text, kind):
+        assert classify(parse_expression(text)).kind is kind
+
+    @pytest.mark.parametrize("text", ["1/(s^0.5-0.2)^-1", "1/s^-0.5", "(s+1)^-0.5/(s-2)"])
+    def test_no_strategy(self, text, capsys):
+        from nablainv.cli import main
+
+        assert main(["invert", f"--expr={text}"]) == 1
+        assert capsys.readouterr().err.startswith("error: no inversion strategy applies")
+
+    def test_complex_lambda_is_no_real_sequence(self, capsys):
+        from nablainv.cli import main
+
+        assert main(["invert", "--expr=1/(s^0.5-(0.2+0.1j))"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: imaginary residue") and "complex coefficients" in err
+
+    def test_nonlinear_base_reason(self):
+        cls = classify(parse_expression("1/(s^2-0.25)^0.5"))
+        assert cls.reason.startswith("fractional power of a non-linear base: ")
+
+
+class TestShapesTheOneReaderInverts:
+    """Atom sums written so that no reader before the one form inverted them:
+    an atom base c1*s^alpha + c0 with c1 != 1 or with its power negated, a
+    power of a product, and a constant times a sum of atoms or of poles.
+    Each reads as its written-out atom sum."""
+
+    CASES = [
+        ("1/(2*s^0.5-0.4)", "0.5/(s^0.5-0.2)"),
+        ("1/(0.2-2*s^0.5)", "-0.5/(s^0.5-0.1)"),
+        ("-2/(-s^0.5+0.2)", "2/(s^0.5-0.2)"),
+        ("-2/(-(2*s^0.5)+0.4)", "1/(s^0.5-0.2)"),
+        ("1/(-2*s^0.5+0.4)", "-0.5/(s^0.5-0.2)"),
+        ("s^0.5/(2*s^1.5+0.6)", "0.5*s^0.5/(s^1.5+0.3)"),
+        ("(2*(s^0.5-0.2))^-1", "0.5/(s^0.5-0.2)"),
+        ("(0.5*s^0.5)^-3", "8*s^-1.5"),
+        ("2*(1/(s^0.5-0.2)+1/(s^0.7-0.3))", "2/(s^0.5-0.2)+2/(s^0.7-0.3)"),
+        ("(1/(s^0.5-0.2)-s^-0.5)/4", "0.25/(s^0.5-0.2)-0.25*s^-0.5"),
+        ("2*(1/(s-0.3)+1/(s+0.4))+1/(s^0.5-0.2)", "2/(s-0.3)+2/(s+0.4)+1/(s^0.5-0.2)"),
+    ]
+
+    @pytest.mark.parametrize("text, written", CASES, ids=[case[0] for case in CASES])
+    def test_reads_as_the_written_atom_sum(self, text, written):
+        got, want = (classify(parse_expression(t)) for t in (text, written))
+        assert got.kind is want.kind is Kind.FRACTIONAL_SUM
+        assert len(got.fractional.atoms) == len(want.fractional.atoms)
+        for a, b in zip(got.fractional.atoms, want.fractional.atoms):
+            assert (a.alpha, a.beta) == pytest.approx((b.alpha, b.beta), rel=1e-15)
+            assert complex(a.coefficient) == pytest.approx(complex(b.coefficient), rel=1e-15)
+            assert complex(a.lam) == pytest.approx(complex(b.lam), rel=1e-15)
+        ks = np.arange(1, 41)
+        assert invert_fractional(got.fractional).sample(ks) \
+            == pytest.approx(invert_fractional(want.fractional).sample(ks), rel=1e-13, abs=1e-15)
+
+
 class TestPretty:
     CORPUS = [
         "9/((s+1)^2*(s-2))",
@@ -257,8 +344,27 @@ class TestPretty:
 
 
 def _factors(text):
-    c, factors = _to_rational(parse_expression(text))
-    return c, {tuple(q.coeffs): e for q, e in factors.items()}
+    return _read(parse_expression(text))[0]
+
+
+def _summands(text):
+    """The summands of the one reading as (sign, c, {base: exponent}), s as
+    "s", an atom or degree-one base as (alpha, lam, flip, [c0, c1] or None)
+    and any other base as "other"."""
+    out = []
+    for sign, c, factors in parsing._terms(_read(parse_expression(text))):
+        named = {}
+        for base, e in factors.items():
+            if base == parsing._S:
+                base = "s"
+            elif isinstance(base, parsing._Base):
+                base = (base.alpha, base.lam, base.flip,
+                        None if base.q is None else tuple(base.scale * np.array(base.q)))
+            else:
+                base = "other"
+            named[base] = e
+        out.append((sign, c, named))
+    return out
 
 
 class TestFactoredRational:
@@ -285,43 +391,65 @@ class TestFactoredRational:
 
     def test_identically_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            _to_rational(parse_expression("1/(s-s)"))
+            _read(parse_expression("1/(s-s)"))
         with pytest.raises(ZeroDivisionError):
-            _to_rational(parse_expression("(1/(s-2) - 1/(s-2))^-2"))
+            _read(parse_expression("(1/(s-2) - 1/(s-2))^-2"))
 
-    def test_linear_coefficients(self):
-        assert list(linear_coefficients(parse_expression("1-0.5+0.5*s"))) == [0.5, 0.5]
-        assert list(linear_coefficients(parse_expression("2*(3-s)"))) == [6, -2]
-        assert list(linear_coefficients(parse_expression("4"))) == [4]
-        assert linear_coefficients(parse_expression("s^2")) is None
-        assert linear_coefficients(parse_expression("1/s")) is None
-        assert linear_coefficients(parse_expression("s^0.5")) is None
+    def test_degree_one_bases(self):
+        # a non-integer power of c0 + c1*s keeps the written coefficients
+        ((_, c, f),) = _summands("(1-0.5+0.5*s)^-1.5")
+        assert c == 1 and f == {(None, None, None, (0.5, 0.5)): -1.5}
+        ((_, c, f),) = _summands("(2*(3-s))^0.5")
+        assert c == 1 and f == {(None, None, None, (6, -2)): 0.5}
+        # a power of a power of s is one power of s
+        assert _summands("(s^2)^0.5") == [(1.0, 1, {"s": 1.0})]
+        assert _summands("(s^0.5)^0.5") == [(1.0, 1, {"s": 0.25})]
+        assert _read(parse_expression("(s^2)^0.5"))[2]
+        assert not _read(parse_expression("(2*(3-s))^0.5"))[2]
+        assert not _read(parse_expression("s^0.5"))[2]
 
-    def test_power_form(self):
-        def form(text):
-            c, e, pole, linear = power_form(parse_expression(text))
-            return c, e, pole, [(list(lin), p) for lin, p in linear]
+    def test_summand_form(self):
+        pole = lambda alpha, lam, flip=1.0: (alpha, lam, flip, None)
+        assert _summands("2*s^0.5/(s^0.7-0.3)") == [(1.0, 2, {"s": 0.5, pole(0.7, 0.3): -1})]
+        # 1 - s is the alpha = 1 base -(s - 1), with its coefficients
+        assert _summands("0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2") == [
+            (1.0, 0.5, {"s": -0.5, (1.0, 1, -1.0, (1, -1)): 1, pole(0.5, 0.3, -1.0): -2})]
+        assert _summands("1/(s^1.5+0.2)") == [(1.0, 1, {pole(1.5, -0.2): -1})]
+        assert _summands("(s^0.5)^3/s") == [(1.0, 1, {"s": 0.5})]
+        assert _summands("1/(2-s)^1.5") == [(1.0, 1, {(1.0, 2, -1.0, (2, -1)): -1.5})]
+        assert _summands("(s^2+1)^0.5") == [(1.0, 1, {pole(2.0, -1): 0.5})]
+        assert _read(parse_expression("(s^2+1)^0.5"))[2]
+        assert _summands("1/((s^0.5-0.2)*(s^0.7-0.3))") \
+            == [(1.0, 1, {pole(0.5, 0.2): -1, pole(0.7, 0.3): -1})]
+        assert _summands("(s^0.5-0.2)/s") == [(1.0, 1, {pole(0.5, 0.2): 1, "s": -1})]
+        # a sum that is no atom base is a base of its own, each time anew
+        ((_, _, f),) = parsing._terms(_read(parse_expression("(s^0.5+s^0.7)/(s^0.5+s^0.7)")))
+        assert list(f.values()) == [1, -1]
 
-        assert form("2*s^0.5/(s^0.7-0.3)") == (2, 0.5, (0.7, 0.3, 1.0, 1.0), [])
-        assert form("0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2") \
-            == (0.5, -0.5, (0.5, 0.3, -1.0, 2.0), [([1, -1], 1.0)])
-        assert form("1/(s^1.5+0.2)") == (1, 0.0, (1.5, -0.2, 1.0, 1.0), [])
-        assert form("(s^0.5)^3/s") == (1, 0.5, None, [])
-        # a binomial in s to a fractional power is a linear factor
-        assert form("1/(2-s)^1.5") == (1, 0.0, None, [([2, -1], -1.5)])
-        assert power_form(parse_expression("(s^2+1)^0.5")) is None
-        assert power_form(parse_expression("1/((s^0.5-0.2)*(s^0.7-0.3))")) is None
-        assert power_form(parse_expression("(s^0.5-0.2)/s")) is None
-
-    def test_power_form_of_nested_quotients_and_negations(self):
-        # a factor under two '/' is a numerator factor: s^0.5 - 0.2 there is
-        # no linear factor and no pole
-        assert power_form(parse_expression("1/(1/(s^0.5-0.2))")) is None
-        assert power_form(parse_expression("2/(s^0.5*(s^0.7-0.3))")) \
-            == (2, -0.5, (0.7, 0.3, 1.0, 1.0), [])
+    def test_summand_form_of_nested_quotients_and_negations(self):
+        # a factor under two '/' is a numerator factor
+        assert _summands("1/(1/(s^0.5-0.2))") == [(1.0, 1, {(0.5, 0.2, 1.0, None): 1})]
+        assert _summands("2/(s^0.5*(s^0.7-0.3))") \
+            == [(1.0, 2, {"s": -0.5, (0.7, 0.3, 1.0, None): -1})]
         # the two negations cancel in the constant
-        assert power_form(parse_expression("-(s^0.5)/(-(s^0.7-0.3))")) \
-            == (1, 0.5, (0.7, 0.3, 1.0, 1.0), [])
+        assert _summands("-(s^0.5)/(-(s^0.7-0.3))") \
+            == [(1.0, 1, {"s": 0.5, (0.7, 0.3, 1.0, None): -1})]
+        # negations and differences of a sum go into the summands' signs
+        assert [(sign, c) for sign, c, _ in _summands("-(1/(s^0.5-0.2)-s^-0.5)")] \
+            == [(-1.0, 1), (1.0, 1)]
+
+    def test_constants_spread_over_sums_that_are_no_base(self):
+        assert [c for _, c, _ in _summands("2*(1/(s^0.5-0.2)+1/(s^0.7-0.3))")] == [2, 2]
+        assert [c for _, c, _ in _summands("(1/(s^0.5-0.2)+s^-0.5)/4")] == [0.25, 0.25]
+        # a sum that is one base stays one factor, and only a constant spreads
+        assert _summands("2*(s^0.5-0.2)") == [(1.0, 2, {(0.5, 0.2, 1.0, None): 1})]
+        assert _summands("2*(s-0.3)") == [(1.0, 2, {(1.0, 0.3, 1.0, (-0.3, 1)): 1})]
+        assert len(_summands("s^0.5*(1/(s-1)+1/(s-2))")) == 1
+
+    def test_atom_base_normalizes_its_power_coefficient(self):
+        # c1*s^alpha + c0 = c1 * (s^alpha - lam)
+        assert _summands("2*s^0.5-0.4") == [(1.0, 2, {"s": 0.5}), (-1.0, 0.4, {})]
+        assert _summands("1/(2*s^0.5-0.4)") == [(1.0, 0.5, {(0.5, 0.2, 1.0, None): -1})]
 
     def test_monic_factors_key_by_value(self):
         assert Polynomial([-0.0, 1.0]) in {Polynomial([0.0, 1.0]): 1}
@@ -334,7 +462,7 @@ def _bits(values):
 
 
 class TestSumShapes:
-    """``_to_rational`` of written sums, pinned bit for bit: the constant and
+    """The rational reading of written sums, pinned bit for bit: the constant and
     each factor's coefficients, in order, as (real, imag) pairs, as the
     numerator used to be multiplied out by ``Polynomial.product``."""
 
@@ -392,9 +520,9 @@ class TestSumShapes:
     @pytest.mark.parametrize("text, constant, factors", PINNED,
                              ids=[case[0] for case in PINNED])
     def test_pinned_bit_for_bit(self, text, constant, factors):
-        c, got = _to_rational(parse_expression(text))
+        c, got = _read(parse_expression(text))[0]
         assert _bits([c]) == _bits([complex(*constant)])
-        assert [(_bits(q.coeffs.tolist()), e) for q, e in got.items()] \
+        assert [(_bits(q), e) for q, e in got.items()] \
             == [(_bits(complex(*z) for z in coeffs), e) for coeffs, e in factors]
 
     def test_sides_multiply_as_the_polynomial_product(self):
@@ -411,14 +539,14 @@ class TestSumShapes:
             factors = [(parsing._S, int(rng.integers(0, 3)))]
             for _ in range(int(rng.integers(0, 3))):
                 coeffs = [number() for _ in range(int(rng.integers(1, 3)))] + [1.0]
-                factors.append((Polynomial(coeffs), int(rng.integers(0, 3))))
+                factors.append((tuple(coeffs), int(rng.integers(0, 3))))
             order = rng.permutation(len(factors))
             factors = [factors[i] for i in order]
             c = number()
             if c == 0:
                 continue
-            want = Polynomial.product(factors, c).coeffs.tolist()
-            assert _bits(parsing._multiplied(c, factors)) == _bits(want)
+            want = Polynomial.product(((Polynomial(q), e) for q, e in factors), c)
+            assert _bits(parsing._multiplied(c, factors)) == _bits(want.coeffs.tolist())
 
 
 class TestSumsWithoutConvolution:

@@ -52,15 +52,16 @@ def test_child_hashes_exit_code_stdout_and_stderr(same_output, tmp_path, capsys)
 
 
 def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
-    """roundtrip, table --match on every reference transform, each format of
-    the fractional shapes, the two high-order poles, the term order of the
-    TERMS rationals, the fractional route on a rational, forward and verify
-    where F is read as no request reads it, and the REJECTED commands; each
-    but the rejected exits 0 here."""
+    """roundtrip, table --match on every reference transform and the MATCHED
+    shapes, each format of the fractional shapes, the two high-order poles,
+    the term order of the TERMS rationals, the fractional route on a
+    rational, forward and verify where F is read as no request reads it, and
+    the REJECTED commands; each but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
-    assert tables == [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
+    assert tables == [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()] \
+        + [["table", f"--match={expr}"] for expr in same_output.MATCHED]
     rejected = same_output.REJECTED
     assert cmds[-len(rejected):] == rejected
     inverts = [argv[1:] for argv in cmds[:-len(rejected)] if argv[0] == "invert"]
@@ -82,9 +83,10 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     for argv in cmds[:-len(rejected)]:
         assert main(argv) == 0, argv
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
-    # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), and
-    # "," lists no point (exit 2)
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2]
+    # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
+    # lists no point (exit 2), and the complex lambda, the shapes with no
+    # strategy and the unsupported power exit 1
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1]
     capsys.readouterr()
 
 

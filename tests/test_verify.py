@@ -25,7 +25,6 @@ from nablainv import (
     pair,
     round_trip_error,
     sample_points,
-    z_correspondence,
 )
 from nablainv import verify
 from nablainv.verify import MAX_NODES, default_rho, quadrature_grid, shared_blocks
@@ -369,20 +368,32 @@ class TestInitialValue:
 
 
 class TestZCorrespondence:
+    """The forward series of a pair's sequence against the z-transform
+    G(z) = sum_{k>=0} g(k) z^-k of g(k) = f(k+1), a = 0, written out: with
+    z^-1 = 1 - s the nabla sum is the z-sum, so the series is G(1/(1-s))."""
+
+    @staticmethod
+    def mismatch(seq, G, s):
+        return abs(forward_transform(seq, s) - G(1.0 / (1.0 - s)))
+
     def test_unit_step(self):
-        assert z_correspondence(step_sequence, 0.5) <= 1e-12
+        assert self.mismatch(step_sequence, lambda z: z / (z - 1.0), 0.5) <= 1e-12
 
     def test_divergence_detected(self):
+        # |1 - s| = 1.5 lies outside the step's disk: the series diverges
         with pytest.raises(ConvergenceError):
-            z_correspondence(step_sequence, 2.5)
+            forward_transform(step_sequence, 2.5)
 
     @pytest.mark.parametrize("s", [0.55, 0.7, 0.9, 1.2 + 0.2j, 1.0 - 0.4j])
     def test_geometric_row(self, s):
-        assert z_correspondence(pair(7, lam=0.3).sequence, s) <= 1e-10
+        r = 1.0 / (1.0 - 0.3)
+        assert self.mismatch(pair(7, lam=0.3).sequence, lambda z: r * z / (z - r), s) <= 1e-10
 
     @pytest.mark.parametrize("s", [0.6, 0.8, 1.1, 1.0 + 0.3j, 0.9 - 0.2j])
     def test_sine_row(self, s):
-        assert z_correspondence(pair(13, omega=math.pi / 6).sequence, s) <= 1e-10
+        w = math.pi / 6
+        G = lambda z: z * math.sin(w) / (z * z - 2.0 * z * math.cos(w) + 1.0)
+        assert self.mismatch(pair(13, omega=w).sequence, G, s) <= 1e-10
 
 
 class TestRoundTripError:

@@ -30,10 +30,20 @@ sys.path.insert(0, str(ROOT / "src"))
 from nablainv.pairs import reference_pairs  # noqa: E402
 
 SECONDS = 10  # bench/run.py's default --seconds
-# fractional inputs that no request writes: a lambda = 0 atom, the form
-# lambda - s^alpha, nested negations and quotients, and pair row 10's shape
+# inputs that no request writes, each reaching its own branch of the reader:
+# a lambda = 0 atom, the form lambda - s^alpha, nested negations and
+# quotients, pair row 10's shape, an atom base written constant first or
+# raised to -1 or 1, a negated atom, a power of a power of s, a zero or a
+# cancelling sum of atoms, s^1.0 (which is s), pair row 6's shape, and a
+# lone linear denominator
 FRACTIONAL = ["2*s^-0.5", "1/(0.3-s^0.5)", "-(s^0.5)/(-(s^0.7-0.3))",
-              "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
+              "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2", "1/(-0.2+s^0.5)", "(s^0.5-0.2)^-1",
+              "-(1/(s^0.5-0.2))", "1/(s^0.5-0.2)^1", "s^0.25^2/(s^0.5-0.1)", "1/(s^0.5)^2",
+              "0/(s^0.5-0.2)", "1/(s^0.5-0.2)-1/(s^0.5-0.2)", "1/(s^1.0-0.3)",
+              "(0.3+0.7*s)^-1.5", "s^0.5/(2*s-0.6)"]
+# pair rows 6 and 10 written otherwise than their transform texts: the s
+# term first, and the squared base as lambda - s^alpha
+MATCHED = ["1/(0.5*s+0.5)^1.5", "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
 # poles of order 170 and 172, whose float factorials overflowed
 HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
 # rationals whose closed form shows the order of the terms: an impulse, a
@@ -47,13 +57,20 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
 # commands that exit nonzero: a rational with a double pole on the fractional
-# route, step ranges that are not a grid or too long for an array, and an
-# empty point list
+# route, step ranges that are not a grid or too long for an array, an empty
+# point list, an atom with a complex lambda, shapes no strategy inverts (an
+# atom base in the numerator, a positive power of s, a linear base to a
+# non-integer power beside a pole) and a non-integer power of a quadratic
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
             ["invert", "--expr=1/(s-0.3)", "--k", "1..1e30"],
-            ["forward", "--expr=1/(s-0.3)", "--s", ","]]
+            ["forward", "--expr=1/(s-0.3)", "--s", ","],
+            ["invert", "--expr=1/(s^0.5-(0.2+0.1j))"],
+            ["invert", "--expr=1/(s^0.5-0.2)^-1"],
+            ["invert", "--expr=1/s^-0.5"],
+            ["invert", "--expr=(s+1)^-0.5/(s-2)"],
+            ["invert", "--expr=1/(s^2-0.25)^0.5"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -92,12 +109,14 @@ def commands(workload, seed):
 
 def fixed_commands():
     """The argument lists hashed after the benchmark's: ``roundtrip``, ``table
-    --match`` on each reference pair's transform, ``invert`` in each format on
-    the FRACTIONAL inputs, ``invert`` on the HIGH_ORDER poles, ``invert`` in
-    text and json on the TERMS inputs, the fractional route in json on two
-    simple poles, the EVALUATING commands and the REJECTED ones."""
+    --match`` on each reference pair's transform and on the MATCHED inputs,
+    ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
+    HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
+    fractional route in json on two simple poles, the EVALUATING commands and
+    the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
+    out += [["table", f"--match={expr}"] for expr in MATCHED]
     out += [["invert", f"--expr={expr}", "--format", fmt]
             for expr in FRACTIONAL for fmt in ("text", "csv", "json")]
     out += [["invert", f"--expr={expr}", "--k", "1..3"] for expr in HIGH_ORDER]
