@@ -36,6 +36,12 @@ _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
 _CONFIG_KEYS = {"a": float, "k": str, "format": str, "strategy": str,
                 "tol": float, "rho": float, "nodes": int}
+# the fewest values before a grid's zero tail that ``printing.texts``
+# converts: below it, %-formatting each value is faster than the kernel's
+# fixed cost per call (about 70 us for %.17g and 130 us for repr on a 2-core
+# VM, where decaying grids break even at about 200 values in csv and 256 in
+# json)
+_PRINTER_MIN_VALUES = 256
 # the default tolerance of each command that takes --tol
 _TOL = {"forward": 1e-12, "verify": 1e-9, "roundtrip": 1e-6}
 # the allowed values of each subcommand's choice flags, for a flag and for
@@ -273,9 +279,10 @@ class _Problem:
             values = real_values(v, ks, np.max(np.abs(v)), COMPLEX_F)
         bad = ~np.isfinite(values)
         if bad.any():
+            k = float(ks[int(np.argmax(bad))])
             raise OverflowError(
-                f"f(k) at k = {ks[int(np.argmax(bad))]:g} is outside the float64 "
-                "range; narrow --k"
+                f"f(k) at k = {(int(k) if k.is_integer() else k)!r} is outside the "
+                "float64 range; narrow --k"
             )
         return used, cf, values
 
@@ -311,20 +318,26 @@ class _Problem:
 def _emit_values(args, problem, used, cf, ks, values):
     """Write the grid in the requested format with one write to stdout.
 
-    The rows come from one %-format over the flat (k, f(k)) tuple: %g, %8g,
-    %.17g, %24.17g and %r format a float as the f-string specs g, 8g, .17g,
-    24.17g and !r do, so the bytes are those of a row-by-row format.
+    The rows come from one %-format over the flat (k, f(k)) tuple: %8r,
+    %.17g, %24.17g and %r format a float as the f-string fields {!r:>8},
+    {:.17g}, {:24.17g} and {!r} do, so the bytes are those of a row-by-row
+    format.
 
-    The grid is lo + arange, integral when lo is: then k is written with %d,
-    as an integer in csv and text and as repr writes it in json (|k| < 2^53,
-    which ``_parse_krange`` checks).  When the last value is 0, the trailing
-    run of values with its bits is written from a row with that zero's text
-    in place, so those rows convert only k.
+    k: the grid is lo + arange, integral when lo is: then k is written with
+    %d, as an integer in csv and text and as repr writes it in json (|k| <
+    2^53, which ``_parse_krange`` checks); otherwise with %r, which is exact.
+
+    f(k): when the last value is 0, the trailing run of values with its bits
+    is written from a row with that zero's text in place, so those rows
+    convert only k.  The values before it are converted by the row's own
+    %.17g or %r, or, when there are at least ``_PRINTER_MIN_VALUES`` of
+    them, by ``printing.texts``, whose texts are those bytes, and they go in
+    as %s fields of the same width.
     """
     integral = float(ks[0]).is_integer()
     if args.format == "csv":
-        head, k_spec, f_spec, sep, tail = ("k,f(k)\n", "%d" if integral else "%g", ",%.17g",
-                                           "\n", "\n")
+        head, k_spec, f_field, f_conv, sep, tail = ("k,f(k)\n", "%d" if integral else "%r",
+                                                    ",%%%s", ".17g", "\n", "\n")
     elif args.format == "json":
         doc = {
             "expression": problem.text,
@@ -340,7 +353,7 @@ def _emit_values(args, problem, used, cf, ks, values):
         # floats with float.__repr__
         head = json.dumps(doc, indent=2)[: -len("\n}")] + ',\n  "values": [\n'
         k_spec = '    {\n      "k": ' + ("%d.0" if integral else "%r")
-        f_spec, sep, tail = ',\n      "f": %r\n    }', ",\n", "\n  ]\n}\n"
+        f_field, f_conv, sep, tail = ',\n      "f": %%%s\n    }', "r", ",\n", "\n  ]\n}\n"
     else:
         lines = [
             f"expression     : {pretty(problem.ast)}",
@@ -353,15 +366,23 @@ def _emit_values(args, problem, used, cf, ks, values):
         if cf is not None:
             lines.append(f"closed form    : f(k) = {cf.describe()}")
         lines.append(f"{'k':>8}  {'f(k)':>24}\n")
-        head, k_spec, f_spec, sep, tail = ("\n".join(lines), "%8d" if integral else "%8g",
-                                           "  %24.17g", "\n", "\n")
+        head, k_spec, f_field, f_conv, sep, tail = (
+            "\n".join(lines), "%8d" if integral else "%8r", "  %%24%s", ".17g", "\n", "\n")
     n, live = len(ks), _live_rows(values)
+    f_spec = f_field % f_conv
     zero = f_spec % float(values[-1]) if live < n else f_spec
+    if live >= _PRINTER_MIN_VALUES:
+        from . import printing
+
+        fs = printing.texts(values[:live], shortest=f_conv == "r")
+        f_spec = f_field % "s"
+    else:
+        fs = values[:live].tolist()
     # the head joins the template, its "%" escaped, so that the grid's text
     # is built once and not copied again to prepend the head
     template = (head.replace("%", "%%")
                 + sep.join([k_spec + f_spec] * live + [k_spec + zero] * (n - live)) + tail)
-    sys.stdout.write(template % _row_args(ks, values, live, integral))
+    sys.stdout.write(template % _row_args(ks, fs, live, integral))
 
 
 def _live_rows(values):
@@ -374,16 +395,16 @@ def _live_rows(values):
     return int(differ[-1]) + 1 if differ.size else 0
 
 
-def _row_args(ks, values, live, as_int):
-    """The tuple (k, f(k)) for each of the first ``live`` steps, then k alone
-    for each later one; k as an int when ``as_int`` (%d of an int converts
-    faster than of a float)."""
+def _row_args(ks, fs, live, as_int):
+    """The tuple (k, f(k)) for each of the first ``live`` steps, f(k) from the
+    list ``fs``, then k alone for each later one; k as an int when ``as_int``
+    (%d of an int converts faster than of a float)."""
     def column(part):
         return part.astype(np.int64).tolist() if as_int else part.tolist()
 
     flat = [None] * (2 * live)
     flat[0::2] = column(ks[:live])
-    flat[1::2] = values[:live].tolist()
+    flat[1::2] = fs
     flat += column(ks[live:])
     return tuple(flat)
 

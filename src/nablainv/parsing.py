@@ -511,9 +511,10 @@ def _factor(rational, terms):
 
 
 def _atom(term):
-    """The FractionalAtom a summand is, or None: c * s^e * b^-1 for a base b
-    with lam, or b = c0 + c1*s, which is c1 (s - lam) with lam = -c0/c1, or
-    c * s^e with e < 0, the lam = 0 atom."""
+    """The parameters (coefficient, alpha, beta, lam) of the FractionalAtom a
+    summand is, or None: c * s^e * b^-1 for a base b with lam, or b = c0 +
+    c1*s, which is c1 (s - lam) with lam = -c0/c1, or c * s^e with e < 0, the
+    lam = 0 atom."""
     sign, c, factors = term
     e, pole = 0.0, None
     for base, p in factors.items():
@@ -524,7 +525,7 @@ def _atom(term):
         else:
             return None
     if pole is None:
-        return FractionalAtom(c * sign, -e, -e, 0j) if e < 0 else None
+        return (c * sign, -e, -e, 0j) if e < 0 else None
     alpha, lam, flip = pole.alpha, pole.lam, pole.flip
     if lam is None:
         # 0.0 - x, unlike -x, gives lam a zero imaginary part +0.0, as s - lam has
@@ -533,7 +534,7 @@ def _atom(term):
     beta = alpha - e
     if alpha <= 0 or beta <= 0:
         return None
-    return FractionalAtom(c * sign * flip, alpha, beta, lam)
+    return c * sign * flip, alpha, beta, lam
 
 
 def classify(ast):
@@ -545,14 +546,13 @@ def classify(ast):
         c, factors = rational
         return Classified(Kind.RATIONAL, ast, rational=RationalFunction.from_factors(
             c, {Polynomial(q): e for q, e in factors.items()}))
-    atoms, terms = [], _terms(form)
-    for term in terms:
-        atom = _atom(term)
-        if atom is None:
-            break
-        atoms.append(atom)
-    else:
-        return Classified(Kind.FRACTIONAL_SUM, ast, fractional=FractionalSumForm(tuple(atoms)))
+    terms = _terms(form)
+    # the class follows from every summand's shape before any atom checks
+    # its parameters, so that the summands' order cannot change the error
+    atoms = [_atom(term) for term in terms]
+    if None not in atoms:
+        return Classified(Kind.FRACTIONAL_SUM, ast, fractional=FractionalSumForm(
+            tuple(FractionalAtom(*params) for params in atoms)))
     if odd:
         return Classified(Kind.UNSUPPORTED, ast,
                           reason="fractional power of a non-linear base: " + _UNSUPPORTED_HINT)

@@ -147,6 +147,10 @@ class TestExitCodes:
         # 1/(0.5*s+1) = 2/(s+2): the alpha = 1 atom of lambda = -2, as above
         ("1/(s^0.5-0.2) + 1/(0.5*s+1)", "|lambda| = 2 >= 1 is outside the invertible range"),
         ("s^0.5", NO_STRATEGY),
+        # an atom with |lambda| >= 1 beside a summand that is no atom, in
+        # either order: the sum's shape decides before any atom is checked
+        ("1/(s^0.5-2) + s^0.5", NO_STRATEGY),
+        ("s^0.5 + 1/(s^0.5-2)", NO_STRATEGY),
     ])
     def test_unsupported_expression(self, capsys, expr, message):
         code, out, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3")
@@ -402,6 +406,16 @@ class TestFloatRange:
         assert out == ""
         assert err == f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n"
 
+    @pytest.mark.parametrize("a, krange, k", [
+        (0.5, "999998.5..1000001.5", "999998.5"),  # was named 999998
+        (0.0, "1000001..1000003", "1000001"),  # was named 1e+06
+    ])
+    def test_overflow_names_the_step_exactly(self, capsys, a, krange, k):
+        """1.43^(k-a) is past 1.8e308 from k - a = 1987 on."""
+        code, out, err = run(capsys, "invert", "--expr=1/(s-0.3)", f"--a={a}", "--k", krange)
+        assert (code, out) == (1, "")
+        assert err == f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n"
+
     @pytest.mark.parametrize("krange", ["1..200", "1..10000"])
     @pytest.mark.parametrize("strategy", ["inside", "pfe"])
     def test_pole_next_to_one_overflows_at_k_52(self, capsys, strategy, krange):
@@ -440,9 +454,9 @@ class TestFloatRange:
 
 def _print_rows(fmt, problem, used, cf, rows):
     """Reference: a row-by-row print formatter; csv and text write an
-    integral k as an integer."""
+    integral k as an integer and another as repr does."""
     def k_text(k, spec):
-        return f"{int(k):{spec}d}" if float(k).is_integer() else f"{k:{spec}g}"
+        return f"{int(k):{spec}d}" if float(k).is_integer() else f"{k!r:>{spec or 0}}"
 
     if fmt == "csv":
         print("k,f(k)")
@@ -493,6 +507,9 @@ class TestSingleWriteOutput:
         ("1/(s+9)", "auto", "3..3", 0.0),
         # steps such as 3.1 and 8.1 whose repr is longer than their %g
         (EX1, "pfe", "1.1..40.1", 0.1),
+        # steps that %g wrote to 6 digits: 1.12346, and 1e+06 for 999999.5
+        ("1/(s+0.5)", "auto", "1.123456789..3.123456789", 0.123456789),
+        ("1/(s+0.5)", "auto", "999998.5..1000000.5", 0.5),
         # a closed form whose tail past every term's zero_from is 0
         (LONG_EXPR, "pfe", "1..3000", 0.0),
         # zeros at k = 1, 2 before nonzero values, and a last value that is not 0

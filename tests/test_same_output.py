@@ -55,7 +55,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     """roundtrip, table --match on every reference transform and the MATCHED
     shapes, each format of the fractional shapes, the two high-order poles,
     the term order of the TERMS rationals, the fractional route on a
-    rational, forward and verify where F is read as no request reads it, and
+    rational, each format of the PRINTED grids, forward and verify where F is read as no request reads it, and
     the REJECTED commands; each but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
@@ -72,7 +72,9 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
            ["--expr=(s^3+1)/((s-2)*(s+0.55)^2)", "--format", "json"],
            ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "text"],
            ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "json"],
-           ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]]
+           ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]] \
+        + [[*argv, "--format", fmt] for argv in same_output.PRINTED
+           for fmt in ("text", "csv", "json")]
     evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
@@ -85,8 +87,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
     # lists no point (exit 2), and the complex lambda, the shapes with no
-    # strategy and the unsupported power exit 1
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1]
+    # strategy, the unsupported power and the atom beside a non-atom exit 1
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1]
     capsys.readouterr()
 
 

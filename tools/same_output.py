@@ -56,11 +56,18 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
+# grids that reach the edges of ``printing.texts``, which no request does:
+# a decay through the subnormals into the zero tail, powers of two past 2^53
+# (repr's fallback), +/-1, and steps that are not integers
+PRINTED = [["--expr=1/(s+0.5)", "--k", "1..2000"], ["--expr=1/(s-0.5)", "--k", "1..1000"],
+           ["--expr=1/(s-2)", "--k", "1..500"],
+           ["--expr=1/(s+0.5)", "--a", "0.123456789", "--k", "1.123456789..300.123456789"]]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
 # atom base in the numerator, a positive power of s, a linear base to a
-# non-integer power beside a pole) and a non-integer power of a quadratic
+# non-integer power beside a pole), a non-integer power of a quadratic, and
+# an atom with |lambda| >= 1 before a summand that is no atom
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -70,7 +77,8 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s^0.5-0.2)^-1"],
             ["invert", "--expr=1/s^-0.5"],
             ["invert", "--expr=(s+1)^-0.5/(s-2)"],
-            ["invert", "--expr=1/(s^2-0.25)^0.5"]]
+            ["invert", "--expr=1/(s^2-0.25)^0.5"],
+            ["invert", "--expr=1/(s^0.5-2) + s^0.5"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -112,8 +120,8 @@ def fixed_commands():
     --match`` on each reference pair's transform and on the MATCHED inputs,
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
-    fractional route in json on two simple poles, the EVALUATING commands and
-    the REJECTED ones."""
+    fractional route in json on two simple poles, ``invert`` in each format on
+    the PRINTED grids, the EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -124,6 +132,8 @@ def fixed_commands():
             for expr in TERMS for fmt in ("text", "json")]
     out += [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)",
              "--format", "json"]]
+    out += [["invert", *argv, "--format", fmt] for argv in PRINTED
+            for fmt in ("text", "csv", "json")]
     return out + EVALUATING + REJECTED
 
 
