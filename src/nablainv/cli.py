@@ -193,7 +193,7 @@ def _parse_krange(text, a, source="argument --k"):
     m = lo - a
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
         raise ValueError(
-            f"{source}: k = {lo:g} is not in {{a+1, a+2, ...}} for a = {a:g}; "
+            f"{source}: k = {lo!r} is not in {{a+1, a+2, ...}} for a = {a!r}; "
             "adjust the range or a"
         )
     try:

@@ -7,30 +7,25 @@ from operator import mul
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from numpy.lib.stride_tricks import as_strided
 
 # Roots within CLUSTER_SCALE * (1 + |root|) of each other are one root: the
 # linkage radius of the root clusters and of pole-zero cancellation.
 CLUSTER_SCALE = 1e-6
-# A denominator of at most _BLOCK coefficients is divided on the recurrence.
-# A longer, dense one takes the recurrence for its first _SEED coefficients and
-# blocks after them, doubling from _SEED up to _BLOCK coefficients.
+# series_divide runs a banded division on the long-division recurrence for its
+# first _HEAD coefficients, where a series costs less (0.1-0.3 us a coefficient
+# against 60-150 us to set up blocks), and in blocks of _BLOCK past them; a 1/den
+# past _GROWTH times 1/den(0) within _BLOCK gets shorter blocks, none below _MIN_BLOCK.
 _BLOCK = 64
+_HEAD = 4 * _BLOCK
 _SEED = 8
-# ``factor_divide`` runs a series of up to _LOOP_MAX coefficients on its
-# recurrence (below that the block set-up costs more than it saves), and a
-# longer one in blocks of at most _BLOCK.  A factor whose 1/q grows past
-# _GROWTH times 1/q(0) within a block gets shorter blocks, so the block
-# products stay inside float64; a block shorter than _MIN_BLOCK leaves the
-# factor on the recurrence.
 _GROWTH = 1e150
 _MIN_BLOCK = 8
-_LOOP_MAX = 8 * _BLOCK
 
 __all__ = [
     "CLUSTER_SCALE",
     "Polynomial",
     "RootCluster",
-    "factor_divide",
     "factor_roots",
     "pool_roots",
     "roots_with_multiplicities",
@@ -422,49 +417,52 @@ def series_divide(num, den, order):
     """Leading power-series coefficients of num(x)/den(x) around x = 0.
 
     Requires den(0) != 0.  Returns an ndarray c of length order+1 with
-    num/den = sum c_j x^j + O(x^(order+1)).  The long-division recurrence
-    c_j = (n_j - sum_{i=1..min(j, D)} d_i c_{j-i}) / d_0 only reaches back
-    D = deg den coefficients, so the cost is O(order * D), not O(order^2).
-
-    A dense denominator, one given with more than _BLOCK coefficients (such
-    as the binomial series of (1-x)^alpha at a non-integer alpha), is divided
-    in blocks instead: the recurrence gives the first _SEED coefficients, and
-    the rest come in blocks of _SEED, 2 _SEED, ... coefficients, doubling up
-    to _BLOCK and then _BLOCK each, two numpy convolutions per block (see
-    _blocked_divide), so the O(order^2) multiply-adds run in numpy, not in
-    Python.  Which of the two runs depends on the denominator as given, never
-    on ``order``, so within one dtype coefficient j depends on n_0..n_j and
-    d_0..d_j only.  A banded denominator gives the recurrence's values bit for
-    bit; a dense one gives them on the first _SEED coefficients, and past
-    them the same sums in another order (within 1e-13 of a 40-digit division
-    on the Mittag-Leffler series up to 1500 coefficients).
+    num/den = sum c_j x^j + O(x^(order+1)): the long-division recurrence
+    c_j = (n_j - sum_{i=1..min(j, D)} d_i c_{j-i}) / d_0 (D = deg den, summed
+    from d_1 up) on its first _HEAD coefficients, or _SEED for a dense den of
+    more than _BLOCK coefficients (the binomial series of (1-x)^alpha at a
+    non-integer alpha), and the same sums in another order in numpy blocks
+    past them: O(order * _BLOCK) for a banded den (_banded_divide), O(order^2)
+    for a dense one (_blocked_divide).  The blocks depend on den as given,
+    never on ``order``, so within one dtype c_j depends on n_0..n_j and den
+    only.  Past a numerator coefficient out of range the blocks give nan.
     Real inputs are divided in float64 and give a float array, anything else
     a complex one (a ``Polynomial`` is complex).
     """
-    nc = np.atleast_1d(np.asarray(num.coeffs if isinstance(num, Polynomial) else num))
-    dc = np.atleast_1d(np.asarray(den.coeffs if isinstance(den, Polynomial) else den))
-    dtype = np.result_type(nc, dc, np.float64)
+    nc = np.asarray(num.coeffs if isinstance(num, Polynomial) else num).ravel()
+    dc = np.asarray(den.coeffs if isinstance(den, Polynomial) else den).ravel()
+    dtype = np.result_type(nc.dtype, dc.dtype, np.float64)
     dense = len(dc) > _BLOCK
     nc = nc[: order + 1].astype(dtype, copy=False)
     dc = dc[: order + 1].astype(dtype, copy=False)
     if dc[0] == 0:
         raise ZeroDivisionError("series division needs den(0) != 0")
-    if dense:
-        return _blocked_divide(nc, dc, order)
-    return _recurrence(nc, dc, order + 1)
+    return (_blocked_divide if dense else _banded_divide)(nc, dc, order)
 
 
 def _recurrence(nc, dc, count):
     """The first ``count`` coefficients of nc/dc by the long-division recurrence,
-    in the dtype of nc and dc (both float64 or both complex128)."""
-    d0 = dc[0].item()
+    in the dtype of nc and dc (both float64 or both complex128); unrolled up to
+    D = 2, where its terms past min(j, D) add zeros to a sum that is not -0,
+    so each value before the first one out of range is the same."""
+    d0, *tail = dc.tolist()  # tail: d_1 .. d_D
     zero = 0j if dc.dtype.kind == "c" else 0.0
-    tail = dc[1:].tolist()  # d_1 .. d_D
     n = nc[:count].tolist() + [zero] * (count - len(nc))
     c = []
-    for nj in n:
-        # map stops at the shorter side: d_i pairs with c_{j-i}, i <= min(j, D)
-        c.append((nj - sum(map(mul, tail, reversed(c)), start=zero)) / d0)
+    if len(tail) > 2:
+        for nj in n:
+            # map stops at the shorter side: d_i pairs with c_{j-i}, i <= min(j, D)
+            c.append((nj - sum(map(mul, tail, reversed(c)), start=zero)) / d0)
+    elif len(tail) == 2:
+        (d1, d2), y1, y2 = tail, zero, zero
+        for nj in n:
+            y1, y2 = (nj - (zero + d1 * y1 + d2 * y2)) / d0, y1
+            c.append(y1)
+    else:
+        d1, y1 = (tail or [zero])[0], zero
+        for nj in n:
+            y1 = (nj - (zero + d1 * y1)) / d0
+            c.append(y1)
     return np.array(c, dtype=dc.dtype)
 
 
@@ -472,19 +470,14 @@ def _blocked_divide(nc, dc, order):
     """series_divide for a dense denominator: block forward substitution.
 
     Block [s, s+m) solves the lower-triangular Toeplitz system of d_0..d_{m-1}
-    with right side n_j - sum_{t<s} d_{j-t} c_t (the history, one 'valid'
-    convolution).  Its inverse is the Toeplitz matrix H of h, the first m
-    coefficients of 1/den, applied as the causal convolution h * rhs: row i
-    of H @ rhs without H's zero upper triangle, so an inf in a later row of
-    the right side cannot make an earlier row nan (0 * inf).
-
-    The recurrence gives c and h to _SEED coefficients.  The blocks start at
-    m = s, so each needs only the h found so far, and h doubles by the same
-    step with a right side of 0 (Brent and Kung's doubling of 1/den): blocks
-    of _SEED, 2 _SEED, ... up to _BLOCK, then _BLOCK each.  Over a numerator
-    of 1, c is h, and h is not built twice.  The block boundaries are fixed
-    and the last block is padded to its whole length, so no coefficient
-    depends on ``order``.
+    with right side n_j - sum_{t<s} d_{j-t} c_t (one 'valid' convolution) as
+    the causal convolution h * rhs, h the first m coefficients of 1/den, so an
+    inf in a later row cannot make an earlier one nan (0 * inf).  The
+    recurrence gives c and h to _SEED coefficients; the blocks start at m = s,
+    so each needs only the h found so far, and h doubles by the same step with
+    a right side of 0 (Brent and Kung's doubling of 1/den): blocks of _SEED,
+    2 _SEED, ... up to _BLOCK, then _BLOCK each, the last padded, so no
+    coefficient depends on ``order``.  Over a numerator of 1, c is h.
     """
     total = _SEED
     while total <= order:
@@ -518,62 +511,77 @@ def _block(rhs, known, d, h):
     return np.convolve(h, rhs - np.convolve(known, d[1 : s + m], mode="valid"))[:m]
 
 
-def factor_divide(c, q):
-    """c(x) / q(x) as a power series, to as many coefficients as c has.
+def _banded_divide(nc, dc, order):
+    """series_divide for a banded denominator d_0..d_D: blocks of B after the
+    recurrence's first _HEAD coefficients, B = _BLOCK or the first j with
+    |h_j| > _GROWTH |h_0|, h the first _BLOCK of 1/den by the recurrence.
 
-    c and q are ndarrays, q the ascending coefficients of a polynomial of
-    degree 1 or 2 with q(0) != 0.  Real c and q are divided in float64 and
-    give a float array, anything else a complex one.  A series of up to
-    _LOOP_MAX coefficients runs the recurrence
-    y_j = (c_j - q_1 y_{j-1} - q_2 y_{j-2}) / q_0.  A longer one runs in
-    blocks of B coefficients (B <= _BLOCK, see _GROWTH): h, the first B
-    coefficients of 1/q, comes from the recurrence; each block's response to
-    its own coefficients of c is its product with the Toeplitz matrix of h,
-    one matmul for all blocks; and a scan over the blocks carries the last two
-    values of each into the next, whose response to them is fixed by q and h.
-    Past the first coefficient of c outside the float64 range the result is
-    nan, where the recurrence leaves it non-finite too.
-    """
-    dtype = np.result_type(c.dtype, q.dtype)
-    q0, q1, q2 = (q.tolist() + [0.0])[:3]
-    if len(c) <= _LOOP_MAX:
-        return np.array(_filter(c.tolist(), q0, q1, q2), dtype=dtype)
-    h = np.array(_filter([1.0] + [0.0] * (_BLOCK - 1), q0, q1, q2), dtype=dtype)
-    tame = np.abs(h) <= _GROWTH * abs(h[0])  # false on inf and nan too
-    B = _BLOCK if tame.all() else int(np.argmin(tame))
-    finite = np.isfinite(c)
-    stop = len(c) if finite.all() else int(np.argmin(finite))
-    out = np.full(len(c), np.nan, dtype=dtype)
-    if stop <= _LOOP_MAX or B < _MIN_BLOCK:
-        out[:stop] = _filter(c[:stop].tolist(), q0, q1, q2)
-        return out
-    h = h[:B]
-    blocks = -(-stop // B)
-    x = np.zeros(blocks * B, dtype=dtype)
-    x[:stop] = c[:stop]
-    lag = np.arange(B) - np.arange(B)[:, None]
+    Block s on is y_(s+t) = (h * x)_t + sum_i R_i[t] y_(s-i), R_i = -(h *
+    (d_i, ..., d_D)): its response to its numerator values x (one product for
+    all blocks) and to the D values before it, which a scan carries along.
+    Inverting a block's Toeplitz matrix by h loses digits where it is
+    ill-conditioned (up to 40 times the recurrence's error at degree 63), so
+    past degree 2 one step of iterative refinement adds the residual
+    x - den * y divided in the same blocks.  Products run on 16-block stacks."""
+    if order >= _HEAD:
+        h = _recurrence(np.ones(1, dtype=dc.dtype), dc, _BLOCK)
+        tame = np.abs(h) <= _GROWTH * abs(h[0])  # false on inf and nan too
+        B = _BLOCK if tame.all() else int(np.argmin(tame))
+    if order < _HEAD or B < max(_MIN_BLOCK, len(dc) - 1):  # a block carries D values
+        return _recurrence(nc, dc, order + 1)
+    h, head, rest = h[:B], _recurrence(nc, dc, _HEAD), order + 1 - _HEAD
+    blocks = -(-rest // (16 * B)) * 16  # whole stacks: one product shape at any order
+    x, stop = _finite_part(nc[_HEAD:], blocks * B)
+    d = np.concatenate((dc, np.zeros(max(3 - len(dc), 0), dtype=dc.dtype)))  # D >= 2
+    D = len(d) - 1
+    padded = np.concatenate((np.zeros(B - 1, dtype=h.dtype), h))  # T[i, j] = h[j - i]
+    toeplitz = as_strided(padded[B - 1 :], (B, B), (-padded.itemsize, padded.itemsize)).copy()
+    response = -np.array([np.convolve(h, d[i:])[:B] for i in range(1, D + 1)])
+    rows = response[:, : -D - 1 : -1].T.tolist()  # a block's last D values, latest first
+
+    def solve(x, state):  # past the head, from the y_(s-1), ..., y_(s-D) before it
+        y = _product(x.reshape(-1, 16, B), toeplitz).reshape(blocks, B)
+        carried = list(state)
+        if D == 2:
+            ((a1, b1), (a2, b2)), (y1, y2) = rows, state
+            for z1, z2 in y[:-1, -1:-3:-1].tolist():
+                y1, y2 = z1 + a1 * y1 + b1 * y2, z2 + a2 * y1 + b2 * y2
+                carried += (y1, y2)
+        else:
+            for z in y[:-1, : -D - 1 : -1].tolist():
+                state = [zi + sum(map(mul, row, state)) for zi, row in zip(z, rows)]
+                carried += state
+        y += _product(np.reshape(carried, (-1, 16, D)), response).reshape(blocks, B)
+        return y.ravel()
+
     # values past the float64 range leave inf and nan for the caller to reject
     with np.errstate(over="ignore", invalid="ignore"):
-        # each block from zero state: its x times T, T[i, j] = h[j - i] for j >= i
-        y = x.reshape(blocks, B) @ np.where(lag >= 0, h[lag], 0.0)
-        # a block's y_s, y_{s+1}, ... from the y_{s-1} and y_{s-2} before it
-        response = np.stack([-(q1 * h + q2 * np.concatenate(([0.0], h[:-1]))), -q2 * h])
-        (a2, a1), (b2, b1) = response[:, -2:].tolist()
-        y1 = y2 = 0.0
-        carried = [0.0, 0.0]
-        for z1, z2 in zip(y[:-1, -1].tolist(), y[:-1, -2].tolist()):
-            y1, y2 = z1 + a1 * y1 + b1 * y2, z2 + a2 * y1 + b2 * y2
-            carried += (y1, y2)
-        y += np.array(carried, dtype=dtype).reshape(blocks, 2) @ response
-    out[:stop] = y.ravel()[:stop]
+        y = solve(x, head[::-1][:D].tolist())
+        if len(dc) > 3:
+            r = x[:rest] - np.convolve(np.concatenate((head, y[:rest])), dc)[_HEAD : order + 1]
+            y += solve(_finite_part(r, blocks * B)[0], [0.0] * D)
+    out = np.concatenate((head, y[:rest]))
+    out[_HEAD + stop :] = np.nan
     return out
 
 
-def _filter(x, q0, q1, q2):
-    """y_j = (x_j - q1 y_{j-1} - q2 y_{j-2}) / q0 over the list x, from zero state."""
-    y1 = y2 = 0.0
-    out = []
-    for xj in x:
-        y1, y2 = (xj - q1 * y1 - q2 * y2) / q0, y1
-        out.append(y1)
-    return out
+def _finite_part(v, size):
+    """v padded to ``size`` and zero from its first value out of range on (which
+    a block product would spread as 0 * inf), and that index, or ``size``."""
+    finite = np.isfinite(v)
+    stop = size if finite.all() else int(np.argmin(finite))
+    out = np.zeros(size, dtype=v.dtype)
+    out[: min(stop, len(v))] = v[:stop]
+    return out, stop
+
+
+def _product(a, b):
+    """a @ b over a stack of 16-row matrices, each at most _BLOCK^3 real
+    multiply-adds, which OpenBLAS runs on one thread; a complex one as a real
+    one on [real, imaginary] pairs, as OpenBLAS threads small complex ones."""
+    if a.dtype.kind != "c":
+        return a @ b
+    k, m = b.shape
+    # (x + iy)(u + iv) = (xu - yv) + i(xv + yu): [x, y] times [[u, v], [-v, u]]
+    pairs = np.stack((b, 1j * b), 1).view(float).reshape(2 * k, 2 * m)
+    return (a.view(float) @ pairs).view(complex)

@@ -11,7 +11,6 @@ from .polynomial import (
     CLUSTER_SCALE,
     Polynomial,
     RootCluster,
-    factor_divide,
     factor_roots,
     pool_roots,
     series_divide,
@@ -263,21 +262,18 @@ class RationalFunction:
         return num, tuple((q.in_one_minus_w(), e) for q, e in far_first)
 
     def series_at_one(self, order):
-        """Coefficients c_0..c_order of F(1 - w) = sum c_j w^j.
+        """Coefficients c_0..c_order of F(1 - w) = sum c_j w^j, which are
+        f(a + 1 + j) for the causal sequence of F.
 
-        The factors are recentered at s = 1 - w one by one (see ``_at_one``).
-        The numerator's series is then divided by one shifted denominator
-        factor at a time, once per unit of its exponent: ``factor_divide`` for
-        a factor of degree 1 or 2, ``series_divide`` above.  Each division
-        carries its rounding along the impulse response of that factor alone;
-        dividing by the expanded denominator would carry it along the response
-        of 1/D, which grows with the closeness of D's poles.  This is stable
-        where repeated differentiation is not, and the coefficients satisfy
-        c_j = f(a + 1 + j) for the causal sequence of F.
-
-        The division runs on the reduced factors: a cancelled pole-zero factor
-        left in the denominator would feed the division a mode that the
-        numerator only cancels in exact arithmetic, and rounding lets it grow.
+        The reduced factors are recentered at s = 1 - w one by one (see
+        ``_at_one``), and the numerator's series is divided by one shifted
+        denominator factor at a time, once per unit of its exponent, by
+        ``series_divide``, in float64 when F is real.  Each division carries
+        its rounding along the impulse response of that factor alone, where
+        the expanded denominator would carry it along that of 1/D, which grows
+        with the closeness of D's poles; and a cancelled pole-zero factor left
+        in the denominator would feed the division a mode that the numerator
+        only cancels in exact arithmetic, and rounding lets it grow.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -286,16 +282,11 @@ class RationalFunction:
         num_w, den_w = self._at_one
         if any(q.coeffs[0] == 0 for q, _e in den_w):
             raise PoleAtOneError()
-        real = self.is_real
-        c = np.zeros(order + 1, dtype=float if real else complex)
-        top = num_w.coeffs[: order + 1]
-        c[: len(top)] = top.real if real else top
+        real, top = self.is_real, num_w.coeffs[: order + 1]
+        c = np.concatenate((top.real if real else top, np.zeros(order + 1 - len(top))))
         for q, e in den_w:
             for _ in range(e):
-                if q.degree > 2:
-                    c = series_divide(c, q, order)
-                else:
-                    c = factor_divide(c, q.coeffs.real if real else q.coeffs)
+                c = series_divide(c, q.coeffs.real if real else q.coeffs, order)
         return c.astype(complex)
 
     def inferred_roc(self):

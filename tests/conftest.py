@@ -128,6 +128,15 @@ def _mp_divide(num, den):
     return c
 
 
+def mpmath_quotient(num, den, order, digits=40):
+    """The power series num/den up to x^order, in ``digits``-digit arithmetic."""
+    with mpmath.workdps(digits):
+        n = [mpmath.mpc(complex(v)) for v in np.atleast_1d(num)[: order + 1]]
+        d = [mpmath.mpc(complex(v)) for v in np.atleast_1d(den)]
+        return np.array([complex(v) for v in
+                         _mp_divide(n + [mpmath.mpc(0)] * (order + 1 - len(n)), d)])
+
+
 def mpmath_atom_values(atoms, K, digits=50):
     """f(1..K) of sum r s^(alpha-beta)/(s^alpha - lam) over (r, alpha, beta, lam).
 

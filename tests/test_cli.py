@@ -236,8 +236,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("k, config, code, message", [
         ("abc", True, 2, "step range 'abc' is not a number or a range lo..hi"),
-        ("0.5", True, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0; adjust the range or a"),
-        ("0.5", False, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0; adjust the range or a"),
+        ("0.5", True, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0.0; adjust the range or a"),
+        ("0.5", False, 2, "k = 0.5 is not in {a+1, a+2, ...} for a = 0.0; adjust the range or a"),
         ("5..1", True, 2, "empty step range '5..1'"),
         ("1..inf", True, 2, "step range '1..inf' is not finite"),
         # 8e18 bytes: no address space holds them, so nothing is allocated
@@ -253,6 +253,13 @@ class TestExitCodes:
         source = f"{path}: k" if config else "argument --k"
         assert run(capsys, "invert", "--expr", "1/(s-0.3)", *argv) \
             == (code, "", f"error: {source}: {message}\n")
+
+    def test_step_off_the_grid_names_k_and_a_as_typed(self, capsys):
+        """k and a are written with repr, not rounded to 6 digits by %g."""
+        assert run(capsys, "invert", "--expr=1/(s+0.5)", "--a", "0.123456789",
+                   "--k", "1.12345..3") == (
+            2, "", "error: argument --k: k = 1.12345 is not in {a+1, a+2, ...} for "
+                   "a = 0.123456789; adjust the range or a\n")
 
     @pytest.mark.parametrize("expr, strategy", [
         ("1/(s+2)", "pfe"), ("1/(s+2)", "inside"), ("1/(s^0.5-0.3)", "fractional"),

@@ -7,14 +7,15 @@ from nablainv import Polynomial, RootCluster, roots_with_multiplicities
 from nablainv import polynomial
 from nablainv.polynomial import (
     _BLOCK,
-    _LOOP_MAX,
+    _HEAD,
     _SEED,
-    factor_divide,
     factor_roots,
     pool_roots,
     series_divide,
 )
 from nablainv.special import _binomial_series
+
+from conftest import mpmath_quotient
 
 CUBIC = Polynomial([-2.0, -3.0, 0.0, 1.0])  # s^3 - 3s - 2 = (s+1)^2 (s-2)
 
@@ -389,8 +390,13 @@ class TestBlockedSeriesDivide:
         for order in (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 300, 777):
             np.testing.assert_array_equal(series_divide(num, den, order), longest[: order + 1])
 
-    @pytest.mark.parametrize("degree", [1, 4, 10, _BLOCK - 1])
-    def test_banded_is_the_scalar_recurrence_bit_for_bit(self, rng, degree):
+    @pytest.mark.parametrize("degree", [1, 2, 4, 10, _BLOCK - 1])
+    def test_banded_is_the_scalar_recurrence(self, rng, degree):
+        """Bit for bit on the recurrence's first _HEAD coefficients; in the
+        blocks past them, as close to a 40-digit division as the recurrence
+        (within 3 times its error there, or 1e-13 of the largest coefficient).
+        At degree 63 the recurrence itself is up to 7e-12 of the largest off,
+        and the blocks without their refinement step up to 40 times that."""
         for trial in range(4):
             radii = rng.uniform(0.97, 3.0, degree)
             roots = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
@@ -399,9 +405,43 @@ class TestBlockedSeriesDivide:
                 roots = np.concatenate([half, half.conj(), radii[: degree % 2]])
             den = Polynomial.from_roots(roots).coeffs * rng.uniform(0.5, 2.0)
             num = rng.normal(size=int(rng.integers(1, degree + 4)))
-            for order in (0, 5, degree, 700):
+            for order in (0, 5, degree, _BLOCK, _HEAD - 1):
                 np.testing.assert_array_equal(series_divide(num, den, order),
                                               _scalar_recurrence(num, den, order))
+            got = series_divide(num, den, 900)
+            want = _scalar_recurrence(num, den, 900)
+            exact = mpmath_quotient(num, den, 900)
+            np.testing.assert_array_equal(got[:_HEAD], want[:_HEAD])
+            bound = max(3 * np.max(np.abs(want - exact)[_HEAD:]), 1e-13 * np.max(np.abs(exact)))
+            assert np.max(np.abs(got - exact)[_HEAD:]) <= bound
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_banded_coefficients_do_not_depend_on_the_order(self, rng, degree):
+        """Coefficient j is the same bit for bit at every order >= j: on
+        either side of the recurrence's end at _HEAD, of each block boundary,
+        and of one stack of 16 blocks against two, real and complex."""
+        radii = rng.uniform(0.97, 3.0, degree)
+        roots = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
+        half = roots[: degree // 2]
+        pairs = np.concatenate([half, half.conj(), radii[: degree % 2]])
+        # a root at 0.003 cuts the blocks to 60 coefficients; its series
+        # leaves float64 before they start
+        fast = [0.003, -1.5] + list(radii[2:])
+        stack = _HEAD + 16 * _BLOCK
+        for r in (roots, pairs, fast):
+            den = Polynomial.from_roots(r).coeffs
+            den = den if den.imag.any() else den.real
+            num = rng.normal(size=1500)
+            with np.errstate(over="ignore", invalid="ignore"):
+                longest = series_divide(num, den, 1500)
+                for order in [*range(_HEAD - 2, _HEAD + 2 * _BLOCK + 3), stack - 1, stack,
+                              stack + 1, 1499]:
+                    got = series_divide(num, den, order)
+                    assert got.dtype == longest.dtype and got.shape == (order + 1,)
+                    np.testing.assert_array_equal(got, longest[: order + 1])
+            if r is not fast:
+                want = _scalar_recurrence(num, den, 1500)
+                assert np.max(np.abs(longest - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_overflow_is_named_where_the_recurrence_names_it(self):
         """Past the float64 range the blocks leave inf and nan, quietly, and
@@ -465,16 +505,17 @@ def _factors(rng):
 
 
 class TestFactorDivide:
-    """The series quotient by one linear or quadratic factor, in blocks past
-    _LOOP_MAX coefficients."""
+    """The series quotient by one linear or quadratic factor, as a rational F
+    divides by each of its factors: on the recurrence up to _BLOCK
+    coefficients, and in blocks past them."""
 
-    @pytest.mark.parametrize("n", [1, 100, _LOOP_MAX, _LOOP_MAX + 1, 1500])
+    @pytest.mark.parametrize("n", [1, 100, _BLOCK, _BLOCK + 1, 1500])
     def test_matches_long_division(self, rng, n):
         for i, q in enumerate(_factors(rng)):
             c = rng.normal(size=n)
             if i % 3 == 0:
                 c = c + 1j * rng.normal(size=n)
-            got = factor_divide(c, q)
+            got = series_divide(c, q, n - 1)
             want = _long_division(c, q, n - 1)
             assert got.shape == (n,)
             assert got.dtype == (complex if np.iscomplexobj(c) or np.iscomplexobj(q) else float)
@@ -483,22 +524,21 @@ class TestFactorDivide:
     def test_blocks_match_the_recurrence(self, rng):
         for q in _factors(rng):
             c = rng.normal(size=3000)
-            want = np.array(polynomial._filter(c.tolist(), *(q.tolist() + [0.0])[:3]))
-            got = factor_divide(c, q)
+            want = _scalar_recurrence(c, q, 2999)
+            got = series_divide(c, q, 2999)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [200, 10_000])
     @pytest.mark.parametrize("scale, first", [(1.0, 51), (1e-200, 84)])
     def test_root_near_zero_overflows_where_the_recurrence_does(self, n, scale, first):
         """1/(1e-6 - x) grows by 1e6 a step: a block of 64 would hold h up
-        to 1e378, which overflows before a small series does, so its blocks
-        are cut shorter, and the values leave float64 where they should."""
+        to 1e378, so its blocks are cut shorter, and the values leave float64
+        where they should, on the recurrence before the blocks start."""
         q = np.array([1e-6, -1.0])
         c = np.zeros(n)
         c[0] = scale
-        got = factor_divide(factor_divide(c, np.array([1.5, -1.0])), q)
-        want = np.array(polynomial._filter(polynomial._filter(c.tolist(), 1.5, -1.0, 0.0),
-                                           1e-6, -1.0, 0.0))
+        got = series_divide(series_divide(c, np.array([1.5, -1.0]), n - 1), q, n - 1)
+        want = _scalar_recurrence(_scalar_recurrence(c, [1.5, -1.0], n - 1), q, n - 1)
         assert first == int(np.argmax(~np.isfinite(got))) == int(np.argmax(~np.isfinite(want)))
         np.testing.assert_allclose(got[:first], want[:first], rtol=1e-13)
 
@@ -509,6 +549,6 @@ class TestFactorDivide:
         q = np.array([1.2, -0.3, 0.5])
         c = rng.normal(size=2000)
         c[1000] = np.inf
-        got = factor_divide(c, q)
-        np.testing.assert_array_equal(got[:1000], factor_divide(c[:1000], q))
+        got = series_divide(c, q, 1999)
+        np.testing.assert_array_equal(got[:1000], series_divide(c[:1000], q, 999))
         assert np.all(np.isfinite(got[:1000])) and np.all(np.isnan(got[1000:]))

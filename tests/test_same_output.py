@@ -55,8 +55,9 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     """roundtrip, table --match on every reference transform and the MATCHED
     shapes, each format of the fractional shapes, the two high-order poles,
     the term order of the TERMS rationals, the fractional route on a
-    rational, each format of the PRINTED grids, forward and verify where F is read as no request reads it, and
-    the REJECTED commands; each but the rejected exits 0 here."""
+    rational, each format of the PRINTED grids, the DIVIDED series, forward
+    and verify where F is read as no request reads it, and the REJECTED
+    commands; each but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
@@ -74,7 +75,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
            ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "json"],
            ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]] \
         + [[*argv, "--format", fmt] for argv in same_output.PRINTED
-           for fmt in ("text", "csv", "json")]
+           for fmt in ("text", "csv", "json")] \
+        + same_output.DIVIDED
     evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
@@ -87,8 +89,9 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
     # lists no point (exit 2), and the complex lambda, the shapes with no
-    # strategy, the unsupported power and the atom beside a non-atom exit 1
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1]
+    # strategy, the unsupported power, the atom beside a non-atom and the
+    # overflowing series exit 1
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1]
     capsys.readouterr()
 
 

@@ -62,12 +62,19 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
 PRINTED = [["--expr=1/(s+0.5)", "--k", "1..2000"], ["--expr=1/(s-0.5)", "--k", "1..1000"],
            ["--expr=1/(s-2)", "--k", "1..500"],
            ["--expr=1/(s+0.5)", "--a", "0.123456789", "--k", "1.123456789..300.123456789"]]
+# series divisions in blocks by a banded denominator of degree 3 or more,
+# which no request makes: a cubic factor on the inside route and an
+# integer-order atom (s^2 + 0.5) beside a fractional one
+DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1..2000"],
+           ["--expr=1/(s^0.5-0.2) + 1/(s^2+0.5)", "--k", "1..2000"]]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
 # atom base in the numerator, a positive power of s, a linear base to a
-# non-integer power beside a pole), a non-integer power of a quadratic, and
-# an atom with |lambda| >= 1 before a summand that is no atom
+# non-integer power beside a pole), a non-integer power of a quadratic, an
+# atom with |lambda| >= 1 before a summand that is no atom, and a series
+# whose blocks are cut short as it grows by 1e6 a step, out of the float64
+# range at k = 52
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -78,7 +85,9 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/s^-0.5"],
             ["invert", "--expr=(s+1)^-0.5/(s-2)"],
             ["invert", "--expr=1/(s^2-0.25)^0.5"],
-            ["invert", "--expr=1/(s^0.5-2) + s^0.5"]]
+            ["invert", "--expr=1/(s^0.5-2) + s^0.5"],
+            ["invert", "--strategy", "inside", "--expr=1/((s-0.999999)*(s+0.5))",
+             "--k", "1..10000"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -121,7 +130,8 @@ def fixed_commands():
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
-    the PRINTED grids, the EVALUATING commands and the REJECTED ones."""
+    the PRINTED grids, ``invert`` on the DIVIDED inputs, the EVALUATING commands
+    and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -134,6 +144,7 @@ def fixed_commands():
              "--format", "json"]]
     out += [["invert", *argv, "--format", fmt] for argv in PRINTED
             for fmt in ("text", "csv", "json")]
+    out += [["invert", *argv] for argv in DIVIDED]
     return out + EVALUATING + REJECTED
 
 
