@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import RealnessError
 from .expansion import _num, complex_pair, expand
-from .special import MittagLefflerSeries, check_parameters, step_offset
+from .special import check_parameters, mittag_leffler_series, step_offset
 
 REALNESS_TOL = 1e-9
 # A cut's search costs 2-4 us a term, about what evaluating the term on 50
@@ -196,13 +196,17 @@ class FractionalAtom:
     def __post_init__(self):
         check_parameters(self.alpha, self.beta, self.lam)
 
-    @cached_property
-    def _series(self):
-        # kept per atom: a forward sum asks for one block of steps at a time
-        return MittagLefflerSeries(self)
-
     def value(self, m):
-        return self.coefficient * self._series(m)
+        # the series is kept on the atom, read once (a concurrent regrowth
+        # cannot shrink it) and regrown by doubling: a forward sum asks for one
+        # block of steps at a time, which costs a small constant factor over
+        # one call at the last step, not a division per block
+        series, top = self.__dict__.get("_series", ()), int(np.max(m))
+        if top > len(series):
+            series = mittag_leffler_series(self.alpha, self.beta, self.lam,
+                                           max(top, 2 * len(series)) - 1)
+            object.__setattr__(self, "_series", series)
+        return self.coefficient * series[np.asarray(m) - 1]
 
     def describe(self):
         return (

@@ -12,15 +12,13 @@ from numpy.lib.stride_tricks import as_strided
 # Roots within CLUSTER_SCALE * (1 + |root|) of each other are one root: the
 # linkage radius of the root clusters and of pole-zero cancellation.
 CLUSTER_SCALE = 1e-6
-# series_divide runs a banded division on the long-division recurrence for its
-# first _HEAD coefficients, where a series costs less (0.1-0.3 us a coefficient
-# against 60-150 us to set up blocks), and in blocks of _BLOCK past them; a 1/den
-# past _GROWTH times 1/den(0) within _BLOCK gets shorter blocks, none below _MIN_BLOCK.
+# series_divide runs a banded division on the long-division recurrence for the
+# _HEAD coefficients from the numerator's first nonzero one, where a series costs
+# less (0.1-0.3 us a coefficient against 60-150 us to set up blocks), and in
+# blocks of _BLOCK past them.
 _BLOCK = 64
 _HEAD = 4 * _BLOCK
 _SEED = 8
-_GROWTH = 1e150
-_MIN_BLOCK = 8
 
 __all__ = [
     "CLUSTER_SCALE",
@@ -419,15 +417,16 @@ def series_divide(num, den, order):
     Requires den(0) != 0.  Returns an ndarray c of length order+1 with
     num/den = sum c_j x^j + O(x^(order+1)): the long-division recurrence
     c_j = (n_j - sum_{i=1..min(j, D)} d_i c_{j-i}) / d_0 (D = deg den, summed
-    from d_1 up) on its first _HEAD coefficients, or _SEED for a dense den of
-    more than _BLOCK coefficients (the binomial series of (1-x)^alpha at a
-    non-integer alpha), and the same sums in another order in numpy blocks
-    past them: O(order * _BLOCK) for a banded den (_banded_divide), O(order^2)
-    for a dense one (_blocked_divide).  The blocks depend on den as given,
-    never on ``order``, so within one dtype c_j depends on n_0..n_j and den
-    only.  Past a numerator coefficient out of range the blocks give nan.
-    Real inputs are divided in float64 and give a float array, anything else
-    a complex one (a ``Polynomial`` is complex).
+    from d_1 up) on its first _HEAD coefficients from the numerator's first
+    nonzero one, or its first _SEED for a dense den of more than _BLOCK
+    coefficients (the binomial series of (1-x)^alpha at a non-integer alpha),
+    and the same sums in another order in numpy blocks past them:
+    O(order * _BLOCK) for a banded den (_banded_divide), O(order^2) for a
+    dense one (_blocked_divide).  The blocks depend on den and on where the
+    numerator starts, never on ``order``, so within one dtype c_j depends on
+    n_0..n_j and den only.  Past a numerator coefficient out of range the
+    blocks give nan.  Real inputs are divided in float64 and give a float
+    array, anything else a complex one (a ``Polynomial`` is complex).
     """
     nc = np.asarray(num.coeffs if isinstance(num, Polynomial) else num).ravel()
     dc = np.asarray(den.coeffs if isinstance(den, Polynomial) else den).ravel()
@@ -512,26 +511,29 @@ def _block(rhs, known, d, h):
 
 
 def _banded_divide(nc, dc, order):
-    """series_divide for a banded denominator d_0..d_D: blocks of B after the
-    recurrence's first _HEAD coefficients, B = _BLOCK or the first j with
-    |h_j| > _GROWTH |h_0|, h the first _BLOCK of 1/den by the recurrence.
+    """series_divide for a banded denominator d_0..d_D: the recurrence for
+    _HEAD coefficients from the numerator's first nonzero one (all of them for
+    a zero numerator), then blocks of _BLOCK.  A 1/den that leaves float64
+    within one block grows by about 7e4 a step or more, so with d_D = +-1 (a
+    shifted monic factor) a nonzero series over it leaves float64 on the
+    recurrence, within about 130 coefficients of its start.
 
-    Block s on is y_(s+t) = (h * x)_t + sum_i R_i[t] y_(s-i), R_i = -(h *
-    (d_i, ..., d_D)): its response to its numerator values x (one product for
-    all blocks) and to the D values before it, which a scan carries along.
-    Inverting a block's Toeplitz matrix by h loses digits where it is
-    ill-conditioned (up to 40 times the recurrence's error at degree 63), so
-    past degree 2 one step of iterative refinement adds the residual
-    x - den * y divided in the same blocks.  Products run on 16-block stacks."""
-    if order >= _HEAD:
-        h = _recurrence(np.ones(1, dtype=dc.dtype), dc, _BLOCK)
-        tame = np.abs(h) <= _GROWTH * abs(h[0])  # false on inf and nan too
-        B = _BLOCK if tame.all() else int(np.argmin(tame))
-    if order < _HEAD or B < max(_MIN_BLOCK, len(dc) - 1):  # a block carries D values
+    Block s on is y_(s+t) = (h * x)_t + sum_i R_i[t] y_(s-i), h the first
+    _BLOCK coefficients of 1/den and R_i = -(h * (d_i, ..., d_D)): its response
+    to its numerator values x (one product for all blocks) and to the D values
+    before it, which a scan carries along.  Inverting a block's Toeplitz matrix
+    by h loses digits where it is ill-conditioned (up to 40 times the
+    recurrence's error at degree 63), so past degree 2 one step of iterative
+    refinement adds the residual x - den * y divided in the same blocks.
+    Products run on 16-block stacks."""
+    start = 0 if nc[0] != 0 else int(next(iter(np.flatnonzero(nc)), order + 1))
+    end = start + _HEAD
+    if order < end:
         return _recurrence(nc, dc, order + 1)
-    h, head, rest = h[:B], _recurrence(nc, dc, _HEAD), order + 1 - _HEAD
+    B, h = _BLOCK, _recurrence(np.ones(1, dtype=dc.dtype), dc, _BLOCK)
+    head, rest = _recurrence(nc, dc, end), order + 1 - end
     blocks = -(-rest // (16 * B)) * 16  # whole stacks: one product shape at any order
-    x, stop = _finite_part(nc[_HEAD:], blocks * B)
+    x, stop = _finite_part(nc[end:], blocks * B)
     d = np.concatenate((dc, np.zeros(max(3 - len(dc), 0), dtype=dc.dtype)))  # D >= 2
     D = len(d) - 1
     padded = np.concatenate((np.zeros(B - 1, dtype=h.dtype), h))  # T[i, j] = h[j - i]
@@ -558,10 +560,10 @@ def _banded_divide(nc, dc, order):
     with np.errstate(over="ignore", invalid="ignore"):
         y = solve(x, head[::-1][:D].tolist())
         if len(dc) > 3:
-            r = x[:rest] - np.convolve(np.concatenate((head, y[:rest])), dc)[_HEAD : order + 1]
+            r = x[:rest] - np.convolve(np.concatenate((head, y[:rest])), dc)[end : order + 1]
             y += solve(_finite_part(r, blocks * B)[0], [0.0] * D)
     out = np.concatenate((head, y[:rest]))
-    out[_HEAD + stop :] = np.nan
+    out[end + stop :] = np.nan
     return out
 
 

@@ -9,8 +9,8 @@ from .polynomial import _BLOCK, series_divide
 
 __all__ = [
     "MittagLefflerParams",
-    "MittagLefflerSeries",
     "discrete_mittag_leffler",
+    "mittag_leffler_series",
     "step_offset",
 ]
 
@@ -49,9 +49,9 @@ class MittagLefflerParams:
         check_parameters(self.alpha, self.beta, self.lam)
 
 
-class MittagLefflerSeries:
-    """The discrete Mittag-Leffler sequence of ``params`` (a record with alpha,
-    beta and lam: MittagLefflerParams or FractionalAtom) at step offsets m >= 1.
+def mittag_leffler_series(alpha, beta, lam, order):
+    """The discrete Mittag-Leffler sequence at step offsets m = 1..order+1, as
+    a complex array whose entry m - 1 is the value at m.
 
     F_{alpha,beta}(lambda; m) = sum_i lambda^i (m)^(rising i*alpha+beta-1) /
     Gamma(i*alpha+beta) is the w^(m-1) coefficient of the atom's transform at
@@ -61,36 +61,21 @@ class MittagLefflerSeries:
     power (m)^(rising beta-1) / Gamma(beta), read straight from that binomial
     series in O(m), as pair-table row 5 reads it.  A real lambda keeps the
     division in float64; the coefficients are cast to complex once after it.
-    Calling with an int returns one value, with an int ndarray the values on
-    that grid.  The coefficients are kept between calls and regrown by
-    doubling, so asking for the steps in growing blocks costs a small constant
-    factor over one call at the last step, not a division per block.
+    Entry j does not depend on ``order``, so a longer array extends a shorter
+    one bit for bit.
     """
-
-    def __init__(self, params):
-        self.params = params
-        self._coeffs = np.empty(0, dtype=complex)
-
-    def __call__(self, m):
-        coeffs = self._coeffs  # one read, so a concurrent regrowth cannot shrink it
-        top = int(np.max(m))
-        if top > len(coeffs):
-            p = self.params
-            order = max(top, 2 * len(coeffs)) - 1
-            lam = complex(p.lam)
-            if lam == 0:
-                coeffs = _binomial_series(-p.beta, order)
-            else:
-                real = lam.imag == 0
-                # at least _BLOCK + 1 coefficients, so a non-integer alpha is
-                # divided in blocks at every order, and coefficient j does not
-                # depend on how many are asked for
-                den = _binomial_series(p.alpha, max(order, _BLOCK))
-                den = den.astype(float if real else complex)
-                den[0] -= lam.real if real else lam
-                coeffs = series_divide(_binomial_series(p.alpha - p.beta, order), den, order)
-            coeffs = self._coeffs = coeffs.astype(complex, copy=False)
-        return coeffs[np.asarray(m) - 1]
+    lam = complex(lam)
+    if lam == 0:
+        coeffs = _binomial_series(-beta, order)
+    else:
+        real = lam.imag == 0
+        # at least _BLOCK + 1 coefficients: a non-integer alpha is divided in
+        # blocks at every order
+        den = _binomial_series(alpha, max(order, _BLOCK))
+        den = den.astype(float if real else complex)
+        den[0] -= lam.real if real else lam
+        coeffs = series_divide(_binomial_series(alpha - beta, order), den, order)
+    return coeffs.astype(complex, copy=False)
 
 
 def _binomial_series(gamma, order):
@@ -111,8 +96,9 @@ def _binomial_series(gamma, order):
 def discrete_mittag_leffler(params, k):
     """Sum_{i>=0} lambda^i (k-a)^(rising i*alpha+beta-1) / Gamma(i*alpha+beta).
 
-    Read from MittagLefflerSeries: a power-series coefficient, which stays
+    Read from mittag_leffler_series: a power-series coefficient, which stays
     accurate where summing the defining series does not (its terms grow far
     past the result before they decay, and cancel).
     """
-    return complex(MittagLefflerSeries(params)(step_offset(k, params.base_point)))
+    m = step_offset(k, params.base_point)
+    return complex(mittag_leffler_series(params.alpha, params.beta, params.lam, m - 1)[m - 1])

@@ -215,7 +215,10 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
     s = 1.0 - w
     values = np.broadcast_to(np.asarray(F(s), dtype=complex), s.shape)
     sums = np.fft.hfft(values, nodes) if real else np.fft.fft(values)
-    return (sums[:m_max] / nodes * rho ** -np.arange(m_max)).astype(complex, copy=False)
+    # rho^-j past the float64 range is inf, and inf * 0 is nan: values the
+    # checks measure and report, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (sums[:m_max] / nodes * rho ** -np.arange(m_max)).astype(complex, copy=False)
 
 
 def numeric_inverse(F, k, a=0.0, rho=None, nodes=None):

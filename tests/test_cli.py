@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -426,8 +428,9 @@ class TestFloatRange:
     @pytest.mark.parametrize("krange", ["1..200", "1..10000"])
     @pytest.mark.parametrize("strategy", ["inside", "pfe"])
     def test_pole_next_to_one_overflows_at_k_52(self, capsys, strategy, krange):
-        """(1 - 0.999999)^-(k-a) grows by 1e6 a step; the series' blocks for
-        that factor are cut short, so it names the same first step as pfe."""
+        """(1 - 0.999999)^-(k-a) grows by 1e6 a step; the series leaves
+        float64 on the recurrence, before its blocks start, so it names the
+        same first step as pfe."""
         code, out, err = run(capsys, "invert", "--expr=1/((s-0.999999)*(s+0.5))",
                              "--k", krange, "--strategy", strategy)
         assert code == 1
@@ -457,6 +460,41 @@ class TestFloatRange:
         code, _, err = run(capsys, "verify", "--expr=-1.36/(s-0.63)", "--k", "700..800")
         assert code == 1
         assert "k = 714" in err
+
+
+# a zero of order 261 at s = 1: the series starts at w^261, times 1e-250,
+# and grows by 1e5 a step
+LATE_START = "--expr=1e-250*(s-1)^171*(s^2-1)^90/(s-0.99999)"
+
+
+class TestLateStartingSeries:
+    def test_inside_matches_the_exact_value(self, capsys):
+        """At s = 1 - w, F = -1e-250 w^261 (w-2)^90 / (d - w), d = 1 - 0.99999,
+        so f(330) = -1e-250 sum_i C(90, i) (-2)^(90-i) / d^(69-i) over
+        i = 0..68, in exact arithmetic on the written floats."""
+        code, out, err = run(capsys, "invert", LATE_START, "--strategy", "inside",
+                             "--k", "1..330")
+        assert (code, err) == (0, "")
+        k, value = out.splitlines()[-1].split()
+        d = 1 - Fraction(0.99999)
+        exact = -Fraction(1e-250) * sum(math.comb(90, i) * Fraction(-2) ** (90 - i) / d ** (69 - i)
+                                        for i in range(69))
+        assert k == "330"
+        assert abs(Fraction(value) / exact - 1) <= 1e-14
+
+    def test_verify_fails_its_checks_without_a_warning(self, capsys):
+        """The quadrature's rho^-j leaves float64 before k = 330, and inf * 0
+        is nan: a measure its check reports as FAIL, with no numpy warning
+        (tier-1 turns a RuntimeWarning into an error).  On the pfe route the
+        pole's residue, about 1e-1528, underflows to 0, and only the impulses
+        are printed: f(330) = -3.56e-224 against -1.24e122.  The series at
+        s = 1 disagrees, and the strategy agreement check says so."""
+        code, out, err = run(capsys, "verify", LATE_START, "--k", "1..330")
+        assert (code, err) == (1, "")
+        assert "FAIL  contour quadrature vs pfe over k grid (max scaled diff nan)" in out
+        line = next(line for line in out.splitlines() if "strategy agreement" in line)
+        assert line.startswith("FAIL")
+        assert float(line.rsplit(" ", 1)[1].rstrip(")")) > 1e121
 
 
 def _print_rows(fmt, problem, used, cf, rows):

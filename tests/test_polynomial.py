@@ -304,6 +304,13 @@ def _scalar_recurrence(num, den, order):
     return np.array(c, dtype=complex)
 
 
+def _late_numerator(rng, size):
+    """Normal coefficients times 1e-250 from w^261 on, zero before."""
+    num = np.zeros(size)
+    num[261:] = 1e-250 * rng.normal(size=size - 261)
+    return num
+
+
 def _dense_denominators(rng, order):
     """Dense denominators whose quotients stay inside float64 to ``order``:
     the binomial series of (1-x)^alpha - lam at a non-integer alpha, real and
@@ -418,30 +425,50 @@ class TestBlockedSeriesDivide:
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_banded_coefficients_do_not_depend_on_the_order(self, rng, degree):
         """Coefficient j is the same bit for bit at every order >= j: on
-        either side of the recurrence's end at _HEAD, of each block boundary,
-        and of one stack of 16 blocks against two, real and complex."""
+        either side of the recurrence's end _HEAD past the numerator's first
+        nonzero coefficient, of each block boundary, and of one stack of 16
+        blocks against two, real and complex, for a numerator that starts at
+        w^0 and one that starts at w^261."""
         radii = rng.uniform(0.97, 3.0, degree)
         roots = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, degree))
         half = roots[: degree // 2]
         pairs = np.concatenate([half, half.conj(), radii[: degree % 2]])
-        # a root at 0.003 cuts the blocks to 60 coefficients; its series
-        # leaves float64 before they start
+        # 1/den grows by 333 a step from a root at 0.003; its series leaves
+        # float64 on the recurrence, before the blocks start
         fast = [0.003, -1.5] + list(radii[2:])
-        stack = _HEAD + 16 * _BLOCK
         for r in (roots, pairs, fast):
             den = Polynomial.from_roots(r).coeffs
             den = den if den.imag.any() else den.real
-            num = rng.normal(size=1500)
-            with np.errstate(over="ignore", invalid="ignore"):
-                longest = series_divide(num, den, 1500)
-                for order in [*range(_HEAD - 2, _HEAD + 2 * _BLOCK + 3), stack - 1, stack,
-                              stack + 1, 1499]:
-                    got = series_divide(num, den, order)
-                    assert got.dtype == longest.dtype and got.shape == (order + 1,)
-                    np.testing.assert_array_equal(got, longest[: order + 1])
-            if r is not fast:
-                want = _scalar_recurrence(num, den, 1500)
-                assert np.max(np.abs(longest - want)) <= 1e-13 * np.max(np.abs(want))
+            for start, num in [(0, rng.normal(size=1600)), (261, _late_numerator(rng, 1600))]:
+                end = start + _HEAD
+                stack = end + 16 * _BLOCK
+                with np.errstate(over="ignore", invalid="ignore"):
+                    longest = series_divide(num, den, 1600)
+                    for order in [*range(end - 2, end + 2 * _BLOCK + 3), stack - 1, stack,
+                                  stack + 1, 1599]:
+                        got = series_divide(num, den, order)
+                        assert got.dtype == longest.dtype and got.shape == (order + 1,)
+                        np.testing.assert_array_equal(got, longest[: order + 1])
+                if r is not fast:
+                    want = _scalar_recurrence(num, den, 1600)
+                    assert np.max(np.abs(longest - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", [400, 1000])
+    def test_a_late_series_overflows_where_the_recurrence_does(self, rng, order):
+        """A numerator zero through w^260 over 1e-5 - x: the series starts at
+        w^261 and grows by 1e5 a step, and a block of 64 would hold h up to
+        1e320.  The recurrence runs _HEAD coefficients from the series' start,
+        so the values leave float64 where they should, on the recurrence,
+        before the blocks meet h out of range."""
+        num = _late_numerator(rng, order + 1)
+        den = np.array([1e-5, -1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = series_divide(num, den, order)
+        want = _scalar_recurrence(num, den, order)
+        first = int(np.argmax(~np.isfinite(want)))
+        assert 261 < first == int(np.argmax(~np.isfinite(got)))
+        assert not np.isfinite(got[first:]).any()
+        np.testing.assert_allclose(got[:first], want[:first], rtol=1e-13, atol=0)
 
     def test_overflow_is_named_where_the_recurrence_names_it(self):
         """Past the float64 range the blocks leave inf and nan, quietly, and
@@ -532,8 +559,8 @@ class TestFactorDivide:
     @pytest.mark.parametrize("scale, first", [(1.0, 51), (1e-200, 84)])
     def test_root_near_zero_overflows_where_the_recurrence_does(self, n, scale, first):
         """1/(1e-6 - x) grows by 1e6 a step: a block of 64 would hold h up
-        to 1e378, so its blocks are cut shorter, and the values leave float64
-        where they should, on the recurrence before the blocks start."""
+        to 1e378, but the values leave float64 first, where they should, on
+        the recurrence before the blocks start."""
         q = np.array([1e-6, -1.0])
         c = np.zeros(n)
         c[0] = scale

@@ -65,6 +65,10 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
         + [["table", f"--match={expr}"] for expr in same_output.MATCHED]
     rejected = same_output.REJECTED
     assert cmds[-len(rejected):] == rejected
+    # the series that starts at w^261: its inside grid, and the checks it fails
+    late = same_output.LATE_START
+    assert same_output.DIVIDED[-1] == ["--strategy", "inside", late, "--k", "1..330"]
+    assert rejected[-1] == ["verify", late, "--k", "1..330"]
     inverts = [argv[1:] for argv in cmds[:-len(rejected)] if argv[0] == "invert"]
     assert inverts == [[f"--expr={expr}", "--format", fmt] for expr in same_output.FRACTIONAL
                        for fmt in ("text", "csv", "json")] \
@@ -89,9 +93,9 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
     # lists no point (exit 2), and the complex lambda, the shapes with no
-    # strategy, the unsupported power, the atom beside a non-atom and the
-    # overflowing series exit 1
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1]
+    # strategy, the unsupported power, the atom beside a non-atom, the
+    # overflowing series and the failing checks exit 1
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]
     capsys.readouterr()
 
 

@@ -62,19 +62,23 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
 PRINTED = [["--expr=1/(s+0.5)", "--k", "1..2000"], ["--expr=1/(s-0.5)", "--k", "1..1000"],
            ["--expr=1/(s-2)", "--k", "1..500"],
            ["--expr=1/(s+0.5)", "--a", "0.123456789", "--k", "1.123456789..300.123456789"]]
-# series divisions in blocks by a banded denominator of degree 3 or more,
-# which no request makes: a cubic factor on the inside route and an
-# integer-order atom (s^2 + 0.5) beside a fractional one
+# a series zero through w^260, which grows by 1e5 a step from w^261 on
+LATE_START = "--expr=1e-250*(s-1)^171*(s^2-1)^90/(s-0.99999)"
+# series divisions in blocks which no request makes: by a banded denominator
+# of degree 3 or more (a cubic factor on the inside route, and an
+# integer-order atom (s^2 + 0.5) beside a fractional one), and of a series
+# that starts past the recurrence's usual head
 DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1..2000"],
-           ["--expr=1/(s^0.5-0.2) + 1/(s^2+0.5)", "--k", "1..2000"]]
+           ["--expr=1/(s^0.5-0.2) + 1/(s^2+0.5)", "--k", "1..2000"],
+           ["--strategy", "inside", LATE_START, "--k", "1..330"]]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
 # atom base in the numerator, a positive power of s, a linear base to a
 # non-integer power beside a pole), a non-integer power of a quadratic, an
-# atom with |lambda| >= 1 before a summand that is no atom, and a series
-# whose blocks are cut short as it grows by 1e6 a step, out of the float64
-# range at k = 52
+# atom with |lambda| >= 1 before a summand that is no atom, a series that
+# grows by 1e6 a step, out of the float64 range at k = 52, and the checks of
+# the late-starting series, whose quadrature and pfe values fail them
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -87,7 +91,8 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s^2-0.25)^0.5"],
             ["invert", "--expr=1/(s^0.5-2) + s^0.5"],
             ["invert", "--strategy", "inside", "--expr=1/((s-0.999999)*(s+0.5))",
-             "--k", "1..10000"]]
+             "--k", "1..10000"],
+            ["verify", LATE_START, "--k", "1..330"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
