@@ -36,12 +36,10 @@ _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
 _CONFIG_KEYS = {"a": float, "k": str, "format": str, "strategy": str,
                 "tol": float, "rho": float, "nodes": int}
-# the fewest values before a grid's zero tail that ``printing.texts``
-# converts: below it, %-formatting each value is faster than the kernel's
-# fixed cost per call (about 70 us for %.17g and 130 us for repr on a 2-core
-# VM, where decaying grids break even at about 200 values in csv and 256 in
-# json)
-_PRINTER_MIN_VALUES = 256
+# the fewest rows that ``printing.rows`` writes: about where the two cost the
+# same (below it %-formatting each row is mostly faster, from 512 rows the
+# printer always was, on a 2-core VM)
+_PRINTER_MIN_ROWS = 256
 # the default tolerance of each command that takes --tol
 _TOL = {"forward": 1e-12, "verify": 1e-9, "roundtrip": 1e-6}
 # the allowed values of each subcommand's choice flags, for a flag and for
@@ -316,28 +314,26 @@ class _Problem:
 
 
 def _emit_values(args, problem, used, cf, ks, values):
-    """Write the grid in the requested format with one write to stdout.
+    """Write the head, the grid's rows and the tail in the requested format.
 
-    The rows come from one %-format over the flat (k, f(k)) tuple: %8r,
-    %.17g, %24.17g and %r format a float as the f-string fields {!r:>8},
-    {:.17g}, {:24.17g} and {!r} do, so the bytes are those of a row-by-row
-    format.
+    A row is (before, k width, between, f width, after): before, k, between,
+    f(k), after, with k and f right-aligned in fields of the given widths.  k
+    is written with %d when the grid is integral (lo + arange, integral when
+    lo is), as an integer in csv and text and as repr writes it in json (|k|
+    < 2^53, which ``_parse_krange`` checks); otherwise with %r, which is
+    exact.  f(k) is written with %.17g, or in json with %r, which is how the
+    encoder writes a finite float.
 
-    k: the grid is lo + arange, integral when lo is: then k is written with
-    %d, as an integer in csv and text and as repr writes it in json (|k| <
-    2^53, which ``_parse_krange`` checks); otherwise with %r, which is exact.
-
-    f(k): when the last value is 0, the trailing run of values with its bits
-    is written from a row with that zero's text in place, so those rows
-    convert only k.  The values before it are converted by the row's own
-    %.17g or %r, or, when there are at least ``_PRINTER_MIN_VALUES`` of
-    them, by ``printing.texts``, whose texts are those bytes, and they go in
-    as %s fields of the same width.
+    A grid of fewer than ``_PRINTER_MIN_ROWS`` rows is one %-format over the
+    flat (k, f(k)) tuple, written at once with the head and the tail.  A
+    longer one is written in blocks by ``printing.rows``, whose bytes are
+    those of the same format: it takes k's digits and the f texts from numpy
+    tables, and writes the grid's trailing run of zeros from one row per
+    width of k.
     """
     integral = float(ks[0]).is_integer()
     if args.format == "csv":
-        head, k_spec, f_field, f_conv, sep, tail = ("k,f(k)\n", "%d" if integral else "%r",
-                                                    ",%%%s", ".17g", "\n", "\n")
+        head, row, shortest, sep, tail = "k,f(k)\n", ("", 0, ",", 0, ""), False, "\n", "\n"
     elif args.format == "json":
         doc = {
             "expression": problem.text,
@@ -352,8 +348,9 @@ def _emit_values(args, problem, used, cf, ks, values):
         # for byte: "values" is the last key, and the encoder writes finite
         # floats with float.__repr__
         head = json.dumps(doc, indent=2)[: -len("\n}")] + ',\n  "values": [\n'
-        k_spec = '    {\n      "k": ' + ("%d.0" if integral else "%r")
-        f_field, f_conv, sep, tail = ',\n      "f": %%%s\n    }', "r", ",\n", "\n  ]\n}\n"
+        row = ('    {\n      "k": ', 0, (".0" if integral else "") + ',\n      "f": ', 0,
+               "\n    }")
+        shortest, sep, tail = True, ",\n", "\n  ]\n}\n"
     else:
         lines = [
             f"expression     : {pretty(problem.ast)}",
@@ -366,47 +363,26 @@ def _emit_values(args, problem, used, cf, ks, values):
         if cf is not None:
             lines.append(f"closed form    : f(k) = {cf.describe()}")
         lines.append(f"{'k':>8}  {'f(k)':>24}\n")
-        head, k_spec, f_field, f_conv, sep, tail = (
-            "\n".join(lines), "%8d" if integral else "%8r", "  %%24%s", ".17g", "\n", "\n")
-    n, live = len(ks), _live_rows(values)
-    f_spec = f_field % f_conv
-    zero = f_spec % float(values[-1]) if live < n else f_spec
-    if live >= _PRINTER_MIN_VALUES:
+        head, row, shortest, sep, tail = "\n".join(lines), ("", 8, "  ", 24, ""), False, "\n", "\n"
+    n = len(ks)
+    if n >= _PRINTER_MIN_ROWS:
         from . import printing
 
-        fs = printing.texts(values[:live], shortest=f_conv == "r")
-        f_spec = f_field % "s"
-    else:
-        fs = values[:live].tolist()
+        sys.stdout.write(head)
+        sys.stdout.writelines(printing.rows(ks, values, row, shortest, sep))
+        sys.stdout.write(tail)
+        return
+    before, k_width, between, f_width, after = row
+    k_spec = f"{before}%{k_width or ''}{'d' if integral else 'r'}{between}"
+    f_spec = f"%{f_width or ''}{'r' if shortest else '.17g'}{after}"
+    flat = [None] * (2 * n)
+    # %d of an int converts faster than of a float
+    flat[0::2] = ks.astype(np.int64).tolist() if integral else ks.tolist()
+    flat[1::2] = values.tolist()
     # the head joins the template, its "%" escaped, so that the grid's text
     # is built once and not copied again to prepend the head
-    template = (head.replace("%", "%%")
-                + sep.join([k_spec + f_spec] * live + [k_spec + zero] * (n - live)) + tail)
-    sys.stdout.write(template % _row_args(ks, fs, live, integral))
-
-
-def _live_rows(values):
-    """How many values come before the trailing run of values with the last
-    value's bits, when that value is 0; all of them otherwise."""
-    if values[-1] != 0:
-        return len(values)
-    bits = values.view(np.int64)
-    differ = np.flatnonzero(bits != bits[-1])
-    return int(differ[-1]) + 1 if differ.size else 0
-
-
-def _row_args(ks, fs, live, as_int):
-    """The tuple (k, f(k)) for each of the first ``live`` steps, f(k) from the
-    list ``fs``, then k alone for each later one; k as an int when ``as_int``
-    (%d of an int converts faster than of a float)."""
-    def column(part):
-        return part.astype(np.int64).tolist() if as_int else part.tolist()
-
-    flat = [None] * (2 * live)
-    flat[0::2] = column(ks[:live])
-    flat[1::2] = fs
-    flat += column(ks[live:])
-    return tuple(flat)
+    template = head.replace("%", "%%") + sep.join([k_spec + f_spec] * n) + tail
+    sys.stdout.write(template % tuple(flat))
 
 
 def _cmd_invert(args):

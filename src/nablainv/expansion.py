@@ -1,13 +1,14 @@
 """Partial fraction expansion of rational F(s) over its complex poles, as the
 closed-form terms its summands map onto: ImpulseTerm and PolyGeometricTerm."""
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import PoleAtOneError
+from .errors import NablaError, PoleAtOneError
 from .polynomial import Polynomial, series_divide
 from .rational import POLE_AT_ONE_TOL
 
@@ -178,6 +179,11 @@ def expand(rf):
     the transform of a delta at step n+1.  The residues use the
     full numerator: the quotient has no poles, so the remainder's residues
     are the same numbers.
+
+    A pole whose leading coefficient g_0 computes to 0 or to a non-finite
+    number while F is not 0 (the exact g_0 is then nonzero: F's zeros and
+    poles are distinct) raises NablaError: dropping the term, or printing
+    inf or nan from it, would make every value on the grid wrong.
     """
     if rf.has_pole_at_one():
         raise PoleAtOneError()
@@ -206,6 +212,11 @@ def expand(rf):
             parts[i] = np.conj(parts[j])
             continue
         g = _principal_part(c, zeros, poles, i)
+        g0 = complex(g[0])
+        if (g0 == 0 or not cmath.isfinite(g0)) and c != 0:
+            raise NablaError(
+                f"pole s = {_num(rc.value)}: its partial-fraction coefficient leaves the "
+                f"float64 range (computed |g_0| = {abs(g0):g}); try --strategy inside")
         # + 0.0 turns a -0.0 part into 0.0, which prints as "0"
         parts[i] = (g.real if real and rc.value.imag == 0 else g) + 0.0
 

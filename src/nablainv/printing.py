@@ -25,14 +25,26 @@ A value the kernel cannot decide with a margin of EPS goes to Python's own
 boundary within EPS of the product (its error is below 1e-14), a ``log10``
 exponent off by one, a power of two under ``repr`` (its half-interval is
 not symmetric), +/-0 and non-finite values.
+
+``rows`` writes a whole grid of (k, f(k)) rows the same way, as byte blocks:
+a constant row per block with k's digits from the same table (k = lo + i is
+monotone, so the rows whose k has one sign and digit count are contiguous
+and of one width), the f texts placed right-aligned by the layout table,
+and in the trailing run of zeros no f conversion at all.
 """
+
+import functools
 
 import numpy as np
 
-__all__ = ["texts"]
+__all__ = ["rows", "texts"]
 
 # values converted per pass: the block's working arrays stay a few hundred kB
 BLOCK = 2048
+# below this many values a pass costs more than Python's own texts: about
+# 50 us (%.17g) or 85 us (repr) before the first value, against 0.6-1.8 us a
+# value in Python on a 2-core VM
+KERNEL_MIN = 64
 # the margin a rounding or round-trip decision must clear, in units of the
 # digit it rounds or of the half-interval: 1e5 times the product's error
 EPS = 1e-9
@@ -66,12 +78,14 @@ def _split(a):
     return high, a - high
 
 
-def _layouts(shortest):
+@functools.cache
+def _layouts(shortest, pad):
     """Per key (sign, form, digit count) the source columns of each output
-    character, as uint8 rows of _WIDTH.
+    character, as uint8 rows of _WIDTH: the text right-aligned in a field of
+    ``pad`` characters (as ``'%*s' % (pad, text)``), then NULs.
 
     The source row of a value (32 bytes, ``_ROW`` filled in) holds NUL, '-',
-    '.', '0' at columns 0-3, its 17 digits at 7-23 and its exponent text
+    '.', '0', ' ' at columns 0-4, its 17 digits at 7-23 and its exponent text
     ('e-05', 'e+308') at 24-28.  Form f < 21 is fixed point with decimal
     exponent f - 4; 21 and 22 are exponent form with two and three exponent
     digits.  A negative value's row is the positive one's after a '-'.
@@ -94,7 +108,10 @@ def _layouts(shortest):
             table[0, form, nd - 1, : len(cols)] = cols
     table[1, ..., 0] = 1
     table[1, ..., 1:] = table[0, ..., :-1]
-    return table.reshape(-1, _WIDTH)
+    table = table.reshape(-1, _WIDTH)
+    shift = np.maximum(pad - np.count_nonzero(table, axis=1), 0)[:, None]
+    source = np.arange(_WIDTH) - shift
+    return np.where(source >= 0, np.take_along_axis(table, np.maximum(source, 0), 1), 4)
 
 
 def _ascii_tables():
@@ -117,9 +134,8 @@ def _ascii_tables():
 
 _POWERS = _powers_of_ten()
 _DIGITS, _PLACES, _EXPONENT = _ascii_tables()
-_LAYOUT = {False: _layouts(False), True: _layouts(True)}
 _ROW = np.zeros(32, np.uint8)
-_ROW[1:4] = (45, 46, 48)  # '-', '.', '0'
+_ROW[1:5] = (45, 46, 48, 32)  # '-', '.', '0', ' '
 _BASE = np.arange(0, 32 * BLOCK, 32)[:, None]
 
 
@@ -129,11 +145,104 @@ def texts(values, shortest):
     values = np.ascontiguousarray(values, dtype=np.float64)
     out = [None] * len(values)  # one list, not one grown block by block
     for start in range(0, len(values), BLOCK):
-        out[start:start + BLOCK] = _block(values[start:start + BLOCK], shortest)
+        chars = _block(values[start:start + BLOCK], shortest, 0)
+        out[start:start + BLOCK] = chars.astype(np.uint32).view(f"U{_WIDTH}").ravel().tolist()
     return out
 
 
-def _block(v, shortest):
+def rows(ks, values, row, shortest, sep):
+    """The lines ``before k between f after`` of the grid ``ks``, f =
+    ``values``, joined by ``sep``, as str blocks of at most BLOCK rows.
+
+    ``row`` is (before, k width, between, f width, after); k and f are
+    right-aligned in fields of those widths, as ``%*d`` and ``%*.17g`` align
+    them.  k is written as ``%d`` writes it when ks[0] is integral (every
+    step then is, and |k| < 2^53 has at most 16 digits, four groups of the
+    digit table), else as ``%r``; f as ``%r`` (``shortest``) or ``%.17g``.
+    The trailing run of values with the last value's bits, when that value
+    is 0, is written from a row with that zero's text in place.
+    """
+    before, k_width, between, f_width, after = row
+    n, live = len(ks), _live_rows(values)
+    integral = float(ks[0]).is_integer()
+    zero = None
+    if live < n:
+        zero = float(values[-1])
+        zero = (repr(zero) if shortest else "%.17g" % zero).rjust(f_width)
+    cuts = {live, n, *range(0, n, BLOCK)}
+    if integral:
+        ks = ks.astype(np.int64)
+        # the first k of each sign and digit count: -999...9, ..., -9, 0, 10, 100, ...
+        firsts = np.concatenate([1 - _POW10[:0:-1], [0], _POW10[1:]])
+        cuts.update(np.searchsorted(ks, firsts).tolist())
+    cuts = sorted(cuts)
+    # the live rows' f texts, one kernel call per block of BLOCK rows
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = lo % BLOCK
+        if at == 0 and lo < live:
+            f_chars = _block(values[lo:min(lo + BLOCK, live)], shortest, f_width)
+        text = _rows(ks[lo:hi], f_chars[at:at + hi - lo] if hi <= live else None,
+                     before, k_width, between, after + sep, zero)
+        yield text[: -len(sep)] if hi == n else text
+
+
+def _rows(ks, f_chars, before, k_width, between, end, zero):
+    """The rows of the steps ``ks``, integers of one sign and digit count or
+    floats that are not integers, with the f texts ``f_chars`` (a ``_block``)
+    or, when it is None, the text ``zero``."""
+    integral = ks.dtype == np.int64
+    if integral:
+        negative, size = bool(ks[0] < 0), len(str(abs(int(ks[0]))))
+        k_cols = max(k_width, size + negative)
+        k_text = " " * (k_cols - size - negative) + "-" * negative + "0" * size
+        k_at = len(before) + len(k_text) - size
+        k_chars = _integers(np.abs(ks), size)
+    else:
+        k_text, k_at = "\0" * _WIDTH, len(before)
+        k_chars = _block(ks, True, k_width)
+    f_at = len(before) + len(k_text) + len(between)
+    f_text = zero if f_chars is None else "\0" * _WIDTH
+    template = np.frombuffer((before + k_text + between + f_text + end).encode(), np.uint8)
+    out = np.empty((len(ks), len(template)), np.uint8)
+    out[:] = template
+    out[:, k_at:k_at + k_chars.shape[1]] = k_chars
+    if f_chars is not None:
+        out[:, f_at:f_at + _WIDTH] = f_chars
+    blob = out.tobytes()
+    # NULs pad only the texts of varying width: k's when not integral, f's
+    # in a field narrower than the longest text
+    if not integral or (f_chars is not None and not f_chars[:, -1].all()):
+        blob = blob.replace(b"\0", b"")
+    return blob.decode("ascii")
+
+
+def _integers(n, size):
+    """The ``size`` ASCII digits of each nonnegative int64 of ``n``, as uint8
+    rows: groups of four from the digit table, least significant last."""
+    groups = -(-size // 4)
+    words = np.empty((len(n), groups), np.uint32)
+    for j in range(groups - 1, -1, -1):
+        n, group = np.divmod(n, 10_000)
+        words[:, j] = _DIGITS[group]
+    return words.view(np.uint8)[:, 4 * groups - size:]
+
+
+def _live_rows(values):
+    """How many values come before the trailing run of values with the last
+    value's bits, when that value is 0; all of them otherwise."""
+    if values[-1] != 0:
+        return len(values)
+    bits = values.view(np.int64)
+    differ = np.flatnonzero(bits != bits[-1])
+    return int(differ[-1]) + 1 if differ.size else 0
+
+
+def _block(v, shortest, pad):
+    """The texts of the float64 array v as uint8 rows of _WIDTH: each
+    right-aligned in ``pad`` characters, then NULs."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    if len(v) < KERNEL_MIN:
+        return _python(v, shortest, pad)
     ok = np.isfinite(v) & (v != 0)
     x = np.where(ok, np.abs(v), 1.0)
     e = np.floor(np.log10(x)).astype(np.int64)
@@ -159,10 +268,17 @@ def _block(v, shortest):
     carry = digits == _POW10[17]
     digits[carry] = _POW10[16]
     e += carry
-    text = _ascii(digits, e, v < 0, shortest)
-    for i in np.flatnonzero(~ok).tolist():
-        text[i] = repr(float(v[i])) if shortest else "%.17g" % v[i]
-    return text
+    chars = _ascii(digits, e, v < 0, shortest, pad)
+    if not ok.all():
+        chars[~ok] = _python(v[~ok], shortest, pad)
+    return chars
+
+
+def _python(v, shortest, pad):
+    """Python's own texts of the float64 array v, as ``_block`` gives them."""
+    spec = "%*r" if shortest else "%*.17g"
+    texts = [spec % (pad, x) for x in v.tolist()]
+    return np.array(texts, f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
 
 
 def _shortest(n, t, hi, bits, ok):
@@ -194,8 +310,9 @@ def _shortest(n, t, hi, bits, ok):
     return np.where(up | (low < h), n - r + m * up, n - r0 + m0 * (low0 > 0.5 * m0))
 
 
-def _ascii(digits, e, negative, shortest):
-    """The texts of 17-digit integers ``digits`` times 10^(e-16), signed."""
+def _ascii(digits, e, negative, shortest, pad):
+    """The texts of 17-digit integers ``digits`` times 10^(e-16), signed, as
+    uint8 rows placed by ``_layouts(shortest, pad)``."""
     size = len(digits)
     src = np.empty((size, 32), np.uint8)
     src[:] = _ROW
@@ -214,6 +331,5 @@ def _ascii(digits, e, negative, shortest):
     fixed = (e >= -4) & (e <= (15 if shortest else 16))
     form = np.where(fixed, e + 4, 21 + (np.abs(e) >= 100))
     key = (negative * 23 + form) * 17 + last
-    cols = np.add(np.take(_LAYOUT[shortest], key, axis=0), _BASE[:size])
-    chars = np.take(src.ravel(), cols).astype(np.uint32)
-    return chars.view(f"U{_WIDTH}").ravel().tolist()
+    cols = np.add(np.take(_layouts(shortest, pad), key, axis=0), _BASE[:size])
+    return np.take(src.ravel(), cols)

@@ -17,6 +17,7 @@ import pytest
 
 from nablainv import cli, pair
 from nablainv.cli import main
+from nablainv.verify import quadrature_grid
 from conftest import mpmath_atom_values, mpmath_factored_values, mpmath_row10_values
 
 EX1 = "9/((s+1)^2*(s-2))"
@@ -482,19 +483,24 @@ class TestLateStartingSeries:
         assert k == "330"
         assert abs(Fraction(value) / exact - 1) <= 1e-14
 
-    def test_verify_fails_its_checks_without_a_warning(self, capsys):
+    @pytest.mark.parametrize("command,krange", [("invert", "330"), ("verify", "1..330")])
+    def test_pfe_refuses_the_pole_whose_residue_underflows(self, capsys, command, krange):
+        """On the pfe route the pole's residue, about 1e-1528, underflows to
+        0; dropping its term printed f(330) = -3.56e-224 against -1.24e122.
+        invert and verify (which inverts with auto first) exit 1 instead, on
+        one line that names the pole and the inside strategy."""
+        code, out, err = run(capsys, command, LATE_START, "--k", krange)
+        assert (code, out) == (1, "")
+        assert err == ("error: pole s = 0.99999: its partial-fraction coefficient leaves the "
+                       "float64 range (computed |g_0| = 0); try --strategy inside\n")
+
+    def test_quadrature_leaves_float64_without_a_warning(self):
         """The quadrature's rho^-j leaves float64 before k = 330, and inf * 0
-        is nan: a measure its check reports as FAIL, with no numpy warning
-        (tier-1 turns a RuntimeWarning into an error).  On the pfe route the
-        pole's residue, about 1e-1528, underflows to 0, and only the impulses
-        are printed: f(330) = -3.56e-224 against -1.24e122.  The series at
-        s = 1 disagrees, and the strategy agreement check says so."""
-        code, out, err = run(capsys, "verify", LATE_START, "--k", "1..330")
-        assert (code, err) == (1, "")
-        assert "FAIL  contour quadrature vs pfe over k grid (max scaled diff nan)" in out
-        line = next(line for line in out.splitlines() if "strategy agreement" in line)
-        assert line.startswith("FAIL")
-        assert float(line.rsplit(" ", 1)[1].rstrip(")")) > 1e121
+        is nan: a measure verify's check reports as FAIL, with no numpy
+        warning (tier-1 turns a RuntimeWarning into an error)."""
+        F = cli._Problem(LATE_START.removeprefix("--expr="), 0.0).F
+        grid = quadrature_grid(F, 330)
+        assert np.isnan(grid[-1]) and np.isfinite(grid[0])
 
 
 def _print_rows(fmt, problem, used, cf, rows):

@@ -1,6 +1,7 @@
 """printing.texts against Python's own float formatting, byte for byte, and
 the CLI's long grids against rows formatted one by one with %."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -131,6 +132,23 @@ def percent_rows(fmt, ks, values):
     return [{"k": k, "f": v} for k, v in zip(ks.tolist(), values.tolist())]
 
 
+def assert_percent_bytes(capsys, fmt, expr, krange, a):
+    """invert prints the grid's rows as percent_rows formats them."""
+    problem = cli._Problem(expr, a)
+    ks = cli._parse_krange(krange, a)
+    _, _, values = problem.invert("auto", ks)
+    code, out, _ = run(capsys, "invert", f"--expr={expr}", f"--a={a}", f"--k={krange}",
+                       "--format", fmt)
+    assert code == 0
+    rows = percent_rows(fmt, ks, values)
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out) | {"values": rows}, indent=2) + "\n"
+        assert json.loads(out)["values"] == rows
+    else:
+        assert out.endswith("".join(rows))
+    return values
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("expr,krange,a", [
     # a decay through the subnormals into the zero tail
@@ -142,30 +160,56 @@ def percent_rows(fmt, ks, values):
     ("0.3/(s+0.5)+0.7/(s-0.2)^2", "1.123456789..400.123456789", 0.123456789),
 ])
 def test_long_grids_print_the_bytes_of_percent_rows(capsys, fmt, expr, krange, a):
-    problem = cli._Problem(expr, a)
-    ks = cli._parse_krange(krange, a)
-    _, _, values = problem.invert("auto", ks)
-    assert cli._live_rows(values) >= cli._PRINTER_MIN_VALUES
-    code, out, _ = run(capsys, "invert", f"--expr={expr}", f"--a={a}", f"--k={krange}",
-                       "--format", fmt)
-    assert code == 0
-    rows = percent_rows(fmt, ks, values)
-    if fmt == "json":
-        assert out == json.dumps(json.loads(out) | {"values": rows}, indent=2) + "\n"
-        assert json.loads(out)["values"] == rows
-    else:
-        assert out.endswith("".join(rows))
+    values = assert_percent_bytes(capsys, fmt, expr, krange, a)
+    assert printing._live_rows(values) >= cli._PRINTER_MIN_ROWS
 
 
-@pytest.mark.parametrize("live", [cli._PRINTER_MIN_VALUES - 1, cli._PRINTER_MIN_VALUES])
-def test_the_printer_takes_grids_from_the_threshold(monkeypatch, capsys, live):
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("expr,krange,a,live", [
+    # negative k, live through every negative and positive digit count
+    ("1/(s+0.2)", "-2999..300", -3000.0, 3300),
+    # negative k into a zero tail that starts in the 4-digit run and crosses 0
+    ("1/(s+0.5)", "-2999..300", -3000.0, 1837),
+    # non-integral negative k, shorter and longer than %8r's field
+    ("1/(s+0.5)", "-299.5..100.5", -300.5, 401),
+    # k from 4 to 5 digits, and from 5 to 6 digits in the zero tail
+    ("1/(s+0.01)", "9001..12000", 0.0, 3000),
+    ("1/(s+0.01)", "99001..101000", 0.0, 0),
+    # k wider than %8d: 9 digits, from 9 to 10 digits, and 8 digits after '-'
+    ("1/(s+0.01)", "123456790..123457289", 123456789.0, 500),
+    ("1/(s+0.01)", "999999501..1000000500", 999999000.0, 1000),
+    ("1/(s+0.01)", "-12345677..-12345000", -12345678.0, 678),
+    # a grid that is all zero tail
+    ("1/(s+0.5)", "3001..3400", 0.0, 0),
+    # a zero tail from k = 74886, in the middle of the 5-digit run and of a block
+    ("1/(s+0.01)", "70001..80000", 0.0, 4885),
+])
+def test_grids_print_the_bytes_of_percent_rows_across_k_widths(capsys, fmt, expr, krange, a,
+                                                              live):
+    values = assert_percent_bytes(capsys, fmt, expr, krange, a)
+    assert printing._live_rows(values) == live
+
+
+@pytest.mark.parametrize("values", [[-0.0] * 300, [1.0, -0.0, 0.0] + [-0.0] * 300,
+                                    [-0.0, 0.0] * 150])
+def test_a_long_zero_tail_keeps_the_sign_of_zero(capsys, values):
+    ks = np.arange(1.0, len(values) + 1)
+    values = np.array(values)
+    cli._emit_values(argparse.Namespace(format="csv"), None, "pfe", None, ks, values)
+    assert capsys.readouterr().out == "k,f(k)\n" + "".join(percent_rows("csv", ks, values))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("expr,first", [("1/(s-0.9)", 1), ("1/(s+0.5)", 1800)])
+@pytest.mark.parametrize("rows", [cli._PRINTER_MIN_ROWS - 1, cli._PRINTER_MIN_ROWS])
+def test_the_printer_takes_grids_from_the_threshold(monkeypatch, capsys, fmt, expr, first,
+                                                    rows):
+    """Counted in rows: a grid of 1/(s+0.5) from k = 1800 on is a few dozen
+    values and then its zero tail."""
     calls = []
-    texts = printing.texts
-    monkeypatch.setattr(printing, "texts", lambda *args, **kw: calls.append(1) or texts(
+    printer = printing.rows
+    monkeypatch.setattr(printing, "rows", lambda *args, **kw: calls.append(1) or printer(
         *args, **kw))
-    ks = cli._parse_krange(f"1..{live}", 0.0)
-    _, _, values = cli._Problem("1/(s-0.9)", 0.0).invert("auto", ks)
-    code, out, _ = run(capsys, "invert", "--expr=1/(s-0.9)", f"--k=1..{live}",
-                       "--format", "csv")
-    assert code == 0 and len(calls) == (live >= cli._PRINTER_MIN_VALUES)
-    assert out == "k,f(k)\n" + "".join(percent_rows("csv", ks, values))
+    values = assert_percent_bytes(capsys, fmt, expr, f"{first}..{first + rows - 1}", 0.0)
+    assert len(calls) == (rows >= cli._PRINTER_MIN_ROWS)
+    assert (printing._live_rows(values) < 100) == (first > 1)

@@ -65,7 +65,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
         + [["table", f"--match={expr}"] for expr in same_output.MATCHED]
     rejected = same_output.REJECTED
     assert cmds[-len(rejected):] == rejected
-    # the series that starts at w^261: its inside grid, and the checks it fails
+    # the series that starts at w^261: its inside grid, and verify, whose pfe
+    # route refuses it
     late = same_output.LATE_START
     assert same_output.DIVIDED[-1] == ["--strategy", "inside", late, "--k", "1..330"]
     assert rejected[-1] == ["verify", late, "--k", "1..330"]
@@ -94,7 +95,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
     # lists no point (exit 2), and the complex lambda, the shapes with no
     # strategy, the unsupported power, the atom beside a non-atom, the
-    # overflowing series and the failing checks exit 1
+    # overflowing series and the underflowing residue exit 1
     assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]
     capsys.readouterr()
 

@@ -56,12 +56,27 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
-# grids that reach the edges of ``printing.texts``, which no request does:
-# a decay through the subnormals into the zero tail, powers of two past 2^53
-# (repr's fallback), +/-1, and steps that are not integers
+# grids that reach the edges of ``printing.rows``, which no request does: a
+# decay through the subnormals into the zero tail, powers of two past 2^53
+# (repr's fallback), +/-1, and steps that are not integers; negative k, live
+# and in the zero tail, integral and not; k crossing from 4 to 5 and from 5 to
+# 6 digits; k wider than %8d, from 9 to 10 digits and negative with 8; a grid
+# that is all zero tail; a tail from the middle of a block and of the 5-digit
+# run; and grids one row below and at the printer's threshold
 PRINTED = [["--expr=1/(s+0.5)", "--k", "1..2000"], ["--expr=1/(s-0.5)", "--k", "1..1000"],
            ["--expr=1/(s-2)", "--k", "1..500"],
-           ["--expr=1/(s+0.5)", "--a", "0.123456789", "--k", "1.123456789..300.123456789"]]
+           ["--expr=1/(s+0.5)", "--a", "0.123456789", "--k", "1.123456789..300.123456789"],
+           ["--expr=1/(s+0.2)", "--a=-3000", "--k=-2999..300"],
+           ["--expr=1/(s+0.5)", "--a=-3000", "--k=-2999..300"],
+           ["--expr=1/(s+0.5)", "--a=-300.5", "--k=-299.5..100.5"],
+           ["--expr=1/(s+0.01)", "--k", "9001..12000"],
+           ["--expr=1/(s+0.01)", "--k", "99001..101000"],
+           ["--expr=1/(s+0.01)", "--a", "123456789", "--k", "123456790..123457289"],
+           ["--expr=1/(s+0.01)", "--a", "999999000", "--k", "999999501..1000000500"],
+           ["--expr=1/(s+0.01)", "--a=-12345678", "--k=-12345677..-12345000"],
+           ["--expr=1/(s+0.5)", "--k", "3001..3400"],
+           ["--expr=1/(s+0.01)", "--k", "70001..80000"],
+           ["--expr=1/(s+0.5)", "--k", "1800..2054"], ["--expr=1/(s+0.5)", "--k", "1800..2055"]]
 # a series zero through w^260, which grows by 1e5 a step from w^261 on
 LATE_START = "--expr=1e-250*(s-1)^171*(s^2-1)^90/(s-0.99999)"
 # series divisions in blocks which no request makes: by a banded denominator
@@ -78,7 +93,7 @@ DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1.
 # non-integer power beside a pole), a non-integer power of a quadratic, an
 # atom with |lambda| >= 1 before a summand that is no atom, a series that
 # grows by 1e6 a step, out of the float64 range at k = 52, and the checks of
-# the late-starting series, whose quadrature and pfe values fail them
+# the late-starting series, whose pole's residue underflows on the pfe route
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
