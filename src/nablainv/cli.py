@@ -22,6 +22,7 @@ from .inversion import (
     COMPLEX_F,
     FractionalAtom,
     FractionalSumForm,
+    first_out_of_range,
     invert_fractional,
     invert_inside,
     invert_partial_fractions,
@@ -102,6 +103,28 @@ def build_parser():
     p_rt.add_argument("--tol", type=float, default=None)
     p_rt.add_argument("--config", default=None)
     return top
+
+
+@functools.cache
+def _value_flags():
+    """The flags of every subcommand that take one value."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return frozenset(flag for parser in sub.choices.values() for action in parser._actions
+                     if action.nargs is None for flag in action.option_strings)
+
+
+def _joined(argv):
+    """argv with each flag that takes a value written as one "--flag=value"
+    argument when its value starts with a single "-" (a step range such as
+    -2..2, an expression such as -1/(s+0.5)): argparse takes such a value for
+    an option, unless it reads as a plain negative number, and the flag is
+    then left without its value."""
+    out, flags = list(argv), _value_flags()
+    for i in reversed(range(len(out) - 1)):
+        value = out[i + 1]
+        if out[i] in flags and value.startswith("-") and not value.startswith("--"):
+            out[i:i + 2] = [f"{out[i]}={value}"]
+    return out
 
 
 def _load_config(args):
@@ -260,21 +283,28 @@ class _Problem:
         Raises RealnessError naming the first step whose value is not real
         (the inside and table routes scale the test by the grid's max |f|),
         and OverflowError naming the first step whose value is not finite in
-        float64.
+        float64.  A rational route stops at the first value out of range
+        (``first_out_of_range``).
         """
         used, cf = self.closed_form(strategy)
         ms = np.rint(ks - self.a).astype(np.int64)
-        if cf is not None:
-            values = cf.sample(ks)
-        else:
+
+        def values(n):
+            if cf is not None:
+                return cf.sample(ks[:n])
             if used == "inside":
-                v = invert_inside(self.classified.rational, int(ms[-1]))[ms - 1]
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    v = np.asarray(self.table_hit.sequence(ms), dtype=complex)
+                return invert_inside(self.classified.rational, int(ms[n - 1]))[ms[:n] - 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.asarray(self.table_hit.sequence(ms), dtype=complex)
+
+        if used in ("pfe", "outside", "inside"):
+            values = first_out_of_range(self.classified.rational, ms, values)
+        else:
+            values = values(len(ks))
+        if cf is None:
             # these routes compute the series of F itself, whose
             # coefficients are real for real F, so the cause is F
-            values = real_values(v, ks, np.max(np.abs(v)), COMPLEX_F)
+            values = real_values(values, ks[:len(values)], np.max(np.abs(values)), COMPLEX_F)
         bad = ~np.isfinite(values)
         if bad.any():
             k = float(ks[int(np.argmax(bad))])
@@ -544,7 +574,7 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -15,16 +15,33 @@ from .rational import POLE_AT_ONE_TOL
 __all__ = ["ImpulseTerm", "PolyGeometricTerm", "expand"]
 
 # A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
-# smallest subnormal, computes to exactly 0: numpy's power, the binomial and
-# the products are each within a few hundred ulps of exact.
+# smallest subnormal, computes to exactly 0: the power (pow, or a complex
+# pole's anchored power, whose partial powers are no smaller than the power
+# itself), the binomial and the products are each within a few hundred ulps
+# of exact.
 ZERO_LOG = -1100 * math.log(2)
-# numpy raises a complex number to an integer power below 100 in magnitude by
-# repeated squaring, which overflows to inf or nan where the exact reciprocal
-# underflows; from 100 on it takes the C library's cpow, which gives 0.
-SQUARING_POWERS = 100
 # No grid gains from a cut past 2^40 steps, and below it the float log-bound
 # is exact to far less than the 2^25 margin.
 CUT_CAP = 2**40
+# A complex pole's power (1-p)^-e is the anchor (1-p)^-A, A the multiple of
+# POWER_BLOCK at or below e, times the entry (1-p)^-(e-A) of a table cached
+# on the term: one complex exponential a block of steps, not one a step.  A
+# power of two, so that A and e - A are a shift and a mask.
+POWER_BLOCK = 64
+_BLOCK_BITS = POWER_BLOCK.bit_length() - 1
+# a term's anchors are built for _FIRST_BLOCKS blocks at least (2048 steps, a
+# forward sum's usual reach, which asks for blocks of steps that double)
+_FIRST_BLOCKS = 32
+_TINY = np.finfo(float).tiny
+# the exponents of the table entries, and the sign (-1)^x of a negative
+# base's power by the parity of x
+_ENTRY_EXPONENTS = -np.arange(POWER_BLOCK)
+_PARITY_SIGNS = np.array([1.0, -1.0])
+_ENTRY_EXPONENTS.flags.writeable = False
+_PARITY_SIGNS.flags.writeable = False
+# a complex base of modulus in [_SQUARED, 1/_SQUARED] has its table entries
+# from numpy's power by squaring: no square of it leaves float64
+_SQUARED = 2.0**-16
 
 
 def complex_pair(z):
@@ -41,7 +58,7 @@ def _num(x):
 
 
 def _zero_from(coefficient, base, order):
-    """The first step offset m >= SQUARING_POWERS from which the term
+    """The first step offset m >= 1 from which the term
     coefficient * rising(m, order-1) / ((order-1)! base^(m+order-1)) computes
     to exactly 0, its exact magnitude staying below 2^-1100; None when there
     is no such step below CUT_CAP.
@@ -66,7 +83,7 @@ def _zero_from(coefficient, base, order):
     # falls from m = n / log_r on, where sum_i 1/(m+i) <= n/m = log_r.  From
     # there, m -> the step at which the linear part alone reaches ZERO_LOG
     # climbs to the first step below it.
-    m = max(SQUARING_POWERS, math.ceil(n / log_r))
+    m = max(1, math.ceil(n / log_r))
     while m <= CUT_CAP and log_c + log_rising(m) - (m + n) * log_r >= ZERO_LOG:
         m = max(m + 1, math.ceil((log_c + log_rising(m) - ZERO_LOG) / log_r) - n)
     return m if m <= CUT_CAP else None
@@ -93,6 +110,52 @@ class ImpulseTerm:
                 "shift": self.shift}
 
 
+def _log_parts(z):
+    """ln z, for a complex z != 0, as (head, rest, lo): head + rest is ln z
+    rounded to double, each part of head and of rest with at most 26
+    significant bits (Veltkamp's split), so that an integer of at most 26
+    significant bits times either is exact (any below 2^26, and any multiple
+    of POWER_BLOCK below 2^32); lo is the rest of ln z in the platform's long
+    double (about 2^-64 relative where that has 64 bits, as on x86-64; 0
+    where it is a double)."""
+    log = np.log(np.clongdouble(z))
+    hi = complex(log)
+    c = 134217729.0 * hi  # 2^27 + 1
+    head = c - (c - hi)
+    return head, hi - head, complex(log - hi)
+
+
+def _subnormal(x):
+    """Where the entries of the ndarray x are nonzero subnormal floats (or
+    complex numbers of such a modulus)."""
+    size = np.abs(x)
+    return (size < _TINY) & (size > 0)
+
+
+def _real_power(base, normal, x):
+    """base^x, for a real base, at every int x <= -1 of the ndarray x, where
+    |base|^x is a normal float down to x = -normal: numpy's pow, within an
+    ulp.
+
+    numpy's vectorised pow takes a slow path, some 20 to 30 times the cost of
+    a step, for a negative base and where its result is subnormal or 0.  So
+    it raises |base| and negates the odd powers of a negative base, which is
+    what pow gives; and an x below -normal it takes as
+    |base|^-normal |base|^(x+normal), two normal powers whose product
+    rounds once.
+    """
+    size = abs(base)
+    deep = x < -normal if normal < math.inf else None
+    if deep is not None and np.count_nonzero(deep):
+        power = np.power(size, np.maximum(x, -normal))
+        power[deep] *= np.power(size, x[deep] + normal)
+    else:
+        power = np.power(size, x)
+    if base < 0:
+        power *= _PARITY_SIGNS[x & 1]  # (-1)^x
+    return power
+
+
 def _pole_text(base, order):
     """The sequence of an order-n pole p less its coefficient, base = 1 - p as
     text: base^-(k-a), or binomial(k-a+n-2,n-1)*base^-(k-a+n-1) from n = 2."""
@@ -112,26 +175,146 @@ class PolyGeometricTerm:
     order: int = 1
 
     def __post_init__(self):
-        if abs(1.0 - self.pole) <= POLE_AT_ONE_TOL:
+        c, base = self.coefficient, 1.0 - self.pole
+        if abs(base) <= POLE_AT_ONE_TOL:
             raise PoleAtOneError()
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        # (coefficient, base 1 - pole, normal): None for a complex pole; for
+        # a real one the largest e at which |base|^-e is a normal float (inf
+        # for |base| <= 1), with a step to spare for the logarithm's rounding,
+        # and the base and a real coefficient as floats, so that the term is
+        # float64 throughout
+        normal = None
+        if base.imag == 0:
+            c, base = (c.real if c.imag == 0 else c), base.real
+            size = abs(base)
+            normal = math.inf if size <= 1 else int(1022 * math.log(2) / math.log(size)) - 1
+        object.__setattr__(self, "_base", (c, base, normal))
 
     @cached_property
     def zero_from(self):
         return _zero_from(self.coefficient, 1.0 - self.pole, self.order)
 
     def value(self, m):
-        # rising(m, n-1)/(n-1)! = C(m+n-2, n-1) as a float running product of
-        # ratios, which overflows only where the binomial does (a rising
-        # factorial or (n-1)! overflows from n = 171 on); the negative power
-        # underflows to 0 where the sequence decays instead of overflowing in
-        # a denominator.  The exponent is one array operation, as -m at order 1.
+        """The term at an int step offset m >= 1 (a Python complex) or at
+        every step of an int ndarray m, each value from its own step alone.
+
+        rising(m, n-1)/(n-1)! = C(m+n-2, n-1) is a float running product of
+        ratios, which overflows only where the binomial does (a rising
+        factorial or (n-1)! overflows from n = 171 on); the power underflows
+        to 0 where the sequence decays.  A real pole's power is ``_real_power``
+        at every step, in float64; a complex pole's is ``_power``.
+        """
+        if not isinstance(m, np.ndarray):
+            return complex(self.value(np.array([m]))[0])
         n = self.order
         binomial = 1.0
         for i in range(n - 1):
             binomial = binomial * (m + i) / (i + 1)
-        return self.coefficient * binomial * (1.0 - self.pole) ** ((1 - n) - m)
+        coefficient, base, normal = self._base
+        # the power's exponent is -(m + n - 1)
+        if normal is None:
+            power = self._power(m + (n - 1) if n > 1 else m)
+        else:
+            power = _real_power(base, normal, (1 - n) - m)
+        # np.multiply, not *: numpy's * writes into a temporary array of 256
+        # KiB or more in place, where a complex product rounds apart from
+        # the out-of-place one (no fused multiply-add), so a value's bits
+        # would hang on its grid's size
+        return np.multiply(coefficient * binomial, power)
+
+    def _entries(self, exponent):
+        """(1-p)^x at every int -POWER_BLOCK < x <= 0 of the ndarray
+        ``exponent``, for a complex pole.
+
+        numpy's power, by repeated squaring below 100, within about
+        2 log2(-x) ulps, where |1-p|^+-(POWER_BLOCK-1) stays inside float64;
+        elsewhere a squaring could overflow where the power underflows, and
+        ``_powers``.  No part of an entry is -0.0, so that the entry times
+        the anchor 1 (+0j) is the entry itself.
+        """
+        base = self._base[1]
+        if _SQUARED <= abs(base) <= 1 / _SQUARED:
+            power = base**exponent
+        else:
+            power = self._powers(exponent * -1.0)
+        power += 0.0
+        return power
+
+    def _powers(self, x):
+        """(1-p)^-x, for a complex pole, at every whole number x >= 0 of the
+        float ndarray x: an anchor, or a power that an anchor below the
+        normal floats cannot give.
+
+        e^(-x ln(1-p)), with x ln(1-p) = x head + x rest + x lo (see
+        ``_log_parts``) formed as s + t, s the rounded sum of the exact
+        products x head and x rest and t its rounding error (Fast2Sum) plus
+        x lo, as e^-s (1 - t).  What grows with x is then x times the error
+        of the long-double logarithm, not x ulps.  The complex exponential
+        forms |1-p|^-x and the unit factor apart, so no partial power leaves
+        float64 where the power stays inside it.
+        """
+        logs = self.__dict__.get("_logs")
+        if logs is None:
+            logs = _log_parts(self._base[1])
+            object.__setattr__(self, "_logs", logs)
+        head, rest, lo = logs
+        a, b = x * head, x * rest
+        s = a + b
+        t = (a - s) + b + x * lo
+        return np.multiply(np.exp(-s), 1 - t)  # not *: see ``value``
+
+    def _table(self):
+        """The entries (1-p)^-j, j < POWER_BLOCK, cached on the term."""
+        table = self.__dict__.get("_table_cache")
+        if table is None:
+            table = self._entries(_ENTRY_EXPONENTS)
+            object.__setattr__(self, "_table_cache", table)
+        return table
+
+    def _anchors(self, size):
+        """(anchors, lost), cached on the term: the anchors (1-p)^-A, A =
+        POWER_BLOCK * block, of the blocks 0 .. size-1 at least, exactly 1
+        at block 0; and where they are subnormal (None where none is).
+        Built for _FIRST_BLOCKS blocks at least; an anchor past a growing
+        term's float64 range is inf or nan, as its powers are."""
+        cached = self.__dict__.get("_anchor_cache", ((), None))
+        if len(cached[0]) < size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                anchors = self._powers(np.arange(max(size, _FIRST_BLOCKS)) * float(POWER_BLOCK))
+            anchors[0] = 1
+            # |anchor| falls (or rises) with the block: the last says whether
+            # any is subnormal
+            cached = anchors, (_subnormal(anchors) if abs(anchors[-1]) < _TINY else None)
+            object.__setattr__(self, "_anchor_cache", cached)
+        return cached
+
+    def _power(self, e):
+        """(1-p)^-e, for a complex pole, at every int e >= 1 of the ndarray e.
+
+        Below POWER_BLOCK, the table entry (1-p)^-e.  From there, the entry
+        (1-p)^-j for e = A + j times the anchor (1-p)^-A, A the multiple of
+        POWER_BLOCK at or below e.  An anchor lies between 1 and the power
+        in magnitude, and an entry between 1 and (1-p)^-(POWER_BLOCK-1), so
+        the product rounds once where the power is a normal float.  Below
+        that an anchor is a subnormal that has lost bits, and a block whose
+        anchor is one takes its powers directly from ``_powers``.  Each
+        anchor comes from its block alone, so a value has the same bits on
+        any grid.
+        """
+        table = self._table()
+        try:
+            return table[e]  # every e below POWER_BLOCK
+        except IndexError:
+            pass
+        block = e >> _BLOCK_BITS
+        anchors, lost = self._anchors(int(e.max() >> _BLOCK_BITS) + 1)
+        power = np.multiply(table[e & (POWER_BLOCK - 1)], anchors[block])  # see ``value``
+        redo = np.flatnonzero(lost[block]) if lost is not None else ()
+        if len(redo):
+            power[redo] = self._powers(e[redo] * 1.0)
+        return power
 
     def describe(self):
         return f"{_num(self.coefficient)}*{_pole_text(_num(1 - self.pole), self.order)}"

@@ -30,14 +30,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RealnessError
-from .expansion import _num, complex_pair, expand
+from .expansion import POWER_BLOCK, _num, complex_pair, expand
 from .special import check_parameters, mittag_leffler_series, step_offset
 
 REALNESS_TOL = 1e-9
-# A cut's search costs 2-4 us a term, about what evaluating the term on 50
-# steps does, and on a shorter grid most cuts lie past its end: a grid of
-# fewer steps is evaluated in full.
+# A cut's search costs 5-11 us a term (orders 1-3), about what evaluating
+# the term on 500-1300 steps does (8-11 ns a step from float64 pow or the
+# anchored tables, on a shared 2-core VM), and on a shorter grid most cuts lie
+# past its end: a grid of fewer steps is evaluated in full.
 CUT_MIN_STEPS = 1000
+# a grid whose F has a pole with |1 - p| < 1 is evaluated first up to the
+# step where that pole's mode has grown by 2^1100 (``first_out_of_range``)
+OVERFLOW_LOG = 1100 * math.log(2)
 # the causes a failing realness test names
 CONJUGATE_TERMS = "term set is not conjugate-consistent"
 COMPLEX_F = "F(s) has complex coefficients"
@@ -50,6 +54,7 @@ __all__ = [
     "invert_outside",
     "invert_partial_fractions",
     "invert_fractional",
+    "first_out_of_range",
 ]
 
 
@@ -71,8 +76,11 @@ class ClosedFormSequence:
     cause: str = CONJUGATE_TERMS
 
     def values(self, m):
-        """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of them."""
-        return sum((t.value(m) for t in self.terms), np.zeros(np.shape(m), dtype=complex))
+        """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of
+        them; a step is a one-step grid."""
+        if not isinstance(m, np.ndarray):
+            return self.values(np.array([m]))[0]
+        return sum((t.value(m) for t in self.terms), np.zeros(m.shape, dtype=complex))
 
     def evaluate_complex(self, k):
         return complex(self.values(step_offset(k, self.base_point)))
@@ -108,7 +116,9 @@ class ClosedFormSequence:
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             for row, t, size in zip(parts, self.terms, live):
                 row[:size] = t.value(m[:size])
-            v = parts.sum(axis=0)
+            # numpy sums the terms in order on a grid of two or more steps,
+            # from +0.0, but a one-step grid's column pairwise
+            v = parts.sum(axis=0) if n != 1 else np.array([sum(parts[:, 0].tolist(), 0j)])
             # conjugate terms cancel to rounding of the summands, which may
             # dwarf the sum itself (large residues at close conjugate poles)
             scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
@@ -160,6 +170,40 @@ def invert_inside(rf, k_max):
     values = rf.series_at_one(k_max - 1)
     values[np.abs(values) < np.finfo(float).tiny] = 0
     return values
+
+
+def first_out_of_range(rf, ms, values):
+    """``values(n)``, a route's values at the first n steps of the ascending
+    int step offsets ``ms``, for the whole grid; or for a prefix of the grid
+    that already holds a value outside the float64 range.
+
+    Where a reduced pole of F has rho = |1 - p| < 1, its mode rho^-m passes
+    2^1100 at m = 1100 ln 2 / -ln rho, past float64 by 2^76.  The steps up
+    to there and one POWER_BLOCK more are evaluated first; if one of their
+    values is not finite, those values are returned, else the whole grid's.
+    A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once.
+    Every rational route's values depend on the step alone (the series
+    division is prefix-stable, and a closed form's terms are sampled step by
+    step), so the prefix is the whole grid's prefix bit for bit, and the
+    first value out of range, at the same step, is the one reported.  No
+    later step could fail a realness test that the prefix passes: a closed
+    form tests each step against its largest term, and a term that is not
+    finite stays so at every later step (its binomial, and a growing pole's
+    power, only grow), which passes the test; the series route tests after
+    this returns, against the largest |f| of what it returned, which is not
+    finite, as the whole grid's is.  A growth that starts late (a tiny
+    residue) costs the prefix once more.
+    """
+    if len(ms) < CUT_MIN_STEPS:
+        return values(len(ms))
+    rho = rf.distance_of_poles_to_one()
+    if rho < 1:
+        n = int(np.searchsorted(ms, OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK, "right"))
+        if 0 < n < len(ms):
+            head = values(n)
+            if not np.isfinite(head).all():
+                return head
+    return values(len(ms))
 
 
 def invert_partial_fractions(rf, a=0.0):

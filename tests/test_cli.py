@@ -452,7 +452,7 @@ class TestFloatRange:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["invert", "verify"])
     def test_pfe_overflow_leaks_no_warning(self, capsys, command):
-        """numpy's complex power flags (1e-6)^-52 as a division by zero."""
+        """(1e-6)^-52 overflows, which numpy flags."""
         code, out, err = run(capsys, command, "--expr=1/(s-0.999999)", "--k", "1..60")
         assert code == 1
         assert err == "error: f(k) at k = 52 is outside the float64 range; narrow --k\n"
@@ -945,12 +945,13 @@ class TestForwardCommand:
 
     def test_sum_leaving_float64_exits_1(self, capsys):
         # |1-s| = 0.49 < R = 0.5, but f(k) = 2^k overflows before the
-        # increments fall below tol: an overflow, not a nan sum and a zero max
+        # increments fall below tol: an overflow, not a nan sum and a zero
+        # max; 2^1024 is past float64
         code, out, err = run(capsys, "forward", "--expr", "1/(s-0.5)", "--s", "0.51")
         assert code == 1
         assert out == ""
         assert err == ("error: forward series at s = (0.51+0j) leaves the float64 "
-                       "range at term 1025; choose s closer to 1\n")
+                       "range at term 1024; choose s closer to 1\n")
 
     def test_truncation_is_one_warning_line_on_every_call(self, capsys):
         # f(k) of s^-0.5 decays like k^-0.5, so at |1-s| = 0.9999 the sum
@@ -1094,6 +1095,21 @@ class TestNumericFlags:
         cfg.write_text(line + "\n")
         assert run(capsys, "verify", "--expr=1/(s-1)", "--config", str(cfg)) \
             == (2, "", f"error: {cfg}: {message}\n")
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["--a", "-3", "--k", "-2..2"], ["--a=-3", "--k=-2..2"]),
+        (["--expr", "-1/(s+0.5)", "--format", "csv"], ["--expr=-1/(s+0.5)", "--format=csv"]),
+        (["--k", "-2..2", "--expr", "-1/(s+0.5)", "--a", "-3.0"],
+         ["--k=-2..2", "--expr=-1/(s+0.5)", "--a=-3.0"]),
+    ])
+    def test_value_starting_with_a_dash(self, capsys, spaced, joined):
+        """A value after its flag that starts with "-" and is no plain
+        number, which argparse took for an option (exit 2, 'expected one
+        argument'), reads as after "="."""
+        argv = ["invert", "--expr=1/(s+0.5)", *spaced]
+        got = run(capsys, *argv)
+        assert got == run(capsys, "invert", "--expr=1/(s+0.5)", *joined)
+        assert got[0] == 0 and got[2] == ""
 
     def test_invert_takes_no_tol(self, capsys):
         # invert computes no tolerance-bound check; the flag was read by nothing

@@ -29,7 +29,10 @@ from nablainv import (
     numeric_inverse,
     parse_expression,
 )
-from nablainv.inversion import CUT_MIN_STEPS, real_values
+from nablainv import cli
+from nablainv.cli import main
+from nablainv.expansion import POWER_BLOCK
+from nablainv.inversion import CUT_MIN_STEPS, OVERFLOW_LOG, real_values
 from nablainv.special import mittag_leffler_series
 from nablainv.pairs import sample_points
 from conftest import (
@@ -290,21 +293,33 @@ class TestInvertFractional:
 class TestOrderOneTerm:
     """PolyGeometricTerm at its default order 1 is the simple-pole term."""
 
-    def test_values_match_the_geometric_formula_bit_for_bit(self):
+    def test_values_are_the_anchored_power_bit_for_bit(self):
         rng = np.random.default_rng(22)
-        for _ in range(200):
-            c = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
-            p = 1 - rng.uniform(0.5, 3) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        new_err, old_err = [], []
+        for i in range(200):
+            # a real pole with a real coefficient, float64 throughout, every
+            # fourth draw
+            if i % 4:
+                c = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-3, 3)
+                p = 1 - rng.uniform(0.5, 3) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            else:
+                c = rng.normal() * 10 ** rng.uniform(-3, 3)
+                p = 1 - rng.uniform(0.5, 3) * rng.choice([-1.0, 1.0])
             m = rng.integers(1, 5001, size=40)
             term = PolyGeometricTerm(c, p)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                want = c * (1 - p) ** (-m)
-                assert term.value(m).tobytes() == want.tobytes()
-            # Python's complex power raises where numpy's overflows
-            for k in m[np.isfinite(want)][:3].tolist():
-                got, want = term.value(k), c * (1 - p) ** (-k)
-                assert type(got) is complex
-                assert np.array([got]).tobytes() == np.array([want]).tobytes()
+                got = term.value(m)
+                assert got.tobytes() == (c * 1.0 * _anchored_power(p, m)).tobytes()
+                old = c * (1 - p) ** (-m)
+            _errors(new_err, old_err, got, old, [mpmath.mpc(c) * (1 - mpmath.mpc(p)) ** -k
+                                                 for k in m[:4].tolist()])
+            # an int step is a one-step grid, as a Python complex
+            finite = np.isfinite(got)
+            for k, want in zip(m[finite][:3].tolist(), got[finite][:3]):
+                value = term.value(k)
+                assert type(value) is complex
+                assert np.array([value]).tobytes() == np.array([want], dtype=complex).tobytes()
+        assert max(new_err) <= max(old_err)
 
     def test_text_and_dict(self):
         term = PolyGeometricTerm(2 - 1j, 0.25)
@@ -323,6 +338,62 @@ def _rising_factorial_term(c, p, n, m):
     return c / math.factorial(n - 1) * rising * (1.0 - p) ** ((1 - n) - m)
 
 
+def _anchored_power(p, e):
+    """(1-p)^-e at every int of the ndarray e, as the terms form it,
+    written out.  A real base by pow of its modulus, as the product of two
+    normal powers where |1-p|^-e is no normal float, and odd powers of a
+    negative base negated.  A complex one, below 64, by numpy's
+    power (repeated squaring), no part -0.0; from 64 on, that entry for
+    e mod 64 times the anchor for the multiple A of 64 below e, e^-s (1 - t)
+    from the long-double logarithm hi + lo, s + t = A H + A (hi - H) + A lo,
+    H = hi to 26 bits; or that power for e itself where the anchor is a
+    subnormal.  (Here 2^-16 <= |1-p| <= 2^16.)"""
+    b = 1 - complex(p)
+    if b.imag == 0:
+        size = abs(b.real)
+        normal = int(1022 * math.log(2) / math.log(size)) - 1 if size > 1 else math.inf
+        if e.max() <= normal:
+            power = np.power(size, -e)
+        else:
+            power = np.power(size, -np.minimum(e, normal))
+            deep = e > normal
+            power[deep] *= np.power(size, normal - e[deep])
+        return np.where((e % 2 == 1) & (b.real < 0), -power, power)
+    log = np.log(np.clongdouble(b))
+    hi = complex(log)
+    c = 134217729.0 * hi
+    big = c - (c - hi)
+    lo = complex(log - hi)
+
+    def entries(x):
+        power = b ** -x
+        power += 0.0
+        return power
+
+    def powers(x):
+        a, c = x * big, x * (hi - big)
+        s = a + c
+        return np.exp(-s) * (1 - ((a - s) + c + x * lo))
+    if e.max() < 64:
+        return entries(e)
+    anchors = powers(e // 64 * 64.0)
+    anchors[e < 64] = 1
+    power = entries(e % 64) * anchors
+    lost = (np.abs(anchors) < np.finfo(float).tiny) & (anchors != 0)
+    power[lost] = powers(e[lost] * 1.0)
+    return power
+
+
+def _errors(new_err, old_err, new, old, exact):
+    """Append the relative errors of new and old against the 40-digit exact
+    values, at the steps where the exact value is a normal float."""
+    with mpmath.workdps(40):
+        for g, o, x in zip(new, old, exact):
+            if 1e-300 < abs(x) < 1e300:
+                new_err.append(float(abs(g - x) / abs(x)))
+                old_err.append(float(abs(o - x) / abs(x)))
+
+
 class TestPoleTermBinomial:
     """PolyGeometricTerm forms C(m+n-2, n-1) as a running product of ratios."""
 
@@ -334,10 +405,19 @@ class TestPoleTermBinomial:
             p = 1 - rng.uniform(0.5, 3) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             yield c, p, n, rng.integers(1, 501, size=40)
 
-    def test_orders_one_to_three_keep_their_bits(self):
+    def test_orders_one_to_three_are_the_anchored_power_bit_for_bit(self):
+        new_err, old_err = [], []
         for c, p, n, m in self._terms(np.random.default_rng(23), [1, 2, 3], 150):
-            want = _rising_factorial_term(c, p, n, m)
-            assert PolyGeometricTerm(c, p, n).value(m).tobytes() == want.tobytes()
+            binomial = 1.0
+            for i in range(n - 1):
+                binomial = binomial * (m + i) / (i + 1)
+            got = PolyGeometricTerm(c, p, n).value(m)
+            assert got.tobytes() == (c * binomial * _anchored_power(p, m + n - 1)).tobytes()
+            with mpmath.workdps(40):
+                exact = [mpmath.mpc(c) * mpmath.binomial(k + n - 2, n - 1)
+                         * (1 - mpmath.mpc(p)) ** -(k + n - 1) for k in m[:5].tolist()]
+            _errors(new_err, old_err, got, _rising_factorial_term(c, p, n, m), exact)
+        assert max(new_err) <= max(old_err)
 
     def test_orders_four_to_eight_no_worse_against_mpmath(self):
         """Each value is within the binomial's own rounding (about n ulps) of
@@ -363,6 +443,130 @@ class TestPoleTermBinomial:
         rf = classify(parse_expression(expr)).rational
         cf = invert_partial_fractions(rf)
         assert cf.sample([1, 2, 3]).tolist() == invert_inside(rf, 3).real.tolist() == want
+
+
+def _old_value(c, p, n, m):
+    """The order-n pole term as it was formed before the anchored power: the
+    binomial's running product of ratios times numpy's complex power."""
+    binomial = 1.0
+    for i in range(n - 1):
+        binomial = binomial * (m + i) / (i + 1)
+    return c * binomial * (1.0 - p) ** ((1 - n) - m)
+
+
+def _random_term(rng, growing=False):
+    """(c, p, n): orders 1-8, |c| from 1e-300 to 1e300, |1-p| in (1, 3]
+    (some at 1 + 1e-12), or in (0.5, 1) when growing; a real pole and
+    coefficient half the time."""
+    n = int(rng.integers(1, 9))
+    r = rng.uniform(0.5, 1) if growing else 1 + 1e-12 if rng.random() < 0.15 \
+        else rng.uniform(1, 3)
+    c = 10.0 ** rng.uniform(-300, 300) * rng.choice([-1, 1])
+    if rng.random() < 0.5:
+        return c, 1 - r * rng.choice([-1, 1]), n
+    return c * cmath.exp(1j * rng.uniform(-3, 3)), 1 - r * cmath.exp(1j * rng.uniform(0.1, 3)), n
+
+
+def _same_bits(got, want):
+    """Equal bits where finite, and non-finite at the same steps."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+class TestStepOnlyBits:
+    """A term's value at a step depends on that step alone: a grid, its
+    pieces split at arbitrary steps, a scattered pick of its steps and each
+    int step all give the same bits, each from a term of its own (so a
+    table built only as long as a short piece asks for)."""
+
+    def test_pieces_picks_and_int_steps(self, rng):
+        m = np.arange(1, 3001)
+        for i in range(60):
+            c, p, n = _random_term(rng, growing=i % 4 == 0)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                whole = PolyGeometricTerm(c, p, n).value(m)
+                cuts = np.sort(rng.choice(np.arange(1, m.size), size=6, replace=False))
+                pieces = [PolyGeometricTerm(c, p, n).value(piece) for piece in np.split(m, cuts)]
+                _same_bits(np.concatenate(pieces), whole)
+                picks = rng.choice(m, size=20)
+                _same_bits(PolyGeometricTerm(c, p, n).value(picks), whole[picks - 1])
+                ints = rng.choice(m[np.isfinite(whole)], size=5)
+                term = PolyGeometricTerm(c, p, n)
+                got = np.array([term.value(int(k)) for k in ints])
+                assert got.tobytes() == whole[ints - 1].astype(complex).tobytes()
+
+    def test_grid_past_numpys_in_place_threshold(self):
+        """numpy's * writes into a temporary of 256 KiB or more (16 384
+        complex values) in place, where a complex product rounds apart from
+        the out-of-place one: a 40 000-step grid and its 1000-step pieces
+        give the same bits, complex and real poles, orders 1-3."""
+        m = np.arange(1, 40001)
+        for c, p in [(0.8 + 1.2j, 0.0005 - 0.04j), (0.3 - 0.7j, 1 - 1.001 * cmath.exp(0.4j)),
+                     (1.5 + 0.5j, -0.2), (-2.0, 2.0001)]:
+            for n in (1, 2, 3):
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    whole = PolyGeometricTerm(c, p, n).value(m)
+                    pieces = [PolyGeometricTerm(c, p, n).value(x) for x in np.split(m, 40)]
+                _same_bits(np.concatenate(pieces), whole)
+
+    def test_far_grid(self):
+        """A grid some 4096 blocks out (step 262144) regrows its term's
+        anchors that far: its pieces and int steps, each from a term of its
+        own, give the same bits."""
+        def term():
+            return PolyGeometricTerm(0.3 - 0.2j, 1 - (1 + 1e-6) * cmath.exp(0.3j))
+        m = np.arange(262100, 262300)
+        whole = term().value(m)
+        assert np.isfinite(whole).all() and np.abs(whole).min() > 0
+        _same_bits(np.concatenate([term().value(piece) for piece in np.split(m, [37, 44, 150])]),
+                   whole)
+        assert np.array([term().value(int(k)) for k in m[::40]]).tobytes() == whole[::40].tobytes()
+
+    def test_cut_grid_and_evaluate(self, rng):
+        # the zero cut and ``evaluate`` read the grid's own bits
+        for _ in range(10):
+            cf = _random_closed_form(rng)
+            ks = np.arange(1, 2500, dtype=float)
+            try:
+                grid = cf.sample(ks)
+            except RealnessError:
+                continue
+            for k in rng.choice(ks, size=5).tolist():
+                assert np.array([cf.evaluate(k)]).tobytes() == grid[int(k) - 1:int(k)].tobytes()
+
+
+class TestPowerAccuracy:
+    """Against 50-digit mpmath, to m = 4e4: a real pole within 1e-15; a
+    complex pole no worse, in the largest and the median error, than numpy's
+    complex power on the same draws.  The steps are those where (1-p)^-m is a
+    normal float and |c binomial| < 2^1020, so that the exact value is the
+    product of two in-range factors (ROADMAP item 3 keeps the others)."""
+
+    def test_sweep_to_m_4e4(self):
+        rng = np.random.default_rng(31)
+        real, new, old = [], [], []
+        for _ in range(400):
+            c, p, n = _random_term(rng)
+            r = abs(1 - p)
+            m = rng.integers(1, min(40000, int(700 / math.log(r))) + 1, size=4)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got, was = PolyGeometricTerm(c, p, n).value(m), _old_value(c, p, n, m)
+            with mpmath.workdps(50):
+                for k, g, o in zip(m.tolist(), got, was):
+                    binomial = mpmath.binomial(k + n - 2, n - 1)
+                    exact = mpmath.mpc(c) * binomial * (1 - mpmath.mpc(p)) ** -(k + n - 1)
+                    if abs(c) * binomial >= 2 ** 1020 or not 1e-300 < abs(exact) < 1e300:
+                        continue
+                    err = float(abs(g - exact) / abs(exact))
+                    if complex(p).imag == 0:
+                        real.append(err)
+                    else:
+                        new.append(err)
+                        old.append(float(abs(o - exact) / abs(exact)))
+        assert len(real) > 400 and len(new) > 400
+        assert max(real) <= 1e-15
+        assert max(new) <= max(old) and np.median(new) <= np.median(old)
 
 
 class TestTermDicts:
@@ -712,16 +916,18 @@ class TestZeroCut:
     def test_no_cut(self, term):
         assert term.zero_from is None
 
-    def test_powers_by_squaring_keep_their_nan(self):
-        """numpy raises (1e5+1e5j) to the powers -61..-99 by squaring, which
-        overflows to nan; the cut starts at 100."""
+    def test_powers_of_a_large_complex_base_are_finite(self):
+        """(1e5+1e5j)^-m underflows from m = 61 on, where numpy's complex
+        power, by repeated squaring below m = 100, overflowed to nan; the
+        anchored power is 0 there, and the cut, from m = 65, keeps the full
+        grid's bits."""
         base = 1e5 + 1e5j
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, 1 - base),
                                       PolyGeometricTerm(1.0, 1 - base.conjugate())))
         ks = np.arange(1, 1200, dtype=float)
         full = _full_sample(cf, ks)
-        assert np.isnan(full[60]) and full[150] == 0
-        assert cf.terms[0].zero_from == 100
+        assert np.isfinite(full).all() and full[150] == 0
+        assert cf.terms[0].zero_from == 65
         self.assert_full(cf, ks)
         self.assert_full(cf, np.arange(70, 1200, dtype=float))
 
@@ -760,3 +966,80 @@ class TestCancelledPoleInside:
         got = invert_inside(rf, 33).real
         want = 1.79 / 2.61 ** np.arange(1, 34)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+# F whose values leave float64: a pole with |1 - p| < 1 (0.38, 0.7, 0.45)
+GROWING = [
+    ("1.7/(s-0.62) + 0.9/(s+1.3)^2 + (0.8-1.2j)/(s-(-1.5+0.5j)) + (0.8+1.2j)/(s-(-1.5-0.5j))",
+     0.38, ["--k", "1..20000"]),
+    ("0.7/(s-0.3)^2 - 1.1/(s+0.8)", 0.7, ["--a", "0.5", "--k", "3.5..15000.5"]),
+    ("-2.6*(s+0.3)/((s-0.55)*(s^2+0.4*s+1.2))", 0.45, ["--k", "1..9000", "--format", "csv"]),
+]
+
+
+class TestFirstOutOfRange:
+    """A rational route evaluates a growing grid first up to where its
+    fastest mode has grown by 2^1100, and stops there at a value out of
+    range: the exit code and stderr are the whole grid's."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """The lengths each route is asked for: the closed form's grid, or
+        the series' coefficient count."""
+        asked = []
+        sample, series = ClosedFormSequence.sample, RationalFunction.series_at_one
+        monkeypatch.setattr(ClosedFormSequence, "sample",
+                            lambda self, ks: asked.append(len(ks)) or sample(self, ks))
+        monkeypatch.setattr(RationalFunction, "series_at_one",
+                            lambda self, order: asked.append(order + 1) or series(self, order))
+        return asked
+
+    @staticmethod
+    def whole_grid(monkeypatch):
+        monkeypatch.setattr(cli, "first_out_of_range", lambda rf, ms, values: values(len(ms)))
+
+    @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
+    @pytest.mark.parametrize("expr, rho, grid", GROWING)
+    def test_growing_grid_stops_at_the_prefix(self, capsys, monkeypatch, strategy, expr, rho,
+                                              grid):
+        argv = ["invert", "--strategy", strategy, f"--expr={expr}", *grid]
+        asked = self.record(monkeypatch)
+        got = main(argv), capsys.readouterr()
+        assert asked and max(asked) <= OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK
+        self.whole_grid(monkeypatch)
+        want = main(argv), capsys.readouterr()
+        assert got == want
+        assert got[0] == 1 and got[1].out == ""
+        assert got[1].err.startswith("error: f(k) at k = ")
+
+    @pytest.mark.parametrize("strategy, k", [("pfe", 1024), ("inside", 2021)])
+    def test_tiny_residue_names_the_same_step(self, capsys, monkeypatch, strategy, k):
+        """1e-300 * 2^m: pfe's power 2^m leaves float64 at m = 1024, inside
+        the prefix (to m = 1164); the series itself at m = 2021, past it, so
+        the whole grid is evaluated after the prefix."""
+        argv = ["invert", "--strategy", strategy, "--expr=1e-300/(s-0.5)", "--k", "1..3000"]
+        asked = self.record(monkeypatch)
+        got = main(argv), capsys.readouterr()
+        assert got[1].err == f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n"
+        assert asked == ([1164] if strategy == "pfe" else [1164, 3000])
+        self.whole_grid(monkeypatch)
+        assert (main(argv), capsys.readouterr()) == got
+
+    @pytest.mark.parametrize("strategy", ["pfe", "inside"])
+    @pytest.mark.parametrize("expr", ["1e-300j/(s-0.5)", "(1+1e-300j)/(s-0.5)",
+                                      "(1+1e-3j)/(s-0.5)"])
+    def test_complex_f_names_the_same_step(self, capsys, monkeypatch, strategy, expr):
+        """A complex F with a growing pole: the prefix's realness test,
+        scaled on inside by the largest |f| it holds, fails where the whole
+        grid's does and nowhere else."""
+        argv = ["invert", "--strategy", strategy, f"--expr={expr}", "--k", "1..3000"]
+        got = main(argv), capsys.readouterr()
+        assert got[0] == 1 and got[1].out == ""
+        self.whole_grid(monkeypatch)
+        assert (main(argv), capsys.readouterr()) == got
+
+    def test_no_pole_inside_the_unit_disk_is_one_pass(self, capsys, monkeypatch):
+        asked = self.record(monkeypatch)
+        assert main(["invert", "--expr=1/(s+0.5)", "--k", "1..5000", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert asked == [5000]

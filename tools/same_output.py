@@ -86,6 +86,20 @@ LATE_START = "--expr=1e-250*(s-1)^171*(s^2-1)^90/(s-0.99999)"
 DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1..2000"],
            ["--expr=1/(s^0.5-0.2) + 1/(s^2+0.5)", "--k", "1..2000"],
            ["--strategy", "inside", LATE_START, "--k", "1..330"]]
+# closed-form powers: a real pole's float64 pow on a whole 1e5-step grid, a
+# conjugate pair of |1 - p| = 1.0003 whose anchored tables are live on all
+# its 40 000 steps, and a pair of |1 - p| = 1.4e5 whose powers leave the
+# squaring range (numpy's squaring gave nan from k = 61, ROADMAP item 3)
+POWERED = [["--expr=1/(s+0.01)", "--k", "1..100000"],
+           ["--expr=(0.8-1.2j)/(s-(0.0005+0.04j)) + (0.8+1.2j)/(s-(0.0005-0.04j))",
+            "--k", "1..40000"],
+           ["--expr=1/((s-(-99999-100000j))*(s-(-99999+100000j)))", "--k", "1..70"]]
+# F that leaves float64 (a pole at |1 - p| = 0.38), and a tiny residue whose
+# series leaves it at k = 2021, past the steps evaluated first, also as an
+# imaginary one (complex F)
+GROWING = "--expr=1.7/(s-0.62) + 0.9/(s+1.3)^2"
+TINY = "--expr=1e-300/(s-0.5)"
+TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
@@ -93,7 +107,9 @@ DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1.
 # non-integer power beside a pole), a non-integer power of a quadratic, an
 # atom with |lambda| >= 1 before a summand that is no atom, a series that
 # grows by 1e6 a step, out of the float64 range at k = 52, and the checks of
-# the late-starting series, whose pole's residue underflows on the pfe route
+# the late-starting series, whose pole's residue underflows on the pfe route;
+# the growing F on the outside and inside routes, the tiny residue on both
+# routes, and the imaginary one on the inside route
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -107,7 +123,12 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s^0.5-2) + s^0.5"],
             ["invert", "--strategy", "inside", "--expr=1/((s-0.999999)*(s+0.5))",
              "--k", "1..10000"],
-            ["verify", LATE_START, "--k", "1..330"]]
+            ["verify", LATE_START, "--k", "1..330"],
+            ["invert", "--strategy", "outside", GROWING, "--k", "1..20000"],
+            ["invert", "--strategy", "inside", GROWING, "--k", "1..20000"],
+            ["invert", TINY, "--k", "1..3000"],
+            ["invert", "--strategy", "inside", TINY, "--k", "1..3000"],
+            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..3000"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -150,8 +171,8 @@ def fixed_commands():
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
-    the PRINTED grids, ``invert`` on the DIVIDED inputs, the EVALUATING commands
-    and the REJECTED ones."""
+    the PRINTED grids, ``invert`` on the DIVIDED and the POWERED inputs, the
+    EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -165,6 +186,7 @@ def fixed_commands():
     out += [["invert", *argv, "--format", fmt] for argv in PRINTED
             for fmt in ("text", "csv", "json")]
     out += [["invert", *argv] for argv in DIVIDED]
+    out += [["invert", *argv] for argv in POWERED]
     return out + EVALUATING + REJECTED
 
 
