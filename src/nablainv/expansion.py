@@ -29,9 +29,6 @@ CUT_CAP = 2**40
 # power of two, so that A and e - A are a shift and a mask.
 POWER_BLOCK = 64
 _BLOCK_BITS = POWER_BLOCK.bit_length() - 1
-# a term's anchors are built for _FIRST_BLOCKS blocks at least (2048 steps, a
-# forward sum's usual reach, which asks for blocks of steps that double)
-_FIRST_BLOCKS = 32
 _TINY = np.finfo(float).tiny
 # the exponents of the table entries, and the sign (-1)^x of a negative
 # base's power by the parity of x
@@ -242,6 +239,11 @@ class PolyGeometricTerm:
         power += 0.0
         return power
 
+    @cached_property
+    def _logs(self):
+        """``_log_parts`` of 1 - p, for a complex pole."""
+        return _log_parts(self._base[1])
+
     def _powers(self, x):
         """(1-p)^-x, for a complex pole, at every whole number x >= 0 of the
         float ndarray x: an anchor, or a power that an anchor below the
@@ -255,64 +257,51 @@ class PolyGeometricTerm:
         forms |1-p|^-x and the unit factor apart, so no partial power leaves
         float64 where the power stays inside it.
         """
-        logs = self.__dict__.get("_logs")
-        if logs is None:
-            logs = _log_parts(self._base[1])
-            object.__setattr__(self, "_logs", logs)
-        head, rest, lo = logs
+        head, rest, lo = self._logs
         a, b = x * head, x * rest
         s = a + b
         t = (a - s) + b + x * lo
         return np.multiply(np.exp(-s), 1 - t)  # not *: see ``value``
 
+    @cached_property
     def _table(self):
-        """The entries (1-p)^-j, j < POWER_BLOCK, cached on the term."""
-        table = self.__dict__.get("_table_cache")
-        if table is None:
-            table = self._entries(_ENTRY_EXPONENTS)
-            object.__setattr__(self, "_table_cache", table)
-        return table
-
-    def _anchors(self, size):
-        """(anchors, lost), cached on the term: the anchors (1-p)^-A, A =
-        POWER_BLOCK * block, of the blocks 0 .. size-1 at least, exactly 1
-        at block 0; and where they are subnormal (None where none is).
-        Built for _FIRST_BLOCKS blocks at least; an anchor past a growing
-        term's float64 range is inf or nan, as its powers are."""
-        cached = self.__dict__.get("_anchor_cache", ((), None))
-        if len(cached[0]) < size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                anchors = self._powers(np.arange(max(size, _FIRST_BLOCKS)) * float(POWER_BLOCK))
-            anchors[0] = 1
-            # |anchor| falls (or rises) with the block: the last says whether
-            # any is subnormal
-            cached = anchors, (_subnormal(anchors) if abs(anchors[-1]) < _TINY else None)
-            object.__setattr__(self, "_anchor_cache", cached)
-        return cached
+        """The entries (1-p)^-j, j < POWER_BLOCK."""
+        return self._entries(_ENTRY_EXPONENTS)
 
     def _power(self, e):
         """(1-p)^-e, for a complex pole, at every int e >= 1 of the ndarray e.
 
         Below POWER_BLOCK, the table entry (1-p)^-e.  From there, the entry
         (1-p)^-j for e = A + j times the anchor (1-p)^-A, A the multiple of
-        POWER_BLOCK at or below e.  An anchor lies between 1 and the power
-        in magnitude, and an entry between 1 and (1-p)^-(POWER_BLOCK-1), so
-        the product rounds once where the power is a normal float.  Below
-        that an anchor is a subnormal that has lost bits, and a block whose
-        anchor is one takes its powers directly from ``_powers``.  Each
-        anchor comes from its block alone, so a value has the same bits on
-        any grid.
+        POWER_BLOCK at or below e, exactly 1 at A = 0.  The anchors are made
+        on each call, for the blocks from the grid's smallest step to its
+        largest only, so a grid costs what its length and span cost, not
+        what its k does.  An anchor lies between 1 and the power in
+        magnitude, and an entry between 1 and (1-p)^-(POWER_BLOCK-1), so the
+        product rounds once where the power is a normal float.  Below that
+        an anchor is a subnormal that has lost bits, and a block whose
+        anchor is one takes its powers directly from ``_powers``; an anchor
+        past a growing term's float64 range is inf or nan, as its powers
+        are.  Each anchor comes from its block alone, so a value has the
+        same bits on any grid.
         """
-        table = self._table()
+        table = self._table
         try:
             return table[e]  # every e below POWER_BLOCK
         except IndexError:
             pass
         block = e >> _BLOCK_BITS
-        anchors, lost = self._anchors(int(e.max() >> _BLOCK_BITS) + 1)
+        first, last = int(block.min()), int(block.max())
+        block -= first
+        with np.errstate(over="ignore", invalid="ignore"):
+            anchors = self._powers(np.arange(first, last + 1) * float(POWER_BLOCK))
+        if first == 0:
+            anchors[0] = 1
         power = np.multiply(table[e & (POWER_BLOCK - 1)], anchors[block])  # see ``value``
-        redo = np.flatnonzero(lost[block]) if lost is not None else ()
-        if len(redo):
+        # |anchor| falls (or rises) with the block: the end anchors say
+        # whether any is subnormal
+        if np.abs(anchors[[0, -1]]).min() < _TINY:
+            redo = np.flatnonzero(_subnormal(anchors)[block])
             power[redo] = self._powers(e[redo] * 1.0)
         return power
 

@@ -288,9 +288,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "invert", "--expr", "1/(s+2)", "--a", "-9007199254740992",
                              "--k", "1..3")
         assert (code, out) == (2, "") and "reaches 2^53" in err
-        assert run(capsys, "invert", "--expr", "1/(s+2)", "--k",
-                   "9007199254740990..9007199254740991", "--format", "csv") \
-            == (0, "k,f(k)\n9007199254740990,0\n9007199254740991,0\n", "")
+        # a decaying conjugate pair as well, whose anchors are those of the
+        # grid's own blocks
+        for expr in ("1/(s+2)", "1/(s-(1+2j))+1/(s-(1-2j))"):
+            assert run(capsys, "invert", "--expr", expr, "--k",
+                       "9007199254740990..9007199254740991", "--format", "csv") \
+                == (0, "k,f(k)\n9007199254740990,0\n9007199254740991,0\n", "")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

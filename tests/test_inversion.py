@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -511,9 +512,9 @@ class TestStepOnlyBits:
                 _same_bits(np.concatenate(pieces), whole)
 
     def test_far_grid(self):
-        """A grid some 4096 blocks out (step 262144) regrows its term's
-        anchors that far: its pieces and int steps, each from a term of its
-        own, give the same bits."""
+        """A grid some 4096 blocks out (step 262144) makes the anchors of
+        its own blocks only: its pieces and int steps, each from a term of
+        its own, give the same bits."""
         def term():
             return PolyGeometricTerm(0.3 - 0.2j, 1 - (1 + 1e-6) * cmath.exp(0.3j))
         m = np.arange(262100, 262300)
@@ -522,6 +523,22 @@ class TestStepOnlyBits:
         _same_bits(np.concatenate([term().value(piece) for piece in np.split(m, [37, 44, 150])]),
                    whole)
         assert np.array([term().value(int(k)) for k in m[::40]]).tobytes() == whole[::40].tobytes()
+
+    def test_far_grid_costs_its_own_blocks(self):
+        """A 6-step grid at m = 10^7 makes the anchor of its one block, not
+        those of the 156 250 blocks below it: its peak of traced memory
+        stays under 64 KB, and its values are the steps' own."""
+        term = PolyGeometricTerm(0.3 - 0.2j, 1 - (1 + 1e-9) * cmath.exp(0.3j))
+        m = np.arange(10**7, 10**7 + 6)
+        tracemalloc.start()
+        try:
+            whole = term.value(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        assert np.isfinite(whole).all() and np.abs(whole).min() > 0
+        assert np.array([term.value(int(k)) for k in m]).tobytes() == whole.tobytes()
 
     def test_cut_grid_and_evaluate(self, rng):
         # the zero cut and ``evaluate`` read the grid's own bits

@@ -88,12 +88,16 @@ DIVIDED = [["--strategy", "inside", "--expr=1/(s^3+0.5*s^2+0.6*s+2)", "--k", "1.
            ["--strategy", "inside", LATE_START, "--k", "1..330"]]
 # closed-form powers: a real pole's float64 pow on a whole 1e5-step grid, a
 # conjugate pair of |1 - p| = 1.0003 whose anchored tables are live on all
-# its 40 000 steps, and a pair of |1 - p| = 1.4e5 whose powers leave the
-# squaring range (numpy's squaring gave nan from k = 61, ROADMAP item 3)
+# its 40 000 steps, a pair of |1 - p| = 1.4e5 whose powers leave the
+# squaring range (numpy's squaring gave nan from k = 61, ROADMAP item 3),
+# and a decaying pair on short grids far out, at k = 1e7 and at k = 2^53
+PAIR = "--expr=1/(s-(1+2j))+1/(s-(1-2j))"
 POWERED = [["--expr=1/(s+0.01)", "--k", "1..100000"],
            ["--expr=(0.8-1.2j)/(s-(0.0005+0.04j)) + (0.8+1.2j)/(s-(0.0005-0.04j))",
             "--k", "1..40000"],
-           ["--expr=1/((s-(-99999-100000j))*(s-(-99999+100000j)))", "--k", "1..70"]]
+           ["--expr=1/((s-(-99999-100000j))*(s-(-99999+100000j)))", "--k", "1..70"],
+           [PAIR, "--k", "10000000..10000005"],
+           [PAIR, "--k", "9007199254740987..9007199254740991"]]
 # F that leaves float64 (a pole at |1 - p| = 0.38), and a tiny residue whose
 # series leaves it at k = 2021, past the steps evaluated first, also as an
 # imaginary one (complex F)
