@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ExpressionSyntaxError, NablaError, TruncationWarning
 from .expansion import ImpulseTerm, complex_pair, expand
 from .inversion import (
-    COMPLEX_F,
     FractionalAtom,
     FractionalSumForm,
     first_out_of_range,
@@ -281,8 +280,9 @@ class _Problem:
         """(strategy used, closed form or None, float values on the grid ks).
 
         Raises RealnessError naming the first step whose value is not real
-        (the inside and table routes scale the test by the grid's max |f|),
-        and OverflowError naming the first step whose value is not finite in
+        (``real_values``, the one test of every route, which the series and
+        table routes scale by the largest |f| up to each step), and
+        OverflowError naming the first step whose value is not finite in
         float64.  A rational route stops at the first value out of range
         (``first_out_of_range``).
         """
@@ -302,9 +302,7 @@ class _Problem:
         else:
             values = values(len(ks))
         if cf is None:
-            # these routes compute the series of F itself, whose
-            # coefficients are real for real F, so the cause is F
-            values = real_values(values, ks[:len(values)], np.max(np.abs(values)), COMPLEX_F)
+            values = real_values(values, ks[:len(values)], np.maximum.accumulate(np.abs(values)))
         bad = ~np.isfinite(values)
         if bad.any():
             k = float(ks[int(np.argmax(bad))])

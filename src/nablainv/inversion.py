@@ -42,9 +42,6 @@ CUT_MIN_STEPS = 1000
 # a grid whose F has a pole with |1 - p| < 1 is evaluated first up to the
 # step where that pole's mode has grown by 2^1100 (``first_out_of_range``)
 OVERFLOW_LOG = 1100 * math.log(2)
-# the causes a failing realness test names
-CONJUGATE_TERMS = "term set is not conjugate-consistent"
-COMPLEX_F = "F(s) has complex coefficients"
 
 __all__ = [
     "ClosedFormSequence",
@@ -64,16 +61,14 @@ class ClosedFormSequence:
 
     Defined on the index set {a+1, a+2, ...} where a is ``base_point``.
     ``values`` is the sequence as a rule m -> f(a+m), complex, on step
-    offsets.  ``sample`` returns the real values on a grid of steps k and
-    rejects a significant imaginary residue (conjugate terms of a real problem
-    must cancel), naming ``cause``; ``evaluate`` is ``sample`` at one step,
+    offsets.  ``sample`` returns the real values on a grid of steps k, each
+    step tested by ``real_values``; ``evaluate`` is ``sample`` at one step,
     and ``evaluate_complex`` is ``values`` at one step.  Values outside the
     float64 range come back as inf or nan, for the caller to reject.
     """
 
     base_point: float
     terms: tuple
-    cause: str = CONJUGATE_TERMS
 
     def values(self, m):
         """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of
@@ -90,12 +85,14 @@ class ClosedFormSequence:
 
     def sample(self, ks):
         """Real values at every step of ``ks``, each term evaluated once on the
-        array of step offsets.
+        array of step offsets and added in place, in order, to a sum that
+        starts at +0.0 (which no addition turns into -0.0); ``real_values``
+        tests each step against the largest of its terms' magnitudes.
 
         On an ascending grid of at least CUT_MIN_STEPS steps a term is
-        evaluated, and the realness test run, only on the steps before its
-        ``zero_from``; the steps past every term's are +0.0, which the sum of
-        the terms' zeros is.
+        evaluated and added only on the steps before its ``zero_from``, where
+        it would add a zero that leaves the sum as it is; the steps past every
+        term's are +0.0, and are not tested.
         """
         ks = ks if isinstance(ks, np.ndarray) else list(ks)
         offsets = np.asarray(ks, dtype=float) - self.base_point
@@ -110,19 +107,15 @@ class ClosedFormSequence:
             live = [n if t.zero_from is None else int(np.searchsorted(m, t.zero_from))
                     for t in self.terms]
             n = max(live, default=0)
-        parts = np.zeros((len(self.terms), n), dtype=complex)
+        v, scale = np.zeros(n, dtype=complex), np.zeros(n)
         # (1-p)^-m past the float64 range is inf; numpy flags that as an
         # overflow, or for a complex base as a division by zero
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            for row, t, size in zip(parts, self.terms, live):
-                row[:size] = t.value(m[:size])
-            # numpy sums the terms in order on a grid of two or more steps,
-            # from +0.0, but a one-step grid's column pairwise
-            v = parts.sum(axis=0) if n != 1 else np.array([sum(parts[:, 0].tolist(), 0j)])
-            # conjugate terms cancel to rounding of the summands, which may
-            # dwarf the sum itself (large residues at close conjugate poles)
-            scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-            head = real_values(v, ks, scale, self.cause)
+            for t, size in zip(self.terms, live):
+                value = t.value(m[:size])
+                v[:size] += value
+                np.maximum(scale[:size], np.abs(value), out=scale[:size])
+            head = real_values(v, ks, scale)
         if n == m.size:
             return head
         values = np.zeros(m.size)
@@ -138,19 +131,27 @@ class ClosedFormSequence:
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
 
 
-def real_values(v, ks, scale, cause):
-    """The real parts of the values v at the steps ks, after checking that no
-    imaginary part exceeds REALNESS_TOL times ``scale`` (an array, one entry
-    per step, or one number for the whole grid).
+def real_values(v, ks, scale):
+    """The real parts of the complex values v at the steps ks, after checking
+    that no step's imaginary part exceeds REALNESS_TOL * max(1, |f(k)|,
+    scale), where ``scale`` holds one magnitude a step: the largest of a
+    closed form's terms there, or on the series and table routes the largest
+    |f| up to that step.  A real F leaves an imaginary part from rounding in
+    proportion to those magnitudes, not to f(k) alone: conjugate terms cancel
+    to rounding of the terms, and a series divided by complex factors carries
+    the rounding of its larger values along.
 
-    Raises RealnessError naming the first step that fails, and ``cause``: a
-    real sequence cannot come from this transform, and its real part alone is
-    not the answer.
+    No verdict reads a later step, so a step's verdict is the same on every
+    grid that holds the steps before it; a value that is not finite passes,
+    for the caller to reject.  Raises RealnessError naming the first step
+    that fails: a real sequence cannot come from this transform, and its
+    real part alone is not the answer.
     """
-    bad = np.abs(v.imag) > REALNESS_TOL * scale
+    bad = np.abs(v.imag) > REALNESS_TOL * np.maximum(np.maximum(1.0, scale), np.abs(v))
     if bad.any():
         i = int(np.argmax(bad))
-        raise RealnessError(f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; {cause}")
+        raise RealnessError(f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; "
+                            "F(s) has complex coefficients")
     return v.real
 
 
@@ -185,14 +186,14 @@ def first_out_of_range(rf, ms, values):
     Every rational route's values depend on the step alone (the series
     division is prefix-stable, and a closed form's terms are sampled step by
     step), so the prefix is the whole grid's prefix bit for bit, and the
-    first value out of range, at the same step, is the one reported.  No
-    later step could fail a realness test that the prefix passes: a closed
-    form tests each step against its largest term, and a term that is not
-    finite stays so at every later step (its binomial, and a growing pole's
-    power, only grow), which passes the test; the series route tests after
-    this returns, against the largest |f| of what it returned, which is not
-    finite, as the whole grid's is.  A growth that starts late (a tiny
-    residue) costs the prefix once more.
+    first value out of range, at the same step, is the one reported.  By the
+    same argument the prefix's realness verdict is the whole grid's: each
+    step's test (``real_values``) reads that step and the ones before it,
+    and no later step could fail it, since a value that is not finite passes,
+    as do the later ones: a closed form's term that is not finite stays so
+    (its binomial, and a growing pole's power, only grow), and on the series
+    route the largest |f| so far, the scale, stays inf or nan.  A growth
+    that starts late (a tiny residue) costs the prefix once more.
     """
     if len(ms) < CUT_MIN_STEPS:
         return values(len(ms))
@@ -216,10 +217,7 @@ def invert_partial_fractions(rf, a=0.0):
     residue derivative formula produces.  Any polynomial (improper) part
     becomes impulses, which the finite-pole residues cannot see.
     """
-    # a real F has a real closed form by construction, so the realness test
-    # of ``sample`` can only fail for a complex one
-    cause = CONJUGATE_TERMS if rf.is_real else COMPLEX_F
-    return ClosedFormSequence(float(a), expand(rf), cause)
+    return ClosedFormSequence(float(a), expand(rf))
 
 
 invert_outside = invert_partial_fractions
@@ -378,7 +376,4 @@ class FractionalSumForm:
 
 def invert_fractional(form, a=0.0):
     """The closed form of a fractional sum: its atoms, each a term."""
-    # the atoms of a real F come in exact conjugate pairs, whose series are
-    # exact conjugates, so the realness test of ``sample`` can only fail for
-    # a complex F
-    return ClosedFormSequence(float(a), form.atoms, COMPLEX_F)
+    return ClosedFormSequence(float(a), form.atoms)

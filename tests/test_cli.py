@@ -347,8 +347,6 @@ class TestComplexSequence:
         ("1/(s^0.5-0.2j)", "auto", 1),  # fractional: f(1) = 1/(1-0.2j)
     ])
     def test_series_and_table_routes_name_the_complex_input(self, capsys, expr, strategy, k):
-        # the series and table routes compute F's own series, and the atoms
-        # of a real F come in exact conjugate pairs: the cause is F itself
         code, _, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
                            "--strategy", strategy)
         assert code == 1
@@ -364,6 +362,31 @@ class TestComplexSequence:
         assert out == ""
         assert err == ("error: imaginary residue 4.000e-01 at k = 1.0; "
                        "F(s) has complex coefficients\n")
+
+    @pytest.mark.parametrize("k", ["1..3000", "1..1200"])
+    def test_every_route_names_the_same_step(self, capsys, k):
+        """i 1e-300 2^k passes 1e-9 at k = 967 on every route; the series
+        route, which tested the grid against its largest |f|, named the
+        overflow at k = 2049 on 1..3000 and k = 1171 on 1..1200."""
+        for strategy in ("pfe", "outside", "fractional", "inside"):
+            code, out, err = run(capsys, "invert", "--expr=1e-300j/(s-0.5)", "--k", k,
+                                 "--strategy", strategy)
+            assert (code, out, err) == (1, "", "error: imaginary residue 1.247e-09 at "
+                                        "k = 967.0; F(s) has complex coefficients\n"), strategy
+
+    def test_imaginary_rounding_passes_on_every_route(self, capsys):
+        """An imaginary part within 1e-9 max(1, |f(k)|) counts as rounding on
+        every route, as it did on the closed-form routes: the series route,
+        which tested against the grid's largest |f| with no floor of 1,
+        refused the -6.7e-13j at k = 1 of 1e-12j/(s+0.5).  Its scale, the
+        largest |f| up to k, is below 1 here."""
+        outputs = set()
+        for strategy in ("auto", "pfe", "outside", "fractional", "inside"):
+            code, out, _ = run(capsys, "invert", "--expr=1e-12j/(s+0.5)", "--k", "1..3",
+                               "--format", "csv", "--strategy", strategy)
+            assert code == 0, strategy
+            outputs.add(out)
+        assert outputs == {"k,f(k)\n1,0\n2,0\n3,0\n"}
 
     def test_real_input_with_complex_dust_passes(self, capsys):
         # deflating by the complex roots of the cancelled quadratic leaves

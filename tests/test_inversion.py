@@ -862,7 +862,7 @@ def _full_sample(cf, ks):
             row[:] = t.value(m)
         v = parts.sum(axis=0)
         scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-        return real_values(v, ks, scale, cf.cause)
+        return real_values(v, ks, scale)
 
 
 def _outcome(sample, ks):
@@ -1046,9 +1046,9 @@ class TestFirstOutOfRange:
     @pytest.mark.parametrize("expr", ["1e-300j/(s-0.5)", "(1+1e-300j)/(s-0.5)",
                                       "(1+1e-3j)/(s-0.5)"])
     def test_complex_f_names_the_same_step(self, capsys, monkeypatch, strategy, expr):
-        """A complex F with a growing pole: the prefix's realness test,
-        scaled on inside by the largest |f| it holds, fails where the whole
-        grid's does and nowhere else."""
+        """A complex F with a growing pole: the prefix's realness test, which
+        reads each step and the steps before it, fails where the whole grid's
+        does and nowhere else."""
         argv = ["invert", "--strategy", strategy, f"--expr={expr}", "--k", "1..3000"]
         got = main(argv), capsys.readouterr()
         assert got[0] == 1 and got[1].out == ""

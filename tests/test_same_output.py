@@ -56,7 +56,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     shapes, each format of the fractional shapes, the two high-order poles,
     the term order of the TERMS rationals, the fractional route on a
     rational, each format of the PRINTED grids, the DIVIDED series, the
-    POWERED closed forms, forward
+    POWERED closed forms, the DUST complex F on two routes, forward
     and verify where F is read as no request reads it, and the REJECTED
     commands; each but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
@@ -70,7 +70,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # route refuses it
     late = same_output.LATE_START
     assert same_output.DIVIDED[-1] == ["--strategy", "inside", late, "--k", "1..330"]
-    assert rejected[-6] == ["verify", late, "--k", "1..330"]
+    assert rejected[-10] == ["verify", late, "--k", "1..330"]
     inverts = [argv[1:] for argv in cmds[:-len(rejected)] if argv[0] == "invert"]
     assert inverts == [[f"--expr={expr}", "--format", fmt] for expr in same_output.FRACTIONAL
                        for fmt in ("text", "csv", "json")] \
@@ -82,7 +82,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
            ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]] \
         + [[*argv, "--format", fmt] for argv in same_output.PRINTED
            for fmt in ("text", "csv", "json")] \
-        + same_output.DIVIDED + same_output.POWERED
+        + same_output.DIVIDED + same_output.POWERED + same_output.DUST
     evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
@@ -97,12 +97,14 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # lists no point (exit 2), and the complex lambda, the shapes with no
     # strategy, the unsupported power, the atom beside a non-atom, the
     # overflowing series and the underflowing residue exit 1, and so do the
-    # growing F and the tiny residues, at the first step out of range
+    # growing F and the tiny residues, at the first step out of range, and
+    # the imaginary residue at the first step past the realness tolerance,
+    # the same on every route and grid
     assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1,
-                                                 1, 1, 1, 1, 1]
-    err = capsys.readouterr().err.splitlines()[-5:]
+                                                 1, 1, 1, 1, 1, 1, 1, 1, 1]
+    err = capsys.readouterr().err.splitlines()[-9:]
     assert [line.split(" at k = ")[1].split(" ")[0] for line in err] == [
-        "734", "734", "1024", "2021", "2049"]
+        "734", "734", "1024", "2021", "967.0;", "967.0;", "967.0;", "967.0;", "967.0;"]
     capsys.readouterr()
 
 

@@ -100,10 +100,14 @@ POWERED = [["--expr=1/(s+0.01)", "--k", "1..100000"],
            [PAIR, "--k", "9007199254740987..9007199254740991"]]
 # F that leaves float64 (a pole at |1 - p| = 0.38), and a tiny residue whose
 # series leaves it at k = 2021, past the steps evaluated first, also as an
-# imaginary one (complex F)
+# imaginary one (complex F), whose values pass the realness tolerance at
+# k = 967
 GROWING = "--expr=1.7/(s-0.62) + 0.9/(s+1.3)^2"
 TINY = "--expr=1e-300/(s-0.5)"
 TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
+# a complex F whose imaginary parts, below 1e-9, are rounding on every route
+DUST = [["--strategy", strategy, "--expr=1e-12j/(s+0.5)", "--k", "1..3", "--format", "csv"]
+        for strategy in ("pfe", "inside")]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
@@ -113,7 +117,8 @@ TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
 # grows by 1e6 a step, out of the float64 range at k = 52, and the checks of
 # the late-starting series, whose pole's residue underflows on the pfe route;
 # the growing F on the outside and inside routes, the tiny residue on both
-# routes, and the imaginary one on the inside route
+# routes, and the imaginary one on every route, on inside also at a grid
+# that ends before the series leaves float64
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -132,7 +137,11 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--strategy", "inside", GROWING, "--k", "1..20000"],
             ["invert", TINY, "--k", "1..3000"],
             ["invert", "--strategy", "inside", TINY, "--k", "1..3000"],
-            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..3000"]]
+            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..3000"],
+            ["invert", "--strategy", "pfe", TINY_IMAGINARY, "--k", "1..3000"],
+            ["invert", "--strategy", "outside", TINY_IMAGINARY, "--k", "1..3000"],
+            ["invert", "--strategy", "fractional", TINY_IMAGINARY, "--k", "1..3000"],
+            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..1200"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -175,8 +184,8 @@ def fixed_commands():
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
-    the PRINTED grids, ``invert`` on the DIVIDED and the POWERED inputs, the
-    EVALUATING commands and the REJECTED ones."""
+    the PRINTED grids, ``invert`` on the DIVIDED, the POWERED and the DUST
+    inputs, the EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -191,6 +200,7 @@ def fixed_commands():
             for fmt in ("text", "csv", "json")]
     out += [["invert", *argv] for argv in DIVIDED]
     out += [["invert", *argv] for argv in POWERED]
+    out += [["invert", *argv] for argv in DUST]
     return out + EVALUATING + REJECTED
 
 
