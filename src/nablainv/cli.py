@@ -280,8 +280,9 @@ class _Problem:
         """(strategy used, closed form or None, float values on the grid ks).
 
         Raises RealnessError naming the first step whose value is not real
-        (``real_values``, the one test of every route, which the series and
-        table routes scale by the largest |f| up to each step), and
+        (``real_values``, the one test of every route that computes complex
+        values, which the series and table routes scale by the largest |f|
+        up to each step; a real F's series is float64 and needs none), and
         OverflowError naming the first step whose value is not finite in
         float64.  A rational route stops at the first value out of range
         (``first_out_of_range``).
@@ -297,11 +298,16 @@ class _Problem:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.asarray(self.table_hit.sequence(ms), dtype=complex)
 
+        def probe(m):
+            if cf is not None:
+                return cf.values(m)
+            return invert_inside(self.classified.rational, m)[-1]
+
         if used in ("pfe", "outside", "inside"):
-            values = first_out_of_range(self.classified.rational, ms, values)
+            values = first_out_of_range(self.classified.rational, ms, values, probe)
         else:
             values = values(len(ks))
-        if cf is None:
+        if values.dtype.kind == "c":
             values = real_values(values, ks[:len(values)], np.maximum.accumulate(np.abs(values)))
         bad = ~np.isfinite(values)
         if bad.any():

@@ -162,7 +162,8 @@ def invert_inside(rf, k_max):
     residue there equals the coefficient of w^(k-a-1) in F(1-w), so the values
     are exactly the leading series coefficients of F at s = 1, for any a
     (``RationalFunction.series_at_one``: the numerator's series divided by one
-    shifted denominator factor at a time).  Values below the smallest normal
+    shifted denominator factor at a time), float64 for a real F and complex
+    otherwise.  Values below the smallest normal
     float are set to 0: the divisions cannot resolve them, and a decaying
     sequence stalls there instead of reaching 0.
     """
@@ -173,16 +174,23 @@ def invert_inside(rf, k_max):
     return values
 
 
-def first_out_of_range(rf, ms, values):
+def first_out_of_range(rf, ms, values, probe):
     """``values(n)``, a route's values at the first n steps of the ascending
     int step offsets ``ms``, for the whole grid; or for a prefix of the grid
-    that already holds a value outside the float64 range.
+    that already holds a value outside the float64 range; or, when the grid
+    starts past such a value, the one value inf, which stands for its first
+    step.
 
     Where a reduced pole of F has rho = |1 - p| < 1, its mode rho^-m passes
     2^1100 at m = 1100 ln 2 / -ln rho, past float64 by 2^76.  The steps up
     to there and one POWER_BLOCK more are evaluated first; if one of their
     values is not finite, those values are returned, else the whole grid's.
-    A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once.
+    A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once,
+    unless it starts past that step: then ``probe(m)``, the route's value at
+    step offset m with no realness test, is asked at that step first, and
+    when it is not finite neither is any later one, so the grid's first
+    value is out of range.  The series route's cost is set by its last
+    step, and it pays for the probe's steps, not the grid's.
     Every rational route's values depend on the step alone (the series
     division is prefix-stable, and a closed form's terms are sampled step by
     step), so the prefix is the whole grid's prefix bit for bit, and the
@@ -195,11 +203,14 @@ def first_out_of_range(rf, ms, values):
     route the largest |f| so far, the scale, stays inf or nan.  A growth
     that starts late (a tiny residue) costs the prefix once more.
     """
-    if len(ms) < CUT_MIN_STEPS:
-        return values(len(ms))
     rho = rf.distance_of_poles_to_one()
     if rho < 1:
-        n = int(np.searchsorted(ms, OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK, "right"))
+        top = OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK
+        if ms[0] > top:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if not np.isfinite(probe(int(top))):
+                    return np.full(1, np.inf)
+        n = int(np.searchsorted(ms, top, "right")) if len(ms) >= CUT_MIN_STEPS else 0
         if 0 < n < len(ms):
             head = values(n)
             if not np.isfinite(head).all():

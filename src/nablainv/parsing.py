@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ExpressionSyntaxError, UnsupportedExpressionError
 from .inversion import FractionalAtom, FractionalSumForm
-from .polynomial import Polynomial
+from .polynomial import Polynomial, conjugate_pairs, conjugate_product
 from .rational import RationalFunction
 
 __all__ = [
@@ -380,10 +380,12 @@ def _read(node):
         r, _, odd = form = _read(node.operand)
         return r and (-r[0], r[1]), (node, form), odd
     if type(node) is BinOp:
+        if node.op in "+-" and type(node.left) is BinOp and node.left.op in "+-":
+            return _read_chain(node)
         l, r = _read(node.left), _read(node.right)
         lr, rr, rational = l[0], r[0], None
         if lr is not None and rr is not None:
-            if node.op in "+-":
+            if node.op in "+-":  # two summands, added in their order
                 rational = _sum(lr, rr, 1.0 if node.op == "+" else -1.0)
             elif node.op == "*":
                 rational = _scaled(lr[0] * rr[0], lr[1], rr[1], 1)
@@ -410,6 +412,63 @@ def _read(node):
                                 "overflows the float64 range") from None
         rational = _scaled(c, {}, factors, n)
     return rational, (node, base), odd
+
+
+def _read_chain(node):
+    """The form of a chain of three or more summands joined by + and -, as
+    ``_read`` gives it.  Its operands are read left to right, and its
+    rational reading is their sum over a common denominator in the same
+    order (``_sum``), except that a summand with an exact conjugate partner
+    later in the chain, c over q^e and c-bar over q-bar^e, is added to it
+    first, and the pair's sum, whose numerator is then exactly real, takes
+    the summand's place.  The chain's inner nodes get no rational reading:
+    only the chain's own is ever read."""
+    chain = []
+    while type(node) is BinOp and node.op in "+-":
+        chain.append(node)
+        node = node.left
+    form = _read(node)
+    signs, readings, odd = [1.0], [form[0]], form[2]
+    for inner in reversed(chain):
+        right = _read(inner.right)
+        signs.append(1.0 if inner.op == "+" else -1.0)
+        readings.append(right[0])
+        odd = odd or right[2]
+        form = None, (inner, form, right), odd
+    if None in readings:
+        return form
+    partner, total = _conjugate_partners(signs, readings), readings[0]
+    if 0 in partner:  # a pair's sum, in the place of its first member
+        total = _sum(total, readings[partner[0]], signs[partner[0]])
+    for i in range(1, len(readings)):
+        if i in partner:
+            j = partner[i]
+            r = _sum((signs[i] * readings[i][0], readings[i][1]), readings[j], signs[j])
+            total = _sum(total, r, 1.0)
+        elif not partner or i not in partner.values():
+            total = _sum(total, readings[i], signs[i])
+    return total, form[1], odd
+
+
+def _conjugate_partners(signs, readings):
+    """{i: j} for each summand i < j whose signed reading (sign * c, factors)
+    is the exact conjugate of summand j's, j the first such one not taken.
+    Only a summand with a complex constant or a complex factor has one."""
+    partner, unpaired = {}, {}  # unpaired: index -> the conjugate of its reading
+    for i, (c, factors) in enumerate(readings):
+        if not c.imag and (not factors or _S in factors and len(factors) == 1
+                           or not any(x.imag for q in factors for x in q)):
+            continue
+        c = signs[i] * c
+        for j, (cj, fj) in unpaired.items():
+            if cj == c and fj == factors:
+                partner[j] = i
+                del unpaired[j]
+                break
+        else:
+            unpaired[i] = c.conjugate(), {
+                tuple(x.conjugate() for x in q): e for q, e in factors.items()}
+    return partner
 
 
 def _terms(form):
@@ -604,14 +663,18 @@ def _sum(l, r, sign):
         return l
     if l[0] == 0:
         return sign * r[0], r[1]
-    den = {}
-    for q in {**l[1], **r[1]}:
+    den, keys = {}, {**l[1], **r[1]}
+    for q in keys:
         d = max(0, -l[1].get(q, 0), -r[1].get(q, 0))
         if d:
             den[q] = d
+    pairs = ()
+    if len(keys) > 1:  # the exactly conjugate pairs of complex factors
+        qs = list(keys)
+        pairs = [(qs[i], qs[j]) for i, j in conjugate_pairs([(q, None) for q in qs])]
     # each side over den: c * prod q^(e + d) over its factors and den's
     left, right = (
-        _multiplied(c, ((q, f.get(q, 0) + den.get(q, 0)) for q in {**f, **den}))
+        _multiplied(c, ((q, f.get(q, 0) + den.get(q, 0)) for q in {**f, **den}), pairs)
         for c, f in (l, (sign * r[0], r[1]))
     )
     if len(left) < len(right):
@@ -631,14 +694,33 @@ def _sum(l, r, sign):
     return _scaled(num[-1], top, den, -1)
 
 
-def _multiplied(c, factors):
+def _multiplied(c, factors, pairs=()):
     """c * prod q^e over (coefficient tuple q, int e >= 0) pairs as a list of
     Python complex, bit for bit ``Polynomial.product``'s coefficients (before
     it trims trailing zeros): np.convolve([c], q) is c * q_i added to a zero
     accumulator, and a convolution with s is a shift of coefficients a
     convolution made (their zeros are +0.0), so only the later factors other
-    than s reach np.convolve."""
+    than s reach np.convolve.
+
+    ``pairs`` holds (q, q-bar) pairs of exactly conjugate factors
+    (``conjugate_pairs``).  Where both have a positive exponent here, the
+    lesser exponent's copies of the pair are multiplied first, each as the
+    real ``conjugate_product``, and then c and the other factors in order,
+    so that the product of a real F's factors is exactly real."""
     acc = None
+    if pairs:
+        factors = dict(factors)
+        for q, qbar in pairs:
+            n = min(factors.get(q, 0), factors.get(qbar, 0))
+            if n:
+                real = conjugate_product(q)
+                for _ in range(n):
+                    acc = np.convolve(acc or [1.0], real).tolist()
+                factors[q] -= n
+                factors[qbar] -= n
+        if acc is not None:
+            acc = [0j + c * x for x in acc]
+        factors = factors.items()
     for q, e in factors:
         if not e:
             continue

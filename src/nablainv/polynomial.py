@@ -24,6 +24,8 @@ __all__ = [
     "CLUSTER_SCALE",
     "Polynomial",
     "RootCluster",
+    "conjugate_pairs",
+    "conjugate_product",
     "factor_roots",
     "pool_roots",
     "roots_with_multiplicities",
@@ -60,11 +62,21 @@ class Polynomial:
         When the roots are closed under conjugation (as a multiset, exactly),
         the coefficients are real: the product's imaginary parts are rounding.
         """
-        roots = np.asarray(list(roots), dtype=complex)
+        roots = np.sort(np.asarray(list(roots), dtype=complex))
         if not roots.size:
             return cls([1.0])
-        coeffs = npoly.polyfromroots(roots)
-        if np.array_equal(np.sort(roots), np.sort(roots.conj())):
+        # npoly.polyfromroots' products, bit for bit, without its per-call
+        # series checks: the sorted roots' linear factors, the halves
+        # multiplied pairwise, an odd one out folded into the first product
+        p = [np.array([-r, 1]) for r in roots]
+        while len(p) > 1:
+            m = len(p) // 2
+            tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+            if len(p) % 2:
+                tmp[0] = np.convolve(tmp[0], p[-1])
+            p = tmp
+        coeffs = p[0]
+        if np.array_equal(roots, np.sort(roots.conj())):
             coeffs = coeffs.real
         return cls(coeffs)
 
@@ -179,6 +191,38 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
+
+
+def conjugate_pairs(keys):
+    """(i, j), i < j, for each pair of keys (coefficient tuple, tag) whose
+    tuples are complex and exact conjugates of each other, with equal tags:
+    key j pairs with the first unpaired such key before it."""
+    pairs, unpaired = [], {}  # unpaired: the conjugate of a key -> its indices
+    for j, (q, tag) in enumerate(keys):
+        if not any(x.imag for x in q):
+            continue
+        if unpaired.get((q, tag)):
+            pairs.append((unpaired[q, tag].pop(0), j))
+        else:
+            unpaired.setdefault((tuple(x.conjugate() for x in q), tag), []).append(j)
+    return pairs
+
+
+def conjugate_product(q):
+    """The coefficients of q times its conjugate polynomial q-bar (q's
+    coefficients conjugated), from q's as Python numbers, as Python floats.
+
+    Each is a sum over i + j = k of Re(q_i conj q_j) = q_i.re q_j.re +
+    q_i.im q_j.im, the same number for (i, j) and (j, i), so the product is
+    exactly real: a complex np.convolve may fuse the multiply-adds of its dot
+    kernel and leave an imaginary part of rounding.  For s - p it is s^2 -
+    2 Re(p) s + |p|^2.
+    """
+    q = [complex(x) for x in q]
+    n = len(q)
+    return [sum(q[i].real * q[k - i].real + q[i].imag * q[k - i].imag
+                for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+            for k in range(2 * n - 1)]
 
 
 def _coeffs_of(other):

@@ -11,6 +11,8 @@ from .polynomial import (
     CLUSTER_SCALE,
     Polynomial,
     RootCluster,
+    conjugate_pairs,
+    conjugate_product,
     factor_roots,
     pool_roots,
     series_divide,
@@ -118,9 +120,19 @@ class RationalFunction:
 
     @cached_property
     def is_real(self):
-        """True when the constant and every factor have real coefficients."""
-        return self.constant.imag == 0 and not any(
-            x.imag for q, _e in self.factors for x in q.coeffs.tolist())
+        """True when the constant is real and the reduced factors, each with
+        its signed exponent, are closed under exact conjugation: a factor
+        with real coefficients is its own partner, and s - p pairs with
+        s - p-bar.  Then F(conj s) = conj F(s), and its sequence is real.
+        Read from ``_reduced``, so that a pair which pooling merges, or
+        cancels on one side only, leaves F complex."""
+        red = self._reduced
+        if red.constant.imag:
+            return False
+        keys = [(q, sign * e) for side, sign in ((red.numerator, 1), (red.denominator, -1))
+                for q, e in ((tuple(q.coeffs.tolist()), e) for q, e in side)
+                if any(x.imag for x in q)]
+        return len(keys) == 2 * len(conjugate_pairs(keys))
 
     @cached_property
     def _pooled(self):
@@ -251,15 +263,25 @@ class RationalFunction:
         expanded product, would carry the roots' error into every coefficient.
         Dividing by the far factors first lets the series shrink before the
         near ones make it grow, so a partial quotient does not overflow steps
-        before F's own series does.
+        before F's own series does.  For a real F each exactly conjugate pair
+        of denominator factors is one real factor in w.
         """
         red = self._reduced
         num = Polynomial([red.constant])
         for q, e in red.numerator:
             num = num * q.in_one_minus_w() ** e
-        far_first = sorted(red.denominator, key=lambda f: -min(
-            abs(1.0 - rc.value) for rc in factor_roots(f[0])))
-        return num, tuple((q.in_one_minus_w(), e) for q, e in far_first)
+        den = [(q.in_one_minus_w(), e, q) for q, e in red.denominator]
+        if self.is_real:
+            # each pair of conjugate factors as one real factor in w, in the
+            # place of its first member
+            keys = [(tuple(q.coeffs.tolist()), e) for q, e in red.denominator]
+            for i, j in conjugate_pairs(keys):
+                qw, e, q = den[i]
+                den[i], den[j] = (Polynomial(conjugate_product(qw.coeffs.tolist())), e, q), None
+            den = [f for f in den if f is not None]
+        far_first = sorted(den, key=lambda f: -min(
+            abs(1.0 - rc.value) for rc in factor_roots(f[2])))
+        return num, tuple((q, e) for q, e, _ in far_first)
 
     def series_at_one(self, order):
         """Coefficients c_0..c_order of F(1 - w) = sum c_j w^j, which are
@@ -268,12 +290,15 @@ class RationalFunction:
         The reduced factors are recentered at s = 1 - w one by one (see
         ``_at_one``), and the numerator's series is divided by one shifted
         denominator factor at a time, once per unit of its exponent, by
-        ``series_divide``, in float64 when F is real.  Each division carries
-        its rounding along the impulse response of that factor alone, where
-        the expanded denominator would carry it along that of 1/D, which grows
-        with the closeness of D's poles; and a cancelled pole-zero factor left
-        in the denominator would feed the division a mode that the numerator
-        only cancels in exact arithmetic, and rounding lets it grow.
+        ``series_divide``: in float64 for a real F (``is_real``), whose
+        conjugate pairs of factors are one real quadratic each, and the
+        coefficients are then float64; in complex128 otherwise.  Each
+        division carries its rounding along the impulse response of that
+        factor alone, where the expanded denominator would carry it along
+        that of 1/D, which grows with the closeness of D's poles; and a
+        cancelled pole-zero factor left in the denominator would feed the
+        division a mode that the numerator only cancels in exact arithmetic,
+        and rounding lets it grow.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -287,7 +312,7 @@ class RationalFunction:
         for q, e in den_w:
             for _ in range(e):
                 c = series_divide(c, q.coeffs.real if real else q.coeffs, order)
-        return c.astype(complex)
+        return c
 
     def inferred_roc(self):
         """Radius of the largest disk around s = 1 free of poles (inf when

@@ -1185,3 +1185,163 @@ class TestFactoredPoles:
         code, _, err = run(capsys, "invert", "--expr=1/(s-s)", "--k", "1..3")
         assert code == 2
         assert err == "error: denominator is identically zero\n"
+
+
+def _two_decimals(x):
+    text = f"{x:.2f}"
+    return "0.00" if text == "-0.00" else text
+
+
+def _literal(z):
+    """A real or complex two-decimal literal, parenthesised when complex."""
+    if z.imag == 0:
+        return _two_decimals(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"({_two_decimals(z.real)}{sign}{_two_decimals(abs(z.imag))}j)"
+
+
+def _conjugate_sweep(seed, count):
+    """``count`` real F written as partial fractions r/(s-p)^n, as (text,
+    terms): 2-3 exact conjugate pole pairs and 0-2 real poles, orders 1-2,
+    poles at least 0.15 apart and |1 - p| >= 1, so that every grid is
+    bounded; two-decimal literals, each pair's members side by side."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        poles, terms = [], []
+
+        def fresh(draw):
+            while True:
+                p = draw()
+                if abs(1 - p) >= 1 and all(abs(p - q) >= 0.15 for q in poles):
+                    poles.append(p)
+                    return p
+
+        def pair_pole():
+            w = rng.uniform(1, 3) * np.exp(1j * rng.uniform(0.2, 2.9))
+            return complex(round(1 - w.real, 2), round(-w.imag, 2))
+
+        for _ in range(int(rng.integers(2, 4))):
+            p = fresh(pair_pole)
+            poles.append(p.conjugate())
+            r = complex(round(rng.uniform(-3, 3), 2), round(rng.uniform(-2, 2), 2) or 0.5)
+            n = int(rng.integers(1, 3))
+            terms += [(r, p, n), (r.conjugate(), p.conjugate(), n)]
+        for _ in range(int(rng.integers(0, 3))):
+            p = fresh(lambda: complex(round(1 - rng.uniform(1, 3) * rng.choice((-1, 1)), 2)))
+            r = complex(round(rng.uniform(-3, 3), 2) or 1.0)
+            terms.append((r, p, int(rng.integers(1, 3))))
+        text = " + ".join(
+            f"{_literal(r)}/" + (f"(s+{_literal(-p)})" if p.imag == 0 and p.real < 0
+                                 else f"(s-{_literal(p)})") + (f"^{n}" if n > 1 else "")
+            for r, p, n in terms).replace("+ -", "- ")
+        out.append((text, terms))
+    return out
+
+
+def _exact_values(terms, ks):
+    """f(k) = sum r C(k+n-2, n-1) (1-p)^-(k+n-1) over the written terms, each
+    literal read as its decimal, summed in Fractions and rounded once."""
+    def gaussian(z):  # 100 z as a Gaussian integer
+        return round(z.real * 100), round(z.imag * 100)
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    out = []
+    for k in ks:
+        total = Fraction(0)
+        for r, p, n in terms:
+            (ur, ui), power, e = gaussian(1 - p), (1, 0), k + n - 1
+            base = ur, -ui  # 1/u = conj(u) / |u|^2
+            while e:
+                if e & 1:
+                    power = times(power, base)
+                base, e = times(base, base), e >> 1
+            rr, ri = gaussian(r)
+            re = rr * power[0] - ri * power[1]  # Re(100 r * conj(100 u)^N)
+            total += Fraction(math.comb(k + n - 2, n - 1) * re * 100 ** (k + n - 1),
+                              100 * (ur * ur + ui * ui) ** (k + n - 1))
+        out.append(float(total))
+    return np.array(out)
+
+
+# close conjugate terms: a pair 2e-7 apart that pooling merges, and two pairs
+# within 5e-4 of each other beside a growing real pole
+CLOSE = "(1+2e-7j)/(s-(0.5+1e-7j)) + (1-2e-7j)/(s-(0.5-1e-7j)) + 1/(s+2)"
+NEAR = ("(-0.53-0.22j)/(s-(-1.12075+0.00047j)) + (-0.53+0.22j)/(s-(-1.12075-0.00047j))"
+        " + (0.6-0.5j)/(s-(-1.12071-0.0005j)) + (0.6+0.5j)/(s-(-1.12071+0.0005j))"
+        " + 600/(s-1.2)")
+CLOSE_PRINTED = ("k,f(k)\n1,4.3333333333333428\n2,8.1111111111111338\n"
+                 "3,16.037037037037084\n4,32.012345679012441\n5,64.004115226337632\n")
+
+
+class TestConjugateWrittenF:
+    """A real F written with conjugate terms, r/(s-p) + r-bar/(s-p-bar), reads
+    real: its series is divided in float64 and its closed form computes the
+    upper member of each pair, and every route agrees with the written terms
+    summed exactly."""
+
+    STEPS = [1, 2, 3, 4, 5, 10, 99, 500, 1000, 1999, 2000]
+
+    @pytest.mark.parametrize("text, terms", _conjugate_sweep(2034, 30))
+    def test_every_route_prints_the_exact_sum(self, capsys, text, terms):
+        from nablainv import classify, parse_expression
+
+        rf = classify(parse_expression(text)).rational
+        assert rf.is_real is True
+        assert rf.series_at_one(4).dtype == np.float64
+        for grid in ("1..5", "1..2000"):
+            ks = self.STEPS[:5] if grid == "1..5" else self.STEPS
+            want = _exact_values(terms, ks)
+            # the largest term's size at k: rounding is in proportion to it;
+            # the worst step of the sweep is 2.9e-11 of it (5.4e-11 before
+            # pairing), where double poles 0.19 apart meet in the written sum
+            scale = np.max([[abs(r) * math.comb(k + n - 2, n - 1) * abs(1 - p) ** -(k + n - 1)
+                             for k in ks] for r, p, n in terms], axis=0)
+            for strategy in ("auto", "pfe", "outside", "inside"):
+                code, out, err = run(capsys, "invert", f"--expr={text}", "--k", grid,
+                                     "--strategy", strategy, "--format", "csv")
+                assert (code, err) == (0, ""), strategy
+                rows = out.splitlines()[1:]
+                got = np.array([float(rows[k - 1].split(",")[1]) for k in ks])
+                assert np.all(np.abs(got - want) <= 1e-10 * scale + 1e-300), strategy
+
+    @pytest.mark.parametrize("text", [
+        # the pair apart, with a real term between its members
+        "(0.50+1.20j)/(s-(-0.70+1.10j)) + 2.00/(s+1.50) + (0.50-1.20j)/(s-(-0.70-1.10j))",
+        # the pair as a product, alone and beside a real term
+        "(2.00*s+1.00)/((s-(-0.70+1.10j))*(s-(-0.70-1.10j)))",
+        "1.00/((s-(-0.70+1.10j))*(s-(-0.70-1.10j))) + 2.00/(s+1.50)",
+    ])
+    def test_split_and_product_pairs_read_real(self, capsys, text):
+        from nablainv import classify, parse_expression
+
+        rf = classify(parse_expression(text)).rational
+        assert rf.is_real is True
+        assert rf.series_at_one(2000).dtype == np.float64
+        outputs = []
+        for strategy in ("pfe", "inside"):
+            code, out, _ = run(capsys, "invert", f"--expr={text}", "--k", "1..2000",
+                               "--strategy", strategy, "--format", "csv")
+            assert code == 0
+            outputs.append(np.array([float(r.split(",")[1]) for r in out.splitlines()[1:]]))
+        assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-13 * np.max(np.abs(outputs[0]))
+
+    @pytest.mark.parametrize("strategy, expr, k, code, out, err", [
+        *((s, CLOSE, "1..5", 0, CLOSE_PRINTED, "") for s in ("auto", "pfe", "outside")),
+        # the pooled pair cancels one unit against a numerator root: the
+        # reduced F is complex, and its series carries an imaginary part
+        ("inside", CLOSE, "1..5", 1, "", "error: imaginary residue -8.667e-07 at k = 1.0; "
+         "F(s) has complex coefficients\n"),
+        # the closed form of the paired F is real by construction: its
+        # residues, off by about 1e-4 at the four close poles, now print
+        # 1.1e-9 of f(1) from the exact -2999.934040147391...
+        *((s, NEAR, "1..3", 0, "k,f(k)\n1,-2999.9340433582465\n2,15000.031090957184\n"
+           "3,-74999.985432037894\n", "") for s in ("auto", "pfe", "outside")),
+        ("inside", NEAR, "1..3", 0, "k,f(k)\n1,-2999.9340401473905\n2,15000.031076417605\n"
+         "3,-74999.985358625461\n", ""),
+    ])
+    def test_close_conjugate_terms(self, capsys, strategy, expr, k, code, out, err):
+        assert run(capsys, "invert", f"--expr={expr}", "--k", k, "--strategy", strategy,
+                   "--format", "csv") == (code, out, err)

@@ -1013,7 +1013,8 @@ class TestFirstOutOfRange:
 
     @staticmethod
     def whole_grid(monkeypatch):
-        monkeypatch.setattr(cli, "first_out_of_range", lambda rf, ms, values: values(len(ms)))
+        monkeypatch.setattr(cli, "first_out_of_range",
+                            lambda rf, ms, values, probe: values(len(ms)))
 
     @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
     @pytest.mark.parametrize("expr, rho, grid", GROWING)
@@ -1052,6 +1053,39 @@ class TestFirstOutOfRange:
         argv = ["invert", "--strategy", strategy, f"--expr={expr}", "--k", "1..3000"]
         got = main(argv), capsys.readouterr()
         assert got[0] == 1 and got[1].out == ""
+        self.whole_grid(monkeypatch)
+        assert (main(argv), capsys.readouterr()) == got
+
+    @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
+    def test_far_grid_probes_the_overflow_step(self, capsys, monkeypatch, strategy):
+        """A 3-step grid at k = 10^7 of 1/(s-0.3), whose mode 0.7^-m leaves
+        float64 by m = 2201: the route is asked for that step alone, and the
+        grid's first k is named as before.  The series divided 10^7
+        coefficients there (0.77 s and 353 MB); now its peak of traced
+        memory stays under 1 MB."""
+        argv = ["invert", "--strategy", strategy, "--expr=1/(s-0.3)",
+                "--k", "10000000..10000002"]
+        asked = self.record(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = main(argv), capsys.readouterr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got[0], got[1].out, got[1].err) == (
+            1, "", "error: f(k) at k = 10000000 is outside the float64 range; narrow --k\n")
+        assert peak <= 1 << 20
+        assert asked == ([2201] if strategy == "inside" else [])
+
+    def test_far_grid_past_a_tiny_residue_is_evaluated(self, capsys, monkeypatch):
+        """1e-300 * 2^m is finite at the probe's step, m = 1164, and the
+        series leaves float64 at m = 2021: the grid at 2100..2102 is
+        evaluated, as before."""
+        argv = ["invert", "--strategy", "inside", "--expr=1e-300/(s-0.5)", "--k", "2100..2102"]
+        asked = self.record(monkeypatch)
+        got = main(argv), capsys.readouterr()
+        assert asked == [1164, 2102]
+        assert got[1].err == "error: f(k) at k = 2100 is outside the float64 range; narrow --k\n"
         self.whole_grid(monkeypatch)
         assert (main(argv), capsys.readouterr()) == got
 

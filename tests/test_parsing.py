@@ -485,11 +485,11 @@ class TestSumShapes:
         ("s^2-2.14*s+1.3474", (1.0, 0.0), [
             ([(1.3474, 0.0), (-2.14, 0.0), (1.0, 0.0)], 1),
         ]),
-        # partial-fraction sums as the rational-long benchmark writes them
+        # partial-fraction sums as the rational-long benchmark writes them;
+        # the conjugate pair is added first, and the numerator is real
         ("-2.68/(s-1.55) + (2.82-0.97j)/(s-(-0.65-1.45j))"
          " + (2.82+0.97j)/(s-(-0.65+1.45j))", (2.9599999999999995, 0.0), [
-            ([(-2.7328209459459463, -9.00180830777154e-16),
-              (-3.8422297297297296, -1.5003013846285901e-16), (1.0, 0.0)], 1),
+            ([(-2.7328209459459463, 0.0), (-3.84222972972973, 0.0), (1.0, 0.0)], 1),
             ([(-1.55, 0.0), (1.0, 0.0)], -1),
             ([(0.65, 1.45), (1.0, 0.0)], -1),
             ([(0.65, -1.45), (1.0, 0.0)], -1),
@@ -571,3 +571,57 @@ class TestSumsWithoutConvolution:
         monkeypatch.setattr(np, "convolve", counting)
         assert classify(ast).kind is Kind.RATIONAL
         assert len(seen) == calls
+
+
+def _real_reading(text):
+    """True when the rational reading's constant and factors have no
+    imaginary part, or the factors are exact conjugate pairs."""
+    c, factors = _read(parse_expression(text))[0]
+    keys = {(q, e) for q, e in factors.items() if any(x.imag for x in q)}
+    return c.imag == 0 and keys == {(tuple(x.conjugate() for x in q), e) for q, e in keys}
+
+
+class TestConjugateTerms:
+    """A written sum adds each summand to its exact conjugate partner first,
+    and a product multiplies an exact conjugate pair of factors as one real
+    quadratic first, so that a real F written with conjugate terms reads
+    exactly real."""
+
+    @staticmethod
+    def pole(rng):
+        return complex(*np.round(rng.uniform(-3, 3, 2), 2))
+
+    def test_pairs_read_real(self):
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            p, q, r = self.pole(rng), self.pole(rng), self.pole(rng)
+            pair = [f"({r})/(s-({p}))", f"({r.conjugate()})/(s-({p.conjugate()}))"]
+            real = f"{q.real}/(s-{q.real})"
+            for text in (" + ".join(pair), " + ".join([pair[0], real, pair[1]]),
+                         " + ".join([real, *pair[::-1]])):
+                assert _real_reading(text), text
+            # the pair as a product, in a sum and raised to a power
+            product = f"(s-({p}))*(s-({p.conjugate()}))"
+            assert _real_reading(f"1/({product}) + {real}")
+            assert _real_reading(f"{real} - 2/({product})^2")
+
+    def test_a_negated_partner_pairs(self):
+        c, factors = _read(parse_expression(
+            "-(0.5+1j)/(s-(0.3+2j)) - (0.5-1j)/(s-(0.3-2j)) + 1/(s+1)"))[0]
+        numerator = [q for q, e in factors.items() if e > 0]
+        assert c.imag == 0 and not any(x.imag for q in numerator for x in q)
+
+    def test_sum_without_a_pair_keeps_its_order(self, monkeypatch):
+        """Summands that are not exact conjugates are added left to right,
+        as before: a partner off by one bit is no partner."""
+        calls = []
+        original = parsing._sum
+        # the summands added, leaving out the constants of s - p
+        monkeypatch.setattr(parsing, "_sum", lambda l, r, sign: (
+            r[1] and calls.append(r[0])) or original(l, r, sign))
+        _read(parse_expression("(1+1j)/(s-(2+1j)) + 3/(s+1) + (1-1j)/(s-(2-1j))"))
+        paired = calls[:]
+        calls.clear()
+        _read(parse_expression(
+            "(1+1j)/(s-(2+1j)) + 3/(s+1) + (1-1.0000000000000002j)/(s-(2-1j))"))
+        assert paired[0] == 1 - 1j and calls[0] == 3

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, root clustering with multiplicities, series division."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from nablainv import Polynomial, RootCluster, roots_with_multiplicities
@@ -9,6 +10,7 @@ from nablainv.polynomial import (
     _BLOCK,
     _HEAD,
     _SEED,
+    conjugate_product,
     factor_roots,
     pool_roots,
     series_divide,
@@ -158,6 +160,42 @@ class TestRoots:
         assert abs(near.value - real_root) < 1e-9
         # one root without its conjugate keeps the complex product
         assert np.any(Polynomial.from_roots([z, z, z.conjugate()]).coeffs.imag)
+
+    def test_from_roots_is_polyfromroots_bit_for_bit(self):
+        """The pairwise products of the sorted roots' linear factors, as
+        numpy's helper forms them, on 1-9 roots: repeated ones, conjugate
+        pairs and signed zeros in either part."""
+        rng = np.random.default_rng(34)
+        parts = [0.0, -0.0, 1.0, -0.5]
+        for _ in range(600):
+            roots = []
+            while len(roots) < rng.integers(1, 10):
+                pick = lambda: (float(rng.choice(parts)) if rng.random() < 0.3
+                                else float(rng.normal()))
+                z = complex(pick(), pick() if rng.random() < 0.5 else float(rng.choice(parts)))
+                roots += [z, z.conjugate()] if rng.random() < 0.3 else [z]
+                if rng.random() < 0.3:
+                    roots.append(roots[-1])
+            r = np.array(roots, dtype=complex)
+            want = npoly.polyfromroots(r)
+            if np.array_equal(np.sort(r), np.sort(r.conj())):
+                want = want.real
+            got = Polynomial.from_roots(roots).coeffs
+            assert got.tobytes() == Polynomial(want).coeffs.tobytes()
+        assert Polynomial.from_roots([]) == Polynomial([1.0])
+
+    def test_conjugate_product_is_real(self):
+        """q times q-bar as Python floats: s^2 - 2 Re(p) s + |p|^2 for s - p,
+        and within rounding of the complex product at degrees 1-3."""
+        p = -0.65 + 1.45j
+        assert conjugate_product([-p, 1.0]) == [p.real**2 + p.imag**2, -2 * p.real, 1.0]
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            q = rng.normal(size=int(rng.integers(2, 5))) + 1j * rng.normal(size=1)
+            got = conjugate_product(q.tolist())
+            assert all(type(x) is float for x in got)
+            want = np.convolve(q, q.conj())
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_complex_polynomial_is_not_mirrored(self):
         p = Polynomial.from_roots([1j, -2j, 0.5])

@@ -1,6 +1,8 @@
 """RationalFunction: evaluation, poles with cancellation, series at s=1, ROC."""
 
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,11 @@ CLOSE_POLES = [
 ]
 
 
+# a real F written with a conjugate pair of terms
+CONJUGATE_TERMS = ("-2.68/(s+1.55) + (2.82-0.97j)/(s-(-0.65-1.45j))"
+                   " + (2.82+0.97j)/(s-(-0.65+1.45j))")
+
+
 class TestSeriesChain:
     """F(1-w) divided by one shifted denominator factor at a time."""
 
@@ -136,6 +143,21 @@ class TestSeriesChain:
         want = mpmath_factored_values(rf.constant, [(q.coeffs, e) for q, e in rf.factors],
                                       600, digits=60)
         got = rf.series_at_one(599)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_conjugate_pair_divides_once_in_float64(self):
+        """s - p and s - p-bar, as the rational-long benchmark writes them, are
+        one real quadratic in w, and the series is float64, to within 1e-13
+        of the largest value of a 60-digit division of the same factors."""
+        rf = _rational(CONJUGATE_TERMS)
+        assert rf.is_real
+        den_w = rf._at_one[1]
+        assert sorted(q.degree for q, _e in den_w) == [1, 2]
+        assert not any(q.coeffs.imag.any() for q, _e in den_w)
+        want = mpmath_factored_values(rf.constant, [(q.coeffs, e) for q, e in rf.factors],
+                                      2000, digits=60)
+        got = rf.series_at_one(1999)
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_dense_factor_keeps_the_dense_division(self):
@@ -261,6 +283,50 @@ class TestIsReal:
         assert rf.is_real is real
         assert rf.is_real == _old_is_real(rf)
 
+    def test_conjugate_factors_are_real(self):
+        """s - p pairs with s - p-bar at the same exponent, on either side;
+        an unequal exponent, a complex constant or a partner off by one bit
+        leaves F complex."""
+        p = -0.65 + 1.45j
+
+        def real(constant, *factors):
+            return RationalFunction.from_factors(
+                constant, {Polynomial([-z, 1.0]): e for z, e in factors}).is_real
+
+        assert real(2.0, (p, -1), (p.conjugate(), -1), (0.3, 1))
+        assert real(2.0, (p, 2), (p.conjugate(), 2), (3.0, -5))
+        assert not real(2.0, (p, -1), (p.conjugate(), -2))
+        assert not real(2j, (p, -1), (p.conjugate(), -1))
+        assert not real(2.0, (p, -1), (complex(p.real, np.nextafter(-p.imag, 0)), -1))
+
+    def test_a_pair_that_pooling_cancels_on_one_side_stays_complex(self):
+        """Poles 2e-7 apart are pooled into one double pole, and one unit of
+        it cancels against a numerator root: the reduced F keeps s - p
+        without s - p-bar, so it is divided in complex128 though every
+        factor as written has its conjugate."""
+        rf = _rational("(1+2e-7j)/(s-(0.5+1e-7j)) + (1-2e-7j)/(s-(0.5-1e-7j)) + 1/(s+2)")
+        keys = [(tuple(q.coeffs.tolist()), e) for q, e in rf.factors]
+        assert sorted(keys, key=str) == sorted(
+            ((tuple(x.conjugate() for x in q), e) for q, e in keys), key=str)
+        assert rf.is_real is False
+        assert rf.series_at_one(3).dtype == complex
+
+    def test_the_benchmark_conjugate_terms_read_real(self, monkeypatch):
+        """The F of the first 100 seed-1 rational-long requests that write a
+        real F with conjugate terms, 39 of them: each reads real, and its
+        series is float64."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import requests
+
+        texts = [arg.removeprefix("--expr=")
+                 for req in itertools.islice(requests("rational-long", 1), 100)
+                 for arg in req["argv"] if arg.startswith("--expr=") and "j" in arg]
+        assert len(texts) == 39
+        for text in texts:
+            rf = _rational(text)
+            assert rf.is_real is True, text
+            assert rf.series_at_one(5).dtype == np.float64
+
     def test_reads_the_coefficients_once(self):
         reads = []
 
@@ -280,6 +346,7 @@ class TestIsReal:
 
         rf = RationalFunction.from_factors(
             2.0, {Counted([0.5, 1.0]): -1, Counted([1.0, 0.0, 1.0]): 2})
+        rf._reduced  # is_real reads the reduced factors, whose roots read them too
         reads.clear()
         assert rf.is_real and rf.is_real
         assert len(reads) == 2  # one read per factor, on the first access only

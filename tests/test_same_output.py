@@ -56,9 +56,9 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     shapes, each format of the fractional shapes, the two high-order poles,
     the term order of the TERMS rationals, the fractional route on a
     rational, each format of the PRINTED grids, the DIVIDED series, the
-    POWERED closed forms, the DUST complex F on two routes, forward
-    and verify where F is read as no request reads it, and the REJECTED
-    commands; each but the rejected exits 0 here."""
+    POWERED closed forms, the DUST complex F on two routes, the CONJUGATE
+    terms of real F, forward and verify where F is read as no request reads
+    it, and the REJECTED commands; each but the rejected exits 0 here."""
     cmds = same_output.fixed_commands()
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
@@ -70,7 +70,7 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # route refuses it
     late = same_output.LATE_START
     assert same_output.DIVIDED[-1] == ["--strategy", "inside", late, "--k", "1..330"]
-    assert rejected[-10] == ["verify", late, "--k", "1..330"]
+    assert rejected[-12] == ["verify", late, "--k", "1..330"]
     inverts = [argv[1:] for argv in cmds[:-len(rejected)] if argv[0] == "invert"]
     assert inverts == [[f"--expr={expr}", "--format", fmt] for expr in same_output.FRACTIONAL
                        for fmt in ("text", "csv", "json")] \
@@ -82,13 +82,15 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
            ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]] \
         + [[*argv, "--format", fmt] for argv in same_output.PRINTED
            for fmt in ("text", "csv", "json")] \
-        + same_output.DIVIDED + same_output.POWERED + same_output.DUST
+        + same_output.DIVIDED + same_output.POWERED + same_output.DUST + same_output.CONJUGATE
     evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
         ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
         ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
-        ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
+        ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
+        ["verify", same_output.PAIR_TERMS, "--k", "1..100"],
+        ["verify", same_output.PAIR_TERMS, "--k", "1..100", "--format", "json"]]
     assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating) + len(rejected)
     for argv in cmds[:-len(rejected)]:
         assert main(argv) == 0, argv
@@ -99,12 +101,14 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # overflowing series and the underflowing residue exit 1, and so do the
     # growing F and the tiny residues, at the first step out of range, and
     # the imaginary residue at the first step past the realness tolerance,
-    # the same on every route and grid
+    # the same on every route and grid, and so do the merged close pair on
+    # inside, at k = 1, and the far grid, at its first step
     assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1,
-                                                 1, 1, 1, 1, 1, 1, 1, 1, 1]
-    err = capsys.readouterr().err.splitlines()[-9:]
+                                                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+    err = capsys.readouterr().err.splitlines()[-11:]
     assert [line.split(" at k = ")[1].split(" ")[0] for line in err] == [
-        "734", "734", "1024", "2021", "967.0;", "967.0;", "967.0;", "967.0;", "967.0;"]
+        "734", "734", "1024", "2021", "967.0;", "967.0;", "967.0;", "967.0;", "967.0;",
+        "1.0;", "10000000"]
     capsys.readouterr()
 
 

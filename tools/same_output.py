@@ -49,13 +49,38 @@ HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
 # rationals whose closed form shows the order of the terms: an impulse, a
 # simple and a double pole; and a double pole whose order-1 coefficient is 0
 TERMS = ["(s^3+1)/((s-2)*(s+0.55)^2)", "4.05/((s+0.55)^2)+1/(s-2)"]
+# real F written with conjugate terms, which read real: the rational-long
+# shape, which requests send to auto and inside only, on pfe and outside in
+# each format (and on verify, below); the pair as a product, and apart with
+# a real term between its members, on pfe and inside; and close conjugate
+# terms, a pair 2e-7 apart that pooling merges (inside refuses it, below)
+# and two pairs within 5e-4 of each other beside a growing pole
+PAIR_TERMS = ("--expr=-2.68/(s+1.55) + (2.82-0.97j)/(s-(-0.65-1.45j))"
+              " + (2.82+0.97j)/(s-(-0.65+1.45j))")
+PAIRED = ["--expr=(2.00*s+1.00)/((s-(-0.70+1.10j))*(s-(-0.70-1.10j)))",
+          "--expr=(0.50+1.20j)/(s-(-0.70+1.10j)) + 2.00/(s+1.50)"
+          " + (0.50-1.20j)/(s-(-0.70-1.10j))"]
+CLOSE_PAIR = "--expr=(1+2e-7j)/(s-(0.5+1e-7j)) + (1-2e-7j)/(s-(0.5-1e-7j)) + 1/(s+2)"
+NEAR_PAIRS = ("--expr=(-0.53-0.22j)/(s-(-1.12075+0.00047j))"
+              " + (-0.53+0.22j)/(s-(-1.12075-0.00047j)) + (0.6-0.5j)/(s-(-1.12071-0.0005j))"
+              " + (0.6+0.5j)/(s-(-1.12071+0.0005j)) + 600/(s-1.2)")
+CONJUGATE = ([["--strategy", strategy, PAIR_TERMS, "--k", "1..2000", "--format", fmt]
+              for strategy in ("pfe", "outside") for fmt in ("text", "csv", "json")]
+             + [["--strategy", strategy, expr, "--k", "1..2000"]
+                for expr in PAIRED for strategy in ("pfe", "inside")]
+             + [["--strategy", strategy, CLOSE_PAIR, "--k", "1..5"]
+                for strategy in ("auto", "pfe", "outside")]
+             + [["--strategy", strategy, NEAR_PAIRS, "--k", "1..3"]
+                for strategy in ("auto", "pfe", "outside", "inside")])
 # commands that read F where no request does: forward sums at the default
 # points (no request runs forward), a denominator power of 4 (no request has
-# one above 3) and a constant F
+# one above 3), a constant F, and conjugate terms, each verify format
 EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
-              ["verify", "--expr=0*s/(s-3)", "--k", "1..5"]]
+              ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
+              ["verify", PAIR_TERMS, "--k", "1..100"],
+              ["verify", PAIR_TERMS, "--k", "1..100", "--format", "json"]]
 # grids that reach the edges of ``printing.rows``, which no request does: a
 # decay through the subnormals into the zero tail, powers of two past 2^53
 # (repr's fallback), +/-1, and steps that are not integers; negative k, live
@@ -118,7 +143,9 @@ DUST = [["--strategy", strategy, "--expr=1e-12j/(s+0.5)", "--k", "1..3", "--form
 # the late-starting series, whose pole's residue underflows on the pfe route;
 # the growing F on the outside and inside routes, the tiny residue on both
 # routes, and the imaginary one on every route, on inside also at a grid
-# that ends before the series leaves float64
+# that ends before the series leaves float64; the merged close pair on
+# inside; and a short grid far past a growing mode, which the series route
+# probes at that mode's overflow step
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -141,7 +168,9 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--strategy", "pfe", TINY_IMAGINARY, "--k", "1..3000"],
             ["invert", "--strategy", "outside", TINY_IMAGINARY, "--k", "1..3000"],
             ["invert", "--strategy", "fractional", TINY_IMAGINARY, "--k", "1..3000"],
-            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..1200"]]
+            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..1200"],
+            ["invert", "--strategy", "inside", CLOSE_PAIR, "--k", "1..5"],
+            ["invert", "--strategy", "inside", "--expr=1/(s-0.3)", "--k", "10000000..10000002"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -184,8 +213,8 @@ def fixed_commands():
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
-    the PRINTED grids, ``invert`` on the DIVIDED, the POWERED and the DUST
-    inputs, the EVALUATING commands and the REJECTED ones."""
+    the PRINTED grids, ``invert`` on the DIVIDED, the POWERED, the DUST and
+    the CONJUGATE inputs, the EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -201,6 +230,7 @@ def fixed_commands():
     out += [["invert", *argv] for argv in DIVIDED]
     out += [["invert", *argv] for argv in POWERED]
     out += [["invert", *argv] for argv in DUST]
+    out += [["invert", *argv] for argv in CONJUGATE]
     return out + EVALUATING + REJECTED
 
 
