@@ -14,6 +14,11 @@ from .rational import POLE_AT_ONE_TOL
 
 __all__ = ["ImpulseTerm", "PolyGeometricTerm", "expand"]
 
+# A value of a real sequence computed with complex terms may carry an
+# imaginary part of rounding up to REALNESS_TOL times the largest of 1, its
+# size and its terms' sizes (``inversion.real_values``); the closed form of a
+# real F, real by construction, may miss F(1) by as much (``expand``).
+REALNESS_TOL = 1e-9
 # A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
 # smallest subnormal, computes to exactly 0: the power (pow, or a complex
 # pole's anchored power, whose partial powers are no smaller than the power
@@ -374,14 +379,14 @@ def expand(rf):
     # a real F has real residues at real poles and conjugate ones at
     # conjugate poles: compute the upper member of each pair only (it sorts
     # after the lower one, so the reversed pass meets it first)
-    real = rf.is_real
+    real, reused = rf.is_real, False
     index = {rc.value: i for i, rc in enumerate(poles)}
     parts = {}
     for i in reversed(range(len(poles))):
         rc = poles[i]
         j = index.get(rc.value.conjugate()) if real and rc.value.imag < 0 else None
         if j is not None and poles[j].multiplicity == rc.multiplicity:
-            parts[i] = np.conj(parts[j])
+            parts[i], reused = np.conj(parts[j]), True
             continue
         g = _principal_part(c, zeros, poles, i)
         g0 = complex(g[0])
@@ -397,7 +402,38 @@ def expand(rf):
     terms = [PolyGeometricTerm(complex(parts[i][rc.multiplicity - n]), rc.value, n)
              for i, rc in sorted(enumerate(poles), key=lambda p: p[1].multiplicity > 1)
              for n in range(1, rc.multiplicity + 1)]
-    return impulse + tuple(t for t in terms if t.coefficient != 0)
+    terms = impulse + tuple(t for t in terms if t.coefficient != 0)
+    if reused and not rf._real_as_written:
+        _check_first_step(rf, terms)
+    return terms
+
+
+def _check_first_step(rf, terms):
+    """Raise NablaError when the closed form of F misses F(1), the
+    sequence's first value f(a+1), by more than REALNESS_TOL times the
+    largest of 1, |F(1)| and its terms' sizes at that step.
+
+    ``expand`` asks this of a real F written with complex conjugate factors.
+    Taking each lower conjugate pole's coefficients as the conjugates of the
+    upper one's makes its closed form real by construction, so an error in
+    the residues shows in no imaginary part for the realness test to read,
+    as it did when each member was computed on its own; yet close poles
+    amplify the rounding of F's coefficients into their residues.  This
+    reads the error as that test would, at the first step, against F(1) from
+    the factors' coefficients (``RationalFunction.evaluate``).  A term past
+    the float64 range there leaves the verdict to the range checks.
+    """
+    try:
+        first = [t.coefficient / (1.0 - t.pole) ** t.order if isinstance(t, PolyGeometricTerm)
+                 else t.coefficient * (t.shift == 0) for t in terms]
+    except (OverflowError, ZeroDivisionError):
+        return
+    value, f1 = sum(first), rf.evaluate(1.0)
+    if abs(value - f1) > REALNESS_TOL * max(1.0, abs(f1), *map(abs, first)):
+        raise NablaError(
+            f"the partial-fraction terms give f(a+1) = {value.real!r} where F(1) = "
+            f"{f1.real!r}: close poles leave their residues inaccurate; "
+            "try --strategy inside")
 
 
 def _principal_part(c, zeros, poles, i):

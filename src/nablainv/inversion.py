@@ -30,10 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RealnessError
-from .expansion import POWER_BLOCK, _num, complex_pair, expand
+from .expansion import POWER_BLOCK, REALNESS_TOL, _num, complex_pair, expand
 from .special import check_parameters, mittag_leffler_series, step_offset
 
-REALNESS_TOL = 1e-9
 # A cut's search costs 5-11 us a term (orders 1-3), about what evaluating
 # the term on 500-1300 steps does (8-11 ns a step from float64 pow or the
 # anchored tables, on a shared 2-core VM), and on a shorter grid most cuts lie
@@ -203,6 +202,8 @@ def first_out_of_range(rf, ms, values, probe):
     route the largest |f| so far, the scale, stays inf or nan.  A growth
     that starts late (a tiny residue) costs the prefix once more.
     """
+    if len(ms) < CUT_MIN_STEPS and ms[0] <= POWER_BLOCK:  # before every overflow step
+        return values(len(ms))
     rho = rf.distance_of_poles_to_one()
     if rho < 1:
         top = OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK

@@ -367,8 +367,9 @@ def _read(node):
     """The form (rational, parts, odd) of a folded tree, in one walk.
 
     ``rational`` is (c, {monic coefficient tuple: int}) for a rational F, else
-    None; ``_scaled`` and ``_sum`` combine it in tree order.  ``parts`` is,
-    for ``_terms``, None (a leaf), summands, or the node and operands' forms.
+    None; ``_scaled`` and ``_sum`` combine it in tree order, and
+    ``_read_chain`` the summands of a longer sum.  ``parts`` is, for ``_terms``,
+    None (a leaf), summands, or the node and operands' forms.
     ``odd`` marks a non-integer power of a base other than s and c0 + c1*s.
     Raises ZeroDivisionError for a divisor that is identically zero.
     """
@@ -385,7 +386,7 @@ def _read(node):
         l, r = _read(node.left), _read(node.right)
         lr, rr, rational = l[0], r[0], None
         if lr is not None and rr is not None:
-            if node.op in "+-":  # two summands, added in their order
+            if node.op in "+-":  # two summands: no pair to reorder (``_read_chain``)
                 rational = _sum(lr, rr, 1.0 if node.op == "+" else -1.0)
             elif node.op == "*":
                 rational = _scaled(lr[0] * rr[0], lr[1], rr[1], 1)
@@ -419,56 +420,42 @@ def _read_chain(node):
     ``_read`` gives it.  Its operands are read left to right, and its
     rational reading is their sum over a common denominator in the same
     order (``_sum``), except that a summand with an exact conjugate partner
-    later in the chain, c over q^e and c-bar over q-bar^e, is added to it
-    first, and the pair's sum, whose numerator is then exactly real, takes
-    the summand's place.  The chain's inner nodes get no rational reading:
-    only the chain's own is ever read."""
+    later in the chain, c over q^e and c-bar over q-bar^e with the factors
+    in the same order, is added to it first, and the pair's sum, whose
+    numerator is then exactly real, takes the summand's place.  The chain's
+    inner nodes get no rational reading: only the chain's own is ever read.
+
+    ``_read`` adds two summands itself, in order, the same sum this would
+    give: each s - p of a factored F is such a sum, and reading it here
+    made the median rational-short request about 3 % slower."""
     chain = []
     while type(node) is BinOp and node.op in "+-":
         chain.append(node)
         node = node.left
     form = _read(node)
-    signs, readings, odd = [1.0], [form[0]], form[2]
+    readings, signs, odd = [form[0]], [1.0], form[2]
     for inner in reversed(chain):
         right = _read(inner.right)
-        signs.append(1.0 if inner.op == "+" else -1.0)
         readings.append(right[0])
+        signs.append(1.0 if inner.op == "+" else -1.0)
         odd = odd or right[2]
         form = None, (inner, form, right), odd
     if None in readings:
         return form
-    partner, total = _conjugate_partners(signs, readings), readings[0]
-    if 0 in partner:  # a pair's sum, in the place of its first member
-        total = _sum(total, readings[partner[0]], signs[partner[0]])
+    # a real multiple of a power of s (no factor but s) has no partner
+    if any(c.imag or len(f) > (_S in f) for c, f in readings):
+        # a summand's key: its signed constant and its factors' coefficients,
+        # with the factors' lengths and exponents as the tag
+        keys = [((sign * c, *(x for q in f for x in q)), tuple((len(q), e) for q, e in f.items()))
+                for sign, (c, f) in zip(signs, readings)]
+        for i, j in reversed(conjugate_pairs(keys)):  # from the last partner back
+            r = readings[i] if i == 0 else (signs[i] * readings[i][0], readings[i][1])
+            readings[i], signs[i] = _sum(r, readings[j], signs[j]), 1.0
+            del readings[j], signs[j]
+    total = readings[0]
     for i in range(1, len(readings)):
-        if i in partner:
-            j = partner[i]
-            r = _sum((signs[i] * readings[i][0], readings[i][1]), readings[j], signs[j])
-            total = _sum(total, r, 1.0)
-        elif not partner or i not in partner.values():
-            total = _sum(total, readings[i], signs[i])
+        total = _sum(total, readings[i], signs[i])
     return total, form[1], odd
-
-
-def _conjugate_partners(signs, readings):
-    """{i: j} for each summand i < j whose signed reading (sign * c, factors)
-    is the exact conjugate of summand j's, j the first such one not taken.
-    Only a summand with a complex constant or a complex factor has one."""
-    partner, unpaired = {}, {}  # unpaired: index -> the conjugate of its reading
-    for i, (c, factors) in enumerate(readings):
-        if not c.imag and (not factors or _S in factors and len(factors) == 1
-                           or not any(x.imag for q in factors for x in q)):
-            continue
-        c = signs[i] * c
-        for j, (cj, fj) in unpaired.items():
-            if cj == c and fj == factors:
-                partner[j] = i
-                del unpaired[j]
-                break
-        else:
-            unpaired[i] = c.conjugate(), {
-                tuple(x.conjugate() for x in q): e for q, e in factors.items()}
-    return partner
 
 
 def _terms(form):

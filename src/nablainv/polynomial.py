@@ -194,9 +194,11 @@ class Polynomial:
 
 
 def conjugate_pairs(keys):
-    """(i, j), i < j, for each pair of keys (coefficient tuple, tag) whose
-    tuples are complex and exact conjugates of each other, with equal tags:
-    key j pairs with the first unpaired such key before it."""
+    """(i, j), i < j, in the order of j, for each pair of keys (tuple of
+    numbers, tag) whose tuples are complex and exact conjugates of each
+    other, with equal tags: key j pairs with the first unpaired such key
+    before it.  A key is a factor's coefficients, or a summand's constant
+    and factor coefficients (``parsing._read_chain``)."""
     pairs, unpaired = [], {}  # unpaired: the conjugate of a key -> its indices
     for j, (q, tag) in enumerate(keys):
         if not any(x.imag for x in q):

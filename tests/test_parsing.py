@@ -605,6 +605,18 @@ class TestConjugateTerms:
             assert _real_reading(f"1/({product}) + {real}")
             assert _real_reading(f"{real} - 2/({product})^2")
 
+    def test_interleaved_pairs_read_real(self):
+        """Two pairs nested and crossed around a real summand: each pair's
+        sum takes its first member's place."""
+        rng = np.random.default_rng(3434)
+        for _ in range(50):
+            (p, q), (r, t) = [self.pole(rng) for _ in range(2)], [self.pole(rng) for _ in range(2)]
+            a = [f"({r})/(s-({p}))", f"({r.conjugate()})/(s-({p.conjugate()}))"]
+            b = [f"({t})/(s-({q}))^2", f"({t.conjugate()})/(s-({q.conjugate()}))^2"]
+            for order in ((a[0], b[0], "2/(s+1)", b[1], a[1]),
+                          (a[0], b[0], a[1], "2/(s+1)", b[1])):
+                assert _real_reading(" + ".join(order)), order
+
     def test_a_negated_partner_pairs(self):
         c, factors = _read(parse_expression(
             "-(0.5+1j)/(s-(0.3+2j)) - (0.5-1j)/(s-(0.3-2j)) + 1/(s+1)"))[0]

@@ -311,6 +311,17 @@ class TestIsReal:
         assert rf.is_real is False
         assert rf.series_at_one(3).dtype == complex
 
+    def test_a_real_factor_that_loses_a_conjugate_pair_stays_real(self):
+        """s^4 + s^3 + 2s^2 + s + 1 = (s^2 + 1)(s^2 + s + 1) loses the roots
+        +-i to the numerator: deflation leaves imaginary rounding in the
+        quadratic that remains, which has no exact partner, yet every factor
+        as written is real, so F reads real and divides in float64."""
+        rf = _rational("(s^2+1)/(s^4+s^3+2*s^2+s+1)")
+        (q, _e), = rf._reduced.denominator
+        assert np.any(q.coeffs.imag)
+        assert rf.is_real is True
+        assert rf.series_at_one(3).dtype == np.float64
+
     def test_the_benchmark_conjugate_terms_read_real(self, monkeypatch):
         """The F of the first 100 seed-1 rational-long requests that write a
         real F with conjugate terms, 39 of them: each reads real, and its
@@ -346,7 +357,6 @@ class TestIsReal:
 
         rf = RationalFunction.from_factors(
             2.0, {Counted([0.5, 1.0]): -1, Counted([1.0, 0.0, 1.0]): 2})
-        rf._reduced  # is_real reads the reduced factors, whose roots read them too
         reads.clear()
         assert rf.is_real and rf.is_real
         assert len(reads) == 2  # one read per factor, on the first access only

@@ -102,9 +102,10 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # growing F and the tiny residues, at the first step out of range, and
     # the imaginary residue at the first step past the realness tolerance,
     # the same on every route and grid, and so do the merged close pair on
-    # inside, at k = 1, and the far grid, at its first step
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1,
-                                                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
+    # inside, at k = 1, and the far grid, at its first step; the close
+    # conjugate pairs exit 1 on each closed-form route
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                                                 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
     err = capsys.readouterr().err.splitlines()[-11:]
     assert [line.split(" at k = ")[1].split(" ")[0] for line in err] == [
         "734", "734", "1024", "2021", "967.0;", "967.0;", "967.0;", "967.0;", "967.0;",
