@@ -417,8 +417,9 @@ def _check_first_step(rf, terms):
     Taking each lower conjugate pole's coefficients as the conjugates of the
     upper one's makes its closed form real by construction, so an error in
     the residues shows in no imaginary part for the realness test to read,
-    as it did when each member was computed on its own; yet close poles
-    amplify the rounding of F's coefficients into their residues.  This
+    as it did when each member was computed on its own; yet close or
+    high-order poles amplify the rounding of F's coefficients into their
+    residues.  This
     reads the error as that test would, at the first step, against F(1) from
     the factors' coefficients (``RationalFunction.evaluate``).  A term past
     the float64 range there leaves the verdict to the range checks.
@@ -432,8 +433,7 @@ def _check_first_step(rf, terms):
     if abs(value - f1) > REALNESS_TOL * max(1.0, abs(f1), *map(abs, first)):
         raise NablaError(
             f"the partial-fraction terms give f(a+1) = {value.real!r} where F(1) = "
-            f"{f1.real!r}: close poles leave their residues inaccurate; "
-            "try --strategy inside")
+            f"{f1.real!r}: its residues have lost their accuracy; try --strategy inside")
 
 
 def _principal_part(c, zeros, poles, i):

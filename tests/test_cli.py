@@ -1272,6 +1272,8 @@ CLOSE = "(1+2e-7j)/(s-(0.5+1e-7j)) + (1-2e-7j)/(s-(0.5-1e-7j)) + 1/(s+2)"
 NEAR = ("(-0.53-0.22j)/(s-(-1.12075+0.00047j)) + (-0.53+0.22j)/(s-(-1.12075-0.00047j))"
         " + (0.6-0.5j)/(s-(-1.12071-0.0005j)) + (0.6+0.5j)/(s-(-1.12071+0.0005j))"
         " + 600/(s-1.2)")
+# a conjugate pair of order 40
+HIGH = "(1+1j)/(s-(2+1j))^40 + (1-1j)/(s-(2-1j))^40"
 CLOSE_PRINTED = ("k,f(k)\n1,4.3333333333333428\n2,8.1111111111111338\n"
                  "3,16.037037037037084\n4,32.012345679012441\n5,64.004115226337632\n")
 
@@ -1338,10 +1340,17 @@ class TestConjugateWrittenF:
         # residues, off by about 1e-4 at the four close poles, miss F(1) =
         # -2999.934040147391... by 1.07e-9 of it, past the realness tolerance
         *((s, NEAR, "1..3", 1, "", "error: the partial-fraction terms give f(a+1) = "
-           "-2999.9340433582465 where F(1) = -2999.93404014739: close poles leave their "
-           "residues inaccurate; try --strategy inside\n") for s in ("auto", "pfe", "outside")),
+           "-2999.9340433582465 where F(1) = -2999.93404014739: its residues have lost "
+           "their accuracy; try --strategy inside\n") for s in ("auto", "pfe", "outside")),
         ("inside", NEAR, "1..3", 0, "k,f(k)\n1,-2999.9340401473905\n2,15000.031076417605\n"
          "3,-74999.985358625461\n", ""),
+        # a pair of order 40: the residues come from the roots of a degree-40
+        # numerator, and the closed form misses F(1) by thirteen orders
+        ("pfe", HIGH, "1..3", 1, "", "error: the partial-fraction terms give f(a+1) = "
+         "84594363.6049611 where F(1) = 1.9045201042899862e-06: its residues have lost "
+         "their accuracy; try --strategy inside\n"),
+        ("inside", HIGH, "1..3", 0, "k,f(k)\n1,1.9045201042899862e-06\n"
+         "2,-7.6178417657501996e-05\n3,0.00077986901305848733\n", ""),
     ])
     def test_close_conjugate_terms(self, capsys, strategy, expr, k, code, out, err):
         assert run(capsys, "invert", f"--expr={expr}", "--k", k, "--strategy", strategy,
