@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ExpressionSyntaxError, NablaError, TruncationWarning
+from .errors import ExpressionSyntaxError, NablaError, RealnessError, TruncationWarning
 from .expansion import ImpulseTerm, complex_pair, expand
 from .inversion import (
     FractionalAtom,
@@ -25,7 +25,6 @@ from .inversion import (
     invert_fractional,
     invert_inside,
     invert_partial_fractions,
-    real_values,
 )
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
@@ -279,14 +278,16 @@ class _Problem:
     def invert(self, strategy, ks):
         """(strategy used, closed form or None, float values on the grid ks).
 
-        Raises RealnessError naming the first step whose value is not real
-        (``real_values``, the one test of every route that computes complex
-        values, which the series and table routes scale by the largest |f|
-        up to each step; a real F's series is float64 and needs none), and
-        OverflowError naming the first step whose value is not finite in
-        float64.  A rational route stops at the first value out of range
-        (``first_out_of_range``).
+        Raises RealnessError, before any route computes a value, when F is
+        not real (``is_real``): its sequence is not real, and its real part
+        alone is not the answer.  Every route then takes the real part of
+        its values with no test.  Raises OverflowError naming the first step
+        whose value is not finite in float64; a rational route stops at the
+        first value out of range (``first_out_of_range``).
         """
+        if not self.F.is_real:
+            raise RealnessError("F(s) is not real: its complex coefficients do not come "
+                                "in conjugate pairs, so f(k) is not real")
         used, cf = self.closed_form(strategy)
         ms = np.rint(ks - self.a).astype(np.int64)
 
@@ -296,7 +297,7 @@ class _Problem:
             if used == "inside":
                 return invert_inside(self.classified.rational, int(ms[n - 1]))[ms[:n] - 1]
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.asarray(self.table_hit.sequence(ms), dtype=complex)
+                return np.real(self.table_hit.sequence(ms))
 
         def probe(m):
             if cf is not None:
@@ -307,8 +308,6 @@ class _Problem:
             values = first_out_of_range(self.classified.rational, ms, values, probe)
         else:
             values = values(len(ks))
-        if values.dtype.kind == "c":
-            values = real_values(values, ks[:len(values)], np.maximum.accumulate(np.abs(values)))
         bad = ~np.isfinite(values)
         if bad.any():
             k = float(ks[int(np.argmax(bad))])

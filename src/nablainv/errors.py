@@ -36,7 +36,8 @@ class ConvergenceError(NablaError):
 
 
 class RealnessError(NablaError):
-    """A value expected to be real carried a significant imaginary part."""
+    """F(s) is not real (its ``is_real`` is False), so its sequence is not
+    real: raised before any value is computed, naming no step."""
 
 
 class UnsupportedExpressionError(NablaError):

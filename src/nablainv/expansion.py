@@ -14,10 +14,9 @@ from .rational import POLE_AT_ONE_TOL
 
 __all__ = ["ImpulseTerm", "PolyGeometricTerm", "expand"]
 
-# A value of a real sequence computed with complex terms may carry an
-# imaginary part of rounding up to REALNESS_TOL times the largest of 1, its
-# size and its terms' sizes (``inversion.real_values``); the closed form of a
-# real F, real by construction, may miss F(1) by as much (``expand``).
+# The closed form of a real F with a complex pole may miss F(1) by up to
+# REALNESS_TOL times the largest of 1, |F(1)| and its terms' sizes at the
+# first step (``_check_first_step``).
 REALNESS_TOL = 1e-9
 # A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
 # smallest subnormal, computes to exactly 0: the power (pow, or a complex
@@ -349,7 +348,8 @@ def expand(rf):
     ``factor_roots`` and ``roots_with_multiplicities``), and only the upper
     member of each pair is computed: the lower one takes the conjugate
     coefficients, and a real pole real ones, so the closed form of a real F
-    is real by construction.
+    is real by construction; with a complex pole, its first value is checked
+    against F(1) (``_check_first_step``).
 
     An improper rational is first divided once; the polynomial quotient is
     rewritten in powers of (1 - s), each power an impulse, since (1-s)^n is
@@ -379,14 +379,14 @@ def expand(rf):
     # a real F has real residues at real poles and conjugate ones at
     # conjugate poles: compute the upper member of each pair only (it sorts
     # after the lower one, so the reversed pass meets it first)
-    real, reused = rf.is_real, False
+    real = rf.is_real
     index = {rc.value: i for i, rc in enumerate(poles)}
     parts = {}
     for i in reversed(range(len(poles))):
         rc = poles[i]
         j = index.get(rc.value.conjugate()) if real and rc.value.imag < 0 else None
         if j is not None and poles[j].multiplicity == rc.multiplicity:
-            parts[i], reused = np.conj(parts[j]), True
+            parts[i] = np.conj(parts[j])
             continue
         g = _principal_part(c, zeros, poles, i)
         g0 = complex(g[0])
@@ -403,7 +403,7 @@ def expand(rf):
              for i, rc in sorted(enumerate(poles), key=lambda p: p[1].multiplicity > 1)
              for n in range(1, rc.multiplicity + 1)]
     terms = impulse + tuple(t for t in terms if t.coefficient != 0)
-    if reused and not rf._real_as_written:
+    if real and any(rc.value.imag for rc in poles):
         _check_first_step(rf, terms)
     return terms
 
@@ -413,16 +413,15 @@ def _check_first_step(rf, terms):
     sequence's first value f(a+1), by more than REALNESS_TOL times the
     largest of 1, |F(1)| and its terms' sizes at that step.
 
-    ``expand`` asks this of a real F written with complex conjugate factors.
-    Taking each lower conjugate pole's coefficients as the conjugates of the
-    upper one's makes its closed form real by construction, so an error in
-    the residues shows in no imaginary part for the realness test to read,
-    as it did when each member was computed on its own; yet close or
-    high-order poles amplify the rounding of F's coefficients into their
-    residues.  This
-    reads the error as that test would, at the first step, against F(1) from
-    the factors' coefficients (``RationalFunction.evaluate``).  A term past
-    the float64 range there leaves the verdict to the range checks.
+    ``expand`` asks this of every real F with a complex pole.  Taking each
+    lower conjugate pole's coefficients as the conjugates of the upper one's
+    makes its closed form real by construction, and the routes print the
+    real part of their values with no further test, so an error in the
+    residues shows nowhere else; yet close or high-order poles amplify the
+    rounding of F's coefficients into their residues.  This reads the error
+    at the first step, against F(1) from the factors' coefficients
+    (``RationalFunction.evaluate``).  A term past the float64 range there
+    leaves the verdict to the range checks.
     """
     try:
         first = [t.coefficient / (1.0 - t.pole) ** t.order if isinstance(t, PolyGeometricTerm)

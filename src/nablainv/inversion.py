@@ -29,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RealnessError
-from .expansion import POWER_BLOCK, REALNESS_TOL, _num, complex_pair, expand
+from .expansion import POWER_BLOCK, _num, complex_pair, expand
 from .special import check_parameters, mittag_leffler_series, step_offset
 
 # A cut's search costs 5-11 us a term (orders 1-3), about what evaluating
@@ -60,10 +59,12 @@ class ClosedFormSequence:
 
     Defined on the index set {a+1, a+2, ...} where a is ``base_point``.
     ``values`` is the sequence as a rule m -> f(a+m), complex, on step
-    offsets.  ``sample`` returns the real values on a grid of steps k, each
-    step tested by ``real_values``; ``evaluate`` is ``sample`` at one step,
-    and ``evaluate_complex`` is ``values`` at one step.  Values outside the
-    float64 range come back as inf or nan, for the caller to reject.
+    offsets.  ``sample`` returns the real parts of the values on a grid of
+    steps k, with no test: whether F is real is decided once, from F
+    (``is_real``), before any value is computed.  ``evaluate`` is ``sample``
+    at one step, and ``evaluate_complex`` is ``values`` at one step.  Values
+    outside the float64 range come back as inf or nan, for the caller to
+    reject.
     """
 
     base_point: float
@@ -83,15 +84,16 @@ class ClosedFormSequence:
         return float(self.sample([k])[0])
 
     def sample(self, ks):
-        """Real values at every step of ``ks``, each term evaluated once on the
-        array of step offsets and added in place, in order, to a sum that
-        starts at +0.0 (which no addition turns into -0.0); ``real_values``
-        tests each step against the largest of its terms' magnitudes.
+        """The real parts of the values at every step of ``ks``, each term
+        evaluated once on the array of step offsets and added in place, in
+        order, to a sum that starts at +0.0 (which no addition turns into
+        -0.0).  The imaginary part is dropped with no test: the caller has
+        decided that F is real (``is_real``).
 
         On an ascending grid of at least CUT_MIN_STEPS steps a term is
         evaluated and added only on the steps before its ``zero_from``, where
         it would add a zero that leaves the sum as it is; the steps past every
-        term's are +0.0, and are not tested.
+        term's are +0.0.
         """
         ks = ks if isinstance(ks, np.ndarray) else list(ks)
         offsets = np.asarray(ks, dtype=float) - self.base_point
@@ -106,19 +108,14 @@ class ClosedFormSequence:
             live = [n if t.zero_from is None else int(np.searchsorted(m, t.zero_from))
                     for t in self.terms]
             n = max(live, default=0)
-        v, scale = np.zeros(n, dtype=complex), np.zeros(n)
+        v = np.zeros(n, dtype=complex)
         # (1-p)^-m past the float64 range is inf; numpy flags that as an
         # overflow, or for a complex base as a division by zero
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             for t, size in zip(self.terms, live):
-                value = t.value(m[:size])
-                v[:size] += value
-                np.maximum(scale[:size], np.abs(value), out=scale[:size])
-            head = real_values(v, ks, scale)
-        if n == m.size:
-            return head
+                v[:size] += t.value(m[:size])
         values = np.zeros(m.size)
-        values[:n] = head
+        values[:n] = v.real
         return values
 
     def describe(self):
@@ -128,30 +125,6 @@ class ClosedFormSequence:
 
     def __str__(self):
         return f"f(k) = {self.describe()}  on k in {{a+1, a+2, ...}}, a = {self.base_point:g}"
-
-
-def real_values(v, ks, scale):
-    """The real parts of the complex values v at the steps ks, after checking
-    that no step's imaginary part exceeds REALNESS_TOL * max(1, |f(k)|,
-    scale), where ``scale`` holds one magnitude a step: the largest of a
-    closed form's terms there, or on the series and table routes the largest
-    |f| up to that step.  A real F leaves an imaginary part from rounding in
-    proportion to those magnitudes, not to f(k) alone: conjugate terms cancel
-    to rounding of the terms, and a series divided by complex factors carries
-    the rounding of its larger values along.
-
-    No verdict reads a later step, so a step's verdict is the same on every
-    grid that holds the steps before it; a value that is not finite passes,
-    for the caller to reject.  Raises RealnessError naming the first step
-    that fails: a real sequence cannot come from this transform, and its
-    real part alone is not the answer.
-    """
-    bad = np.abs(v.imag) > REALNESS_TOL * np.maximum(np.maximum(1.0, scale), np.abs(v))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RealnessError(f"imaginary residue {v.imag[i]:.3e} at k = {ks[i]}; "
-                            "F(s) has complex coefficients")
-    return v.real
 
 
 def invert_inside(rf, k_max):
@@ -186,21 +159,16 @@ def first_out_of_range(rf, ms, values, probe):
     values is not finite, those values are returned, else the whole grid's.
     A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once,
     unless it starts past that step: then ``probe(m)``, the route's value at
-    step offset m with no realness test, is asked at that step first, and
-    when it is not finite neither is any later one, so the grid's first
-    value is out of range.  The series route's cost is set by its last
-    step, and it pays for the probe's steps, not the grid's.
+    step offset m, is asked at that step first, and when it is not finite
+    neither is any later one (a closed form's term that is not finite stays
+    so: its binomial, and a growing pole's power, only grow), so the grid's
+    first value is out of range.  The series route's cost is set by its
+    last step, and it pays for the probe's steps, not the grid's.
     Every rational route's values depend on the step alone (the series
     division is prefix-stable, and a closed form's terms are sampled step by
     step), so the prefix is the whole grid's prefix bit for bit, and the
-    first value out of range, at the same step, is the one reported.  By the
-    same argument the prefix's realness verdict is the whole grid's: each
-    step's test (``real_values``) reads that step and the ones before it,
-    and no later step could fail it, since a value that is not finite passes,
-    as do the later ones: a closed form's term that is not finite stays so
-    (its binomial, and a growing pole's power, only grow), and on the series
-    route the largest |f| so far, the scale, stays inf or nan.  A growth
-    that starts late (a tiny residue) costs the prefix once more.
+    first value out of range, at the same step, is the one reported.  A
+    growth that starts late (a tiny residue) costs the prefix once more.
     """
     if len(ms) < CUT_MIN_STEPS and ms[0] <= POWER_BLOCK:  # before every overflow step
         return values(len(ms))

@@ -45,6 +45,12 @@ class TransformPair:
     def __call__(self, s):
         return self.transform(s)
 
+    @property
+    def is_real(self):
+        """True when every parameter is real: every row's transform then has
+        F(conj s) = conj F(s) inside its disk, and its sequence is real."""
+        return all(complex(v).imag == 0 for _name, v in self.params)
+
     def describe(self):
         ps = ", ".join(f"{k}={_g(v)}" for k, v in self.params)
         head = f"row {self.row} ({self.name})" + (f" with {ps}" if ps else "")

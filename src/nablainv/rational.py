@@ -119,20 +119,17 @@ class RationalFunction:
         return Polynomial.product((q, -e) for q, e in self.factors if e < 0)
 
     @cached_property
-    def _real_as_written(self):
-        """True when the constant and every factor have real coefficients."""
-        return self.constant.imag == 0 and not any(
-            x.imag for q, _e in self.factors for x in q.coeffs.tolist())
-
-    @cached_property
     def is_real(self):
-        """True when F is ``_real_as_written``, or when its constant is real
-        and its reduced factors, each with its signed exponent, are closed
-        under exact conjugation: s - p pairs with s - p-bar, and a real factor
-        is its own partner.  Then F(conj s) = conj F(s), and its sequence is
-        real.  The second test reads ``_reduced``, so that a pair which
-        pooling merges, or cancels on one side only, leaves F complex."""
-        if self._real_as_written:
+        """True when the constant and every factor have real coefficients,
+        or when the constant is real and the reduced factors, each with its
+        signed exponent, are closed under exact conjugation: s - p pairs with
+        s - p-bar, and a real factor is its own partner.  Then F(conj s) =
+        conj F(s), and its sequence is real.  The second test reads
+        ``_reduced``, so that a pair which pooling merges, or cancels on one
+        side only, leaves F complex.  The one realness decision: the CLI
+        refuses to invert an F for which it is False."""
+        if self.constant.imag == 0 and not any(
+                x.imag for q, _e in self.factors for x in q.coeffs.tolist()):
             return True
         red = self._reduced
         if red.constant.imag:
@@ -279,9 +276,9 @@ class RationalFunction:
         for q, e in red.numerator:
             num = num * q.in_one_minus_w() ** e
         den = [(q.in_one_minus_w(), e, q) for q, e in red.denominator]
-        if self.is_real and not self._real_as_written:
+        if self.is_real:
             # each pair of conjugate factors as one real factor in w, in the
-            # place of its first member
+            # place of its first member (a real factor has no pair)
             keys = [(tuple(q.coeffs.tolist()), e) for q, e in red.denominator]
             for i, j in conjugate_pairs(keys):
                 qw, e, q = den[i]

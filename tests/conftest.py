@@ -8,6 +8,10 @@ import pytest
 
 from nablainv import Polynomial, RationalFunction
 
+# the one stderr line of a command that refuses a non-real F
+REFUSED = ("error: F(s) is not real: its complex coefficients do not come in conjugate "
+           "pairs, so f(k) is not real\n")
+
 
 def rational_from_factors(numerator_coeffs, pole_multiplicities):
     """Rational function with the denominator built from (root, multiplicity)."""

@@ -15,10 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nablainv import cli, pair
+from nablainv import ClosedFormSequence, RealnessError, cli, pair
 from nablainv.cli import main
 from nablainv.verify import quadrature_grid
-from conftest import mpmath_atom_values, mpmath_factored_values, mpmath_row10_values
+from conftest import (
+    REFUSED,
+    mpmath_atom_values,
+    mpmath_factored_values,
+    mpmath_row10_values,
+)
 
 EX1 = "9/((s+1)^2*(s-2))"
 EX2 = "1/(s^0.5-0.2) - s^0.2/(s^0.7-0.3)"
@@ -324,78 +329,6 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "narrow --k" in err
-
-
-class TestComplexSequence:
-    """Every route rejects an F whose sequence is not real, naming the step."""
-
-    @pytest.mark.parametrize("expr, strategy, k", [
-        ("1/(s-2j)", "inside", 1),  # f = 0.2+0.4j, -0.12+0.16j, ...
-        ("(0.5-0.5j+(0.5+0.5j)*s)^-1.5", "auto", 2),  # row 6: 1, 0.75+0.75j, 0.9375j
-    ])
-    def test_exits_1(self, capsys, expr, strategy, k):
-        code, out, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
-                             "--strategy", strategy)
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "imaginary residue" in err and f"at k = {k}.0" in err
-
-    @pytest.mark.parametrize("expr, strategy, k", [
-        ("1/(s-2j)", "inside", 1),
-        ("(0.5-0.5j+(0.5+0.5j)*s)^-1.5", "auto", 2),
-        ("1/(s^0.5-0.2j)", "auto", 1),  # fractional: f(1) = 1/(1-0.2j)
-    ])
-    def test_series_and_table_routes_name_the_complex_input(self, capsys, expr, strategy, k):
-        code, _, err = run(capsys, "invert", f"--expr={expr}", "--k", "1..3",
-                           "--strategy", strategy)
-        assert code == 1
-        assert err == (f"error: imaginary residue {err.split()[3]} at k = {k}.0; "
-                       "F(s) has complex coefficients\n")
-
-    @pytest.mark.parametrize("strategy", ["auto", "pfe", "outside"])
-    def test_closed_form_routes_name_the_complex_input(self, capsys, strategy):
-        # a real F has a real closed form by construction: the cause is F
-        code, out, err = run(capsys, "invert", "--expr=1/(s-2j)", "--k", "1..3",
-                             "--strategy", strategy)
-        assert code == 1
-        assert out == ""
-        assert err == ("error: imaginary residue 4.000e-01 at k = 1.0; "
-                       "F(s) has complex coefficients\n")
-
-    @pytest.mark.parametrize("k", ["1..3000", "1..1200"])
-    def test_every_route_names_the_same_step(self, capsys, k):
-        """i 1e-300 2^k passes 1e-9 at k = 967 on every route; the series
-        route, which tested the grid against its largest |f|, named the
-        overflow at k = 2049 on 1..3000 and k = 1171 on 1..1200."""
-        for strategy in ("pfe", "outside", "fractional", "inside"):
-            code, out, err = run(capsys, "invert", "--expr=1e-300j/(s-0.5)", "--k", k,
-                                 "--strategy", strategy)
-            assert (code, out, err) == (1, "", "error: imaginary residue 1.247e-09 at "
-                                        "k = 967.0; F(s) has complex coefficients\n"), strategy
-
-    def test_imaginary_rounding_passes_on_every_route(self, capsys):
-        """An imaginary part within 1e-9 max(1, |f(k)|) counts as rounding on
-        every route, as it did on the closed-form routes: the series route,
-        which tested against the grid's largest |f| with no floor of 1,
-        refused the -6.7e-13j at k = 1 of 1e-12j/(s+0.5).  Its scale, the
-        largest |f| up to k, is below 1 here."""
-        outputs = set()
-        for strategy in ("auto", "pfe", "outside", "fractional", "inside"):
-            code, out, _ = run(capsys, "invert", "--expr=1e-12j/(s+0.5)", "--k", "1..3",
-                               "--format", "csv", "--strategy", strategy)
-            assert code == 0, strategy
-            outputs.add(out)
-        assert outputs == {"k,f(k)\n1,0\n2,0\n3,0\n"}
-
-    def test_real_input_with_complex_dust_passes(self, capsys):
-        # deflating by the complex roots of the cancelled quadratic leaves
-        # imaginary dust of up to 8.6e-13 of |f(k)| per k, 1.1e-16 of max |f|
-        expr = "(s^2-0.4*s+0.5)/((s^2-0.4*s+0.5)*(s^2+0.3*s+0.2)*(s+2))"
-        code, out, _ = run(capsys, "invert", f"--expr={expr}", "--k", "1..2000",
-                           "--strategy", "inside", "--format", "csv")
-        assert code == 0
-        assert len(out.splitlines()) == 2001
 
 
 class TestFloatRange:
@@ -1274,8 +1207,10 @@ NEAR = ("(-0.53-0.22j)/(s-(-1.12075+0.00047j)) + (-0.53+0.22j)/(s-(-1.12075-0.00
         " + 600/(s-1.2)")
 # a conjugate pair of order 40
 HIGH = "(1+1j)/(s-(2+1j))^40 + (1-1j)/(s-(2-1j))^40"
-CLOSE_PRINTED = ("k,f(k)\n1,4.3333333333333428\n2,8.1111111111111338\n"
-                 "3,16.037037037037084\n4,32.012345679012441\n5,64.004115226337632\n")
+# a real F written with real quadratics, two conjugate pairs within 5e-4 of
+# each other beside a growing real pole
+NEAR_QUADRATICS = ("(-1.06*s-1.1877882)/(s^2+2.2415*s+1.2560807834)"
+                   " + (1.2*s+1.344352)/(s^2+2.24142*s+1.2559911541) + 600/(s-1.2)")
 
 
 class TestConjugateWrittenF:
@@ -1331,11 +1266,9 @@ class TestConjugateWrittenF:
         assert np.max(np.abs(outputs[0] - outputs[1])) <= 1e-13 * np.max(np.abs(outputs[0]))
 
     @pytest.mark.parametrize("strategy, expr, k, code, out, err", [
-        *((s, CLOSE, "1..5", 0, CLOSE_PRINTED, "") for s in ("auto", "pfe", "outside")),
         # the pooled pair cancels one unit against a numerator root: the
-        # reduced F is complex, and its series carries an imaginary part
-        ("inside", CLOSE, "1..5", 1, "", "error: imaginary residue -8.667e-07 at k = 1.0; "
-         "F(s) has complex coefficients\n"),
+        # reduced F is complex, and every route refuses it at once
+        *((s, CLOSE, "1..5", 1, "", REFUSED) for s in ("auto", "pfe", "outside", "inside")),
         # the closed form of the paired F is real by construction, and its
         # residues, off by about 1e-4 at the four close poles, miss F(1) =
         # -2999.934040147391... by 1.07e-9 of it, past the realness tolerance
@@ -1344,6 +1277,14 @@ class TestConjugateWrittenF:
            "their accuracy; try --strategy inside\n") for s in ("auto", "pfe", "outside")),
         ("inside", NEAR, "1..3", 0, "k,f(k)\n1,-2999.9340401473905\n2,15000.031076417605\n"
          "3,-74999.985358625461\n", ""),
+        # the same close pairs written as real quadratics: the closed form of
+        # every real F with a complex pole is checked, and this one misses
+        # F(1) by 2.4e-7 of it
+        *((s, NEAR_QUADRATICS, "1..3", 1, "", "error: the partial-fraction terms give "
+           "f(a+1) = -2999.9347638078143 where F(1) = -2999.93404014739: its residues have "
+           "lost their accuracy; try --strategy inside\n") for s in ("auto", "pfe", "outside")),
+        ("inside", NEAR_QUADRATICS, "1..3", 0, "k,f(k)\n1,-2999.9340401473905\n"
+         "2,15000.031076417605\n3,-74999.985358625461\n", ""),
         # a pair of order 40: the residues come from the roots of a degree-40
         # numerator, and the closed form misses F(1) by thirteen orders
         ("pfe", HIGH, "1..3", 1, "", "error: the partial-fraction terms give f(a+1) = "
@@ -1355,3 +1296,57 @@ class TestConjugateWrittenF:
     def test_close_conjugate_terms(self, capsys, strategy, expr, k, code, out, err):
         assert run(capsys, "invert", f"--expr={expr}", "--k", k, "--strategy", strategy,
                    "--format", "csv") == (code, out, err)
+
+
+class TestNonRealF:
+    """Realness is decided once, from F (``is_real``): a non-real F is
+    refused before any route computes a value, with one line that names no
+    step, on every route and on verify; forward, which prints no sequence,
+    still sums it."""
+
+    NON_REAL = [
+        ["--expr=1/(s-2j)"],  # f = 0.2+0.4j, -0.12+0.16j, ...
+        ["--expr=1e-12j/(s+0.5)"],  # an imaginary part below 1e-9 of |f|
+        ["--expr=1e-300j/(s-0.5)", "--k", "1..3000"],  # i 1e-300 2^k
+        ["--expr=(0.5-0.5j+(0.5+0.5j)*s)^-1.5"],  # pair row 6 with a complex gamma
+        ["--expr=1/(s^0.5-0.2j)"],  # an atom with a complex lambda
+        ["--expr=1/(s^0.5-(0.2+0.1j))"],
+        [f"--expr={CLOSE}"],  # a conjugate pair that pooling merges
+    ]
+
+    @staticmethod
+    def no_route(monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a route computed a value of a non-real F")
+
+        monkeypatch.setattr(ClosedFormSequence, "sample", unreachable)
+        monkeypatch.setattr(cli, "invert_inside", unreachable)
+
+    @pytest.mark.parametrize("argv", NON_REAL)
+    def test_no_route_is_reached(self, capsys, monkeypatch, argv):
+        self.no_route(monkeypatch)
+        for strategy in ("auto", "pfe", "outside", "inside", "fractional"):
+            assert run(capsys, "invert", *argv, "--strategy", strategy) == (1, "", REFUSED)
+        assert run(capsys, "verify", *argv) == (1, "", REFUSED)
+
+    def test_forward_still_sums_a_complex_f(self, capsys, monkeypatch):
+        self.no_route(monkeypatch)
+        code, out, err = run(capsys, "forward", "--expr=1/(s-2j)")
+        assert (code, err) == (0, "")
+        assert out.startswith("forward series of the inverted sequence vs direct F(s)  [pfe]")
+
+    def test_refusal_is_a_realness_error(self):
+        problem = cli._Problem("1/(s-2j)", 0.0)
+        with pytest.raises(RealnessError, match="^F\\(s\\) is not real"):
+            problem.invert("auto", np.arange(1.0, 4.0))
+
+    def test_real_input_with_complex_dust_passes(self, capsys):
+        # deflating by the complex roots of the cancelled quadratic leaves a
+        # factor with imaginary rounding; F is real as written, and reads real
+        expr = "(s^2-0.4*s+0.5)/((s^2-0.4*s+0.5)*(s^2+0.3*s+0.2)*(s+2))"
+        code, out, _ = run(capsys, "invert", f"--expr={expr}", "--k", "1..2000",
+                           "--strategy", "inside", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 2001
+
+

@@ -20,7 +20,6 @@ from nablainv import (
     PolyGeometricTerm,
     Polynomial,
     RationalFunction,
-    RealnessError,
     classify,
     expand,
     invert_fractional,
@@ -33,10 +32,11 @@ from nablainv import (
 from nablainv import cli
 from nablainv.cli import main
 from nablainv.expansion import POWER_BLOCK
-from nablainv.inversion import CUT_MIN_STEPS, OVERFLOW_LOG, real_values
+from nablainv.inversion import CUT_MIN_STEPS, OVERFLOW_LOG
 from nablainv.special import mittag_leffler_series
 from nablainv.pairs import sample_points
 from conftest import (
+    REFUSED,
     example1,
     example1_closed_form,
     random_real_rational_from_factors,
@@ -545,10 +545,7 @@ class TestStepOnlyBits:
         for _ in range(10):
             cf = _random_closed_form(rng)
             ks = np.arange(1, 2500, dtype=float)
-            try:
-                grid = cf.sample(ks)
-            except RealnessError:
-                continue
+            grid = cf.sample(ks)
             for k in rng.choice(ks, size=5).tolist():
                 assert np.array([cf.evaluate(k)]).tobytes() == grid[int(k) - 1:int(k)].tobytes()
 
@@ -651,12 +648,6 @@ class TestEvaluateClosedForm:
         with pytest.raises(ValueError):
             cf.evaluate(1.5)
 
-    def test_realness_violation_detected(self):
-        bad = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, 0.5j),))
-        with pytest.raises(RealnessError):
-            bad.evaluate(3)
-        assert bad.evaluate_complex(3) != 0
-
     def test_terms_reject_pole_at_one(self):
         with pytest.raises(PoleAtOneError):
             PolyGeometricTerm(1.0, 1.0)
@@ -755,13 +746,6 @@ def _pointwise(cf, ks):
     return np.array([cf.evaluate(k) for k in ks])
 
 
-def _first_realness_failure(call, ks):
-    """The k named by the RealnessError that ``call`` raises."""
-    with pytest.raises(RealnessError) as info:
-        call(ks)
-    return str(info.value).split(" at k = ")[1].split(";")[0]
-
-
 class TestSampleGrid:
     """``sample`` on a whole grid against ``evaluate`` step by step."""
 
@@ -811,31 +795,23 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             cf.sample([0.5])
 
-    def test_realness_failure_at_same_step(self):
-        # nearly conjugate poles inside the unit disk around 1: the imaginary
-        # residue grows relative to the summands until it fails near m = 50
-        delta = 1e-11
-        cf = ClosedFormSequence(0.0, (
-            PolyGeometricTerm(1j, 0.5),
-            PolyGeometricTerm(-1j, 0.5 + delta),
-        ))
+    @pytest.mark.parametrize("terms", [
+        (PolyGeometricTerm(1.0, 0.5j),),
+        # nearly conjugate poles inside the unit disk around 1, whose
+        # imaginary part grows relative to the summands
+        (PolyGeometricTerm(1j, 0.5), PolyGeometricTerm(-1j, 0.5 + 1e-11)),
+        # ML(1, 1, 0.3) = 0.7^-m beside an imaginary 1e-12 * 2^m
+        (FractionalAtom(1.0, 1.0, 1.0, 0.3), PolyGeometricTerm(1e-12j, 0.5)),
+    ])
+    def test_complex_terms_give_the_real_part_at_each_step(self, terms):
+        """``sample`` tests no step (realness is decided from F, before any
+        value): a grid is the real part of the values, bit for bit the
+        steps' own."""
+        cf = ClosedFormSequence(0.0, terms)
         ks = list(range(1, 120))
-        grid_k = _first_realness_failure(cf.sample, ks)
-        point_k = _first_realness_failure(lambda ks: _pointwise(cf, ks), ks)
-        assert grid_k == point_k
-        assert 10 < int(grid_k) < 119
-
-    def test_realness_failure_at_same_step_mittag_leffler(self):
-        # ML(1, 1, 0.3) = 0.7^-m; an imaginary 1e-12 * 2^m overtakes the
-        # realness tolerance near m = 21
-        cf = ClosedFormSequence(0.0, (
-            FractionalAtom(1.0, 1.0, 1.0, 0.3),
-            PolyGeometricTerm(1e-12j, 0.5),
-        ))
-        ks = list(range(1, 40))
-        grid_k = _first_realness_failure(cf.sample, ks)
-        assert grid_k == _first_realness_failure(lambda ks: _pointwise(cf, ks), ks)
-        assert 10 < int(grid_k) < 39
+        grid = cf.sample(ks)
+        assert grid.tobytes() == _pointwise(cf, ks).tobytes()
+        assert grid.tobytes() == cf.values(np.arange(1, 120)).real.tobytes()
 
     def test_decaying_values_underflow_to_zero(self):
         # the closed form of 9/((s+1)^2 (s-2)) at K = 2000: 2^-2000 underflows
@@ -854,23 +830,18 @@ class TestSampleGrid:
 
 def _full_sample(cf, ks):
     """The reference for ``sample``: every term evaluated on every step, then
-    summed and tested for realness as ``sample`` does (base point 0)."""
+    summed, and the real part taken (base point 0)."""
     m = np.asarray(ks, dtype=np.int64)
     with np.errstate(all="ignore"):
         parts = np.zeros((len(cf.terms), m.size), dtype=complex)
         for row, t in zip(parts, cf.terms):
             row[:] = t.value(m)
-        v = parts.sum(axis=0)
-        scale = np.maximum(np.abs(v.real), np.abs(parts).max(axis=0, initial=1.0))
-        return real_values(v, ks, scale)
+        return parts.sum(axis=0).real
 
 
 def _outcome(sample, ks):
-    """The bits of the values, or the message of the RealnessError raised."""
-    try:
-        return sample(ks).view(np.int64).tolist()
-    except RealnessError as exc:
-        return str(exc)
+    """The bits of the values."""
+    return sample(ks).view(np.int64).tolist()
 
 
 def _random_closed_form(rng):
@@ -958,15 +929,13 @@ class TestZeroCut:
         assert np.argmax(~np.isfinite(got)) == np.argmax(~np.isfinite(full)) == 713
         self.assert_full(cf, ks)
 
-    def test_realness_failure_at_the_same_step(self):
-        # an unpaired growing imaginary term passes 1e-9 near m = 917, past
-        # the cut of a decaying real one at 695
+    def test_unpaired_imaginary_term_past_the_cut(self):
+        # an unpaired growing imaginary term beside a decaying real one cut
+        # at 695: the real part is the full grid's, with no realness test
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, -2.0),
                                       PolyGeometricTerm(1e-13j, 0.01)))
-        ks = np.arange(1, 1200, dtype=float)
-        k = _first_realness_failure(cf.sample, ks)
-        assert k == _first_realness_failure(lambda ks: _full_sample(cf, ks), ks)
-        assert k == "917.0" and cf.terms[0].zero_from == 695
+        assert cf.terms[0].zero_from == 695
+        self.assert_full(cf, np.arange(1, 1200, dtype=float))
 
     def test_unsorted_grid_is_evaluated_in_full(self):
         # a search for the cut at 695 in this grid would land before 150
@@ -1046,15 +1015,14 @@ class TestFirstOutOfRange:
     @pytest.mark.parametrize("strategy", ["pfe", "inside"])
     @pytest.mark.parametrize("expr", ["1e-300j/(s-0.5)", "(1+1e-300j)/(s-0.5)",
                                       "(1+1e-3j)/(s-0.5)"])
-    def test_complex_f_names_the_same_step(self, capsys, monkeypatch, strategy, expr):
-        """A complex F with a growing pole: the prefix's realness test, which
-        reads each step and the steps before it, fails where the whole grid's
-        does and nowhere else."""
+    def test_complex_f_asks_no_route(self, capsys, monkeypatch, strategy, expr):
+        """A complex F with a growing pole is refused before its prefix or
+        its grid is asked for, with one line that names no step."""
         argv = ["invert", "--strategy", strategy, f"--expr={expr}", "--k", "1..3000"]
+        asked = self.record(monkeypatch)
         got = main(argv), capsys.readouterr()
-        assert got[0] == 1 and got[1].out == ""
-        self.whole_grid(monkeypatch)
-        assert (main(argv), capsys.readouterr()) == got
+        assert asked == []
+        assert (got[0], got[1].out, got[1].err) == (1, "", REFUSED)
 
     @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
     def test_far_grid_probes_the_overflow_step(self, capsys, monkeypatch, strategy):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from nablainv import (
@@ -41,6 +42,32 @@ class TestRegistry:
     def test_describe_mentions_row(self):
         text = pair(4, gamma=0.5).describe()
         assert text.startswith("row 4") and "0.5^(k-a-1)" in text
+
+
+def _conjugate_gap(tp):
+    """max |F(conj s) - conj F(s)| / max(1, |F(s)|) over 30 points inside
+    the pair's disk."""
+    s = np.array(sample_points(tp.radius, count=30))
+    want = np.conj(np.broadcast_to(np.asarray(tp(s), dtype=complex), s.shape))
+    got = np.broadcast_to(np.asarray(tp(np.conj(s)), dtype=complex), s.shape)
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+class TestIsReal:
+    """A pair is real when every parameter is: the CLI inverts it, and its
+    quadrature samples half the circle."""
+
+    @pytest.mark.parametrize("tp", reference_pairs(), ids=lambda tp: f"row{tp.row}")
+    def test_every_reference_row_is_real(self, tp):
+        assert tp.is_real is True
+        assert _conjugate_gap(tp) <= 1e-15
+
+    @pytest.mark.parametrize("tp", [pair(6, gamma=0.5 + 0.5j, alpha=0.5),
+                                    pair(10, alpha=0.5, lam=0.3j)],
+                             ids=["row6", "row10"])
+    def test_complex_parameters_are_not_real(self, tp):
+        assert tp.is_real is False
+        assert _conjugate_gap(tp) > 1e-3
 
 
 class TestSamplePoints:

@@ -248,11 +248,14 @@ class TestQuadratureGrid:
         assert np.max(np.abs(grid.imag)) > 1e-2 * np.max(np.abs(grid))
         self._assert_trapezoid_sums(F, grid, 0.45, nodes)
 
-    def test_pairs_and_callables_keep_the_full_circle(self, monkeypatch):
-        """A table pair states no realness, and neither does a plain function."""
-        F = pair(7, lam=0.3)
+    @pytest.mark.parametrize("lam, samples", [(0.3, 257), (0.3 + 0.2j, 512)])
+    def test_pairs_by_their_parameters_and_callables_keep_the_full_circle(
+            self, lam, samples, monkeypatch):
+        """A table pair is real when its parameters are; a plain function
+        states no realness."""
+        F = pair(7, lam=lam)
         grid, sizes = self._grid_and_sample_counts(F, 512, monkeypatch, rho=0.4)
-        assert sizes == [512]
+        assert sizes == [samples]
         self._assert_trapezoid_sums(F, grid, 0.4, 512)
 
         def f(s):

@@ -52,10 +52,10 @@ TERMS = ["(s^3+1)/((s-2)*(s+0.55)^2)", "4.05/((s+0.55)^2)+1/(s-2)"]
 # real F written with conjugate terms, which read real: the rational-long
 # shape, which requests send to auto and inside only, on pfe and outside in
 # each format (and on verify, below); the pair as a product, and apart with
-# a real term between its members, on pfe and inside; and close conjugate
-# terms, a pair 2e-7 apart that pooling merges (inside refuses it, below)
-# and two pairs within 5e-4 of each other beside a growing pole (on inside;
-# the closed-form routes refuse it, below)
+# a real term between its members, on pfe and inside; and two close
+# conjugate pairs within 5e-4 of each other beside a growing pole, written
+# as conjugate terms and as real quadratics (on inside; the closed-form
+# routes refuse them, below)
 PAIR_TERMS = ("--expr=-2.68/(s+1.55) + (2.82-0.97j)/(s-(-0.65-1.45j))"
               " + (2.82+0.97j)/(s-(-0.65+1.45j))")
 PAIRED = ["--expr=(2.00*s+1.00)/((s-(-0.70+1.10j))*(s-(-0.70-1.10j)))",
@@ -65,22 +65,27 @@ CLOSE_PAIR = "--expr=(1+2e-7j)/(s-(0.5+1e-7j)) + (1-2e-7j)/(s-(0.5-1e-7j)) + 1/(
 NEAR_PAIRS = ("--expr=(-0.53-0.22j)/(s-(-1.12075+0.00047j))"
               " + (-0.53+0.22j)/(s-(-1.12075-0.00047j)) + (0.6-0.5j)/(s-(-1.12071-0.0005j))"
               " + (0.6+0.5j)/(s-(-1.12071+0.0005j)) + 600/(s-1.2)")
+NEAR_QUADRATICS = ("--expr=(-1.06*s-1.1877882)/(s^2+2.2415*s+1.2560807834)"
+                   " + (1.2*s+1.344352)/(s^2+2.24142*s+1.2559911541) + 600/(s-1.2)")
 CONJUGATE = ([["--strategy", strategy, PAIR_TERMS, "--k", "1..2000", "--format", fmt]
               for strategy in ("pfe", "outside") for fmt in ("text", "csv", "json")]
              + [["--strategy", strategy, expr, "--k", "1..2000"]
                 for expr in PAIRED for strategy in ("pfe", "inside")]
-             + [["--strategy", strategy, CLOSE_PAIR, "--k", "1..5"]
-                for strategy in ("auto", "pfe", "outside")]
-             + [["--strategy", "inside", NEAR_PAIRS, "--k", "1..3"]])
+             + [["--strategy", "inside", expr, "--k", "1..3"]
+                for expr in (NEAR_PAIRS, NEAR_QUADRATICS)])
 # commands that read F where no request does: forward sums at the default
-# points (no request runs forward), a denominator power of 4 (no request has
-# one above 3), a constant F, and conjugate terms, each verify format
+# points (no request runs forward), also of a complex F, a denominator power
+# of 4 (no request has one above 3), a constant F, conjugate terms, each
+# verify format, and pair row 6's shape, whose real parameters send its
+# quadrature to the half circle
 EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
+              ["forward", "--expr=1/(s-2j)"],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
               ["verify", PAIR_TERMS, "--k", "1..100"],
-              ["verify", PAIR_TERMS, "--k", "1..100", "--format", "json"]]
+              ["verify", PAIR_TERMS, "--k", "1..100", "--format", "json"],
+              ["verify", "--expr=1/(0.5*s+0.5)^1.5"]]
 # grids that reach the edges of ``printing.rows``, which no request does: a
 # decay through the subnormals into the zero tail, powers of two past 2^53
 # (repr's fallback), +/-1, and steps that are not integers; negative k, live
@@ -125,14 +130,10 @@ POWERED = [["--expr=1/(s+0.01)", "--k", "1..100000"],
            [PAIR, "--k", "9007199254740987..9007199254740991"]]
 # F that leaves float64 (a pole at |1 - p| = 0.38), and a tiny residue whose
 # series leaves it at k = 2021, past the steps evaluated first, also as an
-# imaginary one (complex F), whose values pass the realness tolerance at
-# k = 967
+# imaginary one (complex F)
 GROWING = "--expr=1.7/(s-0.62) + 0.9/(s+1.3)^2"
 TINY = "--expr=1e-300/(s-0.5)"
 TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
-# a complex F whose imaginary parts, below 1e-9, are rounding on every route
-DUST = [["--strategy", strategy, "--expr=1e-12j/(s+0.5)", "--k", "1..3", "--format", "csv"]
-        for strategy in ("pfe", "inside")]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
 # point list, an atom with a complex lambda, shapes no strategy inverts (an
@@ -140,14 +141,16 @@ DUST = [["--strategy", strategy, "--expr=1e-12j/(s+0.5)", "--k", "1..3", "--form
 # non-integer power beside a pole), a non-integer power of a quadratic, an
 # atom with |lambda| >= 1 before a summand that is no atom, a series that
 # grows by 1e6 a step, out of the float64 range at k = 52, the close
-# conjugate pairs on the closed-form routes, whose first value misses F(1)
-# by more than the realness tolerance, and the checks of
+# conjugate pairs on the closed-form routes, written as conjugate terms and
+# on pfe as real quadratics, whose first value misses F(1) by more than the
+# realness tolerance, and the checks of
 # the late-starting series, whose pole's residue underflows on the pfe route;
 # the growing F on the outside and inside routes, the tiny residue on both
-# routes, and the imaginary one on every route, on inside also at a grid
-# that ends before the series leaves float64; the merged close pair on
-# inside; and a short grid far past a growing mode, which the series route
-# probes at that mode's overflow step
+# routes; a short grid far past a growing mode, which the series route
+# probes at that mode's overflow step; and the complex F that no route
+# inverts: the imaginary tiny residue on every route, on inside also at a
+# grid that ends before the series leaves float64, an imaginary part below
+# 1e-9 of |f| on two routes, and the merged close pair on every route
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -163,18 +166,20 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
              "--k", "1..10000"],
             *(["invert", "--strategy", strategy, NEAR_PAIRS, "--k", "1..3"]
               for strategy in ("auto", "pfe", "outside")),
+            ["invert", "--strategy", "pfe", NEAR_QUADRATICS, "--k", "1..3"],
             ["verify", LATE_START, "--k", "1..330"],
             ["invert", "--strategy", "outside", GROWING, "--k", "1..20000"],
             ["invert", "--strategy", "inside", GROWING, "--k", "1..20000"],
             ["invert", TINY, "--k", "1..3000"],
             ["invert", "--strategy", "inside", TINY, "--k", "1..3000"],
-            ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..3000"],
-            ["invert", "--strategy", "pfe", TINY_IMAGINARY, "--k", "1..3000"],
-            ["invert", "--strategy", "outside", TINY_IMAGINARY, "--k", "1..3000"],
-            ["invert", "--strategy", "fractional", TINY_IMAGINARY, "--k", "1..3000"],
+            ["invert", "--strategy", "inside", "--expr=1/(s-0.3)", "--k", "10000000..10000002"],
+            *(["invert", "--strategy", strategy, TINY_IMAGINARY, "--k", "1..3000"]
+              for strategy in ("inside", "pfe", "outside", "fractional")),
             ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..1200"],
-            ["invert", "--strategy", "inside", CLOSE_PAIR, "--k", "1..5"],
-            ["invert", "--strategy", "inside", "--expr=1/(s-0.3)", "--k", "10000000..10000002"]]
+            *(["invert", "--strategy", strategy, "--expr=1e-12j/(s+0.5)", "--k", "1..3",
+               "--format", "csv"] for strategy in ("pfe", "inside")),
+            *(["invert", "--strategy", strategy, CLOSE_PAIR, "--k", "1..5"]
+              for strategy in ("auto", "pfe", "outside", "inside"))]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -217,8 +222,8 @@ def fixed_commands():
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
     HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
-    the PRINTED grids, ``invert`` on the DIVIDED, the POWERED, the DUST and
-    the CONJUGATE inputs, the EVALUATING commands and the REJECTED ones."""
+    the PRINTED grids, ``invert`` on the DIVIDED, the POWERED and the
+    CONJUGATE inputs, the EVALUATING commands and the REJECTED ones."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
@@ -233,7 +238,6 @@ def fixed_commands():
             for fmt in ("text", "csv", "json")]
     out += [["invert", *argv] for argv in DIVIDED]
     out += [["invert", *argv] for argv in POWERED]
-    out += [["invert", *argv] for argv in DUST]
     out += [["invert", *argv] for argv in CONJUGATE]
     return out + EVALUATING + REJECTED
 
