@@ -12,11 +12,11 @@ from .errors import NablaError, PoleAtOneError
 from .polynomial import Polynomial, series_divide
 from .rational import POLE_AT_ONE_TOL
 
-__all__ = ["ImpulseTerm", "PolyGeometricTerm", "expand"]
+__all__ = ["ImpulseTerm", "PolyGeometricTerm", "check_first_step", "expand"]
 
 # The closed form of a real F with a complex pole may miss F(1) by up to
 # REALNESS_TOL times the largest of 1, |F(1)| and its terms' sizes at the
-# first step (``_check_first_step``).
+# first step (``check_first_step``).
 REALNESS_TOL = 1e-9
 # A decaying term whose exact magnitude is below 2^-1100, 2^25 under half the
 # smallest subnormal, computes to exactly 0: the power (pow, or a complex
@@ -348,8 +348,8 @@ def expand(rf):
     ``factor_roots`` and ``roots_with_multiplicities``), and only the upper
     member of each pair is computed: the lower one takes the conjugate
     coefficients, and a real pole real ones, so the closed form of a real F
-    is real by construction; with a complex pole, its first value is checked
-    against F(1) (``_check_first_step``).
+    is real by construction; with a complex pole, a route that prints its
+    values first checks them against F(1) (``check_first_step``).
 
     An improper rational is first divided once; the polynomial quotient is
     rewritten in powers of (1 - s), each power an impulse, since (1-s)^n is
@@ -402,27 +402,28 @@ def expand(rf):
     terms = [PolyGeometricTerm(complex(parts[i][rc.multiplicity - n]), rc.value, n)
              for i, rc in sorted(enumerate(poles), key=lambda p: p[1].multiplicity > 1)
              for n in range(1, rc.multiplicity + 1)]
-    terms = impulse + tuple(t for t in terms if t.coefficient != 0)
-    if real and any(rc.value.imag for rc in poles):
-        _check_first_step(rf, terms)
-    return terms
+    return impulse + tuple(t for t in terms if t.coefficient != 0)
 
 
-def _check_first_step(rf, terms):
-    """Raise NablaError when the closed form of F misses F(1), the
-    sequence's first value f(a+1), by more than REALNESS_TOL times the
-    largest of 1, |F(1)| and its terms' sizes at that step.
+def check_first_step(rf, terms):
+    """Raise NablaError when ``terms``, the expansion of a real F with a
+    complex pole, miss F(1), the sequence's first value f(a+1), by more than
+    REALNESS_TOL times the largest of 1, |F(1)| and their sizes at that
+    step; a real F with real poles only passes unread.
 
-    ``expand`` asks this of every real F with a complex pole.  Taking each
-    lower conjugate pole's coefficients as the conjugates of the upper one's
-    makes its closed form real by construction, and the routes print the
-    real part of their values with no further test, so an error in the
-    residues shows nowhere else; yet close or high-order poles amplify the
-    rounding of F's coefficients into their residues.  This reads the error
-    at the first step, against F(1) from the factors' coefficients
-    (``RationalFunction.evaluate``).  A term past the float64 range there
-    leaves the verdict to the range checks.
+    The routes that print a rational F's closed-form values ask this first.
+    Taking each lower conjugate pole's coefficients as the conjugates of the
+    upper one's makes the closed form real by construction, and the routes
+    print the real part of their values with no further test, so an error
+    in the residues shows nowhere else; yet close or high-order poles
+    amplify the rounding of F's coefficients into their residues.  This
+    reads the error at the first step, against F(1) from the factors'
+    coefficients (``RationalFunction.evaluate``).  A term past the float64
+    range there leaves the verdict to the range checks.  The forward sums
+    take the terms unchecked: they show such an error themselves.
     """
+    if not any(rc.value.imag for rc in rf._reduced.poles):
+        return
     try:
         first = [t.coefficient / (1.0 - t.pole) ** t.order if isinstance(t, PolyGeometricTerm)
                  else t.coefficient * (t.shift == 0) for t in terms]

@@ -12,10 +12,12 @@ Two routes recover the causal sequence of a rational F(s):
   rising-factorial-times-geometric sequences, so ``invert_outside`` is the
   same function under its residue-calculus name.
 
-Both wrap the expansion's terms in a symbolic ClosedFormSequence, evaluable at
-any causal step or on a whole step grid at once (``sample``); fractional-power
-sums go through ``invert_fractional`` instead, whose atoms are their own
-discrete Mittag-Leffler terms.
+Both wrap the expansion's terms in a symbolic ClosedFormSequence whose
+``values`` is the sequence as a rule m -> f(a+m) on int step offsets, at one
+step or on a whole grid at once; fractional-power sums go through
+``invert_fractional`` instead, whose atoms are their own discrete
+Mittag-Leffler terms.  ``first_out_of_range`` takes any rational route's rule
+and stops a growing grid at its first value out of range.
 
 Every term's value(m) takes the step offset m = k - a either as an int or as
 an int ndarray, so one formula serves a single step and a whole grid.
@@ -58,11 +60,10 @@ class ClosedFormSequence:
     """A causal sequence written as a finite sum of symbolic terms.
 
     Defined on the index set {a+1, a+2, ...} where a is ``base_point``.
-    ``values`` is the sequence as a rule m -> f(a+m), complex, on step
-    offsets.  ``sample`` returns the real parts of the values on a grid of
-    steps k, with no test: whether F is real is decided once, from F
-    (``is_real``), before any value is computed.  ``evaluate`` is ``sample``
-    at one step, and ``evaluate_complex`` is ``values`` at one step.  Values
+    ``values`` is the sequence as a rule m -> f(a+m), complex, on int step
+    offsets; ``evaluate_complex`` is ``values`` at one step k, and
+    ``evaluate`` its real part, taken with no test: whether F is real is
+    decided once, from F (``is_real``), before any value is computed.  Values
     outside the float64 range come back as inf or nan, for the caller to
     reject.
     """
@@ -71,52 +72,36 @@ class ClosedFormSequence:
     terms: tuple
 
     def values(self, m):
-        """f(a+m), complex, at an int step offset m >= 1 or an int ndarray of
-        them; a step is a one-step grid."""
-        if not isinstance(m, np.ndarray):
-            return self.values(np.array([m]))[0]
-        return sum((t.value(m) for t in self.terms), np.zeros(m.shape, dtype=complex))
-
-    def evaluate_complex(self, k):
-        return complex(self.values(step_offset(k, self.base_point)))
-
-    def evaluate(self, k):
-        return float(self.sample([k])[0])
-
-    def sample(self, ks):
-        """The real parts of the values at every step of ``ks``, each term
-        evaluated once on the array of step offsets and added in place, in
-        order, to a sum that starts at +0.0 (which no addition turns into
-        -0.0).  The imaginary part is dropped with no test: the caller has
-        decided that F is real (``is_real``).
+        """f(a+m), complex, at an int step offset m >= 1 or at every step of
+        an int ndarray m of them; a step is a one-step grid.  Each term is
+        evaluated once on the offsets and added in place, in order, to a sum
+        that starts at +0.0 (which no addition turns into -0.0).
 
         On an ascending grid of at least CUT_MIN_STEPS steps a term is
         evaluated and added only on the steps before its ``zero_from``, where
         it would add a zero that leaves the sum as it is; the steps past every
         term's are +0.0.
         """
-        ks = ks if isinstance(ks, np.ndarray) else list(ks)
-        offsets = np.asarray(ks, dtype=float) - self.base_point
-        m = np.rint(offsets)
-        bad = (np.abs(offsets - m) > 1e-9) | (m < 1)
-        if bad.any():
-            step_offset(ks[int(np.argmax(bad))], self.base_point)  # raises
-        m = m.astype(np.int64)
+        if not isinstance(m, np.ndarray):
+            return self.values(np.array([m]))[0]
         n = m.size
         live = [n] * len(self.terms)
         if n >= CUT_MIN_STEPS and (m[1:] >= m[:-1]).all():
             live = [n if t.zero_from is None else int(np.searchsorted(m, t.zero_from))
                     for t in self.terms]
-            n = max(live, default=0)
         v = np.zeros(n, dtype=complex)
         # (1-p)^-m past the float64 range is inf; numpy flags that as an
         # overflow, or for a complex base as a division by zero
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             for t, size in zip(self.terms, live):
                 v[:size] += t.value(m[:size])
-        values = np.zeros(m.size)
-        values[:n] = v.real
-        return values
+        return v
+
+    def evaluate_complex(self, k):
+        return complex(self.values(step_offset(k, self.base_point)))
+
+    def evaluate(self, k):
+        return self.evaluate_complex(k).real
 
     def describe(self):
         if not self.terms:
@@ -146,45 +131,45 @@ def invert_inside(rf, k_max):
     return values
 
 
-def first_out_of_range(rf, ms, values, probe):
-    """``values(n)``, a route's values at the first n steps of the ascending
-    int step offsets ``ms``, for the whole grid; or for a prefix of the grid
-    that already holds a value outside the float64 range; or, when the grid
-    starts past such a value, the one value inf, which stands for its first
-    step.
+def first_out_of_range(rf, ms, rule):
+    """``rule(ms)``, a rational route's values at the ascending int step
+    offsets ``ms``; or the route's values on a prefix of the grid that
+    already holds a value whose real part is outside the float64 range; or,
+    when the grid starts past such a value, the one value inf, which stands
+    for its first step.
 
     Where a reduced pole of F has rho = |1 - p| < 1, its mode rho^-m passes
     2^1100 at m = 1100 ln 2 / -ln rho, past float64 by 2^76.  The steps up
     to there and one POWER_BLOCK more are evaluated first; if one of their
     values is not finite, those values are returned, else the whole grid's.
     A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once,
-    unless it starts past that step: then ``probe(m)``, the route's value at
-    step offset m, is asked at that step first, and when it is not finite
-    neither is any later one (a closed form's term that is not finite stays
-    so: its binomial, and a growing pole's power, only grow), so the grid's
-    first value is out of range.  The series route's cost is set by its
-    last step, and it pays for the probe's steps, not the grid's.
+    unless it starts past that step: then the rule is asked for that step
+    alone first, and when its value is not finite neither is any later one
+    (a closed form's term that is not finite stays so: its binomial, and a
+    growing pole's power, only grow), so the grid's first value is out of
+    range.  The series route's cost is set by its last step, and it pays
+    for that step, not the grid's.
     Every rational route's values depend on the step alone (the series
-    division is prefix-stable, and a closed form's terms are sampled step by
-    step), so the prefix is the whole grid's prefix bit for bit, and the
+    division is prefix-stable, and a closed form's terms are evaluated step
+    by step), so the prefix is the whole grid's prefix bit for bit, and the
     first value out of range, at the same step, is the one reported.  A
     growth that starts late (a tiny residue) costs the prefix once more.
     """
     if len(ms) < CUT_MIN_STEPS and ms[0] <= POWER_BLOCK:  # before every overflow step
-        return values(len(ms))
+        return rule(ms)
     rho = rf.distance_of_poles_to_one()
     if rho < 1:
         top = OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK
         if ms[0] > top:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if not np.isfinite(probe(int(top))):
+                if not np.isfinite(rule(np.array([int(top)])).real).all():
                     return np.full(1, np.inf)
         n = int(np.searchsorted(ms, top, "right")) if len(ms) >= CUT_MIN_STEPS else 0
         if 0 < n < len(ms):
-            head = values(n)
-            if not np.isfinite(head).all():
+            head = rule(ms[:n])
+            if not np.isfinite(head.real).all():
                 return head
-    return values(len(ms))
+    return rule(ms)
 
 
 def invert_partial_fractions(rf, a=0.0):

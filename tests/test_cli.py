@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nablainv import ClosedFormSequence, RealnessError, cli, pair
+from nablainv import ClosedFormSequence, RealnessError, cli, expand, inversion, pair
 from nablainv.cli import main
 from nablainv.verify import quadrature_grid
 from conftest import (
@@ -535,8 +535,8 @@ class TestSingleWriteOutput:
     ])
     def test_bytes_match_row_printer(self, capsys, fmt, expr, strategy, krange, a):
         problem = cli._Problem(expr, a)
-        ks = cli._parse_krange(krange, a)
-        used, cf, values = problem.invert(strategy, ks)
+        ks, ms = cli._parse_krange(krange, a)
+        (used, cf, _), values = problem.invert(strategy, ks, ms)
         _print_rows(fmt, problem, used, cf, list(zip(ks.tolist(), values.tolist())))
         want = capsys.readouterr().out
         code, out, _ = run(capsys, "invert", "--expr", expr, f"--a={a}", f"--k={krange}",
@@ -940,6 +940,25 @@ class TestForwardCommand:
         )
 
 
+class TestOneRoutePerRequest:
+    """A request builds its route once and reads its one rule for every
+    value: verify, whose checks read the sequence four times, forward, and
+    the fractional route on a rational, checked first, each expand F once."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", f"--expr={EX1}", "--k", "1..40"],
+        ["verify", "--expr=1/(s-(1+2j))+1/(s-(1-2j))", "--k", "1..40"],
+        ["forward", f"--expr={EX1}"],
+        ["forward", "--expr=1/(s-(1+2j))+1/(s-(1-2j))"],
+        ["invert", "--strategy", "fractional", "--expr=1/(s-(0.3+0.2j))+1/(s-(0.3-0.2j))"],
+    ])
+    def test_expand_runs_once(self, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(inversion, "expand", lambda rf: calls.append(rf) or expand(rf))
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+
 class TestConfigAndEnvironment:
     def test_config_file_sets_format(self, capsys, tmp_path):
         cfg = tmp_path / "nabla.cfg"
@@ -1297,6 +1316,27 @@ class TestConjugateWrittenF:
         assert run(capsys, "invert", f"--expr={expr}", "--k", k, "--strategy", strategy,
                    "--format", "csv") == (code, out, err)
 
+    @pytest.mark.parametrize("expr, f1, worst", [
+        (NEAR, "-2999.9340433582465", "4.887e-06"),
+        (NEAR_QUADRATICS, "-2999.9347638078143", "1.101e-03"),
+    ])
+    def test_forward_sums_what_the_printing_routes_refuse(self, capsys, expr, f1, worst):
+        """The first-step check belongs to the routes that print a closed
+        form's values: pfe, outside, fractional and verify refuse these close
+        pairs with one line, while forward, the oracle, sums the same terms
+        and shows how far they miss F."""
+        refused = {run(capsys, "invert", f"--expr={expr}", "--k", "1..3", "--strategy", s)
+                   for s in ("auto", "pfe", "outside", "fractional")}
+        refused.add(run(capsys, "verify", f"--expr={expr}", "--k", "1..3"))
+        assert refused == {(1, "", f"error: the partial-fraction terms give f(a+1) = {f1} "
+                            "where F(1) = -2999.93404014739: its residues have lost their "
+                            "accuracy; try --strategy inside\n")}
+        code, out, err = run(capsys, "forward", f"--expr={expr}")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "forward series of the inverted sequence vs direct F(s)  [pfe]"
+        assert len(lines) == 8 and lines[-1] == f"max |diff| = {worst}"
+
 
 class TestNonRealF:
     """Realness is decided once, from F (``is_real``): a non-real F is
@@ -1319,7 +1359,7 @@ class TestNonRealF:
         def unreachable(*args):
             raise AssertionError("a route computed a value of a non-real F")
 
-        monkeypatch.setattr(ClosedFormSequence, "sample", unreachable)
+        monkeypatch.setattr(ClosedFormSequence, "values", unreachable)
         monkeypatch.setattr(cli, "invert_inside", unreachable)
 
     @pytest.mark.parametrize("argv", NON_REAL)
@@ -1329,8 +1369,7 @@ class TestNonRealF:
             assert run(capsys, "invert", *argv, "--strategy", strategy) == (1, "", REFUSED)
         assert run(capsys, "verify", *argv) == (1, "", REFUSED)
 
-    def test_forward_still_sums_a_complex_f(self, capsys, monkeypatch):
-        self.no_route(monkeypatch)
+    def test_forward_still_sums_a_complex_f(self, capsys):
         code, out, err = run(capsys, "forward", "--expr=1/(s-2j)")
         assert (code, err) == (0, "")
         assert out.startswith("forward series of the inverted sequence vs direct F(s)  [pfe]")
@@ -1338,7 +1377,7 @@ class TestNonRealF:
     def test_refusal_is_a_realness_error(self):
         problem = cli._Problem("1/(s-2j)", 0.0)
         with pytest.raises(RealnessError, match="^F\\(s\\) is not real"):
-            problem.invert("auto", np.arange(1.0, 4.0))
+            problem.invert("auto", np.arange(1.0, 4.0), np.arange(1, 4))
 
     def test_real_input_with_complex_dust_passes(self, capsys):
         # deflating by the complex roots of the cancelled quadratic leaves a

@@ -22,6 +22,7 @@ from nablainv import (
     RationalFunction,
     classify,
     expand,
+    forward_transform,
     invert_fractional,
     invert_inside,
     invert_outside,
@@ -443,7 +444,8 @@ class TestPoleTermBinomial:
     def test_orders_past_the_float_factorials(self, expr, want):
         rf = classify(parse_expression(expr)).rational
         cf = invert_partial_fractions(rf)
-        assert cf.sample([1, 2, 3]).tolist() == invert_inside(rf, 3).real.tolist() == want
+        assert cf.values(np.arange(1, 4)).real.tolist() == invert_inside(rf, 3).real.tolist() \
+            == want
 
 
 def _old_value(c, p, n, m):
@@ -544,10 +546,11 @@ class TestStepOnlyBits:
         # the zero cut and ``evaluate`` read the grid's own bits
         for _ in range(10):
             cf = _random_closed_form(rng)
-            ks = np.arange(1, 2500, dtype=float)
-            grid = cf.sample(ks)
+            ks = np.arange(1, 2500)
+            grid = cf.values(ks)
             for k in rng.choice(ks, size=5).tolist():
-                assert np.array([cf.evaluate(k)]).tobytes() == grid[int(k) - 1:int(k)].tobytes()
+                assert np.array([cf.evaluate_complex(k)]).tobytes() == grid[k - 1:k].tobytes()
+                assert np.array([cf.evaluate(k)]).tobytes() == grid[k - 1:k].real.tobytes()
 
 
 class TestPowerAccuracy:
@@ -619,12 +622,8 @@ class TestZeroCoefficientTerms:
             for n in range(1, term.order + 1)))
         assert term.order > 1 and every.terms[-1] == term
         # leaving out an exact zero changes no value, not even a zero's sign
-        ks = range(1, 201)
-        got, want = cf.sample(ks), every.sample(ks)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         m = np.arange(1, 201)
-        np.testing.assert_array_equal(cf.values(m), every.values(m))
+        assert cf.values(m).tobytes() == every.values(m).tobytes()
 
 
 class TestEvaluateClosedForm:
@@ -701,7 +700,7 @@ class TestStrategyEquivalence:
         for _ in range(25):
             rf, _roots = random_real_rational_from_factors(rng)
             cf = invert_outside(rf)
-            values = cf.sample(range(1, 21))
+            values = cf.values(np.arange(1, 21))
             assert np.all(np.isfinite(values))
 
     def test_realness_with_large_conjugate_residues(self):
@@ -743,27 +742,28 @@ class TestImproperClosedForm:
 
 
 def _pointwise(cf, ks):
-    return np.array([cf.evaluate(k) for k in ks])
+    return np.array([cf.evaluate_complex(k) for k in ks])
 
 
-class TestSampleGrid:
-    """``sample`` on a whole grid against ``evaluate`` step by step."""
+class TestValuesGrid:
+    """``values`` on a whole grid of step offsets against ``evaluate_complex``
+    step by step."""
 
-    def assert_matches(self, cf, ks):
-        grid = cf.sample(ks)
-        point = _pointwise(cf, ks)
-        assert grid.shape == (len(ks),)
+    def assert_matches(self, cf, m):
+        grid = cf.values(m)
+        point = _pointwise(cf, cf.base_point + m)
+        assert grid.shape == m.shape
         np.testing.assert_allclose(grid, point, rtol=1e-12,
                                    atol=1e-12 * max(1.0, float(np.max(np.abs(point)))))
 
     def test_impulses(self):
         cf = ClosedFormSequence(0.0, (ImpulseTerm(2.0, 0), ImpulseTerm(-1.5, 3)))
-        self.assert_matches(cf, range(1, 9))
-        np.testing.assert_array_equal(cf.sample(range(1, 6)), [2.0, 0.0, 0.0, -1.5, 0.0])
+        self.assert_matches(cf, np.arange(1, 9))
+        np.testing.assert_array_equal(cf.values(np.arange(1, 6)), [2.0, 0.0, 0.0, -1.5, 0.0])
 
     def test_geometric_with_impulses(self):
         rf = RationalFunction(Polynomial([1.0, 0.0, 0.5, 1.0]), Polynomial([0.2, 1.0]))
-        self.assert_matches(invert_partial_fractions(rf), range(1, 60))
+        self.assert_matches(invert_partial_fractions(rf), np.arange(1, 60))
 
     def test_poly_geometric_and_conjugate_pairs(self):
         rf = rational_from_factors(
@@ -773,12 +773,12 @@ class TestSampleGrid:
         cf = invert_partial_fractions(rf)
         kinds = {type(t) for t in cf.terms}
         assert PolyGeometricTerm in kinds
-        self.assert_matches(cf, range(1, 200))
+        self.assert_matches(cf, np.arange(1, 200))
 
     def test_random_rationals(self, rng):
         for _ in range(20):
             rf, _roots = random_real_rational_from_factors(rng)
-            self.assert_matches(invert_partial_fractions(rf, a=1.5), [1.5 + m for m in range(1, 80)])
+            self.assert_matches(invert_partial_fractions(rf, a=1.5), np.arange(1, 80))
 
     def test_mittag_leffler(self):
         form = FractionalSumForm((
@@ -786,14 +786,7 @@ class TestSampleGrid:
             FractionalAtom(-1.0, 0.7, 0.5, 0.3),
             FractionalAtom(0.5, 1.0, 1.0, -0.4),
         ))
-        self.assert_matches(invert_fractional(form), range(1, 25))
-
-    def test_offsets_validated(self):
-        cf = invert_partial_fractions(example1(), a=0.5)
-        with pytest.raises(ValueError, match="k = 1 is not in the causal index set"):
-            cf.sample([1.5, 1, 2.5])
-        with pytest.raises(ValueError):
-            cf.sample([0.5])
+        self.assert_matches(invert_fractional(form), np.arange(1, 25))
 
     @pytest.mark.parametrize("terms", [
         (PolyGeometricTerm(1.0, 0.5j),),
@@ -803,45 +796,38 @@ class TestSampleGrid:
         # ML(1, 1, 0.3) = 0.7^-m beside an imaginary 1e-12 * 2^m
         (FractionalAtom(1.0, 1.0, 1.0, 0.3), PolyGeometricTerm(1e-12j, 0.5)),
     ])
-    def test_complex_terms_give_the_real_part_at_each_step(self, terms):
-        """``sample`` tests no step (realness is decided from F, before any
-        value): a grid is the real part of the values, bit for bit the
-        steps' own."""
+    def test_complex_terms_grid_is_each_steps_own(self, terms):
+        """A grid's complex values are bit for bit the steps' own, and
+        ``evaluate`` is their real part, with no test (realness is decided
+        from F, before any value)."""
         cf = ClosedFormSequence(0.0, terms)
-        ks = list(range(1, 120))
-        grid = cf.sample(ks)
-        assert grid.tobytes() == _pointwise(cf, ks).tobytes()
-        assert grid.tobytes() == cf.values(np.arange(1, 120)).real.tobytes()
+        m = np.arange(1, 120)
+        grid = cf.values(m)
+        assert grid.tobytes() == _pointwise(cf, m).tobytes()
+        assert np.array([cf.evaluate(k) for k in m]).tobytes() == grid.real.tobytes()
 
     def test_decaying_values_underflow_to_zero(self):
         # the closed form of 9/((s+1)^2 (s-2)) at K = 2000: 2^-2000 underflows
         cf = invert_partial_fractions(example1())
-        ks = np.arange(1, 2001, dtype=float)
-        got = cf.sample(ks)
+        got = cf.values(np.arange(1, 2001))
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got[-3:], [example1_closed_form(m) for m in (1998, 1999, 2000)],
                                    atol=1e-12)
 
     def test_growing_values_leave_float64(self):
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(-1.36, 0.63),))
-        got = cf.sample(range(1, 1502))
+        got = cf.values(np.arange(1, 1502))
         assert np.isfinite(got[712]) and not np.isfinite(got[713])
 
 
-def _full_sample(cf, ks):
-    """The reference for ``sample``: every term evaluated on every step, then
-    summed, and the real part taken (base point 0)."""
-    m = np.asarray(ks, dtype=np.int64)
+def _full_values(cf, m):
+    """The reference for ``values``: every term evaluated on every step, then
+    summed."""
     with np.errstate(all="ignore"):
         parts = np.zeros((len(cf.terms), m.size), dtype=complex)
         for row, t in zip(parts, cf.terms):
             row[:] = t.value(m)
-        return parts.sum(axis=0).real
-
-
-def _outcome(sample, ks):
-    """The bits of the values."""
-    return sample(ks).view(np.int64).tolist()
+        return parts.sum(axis=0)
 
 
 def _random_closed_form(rng):
@@ -868,24 +854,45 @@ def _random_closed_form(rng):
 
 
 class TestZeroCut:
-    """A decaying term stops being evaluated at its ``zero_from``; the grid
-    stays bit for bit the full evaluation's, sign of zero included."""
+    """A decaying term stops being evaluated at its ``zero_from``; the grid's
+    complex values stay bit for bit the full evaluation's, sign of zero
+    included."""
 
-    def assert_full(self, cf, ks):
-        assert len(ks) >= CUT_MIN_STEPS
-        assert _outcome(cf.sample, ks) == _outcome(lambda ks: _full_sample(cf, ks), ks)
+    def assert_full(self, cf, m):
+        assert len(m) >= CUT_MIN_STEPS
+        assert cf.values(m).tobytes() == _full_values(cf, m).tobytes()
 
     def test_random_closed_forms(self, rng):
         cut = 0
         for _ in range(150):
             cf = _random_closed_form(rng)
-            self.assert_full(cf, np.arange(1, 2500, dtype=float))
+            self.assert_full(cf, np.arange(1, 2500))
             for t in cf.terms:
                 if t.zero_from is not None:
                     cut += 1
                     lo = max(1, t.zero_from - CUT_MIN_STEPS // 2)
-                    self.assert_full(cf, np.arange(lo, lo + CUT_MIN_STEPS, dtype=float))
+                    self.assert_full(cf, np.arange(lo, lo + CUT_MIN_STEPS))
         assert cut > 100
+
+    def test_forward_sum_gives_the_uncut_bits(self):
+        """At s = 0 the sum of a conjugate pair with |1-p| = 1.01 reads about
+        2800 terms, in blocks of 1024 and 2048 steps past CUT_MIN_STEPS where
+        the 3^-m term, from its zero_from = 695 on, is not evaluated: the sum
+        has the bits of the same rule uncut."""
+        base = 1.01 * cmath.exp(0.4j)
+        cf = ClosedFormSequence(0.0, (PolyGeometricTerm(2.0, -2.0),
+                                      PolyGeometricTerm(0.5 - 0.2j, 1 - base),
+                                      PolyGeometricTerm(0.5 + 0.2j, 1 - base.conjugate())))
+        blocks = []
+
+        def rule(m):
+            blocks.append((int(m[0]), m.size))
+            return cf.values(m)
+
+        got = forward_transform(rule, 0.0)
+        assert any(start > 695 and size >= CUT_MIN_STEPS for start, size in blocks)
+        want = forward_transform(lambda m: _full_values(cf, m), 0.0)
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
     def test_zero_from_is_where_the_bound_falls_below_2_to_the_minus_1100(self):
         # 3^-m < 2^-1100 from m = 695 on; 2.1 m 2.1^-(m+1) from m = 1038 on
@@ -912,36 +919,35 @@ class TestZeroCut:
         base = 1e5 + 1e5j
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, 1 - base),
                                       PolyGeometricTerm(1.0, 1 - base.conjugate())))
-        ks = np.arange(1, 1200, dtype=float)
-        full = _full_sample(cf, ks)
+        m = np.arange(1, 1200)
+        full = _full_values(cf, m)
         assert np.isfinite(full).all() and full[150] == 0
         assert cf.terms[0].zero_from == 65
-        self.assert_full(cf, ks)
-        self.assert_full(cf, np.arange(70, 1200, dtype=float))
+        self.assert_full(cf, m)
+        self.assert_full(cf, np.arange(70, 1200))
 
     def test_growing_term_overflows_at_the_same_step(self):
         # -1.36 * 0.37^-m passes 1.8e308 at m = 714, past the 3^-m cut at 695
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(2.0, -2.0),
                                       PolyGeometricTerm(-1.36, 0.63),
                                       PolyGeometricTerm(1.0, 4.0, 3)))
-        ks = np.arange(1, 1502, dtype=float)
-        got, full = cf.sample(ks), _full_sample(cf, ks)
+        m = np.arange(1, 1502)
+        got, full = cf.values(m), _full_values(cf, m)
         assert np.argmax(~np.isfinite(got)) == np.argmax(~np.isfinite(full)) == 713
-        self.assert_full(cf, ks)
+        self.assert_full(cf, m)
 
     def test_unpaired_imaginary_term_past_the_cut(self):
         # an unpaired growing imaginary term beside a decaying real one cut
-        # at 695: the real part is the full grid's, with no realness test
+        # at 695: the values are the full grid's, with no realness test
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(1.0, -2.0),
                                       PolyGeometricTerm(1e-13j, 0.01)))
         assert cf.terms[0].zero_from == 695
-        self.assert_full(cf, np.arange(1, 1200, dtype=float))
+        self.assert_full(cf, np.arange(1, 1200))
 
     def test_unsorted_grid_is_evaluated_in_full(self):
         # a search for the cut at 695 in this grid would land before 150
         cf = ClosedFormSequence(0.0, (PolyGeometricTerm(-1.0, -2.0),))
-        ks = np.append(np.arange(1.0, 1200.0), 150.0)
-        self.assert_full(cf, ks)
+        self.assert_full(cf, np.append(np.arange(1, 1200), 150))
 
 
 class TestCancelledPoleInside:
@@ -973,17 +979,16 @@ class TestFirstOutOfRange:
         """The lengths each route is asked for: the closed form's grid, or
         the series' coefficient count."""
         asked = []
-        sample, series = ClosedFormSequence.sample, RationalFunction.series_at_one
-        monkeypatch.setattr(ClosedFormSequence, "sample",
-                            lambda self, ks: asked.append(len(ks)) or sample(self, ks))
+        values, series = ClosedFormSequence.values, RationalFunction.series_at_one
+        monkeypatch.setattr(ClosedFormSequence, "values",
+                            lambda self, m: asked.append(len(m)) or values(self, m))
         monkeypatch.setattr(RationalFunction, "series_at_one",
                             lambda self, order: asked.append(order + 1) or series(self, order))
         return asked
 
     @staticmethod
     def whole_grid(monkeypatch):
-        monkeypatch.setattr(cli, "first_out_of_range",
-                            lambda rf, ms, values, probe: values(len(ms)))
+        monkeypatch.setattr(cli, "first_out_of_range", lambda rf, ms, rule: rule(ms))
 
     @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
     @pytest.mark.parametrize("expr, rho, grid", GROWING)
@@ -1043,7 +1048,7 @@ class TestFirstOutOfRange:
         assert (got[0], got[1].out, got[1].err) == (
             1, "", "error: f(k) at k = 10000000 is outside the float64 range; narrow --k\n")
         assert peak <= 1 << 20
-        assert asked == ([2201] if strategy == "inside" else [])
+        assert asked == ([2201] if strategy == "inside" else [1])
 
     def test_far_grid_past_a_tiny_residue_is_evaluated(self, capsys, monkeypatch):
         """1e-300 * 2^m is finite at the probe's step, m = 1164, and the

@@ -135,8 +135,8 @@ def percent_rows(fmt, ks, values):
 def assert_percent_bytes(capsys, fmt, expr, krange, a):
     """invert prints the grid's rows as percent_rows formats them."""
     problem = cli._Problem(expr, a)
-    ks = cli._parse_krange(krange, a)
-    _, _, values = problem.invert("auto", ks)
+    ks, ms = cli._parse_krange(krange, a)
+    _, values = problem.invert("auto", ks, ms)
     code, out, _ = run(capsys, "invert", f"--expr={expr}", f"--a={a}", f"--k={krange}",
                        "--format", fmt)
     assert code == 0

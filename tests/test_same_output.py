@@ -89,6 +89,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
         ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
         ["forward", "--expr=1/(s-2j)"],
+        ["forward", same_output.NEAR_PAIRS],
+        ["forward", same_output.NEAR_QUADRATICS],
         ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
         ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
         ["verify", same_output.PAIR_TERMS, "--k", "1..100"],

@@ -281,7 +281,7 @@ class TestQuadratureGrid:
         """At rho = 0.5 the kernel rho^-(k-a-1) magnified rounding to 1e44 at
         k = 200; near the singularity distance it stays at the sequence's size."""
         cf = invert_partial_fractions(example1())
-        want = cf.sample(range(1, 201))
+        want = cf.values(np.arange(1, 201)).real
         got = quadrature_grid(example1(), 200)
         assert np.max(np.abs(got.real - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -316,7 +316,7 @@ class TestOracleClosure:
             rf, _roots = random_real_rational_from_factors(rng, min_dist_from_one=0.3)
             cf = invert_partial_fractions(rf)
             rho = min(0.9, rf.distance_of_poles_to_one() / 2.0)
-            values = cf.sample(range(1, 21))
+            values = cf.values(np.arange(1, 21)).real
             scale = max(1.0, float(np.max(np.abs(values))))
             for m in (1, 2, 5, 11, 20):
                 q = numeric_inverse(rf, m, rho=rho, nodes=max(256, 8 * m))

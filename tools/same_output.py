@@ -74,13 +74,16 @@ CONJUGATE = ([["--strategy", strategy, PAIR_TERMS, "--k", "1..2000", "--format",
              + [["--strategy", "inside", expr, "--k", "1..3"]
                 for expr in (NEAR_PAIRS, NEAR_QUADRATICS)])
 # commands that read F where no request does: forward sums at the default
-# points (no request runs forward), also of a complex F, a denominator power
-# of 4 (no request has one above 3), a constant F, conjugate terms, each
-# verify format, and pair row 6's shape, whose real parameters send its
-# quadrature to the half circle
+# points (no request runs forward), also of a complex F and of the close
+# conjugate pairs whose closed form the printing routes refuse (forward sums
+# its terms), a denominator power of 4 (no request has one above 3), a
+# constant F, conjugate terms, each verify format, and pair row 6's shape,
+# whose real parameters send its quadrature to the half circle
 EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["forward", "--expr=1/(s-2j)"],
+              ["forward", NEAR_PAIRS],
+              ["forward", NEAR_QUADRATICS],
               ["verify", "--expr=1/((s+0.5)^4*(s-0.2))", "--k", "1..40"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
               ["verify", PAIR_TERMS, "--k", "1..100"],
