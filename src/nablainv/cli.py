@@ -297,9 +297,9 @@ class _Problem:
         alone is not the answer.  Every route then takes the real part of
         its values with no test.  A rational F's closed form is checked at
         its first step first (``check_first_step``).  Raises OverflowError
-        naming the first step whose value is not finite in float64; a
-        rational route stops at the first value out of range
-        (``first_out_of_range``).
+        naming the first step whose value is not finite in float64: every
+        route stops at its first value out of range, read with the
+        transform's radius (``first_out_of_range``).
         """
         if not self.F.is_real:
             raise RealnessError("F(s) is not real: its complex coefficients do not come "
@@ -307,12 +307,9 @@ class _Problem:
         if self.classified.kind is Kind.RATIONAL and strategy != "inside":
             check_first_step(self.classified.rational, self._partial_fractions.terms)
         route = self.route(strategy)
-        used, _, rule = route
-        if used in ("pfe", "outside", "inside"):
-            values = first_out_of_range(self.classified.rational, ms, rule)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = rule(ms)
+        _, _, rule = route
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = first_out_of_range(self.radius, ms, rule)
         # contiguous: the printer reads a strided real part more slowly
         # (rational-long values_per_s 6 % lower at seed 1, in 10 of 10 pairs)
         values = np.ascontiguousarray(np.real(values))

@@ -16,8 +16,9 @@ Both wrap the expansion's terms in a symbolic ClosedFormSequence whose
 ``values`` is the sequence as a rule m -> f(a+m) on int step offsets, at one
 step or on a whole grid at once; fractional-power sums go through
 ``invert_fractional`` instead, whose atoms are their own discrete
-Mittag-Leffler terms.  ``first_out_of_range`` takes any rational route's rule
-and stops a growing grid at its first value out of range.
+Mittag-Leffler terms.  ``first_out_of_range`` takes any route's rule, the
+table's sequences included, with the transform's radius, and stops a
+growing grid at its first value out of range.
 
 Every term's value(m) takes the step offset m = k - a either as an int or as
 an int ndarray, so one formula serves a single step and a whole grid.
@@ -25,13 +26,13 @@ an int ndarray, so one formula serves a single step and a whole grid.
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .expansion import POWER_BLOCK, _num, complex_pair, expand
+from .polynomial import conjugate_pairs
 from .special import check_parameters, mittag_leffler_series, step_offset
 
 # A cut's search costs 5-11 us a term (orders 1-3), about what evaluating
@@ -39,8 +40,9 @@ from .special import check_parameters, mittag_leffler_series, step_offset
 # anchored tables, on a shared 2-core VM), and on a shorter grid most cuts lie
 # past its end: a grid of fewer steps is evaluated in full.
 CUT_MIN_STEPS = 1000
-# a grid whose F has a pole with |1 - p| < 1 is evaluated first up to the
-# step where that pole's mode has grown by 2^1100 (``first_out_of_range``)
+# a grid whose F has a radius R < 1 is evaluated first up to the step where
+# R^-m, the growth of its w^m coefficients, has passed 2^1100
+# (``first_out_of_range``)
 OVERFLOW_LOG = 1100 * math.log(2)
 
 __all__ = [
@@ -131,39 +133,37 @@ def invert_inside(rf, k_max):
     return values
 
 
-def first_out_of_range(rf, ms, rule):
-    """``rule(ms)``, a rational route's values at the ascending int step
-    offsets ``ms``; or the route's values on a prefix of the grid that
-    already holds a value whose real part is outside the float64 range; or,
-    when the grid starts past such a value, the one value inf, which stands
-    for its first step.
+def first_out_of_range(radius, ms, rule):
+    """``rule(ms)``, a route's values at the ascending int step offsets
+    ``ms``; or its values on a prefix of the grid that already holds a value
+    whose real part is outside the float64 range; or, when the grid starts
+    past such a value, the one value inf, which stands for its first step.
 
-    Where a reduced pole of F has rho = |1 - p| < 1, its mode rho^-m passes
-    2^1100 at m = 1100 ln 2 / -ln rho, past float64 by 2^76.  The steps up
-    to there and one POWER_BLOCK more are evaluated first; if one of their
-    values is not finite, those values are returned, else the whole grid's.
-    A grid of fewer than CUT_MIN_STEPS steps is evaluated whole at once,
-    unless it starts past that step: then the rule is asked for that step
-    alone first, and when its value is not finite neither is any later one
-    (a closed form's term that is not finite stays so: its binomial, and a
-    growing pole's power, only grow), so the grid's first value is out of
-    range.  The series route's cost is set by its last step, and it pays
-    for that step, not the grid's.
-    Every rational route's values depend on the step alone (the series
-    division is prefix-stable, and a closed form's terms are evaluated step
-    by step), so the prefix is the whole grid's prefix bit for bit, and the
-    first value out of range, at the same step, is the one reported.  A
-    growth that starts late (a tiny residue) costs the prefix once more.
+    Every route's f(a+1+j) is the w^j coefficient of F(1 - w), which grows
+    like R^-j for the transform's ``radius`` R (Cauchy-Hadamard).  Where
+    R < 1, R^-m passes 2^1100, past float64 by 2^76, at m = 1100 ln 2 / -ln R.
+    The steps up to there and one POWER_BLOCK more are evaluated first; if
+    one of their values is not finite, those values are returned, else the
+    whole grid's.  A grid of fewer than CUT_MIN_STEPS steps is evaluated
+    whole, unless it starts past that step: then the rule is asked for that
+    step alone first, and when its value is not finite neither is any later
+    one (a binomial and a growing power only grow, and a series division or
+    a cumprod carries an inf or a nan on), so the grid's first value is out
+    of range.  A route whose cost is set by its last step (the series at
+    s = 1, a Mittag-Leffler atom, a pair's cumprod) pays for that step.
+    Every route's values are prefix-stable (a series coefficient does not
+    depend on the division's order, and closed forms and pairs are evaluated
+    step by step), so the first value out of range, at the same step, is the
+    whole grid's.  A growth that starts late (a tiny residue) costs the
+    prefix once more.  Overflow is flagged unless the caller's ``np.errstate``
+    ignores it.
     """
     if len(ms) < CUT_MIN_STEPS and ms[0] <= POWER_BLOCK:  # before every overflow step
         return rule(ms)
-    rho = rf.distance_of_poles_to_one()
-    if rho < 1:
-        top = OVERFLOW_LOG / -math.log(rho) + POWER_BLOCK
-        if ms[0] > top:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if not np.isfinite(rule(np.array([int(top)])).real).all():
-                    return np.full(1, np.inf)
+    if radius < 1:
+        top = OVERFLOW_LOG / -math.log(radius) + POWER_BLOCK
+        if ms[0] > top and not np.isfinite(rule(np.array([int(top)])).real).all():
+            return np.full(1, np.inf)
         n = int(np.searchsorted(ms, top, "right")) if len(ms) >= CUT_MIN_STEPS else 0
         if 0 < n < len(ms):
             head = rule(ms[:n])
@@ -323,11 +323,12 @@ class FractionalSumForm:
     def is_real(self):
         """True when the atoms are closed under exact conjugation: each atom
         has a partner, itself when its coefficient and lam are real, with the
-        same alpha and beta and the conjugate coefficient and lam.  Then
+        same alpha and beta and the conjugate coefficient and lam
+        (``conjugate_pairs``, with (alpha, beta) as the tag).  Then
         F(conj s) = conj F(s)."""
-        keys = [(a.alpha, a.beta, complex(a.coefficient), complex(a.lam)) for a in self.atoms]
-        return Counter(keys) == Counter(
-            (alpha, beta, c.conjugate(), lam.conjugate()) for alpha, beta, c, lam in keys)
+        keys = [((complex(a.coefficient), complex(a.lam)), (a.alpha, a.beta)) for a in self.atoms]
+        keys = [(q, tag) for q, tag in keys if any(x.imag for x in q)]
+        return len(keys) == 2 * len(conjugate_pairs(keys))
 
     @property
     def radius(self):

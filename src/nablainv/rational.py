@@ -249,12 +249,6 @@ class RationalFunction:
     def has_pole_at_one(self):
         return any(abs(p.value - 1.0) <= POLE_AT_ONE_TOL for p in self.poles)
 
-    def distance_of_poles_to_one(self):
-        """min |1 - pole|, or inf when there are no poles."""
-        if not self.poles:
-            return float("inf")
-        return min(abs(1.0 - p.value) for p in self.poles)
-
     @cached_property
     def _at_one(self):
         """The reduced F(1 - w) as (numerator, denominator factors): the
@@ -324,7 +318,7 @@ class RationalFunction:
         pole-free)."""
         if self.has_pole_at_one():
             raise PoleAtOneError()
-        return self.distance_of_poles_to_one()
+        return min((abs(1.0 - p.value) for p in self.poles), default=math.inf)
 
     @property
     def radius(self):

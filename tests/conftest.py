@@ -85,7 +85,7 @@ def random_coefficient_rational(rng, max_degree=6, min_dist_from_one=0.15, bound
         while abs(num[-1]) < 0.2:
             num[-1] = float(rng.uniform(0.2, bound))
         rf = RationalFunction(Polynomial(num), Polynomial(den))
-        if rf.distance_of_poles_to_one() >= min_dist_from_one:
+        if rf.radius >= min_dist_from_one:
             return rf
     raise RuntimeError("could not draw an admissible rational")
 

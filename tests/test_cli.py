@@ -101,6 +101,11 @@ class TestInvert:
         assert code == 1
         assert "rational" in err
 
+    def test_fractional_strategy_on_a_table_shape_is_domain_error(self, capsys):
+        assert run(capsys, "invert", "--expr", "1/(1-0.5+0.5*s)^1.5", "--k", "1..3",
+                   "--strategy", "fractional") \
+            == (1, "", "error: strategy 'fractional' needs a fractional sum of atoms\n")
+
     def test_table_strategy(self, capsys):
         code, out, _ = run(capsys, "invert", "--expr", "1/(1-0.5+0.5*s)^1.5",
                            "--k", "1..4", "--format", "csv")
@@ -982,6 +987,12 @@ class TestConfigAndEnvironment:
         code, _, err = run(capsys, "invert", "--expr", EX1, "--config", str(cfg))
         assert code == 2
         assert "colour" in err
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "nabla.cfg"
+        cfg.write_text("# a comment\n\nformat csv\n")
+        assert run(capsys, "invert", "--expr", EX1, "--config", str(cfg)) \
+            == (2, "", "error: bad config line (need key=value): 'format csv'\n")
 
     @pytest.mark.parametrize("command, line", [
         # invert read no tol, and printed its values

@@ -1,6 +1,7 @@
 """The three inversion strategies and the closed-form sequence algebra."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -970,25 +971,35 @@ GROWING = [
 
 
 class TestFirstOutOfRange:
-    """A rational route evaluates a growing grid first up to where its
-    fastest mode has grown by 2^1100, and stops there at a value out of
-    range: the exit code and stderr are the whole grid's."""
+    """Every route (pfe, outside, inside, fractional and table) evaluates a
+    growing grid first up to where R^-m, for the transform's radius R, has
+    grown by 2^1100, and stops there at a value out of range: the exit code
+    and stderr are the whole grid's."""
 
     @staticmethod
     def record(monkeypatch):
-        """The lengths each route is asked for: the closed form's grid, or
-        the series' coefficient count."""
+        """The lengths each route is asked for: the closed form's grid (also
+        the fractional route's), the series' coefficient count, or the table
+        pair's grid."""
         asked = []
         values, series = ClosedFormSequence.values, RationalFunction.series_at_one
+        lookup = cli.lookup
         monkeypatch.setattr(ClosedFormSequence, "values",
                             lambda self, m: asked.append(len(m)) or values(self, m))
         monkeypatch.setattr(RationalFunction, "series_at_one",
                             lambda self, order: asked.append(order + 1) or series(self, order))
+
+        def recorded(classified):
+            hit = lookup(classified)
+            return hit and dataclasses.replace(
+                hit, sequence=lambda m: asked.append(np.size(m)) or hit.sequence(m))
+
+        monkeypatch.setattr(cli, "lookup", recorded)
         return asked
 
     @staticmethod
     def whole_grid(monkeypatch):
-        monkeypatch.setattr(cli, "first_out_of_range", lambda rf, ms, rule: rule(ms))
+        monkeypatch.setattr(cli, "first_out_of_range", lambda radius, ms, rule: rule(ms))
 
     @pytest.mark.parametrize("strategy", ["pfe", "outside", "inside"])
     @pytest.mark.parametrize("expr, rho, grid", GROWING)
@@ -1062,8 +1073,43 @@ class TestFirstOutOfRange:
         self.whole_grid(monkeypatch)
         assert (main(argv), capsys.readouterr()) == got
 
-    def test_no_pole_inside_the_unit_disk_is_one_pass(self, capsys, monkeypatch):
+    def test_fractional_grid_stops_at_the_prefix(self, capsys, monkeypatch):
+        """1/(s^0.5-0.3), whose root s = 0.09 gives R = 0.91: its
+        Mittag-Leffler values leave float64 at k = 7532, inside the prefix."""
+        argv = ["invert", "--expr=1/(s^0.5-0.3)", "--k", "1..20000"]
         asked = self.record(monkeypatch)
-        assert main(["invert", "--expr=1/(s+0.5)", "--k", "1..5000", "--format", "csv"]) == 0
+        got = main(argv), capsys.readouterr()
+        assert (got[0], got[1].out, got[1].err) == (
+            1, "", "error: f(k) at k = 7532 is outside the float64 range; narrow --k\n")
+        assert asked and max(asked) <= OVERFLOW_LOG / -math.log(0.91) + POWER_BLOCK
+        self.whole_grid(monkeypatch)
+        assert (main(argv), capsys.readouterr()) == got
+
+    @pytest.mark.parametrize("expr, k", [("1/(s^0.5-0.3)", 1000000),
+                                         ("1/(2*s-1)^1.5", 10000000)])
+    def test_far_fractional_and_table_grids_probe_one_step(self, capsys, monkeypatch, expr, k):
+        """The atom (R = 0.91) and pair row 6 with gamma = 2 (R = 0.5) on a
+        3-step grid far past their overflow steps: the route is asked for
+        that step alone, and the grid's first k is named.  The atom's series
+        ran past 35 s there, and the pair's cumprod took 261 MB."""
+        argv = ["invert", f"--expr={expr}", "--k", f"{k}..{k + 2}"]
+        asked = self.record(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = main(argv), capsys.readouterr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got[0], got[1].out, got[1].err) == (
+            1, "", f"error: f(k) at k = {k} is outside the float64 range; narrow --k\n")
+        assert peak <= 1 << 20
+        assert asked == [1]
+
+    @pytest.mark.parametrize("expr", ["1/(s+0.5)", "1/(s^0.5+0.3)"])
+    def test_no_singularity_inside_the_unit_disk_is_one_pass(self, capsys, monkeypatch, expr):
+        """R >= 1: a pole at |1 - p| = 1.5, and an atom whose roots are off
+        the principal branch, with the branch point s = 0 at distance 1."""
+        asked = self.record(monkeypatch)
+        assert main(["invert", f"--expr={expr}", "--k", "1..5000", "--format", "csv"]) == 0
         capsys.readouterr()
         assert asked == [5000]

@@ -110,7 +110,7 @@ class TestSeriesAtOne:
                 roots.append(z)
             num = rng.uniform(-3, 3, int(rng.integers(1, len(roots) + 1)))
             rf = RationalFunction(Polynomial(num), Polynomial.from_roots(roots))
-            gap = rf.distance_of_poles_to_one()
+            gap = rf.radius
             order = 60
             c = rf.series_at_one(order)
             for _p in range(5):

@@ -105,14 +105,15 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # strategy, the unsupported power, the atom beside a non-atom, the
     # overflowing series, the close conjugate pairs on each closed-form route
     # and the underflowing residue exit 1, and so do the growing F and the
-    # tiny residues, at the first step out of range, and the far grid, at its
-    # first step; the complex F exit 1 on every route and grid, with one line
-    # that names no step
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2] + [1] * 28
-    err = capsys.readouterr().err.splitlines()[-16:]
-    assert [line.split(" at k = ")[1].split(" ")[0] for line in err[:5]] == [
-        "734", "734", "1024", "2021", "10000000"]
-    assert [line + "\n" for line in err[5:]] == [REFUSED] * 11
+    # tiny residues, at the first step out of range, and the far grids, at
+    # their first step, and the growing atom at its first step out of range;
+    # the complex F exit 1 on every route and grid, with one line that names
+    # no step
+    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2] + [1] * 31
+    err = capsys.readouterr().err.splitlines()[-19:]
+    assert [line.split(" at k = ")[1].split(" ")[0] for line in err[:8]] == [
+        "734", "734", "1024", "2021", "10000000", "7532", "100000", "1000000"]
+    assert [line + "\n" for line in err[8:]] == [REFUSED] * 11
 
 
 def test_no_request_reaches_the_evaluating_commands(same_output):

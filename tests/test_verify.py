@@ -74,6 +74,10 @@ class TestForwardTransform:
     def test_unit_step(self):
         assert forward_transform(step_sequence, 0.5) == pytest.approx(2.0, rel=1e-10)
 
+    def test_rule_with_one_value_for_every_offset(self):
+        # a rule may answer a scalar for a block of offsets: it is broadcast
+        assert forward_transform(lambda m: 1.0, 0.5) == pytest.approx(2.0, rel=1e-10)
+
     def test_impulse(self):
         total = forward_transform(lambda m: np.where(m == 1, 1.0, 0.0), 0.3 + 0.4j)
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -300,7 +304,9 @@ class TestFractionalIsReal:
         ([(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j), (0.5 - 0.2j, 0.6, 0.8, 0.3 - 0.2j)], True),
         ([(1.0, 0.5, 0.5, 0.2 + 0.3j)], False),
         ([(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j), (0.5 + 0.2j, 0.6, 0.8, 0.3 - 0.2j)], False),
-    ], ids=["real-lambda", "conjugate-pair", "unpaired-lambda", "non-conjugate-coefficients"])
+        ([(0.5 + 0.2j, 0.6, 0.8, 0.3 + 0.2j), (0.5 - 0.2j, 0.7, 0.8, 0.3 - 0.2j)], False),
+    ], ids=["real-lambda", "conjugate-pair", "unpaired-lambda", "non-conjugate-coefficients",
+            "conjugates-of-another-alpha"])
     def test_is_real(self, atoms, real):
         form = FractionalSumForm(tuple(FractionalAtom(*a) for a in atoms))
         assert form.is_real is real
@@ -315,7 +321,7 @@ class TestOracleClosure:
         for _ in range(25):
             rf, _roots = random_real_rational_from_factors(rng, min_dist_from_one=0.3)
             cf = invert_partial_fractions(rf)
-            rho = min(0.9, rf.distance_of_poles_to_one() / 2.0)
+            rho = min(0.9, rf.radius / 2.0)
             values = cf.values(np.arange(1, 21)).real
             scale = max(1.0, float(np.max(np.abs(values))))
             for m in (1, 2, 5, 11, 20):

@@ -150,10 +150,13 @@ TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
 # the late-starting series, whose pole's residue underflows on the pfe route;
 # the growing F on the outside and inside routes, the tiny residue on both
 # routes; a short grid far past a growing mode, which the series route
-# probes at that mode's overflow step; and the complex F that no route
-# inverts: the imaginary tiny residue on every route, on inside also at a
-# grid that ends before the series leaves float64, an imaginary part below
-# 1e-9 of |f| on two routes, and the merged close pair on every route
+# probes at that mode's overflow step; a fractional grid that leaves
+# float64 inside its prefix, and short grids far past the overflow steps of
+# an atom and of pair row 6, which those routes probe too; and the complex F
+# that no route inverts: the imaginary tiny residue on every route, on
+# inside also at a grid that ends before the series leaves float64, an
+# imaginary part below 1e-9 of |f| on two routes, and the merged close pair
+# on every route
 REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "abc"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
@@ -176,6 +179,9 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", TINY, "--k", "1..3000"],
             ["invert", "--strategy", "inside", TINY, "--k", "1..3000"],
             ["invert", "--strategy", "inside", "--expr=1/(s-0.3)", "--k", "10000000..10000002"],
+            ["invert", "--expr=1/(s^0.5-0.3)", "--k", "1..20000"],
+            ["invert", "--expr=1/(s^0.7-0.9)", "--k", "100000..100002"],
+            ["invert", "--expr=1/(2*s-1)^1.5", "--k", "1000000..1000002"],
             *(["invert", "--strategy", strategy, TINY_IMAGINARY, "--k", "1..3000"]
               for strategy in ("inside", "pfe", "outside", "fractional")),
             ["invert", "--strategy", "inside", TINY_IMAGINARY, "--k", "1..1200"],
