@@ -29,7 +29,8 @@ from .inversion import (
 from .pairs import lookup, reference_pairs, sample_points
 from .parsing import Kind, classify, parse_expression, pretty
 from .rational import describe_roc
-from .verify import forward_rows, initial_value, quadrature_grid, round_trip_error
+from .verify import (FORWARD_TOL, forward_rows, initial_value, quadrature_grid,
+                     round_trip_error)
 
 _DEFAULTS = {"a": 0.0, "k": "1..10", "format": "text", "strategy": "auto",
              "tol": None, "rho": None, "nodes": None}
@@ -40,7 +41,7 @@ _CONFIG_KEYS = {"a": float, "k": str, "format": str, "strategy": str,
 # printer always was, on a 2-core VM)
 _PRINTER_MIN_ROWS = 256
 # the default tolerance of each command that takes --tol
-_TOL = {"forward": 1e-12, "verify": 1e-9, "roundtrip": 1e-6}
+_TOL = {"forward": FORWARD_TOL, "verify": 1e-9, "roundtrip": 1e-6}
 # the allowed values of each subcommand's choice flags, for a flag and for
 # the same key in a config file alike
 _CHOICES = {
@@ -517,7 +518,7 @@ def _cmd_verify(args):
 
     worst_rt = round_trip_error(rule, F, sample_points(problem.radius, count=5))
     checks.append((f"forward series round trip inside ROC "
-                   f"(max rel diff {worst_rt:.2e})", worst_rt, 1e-6))
+                   f"(max rel diff {worst_rt:.2e})", worst_rt, _TOL["roundtrip"]))
 
     report = [{"label": label, "ok": measure <= bound, "measure": measure, "bound": bound}
               for label, measure, bound in checks]

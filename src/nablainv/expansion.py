@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NablaError, PoleAtOneError
-from .polynomial import Polynomial, series_divide
+from .polynomial import Polynomial, conjugate_pairs, series_divide
 from .rational import POLE_AT_ONE_TOL
 
 __all__ = ["ImpulseTerm", "PolyGeometricTerm", "check_first_step", "expand"]
@@ -345,11 +345,11 @@ def expand(rf):
     it.
 
     For a real F the poles come in exact conjugate pairs (see
-    ``factor_roots`` and ``roots_with_multiplicities``), and only the upper
-    member of each pair is computed: the lower one takes the conjugate
-    coefficients, and a real pole real ones, so the closed form of a real F
-    is real by construction; with a complex pole, a route that prints its
-    values first checks them against F(1) (``check_first_step``).
+    ``factor_roots``; ``conjugate_pairs`` finds those of one multiplicity),
+    and only the upper member of each pair is computed: the lower one takes
+    the conjugate coefficients, and a real pole real ones, so the closed form
+    of a real F is real by construction; with a complex pole, a route that
+    prints its values first checks them against F(1) (``check_first_step``).
 
     An improper rational is first divided once; the polynomial quotient is
     rewritten in powers of (1 - s), each power an impulse, since (1-s)^n is
@@ -360,10 +360,10 @@ def expand(rf):
     A pole whose leading coefficient g_0 computes to 0 or to a non-finite
     number while F is not 0 (the exact g_0 is then nonzero: F's zeros and
     poles are distinct) raises NablaError: dropping the term, or printing
-    inf or nan from it, would make every value on the grid wrong.
+    inf or nan from it, would make every value on the grid wrong; a pole at
+    s = 1 raises PoleAtOneError (``RationalFunction.inferred_roc``).
     """
-    if rf.has_pole_at_one():
-        raise PoleAtOneError()
+    rf.inferred_roc()  # PoleAtOneError for a pole at s = 1
 
     red = rf._reduced
     c, zeros, poles = red.constant, red.zeros, red.poles
@@ -377,16 +377,15 @@ def expand(rf):
         )
 
     # a real F has real residues at real poles and conjugate ones at
-    # conjugate poles: compute the upper member of each pair only (it sorts
-    # after the lower one, so the reversed pass meets it first)
+    # conjugate poles of one multiplicity: compute the upper member of each
+    # pair only, and conjugate it into the lower one
     real = rf.is_real
-    index = {rc.value: i for i, rc in enumerate(poles)}
+    pairs = conjugate_pairs([((rc.value,), rc.multiplicity) for rc in poles]) if real else ()
+    # the index of each pair's lower member -> that of its upper one
+    upper_of = dict(sorted(pair, key=lambda i: poles[i].value.imag) for pair in pairs)
     parts = {}
-    for i in reversed(range(len(poles))):
-        rc = poles[i]
-        j = index.get(rc.value.conjugate()) if real and rc.value.imag < 0 else None
-        if j is not None and poles[j].multiplicity == rc.multiplicity:
-            parts[i] = np.conj(parts[j])
+    for i, rc in enumerate(poles):
+        if i in upper_of:
             continue
         g = _principal_part(c, zeros, poles, i)
         g0 = complex(g[0])
@@ -396,6 +395,8 @@ def expand(rf):
                 f"float64 range (computed |g_0| = {abs(g0):g}); try --strategy inside")
         # + 0.0 turns a -0.0 part into 0.0, which prints as "0"
         parts[i] = (g.real if real and rc.value.imag == 0 else g) + 0.0
+    for lower, upper in upper_of.items():
+        parts[lower] = np.conj(parts[upper])
 
     # the simple poles, then the repeated ones, each group in pole order (a
     # stable sort); the order-n coefficient of an order-N pole is g_(N-n)

@@ -225,11 +225,6 @@ class FractionalAtom:
         return {"type": "mittag-leffler", "coefficient": complex_pair(self.coefficient),
                 "alpha": self.alpha, "beta": self.beta, "lambda": complex_pair(self.lam)}
 
-    def evaluate(self, s):
-        """The atom at a point s or at every point of an ndarray s, as
-        ``FractionalSumForm.evaluate`` takes a sum of atoms."""
-        return FractionalSumForm((self,)).evaluate(s)
-
     def pole_distance(self):
         """|1 - s_0| for the root s_0 = |lam|^(1/alpha) e^{j arg(lam)/alpha} of
         s^alpha = lam; inf when s_0 is off the principal branch.

@@ -246,9 +246,6 @@ class RationalFunction:
     def __call__(self, s):
         return self.evaluate(s)
 
-    def has_pole_at_one(self):
-        return any(abs(p.value - 1.0) <= POLE_AT_ONE_TOL for p in self.poles)
-
     @cached_property
     def _at_one(self):
         """The reduced F(1 - w) as (numerator, denominator factors): the
@@ -297,12 +294,12 @@ class RationalFunction:
         that of 1/D, which grows with the closeness of D's poles; and a
         cancelled pole-zero factor left in the denominator would feed the
         division a mode that the numerator only cancels in exact arithmetic,
-        and rounding lets it grow.
+        and rounding lets it grow.  A pole at s = 1 (``inferred_roc``), or a
+        shifted factor with a constant term of exactly 0, raises PoleAtOneError.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
-        if self.has_pole_at_one():
-            raise PoleAtOneError()
+        self.inferred_roc()  # PoleAtOneError for a pole at s = 1
         num_w, den_w = self._at_one
         if any(q.coeffs[0] == 0 for q, _e in den_w):
             raise PoleAtOneError()
@@ -315,10 +312,13 @@ class RationalFunction:
 
     def inferred_roc(self):
         """Radius of the largest disk around s = 1 free of poles (inf when
-        pole-free)."""
-        if self.has_pole_at_one():
+        pole-free).  The one test of a pole at s = 1, within POLE_AT_ONE_TOL:
+        it raises PoleAtOneError, and ``series_at_one``, ``expansion.expand``
+        and ``verify.initial_value`` ask it for that."""
+        radius = min((abs(1.0 - p.value) for p in self.poles), default=math.inf)
+        if radius <= POLE_AT_ONE_TOL:
             raise PoleAtOneError()
-        return min((abs(1.0 - p.value) for p in self.poles), default=math.inf)
+        return radius
 
     @property
     def radius(self):

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import ConvergenceError, PoleAtOneError, TruncationWarning
-from .rational import RationalFunction, describe_roc
+from .rational import describe_roc
 from .special import step_offset
 
 FORWARD_TOL = 1e-12
@@ -182,12 +182,16 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
     F(conj s) = conj F(s) makes the samples Hermitian: F is sampled on the
     upper half of the circle only, the nodes // 2 + 1 points t = 2 pi n / nodes
     with n = 0..nodes // 2, and one real-output FFT (``np.fft.hfft``) of those
-    gives the same sums, with a zero imaginary part.  ``nodes`` (default
-    max(256, 32(m_max+1))) must be at least 4 m_max to keep aliasing below the
-    leading coefficients, and at most MAX_NODES, checked before any array is
-    made; ``rho`` defaults to ``default_rho(F, m_max)`` and must stay below
-    F's ``radius`` when it has one.  A callable F is called once,
-    with the ndarray of points on the circle.  The values are complex.
+    gives the same sums, with a zero imaginary part.  ``nodes`` must be at
+    least 4 m_max to keep aliasing below the leading coefficients, and at
+    most MAX_NODES, checked before any array is made.  It defaults to the
+    least 2^a 3^b 5^c at or above max(256, 32(m_max+1)), a length whose FFT
+    has no large prime factor to slow it (``_smooth``); MAX_NODES is such a
+    length, so a default count is refused only where the unrounded one would
+    be.  A ``nodes`` that is given is used as given.  ``rho`` defaults to
+    ``default_rho(F, m_max)`` and must stay below F's ``radius`` when it has
+    one.  A callable F is called once, with the ndarray of points on the
+    circle.  The values are complex.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -196,7 +200,7 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
     if not 0 < rho:
         raise ValueError("rho must be positive")
     if nodes is None:
-        nodes = max(256, 32 * (m_max + 1))
+        nodes = _smooth(max(256, 32 * (m_max + 1)))
     if nodes > MAX_NODES:
         raise ValueError(
             f"nodes = {nodes} is above the ceiling {MAX_NODES}; lower --nodes "
@@ -221,6 +225,20 @@ def quadrature_grid(F, m_max, rho=None, nodes=None):
         return (sums[:m_max] / nodes * rho ** -np.arange(m_max)).astype(complex, copy=False)
 
 
+def _smooth(n):
+    """The least 2^a 3^b 5^c at or above the int n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^a at or above n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def numeric_inverse(F, k, a=0.0, rho=None, nodes=None):
     """Contour-quadrature inversion of F at step k: the entry for k of
     ``quadrature_grid(F, k - a)``, whose defaults and checks it shares."""
@@ -229,11 +247,10 @@ def numeric_inverse(F, k, a=0.0, rho=None, nodes=None):
 
 
 def initial_value(F):
-    """f(a+1) = lim_{s->1} F(s), evaluated directly when s = 1 is regular."""
-    if isinstance(F, RationalFunction):
-        if F.has_pole_at_one():
-            raise PoleAtOneError()
-        return F.evaluate(1.0)
+    """f(a+1) = lim_{s->1} F(s), evaluated directly when s = 1 is regular:
+    a transform's ``radius`` raises PoleAtOneError for a pole there, and a
+    value that is not finite raises it too."""
+    getattr(F, "radius", None)  # PoleAtOneError for a pole at s = 1
     v = complex(F(1.0))
     if not (cmath.isfinite(v)):
         raise PoleAtOneError()

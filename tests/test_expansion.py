@@ -10,6 +10,7 @@ from nablainv import (
     RationalFunction,
     classify,
     expand,
+    expansion,
     parse_expression,
 )
 from conftest import example1, random_real_rational_from_factors, rational_from_factors
@@ -240,3 +241,34 @@ class TestRealInput:
         for s in (0.3 + 0.2j, -1.5, 2.5 - 1j):
             direct = rf.evaluate(s)
             assert abs(_reconstruct(terms, s) - direct) <= 1e-8 * (1.0 + abs(direct))
+
+    def test_lower_members_of_pairs_of_orders_one_to_three_are_conjugated(self, monkeypatch):
+        """A real F's conjugate pole pairs of orders 1, 2 and 3: only the upper
+        member of each is computed, and the lower one's coefficients are its
+        conjugates, bit for bit; a non-real F computes both members."""
+        computed = []
+        principal_part = expansion._principal_part
+
+        def spy(c, zeros, poles, i):
+            computed.append(poles[i].value)
+            return principal_part(c, zeros, poles, i)
+
+        monkeypatch.setattr(expansion, "_principal_part", spy)
+        text = "(s+0.5)/((s^2-0.6*s+0.25)*(s^2+0.4*s+0.53)^2*(s^2-3*s+2.5)^3*(s-2))"
+        rf = classify(parse_expression(text)).rational
+        assert rf.is_real
+        terms = {(t.pole, t.order): t.coefficient for t in expand(rf)}
+        lower = {rc.value: rc.multiplicity for rc in rf.poles if rc.value.imag < 0}
+        assert sorted(lower.values()) == [1, 2, 3]
+        assert set(computed) == {p for p in (rc.value for rc in rf.poles) if p not in lower}
+        assert len(computed) == 4
+        for (pole, n), q in terms.items():
+            if pole in lower:
+                upper = terms[(pole.conjugate(), n)]
+                assert (q.real.hex(), q.imag.hex()) == (upper.real.hex(), (-upper.imag).hex())
+
+        computed.clear()
+        rf = classify(parse_expression(f"(1+1j)*({text})")).rational
+        assert not rf.is_real
+        expand(rf)
+        assert len(computed) == 7 and set(computed) == {rc.value for rc in rf.poles}

@@ -290,7 +290,7 @@ class TestInvertFractional:
             want = form(np.array([s], dtype=complex))
         assert type(got) is complex
         np.testing.assert_array_equal(np.array([got]), want)
-        assert FractionalAtom(1.0, 0.5, 0.3, 0.2).evaluate(0) == 0
+        assert FractionalSumForm((FractionalAtom(1.0, 0.5, 0.3, 0.2),)).evaluate(0) == 0
 
 
 class TestOrderOneTerm:

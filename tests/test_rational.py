@@ -16,6 +16,9 @@ from nablainv import (
     TransformPair,
     classify,
     describe_roc,
+    expand,
+    initial_value,
+    invert_inside,
     parse_expression,
     sample_points,
 )
@@ -168,6 +171,29 @@ class TestSeriesChain:
                                       1000)
         got = rf.series_at_one(999)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestPoleAtOne:
+    """``inferred_roc`` is the one test of a pole at s = 1 (within
+    POLE_AT_ONE_TOL = 1e-9), and every reader of a rational F refuses it
+    there: the radius, the series, the expansion, the inside route and the
+    initial value."""
+
+    READERS = {
+        "radius": lambda rf: rf.radius,
+        "series_at_one": lambda rf: rf.series_at_one(3),
+        "expand": expand,
+        "invert_inside": lambda rf: invert_inside(rf, 3),
+        "initial_value": initial_value,
+    }
+
+    @pytest.mark.parametrize("read", list(READERS.values()), ids=list(READERS))
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_a_pole_within_the_tolerance_is_refused_and_one_past_it_is_not(self, read, side):
+        near = RationalFunction(Polynomial([1.0]), Polynomial([-(1 + side * 5e-10), 1.0]))
+        with pytest.raises(PoleAtOneError):
+            read(near)
+        read(RationalFunction(Polynomial([1.0]), Polynomial([-(1 + side * 2e-9), 1.0])))
 
 
 class TestRoc:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nablainv import PoleAtOneError
 from nablainv.cli import main
 from nablainv.pairs import reference_pairs
 from conftest import REFUSED
@@ -95,13 +96,15 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
         ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
         ["verify", same_output.PAIR_TERMS, "--k", "1..100"],
         ["verify", same_output.PAIR_TERMS, "--k", "1..100", "--format", "json"],
-        ["verify", "--expr=1/(0.5*s+0.5)^1.5"]]
+        ["verify", "--expr=1/(0.5*s+0.5)^1.5"],
+        ["verify", "--expr=1/((s+0.5)*(s+0.2))", "--k", "1..1000"]]
     assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating) + len(rejected)
     for argv in cmds[:-len(rejected)]:
         assert main(argv) == 0, argv
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
-    # lists no point (exit 2), and the complex lambda, the shapes with no
+    # lists no point (exit 2), the pole at s = 1 exits 1 on every command
+    # with the one PoleAtOneError line, and the complex lambda, the shapes with no
     # strategy, the unsupported power, the atom beside a non-atom, the
     # overflowing series, the close conjugate pairs on each closed-form route
     # and the underflowing residue exit 1, and so do the growing F and the
@@ -109,7 +112,13 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     # their first step, and the growing atom at its first step out of range;
     # the complex F exit 1 on every route and grid, with one line that names
     # no step
-    assert [main(argv) for argv in rejected] == [1, 2, 2, 1, 2] + [1] * 31
+    at_one = rejected.index(same_output.POLE_AT_ONE[0])
+    assert rejected[at_one:at_one + 5] == same_output.POLE_AT_ONE
+    assert [main(argv) for argv in rejected[:at_one]] == [1, 2, 2, 1, 2]
+    capsys.readouterr()
+    assert [main(argv) for argv in same_output.POLE_AT_ONE] == [1] * 5
+    assert capsys.readouterr().err == f"error: {PoleAtOneError()}\n" * 5
+    assert [main(argv) for argv in rejected[at_one + 5:]] == [1] * 31
     err = capsys.readouterr().err.splitlines()[-19:]
     assert [line.split(" at k = ")[1].split(" ")[0] for line in err[:8]] == [
         "734", "734", "1024", "2021", "10000000", "7532", "100000", "1000000"]

@@ -508,19 +508,69 @@ class TestSharedBlocks:
                          "forward_transform(rule, 0.02, tol=1e-14, n_max=50)"]
 
 
+def _least_smooth(n):
+    """The least 2^a 3^b 5^c at or above n, found by trial division."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _never_sampled(s):
+    raise AssertionError("F must not be sampled")
+
+
 class TestNodeCeiling:
     def test_nodes_above_the_ceiling_fail_before_any_allocation(self):
-        def F(s):
-            raise AssertionError("F must not be sampled")
-
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="--nodes.*--k"):
-                quadrature_grid(F, 3, nodes=MAX_NODES + 1)
+                quadrature_grid(_never_sampled, 3, nodes=MAX_NODES + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_a_default_count_is_refused_only_where_the_unrounded_one_would_be(self):
+        """MAX_NODES = 2^24 is itself 5-smooth: an unrounded count 32 (m_max + 1)
+        just below it rounds up to it, and the first one past it, at m_max =
+        2^19, is refused with its rounded count."""
+        assert _least_smooth(32 * 524287) == MAX_NODES == 32 * 524288
+        with pytest.raises(ValueError, match=f"^nodes = {_least_smooth(32 * 524289)} is above"):
+            quadrature_grid(_never_sampled, 524288)
+
+
+class TestDefaultNodes:
+    """The default node count is the least 2^a 3^b 5^c at or above
+    max(256, 32 (m_max + 1)), a length whose FFT has no large prime factor;
+    a count that is given is used as given."""
+
+    @staticmethod
+    def _nodes(m_max, nodes=None):
+        """The node count of quadrature_grid(f, m_max), read from the one call
+        of a plain function f, which is sampled on the whole circle."""
+        sizes = []
+        quadrature_grid(lambda s: sizes.append(np.size(s)) or 1.0 / (s + 0.5), m_max,
+                        nodes=nodes)
+        return sizes[0]
+
+    @pytest.mark.parametrize("m_max", [1, 7, 10, 96, 200, 1000])
+    def test_default_is_the_least_smooth_count_at_or_above_the_old_one(self, m_max):
+        old = max(256, 32 * (m_max + 1))
+        assert old <= self._nodes(m_max) == _least_smooth(old)
+
+    def test_rounding_takes_k_1e5_to_a_smooth_length(self):
+        # 32 (1e5 + 1) = 3 200 032 has the prime factor 9091
+        assert verify._smooth(3_200_032) == _least_smooth(3_200_032) == 3_240_000
+
+    @pytest.mark.parametrize("nodes", [161, 3104])
+    def test_given_count_is_kept(self, nodes):
+        assert _least_smooth(nodes) != nodes
+        assert self._nodes(40, nodes=nodes) == nodes
 
 
 class TestOrientation:

@@ -78,7 +78,8 @@ CONJUGATE = ([["--strategy", strategy, PAIR_TERMS, "--k", "1..2000", "--format",
 # conjugate pairs whose closed form the printing routes refuse (forward sums
 # its terms), a denominator power of 4 (no request has one above 3), a
 # constant F, conjugate terms, each verify format, and pair row 6's shape,
-# whose real parameters send its quadrature to the half circle
+# whose real parameters send its quadrature to the half circle, and a
+# verify whose default node count is rounded up (32 032 to 32 400)
 EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["forward", "--expr=1/(s-2j)"],
@@ -88,7 +89,8 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["verify", "--expr=0*s/(s-3)", "--k", "1..5"],
               ["verify", PAIR_TERMS, "--k", "1..100"],
               ["verify", PAIR_TERMS, "--k", "1..100", "--format", "json"],
-              ["verify", "--expr=1/(0.5*s+0.5)^1.5"]]
+              ["verify", "--expr=1/(0.5*s+0.5)^1.5"],
+              ["verify", "--expr=1/((s+0.5)*(s+0.2))", "--k", "1..1000"]]
 # grids that reach the edges of ``printing.rows``, which no request does: a
 # decay through the subnormals into the zero tail, powers of two past 2^53
 # (repr's fallback), +/-1, and steps that are not integers; negative k, live
@@ -137,13 +139,18 @@ POWERED = [["--expr=1/(s+0.01)", "--k", "1..100000"],
 GROWING = "--expr=1.7/(s-0.62) + 0.9/(s+1.3)^2"
 TINY = "--expr=1e-300/(s-0.5)"
 TINY_IMAGINARY = "--expr=1e-300j/(s-0.5)"
+# a pole at s = 1, which the transform's radius refuses: on pfe and inside,
+# on verify and forward, and a pole 5e-10 from 1
+AT_ONE = "--expr=1/((s-1)*(s+0.5))"
+POLE_AT_ONE = [["invert", "--strategy", "pfe", AT_ONE], ["invert", "--strategy", "inside", AT_ONE],
+               ["verify", AT_ONE], ["forward", AT_ONE], ["invert", "--expr=1/(s-1.0000000005)"]]
 # commands that exit nonzero: a rational with a double pole on the fractional
 # route, step ranges that are not a grid or too long for an array, an empty
-# point list, an atom with a complex lambda, shapes no strategy inverts (an
-# atom base in the numerator, a positive power of s, a linear base to a
-# non-integer power beside a pole), a non-integer power of a quadratic, an
-# atom with |lambda| >= 1 before a summand that is no atom, a series that
-# grows by 1e6 a step, out of the float64 range at k = 52, the close
+# point list, the POLE_AT_ONE commands, an atom with a complex lambda,
+# shapes no strategy inverts (an atom base in the numerator, a positive power
+# of s, a linear base to a non-integer power beside a pole), a non-integer
+# power of a quadratic, an atom with |lambda| >= 1 before a summand that is
+# no atom, a series that grows by 1e6 a step, out of the float64 range at k = 52, the close
 # conjugate pairs on the closed-form routes, written as conjugate terms and
 # on pfe as real quadratics, whose first value misses F(1) by more than the
 # realness tolerance, and the checks of
@@ -162,6 +169,7 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
             ["invert", "--expr=1/(s-0.3)", "--k", "0.5"],
             ["invert", "--expr=1/(s-0.3)", "--k", "1..1e30"],
             ["forward", "--expr=1/(s-0.3)", "--s", ","],
+            *POLE_AT_ONE,
             ["invert", "--expr=1/(s^0.5-(0.2+0.1j))"],
             ["invert", "--expr=1/(s^0.5-0.2)^-1"],
             ["invert", "--expr=1/s^-0.5"],
