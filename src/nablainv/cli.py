@@ -105,10 +105,16 @@ def build_parser():
 
 
 @functools.cache
+def _subparsers():
+    """Each subcommand's parser, by name, in the one parser."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@functools.cache
 def _value_flags():
     """The flags of every subcommand that take one value."""
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return frozenset(flag for parser in sub.choices.values() for action in parser._actions
+    return frozenset(flag for parser in _subparsers().values() for action in parser._actions
                      if action.nargs is None for flag in action.option_strings)
 
 
@@ -124,6 +130,22 @@ def _joined(argv):
         if out[i] in flags and value.startswith("-") and not value.startswith("--"):
             out[i:i + 2] = [f"{out[i]}={value}"]
     return out
+
+
+def _parse(argv):
+    """The namespace of argv, as ``build_parser().parse_args`` gives it, in one
+    argparse pass: an argv that starts with a subcommand is parsed by that
+    subcommand's parser alone, and its leftover words are reported through
+    the top-level parser, as its own pass would.  Any other argv goes to the
+    top-level parser."""
+    argv = _joined(argv)
+    parser = _subparsers().get(argv[0]) if argv else None
+    if parser is None:
+        return build_parser().parse_args(argv)
+    args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _load_config(args):
@@ -576,7 +598,7 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -439,16 +439,24 @@ def check_first_step(rf, terms):
 
 def _principal_part(c, zeros, poles, i):
     """Taylor coefficients g_0..g_(N-1) of (s - lam)^N F(s) at its order-N
-    pole lam = poles[i], from the roots of F = c prod (s - z)^m / prod (s - mu)^m."""
+    pole lam = poles[i], from the roots of F = c prod (s - z)^m / prod (s - mu)^m.
+
+    When the other poles' product at s = lam underflows to 0 (their distances
+    to lam raised to their orders), g_0 is past the float64 range: this
+    returns [0], which ``expand`` refuses as it refuses any such g_0."""
     lam, mult = poles[i].value, poles[i].multiplicity
     others = [o for j, o in enumerate(poles) if j != i]
     if mult == 1:
+        den = math.prod((lam - o.value) ** o.multiplicity for o in others)
+        if den == 0:
+            return np.zeros(1, complex)
         r = c * math.prod((lam - z.value) ** z.multiplicity for z in zeros)
-        r /= math.prod((lam - o.value) ** o.multiplicity for o in others)
-        return np.array([r])
+        return np.array([r / den])
     # the two root products at s = lam + t, divided as power series
     num_t = c * Polynomial.from_roots(
         [z.value - lam for z in zeros for _ in range(z.multiplicity)])
     den_t = Polynomial.from_roots(
         [o.value - lam for o in others for _ in range(o.multiplicity)])
+    if den_t.coeffs[0] == 0:
+        return np.zeros(1, complex)
     return series_divide(num_t, den_t, mult - 1)

@@ -144,27 +144,30 @@ _TOKEN = re.compile(r"""
 
 
 def _tokenize(text):
+    """The tokens of ``text``, ending with an "end" token.  Each is made with
+    ``tuple.__new__``, which skips the NamedTuple's Python-level ``__new__``."""
     tokens = []
+    append, new = tokens.append, tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "space":
+        if kind == "number":
+            lit = m.group()
+            value = complex(float(lit[:-1])) * 1j if lit[-1] == "j" else complex(float(lit))
+        elif kind == "space":
             continue
-        if kind == "newline":
+        elif kind == "newline":
             line, line_start = line + 1, m.end()
             continue
-        lit = m.group()
-        column = m.start() - line_start + 1
-        if kind == "other":
+        elif kind == "other":
             raise ExpressionSyntaxError(
-                f"unexpected character {lit!r}", line, column,
+                f"unexpected character {m.group()!r}", line, m.start() - line_start + 1,
                 ("number", "identifier", "operator", "parenthesis"),
             )
-        value = 0j
-        if kind == "number":
-            value = complex(float(lit[:-1])) * 1j if lit[-1] == "j" else complex(float(lit))
-        tokens.append(_Token(kind, lit, value, line, column))
-    tokens.append(_Token("end", "", 0j, line, len(text) - line_start + 1))
+        else:
+            lit, value = m.group(), 0j
+        append(new(_Token, (kind, lit, value, line, m.start() - line_start + 1)))
+    append(new(_Token, ("end", "", 0j, line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -383,6 +386,11 @@ def _read(node):
     if type(node) is BinOp:
         if node.op in "+-" and type(node.left) is BinOp and node.left.op in "+-":
             return _read_chain(node)
+        if node.op in "+-" and type(node.left) is Var and type(node.right) is Num:
+            c = node.right.value
+            if c != 0:  # s +/- c: the factor ``_sum`` gives, read directly
+                return _linear((1.0 if node.op == "+" else -1.0) * c), (
+                    node, ((1.0 + 0j, {_S: 1}), None, False), ((c, {}), None, False)), False
         l, r = _read(node.left), _read(node.right)
         lr, rr, rational = l[0], r[0], None
         if lr is not None and rr is not None:
@@ -415,6 +423,16 @@ def _read(node):
     return rational, (node, base), odd
 
 
+def _linear(c):
+    """The rational reading (1, {(c0, 1): 1}) of s + c for a nonzero c, the
+    written constant times the float sign ``_sum`` multiplies it by, bit for
+    bit the one ``_sum`` gives: c0 is the numerator's constant 0j + c
+    divided by 1 + 0j as numpy divides (the real part plus the imaginary
+    part times 0.0, the imaginary part minus the real part times 0.0)."""
+    x = 0j + c
+    return 1.0 + 0j, {(complex(x.real + x.imag * 0.0, x.imag - x.real * 0.0), 1.0 + 0j): 1}
+
+
 def _read_chain(node):
     """The form of a chain of three or more summands joined by + and -, as
     ``_read`` gives it.  Its operands are read left to right, and its
@@ -426,8 +444,9 @@ def _read_chain(node):
     inner nodes get no rational reading: only the chain's own is ever read.
 
     ``_read`` adds two summands itself, in order, the same sum this would
-    give: each s - p of a factored F is such a sum, and reading it here
-    made the median rational-short request about 3 % slower."""
+    give, and ``_linear`` reads s + c and s - c without summing: each s - p
+    of a factored F is such a sum, and reading it here made the median
+    rational-short request about 3 % slower."""
     chain = []
     while type(node) is BinOp and node.op in "+-":
         chain.append(node)

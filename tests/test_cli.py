@@ -683,22 +683,96 @@ class TestOneClassification:
         assert len(calls) == 1
 
 
+# two poles of order 100, 1e-4 apart: each one's product of the other's
+# distances, (1e-4)^100, underflows to 0
+UNDERFLOWING = "1/((s+0.5)^100*(s+0.5001)^100)"
+
+
+class TestUnderflowingPoleProduct:
+    """A pole whose other poles' product underflows at it has a g_0 past the
+    float64 range: the closed-form routes refuse it, naming the pole and the
+    inside strategy (exit 1), where dividing by that zero exited 2."""
+
+    @pytest.mark.parametrize("argv", [
+        *(["invert", "--strategy", strategy, "--k", "1..3"]
+          for strategy in ("auto", "pfe", "outside")),
+        ["verify", "--k", "1..3"], ["forward"],
+    ])
+    def test_closed_form_routes_refuse_the_pole(self, capsys, argv):
+        code, out, err = run(capsys, *argv, f"--expr={UNDERFLOWING}")
+        assert (code, out) == (1, "")
+        assert err == ("error: pole s = (-0.5001): its partial-fraction coefficient leaves "
+                       "the float64 range (computed |g_0| = 0); try --strategy inside\n")
+
+    def test_a_simple_pole_is_refused_too(self, capsys):
+        code, out, err = run(capsys, "invert", "--expr=1/((s+0.5)*(s+0.5001)^100)")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: pole s = (-0.5): its partial-fraction coefficient")
+
+    def test_inside_prints_the_grid(self, capsys):
+        code, out, err = run(capsys, "invert", "--strategy", "inside",
+                             f"--expr={UNDERFLOWING}", "--k", "1..3", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "1,6.0097027115925224e-36"
+
+
 class TestSharedParser:
     """``main`` parses with the one parser ``build_parser`` builds per process."""
 
     def test_build_parser_returns_the_parser_main_uses(self, capsys, monkeypatch):
+        """The one parse ``main`` runs is that of the named subcommand's
+        parser in the one parser, or of the one parser itself for an argv
+        that names no subcommand."""
         parser = cli.build_parser()
         assert cli.build_parser() is parser
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         seen = []
-        original = parser.parse_args
 
-        def spying(argv):
-            seen.append(argv)
-            return original(argv)
+        def spy(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(parser, "parse_args", spying)
+            def spying(argv, *rest):
+                seen.append((owner, argv))
+                return original(argv, *rest)
+
+            monkeypatch.setattr(owner, name, spying)
+
+        spy(sub.choices["table"], "parse_known_args")
+        spy(parser, "parse_args")
         assert run(capsys, "table", "--match", "1/(s-0.3)")[0] == 0
-        assert seen == [["table", "--match", "1/(s-0.3)"]]
+        assert seen == [(sub.choices["table"], ["--match", "1/(s-0.3)"])]
+        seen.clear()
+        assert run(capsys, "frobnicate")[0] == 2
+        assert seen == [(parser, ["frobnicate"])]
+
+    @pytest.mark.parametrize("argv", [
+        ["invert", "--expr", EX1, "--k", "1..3", "--format", "csv"],
+        ["forward", "--expr", "1/(s-0.3)", "--s", "0.5,0.2j"],
+        ["verify", "--expr", "1/(s-0.3)", "--k", "1..3", "--format", "json"],
+        ["table", "--match", "1/(s-0.3)"],
+        ["roundtrip", "--tol", "1e-6"],
+        ["invert", "--expr", "1/(s+0.5)", "--a", "-3", "--k", "-2..2"],
+        ["invert", "--expr", EX1, "extra"],
+        ["invert", "--expr", EX1, "--tol", "5"],
+        ["invert", "--expr=1/(s+0.5)", "extra", "words", "--format", "json"],
+        [],
+        ["frobnicate"],
+        ["frobnicate", "--expr", EX1],
+        ["-h"],
+        ["invert", "-h"],
+        ["invert", "--expr", EX1, "--format", "xml"],
+        ["invert", "--k", "1..3"],
+        ["invert", "--ex", EX1, "--k", "1..2"],
+        ["invert", "--expr", EX1, "--", "1..2"],
+    ])
+    def test_one_pass_matches_the_two_pass_parse(self, capsys, monkeypatch, argv):
+        """``main`` gives the exit code, stdout and stderr it gave when it
+        parsed with the top-level parser, which hands the words after the
+        subcommand to the subcommand's parser."""
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse",
+                            lambda argv: cli.build_parser().parse_args(cli._joined(argv)))
+        assert got == run(capsys, *argv)
 
     def test_later_calls_build_no_parser(self, capsys, monkeypatch):
         run(capsys, "invert", "--expr", EX1, "--k", "1..2")
@@ -734,6 +808,7 @@ class TestSharedParser:
         shared = [run(capsys, *argv) for argv in sequence]
         assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0]
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        monkeypatch.setattr(cli, "_subparsers", cli._subparsers.__wrapped__)
         assert [run(capsys, *argv) for argv in sequence] == shared
 
     def test_usage_error_and_help_reach_this_tests_streams(self, capsys):

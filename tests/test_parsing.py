@@ -16,7 +16,7 @@ from nablainv import (
     reference_pairs,
 )
 from nablainv import Polynomial, parsing
-from nablainv.parsing import Neg, Num, Pow, Var, _read
+from nablainv.parsing import BinOp, Neg, Num, Pow, Var, _read
 from conftest import REFUSED
 
 
@@ -548,6 +548,41 @@ class TestSumShapes:
                 continue
             want = Polynomial.product(((Polynomial(q), e) for q, e in factors), c)
             assert _bits(parsing._multiplied(c, factors)) == _bits(want.coeffs.tolist())
+
+
+class TestLinearFactor:
+    """s + c and s - c, c a nonzero constant, are read straight into the
+    factor that the common-denominator sum ``_sum`` gives them."""
+
+    def test_reads_as_the_sum_bit_for_bit(self):
+        """The constant and the factor's key agree with ``_sum``'s, signed
+        zeros, subnormals, parts near the float64 limit, inf and nan
+        included, and so do the parts ``_terms`` reads."""
+        rng = np.random.default_rng(4040)
+        specials = [0.0, -0.0, 5e-324, -1e-320, 1.7976931348623157e308, -1e308,
+                    math.inf, -math.inf, math.nan]
+
+        def part():
+            if rng.random() < 0.3:
+                return float(rng.choice(specials))
+            return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320, 308.2))
+
+        cases = [complex(a, b) for a in specials for b in specials]
+        cases += [complex(part(), part() if rng.random() < 0.6 else 0.0) for _ in range(4000)]
+        var = _read(Var())
+        # the reference divides inf and nan by 1 + 0j, which numpy flags
+        with np.errstate(invalid="ignore"):
+            for c in cases:
+                if c == 0:
+                    continue
+                for op, sign in (("+", 1.0), ("-", -1.0)):
+                    node = BinOp(op, Var(), Num(c))
+                    (got_c, got), parts, odd = _read(node)
+                    want_c, want = parsing._sum((1 + 0j, {parsing._S: 1}), (c, {}), sign)
+                    assert _bits([got_c]) == _bits([want_c]), (op, c)
+                    assert [(_bits(q), e) for q, e in got.items()] \
+                        == [(_bits(q), e) for q, e in want.items()], (op, c)
+                    assert (parts, odd) == ((node, var, _read(Num(c))), False)
 
 
 class TestSumsWithoutConvolution:

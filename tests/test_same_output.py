@@ -59,14 +59,18 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     the term order of the TERMS rationals, the fractional route on a
     rational, each format of the PRINTED grids, the DIVIDED series, the
     POWERED closed forms, the CONJUGATE terms of real F, forward and verify
-    where F is read as no request reads it, and the REJECTED commands; each
-    but the rejected exits 0 here."""
+    where F is read as no request reads it, the REJECTED commands and the
+    USAGE argv; each but the rejected and the usage argv exits 0 here."""
     cmds = same_output.fixed_commands()
+    usage, rejected = same_output.USAGE, same_output.REJECTED
+    assert usage == [["frobnicate"], [], ["invert", "--expr=1/(s+0.5)", "extra"],
+                     ["invert", "-h"]]
+    assert cmds[-len(usage):] == usage
+    cmds = cmds[:-len(usage)]
     assert cmds[0] == ["roundtrip"]
     tables = [argv for argv in cmds if argv[0] == "table"]
     assert tables == [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()] \
         + [["table", f"--match={expr}"] for expr in same_output.MATCHED]
-    rejected = same_output.REJECTED
     assert cmds[-len(rejected):] == rejected
     # the series that starts at w^261: its inside grid, and verify, whose pfe
     # route refuses it
@@ -77,6 +81,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     assert inverts == [[f"--expr={expr}", "--format", fmt] for expr in same_output.FRACTIONAL
                        for fmt in ("text", "csv", "json")] \
         + [[f"--expr={expr}", "--k", "1..3"] for expr in same_output.HIGH_ORDER] \
+        + [["--expr=1/(s+0)"], ["--expr=1/(s-0.0)"], ["--expr=1/(s-(-0.5))"],
+           ["--expr=1/((s-(0.2+0.3j))*(s-(0.2-0.3j)))"], ["--expr=1/(s+1e-320)"]] \
         + [["--expr=(s^3+1)/((s-2)*(s+0.55)^2)", "--format", "text"],
            ["--expr=(s^3+1)/((s-2)*(s+0.55)^2)", "--format", "json"],
            ["--expr=4.05/((s+0.55)^2)+1/(s-2)", "--format", "text"],
@@ -84,7 +90,8 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
            ["--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)", "--format", "json"]] \
         + [[*argv, "--format", fmt] for argv in same_output.PRINTED
            for fmt in ("text", "csv", "json")] \
-        + same_output.DIVIDED + same_output.POWERED + same_output.CONJUGATE
+        + same_output.DIVIDED + same_output.POWERED + same_output.CONJUGATE \
+        + [["--strategy", "inside", same_output.UNDERFLOWING, "--k", "1..3"]]
     evaluating = [argv for argv in cmds[:-len(rejected)] if argv[0] in ("forward", "verify")]
     assert evaluating == [
         ["forward", "--expr=9/((s+1)^2*(s-2))"],
@@ -101,24 +108,31 @@ def test_fixed_commands_reach_what_no_request_does(same_output, capsys):
     assert len(cmds) == 1 + len(tables) + len(inverts) + len(evaluating) + len(rejected)
     for argv in cmds[:-len(rejected)]:
         assert main(argv) == 0, argv
+    # the unknown subcommand, the missing one and the leftover word are
+    # usage errors; help exits 0
+    capsys.readouterr()
+    assert [main(argv) for argv in usage] == [2, 2, 2, 0]
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: nablainv invert")
+    assert err.splitlines()[-1] == "nablainv: error: unrecognized arguments: extra"
     # the double pole does not convert to atoms (exit 1), "abc" and 0.5 are
     # no grid (exit 2), 1..1e30 has too many steps for an array (exit 1), ","
     # lists no point (exit 2), the pole at s = 1 exits 1 on every command
     # with the one PoleAtOneError line, and the complex lambda, the shapes with no
     # strategy, the unsupported power, the atom beside a non-atom, the
-    # overflowing series, the close conjugate pairs on each closed-form route
-    # and the underflowing residue exit 1, and so do the growing F and the
-    # tiny residues, at the first step out of range, and the far grids, at
-    # their first step, and the growing atom at its first step out of range;
-    # the complex F exit 1 on every route and grid, with one line that names
-    # no step
+    # overflowing series, the close conjugate pairs on each closed-form route,
+    # the underflowing residue and the underflowing pole product exit 1, and
+    # so do the growing F and the tiny residues, at the first step out of
+    # range, and the far grids, at their first step, and the growing atom at
+    # its first step out of range; the complex F exit 1 on every route and
+    # grid, with one line that names no step
     at_one = rejected.index(same_output.POLE_AT_ONE[0])
     assert rejected[at_one:at_one + 5] == same_output.POLE_AT_ONE
     assert [main(argv) for argv in rejected[:at_one]] == [1, 2, 2, 1, 2]
     capsys.readouterr()
     assert [main(argv) for argv in same_output.POLE_AT_ONE] == [1] * 5
     assert capsys.readouterr().err == f"error: {PoleAtOneError()}\n" * 5
-    assert [main(argv) for argv in rejected[at_one + 5:]] == [1] * 31
+    assert [main(argv) for argv in rejected[at_one + 5:]] == [1] * 32
     err = capsys.readouterr().err.splitlines()[-19:]
     assert [line.split(" at k = ")[1].split(" ")[0] for line in err[:8]] == [
         "734", "734", "1024", "2021", "10000000", "7532", "100000", "1000000"]

@@ -46,6 +46,16 @@ FRACTIONAL = ["2*s^-0.5", "1/(0.3-s^0.5)", "-(s^0.5)/(-(s^0.7-0.3))",
 MATCHED = ["1/(0.5*s+0.5)^1.5", "0.5*s^-0.5*(1-s)/(0.3-s^0.5)^2"]
 # poles of order 170 and 172, whose float factorials overflowed
 HIGH_ORDER = ["1/(s-2)^170", "1/(s^2-4*s+4)^86"]
+# linear factors s + c and s - c written as no request writes them: a zero
+# constant of either sign, which the common-denominator sum reads, and a
+# negated negative constant, a conjugate pair and a subnormal constant, each
+# read as its factor without that sum
+LINEAR = ["1/(s+0)", "1/(s-0.0)", "1/(s-(-0.5))", "1/((s-(0.2+0.3j))*(s-(0.2-0.3j)))",
+          "1/(s+1e-320)"]
+# two poles of order 100, 1e-4 apart, where the product of each one's
+# distances to the other underflows to 0: the closed form refuses the pole
+# (REJECTED), and the inside route prints the grid
+UNDERFLOWING = "--expr=1/((s+0.5)^100*(s+0.5001)^100)"
 # rationals whose closed form shows the order of the terms: an impulse, a
 # simple and a double pole; and a double pole whose order-1 coefficient is 0
 TERMS = ["(s^3+1)/((s-2)*(s+0.55)^2)", "4.05/((s+0.55)^2)+1/(s-2)"]
@@ -79,7 +89,8 @@ CONJUGATE = ([["--strategy", strategy, PAIR_TERMS, "--k", "1..2000", "--format",
 # its terms), a denominator power of 4 (no request has one above 3), a
 # constant F, conjugate terms, each verify format, and pair row 6's shape,
 # whose real parameters send its quadrature to the half circle, and a
-# verify whose default node count is rounded up (32 032 to 32 400)
+# verify whose default node count is rounded up (32 032 to 32 400), and the
+# inside route of the UNDERFLOWING poles
 EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["forward", "--expr=1/(s^0.5-0.2)-s^0.2/(s^0.7-0.3)"],
               ["forward", "--expr=1/(s-2j)"],
@@ -90,7 +101,8 @@ EVALUATING = [["forward", "--expr=9/((s+1)^2*(s-2))"],
               ["verify", PAIR_TERMS, "--k", "1..100"],
               ["verify", PAIR_TERMS, "--k", "1..100", "--format", "json"],
               ["verify", "--expr=1/(0.5*s+0.5)^1.5"],
-              ["verify", "--expr=1/((s+0.5)*(s+0.2))", "--k", "1..1000"]]
+              ["verify", "--expr=1/((s+0.5)*(s+0.2))", "--k", "1..1000"],
+              ["invert", "--strategy", "inside", UNDERFLOWING, "--k", "1..3"]]
 # grids that reach the edges of ``printing.rows``, which no request does: a
 # decay through the subnormals into the zero tail, powers of two past 2^53
 # (repr's fallback), +/-1, and steps that are not integers; negative k, live
@@ -154,7 +166,8 @@ POLE_AT_ONE = [["invert", "--strategy", "pfe", AT_ONE], ["invert", "--strategy",
 # conjugate pairs on the closed-form routes, written as conjugate terms and
 # on pfe as real quadratics, whose first value misses F(1) by more than the
 # realness tolerance, and the checks of
-# the late-starting series, whose pole's residue underflows on the pfe route;
+# the late-starting series, whose pole's residue underflows on the pfe route,
+# the UNDERFLOWING poles on auto;
 # the growing F on the outside and inside routes, the tiny residue on both
 # routes; a short grid far past a growing mode, which the series route
 # probes at that mode's overflow step; a fractional grid that leaves
@@ -182,6 +195,7 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
               for strategy in ("auto", "pfe", "outside")),
             ["invert", "--strategy", "pfe", NEAR_QUADRATICS, "--k", "1..3"],
             ["verify", LATE_START, "--k", "1..330"],
+            ["invert", UNDERFLOWING, "--k", "1..3"],
             ["invert", "--strategy", "outside", GROWING, "--k", "1..20000"],
             ["invert", "--strategy", "inside", GROWING, "--k", "1..20000"],
             ["invert", TINY, "--k", "1..3000"],
@@ -197,6 +211,10 @@ REJECTED = [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)^2"],
                "--format", "csv"] for strategy in ("pfe", "inside")),
             *(["invert", "--strategy", strategy, CLOSE_PAIR, "--k", "1..5"]
               for strategy in ("auto", "pfe", "outside", "inside"))]
+
+# argv that argparse refuses or answers itself: an unknown subcommand, none,
+# a word left over after a subcommand's flags, and a subcommand's help
+USAGE = [["frobnicate"], [], ["invert", "--expr=1/(s+0.5)", "extra"], ["invert", "-h"]]
 
 # The child: argv[1] is a tree's src directory and argv[2] a JSON file of
 # argument lists; prints a JSON list with one sha256 hex digest per command.
@@ -237,16 +255,19 @@ def fixed_commands():
     """The argument lists hashed after the benchmark's: ``roundtrip``, ``table
     --match`` on each reference pair's transform and on the MATCHED inputs,
     ``invert`` in each format on the FRACTIONAL inputs, ``invert`` on the
-    HIGH_ORDER poles, ``invert`` in text and json on the TERMS inputs, the
+    HIGH_ORDER poles and the LINEAR factors, ``invert`` in text and json on
+    the TERMS inputs, the
     fractional route in json on two simple poles, ``invert`` in each format on
     the PRINTED grids, ``invert`` on the DIVIDED, the POWERED and the
-    CONJUGATE inputs, the EVALUATING commands and the REJECTED ones."""
+    CONJUGATE inputs, the EVALUATING commands, the REJECTED ones and the
+    USAGE argv."""
     out = [["roundtrip"]]
     out += [["table", f"--match={tp.transform_text}"] for tp in reference_pairs()]
     out += [["table", f"--match={expr}"] for expr in MATCHED]
     out += [["invert", f"--expr={expr}", "--format", fmt]
             for expr in FRACTIONAL for fmt in ("text", "csv", "json")]
     out += [["invert", f"--expr={expr}", "--k", "1..3"] for expr in HIGH_ORDER]
+    out += [["invert", f"--expr={expr}"] for expr in LINEAR]
     out += [["invert", f"--expr={expr}", "--format", fmt]
             for expr in TERMS for fmt in ("text", "json")]
     out += [["invert", "--strategy", "fractional", "--expr=1/(s-0.3)+2/(s+0.4)",
@@ -256,7 +277,7 @@ def fixed_commands():
     out += [["invert", *argv] for argv in DIVIDED]
     out += [["invert", *argv] for argv in POWERED]
     out += [["invert", *argv] for argv in CONJUGATE]
-    return out + EVALUATING + REJECTED
+    return out + EVALUATING + REJECTED + USAGE
 
 
 def start(tree, argv_file):
